@@ -180,35 +180,35 @@ def compile_instance(instance: QueryInstance) -> QueryPlan:
         )
 
     plan = QueryPlan()
-    anchor_nodes: dict[str, int] = {}
+    plan.sink = _build_term(TARGET_TERM, template, instance, plan, {})
+    return plan
 
-    def anchor_node(term: str) -> int:
+
+def _build_term(term: str, template: Template, instance: QueryInstance, plan: QueryPlan,
+                anchor_nodes: dict[str, int]) -> int:
+    """Add the nodes defining ``term`` to ``plan``; returns its node id. (A
+    recursive closure would be a reference cycle left to the garbage collector.)"""
+    if term in ANCHOR_TERMS:
         if term not in anchor_nodes:
             entity = instance.anchors[ANCHOR_TERMS.index(term)]
             anchor_nodes[term] = plan.add(Anchor(entity))
         return anchor_nodes[term]
-
-    def build_term(term: str) -> int:
-        if term in ANCHOR_TERMS:
-            return anchor_node(term)
-        incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
-        if not incoming:
-            raise DataError(f"term {term!r} has no defining atom")
-        parts = []
-        for i in incoming:
-            atom = template.atoms[i]
-            node = plan.add(Relate(instance.relations[atom.relation], build_term(atom.src)))
-            if atom.negated:
-                node = plan.add(Negate(node))
-            parts.append(node)
-        if len(parts) == 1:
-            return parts[0]
-        if frozenset(incoming) in template.or_pairs:
-            return plan.add(Disjoin(tuple(parts)))
-        return plan.add(Conjoin(tuple(parts)))
-
-    plan.sink = build_term(TARGET_TERM)
-    return plan
+    incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
+    if not incoming:
+        raise DataError(f"term {term!r} has no defining atom")
+    parts = []
+    for i in incoming:
+        atom = template.atoms[i]
+        source = _build_term(atom.src, template, instance, plan, anchor_nodes)
+        node = plan.add(Relate(instance.relations[atom.relation], source))
+        if atom.negated:
+            node = plan.add(Negate(node))
+        parts.append(node)
+    if len(parts) == 1:
+        return parts[0]
+    if frozenset(incoming) in template.or_pairs:
+        return plan.add(Disjoin(tuple(parts)))
+    return plan.add(Conjoin(tuple(parts)))
 
 
 def validate(plan: QueryPlan) -> list[str]:

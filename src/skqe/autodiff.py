@@ -5,9 +5,25 @@ already a topological order, and ``backward`` walks it in reverse. Only the
 primitives needed by the model and loss are provided. Tensors support numpy
 broadcasting in the elementwise binaries; gradients are summed back down to
 the operand shapes.
+
+Ownership and lifetime: a ``Tape`` holds its tensors strongly and each tensor
+holds its parents, but a tensor refers back to its tape only through a weak
+proxy that the tape creates once, and a backward closure captures its
+primitive's inputs, never its output. Nothing forms a reference cycle, so a tape
+and every array on it are freed by reference counting as soon as the caller
+drops the tape (usually with the ``ForwardContext`` that owns it); no
+garbage-collector pass is needed. Whoever builds tensors must keep the tape
+alive while they are used: an op on a tensor whose tape is gone raises
+``ReferenceError``.
+
+A tensor's first gradient is stored as it arrives, without a copy. It may be
+shared with a sibling operand or be a read-only view, so later gradients are
+added out of place and no gradient array is ever written in place.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -19,7 +35,7 @@ class Tensor:
 
     def __init__(self, tape: "Tape", value: np.ndarray, parents=(), backward_fn=None,
                  requires_grad: bool | None = None):
-        self.tape = tape
+        self.tape = tape.proxy
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
@@ -37,9 +53,7 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def __add__(self, other):
         return add(self, other)
@@ -75,6 +89,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.proxy = weakref.proxy(self)  # tensors hold this, never the tape itself
 
     def leaf(self, value) -> Tensor:
         return Tensor(self, value, requires_grad=True)
@@ -221,9 +236,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(a.tape, a.value * mask, (a,), backward)
 
 
-max_with_zero = relu
-
-
 def sigmoid(a: Tensor) -> Tensor:
     value = 0.5 * (1.0 + np.tanh(0.5 * a.value))
 
@@ -244,13 +256,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return Tensor(a.tape, value, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g / a.value)
-
-    return Tensor(a.tape, np.log(a.value), (a,), backward)
-
-
 def exp(a: Tensor) -> Tensor:
     value = np.exp(a.value)
 
@@ -269,24 +274,12 @@ def absolute(a: Tensor) -> Tensor:
     return Tensor(a.tape, np.abs(a.value), (a,), backward)
 
 
-def _restore_axis(g: np.ndarray, shape, axis: int, keepdims: bool) -> np.ndarray:
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    def backward(g):
-        a._accumulate(_restore_axis(g, a.shape, axis, keepdims).copy())
-
-    return Tensor(a.tape, a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
 def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     n = a.shape[axis]
 
     def backward(g):
-        a._accumulate(_restore_axis(g, a.shape, axis, keepdims) / n)
+        g = g if keepdims else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape) / n)
 
     return Tensor(a.tape, a.value.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -305,18 +298,6 @@ def mean_all(a: Tensor) -> Tensor:
         a._accumulate(np.full(a.shape, float(g) / n))
 
     return Tensor(a.tape, np.asarray(a.value.mean()), (a,), backward)
-
-
-def softmax_axis(a: Tensor, axis: int) -> Tensor:
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * value).sum(axis=axis, keepdims=True)
-        a._accumulate(value * (g - inner))
-
-    return Tensor(a.tape, value, (a,), backward)
 
 
 def smoothmin_weighted(truths: list[Tensor], weights: list[Tensor], alpha: float) -> Tensor:

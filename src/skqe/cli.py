@@ -44,6 +44,8 @@ def _load_checkpoint(path: str, graph) -> ModelParams:
         )
     if params.config.num_entities != graph.num_entities:
         raise DataError("checkpoint entity count does not match the graph")
+    if params.config.num_relations != graph.num_relations:
+        raise DataError("checkpoint relation count does not match the graph")
     return params
 
 

@@ -4,8 +4,11 @@ Embeddings are flat 2d truth-slot vectors. In bounds mode the first d slots
 are interval lowers and the last d are uppers, kept ordered by construction;
 in point mode all 2d slots are independent point truths. The forward pass is
 written against the autodiff tape so training and inference share one code
-path; scoring against all entities uses a small numpy mirror of the entity
-realization, which the tests pin to the tape path.
+path. Realization (sigmoid, then ordered bounds) is written once in numpy:
+scoring against all entities calls ``realize_entity_rows`` directly, and the
+tape primitives ``ForwardContext.realize`` and the fused training distance
+``ForwardContext.entity_distance`` add a hand-derived backward. Tests pin
+them to the composed tape ops.
 """
 
 from __future__ import annotations
@@ -167,16 +170,32 @@ class QueryEmbedding:
         return self.branches[0]
 
 
-def realize_entity_rows(rows: np.ndarray, mode: str) -> np.ndarray:
-    """Numpy mirror of the tape-side entity realization (used for scoring)."""
-    rows = np.asarray(rows, dtype=np.float64)
+def _realize_parts(rows: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sigmoid of pre-activations and the slot vector built from it."""
     sig = 0.5 * (1.0 + np.tanh(0.5 * rows))
     if mode == "point":
-        return sig
+        return sig, sig
     d = rows.shape[-1] // 2
     lower = sig[..., :d]
     upper = lower + sig[..., d:] * (1.0 - lower)
-    return np.concatenate([lower, upper], axis=-1)
+    return sig, np.concatenate([lower, upper], axis=-1)
+
+
+def _realize_backward(g: np.ndarray, sig: np.ndarray, mode: str) -> np.ndarray:
+    """Gradient at the pre-activations from the gradient at the slot vector, in
+    the composed tape ops' arithmetic order, so it is bit-identical to them."""
+    if mode == "bounds":
+        d = sig.shape[-1] // 2
+        g_lower, g_upper = g[..., :d], g[..., d:]
+        g = np.concatenate([(g_lower + g_upper) - g_upper * sig[..., d:],
+                            g_upper * (1.0 - sig[..., :d])], axis=-1)
+    return g * sig * (1.0 - sig)
+
+
+def realize_entity_rows(rows: np.ndarray, mode: str) -> np.ndarray:
+    """Slot vectors of pre-activation entity rows: sigmoid, then in bounds mode
+    lower = s1 and upper = s1 + s2 (1 - s1)."""
+    return _realize_parts(np.asarray(rows, dtype=np.float64), mode)[1]
 
 
 def realize_all_entities(params: ModelParams) -> np.ndarray:
@@ -195,7 +214,8 @@ class ForwardContext:
 
     In training mode every parameter enters the tape as a leaf and touched
     embedding rows are recorded for sparse updates; in inference mode
-    parameters are constants and no gradients are kept.
+    parameters are constants and no gradients are kept. The context owns its
+    tape: dropping the context frees the tape and all its arrays.
     """
 
     def __init__(self, params: ModelParams, tape: ad.Tape | None = None,
@@ -232,28 +252,52 @@ class ForwardContext:
             self.relation_touches.append((ids, rows))
         return rows
 
+    def entity_distance(self, ids: np.ndarray, branches: list[ad.Tensor]) -> ad.Tensor:
+        """L1 satisfiability distance D(q, e) of entities to their nearest branch.
+
+        ``ids`` is (B,) or (B, K), each branch a (B, 2d) query tensor; the value
+        has the shape of ``ids``. One primitive for realize -> sub -> abs -> mean
+        -> branch minimum (ties go to the first branch) on one entity-row leaf.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = self.entity_rows(ids.reshape(-1))
+        sig, emb = _realize_parts(rows.value, self.config.mode)
+        emb = emb.reshape(ids.shape[0], -1, emb.shape[-1])
+        n = emb.shape[-1]
+        dists = np.stack([np.abs(emb - q.value[:, None, :]).mean(axis=2) for q in branches])
+        choice = np.argmin(dists, axis=0)
+        mode = self.config.mode
+
+        def backward(g):
+            g = g.reshape(choice.shape)
+            g_emb = None
+            for j, q in enumerate(branches):
+                gj = (g * (choice == j) / n)[..., None] * np.sign(emb - q.value[:, None, :])
+                q._accumulate(-gj.sum(axis=1))
+                g_emb = gj if g_emb is None else g_emb + gj
+            rows._accumulate(_realize_backward(g_emb.reshape(sig.shape), sig, mode))
+
+        value = dists.min(axis=0).reshape(ids.shape)
+        return ad.Tensor(self.tape, value, (rows, *branches), backward)
+
     # --- embedding-space operators -----------------------------------------
 
-    def realize(self, rows: ad.Tensor) -> ad.Tensor:
-        sig = ad.sigmoid(rows)
-        if self.config.mode == "point":
-            return sig
-        d = self.config.d
-        lower = ad.slice_last(sig, 0, d)
-        upper = lower + ad.slice_last(sig, d, 2 * d) * (1.0 - lower)
-        return ad.concat_last([lower, upper])
+    def realize(self, pre: ad.Tensor) -> ad.Tensor:
+        """Slot vectors from pre-activations (entity rows or the Skolem MLP's
+        last layer): one primitive over the numpy realization."""
+        sig, value = _realize_parts(pre.value, self.config.mode)
+        mode = self.config.mode
+
+        def backward(g):
+            pre._accumulate(_realize_backward(g, sig, mode))
+
+        return ad.Tensor(self.tape, value, (pre,), backward)
 
     def skolem(self, rel_rows: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
         z = ad.concat_last([rel_rows, x])
         h1 = ad.relu(ad.matmul(z, self.dense("F1")) + self.dense("F1b"))
         h2 = ad.relu(ad.matmul(h1, self.dense("F2")) + self.dense("F2b"))
-        out = ad.sigmoid(ad.matmul(h2, self.dense("F3")) + self.dense("F3b"))
-        if self.config.mode == "point":
-            return out
-        d = self.config.d
-        lower = ad.slice_last(out, 0, d)
-        upper = lower + ad.slice_last(out, d, 2 * d) * (1.0 - lower)
-        return ad.concat_last([lower, upper])
+        return self.realize(ad.matmul(h2, self.dense("F3")) + self.dense("F3b"))
 
     def negate(self, x: ad.Tensor) -> ad.Tensor:
         if self.config.mode == "point":
@@ -322,29 +366,33 @@ class ForwardContext:
     # --- plan walking --------------------------------------------------------
 
     def _walk(self, plan: QueryPlan, anchor_rows, relation_rows,
-              memo: dict[int, ad.Tensor] | None = None) -> ad.Tensor:
+              memo: dict[int, ad.Tensor] | None = None,
+              node_id: int | None = None) -> ad.Tensor:
+        """Embed ``node_id`` (default: the sink), memoizing visited nodes. A
+        recursive closure here would be a reference cycle holding the tape."""
         memo = {} if memo is None else memo
+        node_id = plan.sink if node_id is None else node_id
+        if node_id in memo:
+            return memo[node_id]
 
-        def visit(node_id: int) -> ad.Tensor:
-            if node_id in memo:
-                return memo[node_id]
-            node = plan.nodes[node_id]
-            if isinstance(node, algebra.Anchor):
-                out = self.realize(anchor_rows(node.entity))
-            elif isinstance(node, algebra.Relate):
-                out = self.skolem(relation_rows(node.relation), visit(node.input))
-            elif isinstance(node, algebra.Negate):
-                out = self.negate(visit(node.input))
-            elif isinstance(node, algebra.Conjoin):
-                out = self.conjoin([visit(i) for i in node.inputs])
-            elif isinstance(node, algebra.Disjoin):
-                out = self.disjoin([visit(i) for i in node.inputs])
-            else:
-                raise DataError(f"unknown plan node {type(node).__name__}")
-            memo[node_id] = out
-            return out
+        def visit(i: int) -> ad.Tensor:
+            return self._walk(plan, anchor_rows, relation_rows, memo, i)
 
-        return visit(plan.sink)
+        node = plan.nodes[node_id]
+        if isinstance(node, algebra.Anchor):
+            out = self.realize(anchor_rows(node.entity))
+        elif isinstance(node, algebra.Relate):
+            out = self.skolem(relation_rows(node.relation), visit(node.input))
+        elif isinstance(node, algebra.Negate):
+            out = self.negate(visit(node.input))
+        elif isinstance(node, algebra.Conjoin):
+            out = self.conjoin([visit(i) for i in node.inputs])
+        elif isinstance(node, algebra.Disjoin):
+            out = self.disjoin([visit(i) for i in node.inputs])
+        else:
+            raise DataError(f"unknown plan node {type(node).__name__}")
+        memo[node_id] = out
+        return out
 
     def slot_plan(self, structure: str) -> QueryPlan:
         """Template plan whose anchor/relation ids are positional slots."""

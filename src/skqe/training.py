@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import time
@@ -49,6 +50,9 @@ class TrainConfig:
             raise DataError("margin must be positive")
         if self.negatives < 1:
             raise DataError("need at least one negative sample")
+        for name in ("steps", "batch_size", "workers", "log_every"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def model_config(self, graph: KnowledgeGraph) -> ModelConfig:
         return ModelConfig(
@@ -164,17 +168,14 @@ def sample_negatives(answers, k: int, num_entities: int,
         if not pool:
             pool = list(range(num_entities))
         return rng.choice(np.asarray(pool), size=k, replace=True)
+    excluded_ids = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
     out = np.empty(k, dtype=np.int64)
     filled = 0
     while filled < k:
         draw = rng.integers(0, num_entities, size=2 * (k - filled))
-        for candidate in draw:
-            if int(candidate) in excluded:
-                continue
-            out[filled] = candidate
-            filled += 1
-            if filled == k:
-                break
+        kept = draw[~np.isin(draw, excluded_ids)][: k - filled]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
     return out
 
 
@@ -206,22 +207,8 @@ def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray
     branches = ctx.embed_instances(
         group.structure, group.anchors[rows], group.relations[rows], config.union
     )
-    b, k = neg_ids.shape
-    two_d = 2 * ctx.config.d
-
-    pos_emb = ctx.realize(ctx.entity_rows(pos_ids))
-    neg_emb = ctx.realize(ctx.entity_rows(neg_ids.reshape(-1)))
-    neg_emb = ad.reshape(neg_emb, (b, k, two_d))
-
-    d_pos = None
-    d_neg = None
-    for q in branches:
-        dp = ad.mean_axis(ad.absolute(pos_emb - q), axis=1)
-        q3 = ad.reshape(q, (b, 1, two_d))
-        dn = ad.mean_axis(ad.absolute(neg_emb - q3), axis=2)
-        d_pos = dp if d_pos is None else ad.minimum(d_pos, dp)
-        d_neg = dn if d_neg is None else ad.minimum(d_neg, dn)
-
+    d_pos = ctx.entity_distance(pos_ids, branches)
+    d_neg = ctx.entity_distance(neg_ids, branches)
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     loss_vec = pos_term + neg_term
@@ -229,20 +216,95 @@ def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray
 
 
 def _merge_row_grads(touches) -> tuple[np.ndarray, np.ndarray] | None:
-    ids_parts, grad_parts = [], []
-    for ids, tensor in touches:
-        if tensor.grad is None:
-            continue
-        ids_parts.append(ids)
-        grad_parts.append(tensor.grad)
-    if not ids_parts:
+    """Sum the gradient rows of (ids, grads) touches per id; ids come back sorted.
+    ``np.bincount`` adds each id's rows in touch order, as ``np.add.at`` does,
+    so the sums match it bit for bit (``np.add.reduceat`` regroups them)."""
+    if not touches:
         return None
-    all_ids = np.concatenate(ids_parts)
-    all_grads = np.concatenate(grad_parts, axis=0)
-    unique, inverse = np.unique(all_ids, return_inverse=True)
-    summed = np.zeros((unique.size, all_grads.shape[1]))
-    np.add.at(summed, inverse, all_grads)
-    return unique, summed
+    unique, inverse = np.unique(np.concatenate([ids for ids, _ in touches]),
+                                return_inverse=True)
+    columns = np.concatenate([grad for _, grad in touches], axis=0).T
+    summed = np.empty((columns.shape[0], unique.size))
+    for c, column in enumerate(columns):
+        summed[c] = np.bincount(inverse, weights=column, minlength=unique.size)
+    return unique, summed.T
+
+
+def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
+                 config: TrainConfig, num_entities: int, rng: np.random.Generator,
+                 first_positive: bool = False) -> list[tuple]:
+    """(group, rows, positive ids, negative ids) per structure, drawn in a
+    fixed structure order for determinism."""
+    tasks = []
+    for structure in algebra.STRUCTURE_NAMES:
+        locals_ = per_structure.get(structure)
+        if not locals_:
+            continue
+        group = groups[structure]
+        pos = np.array([
+            group.positives[i][0 if first_positive else int(rng.integers(len(group.positives[i])))]
+            for i in locals_
+        ], dtype=np.int64)
+        neg = np.stack([
+            sample_negatives(group.answers[i], config.negatives, num_entities,
+                             rng, config.filter_negatives)
+            for i in locals_
+        ])
+        tasks.append((group, np.asarray(locals_, dtype=np.int64), pos, neg))
+    return tasks
+
+
+def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig,
+          batch_size: int, pool: ThreadPoolExecutor | None = None):
+    """One optimizer step: forward and backward per task, then the updates.
+
+    Returns the loss summed over the batch, the positive and negative scores
+    1 - D, and the interval-repair count. Each task runs on its own tape and
+    hands back only its gradients, so the tape is freed when the task returns.
+    Raises NumericError on a non-finite loss, before anything is updated.
+    """
+    def run_task(task):
+        group, rows, pos, neg = task
+        ctx = ForwardContext(params, train=True)
+        loss_vec, d_pos, d_neg = _group_forward(ctx, group, rows, pos, neg, config)
+        total = ad.sum_all(loss_vec)
+        loss = float(total.value)
+        if not np.isfinite(loss):
+            raise NumericError(
+                f"non-finite loss at step {optimizer.t + 1} "
+                f"(structures in batch: {sorted(t[0].structure for t in tasks)})"
+            )
+        ad.backward(ad.scale(total, 1.0 / batch_size))
+        dense = {name: t.grad for name, t in ctx._dense.items() if t.grad is not None}
+        entity = [(ids, t.grad) for ids, t in ctx.entity_touches if t.grad is not None]
+        relation = [(ids, t.grad) for ids, t in ctx.relation_touches if t.grad is not None]
+        return loss, d_pos, d_neg, ctx.repair_count, dense, entity, relation
+
+    if pool is not None and len(tasks) > 1:
+        results = list(pool.map(run_task, tasks))
+    else:
+        results = [run_task(t) for t in tasks]
+
+    dense_grads: dict[str, np.ndarray] = {}
+    entity_touches, relation_touches = [], []
+    for _, _, _, _, dense, entity, relation in results:
+        for name, grad in dense.items():
+            dense_grads[name] = dense_grads[name] + grad if name in dense_grads else grad
+        entity_touches.extend(entity)
+        relation_touches.extend(relation)
+
+    optimizer.begin_step()
+    for name in DENSE_PARAMS:
+        if name in dense_grads:
+            optimizer.update_dense(name, params.arrays[name], dense_grads[name])
+    for name, touches in (("entity", entity_touches), ("relation", relation_touches)):
+        merged = _merge_row_grads(touches)
+        if merged is not None:
+            optimizer.update_rows(name, params.arrays[name], merged[0], merged[1])
+    return (sum(r[0] for r in results),
+            1.0 - np.concatenate([r[1] for r in results]),
+            1.0 - np.concatenate([r[2].reshape(-1) for r in results]),
+            sum(r[3] for r in results))
 
 
 def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
@@ -280,97 +342,30 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     optimizer = Adam(config.lr, config.beta1, config.beta2, config.eps)
     records: list[TrainLogRecord] = []
     started = time.perf_counter()
-    num_entities = graph.num_entities
 
-    for step in range(1, config.steps + 1):
-        picks = rng.integers(0, len(group_offsets), size=config.batch_size)
-        per_structure: dict[str, list[int]] = {}
-        for pick in picks:
-            structure, local = group_offsets[pick]
-            per_structure.setdefault(structure, []).append(local)
+    with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
+          else contextlib.nullcontext()) as pool:
+        for step in range(1, config.steps + 1):
+            picks = rng.integers(0, len(group_offsets), size=config.batch_size)
+            per_structure: dict[str, list[int]] = {}
+            for pick in picks:
+                structure, local = group_offsets[pick]
+                per_structure.setdefault(structure, []).append(local)
+            tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng)
+            loss, pos_scores, neg_scores, repairs = _step(
+                params, optimizer, tasks, config, config.batch_size, pool)
 
-        # sample positives/negatives sequentially for determinism
-        tasks = []
-        for structure in order:
-            locals_ = per_structure.get(structure)
-            if not locals_:
-                continue
-            group = groups[structure]
-            rows = np.asarray(locals_, dtype=np.int64)
-            pos = np.array(
-                [group.positives[i][int(rng.integers(len(group.positives[i])))] for i in locals_],
-                dtype=np.int64,
-            )
-            neg = np.stack([
-                sample_negatives(group.answers[i], config.negatives, num_entities,
-                                 rng, config.filter_negatives)
-                for i in locals_
-            ])
-            tasks.append((group, rows, pos, neg))
-
-        def run_task(task):
-            group, rows, pos, neg = task
-            ctx = ForwardContext(params, train=True)
-            loss_vec, d_pos, d_neg = _group_forward(ctx, group, rows, pos, neg, config)
-            total = ad.sum_all(loss_vec)
-            return ctx, total, d_pos, d_neg
-
-        if config.workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(run_task, tasks))
-        else:
-            results = [run_task(t) for t in tasks]
-
-        batch_loss = 0.0
-        pos_scores = []
-        neg_scores = []
-        repairs = 0
-        dense_grads: dict[str, np.ndarray] = {}
-        entity_touches = []
-        relation_touches = []
-        for ctx, total, d_pos, d_neg in results:
-            value = float(total.value)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss at step {step} "
-                    f"(structures in batch: {sorted(per_structure)})"
-                )
-            batch_loss += value
-            pos_scores.append(1.0 - d_pos)
-            neg_scores.append(1.0 - d_neg.reshape(-1))
-            repairs += ctx.repair_count
-            ad.backward(ad.scale(total, 1.0 / config.batch_size))
-            for name, tensor in ctx._dense.items():
-                if tensor.grad is None:
-                    continue
-                if name in dense_grads:
-                    dense_grads[name] += tensor.grad
-                else:
-                    dense_grads[name] = tensor.grad.copy()
-            entity_touches.extend(ctx.entity_touches)
-            relation_touches.extend(ctx.relation_touches)
-        batch_loss /= config.batch_size
-
-        optimizer.begin_step()
-        for name in DENSE_PARAMS:
-            if name in dense_grads:
-                optimizer.update_dense(name, params.arrays[name], dense_grads[name])
-        for name, touches in (("entity", entity_touches), ("relation", relation_touches)):
-            merged = _merge_row_grads(touches)
-            if merged is not None:
-                optimizer.update_rows(name, params.arrays[name], merged[0], merged[1])
-
-        if step % config.log_every == 0 or step == config.steps or step == 1:
-            records.append(TrainLogRecord(
-                step=step,
-                loss=batch_loss,
-                pos_score=float(np.mean(np.concatenate(pos_scores))),
-                neg_score=float(np.mean(np.concatenate(neg_scores))),
-                repairs=repairs,
-                seconds=time.perf_counter() - started,
-            ))
-        if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
-            on_checkpoint(step, params)
+            if step % config.log_every == 0 or step == config.steps or step == 1:
+                records.append(TrainLogRecord(
+                    step=step,
+                    loss=loss / config.batch_size,
+                    pos_score=float(np.mean(pos_scores)),
+                    neg_score=float(np.mean(neg_scores)),
+                    repairs=repairs,
+                    seconds=time.perf_counter() - started,
+                ))
+            if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
+                on_checkpoint(step, params)
 
     return params, records
 
@@ -398,38 +393,9 @@ def train_step_on_batch(graph: KnowledgeGraph, dataset: QueryDataset,
         structure, local = locator[i]
         per_structure.setdefault(structure, []).append(local)
 
-    batch_loss = 0.0
-    optimizer.begin_step()
-    entity_touches, relation_touches = [], []
-    dense_grads: dict[str, np.ndarray] = {}
-    for structure in [s for s in algebra.STRUCTURE_NAMES if s in per_structure]:
-        group = groups[structure]
-        locals_ = per_structure[structure]
-        rows = np.asarray(locals_, dtype=np.int64)
-        pos = np.array([group.positives[i][0] for i in locals_], dtype=np.int64)
-        neg = np.stack([
-            sample_negatives(group.answers[i], config.negatives,
-                             graph.num_entities, rng, config.filter_negatives)
-            for i in locals_
-        ])
-        ctx = ForwardContext(params, train=True)
-        loss_vec, _, _ = _group_forward(ctx, group, rows, pos, neg, config)
-        total = ad.sum_all(loss_vec)
-        batch_loss += float(total.value)
-        ad.backward(ad.scale(total, 1.0 / len(batch)))
-        for name, tensor in ctx._dense.items():
-            if tensor.grad is not None:
-                dense_grads[name] = dense_grads.get(name, 0) + tensor.grad
-        entity_touches.extend(ctx.entity_touches)
-        relation_touches.extend(ctx.relation_touches)
-    for name in DENSE_PARAMS:
-        if name in dense_grads:
-            optimizer.update_dense(name, params.arrays[name], dense_grads[name])
-    for name, touches in (("entity", entity_touches), ("relation", relation_touches)):
-        merged = _merge_row_grads(touches)
-        if merged is not None:
-            optimizer.update_rows(name, params.arrays[name], merged[0], merged[1])
-    return batch_loss / len(batch)
+    tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng,
+                         first_positive=True)
+    return _step(params, optimizer, tasks, config, len(batch))[0] / len(batch)
 
 
 def query_sort_key(sample) -> str:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skqe import algebra, kg
+from skqe import algebra, autodiff as ad, kg
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +44,40 @@ def random_instance(structure: str, rng: np.random.Generator,
         tuple(int(x) for x in rng.integers(0, num_entities, template.num_anchors)),
         tuple(int(x) for x in rng.integers(0, num_relations, template.num_relations)),
     )
+
+
+def composed_realize(ctx, pre):
+    """Reference for ``ForwardContext.realize`` built from composed tape ops:
+    sigmoid, then lower = s1 and upper = s1 + s2 (1 - s1) in bounds mode."""
+    sig = ad.sigmoid(pre)
+    if ctx.config.mode == "point":
+        return sig
+    d = ctx.config.d
+    lower = ad.slice_last(sig, 0, d)
+    upper = lower + ad.slice_last(sig, d, 2 * d) * (1.0 - lower)
+    return ad.concat_last([lower, upper])
+
+
+def composed_distance(ctx, ids: np.ndarray, branches):
+    """Reference for ``ForwardContext.entity_distance`` built from composed tape
+    ops: realize -> sub -> abs -> mean over slots -> minimum over branches."""
+    ids = np.asarray(ids, dtype=np.int64)
+    b, width = ids.shape[0], 2 * ctx.config.d
+    emb = ad.reshape(composed_realize(ctx, ctx.entity_rows(ids.reshape(-1))), (b, -1, width))
+    best = None
+    for q in branches:
+        dist = ad.mean_axis(ad.absolute(emb - ad.reshape(q, (b, 1, width))), axis=2)
+        best = dist if best is None else ad.minimum(best, dist)
+    return ad.reshape(best, ids.shape)
+
+
+def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
+    """``training._group_forward`` with ``composed_distance`` in place of the
+    fused distance; the reference for the training trajectory."""
+    branches = ctx.embed_instances(group.structure, group.anchors[rows],
+                                   group.relations[rows], config.union)
+    d_pos = composed_distance(ctx, pos_ids, branches)
+    d_neg = composed_distance(ctx, neg_ids, branches)
+    pos_term = -ad.log_sigmoid(config.gamma - d_pos)
+    neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
+    return pos_term + neg_term, d_pos.value, d_neg.value

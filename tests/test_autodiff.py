@@ -1,0 +1,351 @@
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from skqe import algebra, autodiff as ad, model, oracle, training
+from skqe.model import ForwardContext, ModelConfig, ModelParams
+
+from conftest import composed_distance, composed_realize
+
+EPS = 1e-6
+RTOL = 1e-5
+ATOL = 1e-8
+
+
+def numeric_grad(f, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of a scalar function at x."""
+    grad = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[i] += EPS
+        down[i] -= EPS
+        grad[i] = (f(up) - f(down)) / (2 * EPS)
+    return grad
+
+
+def check_gradients(op, *inputs, seed=0):
+    """Tape gradients of sum(w * op(inputs)) against finite differences."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(x) for x in inputs]
+    out = op(*leaves)
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, out.shape)
+    ad.backward(ad.sum_all(out * tape.const(weights)))
+
+    for k, x in enumerate(inputs):
+        def f(xk, k=k):
+            t = ad.Tape()
+            args = [t.const(xk if j == k else v) for j, v in enumerate(inputs)]
+            return float(np.sum(op(*args).value * weights))
+
+        np.testing.assert_allclose(leaves[k].grad, numeric_grad(f, x), rtol=RTOL, atol=ATOL,
+                                   err_msg=f"operand {k}")
+
+
+def _rng(seed=0):
+    return np.random.default_rng(seed)
+
+
+def _away_from_zero(shape, seed=0):
+    r = _rng(seed)
+    return r.uniform(0.2, 1.0, shape) * r.choice([-1.0, 1.0], shape)
+
+
+class TestPrimitiveGradients:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 4), (3, 1)),
+                                        ((2, 3, 4), (2, 1, 4))])
+    def test_arithmetic_with_broadcasting(self, op, shapes):
+        a = _rng(1).normal(size=shapes[0])
+        b = _rng(2).uniform(0.5, 2.0, size=shapes[1])
+        check_gradients(op, a, b)
+
+    @pytest.mark.parametrize("op", [ad.maximum, ad.minimum])
+    def test_max_min(self, op):
+        a = _rng(1).normal(size=(4, 5))
+        b = a + _rng(2).uniform(0.1, 1.0, (4, 5)) * _rng(3).choice([-1.0, 1.0], (4, 5))
+        check_gradients(op, a, b)
+
+    def test_max_min_ties_route_to_first_operand(self):
+        tape = ad.Tape()
+        a, b = tape.leaf(np.ones(3)), tape.leaf(np.ones(3))
+        ad.backward(ad.sum_all(ad.maximum(a, b) + ad.minimum(a, b)))
+        assert a.grad.tolist() == [2.0, 2.0, 2.0]
+        assert b.grad.tolist() == [0.0, 0.0, 0.0]
+
+    def test_pow_elem(self):
+        base = _rng(1).uniform(0.2, 0.9, (3, 4))
+        exponent = _rng(2).uniform(0.5, 2.0, (3, 4))
+        check_gradients(ad.pow_elem, base, exponent)
+
+    @pytest.mark.parametrize("exponent,slope", [(1.0, 1.0), (1.5, 0.0), (3.0, 0.0)])
+    def test_pow_elem_at_zero_base(self, exponent, slope):
+        tape = ad.Tape()
+        base, exp = tape.leaf(np.zeros(2)), tape.leaf(np.full(2, exponent))
+        ad.backward(ad.sum_all(ad.pow_elem(base, exp)))
+        # 0**w is 0 for every w > 0, so the exponent gradient is exactly 0;
+        # the base gradient is the right-hand slope of x**w at 0
+        assert exp.grad.tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(base.grad, slope, atol=1e-5)
+
+    def test_pow_elem_at_zero_base_below_one_stays_finite(self):
+        tape = ad.Tape()
+        base, exp = tape.leaf(np.zeros(2)), tape.leaf(np.full(2, 0.5))
+        ad.backward(ad.sum_all(ad.pow_elem(base, exp)))
+        assert np.all(np.isfinite(base.grad)) and np.all(base.grad > 0)
+
+    def test_scale_and_operators(self):
+        def op(a, b):
+            return ad.scale(a, -1.7) + (2.0 - a) * (1.0 / b) - b / 3.0 + (-a)
+
+        check_gradients(op, _rng(1).normal(size=(3, 2)), _rng(2).uniform(0.5, 2.0, (3, 2)))
+
+    def test_matmul(self):
+        check_gradients(ad.matmul, _rng(1).normal(size=(3, 4)), _rng(2).normal(size=(4, 2)))
+
+    def test_matmul_rejects_bad_shapes(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError):
+            ad.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3))))
+
+    def test_concat_slice_reshape(self):
+        check_gradients(lambda a, b: ad.concat_last([a, b]),
+                        _rng(1).normal(size=(3, 2)), _rng(2).normal(size=(3, 4)))
+        check_gradients(lambda a: ad.slice_last(a, 1, 3), _rng(1).normal(size=(3, 5)))
+        check_gradients(lambda a: ad.reshape(a, (2, 6)), _rng(1).normal(size=(3, 4)))
+
+    @pytest.mark.parametrize("op", [ad.relu, ad.sigmoid, ad.log_sigmoid, ad.exp, ad.absolute])
+    def test_unary(self, op):
+        check_gradients(op, _away_from_zero((3, 4)) * 3.0)
+
+    def test_log_sigmoid_is_stable_for_large_inputs(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([-800.0, 800.0]))
+        out = ad.log_sigmoid(x)
+        ad.backward(ad.sum_all(out))
+        np.testing.assert_allclose(out.value, [-800.0, 0.0])
+        np.testing.assert_allclose(x.grad, [1.0, 0.0])
+
+    @pytest.mark.parametrize("axis,keepdims", [(0, False), (1, False), (1, True), (2, False)])
+    def test_mean_axis(self, axis, keepdims):
+        check_gradients(lambda a: ad.mean_axis(a, axis, keepdims), _rng(1).normal(size=(2, 3, 4)))
+
+    @pytest.mark.parametrize("op", [ad.sum_all, ad.mean_all])
+    def test_full_reductions(self, op):
+        check_gradients(op, _rng(1).normal(size=(3, 4)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_smoothmin_weighted(self, k):
+        truths = [_rng(i).uniform(0.05, 0.95, (2, 4)) for i in range(k)]
+        weights = [_rng(10 + i).uniform(0.2, 1.0, (2, 4)) for i in range(k)]
+
+        def op(*tensors):
+            return ad.smoothmin_weighted(list(tensors[:k]), list(tensors[k:]), 5.0)
+
+        check_gradients(op, *truths, *weights)
+
+    def test_smoothmin_rejects_zero_denominator(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError):
+            ad.smoothmin_weighted([tape.leaf(np.ones(2))], [tape.leaf(np.zeros(2))], 5.0)
+
+    def test_backward_needs_scalar(self):
+        tape = ad.Tape()
+        with pytest.raises(ValueError):
+            ad.backward(tape.leaf(np.ones(2)))
+
+
+class TestGradientOwnership:
+    def test_shared_first_gradient_is_not_written_in_place(self):
+        # add hands the same gradient array to both operands; the later
+        # contribution into ``a`` (from ``scale``) must not change ``b``'s
+        tape = ad.Tape()
+        a, b = tape.leaf(np.ones(3)), tape.leaf(np.ones(3))
+        scaled = ad.scale(a, 2.0)
+        total = ad.sum_all(ad.add(a, b) + scaled)
+        ad.backward(total)
+        assert a.grad.tolist() == [3.0, 3.0, 3.0]
+        assert b.grad.tolist() == [1.0, 1.0, 1.0]
+
+    def test_constants_get_no_gradient(self):
+        tape = ad.Tape()
+        a, c = tape.leaf(np.ones(2)), tape.const(np.ones(2))
+        ad.backward(ad.sum_all(a * c))
+        assert c.grad is None and a.grad.tolist() == [1.0, 1.0]
+
+
+def _params(mode, seed=0, entities=12):
+    return ModelParams.initialize(ModelConfig(entities, 3, d=16, h=16, mode=mode), seed)
+
+
+class TestFusedEntityDistance:
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("num_branches", [1, 2])
+    @pytest.mark.parametrize("ids_shape", [(3,), (3, 4)])
+    def test_matches_composed_ops_bit_for_bit(self, mode, num_branches, ids_shape):
+        params = _params(mode)
+        rng = _rng(5)
+        ids = rng.integers(0, params.config.num_entities, ids_shape)
+        queries = [rng.uniform(0.0, 1.0, (ids_shape[0], 32)) for _ in range(num_branches)]
+        weights = rng.uniform(0.5, 1.5, ids_shape)
+
+        results = []
+        for distance in (ForwardContext.entity_distance, composed_distance):
+            ctx = ForwardContext(params, train=True)
+            branches = [ctx.tape.leaf(q) for q in queries]
+            out = distance(ctx, ids, branches)
+            ad.backward(ad.sum_all(out * ctx.tape.const(weights)))
+            (touched, rows), = ctx.entity_touches
+            results.append((out.value, rows.grad, [b.grad for b in branches], touched))
+        (fused, composed) = results
+        assert fused[0].shape == ids_shape
+        np.testing.assert_array_equal(fused[0], composed[0])
+        np.testing.assert_array_equal(fused[1], composed[1])
+        for got, want in zip(fused[2], composed[2]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fused[3], ids.reshape(-1))
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("num_branches", [1, 2])
+    def test_finite_differences(self, mode, num_branches):
+        params = _params(mode, entities=8)
+        rng = _rng(6)
+        ids = np.arange(8).reshape(2, 4)  # distinct ids: one gradient row per entity
+        queries = [rng.uniform(0.0, 1.0, (2, 32)) for _ in range(num_branches)]
+        weights = rng.uniform(0.5, 1.5, ids.shape)
+
+        def loss(entity_table, query_values):
+            probe = params.copy()
+            probe.arrays["entity"] = entity_table
+            ctx = ForwardContext(probe, train=True)
+            branches = [ctx.tape.leaf(q) for q in query_values]
+            out = ctx.entity_distance(ids, branches)
+            return ctx, branches, ad.sum_all(out * ctx.tape.const(weights))
+
+        ctx, branches, total = loss(params.arrays["entity"], queries)
+        ad.backward(total)
+        (_, rows), = ctx.entity_touches
+        table = params.arrays["entity"]
+        numeric = numeric_grad(lambda t: float(loss(t, queries)[2].value), table)
+        np.testing.assert_allclose(rows.grad, numeric[ids.reshape(-1)], rtol=RTOL, atol=ATOL)
+        for j, branch in enumerate(branches):
+            def f(q, j=j):
+                return float(loss(table, queries[:j] + [q] + queries[j + 1:])[2].value)
+
+            np.testing.assert_allclose(branch.grad, numeric_grad(f, queries[j]),
+                                       rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_exact_tie_goes_to_first_branch(self, mode):
+        params = _params(mode)
+        ids = _rng(7).integers(0, 12, (3, 4))
+        query = _rng(8).uniform(0.0, 1.0, (3, 32))
+        grads = []
+        for distance in (ForwardContext.entity_distance, composed_distance):
+            ctx = ForwardContext(params, train=True)
+            first, second = ctx.tape.leaf(query), ctx.tape.leaf(query.copy())
+            ad.backward(ad.sum_all(distance(ctx, ids, [first, second])))
+            (_, rows), = ctx.entity_touches
+            grads.append((first.grad, second.grad, rows.grad))
+        fused, composed = grads
+        assert np.any(fused[0] != 0.0)
+        assert np.all(fused[1] == 0.0)
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got, want)
+
+
+
+class TestRealize:
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_matches_composed_ops_bit_for_bit(self, mode):
+        params = _params(mode)
+        pre = _rng(9).normal(0.0, 2.0, (5, 32))
+        weights = _rng(10).uniform(0.5, 1.5, (5, 32))
+        results = []
+        for realize in (ForwardContext.realize, composed_realize):
+            ctx = ForwardContext(params, train=True)
+            leaf = ctx.tape.leaf(pre)
+            out = realize(ctx, leaf)
+            ad.backward(ad.sum_all(out * ctx.tape.const(weights)))
+            results.append((out.value, leaf.grad))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_finite_differences(self, mode):
+        params = _params(mode)
+
+        def op(pre):
+            return ForwardContext(params, tape=pre.tape).realize(pre)
+
+        check_gradients(op, _rng(11).normal(0.0, 2.0, (3, 32)))
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_numpy_scoring_mirror_matches_composed_tape(self, mode):
+        params = _params(mode)
+        ctx = ForwardContext(params)
+        tape_side = composed_realize(ctx, ctx.entity_rows(np.arange(12))).value
+        np.testing.assert_array_equal(model.realize_all_entities(params), tape_side)
+
+    def test_bounds_stay_ordered(self):
+        ctx = ForwardContext(_params("bounds"))
+        out = ctx.realize(ctx.tape.const(_rng(12).normal(0.0, 5.0, (50, 32)))).value
+        assert np.all(out[:, :16] <= out[:, 16:])
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+class TestTapeLifetime:
+    def test_tensor_refers_to_tape_weakly(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(2))
+        y = x * 2.0
+        assert y.tape.nodes[y.index] is y
+        tape_ref = weakref.ref(tape)
+        del tape
+        assert tape_ref() is None
+        with pytest.raises(ReferenceError):
+            y + 1.0
+
+    def test_finished_step_frees_its_tapes_without_gc(self, small_graph, monkeypatch):
+        dataset = oracle.sample_dataset(small_graph, ("1p", "2i", "2in"), 4, 0, "train")
+        tapes = []
+
+        class Recording(ForwardContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tapes.append(weakref.ref(self.tape))
+
+        monkeypatch.setattr(training, "ForwardContext", Recording)
+        config = training.TrainConfig(d=16, h=16, negatives=4, batch_size=8, steps=2,
+                                      log_every=1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            params, records = training.train(small_graph, dataset, config)
+            assert len(records) == 2 and tapes
+            assert [ref() for ref in tapes] == [None] * len(tapes)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_inference_embedding_frees_its_tape_without_gc(self, monkeypatch):
+        params = _params("bounds")
+        instance = algebra.QueryInstance("2u", (0, 1), (0, 1))
+        tapes = []
+        original = ad.Tape.__init__
+
+        def recording_init(self):
+            original(self)
+            tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad.Tape, "__init__", recording_init)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            qe = model.embed_instance(instance, params, "dnf")
+            assert len(qe.branches) == 2 and tapes
+            assert [ref() for ref in tapes] == [None] * len(tapes)
+        finally:
+            if was_enabled:
+                gc.enable()
