@@ -324,7 +324,8 @@ def to_dnf(plan: QueryPlan) -> list[QueryPlan]:
 
 # --- linear surface syntax ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(EXISTS|AND|OR|NOT|[A-Za-z_][A-Za-z0-9_.:/-]*|[(),.])")
+# an identifier may contain dots but not end in one: ``EXISTS T. p(a, T)``
+_TOKEN_RE = re.compile(r"\s*(EXISTS|AND|OR|NOT|[A-Za-z_](?:[A-Za-z0-9_.:/-]*[A-Za-z0-9_:/-])?|[(),.])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

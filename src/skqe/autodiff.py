@@ -6,15 +6,20 @@ primitives needed by the model and loss are provided. Tensors support numpy
 broadcasting in the elementwise binaries; gradients are summed back down to
 the operand shapes.
 
-Ownership and lifetime: a ``Tape`` holds its tensors strongly and each tensor
-holds its parents, but a tensor refers back to its tape only through a weak
-proxy that the tape creates once, and a backward closure captures its
-primitive's inputs, never its output. Nothing forms a reference cycle, so a tape
-and every array on it are freed by reference counting as soon as the caller
-drops the tape (usually with the ``ForwardContext`` that owns it); no
-garbage-collector pass is needed. Whoever builds tensors must keep the tape
-alive while they are used: an op on a tensor whose tape is gone raises
-``ReferenceError``.
+Constants are plain arrays. A primitive with no tensor among its inputs
+returns a plain array and records nothing; otherwise it records a ``Tensor``
+on that input's tape and sends gradients only to tensor inputs, so inference
+runs the training code on arrays. ``Tensor.__array_ufunc__`` is None so that
+``ndarray <op> Tensor`` defers to the tensor; ``value_of`` reads either kind.
+
+Ownership and lifetime: a ``Tape`` holds its tensors strongly, but a tensor
+refers back to its tape only through a weak proxy that the tape creates once,
+and a backward closure captures its primitive's inputs, never its output.
+Nothing forms a reference cycle, so a tape and every array on it are freed by
+reference counting as soon as the caller drops the tape (usually with the
+``ForwardContext`` that owns it); no garbage-collector pass is needed. Whoever
+builds tensors must keep the tape alive while they are used: an op on a
+tensor whose tape is gone raises ``ReferenceError``.
 
 A tensor's first gradient is stored as it arrives, without a copy. It may be
 shared with a sibling operand or be a read-only view, so later gradients are
@@ -31,17 +36,13 @@ POW_LOG_CLAMP = 1e-12
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "parents", "backward_fn", "tape", "index")
+    __slots__ = ("value", "grad", "backward_fn", "tape", "index")
+    __array_ufunc__ = None  # ``ndarray <op> Tensor`` defers to the Tensor operators
 
-    def __init__(self, tape: "Tape", value: np.ndarray, parents=(), backward_fn=None,
-                 requires_grad: bool | None = None):
+    def __init__(self, tape: "Tape", value: np.ndarray, backward_fn=None):
         self.tape = tape.proxy
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = tuple(parents)
         self.backward_fn = backward_fn
-        if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in self.parents)
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.index = len(tape.nodes)
         tape.nodes.append(self)
@@ -51,8 +52,6 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
         self.grad = g if self.grad is None else self.grad + g
 
     def __add__(self, other):
@@ -64,7 +63,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_ensure(self.tape, other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -75,13 +74,10 @@ class Tensor:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_ensure(self.tape, other), self)
+        return div(other, self)
 
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -92,16 +88,21 @@ class Tape:
         self.proxy = weakref.proxy(self)  # tensors hold this, never the tape itself
 
     def leaf(self, value) -> Tensor:
-        return Tensor(self, value, requires_grad=True)
-
-    def const(self, value) -> Tensor:
-        return Tensor(self, value, requires_grad=False)
+        return Tensor(self, value)
 
 
-def _ensure(tape: Tape, x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return tape.const(np.asarray(x, dtype=np.float64))
+def value_of(x) -> np.ndarray:
+    """The float64 array behind a tensor, an array or a scalar."""
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _record(value: np.ndarray, backward_fn, *inputs):
+    """A tensor on the first tensor input's tape, or the plain value when no
+    input is a tensor (then nothing is recorded)."""
+    for x in inputs:
+        if isinstance(x, Tensor):
+            return Tensor(x.tape, value, backward_fn)
+    return value
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -114,19 +115,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(name, a, b, forward, da, db) -> Tensor:
-    a = _ensure(a.tape if isinstance(a, Tensor) else b.tape, a)
-    b = _ensure(a.tape, b)
+def _binary(name, a, b, forward, da, db):
+    av, bv = value_of(a), value_of(b)
     try:
-        value = forward(a.value, b.value)
+        value = forward(av, bv)
     except ValueError:
-        raise ValueError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+        raise ValueError(f"{name}: incompatible shapes {av.shape} and {bv.shape}") from None
 
     def backward(g):
-        a._accumulate(_unbroadcast(da(g, a.value, b.value, value), a.shape))
-        b._accumulate(_unbroadcast(db(g, a.value, b.value, value), b.shape))
+        if isinstance(a, Tensor):
+            a._accumulate(_unbroadcast(da(g, av, bv, value), av.shape))
+        if isinstance(b, Tensor):
+            b._accumulate(_unbroadcast(db(g, av, bv, value), bv.shape))
 
-    return Tensor(a.tape, value, (a, b), backward)
+    return _record(value, backward, a, b)
 
 
 def add(a, b):
@@ -167,7 +169,7 @@ def minimum(a, b):
                    lambda g, av, bv, out: g * (av > bv))
 
 
-def pow_elem(base: Tensor, exponent) -> Tensor:
+def pow_elem(base, exponent):
     """Elementwise base**exponent; the base is clamped inside the exponent
     gradient's logarithm so zero truths cannot produce non-finite gradients."""
     return _binary(
@@ -177,151 +179,163 @@ def pow_elem(base: Tensor, exponent) -> Tensor:
     )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a, c: float):
     def backward(g):
         a._accumulate(g * c)
 
-    return Tensor(a.tape, a.value * c, (a,), backward)
+    return _record(value_of(a) * c, backward, a)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    value = a.value @ b.value
+def matmul(a, b):
+    av, bv = value_of(a), value_of(b)
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
 
     def backward(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        if isinstance(a, Tensor):
+            a._accumulate(g @ bv.T)
+        if isinstance(b, Tensor):
+            b._accumulate(av.T @ g)
 
-    return Tensor(a.tape, value, (a, b), backward)
+    return _record(av @ bv, backward, a, b)
 
 
-def concat_last(parts: list[Tensor]) -> Tensor:
+def concat_last(parts: list):
     if not parts:
         raise ValueError("concat: need at least one part")
-    widths = [p.shape[-1] for p in parts]
-    value = np.concatenate([p.value for p in parts], axis=-1)
+    values = [value_of(p) for p in parts]
+    widths = [v.shape[-1] for v in values]
 
     def backward(g):
         offset = 0
         for part, width in zip(parts, widths):
-            part._accumulate(g[..., offset:offset + width])
+            if isinstance(part, Tensor):
+                part._accumulate(g[..., offset:offset + width])
             offset += width
 
-    return Tensor(parts[0].tape, value, tuple(parts), backward)
+    return _record(np.concatenate(values, axis=-1), backward, *parts)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+def slice_last(a, start: int, stop: int):
+    av = value_of(a)
+
     def backward(g):
-        buf = np.zeros_like(a.value)
+        buf = np.zeros_like(av)
         buf[..., start:stop] = g
         a._accumulate(buf)
 
-    return Tensor(a.tape, a.value[..., start:stop], (a,), backward)
+    return _record(av[..., start:stop], backward, a)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+def reshape(a, shape: tuple[int, ...]):
+    av = value_of(a)
+
     def backward(g):
-        a._accumulate(g.reshape(a.shape))
+        a._accumulate(g.reshape(av.shape))
 
-    return Tensor(a.tape, a.value.reshape(shape), (a,), backward)
+    return _record(av.reshape(shape), backward, a)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0  # subgradient 0 at the kink
+def relu(a):
+    av = value_of(a)
+    mask = av > 0  # subgradient 0 at the kink
 
     def backward(g):
         a._accumulate(g * mask)
 
-    return Tensor(a.tape, a.value * mask, (a,), backward)
+    return _record(av * mask, backward, a)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    value = 0.5 * (1.0 + np.tanh(0.5 * a.value))
+def sigmoid(a):
+    value = 0.5 * (1.0 + np.tanh(0.5 * value_of(a)))
 
     def backward(g):
         a._accumulate(g * value * (1.0 - value))
 
-    return Tensor(a.tape, value, (a,), backward)
+    return _record(value, backward, a)
 
 
-def log_sigmoid(a: Tensor) -> Tensor:
-    x = a.value
+def log_sigmoid(a):
+    x = value_of(a)
     value = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    sig = 0.5 * (1.0 + np.tanh(0.5 * x))
 
     def backward(g):
-        a._accumulate(g * (1.0 - sig))
+        a._accumulate(g * (1.0 - 0.5 * (1.0 + np.tanh(0.5 * x))))
 
-    return Tensor(a.tape, value, (a,), backward)
+    return _record(value, backward, a)
 
 
-def exp(a: Tensor) -> Tensor:
-    value = np.exp(a.value)
+def exp(a):
+    value = np.exp(value_of(a))
 
     def backward(g):
         a._accumulate(g * value)
 
-    return Tensor(a.tape, value, (a,), backward)
+    return _record(value, backward, a)
 
 
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.value)  # sign(0) = 0 convention
+def absolute(a):
+    av = value_of(a)
 
     def backward(g):
-        a._accumulate(g * sign)
+        a._accumulate(g * np.sign(av))  # sign(0) = 0 convention
 
-    return Tensor(a.tape, np.abs(a.value), (a,), backward)
+    return _record(np.abs(av), backward, a)
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.shape[axis]
+def mean_axis(a, axis: int, keepdims: bool = False):
+    av = value_of(a)
 
     def backward(g):
         g = g if keepdims else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape) / n)
+        a._accumulate(np.broadcast_to(g, av.shape) / av.shape[axis])
 
-    return Tensor(a.tape, a.value.mean(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(np.full(a.shape, float(g)))
-
-    return Tensor(a.tape, np.asarray(a.value.sum()), (a,), backward)
+    return _record(av.mean(axis=axis, keepdims=keepdims), backward, a)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.value.size
+def sum_all(a):
+    av = value_of(a)
 
     def backward(g):
-        a._accumulate(np.full(a.shape, float(g) / n))
+        a._accumulate(np.full(av.shape, float(g)))
 
-    return Tensor(a.tape, np.asarray(a.value.mean()), (a,), backward)
+    return _record(np.asarray(av.sum()), backward, a)
 
 
-def smoothmin_weighted(truths: list[Tensor], weights: list[Tensor], alpha: float) -> Tensor:
+def mean_all(a):
+    av = value_of(a)
+
+    def backward(g):
+        a._accumulate(np.full(av.shape, float(g) / av.size))
+
+    return _record(np.asarray(av.mean()), backward, a)
+
+
+def smoothmin_weighted(truths: list, weights: list, alpha: float):
     """Weighted smooth minimum over k same-shape inputs:
     sum_j t_j w_j e^(a t_j) / sum_j w_j e^(a t_j)."""
     if len(truths) != len(weights) or not truths:
         raise ValueError("smoothmin: need matching non-empty truth and weight lists")
-    exps = [np.exp(alpha * t.value) for t in truths]
-    scores = [w.value * e for w, e in zip(weights, exps)]
+    tvs = [value_of(t) for t in truths]
+    exps = [np.exp(alpha * tv) for tv in tvs]
+    scores = [value_of(w) * e for w, e in zip(weights, exps)]
     denom = np.zeros_like(scores[0])
     numer = np.zeros_like(scores[0])
-    for t, s in zip(truths, scores):
+    for tv, s in zip(tvs, scores):
         denom = denom + s
-        numer = numer + t.value * s
+        numer = numer + tv * s
     if np.any(denom == 0.0):
         raise ValueError("smoothmin: all inputs removed (zero denominator)")
     value = numer / denom
 
     def backward(g):
-        for t, w, e, s in zip(truths, weights, exps, scores):
-            t._accumulate(g * s * (1.0 + alpha * t.value - alpha * value) / denom)
-            w._accumulate(g * e * (t.value - value) / denom)
+        for t, w, tv, e, s in zip(truths, weights, tvs, exps, scores):
+            if isinstance(t, Tensor):
+                t._accumulate(g * s * (1.0 + alpha * tv - alpha * value) / denom)
+            if isinstance(w, Tensor):
+                w._accumulate(g * e * (tv - value) / denom)
 
-    return Tensor(truths[0].tape, value, tuple(truths) + tuple(weights), backward)
+    return _record(value, backward, *truths, *weights)
 
 
 def backward(output: Tensor) -> None:
@@ -330,6 +344,6 @@ def backward(output: Tensor) -> None:
         raise ValueError(f"backward: output must be scalar, got shape {output.shape}")
     output.grad = np.ones_like(output.value)
     for node in reversed(output.tape.nodes[: output.index + 1]):
-        if node.grad is None or node.backward_fn is None or not node.requires_grad:
+        if node.grad is None or node.backward_fn is None:
             continue
         node.backward_fn(node.grad)

@@ -226,18 +226,19 @@ def cmd_answer(args) -> int:
     ctx = model_mod.ForwardContext(params)
     collected: list = []
     branches = ctx.embed_plan(plan, args.union, collect=collected)
-    qe = model_mod.QueryEmbedding(tuple(b.value[0] for b in branches), params.config.mode)
-    scores = model_mod.score_entities(qe, params)
+    qe = model_mod.QueryEmbedding(tuple(b[0] for b in branches), params.config.mode)
+    entity_matrix = model_mod.realize_all_entities(params)
+    scores = model_mod.score_entities(qe, params, entity_matrix)
     top = np.argsort(-scores, kind="stable")[: args.topk]
     for entity in top:
         print(f"{graph.entities.name_of(int(entity))}\t{scores[entity]:.6f}")
-    entity_matrix = model_mod.realize_all_entities(params)
     for branch_no, (branch_plan, memo) in enumerate(collected, start=1):
         print(f"# branch {branch_no} intermediates "
               f"({instance.structure}, nearest entities by satisfiability):")
-        for node_id, tensor in memo.items():
+        for node_id, value in memo.items():
             node = branch_plan.nodes[node_id]
-            node_scores = 1.0 - np.mean(np.abs(entity_matrix - tensor.value[0]), axis=1)
+            node_scores = model_mod.score_entities(
+                model_mod.QueryEmbedding((value[0],), params.config.mode), params, entity_matrix)
             nearest = np.argsort(-node_scores, kind="stable")[:3]
             names = ", ".join(
                 f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in nearest

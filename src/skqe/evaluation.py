@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model as model_mod
+from . import logic, model as model_mod
 from .algebra import EPFO_STRUCTURES, NEGATION_STRUCTURES, STRUCTURE_NAMES, UNION_STRUCTURES
 from .errors import DataError
 from .model import ForwardContext, ModelParams, QueryEmbedding
@@ -106,9 +106,8 @@ def _embed_structure_batches(params: ModelParams, samples, union_mode: str):
         chunk = samples[start:start + EVAL_BATCH]
         anchors = np.array([s.instance.anchors for s in chunk], dtype=np.int64)
         relations = np.array([s.instance.relations for s in chunk], dtype=np.int64)
-        ctx = ForwardContext(params)
-        branches = ctx.embed_instances(structure, anchors, relations, union_mode)
-        yield chunk, [b.value for b in branches]
+        yield chunk, ForwardContext(params).embed_instances(structure, anchors, relations,
+                                                            union_mode)
 
 
 def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
@@ -259,11 +258,10 @@ def query_statistics(dataset: QueryDataset, params: ModelParams,
     for structure, samples in dataset.by_structure().items():
         for chunk, branch_values in _embed_structure_batches(params, samples, "dm"):
             values = branch_values[0]
-            widths = values[:, d:] - values[:, :d]
             if statistic == "entropy":
-                per_query = np.sum(np.log(np.maximum(widths, 1e-9)), axis=1)
+                per_query = np.sum(logic.entropy_slots(values), axis=1)
             else:
-                per_query = np.sum(widths, axis=1)
+                per_query = np.sum(values[:, d:] - values[:, :d], axis=1)
             stats.extend(per_query.tolist())
             sizes.extend(float(len(s.answers)) for s in chunk)
             structures.extend(structure for _ in chunk)

@@ -1,8 +1,14 @@
 """Truth-bound logic kernel: negation, t-norms, weighted t-norms, dissimilarity.
 
-Everything here is pure numpy over float64 and safe for concurrent use. An
-embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
-[l_1..l_d, u_1..u_d]; interval width encodes uncertainty.
+An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
+[l_1..l_d, u_1..u_d]; interval width encodes uncertainty. In point mode the
+2d slots are independent point truths instead.
+
+The slot operators ``negate_slots``, ``conjoin_slots`` and ``entropy_slots``
+are the one definition of the logic, over flat (..., 2d) slot arrays. Built
+on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
+tape tensors alike: the model calls them in training and in inference, and
+the ``TruthBounds`` API wraps them. All float64, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import autodiff as ad
 
 TNORM_KINDS = ("min", "prod", "luk")
 DEFAULT_ALPHA = -10.0
@@ -67,9 +75,72 @@ class TruthBounds:
         return self.upper - self.lower
 
 
+def negate_slots(x, mode: str):
+    """Involute negation of (..., 2d) slots: [l, u] -> [1-u, 1-l] in bounds
+    mode, t -> 1-t in point mode."""
+    if mode == "point":
+        return 1.0 - x
+    d = x.shape[-1] // 2
+    lower = ad.slice_last(x, 0, d)
+    upper = ad.slice_last(x, d, 2 * d)
+    return ad.concat_last([1.0 - upper, 1.0 - lower])
+
+
+def conjoin_slots(kind: str, xs: list, ws: list, alpha: float, mode: str):
+    """Weighted conjunction of k slot arrays; returns (value, repairs).
+
+    ``ws`` holds one weight array per input, of its shape; a weight of 0
+    removes an input. luk is max(0, 1 - sum(w_j (1 - t_j))), prod is
+    prod(t_j^w_j), and min is the smooth minimum sum(t w e^(at)) / sum(w e^(at)).
+    In bounds mode the slots are (..., 2d) intervals, and crossed ones (l > u),
+    which only the non-monotonic smooth minimum produces, collapse to their
+    midpoint; ``repairs`` counts them. Point mode repairs nothing.
+    """
+    if kind == "luk":
+        deficit = ws[0] * (1.0 - xs[0])
+        for w, x in zip(ws[1:], xs[1:]):
+            deficit = deficit + w * (1.0 - x)
+        out = ad.relu(1.0 - deficit)
+    elif kind == "prod":
+        out = ad.pow_elem(xs[0], ws[0])
+        for x, w in zip(xs[1:], ws[1:]):
+            out = out * ad.pow_elem(x, w)
+    elif kind == "min":
+        out = ad.smoothmin_weighted(xs, ws, alpha)
+    else:
+        raise ValueError(f"unknown t-norm kind {kind!r}")
+    if mode != "bounds":
+        return out, 0
+    value = ad.value_of(out)
+    d = value.shape[-1] // 2
+    crossed = value[..., :d] > value[..., d:]
+    count = int(np.count_nonzero(crossed))
+    if count == 0:
+        return out, 0
+    lower = ad.slice_last(out, 0, d)
+    upper = ad.slice_last(out, d, 2 * d)
+    mask = crossed.astype(np.float64)
+    keep = 1.0 - mask
+    mid = 0.5 * (lower + upper)
+    return ad.concat_last([keep * lower + mask * mid, keep * upper + mask * mid]), count
+
+
+def entropy_slots(x: np.ndarray, eps: float = ENTROPY_EPS) -> np.ndarray:
+    """Per-dimension differential entropy log(u - l) of (..., 2d) bounds,
+    clamped at log(eps)."""
+    d = x.shape[-1] // 2
+    return np.log(np.maximum(x[..., d:] - x[..., :d], eps))
+
+
+def _name_and_alpha(kind: str | TNormKind, alpha: float | None) -> tuple[str, float]:
+    if isinstance(kind, TNormKind):
+        return kind.name, kind.alpha if alpha is None else alpha
+    return kind, DEFAULT_ALPHA if alpha is None else alpha
+
+
 def negate(bounds: TruthBounds) -> TruthBounds:
     """Involute negation: [l, u] -> [1-u, 1-l]."""
-    return TruthBounds(np.concatenate([1.0 - bounds.upper, 1.0 - bounds.lower]))
+    return TruthBounds(negate_slots(bounds.values, "bounds"))
 
 
 def tnorm(kind: str | TNormKind, truths) -> np.ndarray:
@@ -91,53 +162,18 @@ def tnorm(kind: str | TNormKind, truths) -> np.ndarray:
     raise ValueError(f"unknown t-norm kind {name!r}")
 
 
-def smoothmin_weighted(weights, truths, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    """Non-monotonic smooth minimum: sum(t w e^(at)) / sum(w e^(at))."""
-    w = np.asarray(weights, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.float64)
-    scores = w * np.exp(alpha * t)
-    denom = np.sum(scores, axis=0)
-    if np.any(denom == 0.0):
-        raise ValueError("all inputs removed: weighted-minimum denominator is zero")
-    return np.sum(t * scores, axis=0) / denom
-
-
 def weighted_tnorm(kind: str | TNormKind, weights, truths,
                    alpha: float | None = None) -> np.ndarray:
-    """Weighted conjunction; weights in [0,1], w_j = 0 removes input j.
-
-    prod: prod(t_j^w_j); luk: max(0, 1 - sum(w_j (1 - t_j))); min uses the
-    smooth minimum even at all-ones weights, so it only approximates the hard
-    minimum there.
+    """Weighted conjunction (``conjoin_slots``) of truths stacked on axis 0;
+    weights in [0,1]. min uses the smooth minimum even at all-ones weights, so
+    it only approximates the hard minimum there.
     """
-    if isinstance(kind, TNormKind):
-        name = kind.name
-        alpha = kind.alpha if alpha is None else alpha
-    else:
-        name = kind
-        alpha = DEFAULT_ALPHA if alpha is None else alpha
+    name, alpha = _name_and_alpha(kind, alpha)
     w = np.asarray(weights, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)
     if w.shape != t.shape:
         raise ValueError(f"weight shape {w.shape} != truth shape {t.shape}")
-    if name == "min":
-        return smoothmin_weighted(w, t, alpha)
-    if name == "prod":
-        return np.prod(t ** w, axis=0)
-    if name == "luk":
-        return np.maximum(0.0, 1.0 - np.sum(w * (1.0 - t), axis=0))
-    raise ValueError(f"unknown t-norm kind {name!r}")
-
-
-def repair_bounds(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Collapse crossed intervals (l > u) to their midpoint; returns repair count."""
-    crossed = lower > upper
-    count = int(np.count_nonzero(crossed))
-    if count:
-        mid = 0.5 * (lower + upper)
-        lower = np.where(crossed, mid, lower)
-        upper = np.where(crossed, mid, upper)
-    return lower, upper, count
+    return conjoin_slots(name, list(t), list(w), alpha, "point")[0]
 
 
 def conjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
@@ -154,21 +190,17 @@ def conjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
     d = inputs[0].dim
     if any(b.dim != d for b in inputs):
         raise ValueError("dimension mismatch between conjunction inputs")
-    lowers = np.stack([b.lower for b in inputs])
-    uppers = np.stack([b.upper for b in inputs])
     if weights is None:
-        new_lower = tnorm(kind, lowers)
-        new_upper = tnorm(kind, uppers)
-    else:
-        if len(weights) != len(inputs):
-            raise ValueError("one weight vector per input required")
-        w = np.stack([np.asarray(v, float) for v in weights])
-        if w.shape != lowers.shape:
-            raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
-        new_lower = weighted_tnorm(kind, w, lowers, alpha)
-        new_upper = weighted_tnorm(kind, w, uppers, alpha)
-        new_lower, new_upper, _ = repair_bounds(new_lower, new_upper)
-    return TruthBounds.from_pairs(new_lower, new_upper)
+        return TruthBounds(tnorm(kind, np.stack([b.values for b in inputs])))
+    if len(weights) != len(inputs):
+        raise ValueError("one weight vector per input required")
+    w = np.stack([np.asarray(v, float) for v in weights])
+    if w.shape != (len(inputs), d):
+        raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
+    name, alpha = _name_and_alpha(kind, alpha)
+    value, _ = conjoin_slots(name, [b.values for b in inputs],
+                             [np.concatenate([v, v]) for v in w], alpha, "bounds")
+    return TruthBounds(value)
 
 
 def disjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
@@ -194,4 +226,4 @@ def dissimilarity(a, b) -> float:
 
 def entropy_vector(bounds: TruthBounds, eps: float = ENTROPY_EPS) -> np.ndarray:
     """Per-dimension differential entropy log(u - l), clamped at log(eps)."""
-    return np.log(np.maximum(bounds.widths, eps))
+    return entropy_slots(bounds.values, eps)

@@ -2,17 +2,21 @@
 
 Embeddings are flat 2d truth-slot vectors. In bounds mode the first d slots
 are interval lowers and the last d are uppers, kept ordered by construction;
-in point mode all 2d slots are independent point truths. The forward pass is
-written against the autodiff tape so training and inference share one code
-path. Realization (sigmoid, then ordered bounds) is written once in numpy:
-scoring against all entities calls ``realize_entity_rows`` directly, and the
-tape primitives ``ForwardContext.realize`` and the fused training distance
+in point mode all 2d slots are independent point truths. The forward pass
+calls the slot operators of ``logic`` and the array-generic ``autodiff``
+primitives, so training and inference share one code path: in training the
+parameters enter a tape as leaves, and in inference they are the plain
+parameter arrays and the forward pass records nothing. Realization (sigmoid,
+then ordered bounds) is written once in numpy: scoring against all entities
+calls ``realize_entity_rows`` directly, and the tape primitives
+``ForwardContext.realize`` and the fused training distance
 ``ForwardContext.entity_distance`` add a hand-derived backward. Tests pin
 them to the composed tape ops.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -20,13 +24,14 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import algebra, autodiff as ad
+from . import algebra, autodiff as ad, logic
 from .algebra import QueryPlan, QueryInstance
 from .errors import DataError
-from .logic import DEFAULT_ALPHA, ENTROPY_EPS, TNORM_KINDS
+from .logic import DEFAULT_ALPHA, TNORM_KINDS
 
 MODES = ("bounds", "point")
 UNION_MODES = ("dnf", "dm")
+Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
 CHECKPOINT_VERSION = 1
@@ -209,43 +214,62 @@ def entity_embedding(entity_id: int, params: ModelParams) -> np.ndarray:
     return realize_entity_rows(params.arrays["entity"][entity_id], params.config.mode)
 
 
+def _branches(plan: QueryPlan, union_mode: str) -> tuple[QueryPlan, ...]:
+    """The DNF branch plans, or the plan itself under De Morgan union."""
+    if union_mode not in UNION_MODES:
+        raise DataError(f"unknown union mode {union_mode!r}")
+    return tuple(algebra.to_dnf(plan)) if union_mode == "dnf" else (plan,)
+
+
+@functools.cache
+def _slot_branches(structure: str, union_mode: str) -> tuple[QueryPlan, ...]:
+    """Branch plans of a structure's template whose anchor/relation ids are
+    positional slots; compiled once per process. Callers only read them."""
+    template = algebra.TEMPLATES[structure]
+    instance = QueryInstance(
+        structure,
+        tuple(range(template.num_anchors)),
+        tuple(range(template.num_relations)),
+    )
+    return _branches(algebra.compile_instance(instance), union_mode)
+
+
 class ForwardContext:
     """Per-tape forward pass over the model parameters.
 
     In training mode every parameter enters the tape as a leaf and touched
-    embedding rows are recorded for sparse updates; in inference mode
-    parameters are constants and no gradients are kept. The context owns its
-    tape: dropping the context frees the tape and all its arrays.
+    embedding rows are recorded for sparse updates. In inference mode the
+    parameters are the plain arrays, so every operator returns a plain array
+    and the tape stays empty. The context owns its tape: dropping the context
+    frees the tape and all its arrays.
     """
 
-    def __init__(self, params: ModelParams, tape: ad.Tape | None = None,
-                 train: bool = False):
+    def __init__(self, params: ModelParams, train: bool = False):
         self.params = params
         self.config = params.config
-        self.tape = tape or ad.Tape()
+        self.tape = ad.Tape()
         self.train = train
         self.repair_count = 0
         self.entity_touches: list[tuple[np.ndarray, ad.Tensor]] = []
         self.relation_touches: list[tuple[np.ndarray, ad.Tensor]] = []
-        self._dense: dict[str, ad.Tensor] = {}
-        self._slot_plans: dict[str, QueryPlan] = {}
+        self._dense: dict[str, Slots] = {}
 
-    def _wrap(self, value: np.ndarray) -> ad.Tensor:
-        return self.tape.leaf(value) if self.train else self.tape.const(value)
+    def _wrap(self, value: np.ndarray) -> Slots:
+        return self.tape.leaf(value) if self.train else value
 
-    def dense(self, name: str) -> ad.Tensor:
+    def dense(self, name: str) -> Slots:
         if name not in self._dense:
             self._dense[name] = self._wrap(self.params.arrays[name])
         return self._dense[name]
 
-    def entity_rows(self, ids: np.ndarray) -> ad.Tensor:
+    def entity_rows(self, ids: np.ndarray) -> Slots:
         ids = np.asarray(ids, dtype=np.int64)
         rows = self._wrap(self.params.arrays["entity"][ids])
         if self.train:
             self.entity_touches.append((ids, rows))
         return rows
 
-    def relation_rows(self, ids: np.ndarray) -> ad.Tensor:
+    def relation_rows(self, ids: np.ndarray) -> Slots:
         ids = np.asarray(ids, dtype=np.int64)
         rows = self._wrap(self.params.arrays["relation"][ids])
         if self.train:
@@ -278,43 +302,41 @@ class ForwardContext:
             rows._accumulate(_realize_backward(g_emb.reshape(sig.shape), sig, mode))
 
         value = dists.min(axis=0).reshape(ids.shape)
-        return ad.Tensor(self.tape, value, (rows, *branches), backward)
+        return ad.Tensor(self.tape, value, backward)
 
     # --- embedding-space operators -----------------------------------------
 
-    def realize(self, pre: ad.Tensor) -> ad.Tensor:
+    def realize(self, pre: Slots) -> Slots:
         """Slot vectors from pre-activations (entity rows or the Skolem MLP's
-        last layer): one primitive over the numpy realization."""
-        sig, value = _realize_parts(pre.value, self.config.mode)
+        last layer): one primitive over the numpy realization, or that
+        realization itself when ``pre`` is an array."""
+        sig, value = _realize_parts(ad.value_of(pre), self.config.mode)
+        if not isinstance(pre, ad.Tensor):
+            return value
         mode = self.config.mode
 
         def backward(g):
             pre._accumulate(_realize_backward(g, sig, mode))
 
-        return ad.Tensor(self.tape, value, (pre,), backward)
+        return ad.Tensor(pre.tape, value, backward)
 
-    def skolem(self, rel_rows: ad.Tensor, x: ad.Tensor) -> ad.Tensor:
+    def skolem(self, rel_rows: Slots, x: Slots) -> Slots:
         z = ad.concat_last([rel_rows, x])
         h1 = ad.relu(ad.matmul(z, self.dense("F1")) + self.dense("F1b"))
         h2 = ad.relu(ad.matmul(h1, self.dense("F2")) + self.dense("F2b"))
         return self.realize(ad.matmul(h2, self.dense("F3")) + self.dense("F3b"))
 
-    def negate(self, x: ad.Tensor) -> ad.Tensor:
-        if self.config.mode == "point":
-            return 1.0 - x
-        d = self.config.d
-        lower = ad.slice_last(x, 0, d)
-        upper = ad.slice_last(x, d, 2 * d)
-        return ad.concat_last([1.0 - upper, 1.0 - lower])
+    def negate(self, x: Slots) -> Slots:
+        return logic.negate_slots(x, self.config.mode)
 
-    def attention_weights(self, xs: list[ad.Tensor]) -> list[ad.Tensor]:
+    def attention_weights(self, xs: list[Slots]) -> list[Slots]:
         """Per-dimension weights in (0,1] with max exactly 1 across inputs.
 
         Equal to the softargmax score divided by its max over inputs; the
         exp(g - max g) form computes that without the division.
         """
         if not self.config.attention:
-            ones = self.tape.const(np.ones(xs[0].shape[:-1] + (self.config.d,)))
+            ones = np.ones(xs[0].shape[:-1] + (self.config.d,))
             return [ones for _ in xs]
         gs = []
         for x in xs:
@@ -325,49 +347,20 @@ class ForwardContext:
             peak = ad.maximum(peak, g)
         return [ad.exp(g - peak) for g in gs]
 
-    def _repair(self, x: ad.Tensor) -> ad.Tensor:
-        d = self.config.d
-        lower = ad.slice_last(x, 0, d)
-        upper = ad.slice_last(x, d, 2 * d)
-        crossed = lower.value > upper.value
-        count = int(np.count_nonzero(crossed))
-        if count == 0:
-            return x
-        self.repair_count += count
-        mask = self.tape.const(crossed.astype(np.float64))
-        keep = self.tape.const(1.0 - crossed.astype(np.float64))
-        mid = 0.5 * (lower + upper)
-        new_lower = keep * lower + mask * mid
-        new_upper = keep * upper + mask * mid
-        return ad.concat_last([new_lower, new_upper])
-
-    def conjoin(self, xs: list[ad.Tensor]) -> ad.Tensor:
-        weights = self.attention_weights(xs)
-        tiled = [ad.concat_last([w, w]) for w in weights]
-        kind = self.config.kind
-        if kind == "luk":
-            deficit = tiled[0] * (1.0 - xs[0])
-            for w, x in zip(tiled[1:], xs[1:]):
-                deficit = deficit + w * (1.0 - x)
-            out = ad.relu(1.0 - deficit)
-        elif kind == "prod":
-            out = ad.pow_elem(xs[0], tiled[0])
-            for x, w in zip(xs[1:], tiled[1:]):
-                out = out * ad.pow_elem(x, w)
-        else:  # min
-            out = ad.smoothmin_weighted(xs, tiled, self.config.alpha)
-        if self.config.mode == "bounds":
-            out = self._repair(out)
+    def conjoin(self, xs: list[Slots]) -> Slots:
+        tiled = [ad.concat_last([w, w]) for w in self.attention_weights(xs)]
+        out, repairs = logic.conjoin_slots(self.config.kind, xs, tiled, self.config.alpha,
+                                           self.config.mode)
+        self.repair_count += repairs
         return out
 
-    def disjoin(self, xs: list[ad.Tensor]) -> ad.Tensor:
+    def disjoin(self, xs: list[Slots]) -> Slots:
         return self.negate(self.conjoin([self.negate(x) for x in xs]))
 
     # --- plan walking --------------------------------------------------------
 
     def _walk(self, plan: QueryPlan, anchor_rows, relation_rows,
-              memo: dict[int, ad.Tensor] | None = None,
-              node_id: int | None = None) -> ad.Tensor:
+              memo: dict[int, Slots] | None = None, node_id: int | None = None) -> Slots:
         """Embed ``node_id`` (default: the sink), memoizing visited nodes. A
         recursive closure here would be a reference cycle holding the tape."""
         memo = {} if memo is None else memo
@@ -375,7 +368,7 @@ class ForwardContext:
         if node_id in memo:
             return memo[node_id]
 
-        def visit(i: int) -> ad.Tensor:
+        def visit(i: int) -> Slots:
             return self._walk(plan, anchor_rows, relation_rows, memo, i)
 
         node = plan.nodes[node_id]
@@ -394,51 +387,31 @@ class ForwardContext:
         memo[node_id] = out
         return out
 
-    def slot_plan(self, structure: str) -> QueryPlan:
-        """Template plan whose anchor/relation ids are positional slots."""
-        if structure not in self._slot_plans:
-            template = algebra.TEMPLATES[structure]
-            instance = QueryInstance(
-                structure,
-                tuple(range(template.num_anchors)),
-                tuple(range(template.num_relations)),
-            )
-            self._slot_plans[structure] = algebra.compile_instance(instance)
-        return self._slot_plans[structure]
-
     def embed_instances(self, structure: str, anchors: np.ndarray,
-                        relations: np.ndarray, union_mode: str = "dnf") -> list[ad.Tensor]:
-        """Embed a batch of same-structure queries; one tensor per DNF branch."""
-        if union_mode not in UNION_MODES:
-            raise DataError(f"unknown union mode {union_mode!r}")
+                        relations: np.ndarray, union_mode: str = "dnf") -> list[Slots]:
+        """Embed a batch of same-structure queries; one (B, 2d) embedding per
+        DNF branch, a tensor in training mode and an array in inference."""
         anchors = np.atleast_2d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_2d(np.asarray(relations, dtype=np.int64))
-        plan = self.slot_plan(structure)
-        plans = algebra.to_dnf(plan) if union_mode == "dnf" else [plan]
-        outs = []
-        for branch in plans:
-            outs.append(
-                self._walk(
-                    branch,
-                    anchor_rows=lambda slot: self.entity_rows(anchors[:, slot]),
-                    relation_rows=lambda slot: self.relation_rows(relations[:, slot]),
-                )
+        return [
+            self._walk(
+                branch,
+                anchor_rows=lambda slot: self.entity_rows(anchors[:, slot]),
+                relation_rows=lambda slot: self.relation_rows(relations[:, slot]),
             )
-        return outs
+            for branch in _slot_branches(structure, union_mode)
+        ]
 
     def embed_plan(self, plan: QueryPlan, union_mode: str = "dnf",
-                   collect: list | None = None) -> list[ad.Tensor]:
+                   collect: list | None = None) -> list[Slots]:
         """Embed one grounded plan (anchor nodes carry real entity ids).
 
-        When ``collect`` is given, a (branch plan, node-id -> tensor) pair is
+        When ``collect`` is given, a (branch plan, node-id -> embedding) pair is
         appended per branch so callers can inspect intermediate embeddings.
         """
-        if union_mode not in UNION_MODES:
-            raise DataError(f"unknown union mode {union_mode!r}")
-        plans = algebra.to_dnf(plan) if union_mode == "dnf" else [plan]
         outs = []
-        for branch in plans:
-            memo: dict[int, ad.Tensor] = {}
+        for branch in _branches(plan, union_mode):
+            memo: dict[int, Slots] = {}
             outs.append(
                 self._walk(
                     branch,
@@ -456,25 +429,14 @@ def skolem_apply(relation_id: int, x: np.ndarray, params: ModelParams) -> np.nda
     """Apply the learned relation map to one slot vector."""
     ctx = ForwardContext(params)
     rel = ctx.relation_rows(np.array([relation_id]))
-    out = ctx.skolem(rel, ctx.tape.const(np.atleast_2d(np.asarray(x, float))))
-    return out.value[0]
-
-
-def attention_weights(inputs: list[np.ndarray], params: ModelParams) -> list[np.ndarray]:
-    """Per-dimension conjunction weights for k >= 2 realized inputs."""
-    if len(inputs) < 2:
-        raise DataError("attention needs at least two inputs")
-    ctx = ForwardContext(params)
-    xs = [ctx.tape.const(np.atleast_2d(np.asarray(x, float))) for x in inputs]
-    return [w.value[0] for w in ctx.attention_weights(xs)]
+    return ctx.skolem(rel, np.atleast_2d(np.asarray(x, float)))[0]
 
 
 def embed_query(plan: QueryPlan, params: ModelParams,
                 union_mode: str = "dnf") -> QueryEmbedding:
     """Embed a grounded plan; DNF mode returns one branch per union branch."""
-    ctx = ForwardContext(params)
-    outs = ctx.embed_plan(plan, union_mode)
-    return QueryEmbedding(tuple(o.value[0] for o in outs), params.config.mode)
+    outs = ForwardContext(params).embed_plan(plan, union_mode)
+    return QueryEmbedding(tuple(o[0] for o in outs), params.config.mode)
 
 
 def embed_instance(instance: QueryInstance, params: ModelParams,
@@ -496,18 +458,13 @@ def score_entities(qe: QueryEmbedding, params: ModelParams,
     return best
 
 
-def entropy_of_slots(x: np.ndarray, d: int, eps: float = ENTROPY_EPS) -> np.ndarray:
-    widths = x[..., d:] - x[..., :d]
-    return np.log(np.maximum(widths, eps))
-
-
 def predict_cardinality(qe: QueryEmbedding | np.ndarray, params: ModelParams) -> float:
     """Answer-size estimate in (0, rho) from the embedding's entropy vector."""
     config = params.config
     if config.mode != "bounds":
         raise DataError("cardinality prediction requires bounds mode")
     x = qe.single if isinstance(qe, QueryEmbedding) else np.asarray(qe, float)
-    h = entropy_of_slots(x, config.d)
+    h = logic.entropy_slots(x)
     return float(cardinality_forward(np.atleast_2d(h), params)[0])
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import algebra, autodiff as ad, model as model_mod
+from . import algebra, autodiff as ad, logic, model as model_mod
 from .errors import DataError, NumericError
 from .kg import KnowledgeGraph
 from .model import ForwardContext, ModelConfig, ModelParams
@@ -431,10 +431,7 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
         raise DataError("dataset too small to split 1:1")
 
     features = np.stack([
-        model_mod.entropy_of_slots(
-            model_mod.embed_instance(s.instance, params, union_mode="dm").single,
-            params.config.d,
-        )
+        logic.entropy_slots(model_mod.embed_instance(s.instance, params, union_mode="dm").single)
         for s in dataset.samples
     ])
     targets = np.array([max(1, len(s.answers)) for s in dataset.samples], dtype=np.float64)
@@ -446,12 +443,11 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     for _ in range(epochs):
         tape = ad.Tape()
         leaves = {name: tape.leaf(params.arrays[name]) for name in HEAD_PARAMS}
-        h = tape.const(h_train)
-        z1 = ad.relu(ad.matmul(h, leaves["H1"]) + leaves["H1b"])
+        z1 = ad.relu(ad.matmul(h_train, leaves["H1"]) + leaves["H1b"])
         z2 = ad.relu(ad.matmul(z1, leaves["H2"]) + leaves["H2b"])
         s = ad.scale(ad.sigmoid(ad.matmul(z2, leaves["H3"]) + leaves["H3b"]),
                      params.config.rho)
-        errors = ad.absolute(ad.reshape(s, (len(train_idx),)) - y_train) / tape.const(y_train)
+        errors = ad.absolute(ad.reshape(s, (len(train_idx),)) - y_train) / y_train
         loss = ad.mean_all(errors)
         if not np.isfinite(loss.value):
             raise NumericError("non-finite cardinality loss")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skqe import algebra
+from skqe import algebra, kg
 from skqe.algebra import (
     Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate,
 )
@@ -179,6 +179,21 @@ class TestParseFol:
         assert instance.structure == "inp"
         assert instance.anchors == (0, 1)
         assert instance.relations == (0, 1, 2)
+
+    @pytest.mark.parametrize("text,structure", [
+        ("EXISTS T. p(a, T)", "1p"),
+        ("EXISTS V,T. p(a,V) AND q(V,T)", "2p"),
+    ])
+    def test_dot_may_follow_a_variable_directly(self, text, structure, placeholder_graph):
+        assert algebra.parse_fol(text, placeholder_graph).structure == structure
+
+    @pytest.mark.parametrize("text,structure,relations", [
+        ("EXISTS T. r.x(a.b, T)", "1p", (0,)),
+        ("EXISTS V,T. r.x(a.b,V) AND s(V,T)", "2p", (0, 1)),
+    ])
+    def test_dots_inside_names_stay_legal(self, text, structure, relations):
+        graph = kg.KnowledgeGraph(kg.Vocabulary(["a.b", "c"]), kg.Vocabulary(["r.x", "s"]))
+        assert algebra.parse_fol(text, graph) == QueryInstance(structure, (0,), relations)
 
     def test_negation_only_query_unsupported(self, placeholder_graph):
         with pytest.raises(UnsupportedQueryError):
