@@ -30,6 +30,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_graph(kg_dir: str):
     return load_tsv_dir(kg_dir)
 
@@ -345,7 +355,7 @@ def make_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_positive_int, default=10)
     p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
     p.set_defaults(func=cmd_answer)
 

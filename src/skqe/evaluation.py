@@ -16,6 +16,7 @@ from .oracle import QueryDataset
 from .training import split_by_hash
 
 EVAL_BATCH = 256
+SCORE_BLOCK_BYTES = 1 << 20  # budget of one (rows, cols, 2d) scoring tile
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,47 @@ def _embed_structure_batches(params: ModelParams, samples, union_mode: str):
 
 
 def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
-    best = None
-    for values in branch_values:
-        scores = 1.0 - np.mean(
-            np.abs(entity_matrix[None, :, :] - values[:, None, :]), axis=2
-        )
-        best = scores if best is None else np.maximum(best, scores)
+    """Satisfiability ``1 - mean|E - v|`` of every entity against every query
+    row, best branch first-to-last: a ``(B, N)`` array for ``(B, 2d)`` branch
+    values and an ``(N, 2d)`` entity matrix.
+
+    The ``(B, N, 2d)`` difference is never built whole. Rows and entities are
+    tiled so that one tile's ``(rows, cols, 2d)`` block fits in
+    ``SCORE_BLOCK_BYTES`` (a tile spans at least one row and one entity, and
+    at least four rows when the budget allows); one block buffer and one
+    ``(rows, cols)`` distance buffer are reused for every tile and branch.
+    Peak memory is the ``(B, N)`` result plus about the budget, not
+    O(B·N·2d). Each score is still the mean of one contiguous 2d-slot row,
+    and the branch maximum is taken in branch order, so the output is
+    byte-identical to the one-block formula
+    ``max_b (1 - mean(|E[None] - V_b[:, None]|, axis=2))``.
+    """
+    rows_total = branch_values[0].shape[0]
+    count, width = entity_matrix.shape
+    dtype = np.result_type(entity_matrix, *branch_values)
+    pairs = max(1, SCORE_BLOCK_BYTES // (width * dtype.itemsize))
+    cols = max(1, min(count, pairs // 4))
+    rows = max(1, min(rows_total, pairs // cols))
+    best = np.empty((rows_total, count), dtype=dtype)
+    block_buffer = np.empty(rows * cols * width, dtype=dtype)
+    dist_buffer = np.empty(rows * cols, dtype=dtype)
+    for r0 in range(0, rows_total, rows):
+        r1 = min(rows_total, r0 + rows)
+        for c0 in range(0, count, cols):
+            c1 = min(count, c0 + cols)
+            shape = (r1 - r0, c1 - c0)
+            block = block_buffer[: shape[0] * shape[1] * width].reshape(*shape, width)
+            dist = dist_buffer[: shape[0] * shape[1]].reshape(shape)
+            tile = best[r0:r1, c0:c1]
+            entities = entity_matrix[None, c0:c1, :]
+            for branch, values in enumerate(branch_values):
+                np.subtract(entities, values[r0:r1, None, :], out=block)
+                np.abs(block, out=block)
+                target = tile if branch == 0 else dist
+                np.mean(block, axis=2, out=target)
+                np.subtract(1.0, target, out=target)
+                if branch:
+                    np.maximum(tile, dist, out=tile)
     return best
 
 
@@ -131,6 +167,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     entailment = dataset.mode in ("entailment", "train")
     if not entailment and dataset.mode != "generalization":
         raise DataError(f"cannot rank dataset with mode {dataset.mode!r}")
+    if not dataset.samples:
+        raise DataError("dataset has no queries to rank")
     entity_matrix = model_mod.realize_all_entities(params)
     report = RankingReport()
 
@@ -286,6 +324,44 @@ def uncertainty_correlation(dataset: QueryDataset, params: ModelParams,
     return report
 
 
+def cardinality_features(params: ModelParams, samples) -> np.ndarray:
+    """Entropy vector of each sample's De Morgan embedding, in sample order.
+
+    Queries are embedded in batches per structure; union queries go through
+    De Morgan's law, so each query has one embedding.
+    """
+    if params.config.mode != "bounds":
+        raise DataError("cardinality prediction requires bounds mode")
+    positions: dict[str, list[int]] = {}
+    for i, sample in enumerate(samples):
+        positions.setdefault(sample.instance.structure, []).append(i)
+    features = np.empty((len(samples), params.config.d))
+    for where in positions.values():
+        group = [samples[i] for i in where]
+        features[where] = np.concatenate([
+            logic.entropy_slots(branch_values[0])
+            for _, branch_values in _embed_structure_batches(params, group, "dm")
+        ])
+    return features
+
+
+def _relative_size_errors(params: ModelParams, samples) -> np.ndarray:
+    """|prediction - size| / size of the size head on samples with answers."""
+    sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
+    predictions = model_mod.cardinality_forward(cardinality_features(params, samples), params)
+    return np.abs(predictions - sizes) / sizes
+
+
+def _mae_by_structure(samples, errors) -> dict[str, tuple[float, int]]:
+    by_structure: dict[str, list[float]] = {}
+    for sample, error in zip(samples, errors):
+        by_structure.setdefault(sample.instance.structure, []).append(error)
+    return {
+        structure: (100.0 * float(np.mean(errors)), len(errors))
+        for structure, errors in by_structure.items()
+    }
+
+
 def cardinality_mae(dataset: QueryDataset, params: ModelParams,
                     indices: list[int] | None = None) -> dict[str, tuple[float, int]]:
     """Per-structure mean absolute relative error of the size head, in percent.
@@ -294,38 +370,27 @@ def cardinality_mae(dataset: QueryDataset, params: ModelParams,
     zero-answer queries are skipped and counted out.
     """
     samples = dataset.samples if indices is None else [dataset.samples[i] for i in indices]
-    by_structure: dict[str, list[float]] = {}
-    for sample in samples:
-        size = len(sample.answers)
-        if size == 0:
-            continue
-        qe = model_mod.embed_instance(sample.instance, params, union_mode="dm")
-        prediction = model_mod.predict_cardinality(qe, params)
-        by_structure.setdefault(sample.instance.structure, []).append(
-            abs(prediction - size) / size
-        )
-    return {
-        structure: (100.0 * float(np.mean(errors)), len(errors))
-        for structure, errors in by_structure.items()
-    }
+    kept = [s for s in samples if s.answers]
+    return _mae_by_structure(kept, _relative_size_errors(params, kept))
 
 
 def cardinality_test_half(dataset: QueryDataset, params: ModelParams):
-    """MAE on the hash-test half plus the constant-mean-predictor baseline."""
+    """MAE on the hash-test half plus the constant-mean-predictor baseline.
+
+    Both skip zero-answer test queries; ``test_count`` counts the rest.
+    """
     train_idx, test_idx = split_by_hash(dataset)
     sizes = np.array([len(s.answers) for s in dataset.samples], dtype=np.float64)
+    test_idx = [i for i in test_idx if sizes[i] > 0]
+    if not test_idx:
+        raise DataError("no test-half query with a nonempty answer set")
+    test = [dataset.samples[i] for i in test_idx]
+    errors = _relative_size_errors(params, test)
     mean_size = float(np.mean(sizes[train_idx]))
     test_sizes = sizes[test_idx]
     baseline = 100.0 * float(np.mean(np.abs(mean_size - test_sizes) / test_sizes))
-    per_structure = cardinality_mae(dataset, params, test_idx)
-    overall = 100.0 * float(np.mean([
-        abs(model_mod.predict_cardinality(
-            model_mod.embed_instance(dataset.samples[i].instance, params, "dm"), params)
-            - sizes[i]) / sizes[i]
-        for i in test_idx
-    ]))
-    return {"test_mae": overall, "baseline_mae": baseline,
-            "per_structure": per_structure, "test_count": len(test_idx)}
+    return {"test_mae": 100.0 * float(np.mean(errors)), "baseline_mae": baseline,
+            "per_structure": _mae_by_structure(test, errors), "test_count": len(test)}
 
 
 def write_metric_csv(rows: list[tuple[str, str, float, int]], path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import algebra, autodiff as ad, logic, model as model_mod
+from . import algebra, autodiff as ad, model as model_mod
 from .errors import DataError, NumericError
 from .kg import KnowledgeGraph
 from .model import ForwardContext, ModelConfig, ModelParams
@@ -430,10 +430,9 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     if not train_idx or not test_idx:
         raise DataError("dataset too small to split 1:1")
 
-    features = np.stack([
-        logic.entropy_slots(model_mod.embed_instance(s.instance, params, union_mode="dm").single)
-        for s in dataset.samples
-    ])
+    from .evaluation import cardinality_features  # evaluation imports this module
+
+    features = cardinality_features(params, dataset.samples)
     targets = np.array([max(1, len(s.answers)) for s in dataset.samples], dtype=np.float64)
 
     params = params.copy()

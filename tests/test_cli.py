@@ -1,6 +1,6 @@
 import pytest
 
-from skqe import cli, kg
+from skqe import cli, kg, oracle
 from skqe.model import ModelConfig, ModelParams
 
 
@@ -34,3 +34,32 @@ def test_valid_query_exits_ok(files, command, capsys):
 def test_bad_query_exits_with_usage_error(files, command, query, capsys):
     assert _run(files, command, query) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("topk", ["0", "-1", "two"])
+def test_answer_topk_below_one_is_a_usage_error(files, topk, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                  "--query", "EXISTS T . r0(e0,T)", "--topk", topk])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "--topk" in capsys.readouterr().err
+
+
+def test_answer_topk_one_prints_one_entity(files, capsys):
+    assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--query", "EXISTS T . r0(e0,T)", "--topk", "1"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "eval-cardinality"])
+def test_dataset_without_queries_exits_with_data_error(files, command, tmp_path, capsys):
+    graph = kg.load_tsv_dir(str(files / "kg"))
+    oracle.write_dataset(oracle.QueryDataset([], {"mode": "generalization"}), graph,
+                         tmp_path / "empty.jsonl")
+    code = cli.main([command, "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--queries", str(tmp_path / "empty.jsonl"),
+                     "--out", str(tmp_path / "metrics.csv")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "metrics.csv").exists()

@@ -164,6 +164,11 @@ class TestTrainCli:
         assert self._train(files, "--steps", "1") == cli.EXIT_OK
         assert (files / "model.ckpt").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_exits_with_numeric_error(self, files, capsys):
+        assert self._train(files, "--lr", "1e300", "--steps", "3") == cli.EXIT_NUMERIC
+        assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
     def test_checkpoint_relation_count_is_checked(self, files, tmp_path):
         graph = kg.load_tsv_dir(str(files / "kg"))
         config = ModelConfig(graph.num_entities, graph.num_relations + 1, d=16, h=16)
