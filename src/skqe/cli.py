@@ -61,14 +61,15 @@ def _load_checkpoint(path: str, graph) -> ModelParams:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(open(path, encoding="utf-8"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{line_no}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{line_no}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            values[key] = value
     return values
 
 

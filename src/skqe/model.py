@@ -10,8 +10,11 @@ parameter arrays and the forward pass records nothing. Realization (sigmoid,
 then ordered bounds) is written once in numpy: scoring against all entities
 calls ``realize_entity_rows`` directly, and the tape primitives
 ``ForwardContext.realize`` and the fused training distance
-``ForwardContext.entity_distance`` add a hand-derived backward. Tests pin
-them to the composed tape ops.
+``ForwardContext.entity_distance`` add a hand-derived backward. The training
+distance works per distinct entity: it realizes each entity of a call once,
+gathers it for every draw, sums the draws' gradients per entity
+(``sum_rows``) before one realization pullback, and records one touch of the
+sorted distinct ids. Tests pin these primitives to the composed tape ops.
 """
 
 from __future__ import annotations
@@ -197,6 +200,17 @@ def _realize_backward(g: np.ndarray, sig: np.ndarray, mode: str) -> np.ndarray:
     return g * sig * (1.0 - sig)
 
 
+def sum_rows(inverse: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """(count, width) sums of ``rows`` grouped by ``inverse``, each group's rows
+    added in their order. One flat ``np.bincount`` over ``inverse * width +
+    column`` adds in ``np.add.at``'s order, so the sums match it bit for bit
+    (``np.add.reduceat`` regroups them)."""
+    width = rows.shape[-1]
+    bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(bins, weights=rows.reshape(-1),
+                       minlength=count * width).reshape(count, width)
+
+
 def realize_entity_rows(rows: np.ndarray, mode: str) -> np.ndarray:
     """Slot vectors of pre-activation entity rows: sigmoid, then in bounds mode
     lower = s1 and upper = s1 + s2 (1 - s1)."""
@@ -281,25 +295,31 @@ class ForwardContext:
 
         ``ids`` is (B,) or (B, K), each branch a (B, 2d) query tensor; the value
         has the shape of ``ids``. One primitive for realize -> sub -> abs -> mean
-        -> branch minimum (ties go to the first branch) on one entity-row leaf.
+        -> branch minimum (ties go to the first branch). It works per distinct
+        entity: the sorted distinct ids form one entity-row leaf (one touch per
+        call), each is realized once and gathered per draw, and the backward
+        sums each draw's slot gradient per entity in draw order before one
+        realization pullback per entity.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self.entity_rows(ids.reshape(-1))
+        unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        rows = self.entity_rows(unique)
         sig, emb = _realize_parts(rows.value, self.config.mode)
-        emb = emb.reshape(ids.shape[0], -1, emb.shape[-1])
         n = emb.shape[-1]
-        dists = np.stack([np.abs(emb - q.value[:, None, :]).mean(axis=2) for q in branches])
+        drawn = emb[inverse].reshape(ids.shape[0], -1, n)
+        dists = np.stack([np.abs(drawn - q.value[:, None, :]).mean(axis=2) for q in branches])
         choice = np.argmin(dists, axis=0)
         mode = self.config.mode
 
         def backward(g):
             g = g.reshape(choice.shape)
-            g_emb = None
+            g_drawn = None
             for j, q in enumerate(branches):
-                gj = (g * (choice == j) / n)[..., None] * np.sign(emb - q.value[:, None, :])
+                gj = (g * (choice == j) / n)[..., None] * np.sign(drawn - q.value[:, None, :])
                 q._accumulate(-gj.sum(axis=1))
-                g_emb = gj if g_emb is None else g_emb + gj
-            rows._accumulate(_realize_backward(g_emb.reshape(sig.shape), sig, mode))
+                g_drawn = gj if g_drawn is None else g_drawn + gj
+            g_emb = sum_rows(inverse, g_drawn.reshape(-1, n), unique.size)
+            rows._accumulate(_realize_backward(g_emb, sig, mode))
 
         value = dists.min(axis=0).reshape(ids.shape)
         return ad.Tensor(self.tape, value, backward)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -46,13 +47,20 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DataError("margin must be positive")
+        for name in ("gamma", "lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise DataError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.negatives < 1:
             raise DataError("need at least one negative sample")
         for name in ("steps", "batch_size", "workers", "log_every"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.checkpoint_every < 0:
+            raise DataError(f"checkpoint_every must be at least 0, got {self.checkpoint_every}")
 
     def model_config(self, graph: KnowledgeGraph) -> ModelConfig:
         return ModelConfig(
@@ -158,22 +166,23 @@ def margin_loss(query: np.ndarray | tuple, positive: np.ndarray,
 def sample_negatives(answers, k: int, num_entities: int,
                      rng: np.random.Generator, filter_answers: bool = True) -> np.ndarray:
     """k uniform entity ids, rejecting true answers; falls back to sampling
-    with replacement when fewer than k non-answers exist."""
+    with replacement from the non-answers when fewer than k of them exist
+    (``train`` warns about such queries once)."""
     if k > num_entities:
         raise DataError(f"cannot draw {k} negatives from {num_entities} entities")
-    excluded = set(answers) if filter_answers else set()
-    if num_entities - len(excluded) < k:
-        log.warning("fewer than %d non-answer entities; sampling with replacement", k)
-        pool = [e for e in range(num_entities) if e not in excluded]
-        if not pool:
-            pool = list(range(num_entities))
-        return rng.choice(np.asarray(pool), size=k, replace=True)
-    excluded_ids = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
+    excluded = np.zeros(num_entities, dtype=bool)
+    if filter_answers:
+        excluded[np.asarray(answers, dtype=np.int64)] = True
+    if num_entities - np.count_nonzero(excluded) < k:
+        pool = np.flatnonzero(~excluded)
+        if not pool.size:
+            pool = np.arange(num_entities)
+        return rng.choice(pool, size=k, replace=True)
     out = np.empty(k, dtype=np.int64)
     filled = 0
     while filled < k:
         draw = rng.integers(0, num_entities, size=2 * (k - filled))
-        kept = draw[~np.isin(draw, excluded_ids)][: k - filled]
+        kept = draw[~excluded[draw]][: k - filled]
         out[filled:filled + kept.size] = kept
         filled += kept.size
     return out
@@ -217,17 +226,14 @@ def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray
 
 def _merge_row_grads(touches) -> tuple[np.ndarray, np.ndarray] | None:
     """Sum the gradient rows of (ids, grads) touches per id; ids come back sorted.
-    ``np.bincount`` adds each id's rows in touch order, as ``np.add.at`` does,
-    so the sums match it bit for bit (``np.add.reduceat`` regroups them)."""
+    Each id's rows are added in touch order (``model.sum_rows``), as
+    ``np.add.at`` adds them, so the sums match it bit for bit."""
     if not touches:
         return None
     unique, inverse = np.unique(np.concatenate([ids for ids, _ in touches]),
                                 return_inverse=True)
-    columns = np.concatenate([grad for _, grad in touches], axis=0).T
-    summed = np.empty((columns.shape[0], unique.size))
-    for c, column in enumerate(columns):
-        summed[c] = np.bincount(inverse, weights=column, minlength=unique.size)
-    return unique, summed.T
+    grads = np.concatenate([grad for _, grad in touches], axis=0)
+    return unique, model_mod.sum_rows(inverse, grads, unique.size)
 
 
 def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
@@ -333,6 +339,12 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     params.extra["graph_hash"] = graph.content_hash()
 
     groups = _prepare_groups(dataset)
+    if config.filter_negatives:
+        short = sum(graph.num_entities - len(answers) < config.negatives
+                    for group in groups.values() for answers in group.answers)
+        if short:
+            log.warning("%d queries have fewer than %d non-answer entities; "
+                        "sampling their negatives with replacement", short, config.negatives)
     order = [s for s in algebra.STRUCTURE_NAMES if s in groups]
     group_offsets: list[tuple[str, int]] = []
     for structure in order:

@@ -59,16 +59,45 @@ def composed_realize(ctx, pre):
 
 
 def composed_distance(ctx, ids: np.ndarray, branches):
-    """Reference for ``ForwardContext.entity_distance`` built from composed tape
-    ops: realize -> sub -> abs -> mean over slots -> minimum over branches."""
+    """Per-row reference for ``ForwardContext.entity_distance`` built from
+    composed tape ops: realize every drawn row -> sub -> abs -> mean over
+    slots -> minimum over branches."""
     ids = np.asarray(ids, dtype=np.int64)
     b, width = ids.shape[0], 2 * ctx.config.d
     emb = ad.reshape(composed_realize(ctx, ctx.entity_rows(ids.reshape(-1))), (b, -1, width))
+    return _nearest_branch(emb, branches, ids.shape)
+
+
+def _gather(table, index: np.ndarray):
+    """Rows ``table[index]`` as a tape op whose backward scatters with ``np.add.at``."""
+    def backward(g):
+        grad = np.zeros_like(table.value)
+        np.add.at(grad, index, g)
+        table._accumulate(grad)
+
+    return ad.Tensor(table.tape, table.value[index], backward)
+
+
+def composed_gather_distance(ctx, ids: np.ndarray, branches):
+    """Per-entity reference for ``ForwardContext.entity_distance`` built from
+    composed tape ops: realize the sorted distinct rows once, gather them per
+    draw, then sub -> abs -> mean over slots -> minimum over branches."""
+    ids = np.asarray(ids, dtype=np.int64)
+    unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    b, width = ids.shape[0], 2 * ctx.config.d
+    realized = composed_realize(ctx, ctx.entity_rows(unique))
+    emb = ad.reshape(_gather(realized, inverse), (b, -1, width))
+    return _nearest_branch(emb, branches, ids.shape)
+
+
+def _nearest_branch(emb, branches, shape):
+    """Mean L1 distance of (B, K, 2d) slot rows to the nearest (B, 2d) branch."""
+    b, width = emb.shape[0], emb.shape[-1]
     best = None
     for q in branches:
         dist = ad.mean_axis(ad.absolute(emb - ad.reshape(q, (b, 1, width))), axis=2)
         best = dist if best is None else ad.minimum(best, dist)
-    return ad.reshape(best, ids.shape)
+    return ad.reshape(best, shape)
 
 
 def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):

@@ -7,7 +7,7 @@ import pytest
 from skqe import algebra, autodiff as ad, model, oracle, training
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import composed_distance, composed_realize
+from conftest import composed_distance, composed_gather_distance, composed_realize
 
 EPS = 1e-6
 RTOL = 1e-5
@@ -192,7 +192,7 @@ class TestFusedEntityDistance:
         weights = rng.uniform(0.5, 1.5, ids_shape)
 
         results = []
-        for distance in (ForwardContext.entity_distance, composed_distance):
+        for distance in (ForwardContext.entity_distance, composed_gather_distance):
             ctx = ForwardContext(params, train=True)
             branches = [ctx.tape.leaf(q) for q in queries]
             out = distance(ctx, ids, branches)
@@ -205,7 +205,7 @@ class TestFusedEntityDistance:
         np.testing.assert_array_equal(fused[1], composed[1])
         for got, want in zip(fused[2], composed[2]):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(fused[3], ids.reshape(-1))
+        np.testing.assert_array_equal(fused[3], np.unique(ids))
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
@@ -243,7 +243,7 @@ class TestFusedEntityDistance:
         ids = _rng(7).integers(0, 12, (3, 4))
         query = _rng(8).uniform(0.0, 1.0, (3, 32))
         grads = []
-        for distance in (ForwardContext.entity_distance, composed_distance):
+        for distance in (ForwardContext.entity_distance, composed_gather_distance):
             ctx = ForwardContext(params, train=True)
             first, second = ctx.tape.leaf(query), ctx.tape.leaf(query.copy())
             ad.backward(ad.sum_all(distance(ctx, ids, [first, second])))
@@ -255,6 +255,50 @@ class TestFusedEntityDistance:
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("num_branches", [1, 2])
+    def test_per_row_reference_merged_per_entity(self, mode, num_branches):
+        # summing per entity before the realization pullback only regroups
+        # the additions of the per-row path
+        params = _params(mode)
+        rng = _rng(13)
+        ids = rng.integers(0, params.config.num_entities, (6, 40))
+        queries = [rng.uniform(0.0, 1.0, (6, 32)) for _ in range(num_branches)]
+        weights = rng.uniform(0.5, 1.5, ids.shape)
+        results = []
+        for distance in (ForwardContext.entity_distance, composed_distance):
+            ctx = ForwardContext(params, train=True)
+            branches = [ctx.tape.leaf(q) for q in queries]
+            out = distance(ctx, ids, branches)
+            ad.backward(ad.sum_all(out * weights))
+            (touched, rows), = ctx.entity_touches
+            results.append((out.value, touched, rows.grad, [b.grad for b in branches]))
+        fused, per_row = results
+        unique, inverse = np.unique(per_row[1], return_inverse=True)
+        merged = np.zeros((unique.size, 32))
+        np.add.at(merged, inverse, per_row[2])
+        np.testing.assert_array_equal(fused[0], per_row[0])
+        np.testing.assert_array_equal(fused[1], unique)
+        np.testing.assert_allclose(fused[2], merged, rtol=1e-12,
+                                   atol=1e-12 * np.abs(merged).max())
+        for got, want in zip(fused[3], per_row[3]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_realizes_each_distinct_entity_once(self, monkeypatch):
+        params = _params("bounds")
+        ids = _rng(14).integers(0, 12, (5, 30))
+        seen = []
+        realize_parts = model._realize_parts
+
+        def recording(rows, mode):
+            seen.append(rows.shape[0])
+            return realize_parts(rows, mode)
+
+        monkeypatch.setattr(model, "_realize_parts", recording)
+        ctx = ForwardContext(params, train=True)
+        out = ctx.entity_distance(ids, [ctx.tape.leaf(_rng(15).uniform(0.0, 1.0, (5, 32)))])
+        ad.backward(ad.sum_all(out))
+        assert seen == [np.unique(ids).size]
 
 
 class TestRealize:

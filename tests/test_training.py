@@ -125,6 +125,18 @@ class TestSampleNegatives:
         negatives = training.sample_negatives(tuple(range(8)), 4, 10, np.random.default_rng(0))
         assert set(negatives.tolist()) <= {8, 9}
 
+    def test_train_warns_once_about_short_pools(self, toy_graph, caplog):
+        # every query of the toy graph has 1-2 answers among 4 entities, so
+        # each one falls back to sampling 3 negatives with replacement
+        dataset = oracle.sample_dataset(toy_graph, ("1p",), 4, 0, "train")
+        config = training.TrainConfig(d=16, h=16, negatives=3, batch_size=8, steps=3,
+                                      log_every=1)
+        with caplog.at_level("WARNING", logger=training.log.name):
+            training.train(toy_graph, dataset, config)
+        warnings = [r for r in caplog.records if r.name == training.log.name]
+        assert len(warnings) == 1
+        assert "fewer than 3 non-answer entities" in warnings[0].getMessage()
+
 
 class TestTrainConfigBounds:
     @pytest.mark.parametrize("field", ["steps", "batch_size", "workers", "log_every",
@@ -136,6 +148,21 @@ class TestTrainConfigBounds:
 
     def test_accepts_one(self):
         training.TrainConfig(steps=1, batch_size=1, workers=1, log_every=1, negatives=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan")), ("lr", float("inf")),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", float("nan")),
+        ("beta2", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")), ("eps", float("inf")),
+        ("gamma", 0.0), ("gamma", float("nan")), ("gamma", float("inf")),
+        ("checkpoint_every", -1),
+    ])
+    def test_rejects_bad_optimizer_and_schedule_values(self, field, value):
+        with pytest.raises(DataError, match=field):
+            training.TrainConfig(**{field: value})
+
+    def test_accepts_edge_values(self):
+        training.TrainConfig(beta1=0.0, beta2=0.0, checkpoint_every=0, lr=1e-12, eps=1e-300)
 
 
 class TestTrainCli:
@@ -149,9 +176,10 @@ class TestTrainCli:
                          "--out", str(root / "q.tsv")]) == cli.EXIT_OK
         return root
 
-    def _train(self, files, *extra):
+    def _train(self, files, *extra, out=None):
+        out = files / "model.ckpt" if out is None else out
         return cli.main(["train", "--kg", str(files / "kg"), "--queries", str(files / "q.tsv"),
-                         "--out", str(files / "model.ckpt"), "--d", "16", "--h", "16",
+                         "--out", str(out), "--d", "16", "--h", "16",
                          "--negatives", "4", "--batch-size", "8", *extra])
 
     @pytest.mark.parametrize("flag", ["--steps", "--batch-size", "--workers"])
@@ -168,6 +196,43 @@ class TestTrainCli:
     def test_non_finite_loss_exits_with_numeric_error(self, files, capsys):
         assert self._train(files, "--lr", "1e300", "--steps", "3") == cli.EXIT_NUMERIC
         assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--checkpoint-every", "-1"), ("--lr", "0")])
+    def test_bad_schedule_exits_with_data_error(self, files, tmp_path, flags, capsys):
+        assert self._train(files, "--steps", "2", *flags,
+                           out=tmp_path / "m.ckpt") == cli.EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_config_file_sets_fields(self, files, tmp_path):
+        (tmp_path / "train.cfg").write_text(
+            "# settings\nsteps = 2\ngamma = 0.5  # margin\n\nattention = off\nkind = prod\n")
+        out = tmp_path / "m.ckpt"
+        assert self._train(files, "--config", str(tmp_path / "train.cfg"),
+                           out=out) == cli.EXIT_OK
+        stored = ModelParams.load(out).extra["train_config"]
+        assert (stored["steps"], stored["gamma"], stored["attention"], stored["kind"]) == (
+            2, 0.5, False, "prod")
+
+    def test_flag_overrides_config_file(self, files, tmp_path):
+        (tmp_path / "train.cfg").write_text("steps = 3\nlr = 0.01\n")
+        out = tmp_path / "m.ckpt"
+        assert self._train(files, "--config", str(tmp_path / "train.cfg"), "--steps", "1",
+                           out=out) == cli.EXIT_OK
+        stored = ModelParams.load(out).extra["train_config"]
+        assert (stored["steps"], stored["lr"]) == (1, 0.01)
+
+    @pytest.mark.parametrize("text,message", [
+        ("steps = 1\nlearning_rate = 0.1\n", "unknown config key 'learning_rate'"),
+        ("steps = 1\nattention = maybe\n", "cannot parse boolean"),
+    ], ids=["unknown-key", "bad-boolean"])
+    def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
+                                                   capsys):
+        (tmp_path / "train.cfg").write_text(text)
+        assert self._train(files, "--config", str(tmp_path / "train.cfg"),
+                           out=tmp_path / "m.ckpt") == cli.EXIT_DATA
+        assert not (tmp_path / "m.ckpt").exists()
+        assert message in capsys.readouterr().err
 
     def test_checkpoint_relation_count_is_checked(self, files, tmp_path):
         graph = kg.load_tsv_dir(str(files / "kg"))
