@@ -49,7 +49,6 @@ from .model import (
     entity_embedding,
     predict_cardinality,
     score_entities,
-    skolem_apply,
 )
 from .oracle import (
     QueryDataset,
@@ -67,7 +66,6 @@ from .evaluation import (
     RankingReport,
     UncertaintyReport,
     cardinality_mae,
-    entailment_eval,
     evaluate_ranking,
     mrr_hits,
     pearson,

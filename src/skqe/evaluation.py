@@ -10,7 +10,7 @@ import numpy as np
 
 from . import logic, model as model_mod
 from .algebra import EPFO_STRUCTURES, NEGATION_STRUCTURES, STRUCTURE_NAMES, UNION_STRUCTURES
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import ForwardContext, ModelParams, QueryEmbedding
 from .oracle import QueryDataset
 from .training import split_by_hash
@@ -162,7 +162,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
 
     Generalization datasets rank hard answers filtering all known answers;
     entailment-style datasets (no hard answers) rank easy answers filtering
-    the other easy answers.
+    the other easy answers. Raises NumericError on a non-finite entity or
+    query embedding, whose scores would rank every target first.
     """
     entailment = dataset.mode in ("entailment", "train")
     if not entailment and dataset.mode != "generalization":
@@ -170,12 +171,16 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     if not dataset.samples:
         raise DataError("dataset has no queries to rank")
     entity_matrix = model_mod.realize_all_entities(params)
+    if not np.all(np.isfinite(entity_matrix)):
+        raise NumericError("non-finite entity embeddings")
     report = RankingReport()
 
     def eval_structure(item):
         structure, samples = item
         ranks: list[int] = []
         for chunk, branch_values in _embed_structure_batches(params, samples, union_mode):
+            if not all(np.all(np.isfinite(values)) for values in branch_values):
+                raise NumericError(f"{structure}: non-finite query embedding")
             scores = _batch_scores(branch_values, entity_matrix)
             for row, sample in enumerate(chunk):
                 if entailment:
@@ -201,13 +206,6 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
         report.counts[structure] = len(ranks)
         report.per_structure[structure] = mrr_hits(ranks)
     return report
-
-
-def entailment_eval(dataset: QueryDataset, params: ModelParams,
-                    union_mode: str = "dnf", workers: int = 1) -> RankingReport:
-    if any(s.hard for s in dataset.samples):
-        raise DataError("entailment evaluation requires a dataset without hard answers")
-    return evaluate_ranking(dataset, params, union_mode, workers)
 
 
 # --- correlation statistics ---------------------------------------------------

@@ -7,14 +7,17 @@ calls the slot operators of ``logic`` and the array-generic ``autodiff``
 primitives, so training and inference share one code path: in training the
 parameters enter a tape as leaves, and in inference they are the plain
 parameter arrays and the forward pass records nothing. Realization (sigmoid,
-then ordered bounds) is written once in numpy: scoring against all entities
-calls ``realize_entity_rows`` directly, and the tape primitives
-``ForwardContext.realize`` and the fused training distance
-``ForwardContext.entity_distance`` add a hand-derived backward. The training
-distance works per distinct entity: it realizes each entity of a call once,
-gathers it for every draw, sums the draws' gradients per entity
-(``sum_rows``) before one realization pullback, and records one touch of the
-sorted distinct ids. Tests pin these primitives to the composed tape ops.
+then ordered bounds) is written once in numpy (``_realize_parts`` and its
+pullback ``_realize_backward``). Inference realizes the entity rows it needs;
+scoring against all entities calls ``realize_all_entities``. Training
+realizes the whole (N, 2d) entity table once per optimizer step: every
+training context of that step gathers anchors, positives and negatives from
+that table as slot-space leaves and records one touch (ids, leaf) per gather.
+The step sums the touches' slot gradients per entity and pulls them back
+through the realization once. ``ForwardContext.realize`` (the Skolem
+output's realization) and the fused training distance
+``ForwardContext.entity_distance`` are tape primitives with a hand-derived
+backward; tests pin them to the composed tape ops.
 """
 
 from __future__ import annotations
@@ -161,6 +164,9 @@ class ModelParams:
             offset = end
         if offset != len(payload):
             raise DataError(f"{path}: trailing bytes in checkpoint")
+        bad = [name for name, array in arrays.items() if not np.all(np.isfinite(array))]
+        if bad:
+            raise DataError(f"{path}: non-finite values in parameters {bad}")
         return cls(config, arrays, header.get("extra", {}))
 
 
@@ -258,15 +264,20 @@ class ForwardContext:
     frees the tape and all its arrays.
     """
 
-    def __init__(self, params: ModelParams, train: bool = False):
+    def __init__(self, params: ModelParams, train: bool = False,
+                 entities: tuple[np.ndarray, np.ndarray] | None = None):
+        """``entities`` is the step's realized entity table, the
+        ``_realize_parts`` pair (sigmoid, slot vectors) of all entity rows; a
+        training context built without one realizes the table on first use."""
         self.params = params
         self.config = params.config
         self.tape = ad.Tape()
         self.train = train
         self.repair_count = 0
-        self.entity_touches: list[tuple[np.ndarray, ad.Tensor]] = []
+        self.entity_touches: list[tuple[np.ndarray, ad.Tensor]] = []  # slot-space leaves
         self.relation_touches: list[tuple[np.ndarray, ad.Tensor]] = []
         self._dense: dict[str, Slots] = {}
+        self._entities = entities
 
     def _wrap(self, value: np.ndarray) -> Slots:
         return self.tape.leaf(value) if self.train else value
@@ -276,12 +287,18 @@ class ForwardContext:
             self._dense[name] = self._wrap(self.params.arrays[name])
         return self._dense[name]
 
-    def entity_rows(self, ids: np.ndarray) -> Slots:
+    def entity_slots(self, ids: np.ndarray) -> Slots:
+        """Realized slot vectors of entity rows. Training gathers them from
+        the realized entity table into one slot-space leaf and records the
+        touch; inference realizes the parameter rows."""
         ids = np.asarray(ids, dtype=np.int64)
-        rows = self._wrap(self.params.arrays["entity"][ids])
-        if self.train:
-            self.entity_touches.append((ids, rows))
-        return rows
+        if not self.train:
+            return self.realize(self.params.arrays["entity"][ids])
+        if self._entities is None:
+            self._entities = _realize_parts(self.params.arrays["entity"], self.config.mode)
+        slots = self.tape.leaf(self._entities[1][ids])
+        self.entity_touches.append((ids, slots))
+        return slots
 
     def relation_rows(self, ids: np.ndarray) -> Slots:
         ids = np.asarray(ids, dtype=np.int64)
@@ -294,32 +311,37 @@ class ForwardContext:
         """L1 satisfiability distance D(q, e) of entities to their nearest branch.
 
         ``ids`` is (B,) or (B, K), each branch a (B, 2d) query tensor; the value
-        has the shape of ``ids``. One primitive for realize -> sub -> abs -> mean
-        -> branch minimum (ties go to the first branch). It works per distinct
-        entity: the sorted distinct ids form one entity-row leaf (one touch per
-        call), each is realized once and gathered per draw, and the backward
-        sums each draw's slot gradient per entity in draw order before one
-        realization pullback per entity.
+        has the shape of ``ids``. One primitive for gather -> sub -> abs ->
+        mean -> branch minimum (ties go to the first branch). It works per
+        distinct entity: the sorted distinct ids gather one slot-space leaf
+        from the realized entity table (one touch per call), and the backward
+        sums each draw's slot gradient per entity in draw order. The forward
+        keeps the sign of each branch's (B, K, 2d) difference, so the backward
+        does not form the difference again. The realization pullback is left
+        to the owner of the table.
         """
         ids = np.asarray(ids, dtype=np.int64)
         unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
-        rows = self.entity_rows(unique)
-        sig, emb = _realize_parts(rows.value, self.config.mode)
-        n = emb.shape[-1]
-        drawn = emb[inverse].reshape(ids.shape[0], -1, n)
-        dists = np.stack([np.abs(drawn - q.value[:, None, :]).mean(axis=2) for q in branches])
+        rows = self.entity_slots(unique)
+        n = rows.shape[-1]
+        drawn = rows.value[inverse].reshape(ids.shape[0], -1, n)
+        dists, signs = [], []
+        for j, q in enumerate(branches):
+            last = j == len(branches) - 1
+            diff = np.subtract(drawn, q.value[:, None, :], out=drawn if last else None)
+            dists.append(np.abs(diff).mean(axis=2))
+            signs.append(np.sign(diff, out=diff))
+        dists = np.stack(dists)
         choice = np.argmin(dists, axis=0)
-        mode = self.config.mode
 
-        def backward(g):
+        def backward(g):  # runs once, so it overwrites the sign buffers
             g = g.reshape(choice.shape)
             g_drawn = None
-            for j, q in enumerate(branches):
-                gj = (g * (choice == j) / n)[..., None] * np.sign(drawn - q.value[:, None, :])
+            for j, (q, sign) in enumerate(zip(branches, signs)):
+                gj = np.multiply((g * (choice == j) / n)[..., None], sign, out=sign)
                 q._accumulate(-gj.sum(axis=1))
-                g_drawn = gj if g_drawn is None else g_drawn + gj
-            g_emb = sum_rows(inverse, g_drawn.reshape(-1, n), unique.size)
-            rows._accumulate(_realize_backward(g_emb, sig, mode))
+                g_drawn = gj if g_drawn is None else np.add(g_drawn, gj, out=g_drawn)
+            rows._accumulate(sum_rows(inverse, g_drawn.reshape(-1, n), unique.size))
 
         value = dists.min(axis=0).reshape(ids.shape)
         return ad.Tensor(self.tape, value, backward)
@@ -327,9 +349,9 @@ class ForwardContext:
     # --- embedding-space operators -----------------------------------------
 
     def realize(self, pre: Slots) -> Slots:
-        """Slot vectors from pre-activations (entity rows or the Skolem MLP's
-        last layer): one primitive over the numpy realization, or that
-        realization itself when ``pre`` is an array."""
+        """Slot vectors from pre-activations (the Skolem MLP's last layer, or
+        entity rows in inference): one primitive over the numpy realization,
+        or that realization itself when ``pre`` is an array."""
         sig, value = _realize_parts(ad.value_of(pre), self.config.mode)
         if not isinstance(pre, ad.Tensor):
             return value
@@ -379,7 +401,7 @@ class ForwardContext:
 
     # --- plan walking --------------------------------------------------------
 
-    def _walk(self, plan: QueryPlan, anchor_rows, relation_rows,
+    def _walk(self, plan: QueryPlan, anchor_slots, relation_rows,
               memo: dict[int, Slots] | None = None, node_id: int | None = None) -> Slots:
         """Embed ``node_id`` (default: the sink), memoizing visited nodes. A
         recursive closure here would be a reference cycle holding the tape."""
@@ -389,11 +411,11 @@ class ForwardContext:
             return memo[node_id]
 
         def visit(i: int) -> Slots:
-            return self._walk(plan, anchor_rows, relation_rows, memo, i)
+            return self._walk(plan, anchor_slots, relation_rows, memo, i)
 
         node = plan.nodes[node_id]
         if isinstance(node, algebra.Anchor):
-            out = self.realize(anchor_rows(node.entity))
+            out = anchor_slots(node.entity)
         elif isinstance(node, algebra.Relate):
             out = self.skolem(relation_rows(node.relation), visit(node.input))
         elif isinstance(node, algebra.Negate):
@@ -416,7 +438,7 @@ class ForwardContext:
         return [
             self._walk(
                 branch,
-                anchor_rows=lambda slot: self.entity_rows(anchors[:, slot]),
+                anchor_slots=lambda slot: self.entity_slots(anchors[:, slot]),
                 relation_rows=lambda slot: self.relation_rows(relations[:, slot]),
             )
             for branch in _slot_branches(structure, union_mode)
@@ -435,7 +457,7 @@ class ForwardContext:
             outs.append(
                 self._walk(
                     branch,
-                    anchor_rows=lambda eid: self.entity_rows(np.array([eid])),
+                    anchor_slots=lambda eid: self.entity_slots(np.array([eid])),
                     relation_rows=lambda rid: self.relation_rows(np.array([rid])),
                     memo=memo,
                 )
@@ -443,13 +465,6 @@ class ForwardContext:
             if collect is not None:
                 collect.append((branch, memo))
         return outs
-
-
-def skolem_apply(relation_id: int, x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Apply the learned relation map to one slot vector."""
-    ctx = ForwardContext(params)
-    rel = ctx.relation_rows(np.array([relation_id]))
-    return ctx.skolem(rel, np.atleast_2d(np.asarray(x, float)))[0]
 
 
 def embed_query(plan: QueryPlan, params: ModelParams,

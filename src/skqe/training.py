@@ -262,16 +262,25 @@ def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, li
 
 def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig,
           batch_size: int, pool: ThreadPoolExecutor | None = None):
-    """One optimizer step: forward and backward per task, then the updates.
+    """One optimizer step: realize the entity table, forward and backward per
+    task, then the updates.
 
-    Returns the loss summed over the batch, the positive and negative scores
-    1 - D, and the interval-repair count. Each task runs on its own tape and
-    hands back only its gradients, so the tape is freed when the task returns.
-    Raises NumericError on a non-finite loss, before anything is updated.
+    The (N, 2d) entity table is realized once (``model._realize_parts``) and
+    shared by every task's context, which gathers anchors, positives and
+    negatives from it and hands back slot-space gradients per touched row.
+    After the merge one ``model._realize_backward`` over the touched rows
+    gives their pre-activation gradients. Returns the loss summed over the
+    batch, the positive and negative scores 1 - D, and the interval-repair
+    count. Each task runs on its own tape and hands back only its gradients,
+    so the tape is freed when the task returns. Raises NumericError on a
+    non-finite loss, before anything is updated.
     """
+    mode = params.config.mode
+    entities = model_mod._realize_parts(params.arrays["entity"], mode)
+
     def run_task(task):
         group, rows, pos, neg = task
-        ctx = ForwardContext(params, train=True)
+        ctx = ForwardContext(params, train=True, entities=entities)
         loss_vec, d_pos, d_neg = _group_forward(ctx, group, rows, pos, neg, config)
         total = ad.sum_all(loss_vec)
         loss = float(total.value)
@@ -303,10 +312,14 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     for name in DENSE_PARAMS:
         if name in dense_grads:
             optimizer.update_dense(name, params.arrays[name], dense_grads[name])
-    for name, touches in (("entity", entity_touches), ("relation", relation_touches)):
-        merged = _merge_row_grads(touches)
-        if merged is not None:
-            optimizer.update_rows(name, params.arrays[name], merged[0], merged[1])
+    merged = _merge_row_grads(entity_touches)
+    if merged is not None:
+        ids, slot_grads = merged
+        optimizer.update_rows("entity", params.arrays["entity"], ids,
+                              model_mod._realize_backward(slot_grads, entities[0][ids], mode))
+    merged = _merge_row_grads(relation_touches)
+    if merged is not None:
+        optimizer.update_rows("relation", params.arrays["relation"], *merged)
     return (sum(r[0] for r in results),
             1.0 - np.concatenate([r[1] for r in results]),
             1.0 - np.concatenate([r[2].reshape(-1) for r in results]),

@@ -60,11 +60,12 @@ def composed_realize(ctx, pre):
 
 def composed_distance(ctx, ids: np.ndarray, branches):
     """Per-row reference for ``ForwardContext.entity_distance`` built from
-    composed tape ops: realize every drawn row -> sub -> abs -> mean over
-    slots -> minimum over branches."""
+    composed tape ops on the realized entity table: gather every drawn row as
+    a slot-space leaf (one touch per draw) -> sub -> abs -> mean over slots
+    -> minimum over branches."""
     ids = np.asarray(ids, dtype=np.int64)
     b, width = ids.shape[0], 2 * ctx.config.d
-    emb = ad.reshape(composed_realize(ctx, ctx.entity_rows(ids.reshape(-1))), (b, -1, width))
+    emb = ad.reshape(ctx.entity_slots(ids.reshape(-1)), (b, -1, width))
     return _nearest_branch(emb, branches, ids.shape)
 
 
@@ -80,13 +81,13 @@ def _gather(table, index: np.ndarray):
 
 def composed_gather_distance(ctx, ids: np.ndarray, branches):
     """Per-entity reference for ``ForwardContext.entity_distance`` built from
-    composed tape ops: realize the sorted distinct rows once, gather them per
-    draw, then sub -> abs -> mean over slots -> minimum over branches."""
+    composed tape ops on the realized entity table: gather the sorted
+    distinct rows once as a slot-space leaf, gather them per draw, then sub
+    -> abs -> mean over slots -> minimum over branches."""
     ids = np.asarray(ids, dtype=np.int64)
     unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
     b, width = ids.shape[0], 2 * ctx.config.d
-    realized = composed_realize(ctx, ctx.entity_rows(unique))
-    emb = ad.reshape(_gather(realized, inverse), (b, -1, width))
+    emb = ad.reshape(_gather(ctx.entity_slots(unique), inverse), (b, -1, width))
     return _nearest_branch(emb, branches, ids.shape)
 
 
@@ -102,7 +103,9 @@ def _nearest_branch(emb, branches, shape):
 
 def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     """``training._group_forward`` with ``composed_distance`` in place of the
-    fused distance; the reference for the training trajectory."""
+    fused distance; the reference for the training trajectory. Its per-draw
+    slot-space touches are merged by ``training._step`` before the step's one
+    realization pullback."""
     branches = ctx.embed_instances(group.structure, group.anchors[rows],
                                    group.relations[rows], config.union)
     d_pos = composed_distance(ctx, pos_ids, branches)

@@ -210,6 +210,8 @@ class TestFusedEntityDistance:
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
     def test_finite_differences(self, mode, num_branches):
+        # slot-space gradients pulled back through the realization, against
+        # finite differences at the entity pre-activations
         params = _params(mode, entities=8)
         rng = _rng(6)
         ids = np.arange(8).reshape(2, 4)  # distinct ids: one gradient row per entity
@@ -219,17 +221,19 @@ class TestFusedEntityDistance:
         def loss(entity_table, query_values):
             probe = params.copy()
             probe.arrays["entity"] = entity_table
-            ctx = ForwardContext(probe, train=True)
+            ctx = ForwardContext(probe, train=True)  # realizes its own table
             branches = [ctx.tape.leaf(q) for q in query_values]
             out = ctx.entity_distance(ids, branches)
             return ctx, branches, ad.sum_all(out * weights)
 
         ctx, branches, total = loss(params.arrays["entity"], queries)
         ad.backward(total)
-        (_, rows), = ctx.entity_touches
+        (touched, rows), = ctx.entity_touches
         table = params.arrays["entity"]
+        sig = model._realize_parts(table, mode)[0]
+        pre_grad = model._realize_backward(rows.grad, sig[touched], mode)
         numeric = numeric_grad(lambda t: float(loss(t, queries)[2].value), table)
-        np.testing.assert_allclose(rows.grad, numeric[ids.reshape(-1)], rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(pre_grad, numeric[touched], rtol=RTOL, atol=ATOL)
         for j, branch in enumerate(branches):
             def f(q, j=j):
                 return float(loss(table, queries[:j] + [q] + queries[j + 1:])[2].value)
@@ -258,8 +262,8 @@ class TestFusedEntityDistance:
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
     def test_per_row_reference_merged_per_entity(self, mode, num_branches):
-        # summing per entity before the realization pullback only regroups
-        # the additions of the per-row path
+        # in slot space the per-entity sums add each entity's draws in draw
+        # order, as the per-row path merged with np.add.at does
         params = _params(mode)
         rng = _rng(13)
         ids = rng.integers(0, params.config.num_entities, (6, 40))
@@ -279,13 +283,12 @@ class TestFusedEntityDistance:
         np.add.at(merged, inverse, per_row[2])
         np.testing.assert_array_equal(fused[0], per_row[0])
         np.testing.assert_array_equal(fused[1], unique)
-        np.testing.assert_allclose(fused[2], merged, rtol=1e-12,
-                                   atol=1e-12 * np.abs(merged).max())
+        np.testing.assert_array_equal(fused[2], merged)
         for got, want in zip(fused[3], per_row[3]):
             np.testing.assert_array_equal(got, want)
 
-    def test_realizes_each_distinct_entity_once(self, monkeypatch):
-        params = _params("bounds")
+    def test_gathers_from_the_realized_table(self, monkeypatch):
+        params = _params("bounds", entities=40)
         ids = _rng(14).integers(0, 12, (5, 30))
         seen = []
         realize_parts = model._realize_parts
@@ -295,11 +298,20 @@ class TestFusedEntityDistance:
             return realize_parts(rows, mode)
 
         monkeypatch.setattr(model, "_realize_parts", recording)
-        ctx = ForwardContext(params, train=True)
-        out = ctx.entity_distance(ids, [ctx.tape.leaf(_rng(15).uniform(0.0, 1.0, (5, 32)))])
+        query = _rng(15).uniform(0.0, 1.0, (5, 32))
+        table = realize_parts(params.arrays["entity"], "bounds")
+        given = ForwardContext(params, train=True, entities=table)
+        out = given.entity_distance(ids, [given.tape.leaf(query)])
         ad.backward(ad.sum_all(out))
-        assert seen == [np.unique(ids).size]
+        assert seen == []  # a given table is only gathered from
+        (touched, rows), = given.entity_touches
+        np.testing.assert_array_equal(rows.value, table[1][np.unique(ids)])
 
+        own = ForwardContext(params, train=True)
+        for _ in range(2):
+            own.entity_distance(ids, [own.tape.leaf(query)])
+        own.embed_instances("1p", [[0], [1]], [[0], [1]])
+        assert seen == [40, 2]  # its own table once, then the Skolem output
 
 class TestRealize:
     @pytest.mark.parametrize("mode", ["bounds", "point"])
@@ -330,7 +342,7 @@ class TestRealize:
     def test_numpy_scoring_mirror_matches_composed_tape(self, mode):
         params = _params(mode)
         ctx = ForwardContext(params)
-        tape_side = ad.value_of(composed_realize(ctx, ctx.entity_rows(np.arange(12))))
+        tape_side = ad.value_of(composed_realize(ctx, params.arrays["entity"]))
         np.testing.assert_array_equal(model.realize_all_entities(params), tape_side)
 
     def test_bounds_stay_ordered(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skqe import evaluation, kg, logic, model, oracle, training
-from skqe.errors import DataError
+from skqe.errors import DataError, NumericError
 from skqe.model import ModelConfig, ModelParams
 from skqe.oracle import QueryDataset, QuerySample
 
@@ -123,6 +123,67 @@ class TestRanking:
         with pytest.raises(DataError, match="no queries"):
             evaluation.evaluate_ranking(QueryDataset([], {"mode": "generalization"}),
                                         _params(graph))
+
+
+    @pytest.mark.parametrize("name,row", [("F3b", slice(None)), ("entity", 3)],
+                             ids=["query-row", "entity-row"])
+    def test_non_finite_embedding_is_a_numeric_error(self, graph, name, row):
+        # NaN scores compare false, so every target would rank first
+        dataset = oracle.sample_dataset(graph, ("1p", "2i"), 5, 2, "generalization")
+        params = _params(graph)
+        params.arrays[name][row] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            evaluation.evaluate_ranking(dataset, params)
+
+
+class TestCorrelation:
+    """``rank_with_average_ties``, ``spearman`` and ``pearson`` against
+    ``scipy.stats``, the test-only reference."""
+
+    SERIES = {
+        "continuous": lambda rng: (rng.normal(size=40), rng.normal(size=40)),
+        "ties": lambda rng: (rng.integers(0, 5, 60).astype(float),
+                             rng.integers(0, 3, 60).astype(float)),
+        "ties-one-side": lambda rng: (rng.normal(size=30), rng.integers(1, 4, 30).astype(float)),
+        "two": lambda rng: (np.array([2.0, 1.0]), np.array([5.0, 7.0])),
+    }
+
+    @pytest.mark.parametrize("series", list(SERIES))
+    def test_matches_scipy(self, series):
+        stats = pytest.importorskip("scipy.stats")
+        x, y = self.SERIES[series](np.random.default_rng(9))
+        for values in (x, y):
+            np.testing.assert_array_equal(evaluation.rank_with_average_ties(values),
+                                          stats.rankdata(values, method="average"))
+        assert evaluation.spearman(x, y) == pytest.approx(stats.spearmanr(x, y).statistic,
+                                                          rel=1e-12, abs=1e-15)
+        assert evaluation.pearson(x, y) == pytest.approx(stats.pearsonr(x, y).statistic,
+                                                         rel=1e-12, abs=1e-15)
+
+    def test_constant_series_correlates_zero(self):
+        x, y = np.ones(6), np.arange(6.0)
+        assert evaluation.spearman(x, y) == 0.0 and evaluation.pearson(x, y) == 0.0
+        np.testing.assert_array_equal(evaluation.rank_with_average_ties(x), np.full(6, 3.5))
+
+    def test_degenerate_flag(self, graph, dataset):
+        stats = pytest.importorskip("scipy.stats")
+        # every 1p query gets one answer, so its answer sizes have no variance
+        samples = [QuerySample(s.instance, (0,), ()) if s.instance.structure == "1p" else s
+                   for s in dataset.samples]
+        data = QueryDataset(samples, dataset.metadata)
+        params = _params(graph)
+        report = evaluation.uncertainty_correlation(data, params, "entropy")
+        assert report.per_structure["1p"] == evaluation.CorrelationStats(
+            0.0, 0.0, len(data.by_structure()["1p"]), True)
+        values, sizes, structures = evaluation.query_statistics(data, params, "entropy")
+        mask = np.array([s == "2i" for s in structures])
+        assert np.std(sizes[mask]) > 0
+        got = report.per_structure["2i"]
+        assert not got.degenerate and got.count == int(mask.sum())
+        assert got.spearman == pytest.approx(
+            stats.spearmanr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
+        assert got.pearson == pytest.approx(
+            stats.pearsonr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
 
 
 class TestCardinality:

@@ -223,6 +223,15 @@ class TestCheckpoint:
             ModelParams.load(path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_raises_data_error(self, tmp_path, value):
+        params = _params()
+        params.arrays["F3b"][:] = value
+        params.save(tmp_path / "m.ckpt")
+        with pytest.raises(DataError, match=r"non-finite values in parameters \['F3b'\]"):
+            ModelParams.load(tmp_path / "m.ckpt")
+
+
 class TestSlotPlans:
     def test_each_structure_compiles_once_per_union_mode(self, graph, dataset, monkeypatch):
         compiled = Counter()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skqe import algebra, cli, kg, oracle, training
+from skqe import algebra, cli, kg, model, oracle, training
 from skqe.errors import DataError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
@@ -64,6 +64,27 @@ class TestTrajectory:
         assert np.all(np.isfinite(losses))
         # negatives are redrawn every step, so compare ten-step means
         assert np.mean(losses[-10:]) < np.mean(losses[:10]) - 0.1
+
+
+class TestEntityTable:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_realization_of_the_table_per_step(self, train_graph, train_dataset,
+                                                   monkeypatch, workers):
+        config = _config(steps=3, workers=workers)
+        params = ModelParams.initialize(config.model_config(train_graph), config.seed)
+        calls = []
+        realize_parts = model._realize_parts
+
+        def recording(rows, mode):
+            calls.append((rows is params.arrays["entity"],
+                          np.shares_memory(rows, params.arrays["entity"])))
+            return realize_parts(rows, mode)
+
+        monkeypatch.setattr(model, "_realize_parts", recording)
+        training.train(train_graph, train_dataset, config, params=params)
+        # Skolem outputs realize too; they do not share the entity table
+        assert [c for c in calls if c[1]] == [(True, True)] * config.steps
+        assert len(calls) > config.steps
 
 
 class TestGradientMerge:
