@@ -5,6 +5,7 @@ from .algebra import (
     NEGATION_STRUCTURES,
     STRUCTURE_NAMES,
     TRAIN_STRUCTURES,
+    PlanBuilder,
     QueryInstance,
     QueryPlan,
     compile_instance,
@@ -34,7 +35,6 @@ from .logic import (
     TruthBounds,
     conjoin_bounds,
     disjoin_bounds,
-    dissimilarity,
     entropy_vector,
     negate,
     tnorm,
@@ -45,7 +45,6 @@ from .model import (
     ModelParams,
     QueryEmbedding,
     embed_instance,
-    embed_query,
     entity_embedding,
     predict_cardinality,
     score_entities,

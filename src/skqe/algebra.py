@@ -1,16 +1,22 @@
 """Query structures and their compilation into Skolem set-logic plans.
 
-The 14 supported structures are described twice: as existential FOL atom
-lists (used by the parser and the brute-force oracle) and, derived from
-those, as single-sink DAG plans of anchor / relation / negation /
-conjunction / disjunction nodes (used by the set oracle and the model).
+Each of the 14 supported structures is an existential FOL atom list (used by
+the parser and the brute-force oracle) and, compiled from it, one single-sink
+DAG plan of anchor / relation / negation / conjunction / disjunction nodes.
+The plan is the program and a query is only data: its anchor and relation
+nodes hold positional slots, and a ``QueryInstance`` binds those slots to
+entity and relation ids. ``structure_plan`` compiles and validates each
+structure's plan once per process and ``plan_branches`` its DNF branches once
+per union mode; the set oracle, the sampler, the model and the CLI all
+evaluate those cached plans under an instance's (anchors, relations).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, QueryParseError, UnsupportedQueryError
 
@@ -49,14 +55,6 @@ class Template:
                     seen.append(term)
         return tuple(seen)
 
-    @property
-    def has_negation(self) -> bool:
-        return any(a.negated for a in self.atoms)
-
-    @property
-    def has_union(self) -> bool:
-        return bool(self.or_pairs)
-
 
 def _t(name, n_anchor, n_rel, atoms, or_pairs=()):
     parsed = tuple(
@@ -92,33 +90,41 @@ EPFO_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "pi", "ip", "2u", "up")
 NEGATION_STRUCTURES = ("2in", "3in", "pin", "pni", "inp")
 UNION_STRUCTURES = ("2u", "up")
 TRAIN_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "2in", "3in", "inp", "pin", "pni")
+UNION_MODES = ("dnf", "dm")
 
 
 @dataclass(frozen=True)
 class QueryInstance:
-    """A structure grounded with positional anchor and relation ids."""
+    """A structure's slot bindings: positional anchor and relation ids.
+    Raises DataError on an unknown structure or a wrong slot count."""
 
     structure: str
     anchors: tuple[int, ...]
     relations: tuple[int, ...]
 
+    def __post_init__(self):
+        template = TEMPLATES.get(self.structure)
+        if template is None:
+            raise DataError(f"unknown query structure {self.structure!r}")
+        for kind, want, got in (("anchors", template.num_anchors, self.anchors),
+                                ("relations", template.num_relations, self.relations)):
+            if len(got) != want:
+                raise DataError(f"{self.structure} expects {want} {kind}, got {len(got)}")
+
     def template(self) -> Template:
-        try:
-            return TEMPLATES[self.structure]
-        except KeyError:
-            raise DataError(f"unknown query structure {self.structure!r}") from None
+        return TEMPLATES[self.structure]
 
 
 # --- plans -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Anchor:
-    entity: int
+    slot: int  # position in the instance's anchors
 
 
 @dataclass(frozen=True)
 class Relate:
-    relation: int
+    slot: int  # position in the instance's relations
     input: int
 
 
@@ -140,16 +146,13 @@ class Disjoin:
 PlanNode = Anchor | Relate | Negate | Conjoin | Disjoin
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryPlan:
-    """Single-sink acyclic node graph; node ids are list positions."""
+    """Single-sink acyclic node graph; node ids are tuple positions. Frozen,
+    since one cached plan serves every query of its structure."""
 
-    nodes: list[PlanNode] = field(default_factory=list)
-    sink: int = -1
-
-    def add(self, node: PlanNode) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+    nodes: tuple[PlanNode, ...]
+    sink: int
 
     def node_inputs(self, node: PlanNode) -> tuple[int, ...]:
         if isinstance(node, (Relate, Negate)):
@@ -159,39 +162,43 @@ class QueryPlan:
         return ()
 
 
-def compile_instance(instance: QueryInstance) -> QueryPlan:
-    """Convert a grounded structure into its Skolem set-logic plan.
+class PlanBuilder:
+    """Appends plan nodes; ``build`` freezes them into a QueryPlan."""
+
+    def __init__(self, nodes=()):
+        self.nodes: list[PlanNode] = list(nodes)
+
+    def add(self, node: PlanNode) -> int:
+        self.nodes.append(node)
+        return len(self.nodes) - 1
+
+    def build(self, sink: int) -> QueryPlan:
+        return QueryPlan(tuple(self.nodes), sink)
+
+
+def compile_instance(structure: str) -> QueryPlan:
+    """Convert a structure into its Skolem set-logic plan over slots.
 
     Each FOL atom ``rel(x, y)`` becomes a relation application to the plan of
     ``x``; atoms sharing a destination combine with conjunction, or with
     disjunction where the template OR-joins them; negated atoms wrap in a
-    negation node.
+    negation node. Callers want the cached ``structure_plan``.
     """
-    template = instance.template()
-    if len(instance.anchors) != template.num_anchors:
-        raise DataError(
-            f"{template.name} expects {template.num_anchors} anchors, "
-            f"got {len(instance.anchors)}"
-        )
-    if len(instance.relations) != template.num_relations:
-        raise DataError(
-            f"{template.name} expects {template.num_relations} relations, "
-            f"got {len(instance.relations)}"
-        )
-
-    plan = QueryPlan()
-    plan.sink = _build_term(TARGET_TERM, template, instance, plan, {})
-    return plan
+    try:
+        template = TEMPLATES[structure]
+    except KeyError:
+        raise DataError(f"unknown query structure {structure!r}") from None
+    plan = PlanBuilder()
+    return plan.build(_build_term(TARGET_TERM, template, plan, {}))
 
 
-def _build_term(term: str, template: Template, instance: QueryInstance, plan: QueryPlan,
+def _build_term(term: str, template: Template, plan: PlanBuilder,
                 anchor_nodes: dict[str, int]) -> int:
     """Add the nodes defining ``term`` to ``plan``; returns its node id. (A
     recursive closure would be a reference cycle left to the garbage collector.)"""
     if term in ANCHOR_TERMS:
         if term not in anchor_nodes:
-            entity = instance.anchors[ANCHOR_TERMS.index(term)]
-            anchor_nodes[term] = plan.add(Anchor(entity))
+            anchor_nodes[term] = plan.add(Anchor(ANCHOR_TERMS.index(term)))
         return anchor_nodes[term]
     incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
     if not incoming:
@@ -199,8 +206,8 @@ def _build_term(term: str, template: Template, instance: QueryInstance, plan: Qu
     parts = []
     for i in incoming:
         atom = template.atoms[i]
-        source = _build_term(atom.src, template, instance, plan, anchor_nodes)
-        node = plan.add(Relate(instance.relations[atom.relation], source))
+        source = _build_term(atom.src, template, plan, anchor_nodes)
+        node = plan.add(Relate(atom.relation, source))
         if atom.negated:
             node = plan.add(Negate(node))
         parts.append(node)
@@ -209,6 +216,26 @@ def _build_term(term: str, template: Template, instance: QueryInstance, plan: Qu
     if frozenset(incoming) in template.or_pairs:
         return plan.add(Disjoin(tuple(parts)))
     return plan.add(Conjoin(tuple(parts)))
+
+
+@functools.cache
+def structure_plan(structure: str) -> QueryPlan:
+    """The structure's plan, compiled and validated once per process."""
+    plan = compile_instance(structure)
+    problems = validate(plan)
+    if problems:
+        raise DataError(f"invalid plan for {structure}: {'; '.join(problems)}")
+    return plan
+
+
+@functools.cache
+def plan_branches(structure: str, union_mode: str) -> tuple[QueryPlan, ...]:
+    """The DNF branch plans of a structure, or its plan alone under De Morgan
+    union; built once per process and union mode."""
+    if union_mode not in UNION_MODES:
+        raise DataError(f"unknown union mode {union_mode!r}")
+    plan = structure_plan(structure)
+    return tuple(to_dnf(plan)) if union_mode == "dnf" else (plan,)
 
 
 def validate(plan: QueryPlan) -> list[str]:
@@ -272,9 +299,9 @@ def _branch_exprs(plan: QueryPlan, node_id: int) -> list:
     """Expand a plan node into union-free expression trees (nested tuples)."""
     node = plan.nodes[node_id]
     if isinstance(node, Anchor):
-        return [("anchor", node.entity)]
+        return [("anchor", node.slot)]
     if isinstance(node, Relate):
-        return [("relate", node.relation, b) for b in _branch_exprs(plan, node.input)]
+        return [("relate", node.slot, b) for b in _branch_exprs(plan, node.input)]
     if isinstance(node, Negate):
         branches = _branch_exprs(plan, node.input)
         if len(branches) > 1:
@@ -291,7 +318,7 @@ def _branch_exprs(plan: QueryPlan, node_id: int) -> list:
     raise DataError(f"unknown node type {type(node).__name__}")
 
 
-def _expr_to_plan(expr, plan: QueryPlan) -> int:
+def _expr_to_plan(expr, plan: PlanBuilder) -> int:
     kind = expr[0]
     if kind == "anchor":
         return plan.add(Anchor(expr[1]))
@@ -316,9 +343,8 @@ def to_dnf(plan: QueryPlan) -> list[QueryPlan]:
         return [plan]
     branches = []
     for expr in _branch_exprs(plan, plan.sink):
-        branch = QueryPlan()
-        branch.sink = _expr_to_plan(expr, branch)
-        branches.append(branch)
+        branch = PlanBuilder()
+        branches.append(branch.build(_expr_to_plan(expr, branch)))
     return branches
 
 
@@ -509,7 +535,6 @@ def record_to_instance(record: dict, graph) -> tuple[QueryInstance, tuple[int, .
     except KeyError as exc:
         raise DataError(f"query record missing field {exc}") from None
     instance = QueryInstance(structure, anchors, relations)
-    instance.template()  # raises on unknown structure
     easy = tuple(sorted(graph.entities.id_of(n) for n in record.get("easy", [])))
     hard = tuple(sorted(graph.entities.id_of(n) for n in record.get("hard", [])))
     return instance, easy, hard

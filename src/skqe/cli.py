@@ -217,11 +217,11 @@ def cmd_eval_cardinality(args) -> int:
     return EXIT_OK
 
 
-def _describe_node(node, plan, graph) -> str:
+def _describe_node(node, instance, graph) -> str:
     if isinstance(node, algebra.Anchor):
-        return f"anchor {graph.entities.name_of(node.entity)}"
+        return f"anchor {graph.entities.name_of(instance.anchors[node.slot])}"
     if isinstance(node, algebra.Relate):
-        return f"relation {graph.relations.name_of(node.relation)}"
+        return f"relation {graph.relations.name_of(instance.relations[node.slot])}"
     if isinstance(node, algebra.Negate):
         return "negation"
     if isinstance(node, algebra.Conjoin):
@@ -233,10 +233,10 @@ def cmd_answer(args) -> int:
     graph = _load_graph(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     instance = algebra.parse_fol(args.query, graph)
-    plan = algebra.compile_instance(instance)
-    ctx = model_mod.ForwardContext(params)
     collected: list = []
-    branches = ctx.embed_plan(plan, args.union, collect=collected)
+    branches = model_mod.ForwardContext(params).embed_instances(
+        instance.structure, [instance.anchors], [instance.relations], args.union,
+        collect=collected)
     qe = model_mod.QueryEmbedding(tuple(b[0] for b in branches), params.config.mode)
     entity_matrix = model_mod.realize_all_entities(params)
     scores = model_mod.score_entities(qe, params, entity_matrix)
@@ -247,14 +247,13 @@ def cmd_answer(args) -> int:
         print(f"# branch {branch_no} intermediates "
               f"({instance.structure}, nearest entities by satisfiability):")
         for node_id, value in memo.items():
-            node = branch_plan.nodes[node_id]
             node_scores = model_mod.score_entities(
                 model_mod.QueryEmbedding((value[0],), params.config.mode), params, entity_matrix)
             nearest = np.argsort(-node_scores, kind="stable")[:3]
             names = ", ".join(
                 f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in nearest
             )
-            print(f"#   {_describe_node(node, branch_plan, graph)}: {names}")
+            print(f"#   {_describe_node(branch_plan.nodes[node_id], instance, graph)}: {names}")
     return EXIT_OK
 
 
@@ -262,9 +261,9 @@ def cmd_oracle(args) -> int:
     graph = _load_graph(args.kg)
     splits = tuple(args.splits.split(",")) if args.splits else SPLITS
     instance = algebra.parse_fol(args.query, graph)
-    plan = algebra.compile_instance(instance)
     index = build_index(graph, splits)
-    answers = oracle_mod.eval_plan(plan, index)
+    answers = oracle_mod.eval_plan(algebra.structure_plan(instance.structure),
+                                   instance.anchors, instance.relations, index)
     names = sorted(graph.entities.name_of(e) for e in answers)
     print("{" + ", ".join(names) + "}")
     return EXIT_OK

@@ -163,7 +163,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     Generalization datasets rank hard answers filtering all known answers;
     entailment-style datasets (no hard answers) rank easy answers filtering
     the other easy answers. Raises NumericError on a non-finite entity or
-    query embedding, whose scores would rank every target first.
+    query embedding (the latter from ``ForwardContext.embed_instances``),
+    whose scores would rank every target first.
     """
     entailment = dataset.mode in ("entailment", "train")
     if not entailment and dataset.mode != "generalization":
@@ -179,8 +180,6 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
         structure, samples = item
         ranks: list[int] = []
         for chunk, branch_values in _embed_structure_batches(params, samples, union_mode):
-            if not all(np.all(np.isfinite(values)) for values in branch_values):
-                raise NumericError(f"{structure}: non-finite query embedding")
             scores = _batch_scores(branch_values, entity_matrix)
             for row, sample in enumerate(chunk):
                 if entailment:

@@ -1,4 +1,4 @@
-"""Truth-bound logic kernel: negation, t-norms, weighted t-norms, dissimilarity.
+"""Truth-bound logic kernel: negation, t-norms, weighted t-norms, entropy.
 
 An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
 [l_1..l_d, u_1..u_d]; interval width encodes uncertainty. In point mode the
@@ -209,19 +209,6 @@ def disjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
     """Disjunction via De Morgan: not(conjoin(not inputs))."""
     negated = [negate(b) for b in inputs]
     return negate(conjoin_bounds(kind, negated, weights, alpha))
-
-
-def dissimilarity(a, b) -> float:
-    """Mean L1 distance over bound slots: sum(|l-l'| + |u-u'|) / (2d).
-
-    Accepts TruthBounds or raw slot arrays (the point-truth layout); the
-    satisfiability of a candidate against a query embedding is 1 minus this.
-    """
-    x = a.values if isinstance(a, TruthBounds) else np.asarray(a, float)
-    y = b.values if isinstance(b, TruthBounds) else np.asarray(b, float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.mean(np.abs(x - y)))
 
 
 def entropy_vector(bounds: TruthBounds, eps: float = ENTROPY_EPS) -> np.ndarray:

@@ -1,28 +1,29 @@
 """Parameter store and query-embedding forward semantics.
 
-Embeddings are flat 2d truth-slot vectors. In bounds mode the first d slots
-are interval lowers and the last d are uppers, kept ordered by construction;
-in point mode all 2d slots are independent point truths. The forward pass
-calls the slot operators of ``logic`` and the array-generic ``autodiff``
-primitives, so training and inference share one code path: in training the
-parameters enter a tape as leaves, and in inference they are the plain
-parameter arrays and the forward pass records nothing. Realization (sigmoid,
-then ordered bounds) is written once in numpy (``_realize_parts`` and its
-pullback ``_realize_backward``). Inference realizes the entity rows it needs;
-scoring against all entities calls ``realize_all_entities``. Training
-realizes the whole (N, 2d) entity table once per optimizer step: every
-training context of that step gathers anchors, positives and negatives from
-that table as slot-space leaves and records one touch (ids, leaf) per gather.
-The step sums the touches' slot gradients per entity and pulls them back
-through the realization once. ``ForwardContext.realize`` (the Skolem
-output's realization) and the fused training distance
-``ForwardContext.entity_distance`` are tape primitives with a hand-derived
-backward; tests pin them to the composed tape ops.
+A query is embedded by walking its structure's one cached plan
+(``algebra.plan_branches``) under a batch of (anchors, relations) bindings,
+in training, evaluation and ``skqe answer`` alike. Embeddings are flat 2d
+truth-slot vectors. In bounds mode the first d slots are interval lowers and
+the last d are uppers, kept ordered by construction; in point mode all 2d
+slots are independent point truths. The forward pass calls the slot operators
+of ``logic`` and the array-generic ``autodiff`` primitives, so training and
+inference share one code path: in training the parameters enter a tape as
+leaves, and in inference they are the plain parameter arrays and the forward
+pass records nothing. Realization (sigmoid, then ordered bounds) is written
+once in numpy (``_realize_parts`` and its pullback ``_realize_backward``).
+Inference realizes the entity rows it needs; scoring against all entities
+calls ``realize_all_entities``. Training realizes the whole (N, 2d) entity
+table once per optimizer step: every training context of that step gathers
+anchors, positives and negatives from that table as slot-space leaves and
+records one touch (ids, leaf) per gather. The step sums the touches' slot
+gradients per entity and pulls them back through the realization once.
+``ForwardContext.realize`` (the Skolem output's realization) and the fused
+training distance ``ForwardContext.entity_distance`` are tape primitives with
+a hand-derived backward; tests pin them to the composed tape ops.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import struct
@@ -31,12 +32,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import algebra, autodiff as ad, logic
-from .algebra import QueryPlan, QueryInstance
-from .errors import DataError
+from .algebra import QueryInstance, QueryPlan
+from .errors import DataError, NumericError
 from .logic import DEFAULT_ALPHA, TNORM_KINDS
 
 MODES = ("bounds", "point")
-UNION_MODES = ("dnf", "dm")
 Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
@@ -234,26 +234,6 @@ def entity_embedding(entity_id: int, params: ModelParams) -> np.ndarray:
     return realize_entity_rows(params.arrays["entity"][entity_id], params.config.mode)
 
 
-def _branches(plan: QueryPlan, union_mode: str) -> tuple[QueryPlan, ...]:
-    """The DNF branch plans, or the plan itself under De Morgan union."""
-    if union_mode not in UNION_MODES:
-        raise DataError(f"unknown union mode {union_mode!r}")
-    return tuple(algebra.to_dnf(plan)) if union_mode == "dnf" else (plan,)
-
-
-@functools.cache
-def _slot_branches(structure: str, union_mode: str) -> tuple[QueryPlan, ...]:
-    """Branch plans of a structure's template whose anchor/relation ids are
-    positional slots; compiled once per process. Callers only read them."""
-    template = algebra.TEMPLATES[structure]
-    instance = QueryInstance(
-        structure,
-        tuple(range(template.num_anchors)),
-        tuple(range(template.num_relations)),
-    )
-    return _branches(algebra.compile_instance(instance), union_mode)
-
-
 class ForwardContext:
     """Per-tape forward pass over the model parameters.
 
@@ -401,23 +381,22 @@ class ForwardContext:
 
     # --- plan walking --------------------------------------------------------
 
-    def _walk(self, plan: QueryPlan, anchor_slots, relation_rows,
-              memo: dict[int, Slots] | None = None, node_id: int | None = None) -> Slots:
-        """Embed ``node_id`` (default: the sink), memoizing visited nodes. A
-        recursive closure here would be a reference cycle holding the tape."""
-        memo = {} if memo is None else memo
-        node_id = plan.sink if node_id is None else node_id
+    def _walk(self, plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
+              memo: dict[int, Slots], node_id: int) -> Slots:
+        """Embed ``node_id`` with the plan's slots bound to the columns of
+        ``anchors`` and ``relations``, memoizing visited nodes. A recursive
+        closure here would be a reference cycle holding the tape."""
         if node_id in memo:
             return memo[node_id]
 
         def visit(i: int) -> Slots:
-            return self._walk(plan, anchor_slots, relation_rows, memo, i)
+            return self._walk(plan, anchors, relations, memo, i)
 
         node = plan.nodes[node_id]
         if isinstance(node, algebra.Anchor):
-            out = anchor_slots(node.entity)
+            out = self.entity_slots(anchors[:, node.slot])
         elif isinstance(node, algebra.Relate):
-            out = self.skolem(relation_rows(node.relation), visit(node.input))
+            out = self.skolem(self.relation_rows(relations[:, node.slot]), visit(node.input))
         elif isinstance(node, algebra.Negate):
             out = self.negate(visit(node.input))
         elif isinstance(node, algebra.Conjoin):
@@ -429,54 +408,36 @@ class ForwardContext:
         memo[node_id] = out
         return out
 
-    def embed_instances(self, structure: str, anchors: np.ndarray,
-                        relations: np.ndarray, union_mode: str = "dnf") -> list[Slots]:
+    def embed_instances(self, structure: str, anchors: np.ndarray, relations: np.ndarray,
+                        union_mode: str = "dnf", collect: list | None = None) -> list[Slots]:
         """Embed a batch of same-structure queries; one (B, 2d) embedding per
-        DNF branch, a tensor in training mode and an array in inference."""
+        DNF branch, a tensor in training mode and an array in inference.
+
+        Row i binds the plan's anchor and relation slots to ``anchors[i]`` and
+        ``relations[i]``. When ``collect`` is given, a (branch plan, node-id ->
+        embedding) pair is appended per branch so callers can inspect the
+        intermediate embeddings. Inference raises NumericError on a
+        non-finite query embedding, whose scores would be NaN.
+        """
         anchors = np.atleast_2d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_2d(np.asarray(relations, dtype=np.int64))
-        return [
-            self._walk(
-                branch,
-                anchor_slots=lambda slot: self.entity_slots(anchors[:, slot]),
-                relation_rows=lambda slot: self.relation_rows(relations[:, slot]),
-            )
-            for branch in _slot_branches(structure, union_mode)
-        ]
-
-    def embed_plan(self, plan: QueryPlan, union_mode: str = "dnf",
-                   collect: list | None = None) -> list[Slots]:
-        """Embed one grounded plan (anchor nodes carry real entity ids).
-
-        When ``collect`` is given, a (branch plan, node-id -> embedding) pair is
-        appended per branch so callers can inspect intermediate embeddings.
-        """
         outs = []
-        for branch in _branches(plan, union_mode):
+        for branch in algebra.plan_branches(structure, union_mode):
             memo: dict[int, Slots] = {}
-            outs.append(
-                self._walk(
-                    branch,
-                    anchor_slots=lambda eid: self.entity_slots(np.array([eid])),
-                    relation_rows=lambda rid: self.relation_rows(np.array([rid])),
-                    memo=memo,
-                )
-            )
+            outs.append(self._walk(branch, anchors, relations, memo, branch.sink))
             if collect is not None:
                 collect.append((branch, memo))
+        if not self.train and not all(np.all(np.isfinite(out)) for out in outs):
+            raise NumericError(f"{structure}: non-finite query embedding")
         return outs
-
-
-def embed_query(plan: QueryPlan, params: ModelParams,
-                union_mode: str = "dnf") -> QueryEmbedding:
-    """Embed a grounded plan; DNF mode returns one branch per union branch."""
-    outs = ForwardContext(params).embed_plan(plan, union_mode)
-    return QueryEmbedding(tuple(o[0] for o in outs), params.config.mode)
 
 
 def embed_instance(instance: QueryInstance, params: ModelParams,
                    union_mode: str = "dnf") -> QueryEmbedding:
-    return embed_query(algebra.compile_instance(instance), params, union_mode)
+    """Embed one query; DNF mode returns one branch per union branch."""
+    outs = ForwardContext(params).embed_instances(
+        instance.structure, [instance.anchors], [instance.relations], union_mode)
+    return QueryEmbedding(tuple(o[0] for o in outs), params.config.mode)
 
 
 def score_entities(qe: QueryEmbedding, params: ModelParams,

@@ -39,24 +39,24 @@ def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:
     return out
 
 
-def _eval_node(plan: QueryPlan, node_id: int, index: AdjacencyIndex,
+def _eval_node(plan: QueryPlan, node_id: int, anchors, relations, index: AdjacencyIndex,
                cache: dict[int, tuple[set[int], bool]]) -> tuple[set[int], bool]:
     """Evaluate to (set, complemented); complements stay lazy inside conjunctions."""
     if node_id in cache:
         return cache[node_id]
     node = plan.nodes[node_id]
     if isinstance(node, Anchor):
-        result = ({node.entity}, False)
+        result = ({anchors[node.slot]}, False)
     elif isinstance(node, Relate):
-        base, complemented = _eval_node(plan, node.input, index, cache)
+        base, complemented = _eval_node(plan, node.input, anchors, relations, index, cache)
         if complemented:
             base = set(range(index.num_entities)) - base
-        result = (follow(node.relation, base, index), False)
+        result = (follow(relations[node.slot], base, index), False)
     elif isinstance(node, Negate):
-        base, complemented = _eval_node(plan, node.input, index, cache)
+        base, complemented = _eval_node(plan, node.input, anchors, relations, index, cache)
         result = (base, not complemented)
     elif isinstance(node, Conjoin):
-        parts = [_eval_node(plan, i, index, cache) for i in node.inputs]
+        parts = [_eval_node(plan, i, anchors, relations, index, cache) for i in node.inputs]
         positives = [s for s, c in parts if not c]
         negatives = [s for s, c in parts if c]
         if positives:
@@ -73,7 +73,7 @@ def _eval_node(plan: QueryPlan, node_id: int, index: AdjacencyIndex,
                 acc |= s
             result = (acc, True)
     elif isinstance(node, Disjoin):
-        parts = [_eval_node(plan, i, index, cache) for i in node.inputs]
+        parts = [_eval_node(plan, i, anchors, relations, index, cache) for i in node.inputs]
         positives = [s for s, c in parts if not c]
         negatives = [s for s, c in parts if c]
         if negatives:
@@ -94,12 +94,15 @@ def _eval_node(plan: QueryPlan, node_id: int, index: AdjacencyIndex,
     return result
 
 
-def eval_plan(plan: QueryPlan, index: AdjacencyIndex) -> set[int]:
-    """Bottom-up set evaluation; complements are taken against the full universe."""
-    problems = algebra.validate(plan)
-    if problems:
-        raise DataError(f"invalid plan: {'; '.join(problems)}")
-    answers, complemented = _eval_node(plan, plan.sink, index, {})
+def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set[int]:
+    """Answer set of a plan under its slot bindings, evaluated bottom-up;
+    complements are taken against the full universe.
+
+    ``plan`` is one structure's plan (``algebra.structure_plan``), already
+    validated when it was compiled, and ``anchors`` / ``relations`` are an
+    instance's ids for its anchor and relation slots.
+    """
+    answers, complemented = _eval_node(plan, plan.sink, anchors, relations, index, {})
     if complemented:
         return set(range(index.num_entities)) - answers
     return answers
@@ -268,6 +271,7 @@ def sample_queries(
     if count < 1:
         raise DataError("count must be at least 1")
     template = TEMPLATES[structure]
+    plan = algebra.structure_plan(structure)
     if full_index is None:
         full_index = build_index(graph, SPLITS)
     if train_index is None:
@@ -289,24 +293,24 @@ def sample_queries(
         instance = _walk_instance(template, answer, incoming, rng)
         if instance is None or instance in seen:
             continue
-        plan = algebra.compile_instance(instance)
+        bindings = instance.anchors, instance.relations
         if mode == "train":
-            easy = eval_plan(plan, train_index)
+            easy = eval_plan(plan, *bindings, train_index)
             hard: set[int] = set()
             if not easy:
                 continue
         elif mode == "entailment":
-            easy = eval_plan(plan, full_index)
+            easy = eval_plan(plan, *bindings, full_index)
             hard = set()
             if not easy:
                 continue
         else:
-            full = eval_plan(plan, full_index)
+            full = eval_plan(plan, *bindings, full_index)
             if not full:
                 continue
             # negation queries can lose train-only answers on the full graph;
             # keep easy inside the full answer set so easy + hard partitions it
-            easy = eval_plan(plan, train_index) & full
+            easy = eval_plan(plan, *bindings, train_index) & full
             hard = full - easy
             if not hard:
                 continue

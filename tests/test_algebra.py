@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from skqe import algebra, kg
 from skqe.algebra import (
-    Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate,
+    Anchor, Conjoin, Disjoin, Negate, PlanBuilder, QueryInstance, QueryPlan, Relate,
 )
 from skqe.errors import DataError, QueryParseError, UnsupportedQueryError
 
@@ -26,131 +28,149 @@ CANONICAL_FOL = {
 }
 
 
-def shape_of(plan: QueryPlan, node_id: int | None = None):
-    """Plan as a nested tuple, for structural comparison."""
+def shape_of(plan: QueryPlan, anchors, relations, node_id: int | None = None):
+    """Plan under slot bindings as a nested tuple, for structural comparison."""
     node_id = plan.sink if node_id is None else node_id
     node = plan.nodes[node_id]
     if isinstance(node, Anchor):
-        return ("anchor", node.entity)
+        return ("anchor", anchors[node.slot])
     if isinstance(node, Relate):
-        return ("relate", node.relation, shape_of(plan, node.input))
+        return ("relate", relations[node.slot], shape_of(plan, anchors, relations, node.input))
     if isinstance(node, Negate):
-        return ("negate", shape_of(plan, node.input))
+        return ("negate", shape_of(plan, anchors, relations, node.input))
     name = "conjoin" if isinstance(node, Conjoin) else "disjoin"
-    return (name, tuple(shape_of(plan, i) for i in node.inputs))
+    return (name, tuple(shape_of(plan, anchors, relations, i) for i in node.inputs))
 
 
 class TestCompile:
     def test_two_intersection(self):
-        plan = algebra.compile_instance(QueryInstance("2i", (5, 6), (0, 1)))
-        assert shape_of(plan) == (
+        plan = algebra.compile_instance("2i")
+        assert shape_of(plan, (5, 6), (0, 1)) == (
             "conjoin", (("relate", 0, ("anchor", 5)), ("relate", 1, ("anchor", 6)))
         )
 
     def test_intersection_negation_projection(self):
-        plan = algebra.compile_instance(QueryInstance("inp", (3, 4), (0, 1, 2)))
-        assert shape_of(plan) == (
+        plan = algebra.compile_instance("inp")
+        assert shape_of(plan, (3, 4), (0, 1, 2)) == (
             "relate", 2,
             ("conjoin", (("relate", 0, ("anchor", 3)),
                          ("negate", ("relate", 1, ("anchor", 4))))),
         )
 
     def test_single_hop_has_two_nodes(self):
-        plan = algebra.compile_instance(QueryInstance("1p", (9,), (2,)))
+        plan = algebra.compile_instance("1p")
         assert len(plan.nodes) == 2
-        assert shape_of(plan) == ("relate", 2, ("anchor", 9))
+        assert shape_of(plan, (9,), (2,)) == ("relate", 2, ("anchor", 9))
 
     def test_chain_negation(self):
-        plan = algebra.compile_instance(QueryInstance("pin", (0, 1), (0, 1, 2)))
-        assert shape_of(plan) == (
+        plan = algebra.compile_instance("pin")
+        assert shape_of(plan, (0, 1), (0, 1, 2)) == (
             "conjoin", (("relate", 1, ("relate", 0, ("anchor", 0))),
                         ("negate", ("relate", 2, ("anchor", 1)))),
         )
 
+    def test_unknown_structure_rejected(self):
+        with pytest.raises(DataError, match="unknown query structure"):
+            algebra.compile_instance("4p")
+
+
+class TestQueryInstance:
     def test_arity_mismatch_rejected(self):
-        with pytest.raises(DataError, match="anchors"):
-            algebra.compile_instance(QueryInstance("2i", (1,), (0, 1)))
-        with pytest.raises(DataError, match="relations"):
-            algebra.compile_instance(QueryInstance("2i", (1, 2), (0,)))
+        with pytest.raises(DataError, match="2i expects 2 anchors, got 1"):
+            QueryInstance("2i", (1,), (0, 1))
+        with pytest.raises(DataError, match="2i expects 2 relations, got 1"):
+            QueryInstance("2i", (1, 2), (0,))
+
+    def test_unknown_structure_rejected(self):
+        with pytest.raises(DataError, match="unknown query structure"):
+            QueryInstance("4p", (1,), (0,))
 
 
 class TestValidate:
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
     def test_compiled_plans_are_valid(self, structure):
-        template = algebra.TEMPLATES[structure]
-        instance = QueryInstance(
-            structure,
-            tuple(range(template.num_anchors)),
-            tuple(range(template.num_relations)),
-        )
-        assert algebra.validate(algebra.compile_instance(instance)) == []
+        assert algebra.validate(algebra.structure_plan(structure)) == []
+        for union_mode in algebra.UNION_MODES:
+            for branch in algebra.plan_branches(structure, union_mode):
+                assert algebra.validate(branch) == []
+
+    def test_cached_plans_are_frozen(self):
+        plan = algebra.structure_plan("up")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.sink = 0
+        for cached in (plan, *algebra.plan_branches("up", "dnf")):
+            assert isinstance(cached.nodes, tuple)
 
     def test_two_sinks_detected(self):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         a = plan.add(Anchor(0))
         plan.add(Relate(0, a))
-        plan.sink = plan.add(Relate(1, a))
+        plan = plan.build(plan.add(Relate(1, a)))
         assert any("multiple sinks" in v for v in algebra.validate(plan))
 
     def test_self_feeding_relate_is_a_cycle(self):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         plan.add(Anchor(0))
-        plan.sink = plan.add(Relate(0, 1))
+        plan = plan.build(plan.add(Relate(0, 1)))
         violations = algebra.validate(plan)
         assert any("cycle" in v for v in violations)
 
     def test_non_anchor_source_detected(self):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         a = plan.add(Anchor(0))
         b = plan.add(Anchor(1))
-        plan.sink = plan.add(Conjoin((a, b)))
         plan.nodes[0] = Conjoin((0, 1))  # corrupt: conjoin with itself as input
+        plan = plan.build(plan.add(Conjoin((a, b))))
         assert algebra.validate(plan) != []
 
     def test_bad_conjoin_arity(self):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         a = plan.add(Anchor(0))
-        plan.sink = plan.add(Conjoin((a,)))
+        plan = plan.build(plan.add(Conjoin((a,))))
         assert any("arity" in v for v in algebra.validate(plan))
 
 
 class TestToDnf:
     def test_two_union_splits_into_branches(self):
-        plan = algebra.compile_instance(QueryInstance("2u", (1, 2), (0, 1)))
-        branches = algebra.to_dnf(plan)
-        assert [shape_of(b) for b in branches] == [
+        branches = algebra.to_dnf(algebra.compile_instance("2u"))
+        assert [shape_of(b, (1, 2), (0, 1)) for b in branches] == [
             ("relate", 0, ("anchor", 1)),
             ("relate", 1, ("anchor", 2)),
         ]
 
     def test_union_projection_pushes_relation_into_branches(self):
-        plan = algebra.compile_instance(QueryInstance("up", (1, 2), (0, 1, 2)))
-        branches = algebra.to_dnf(plan)
-        assert [shape_of(b) for b in branches] == [
+        branches = algebra.to_dnf(algebra.compile_instance("up"))
+        assert [shape_of(b, (1, 2), (0, 1, 2)) for b in branches] == [
             ("relate", 2, ("relate", 0, ("anchor", 1))),
             ("relate", 2, ("relate", 1, ("anchor", 2))),
         ]
 
     def test_union_free_plan_is_its_own_branch(self):
-        plan = algebra.compile_instance(QueryInstance("3i", (1, 2, 3), (0, 1, 2)))
+        plan = algebra.compile_instance("3i")
         branches = algebra.to_dnf(plan)
         assert len(branches) == 1
-        assert shape_of(branches[0]) == shape_of(plan)
+        assert branches[0] is plan
+
+    def test_union_modes_share_the_cached_plan(self):
+        assert algebra.plan_branches("up", "dm") == (algebra.structure_plan("up"),)
+        assert algebra.plan_branches("3i", "dnf") == (algebra.structure_plan("3i"),)
+        assert len(algebra.plan_branches("up", "dnf")) == 2
+        with pytest.raises(DataError, match="unknown union mode"):
+            algebra.plan_branches("up", "cnf")
 
     def test_disjoin_under_negate_rejected(self):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         a = plan.add(Anchor(0))
         b = plan.add(Anchor(1))
         ra = plan.add(Relate(0, a))
         rb = plan.add(Relate(1, b))
         u = plan.add(Disjoin((ra, rb)))
-        plan.sink = plan.add(Negate(u))
+        plan = plan.build(plan.add(Negate(u)))
         with pytest.raises(UnsupportedQueryError):
             algebra.to_dnf(plan)
 
     def test_branches_are_valid_plans(self):
-        plan = algebra.compile_instance(QueryInstance("up", (1, 2), (0, 1, 2)))
-        for branch in algebra.to_dnf(plan):
+        for branch in algebra.to_dnf(algebra.compile_instance("up")):
             assert algebra.validate(branch) == []
 
 
@@ -158,15 +178,12 @@ class TestParseFol:
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
     def test_canonical_forms_reproduce_their_plans(self, structure, placeholder_graph):
         instance = algebra.parse_fol(CANONICAL_FOL[structure], placeholder_graph)
-        assert instance.structure == structure
         template = algebra.TEMPLATES[structure]
-        expected = QueryInstance(
+        assert instance == QueryInstance(
             structure,
             tuple(range(template.num_anchors)),
             tuple(range(template.num_relations)),
         )
-        assert shape_of(algebra.compile_instance(instance)) == \
-               shape_of(algebra.compile_instance(expected))
 
     def test_two_negation(self, placeholder_graph):
         instance = algebra.parse_fol("EXISTS T . p(a,T) AND NOT q(b,T)", placeholder_graph)

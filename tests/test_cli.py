@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -87,14 +89,20 @@ def test_non_finite_checkpoint_exits_with_data_error(files, command, tmp_path, c
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_checkpoint_eval_exits_with_numeric_error(files, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["eval", "answer", "correlate", "fit-cardinality",
+                                     "eval-cardinality"])
+def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_path, capsys):
     # finite weights whose Skolem layer overflows to inf, then to NaN
     ckpt = _checkpoint(files, tmp_path / "huge.ckpt", "F1", 1e308)
-    assert cli.main(["eval", "--kg", str(files / "kg"), "--ckpt", ckpt,
-                     "--queries", str(files / "q.jsonl"),
-                     "--out", str(tmp_path / "metrics.csv")]) == cli.EXIT_NUMERIC
-    assert "numeric failure: 1p: non-finite query embedding" in capsys.readouterr().err
-    assert not (tmp_path / "metrics.csv").exists()
+    extra = (["--query", "EXISTS T . r0(e0,T)"] if command == "answer" else
+             ["--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "out")])
+    assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == \
+        cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    # every command meets the file's first record (1p) or the 1p --query first
+    assert captured.err == "numeric failure: 1p: non-finite query embedding\n"
+    assert "nan" not in captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_correlate_writes_correlations_and_plot_data(files, tmp_path):
@@ -118,3 +126,32 @@ def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):
     fitted = ModelParams.load(out)
     assert fitted.extra["cardinality_fit"]["epochs"] == 3
     assert fitted.extra["cardinality_fit"]["train_count"] >= 1
+
+
+def _with_extra_anchor(files, path, every: bool) -> str:
+    """The query file with two anchors on the first (or every) 1p record."""
+    lines = (files / "q.jsonl").read_text().splitlines()
+    changed = 0
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("structure") == "1p" and (every or not changed):
+            record["anchors"] = record["anchors"] * 2
+            lines[i] = json.dumps(record)
+            changed += 1
+    assert changed
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["one-record", "every-record"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_wrong_anchor_count_exits_with_data_error(files, command, every, tmp_path, capsys):
+    queries = _with_extra_anchor(files, tmp_path / "q.jsonl", every)
+    out = tmp_path / "out"
+    extra = (["--ckpt", str(files / "model.ckpt")] if command == "eval" else
+             ["--steps", "1", "--batch-size", "4", "--negatives", "4", "--d", "16", "--h", "16"])
+    code = cli.main([command, "--kg", str(files / "kg"), "--queries", queries,
+                     "--out", str(out), *extra])
+    assert code == cli.EXIT_DATA
+    assert "1p expects 1 anchors, got 2" in capsys.readouterr().err
+    assert not out.exists()

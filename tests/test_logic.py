@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from skqe import logic
 from skqe.logic import TruthBounds
@@ -234,40 +234,6 @@ class TestDisjoinBounds:
         tb = TruthBounds(np.array([0.5, 0.5]))
         out = logic.disjoin_bounds("prod", [tb, tb])
         np.testing.assert_allclose(out.values, [0.75, 0.75])
-
-
-class TestDissimilarity:
-    def test_identical_is_zero(self):
-        rng = np.random.default_rng(6)
-        tb = random_bounds(rng)
-        assert logic.dissimilarity(tb, tb) == 0.0
-
-    def test_all_false_vs_all_true_is_one(self):
-        assert logic.dissimilarity(TruthBounds(np.zeros(8)),
-                                   TruthBounds(np.ones(8))) == 1.0
-
-    def test_unknown_vs_false_is_half(self):
-        unknown = TruthBounds.from_pairs(np.zeros(4), np.ones(4))
-        false = TruthBounds(np.zeros(8))
-        assert logic.dissimilarity(unknown, false) == 0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            logic.dissimilarity(TruthBounds(np.zeros(4)), TruthBounds(np.zeros(6)))
-
-    @given(st.lists(unit_floats, min_size=12, max_size=12),
-           st.lists(unit_floats, min_size=12, max_size=12),
-           st.lists(unit_floats, min_size=12, max_size=12))
-    @settings(max_examples=200)
-    def test_metric_axioms(self, xs, ys, zs):
-        x, y, z = (np.sort(np.asarray(v).reshape(2, 6), axis=0).reshape(-1)
-                   for v in (xs, ys, zs))
-        x, y, z = TruthBounds(x), TruthBounds(y), TruthBounds(z)
-        assert logic.dissimilarity(x, y) >= 0
-        assert logic.dissimilarity(x, y) == pytest.approx(logic.dissimilarity(y, x))
-        assert logic.dissimilarity(x, z) <= (
-            logic.dissimilarity(x, y) + logic.dissimilarity(y, z) + 1e-12)
-        assert logic.dissimilarity(x, x) == 0.0
 
 
 class TestEntropy:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, evaluation, kg, logic, model, oracle, training
+from skqe import algebra, autodiff as ad, cli, evaluation, kg, logic, model, oracle, training
 from skqe.errors import DataError
 from skqe.logic import TruthBounds
 from skqe.model import ForwardContext, ModelConfig, ModelParams
@@ -38,7 +38,7 @@ def dataset(graph):
 
 class TestInferenceMatchesTraining:
     @pytest.mark.parametrize("mode,kind,attention,union", list(itertools.product(
-        model.MODES, KINDS, (True, False), model.UNION_MODES)))
+        model.MODES, KINDS, (True, False), algebra.UNION_MODES)))
     def test_plain_arrays_equal_tape_values_bit_for_bit(self, mode, kind, attention, union):
         params = _params(mode, kind, attention)
         rng = np.random.default_rng(1)
@@ -58,10 +58,41 @@ class TestInferenceMatchesTraining:
             instance = algebra.QueryInstance(structure, tuple(map(int, anchors[0])),
                                              tuple(map(int, relations[0])))
             single = model.embed_instance(instance, params, union).branches
-            plan_branches = ForwardContext(params, train=True).embed_plan(
-                algebra.compile_instance(instance), union)
-            for got, want in zip(single, plan_branches):
+            trained_single = ForwardContext(params, train=True).embed_instances(
+                structure, [instance.anchors], [instance.relations], union)
+            assert len(single) == len(trained_single)
+            for got, want in zip(single, trained_single):
                 np.testing.assert_array_equal(got, want.value[0], err_msg=structure)
+
+
+class TestSlotBinding:
+    """The plan walk binds anchor and relation slots by position: compare it
+    with the operators composed by hand on explicit ids."""
+
+    anchors = np.array([[3, 17], [40, 5], [8, 8]])
+    relations = np.array([[0, 1, 2], [2, 0, 1], [1, 3, 0]])
+
+    def _op(self, ctx, rel_column, x):
+        return ctx.skolem(ctx.relation_rows(self.relations[:, rel_column]), x)
+
+    def test_pin(self):
+        # pin: p(a, V) AND q(V, T) AND NOT r(b, T)
+        ctx = ForwardContext(_params("point", "prod"))
+        a, b = (ctx.entity_slots(self.anchors[:, i]) for i in (0, 1))
+        want = ctx.conjoin([self._op(ctx, 1, self._op(ctx, 0, a)),
+                            ctx.negate(self._op(ctx, 2, b))])
+        (got,) = ctx.embed_instances("pin", self.anchors, self.relations)
+        np.testing.assert_array_equal(got, want)
+
+    def test_up_branches(self):
+        # up: (p(a, V) OR q(b, V)) AND r(V, T), one DNF branch per disjunct
+        ctx = ForwardContext(_params())
+        a, b = (ctx.entity_slots(self.anchors[:, i]) for i in (0, 1))
+        want = [self._op(ctx, 2, self._op(ctx, 0, a)), self._op(ctx, 2, self._op(ctx, 1, b))]
+        got = ctx.embed_instances("up", self.anchors, self.relations, "dnf")
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestInferenceRecordsNothing:
@@ -233,23 +264,49 @@ class TestCheckpoint:
 
 
 class TestSlotPlans:
-    def test_each_structure_compiles_once_per_union_mode(self, graph, dataset, monkeypatch):
+    def test_each_structure_compiles_once_per_process(self, tmp_path, monkeypatch, capsys):
+        """Sampling in every mode, training, ranking under both union modes and
+        the CLI's answer and oracle all share one cached plan per structure."""
+        kg.write_tsv(kg.generate_synthetic(60, 4, 3.0, 0.1, 0.1, seed=4), tmp_path / "kg")
+        graph = kg.load_tsv_dir(str(tmp_path / "kg"))
         compiled = Counter()
         original = algebra.compile_instance
 
-        def counting_compile(instance):
-            compiled[instance.structure] += 1
-            return original(instance)
+        def counting_compile(structure):
+            compiled[structure] += 1
+            return original(structure)
 
-        model._slot_branches.cache_clear()
+        algebra.structure_plan.cache_clear()
+        algebra.plan_branches.cache_clear()
         monkeypatch.setattr(algebra, "compile_instance", counting_compile)
         try:
+            datasets = {mode: oracle.sample_dataset(graph, algebra.STRUCTURE_NAMES, 2, 0, mode)
+                        for mode in ("entailment", "generalization")}
+            datasets["train"] = oracle.sample_dataset(graph, algebra.TRAIN_STRUCTURES, 2, 0,
+                                                      "train")
             config = training.TrainConfig(d=D, h=16, negatives=4, batch_size=12, steps=3)
-            params, _ = training.train(graph, dataset, config)
-            for _ in range(2):
-                evaluation.evaluate_ranking(dataset, params, "dnf")
-            assert compiled == Counter({s: 1 for s in dataset.structures()})
-            evaluation.evaluate_ranking(dataset, params, "dm")
-            assert compiled == Counter({s: 2 for s in dataset.structures()})
+            params, _ = training.train(graph, datasets["entailment"], config)
+            for union in ("dnf", "dm", "dnf"):
+                evaluation.evaluate_ranking(datasets["generalization"], params, union)
+            params.save(tmp_path / "model.ckpt")
+            for query in ("EXISTS V,T . r0(e0,V) OR r1(e1,V) AND r2(V,T)",
+                          "EXISTS T . r0(e0,T) AND NOT r1(e1,T)"):
+                for command in ("answer", "oracle"):
+                    extra = ["--ckpt", str(tmp_path / "model.ckpt")] if command == "answer" else []
+                    assert cli.main([command, "--kg", str(tmp_path / "kg"), *extra,
+                                     "--query", query]) == cli.EXIT_OK
+            assert capsys.readouterr().out
+            assert set(datasets["entailment"].structures()) == set(algebra.STRUCTURE_NAMES)
+            assert compiled == Counter({s: 1 for s in algebra.STRUCTURE_NAMES})
         finally:
-            model._slot_branches.cache_clear()
+            algebra.structure_plan.cache_clear()
+            algebra.plan_branches.cache_clear()
+
+    def test_oracle_and_sampler_never_validate(self, graph, monkeypatch):
+        algebra.structure_plan("2in")  # compiled and validated before the count starts
+        calls = []
+        original = algebra.validate
+        monkeypatch.setattr(algebra, "validate", lambda plan: calls.append(1) or original(plan))
+        oracle.sample_dataset(graph, ("2in",), 3, 0, "generalization")
+        oracle.eval_plan(algebra.structure_plan("2in"), (0, 1), (0, 1), kg.build_index(graph))
+        assert calls == []

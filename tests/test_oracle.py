@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from skqe import algebra, kg, oracle
-from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate
+from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, PlanBuilder, QueryInstance, Relate
 from skqe.errors import DataError
 
 from conftest import random_instance
+
+
+def answers(instance: QueryInstance, index: kg.AdjacencyIndex) -> set[int]:
+    """The oracle's answers: the structure's cached plan under the instance's bindings."""
+    return oracle.eval_plan(algebra.structure_plan(instance.structure),
+                            instance.anchors, instance.relations, index)
 
 
 class TestFollow:
@@ -41,15 +47,16 @@ class TestEvalPlan:
         graph.add_triple(0, 0, 2, "train")
         graph.add_triple(0, 0, 3, "train")
         graph.add_triple(1, 0, 3, "train")
-        plan = algebra.compile_instance(QueryInstance("2in", (0, 1), (0, 0)))
-        assert oracle.eval_plan(plan, kg.build_index(graph)) == {2}
+        assert answers(QueryInstance("2in", (0, 1), (0, 0)), kg.build_index(graph)) == {2}
 
     def test_double_negation_is_identity(self, small_graph, small_index):
-        base = algebra.compile_instance(QueryInstance("1p", (0,), (0,)))
-        wrapped = QueryPlan(nodes=list(base.nodes))
+        base = algebra.structure_plan("1p")
+        wrapped = PlanBuilder(base.nodes)
         inner = wrapped.add(Negate(base.sink))
-        wrapped.sink = wrapped.add(Negate(inner))
-        assert oracle.eval_plan(wrapped, small_index) == oracle.eval_plan(base, small_index)
+        wrapped = wrapped.build(wrapped.add(Negate(inner)))
+        for anchor, relation in [(0, 0), (3, 1), (7, 2)]:
+            assert oracle.eval_plan(wrapped, (anchor,), (relation,), small_index) == \
+                   oracle.eval_plan(base, (anchor,), (relation,), small_index)
 
     def test_union_of_disjoint_answers(self):
         graph = kg.KnowledgeGraph(
@@ -58,22 +65,14 @@ class TestEvalPlan:
         )
         graph.add_triple(0, 0, 1, "train")
         graph.add_triple(2, 1, 3, "train")
-        plan = algebra.compile_instance(QueryInstance("2u", (0, 2), (0, 1)))
-        assert oracle.eval_plan(plan, kg.build_index(graph)) == {1, 3}
+        assert answers(QueryInstance("2u", (0, 2), (0, 1)), kg.build_index(graph)) == {1, 3}
 
     def test_negated_sink_materializes_complement(self, toy_graph):
-        plan = QueryPlan()
+        plan = PlanBuilder()
         anchor = plan.add(Anchor(0))
         relate = plan.add(Relate(0, anchor))
-        plan.sink = plan.add(Negate(relate))
-        assert oracle.eval_plan(plan, kg.build_index(toy_graph)) == {0, 3}
-
-    def test_invalid_plan_rejected(self):
-        plan = QueryPlan()
-        plan.sink = plan.add(Relate(0, 0))
-        with pytest.raises(DataError, match="invalid plan"):
-            oracle.eval_plan(plan, kg.build_index(
-                kg.generate_synthetic(10, 2, 1.0, 0.2, 0.2, seed=0)))
+        plan = plan.build(plan.add(Negate(relate)))
+        assert oracle.eval_plan(plan, (0,), (0,), kg.build_index(toy_graph)) == {0, 3}
 
 
 class TestExhaustiveEquivalence:
@@ -100,7 +99,7 @@ class TestExhaustiveEquivalence:
         rng = np.random.default_rng(algebra.STRUCTURE_NAMES.index(structure))
         for _ in range(25):
             instance = random_instance(structure, rng, 50, 3)
-            by_plan = oracle.eval_plan(algebra.compile_instance(instance), small_index)
+            by_plan = answers(instance, small_index)
             by_enumeration = oracle.exhaustive_eval(instance, small_graph)
             assert by_plan == by_enumeration
 
@@ -120,29 +119,30 @@ class TestExhaustiveEquivalence:
 
 class TestDeMorgan:
     def test_set_level_identity(self, small_graph, small_index):
+        direct = PlanBuilder()
+        a = direct.add(Anchor(0))
+        ra = direct.add(Relate(0, a))
+        b = direct.add(Anchor(1))
+        rb = direct.add(Relate(1, b))
+        direct = direct.build(direct.add(Disjoin((ra, rb))))
+
+        rewritten = PlanBuilder()
+        a2 = rewritten.add(Anchor(0))
+        ra2 = rewritten.add(Relate(0, a2))
+        na = rewritten.add(Negate(ra2))
+        b2 = rewritten.add(Anchor(1))
+        rb2 = rewritten.add(Relate(1, b2))
+        nb = rewritten.add(Negate(rb2))
+        conj = rewritten.add(Conjoin((na, nb)))
+        rewritten = rewritten.build(rewritten.add(Negate(conj)))
+
         rng = np.random.default_rng(11)
         for _ in range(50):
             left = random_instance("1p", rng, 50, 3)
             right = random_instance("1p", rng, 50, 3)
-            direct = QueryPlan()
-            a = direct.add(Anchor(left.anchors[0]))
-            ra = direct.add(Relate(left.relations[0], a))
-            b = direct.add(Anchor(right.anchors[0]))
-            rb = direct.add(Relate(right.relations[0], b))
-            direct.sink = direct.add(Disjoin((ra, rb)))
-
-            rewritten = QueryPlan()
-            a2 = rewritten.add(Anchor(left.anchors[0]))
-            ra2 = rewritten.add(Relate(left.relations[0], a2))
-            na = rewritten.add(Negate(ra2))
-            b2 = rewritten.add(Anchor(right.anchors[0]))
-            rb2 = rewritten.add(Relate(right.relations[0], b2))
-            nb = rewritten.add(Negate(rb2))
-            conj = rewritten.add(Conjoin((na, nb)))
-            rewritten.sink = rewritten.add(Negate(conj))
-
-            assert oracle.eval_plan(direct, small_index) == \
-                   oracle.eval_plan(rewritten, small_index)
+            bindings = ((left.anchors[0], right.anchors[0]),
+                        (left.relations[0], right.relations[0]), small_index)
+            assert oracle.eval_plan(direct, *bindings) == oracle.eval_plan(rewritten, *bindings)
 
 
 class TestSampling:
@@ -163,8 +163,7 @@ class TestSampling:
         dataset = oracle.sample_dataset(
             small_graph, ("1p", "2p"), 15, seed=3, mode="train")
         for sample in dataset.samples:
-            plan = algebra.compile_instance(sample.instance)
-            assert set(sample.easy) == oracle.eval_plan(plan, train_index)
+            assert set(sample.easy) == answers(sample.instance, train_index)
             assert sample.hard == ()
 
     def test_negation_ratio(self, small_graph):
@@ -186,8 +185,7 @@ class TestSampling:
         full_index = kg.build_index(small_graph)
         for sample in dataset.samples:
             assert not (set(sample.easy) & set(sample.hard))
-            plan = algebra.compile_instance(sample.instance)
-            assert set(sample.answers) == oracle.eval_plan(plan, full_index)
+            assert set(sample.answers) == answers(sample.instance, full_index)
 
 
 class TestDatasetIO:
