@@ -10,8 +10,6 @@ from .algebra import (
     QueryPlan,
     compile_instance,
     parse_fol,
-    to_dnf,
-    validate,
 )
 from .errors import (
     DataError,
@@ -31,14 +29,9 @@ from .kg import (
     write_tsv,
 )
 from .logic import (
-    TNormKind,
     TruthBounds,
     conjoin_bounds,
-    disjoin_bounds,
-    entropy_vector,
-    negate,
     tnorm,
-    weighted_tnorm,
 )
 from .model import (
     ModelConfig,
@@ -64,7 +57,6 @@ from .training import TrainConfig, margin_loss, sample_negatives, train, train_c
 from .evaluation import (
     RankingReport,
     UncertaintyReport,
-    cardinality_mae,
     evaluate_ranking,
     mrr_hits,
     pearson,

@@ -5,10 +5,12 @@ the parser and the brute-force oracle) and, compiled from it, one single-sink
 DAG plan of anchor / relation / negation / conjunction / disjunction nodes.
 The plan is the program and a query is only data: its anchor and relation
 nodes hold positional slots, and a ``QueryInstance`` binds those slots to
-entity and relation ids. ``structure_plan`` compiles and validates each
-structure's plan once per process and ``plan_branches`` its DNF branches once
-per union mode; the set oracle, the sampler, the model and the CLI all
-evaluate those cached plans under an instance's (anchors, relations).
+entity and relation ids. A ``QueryPlan`` checks its own shape when it is
+built, so every plan that exists is valid. ``structure_plan`` compiles each
+structure's plan once per process, and ``plan_branches`` compiles its DNF
+branches from the template (one atom of each OR-pair kept) once per union
+mode; the set oracle, the sampler, the model and the CLI all evaluate those
+cached plans under an instance's (anchors, relations).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DataError, QueryParseError, UnsupportedQueryError
 
@@ -148,18 +150,38 @@ PlanNode = Anchor | Relate | Negate | Conjoin | Disjoin
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Single-sink acyclic node graph; node ids are tuple positions. Frozen,
-    since one cached plan serves every query of its structure."""
+    """Single-sink node graph; node ids are tuple positions. Frozen, since one
+    cached plan serves every query of its structure.
+
+    Valid by construction: raises DataError unless every input id comes before
+    its node, each Conjoin / Disjoin has two or more inputs, the sink is the
+    last node and every other node feeds a later one. Evaluators can therefore
+    walk a plan without checking it.
+    """
 
     nodes: tuple[PlanNode, ...]
     sink: int
 
-    def node_inputs(self, node: PlanNode) -> tuple[int, ...]:
-        if isinstance(node, (Relate, Negate)):
-            return (node.input,)
-        if isinstance(node, (Conjoin, Disjoin)):
-            return node.inputs
-        return ()
+    def __post_init__(self):
+        if not self.nodes or self.sink != len(self.nodes) - 1:
+            raise DataError(f"plan sink {self.sink} is not its last node")
+        unfed = set(range(len(self.nodes) - 1))
+        for idx, node in enumerate(self.nodes):
+            if isinstance(node, Anchor):
+                inputs = ()
+            elif isinstance(node, (Relate, Negate)):
+                inputs = (node.input,)
+            elif isinstance(node, (Conjoin, Disjoin)):
+                inputs = node.inputs
+                if len(inputs) < 2:
+                    raise DataError(f"plan node {idx}: a join needs two or more inputs")
+            else:
+                raise DataError(f"plan node {idx}: unknown node type {type(node).__name__}")
+            if not all(0 <= i < idx for i in inputs):
+                raise DataError(f"plan node {idx}: input {inputs} does not come before it")
+            unfed.difference_update(inputs)
+        if unfed:
+            raise DataError(f"plan nodes {sorted(unfed)} feed no later node")
 
 
 class PlanBuilder:
@@ -220,132 +242,37 @@ def _build_term(term: str, template: Template, plan: PlanBuilder,
 
 @functools.cache
 def structure_plan(structure: str) -> QueryPlan:
-    """The structure's plan, compiled and validated once per process."""
-    plan = compile_instance(structure)
-    problems = validate(plan)
-    if problems:
-        raise DataError(f"invalid plan for {structure}: {'; '.join(problems)}")
-    return plan
+    """The structure's plan, compiled once per process; a QueryPlan is valid
+    by construction, so nothing checks it again."""
+    return compile_instance(structure)
 
 
 @functools.cache
 def plan_branches(structure: str, union_mode: str) -> tuple[QueryPlan, ...]:
-    """The DNF branch plans of a structure, or its plan alone under De Morgan
-    union; built once per process and union mode."""
+    """The structure's plan alone under De Morgan union, or its DNF branches.
+
+    A DNF branch is the template with one atom of each OR-pair kept, compiled
+    like any template; branches follow the kept atoms' order. The union of
+    the branches' answers is the plan's because no negated atom depends on a
+    term an OR defines and each such term feeds one atom: relation following
+    and conjunction distribute over union, negation does not. Built once per
+    process and union mode.
+    """
     if union_mode not in UNION_MODES:
         raise DataError(f"unknown union mode {union_mode!r}")
     plan = structure_plan(structure)
-    return tuple(to_dnf(plan)) if union_mode == "dnf" else (plan,)
-
-
-def validate(plan: QueryPlan) -> list[str]:
-    """Return structural violations; an empty list means the plan is valid."""
-    violations: list[str] = []
-    n = len(plan.nodes)
-    if n == 0:
-        return ["empty plan"]
-    if not (0 <= plan.sink < n):
-        violations.append("sink id out of range")
-
-    referenced: set[int] = set()
-    for idx, node in enumerate(plan.nodes):
-        inputs = plan.node_inputs(node)
-        if isinstance(node, (Conjoin, Disjoin)) and len(inputs) < 2:
-            violations.append(f"node {idx}: arity below 2")
-        for inp in inputs:
-            if not (0 <= inp < n):
-                violations.append(f"node {idx}: input id {inp} out of range")
-            else:
-                referenced.add(inp)
-        if not inputs and not isinstance(node, Anchor):
-            violations.append(f"node {idx}: non-anchor source")
-
-    sinks = [i for i in range(n) if i not in referenced]
-    if len(sinks) > 1:
-        violations.append("multiple sinks")
-    elif sinks and 0 <= plan.sink < n and sinks[0] != plan.sink:
-        violations.append("declared sink is not the graph sink")
-    elif not sinks:
-        violations.append("no sink (every node is consumed)")
-
-    # cycle detection by iterative colouring
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if state[start] != 0:
-            continue
-        stack = [(start, iter(plan.node_inputs(plan.nodes[start])))]
-        state[start] = 1
-        while stack:
-            node_id, it = stack[-1]
-            advanced = False
-            for inp in it:
-                if not (0 <= inp < n):
-                    continue
-                if state[inp] == 1:
-                    violations.append("cycle")
-                    state[inp] = 2
-                elif state[inp] == 0:
-                    state[inp] = 1
-                    stack.append((inp, iter(plan.node_inputs(plan.nodes[inp]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node_id] = 2
-                stack.pop()
-    return violations
-
-
-def _branch_exprs(plan: QueryPlan, node_id: int) -> list:
-    """Expand a plan node into union-free expression trees (nested tuples)."""
-    node = plan.nodes[node_id]
-    if isinstance(node, Anchor):
-        return [("anchor", node.slot)]
-    if isinstance(node, Relate):
-        return [("relate", node.slot, b) for b in _branch_exprs(plan, node.input)]
-    if isinstance(node, Negate):
-        branches = _branch_exprs(plan, node.input)
-        if len(branches) > 1:
-            raise UnsupportedQueryError("disjunction under negation is not rewritable")
-        return [("negate", branches[0])]
-    if isinstance(node, Conjoin):
-        parts = [_branch_exprs(plan, i) for i in node.inputs]
-        return [("conjoin", combo) for combo in itertools.product(*parts)]
-    if isinstance(node, Disjoin):
-        out = []
-        for i in node.inputs:
-            out.extend(_branch_exprs(plan, i))
-        return out
-    raise DataError(f"unknown node type {type(node).__name__}")
-
-
-def _expr_to_plan(expr, plan: PlanBuilder) -> int:
-    kind = expr[0]
-    if kind == "anchor":
-        return plan.add(Anchor(expr[1]))
-    if kind == "relate":
-        return plan.add(Relate(expr[1], _expr_to_plan(expr[2], plan)))
-    if kind == "negate":
-        return plan.add(Negate(_expr_to_plan(expr[1], plan)))
-    if kind == "conjoin":
-        return plan.add(Conjoin(tuple(_expr_to_plan(e, plan) for e in expr[1])))
-    raise DataError(f"unknown expression kind {kind!r}")
-
-
-def to_dnf(plan: QueryPlan) -> list[QueryPlan]:
-    """Rewrite a plan into union-free branch plans whose answer union matches.
-
-    Plans without disjunction return themselves as the single branch.
-    """
-    problems = validate(plan)
-    if problems:
-        raise DataError(f"invalid plan: {'; '.join(problems)}")
-    if not any(isinstance(n, Disjoin) for n in plan.nodes):
-        return [plan]
+    template = TEMPLATES[structure]
+    if union_mode == "dm" or not template.or_pairs:
+        return (plan,)
+    pairs = sorted(sorted(pair) for pair in template.or_pairs)
+    joined = {i for pair in pairs for i in pair}
     branches = []
-    for expr in _branch_exprs(plan, plan.sink):
-        branch = PlanBuilder()
-        branches.append(branch.build(_expr_to_plan(expr, branch)))
-    return branches
+    for kept in itertools.product(*pairs):
+        atoms = tuple(a for i, a in enumerate(template.atoms) if i not in joined or i in kept)
+        branch = replace(template, atoms=atoms, or_pairs=frozenset())
+        builder = PlanBuilder()
+        branches.append(builder.build(_build_term(TARGET_TERM, branch, builder, {})))
+    return tuple(branches)
 
 
 # --- linear surface syntax ---------------------------------------------------

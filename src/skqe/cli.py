@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import algebra, evaluation, model as model_mod, oracle as oracle_mod, training
+from . import algebra, evaluation, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams

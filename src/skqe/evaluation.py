@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import logic, model as model_mod
-from .algebra import EPFO_STRUCTURES, NEGATION_STRUCTURES, STRUCTURE_NAMES, UNION_STRUCTURES
+from .algebra import EPFO_STRUCTURES, NEGATION_STRUCTURES, STRUCTURE_NAMES
 from .errors import DataError, NumericError
 from .model import ForwardContext, ModelParams, QueryEmbedding
 from .oracle import QueryDataset
@@ -357,18 +357,6 @@ def _mae_by_structure(samples, errors) -> dict[str, tuple[float, int]]:
         structure: (100.0 * float(np.mean(errors)), len(errors))
         for structure, errors in by_structure.items()
     }
-
-
-def cardinality_mae(dataset: QueryDataset, params: ModelParams,
-                    indices: list[int] | None = None) -> dict[str, tuple[float, int]]:
-    """Per-structure mean absolute relative error of the size head, in percent.
-
-    ``indices`` restricts scoring to a subset (e.g. the hash-test half);
-    zero-answer queries are skipped and counted out.
-    """
-    samples = dataset.samples if indices is None else [dataset.samples[i] for i in indices]
-    kept = [s for s in samples if s.answers]
-    return _mae_by_structure(kept, _relative_size_errors(params, kept))
 
 
 def cardinality_test_half(dataset: QueryDataset, params: ModelParams):

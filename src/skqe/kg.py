@@ -117,15 +117,6 @@ class KnowledgeGraph:
             digest.update(f"{h},{r},{t},{split}\n".encode("ascii"))
         return digest.hexdigest()
 
-    def validate(self) -> None:
-        for (h, r, t), split in self.triples.items():
-            if not (0 <= h < self.num_entities and 0 <= t < self.num_entities):
-                raise DataError(f"entity id out of range in triple ({h},{r},{t})")
-            if not (0 <= r < self.num_relations):
-                raise DataError(f"relation id out of range in triple ({h},{r},{t})")
-            if split not in SPLITS:
-                raise DataError(f"unknown split {split!r}")
-
 
 class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
@@ -142,24 +133,15 @@ class AdjacencyIndex:
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
         forward: dict[tuple[int, int], list[int]] = {}
-        triples = graph.split_triples(self.splits)
-        for h, r, t in triples:
+        for h, r, t in graph.split_triples(self.splits):
             forward.setdefault((h, r), []).append(t)
         self.forward: dict[tuple[int, int], tuple[int, ...]] = {
             key: tuple(sorted(set(tails))) for key, tails in forward.items()
         }
-        self._triples = frozenset(triples)
 
     def lookup(self, head: int, relation: int) -> tuple[int, ...]:
         """Tails of ``relation`` edges out of ``head``; empty for unknown pairs."""
         return self.forward.get((head, relation), ())
-
-    def has(self, head: int, relation: int, tail: int) -> bool:
-        return (head, relation, tail) in self._triples
-
-    @property
-    def triples(self) -> frozenset[tuple[int, int, int]]:
-        return self._triples
 
 
 def build_index(graph: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> AdjacencyIndex:

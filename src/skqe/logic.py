@@ -7,8 +7,10 @@ An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
 The slot operators ``negate_slots``, ``conjoin_slots`` and ``entropy_slots``
 are the one definition of the logic, over flat (..., 2d) slot arrays. Built
 on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
-tape tensors alike: the model calls them in training and in inference, and
-the ``TruthBounds`` API wraps them. All float64, safe for concurrent use.
+tape tensors alike: the model calls them in training and in inference.
+``conjoin_bounds`` applies ``conjoin_slots`` to ``TruthBounds`` values, and
+``tnorm`` is the plain unweighted t-norm the weighted forms are checked
+against. All float64, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -22,20 +24,6 @@ from . import autodiff as ad
 TNORM_KINDS = ("min", "prod", "luk")
 DEFAULT_ALPHA = -10.0
 ENTROPY_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class TNormKind:
-    """A conjunction family plus the smoothing constant for the weighted minimum."""
-
-    name: str
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if self.name not in TNORM_KINDS:
-            raise ValueError(f"unknown t-norm kind {self.name!r}")
-        if self.alpha >= 0:
-            raise ValueError("smoothing constant must be negative")
 
 
 @dataclass(frozen=True)
@@ -132,53 +120,27 @@ def entropy_slots(x: np.ndarray, eps: float = ENTROPY_EPS) -> np.ndarray:
     return np.log(np.maximum(x[..., d:] - x[..., :d], eps))
 
 
-def _name_and_alpha(kind: str | TNormKind, alpha: float | None) -> tuple[str, float]:
-    if isinstance(kind, TNormKind):
-        return kind.name, kind.alpha if alpha is None else alpha
-    return kind, DEFAULT_ALPHA if alpha is None else alpha
-
-
-def negate(bounds: TruthBounds) -> TruthBounds:
-    """Involute negation: [l, u] -> [1-u, 1-l]."""
-    return TruthBounds(negate_slots(bounds.values, "bounds"))
-
-
-def tnorm(kind: str | TNormKind, truths) -> np.ndarray:
+def tnorm(kind: str, truths) -> np.ndarray:
     """Unweighted conjunction of k truth arrays stacked on axis 0.
 
     min is the hard minimum; prod the product; luk the Lukasiewicz form
     max(0, 1 - sum(1 - t_j)).
     """
-    name = kind.name if isinstance(kind, TNormKind) else kind
     t = np.asarray(truths, dtype=np.float64)
     if t.shape[0] < 1:
         raise ValueError("need at least one input")
-    if name == "min":
+    if kind == "min":
         return np.min(t, axis=0)
-    if name == "prod":
+    if kind == "prod":
         return np.prod(t, axis=0)
-    if name == "luk":
+    if kind == "luk":
         return np.maximum(0.0, 1.0 - np.sum(1.0 - t, axis=0))
-    raise ValueError(f"unknown t-norm kind {name!r}")
+    raise ValueError(f"unknown t-norm kind {kind!r}")
 
 
-def weighted_tnorm(kind: str | TNormKind, weights, truths,
-                   alpha: float | None = None) -> np.ndarray:
-    """Weighted conjunction (``conjoin_slots``) of truths stacked on axis 0;
-    weights in [0,1]. min uses the smooth minimum even at all-ones weights, so
-    it only approximates the hard minimum there.
-    """
-    name, alpha = _name_and_alpha(kind, alpha)
-    w = np.asarray(weights, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.float64)
-    if w.shape != t.shape:
-        raise ValueError(f"weight shape {w.shape} != truth shape {t.shape}")
-    return conjoin_slots(name, list(t), list(w), alpha, "point")[0]
-
-
-def conjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
+def conjoin_bounds(kind: str, inputs: list[TruthBounds],
                    weights: list[np.ndarray] | None = None,
-                   alpha: float | None = None) -> TruthBounds:
+                   alpha: float = DEFAULT_ALPHA) -> TruthBounds:
     """Per-dimension conjunction of lowers and uppers, with midpoint repair.
 
     ``weights`` is one per-dimension weight vector per input; None means the
@@ -197,20 +159,6 @@ def conjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
     w = np.stack([np.asarray(v, float) for v in weights])
     if w.shape != (len(inputs), d):
         raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
-    name, alpha = _name_and_alpha(kind, alpha)
-    value, _ = conjoin_slots(name, [b.values for b in inputs],
+    value, _ = conjoin_slots(kind, [b.values for b in inputs],
                              [np.concatenate([v, v]) for v in w], alpha, "bounds")
     return TruthBounds(value)
-
-
-def disjoin_bounds(kind: str | TNormKind, inputs: list[TruthBounds],
-                   weights: list[np.ndarray] | None = None,
-                   alpha: float | None = None) -> TruthBounds:
-    """Disjunction via De Morgan: not(conjoin(not inputs))."""
-    negated = [negate(b) for b in inputs]
-    return negate(conjoin_bounds(kind, negated, weights, alpha))
-
-
-def entropy_vector(bounds: TruthBounds, eps: float = ENTROPY_EPS) -> np.ndarray:
-    """Per-dimension differential entropy log(u - l), clamped at log(eps)."""
-    return entropy_slots(bounds.values, eps)

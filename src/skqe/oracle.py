@@ -98,9 +98,9 @@ def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set
     """Answer set of a plan under its slot bindings, evaluated bottom-up;
     complements are taken against the full universe.
 
-    ``plan`` is one structure's plan (``algebra.structure_plan``), already
-    validated when it was compiled, and ``anchors`` / ``relations`` are an
-    instance's ids for its anchor and relation slots.
+    ``plan`` is one structure's plan (``algebra.structure_plan``) or one of
+    its DNF branches, valid by construction, and ``anchors`` / ``relations``
+    are an instance's ids for its anchor and relation slots.
     """
     answers, complemented = _eval_node(plan, plan.sink, anchors, relations, index, {})
     if complemented:

@@ -86,13 +86,12 @@ class TestQueryInstance:
             QueryInstance("4p", (1,), (0,))
 
 
-class TestValidate:
+class TestPlanShape:
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
     def test_compiled_plans_are_valid(self, structure):
-        assert algebra.validate(algebra.structure_plan(structure)) == []
         for union_mode in algebra.UNION_MODES:
             for branch in algebra.plan_branches(structure, union_mode):
-                assert algebra.validate(branch) == []
+                assert QueryPlan(branch.nodes, branch.sink) == branch
 
     def test_cached_plans_are_frozen(self):
         plan = algebra.structure_plan("up")
@@ -101,55 +100,97 @@ class TestValidate:
         for cached in (plan, *algebra.plan_branches("up", "dnf")):
             assert isinstance(cached.nodes, tuple)
 
-    def test_two_sinks_detected(self):
+    def test_two_sinks_rejected(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
         plan.add(Relate(0, a))
-        plan = plan.build(plan.add(Relate(1, a)))
-        assert any("multiple sinks" in v for v in algebra.validate(plan))
+        with pytest.raises(DataError, match="feed no later node"):
+            plan.build(plan.add(Relate(1, a)))
 
-    def test_self_feeding_relate_is_a_cycle(self):
+    def test_self_feeding_relate_rejected(self):
         plan = PlanBuilder()
         plan.add(Anchor(0))
-        plan = plan.build(plan.add(Relate(0, 1)))
-        violations = algebra.validate(plan)
-        assert any("cycle" in v for v in violations)
+        with pytest.raises(DataError, match="does not come before it"):
+            plan.build(plan.add(Relate(0, 1)))
 
-    def test_non_anchor_source_detected(self):
+    def test_forward_input_rejected(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
         b = plan.add(Anchor(1))
-        plan.nodes[0] = Conjoin((0, 1))  # corrupt: conjoin with itself as input
-        plan = plan.build(plan.add(Conjoin((a, b))))
-        assert algebra.validate(plan) != []
+        plan.nodes[0] = Conjoin((0, 1))  # corrupt: a join reading itself and a later node
+        with pytest.raises(DataError, match="does not come before it"):
+            plan.build(plan.add(Conjoin((a, b))))
 
-    def test_bad_conjoin_arity(self):
+    def test_bad_conjoin_arity_rejected(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
-        plan = plan.build(plan.add(Conjoin((a,))))
-        assert any("arity" in v for v in algebra.validate(plan))
+        with pytest.raises(DataError, match="two or more inputs"):
+            plan.build(plan.add(Conjoin((a,))))
+
+    def test_sink_must_be_the_last_node(self):
+        plan = PlanBuilder()
+        a = plan.add(Anchor(0))
+        plan.add(Relate(0, a))
+        with pytest.raises(DataError, match="not its last node"):
+            plan.build(a)
+        with pytest.raises(DataError, match="not its last node"):
+            QueryPlan((), 0)
 
 
-class TestToDnf:
+def _or_defined_terms(template):
+    return {template.atoms[i].dst for pair in template.or_pairs for i in pair}
+
+
+def _depends_on(template, term):
+    """Terms whose values ``term`` is computed from, itself included."""
+    seen, todo = set(), [term]
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            todo.extend(a.src for a in template.atoms if a.dst == current)
+    return seen
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_template_level_dnf_is_exact(self, structure):
+        """Relation following and conjunction distribute over union and negation
+        does not, so one kept atom per OR-pair gives exact DNF branches only if
+        no negated atom reads an OR-defined term and each such term feeds one
+        atom."""
+        template = algebra.TEMPLATES[structure]
+        or_terms = _or_defined_terms(template)
+        for atom in template.atoms:
+            if atom.negated:
+                assert not _depends_on(template, atom.src) & or_terms
+        for term in or_terms - {algebra.TARGET_TERM}:
+            assert sum(a.src == term for a in template.atoms) == 1
+
+    def test_union_structures_are_the_ones_with_or_pairs(self):
+        assert tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs) == \
+            algebra.UNION_STRUCTURES
+
+
+class TestDnfBranches:
     def test_two_union_splits_into_branches(self):
-        branches = algebra.to_dnf(algebra.compile_instance("2u"))
+        branches = algebra.plan_branches("2u", "dnf")
         assert [shape_of(b, (1, 2), (0, 1)) for b in branches] == [
             ("relate", 0, ("anchor", 1)),
             ("relate", 1, ("anchor", 2)),
         ]
 
     def test_union_projection_pushes_relation_into_branches(self):
-        branches = algebra.to_dnf(algebra.compile_instance("up"))
+        branches = algebra.plan_branches("up", "dnf")
         assert [shape_of(b, (1, 2), (0, 1, 2)) for b in branches] == [
             ("relate", 2, ("relate", 0, ("anchor", 1))),
             ("relate", 2, ("relate", 1, ("anchor", 2))),
         ]
 
     def test_union_free_plan_is_its_own_branch(self):
-        plan = algebra.compile_instance("3i")
-        branches = algebra.to_dnf(plan)
+        branches = algebra.plan_branches("3i", "dnf")
         assert len(branches) == 1
-        assert branches[0] is plan
+        assert branches[0] is algebra.structure_plan("3i")
 
     def test_union_modes_share_the_cached_plan(self):
         assert algebra.plan_branches("up", "dm") == (algebra.structure_plan("up"),)
@@ -158,20 +199,10 @@ class TestToDnf:
         with pytest.raises(DataError, match="unknown union mode"):
             algebra.plan_branches("up", "cnf")
 
-    def test_disjoin_under_negate_rejected(self):
-        plan = PlanBuilder()
-        a = plan.add(Anchor(0))
-        b = plan.add(Anchor(1))
-        ra = plan.add(Relate(0, a))
-        rb = plan.add(Relate(1, b))
-        u = plan.add(Disjoin((ra, rb)))
-        plan = plan.build(plan.add(Negate(u)))
-        with pytest.raises(UnsupportedQueryError):
-            algebra.to_dnf(plan)
-
-    def test_branches_are_valid_plans(self):
-        for branch in algebra.to_dnf(algebra.compile_instance("up")):
-            assert algebra.validate(branch) == []
+    @pytest.mark.parametrize("structure", algebra.UNION_STRUCTURES)
+    def test_branches_are_union_free(self, structure):
+        for branch in algebra.plan_branches(structure, "dnf"):
+            assert not any(isinstance(n, Disjoin) for n in branch.nodes)
 
 
 class TestParseFol:

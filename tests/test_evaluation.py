@@ -215,9 +215,13 @@ class TestCardinality:
         assert result["test_count"] == len(kept)
         assert result["test_mae"] == pytest.approx(100 * np.mean(errors), rel=1e-12)
         assert result["baseline_mae"] == pytest.approx(baseline, rel=1e-12)
-        per_structure = evaluation.cardinality_mae(data, params, test_idx)
-        assert per_structure == result["per_structure"]
-        assert sum(count for _, count in per_structure.values()) == len(kept)
+        by_structure = {}
+        for i, error in zip(kept, errors):
+            by_structure.setdefault(samples[i].instance.structure, []).append(error)
+        assert result["per_structure"].keys() == by_structure.keys()
+        for structure, (mae, count) in result["per_structure"].items():
+            assert mae == pytest.approx(100 * np.mean(by_structure[structure]), rel=1e-12)
+            assert count == len(by_structure[structure])
 
     def test_no_test_query_is_a_data_error(self, graph, dataset):
         params = _params(graph)

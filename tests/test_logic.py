@@ -14,6 +14,22 @@ KINDS = ("min", "prod", "luk")
 unit_floats = st.integers(0, 2**53).map(lambda k: k / 2**53)
 
 
+def weighted_conjoin(kind, weights, truths):
+    """Point-mode ``conjoin_slots`` of truths stacked on axis 0."""
+    w = np.asarray(weights, dtype=np.float64)
+    t = np.asarray(truths, dtype=np.float64)
+    return logic.conjoin_slots(kind, list(t), list(w), logic.DEFAULT_ALPHA, "point")[0]
+
+
+def disjoin(kind, xs):
+    """De Morgan disjunction of flat bounds with unit weights, composed from
+    the slot operators as the model composes it."""
+    flipped = [logic.negate_slots(x, "bounds") for x in xs]
+    ones = [np.ones_like(x) for x in xs]
+    conjoined, _ = logic.conjoin_slots(kind, flipped, ones, logic.DEFAULT_ALPHA, "bounds")
+    return logic.negate_slots(conjoined, "bounds")
+
+
 def random_bounds(rng, d=6) -> TruthBounds:
     lower = rng.uniform(0, 1, d)
     upper = lower + rng.uniform(0, 1, d) * (1 - lower)
@@ -41,24 +57,22 @@ class TestTruthBounds:
 
 class TestNegate:
     def test_formula(self):
-        tb = TruthBounds(np.array([0.2, 0.5]))
-        assert logic.negate(tb).values.tolist() == [0.5, 0.8]
+        assert logic.negate_slots(np.array([0.2, 0.5]), "bounds").tolist() == [0.5, 0.8]
 
     def test_unknown_is_fixed_point(self):
-        tb = TruthBounds(np.array([0.0, 1.0]))
-        assert logic.negate(tb).values.tolist() == [0.0, 1.0]
+        assert logic.negate_slots(np.array([0.0, 1.0]), "bounds").tolist() == [0.0, 1.0]
 
     def test_point_truth(self):
-        tb = TruthBounds(np.array([0.3, 0.3]))
-        assert np.allclose(logic.negate(tb).values, [0.7, 0.7])
+        assert np.allclose(logic.negate_slots(np.array([0.3, 0.3]), "bounds"), [0.7, 0.7])
+        assert np.allclose(logic.negate_slots(np.array([0.3, 0.6]), "point"), [0.7, 0.4])
 
     @given(st.lists(unit_floats, min_size=2, max_size=8))
     def test_involution_exact(self, values):
         values = sorted(values)
         half = len(values) // 2
         tb = TruthBounds.from_pairs(values[:half], values[len(values) - half:])
-        twice = logic.negate(logic.negate(tb))
-        assert np.array_equal(twice.values, tb.values)
+        twice = logic.negate_slots(logic.negate_slots(tb.values, "bounds"), "bounds")
+        assert np.array_equal(twice, tb.values)
 
 
 class TestUnweightedTnorm:
@@ -108,25 +122,25 @@ class TestUnweightedTnorm:
 
 class TestWeightedTnorm:
     def test_lukasiewicz_formula(self):
-        out = logic.weighted_tnorm("luk", [[0.5], [1.0]], [[0.8], [0.6]])
+        out = weighted_conjoin("luk", [[0.5], [1.0]], [[0.8], [0.6]])
         assert out[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_weight_removes_input(self):
-        out = logic.weighted_tnorm("prod", [[1.0], [0.0]], [[0.3], [0.9]])
+        out = weighted_conjoin("prod", [[1.0], [0.0]], [[0.3], [0.9]])
         assert out[0] == 0.3
-        out = logic.weighted_tnorm("luk", [[1.0], [0.0]], [[0.3], [0.9]])
+        out = weighted_conjoin("luk", [[1.0], [0.0]], [[0.3], [0.9]])
         assert out[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_smoothmin_symmetric_at_equal_inputs(self):
         for c in GRID:
-            out = logic.weighted_tnorm("min", [[1.0], [1.0]], [[c], [c]])
+            out = weighted_conjoin("min", [[1.0], [1.0]], [[c], [c]])
             assert out[0] == pytest.approx(c, abs=1e-12)
 
     def test_all_ones_reduces_exactly_for_prod_and_luk(self):
         pairs = np.array(list(itertools.product(GRID, GRID))).T
         ones = np.ones_like(pairs)
         for kind in ("prod", "luk"):
-            weighted = logic.weighted_tnorm(kind, ones, pairs)
+            weighted = weighted_conjoin(kind, ones, pairs)
             unweighted = logic.tnorm(kind, pairs)
             np.testing.assert_array_equal(weighted, unweighted)
 
@@ -134,7 +148,7 @@ class TestWeightedTnorm:
         # max deviation of the alpha=-10 smooth minimum from the hard minimum
         # over grid pairs is 0.0274 (at |t1-t2| = 0.15)
         pairs = np.array(list(itertools.product(GRID, GRID))).T
-        weighted = logic.weighted_tnorm("min", np.ones_like(pairs), pairs)
+        weighted = weighted_conjoin("min", np.ones_like(pairs), pairs)
         hard = logic.tnorm("min", pairs)
         deviation = np.abs(weighted - hard)
         assert deviation.max() == pytest.approx(0.0273638, abs=1e-6)
@@ -142,7 +156,7 @@ class TestWeightedTnorm:
 
     def test_all_weights_zero_is_an_error(self):
         with pytest.raises(ValueError, match="removed"):
-            logic.weighted_tnorm("min", [[0.0], [0.0]], [[0.3], [0.9]])
+            weighted_conjoin("min", [[0.0], [0.0]], [[0.3], [0.9]])
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -151,12 +165,12 @@ class TestWeightedTnorm:
             if kind == "min":
                 w[0] = np.maximum(w[0], 1e-3)
             t = rng.uniform(0, 1, (3, 50))
-            out = logic.weighted_tnorm(kind, w, t)
+            out = weighted_conjoin(kind, w, t)
             assert np.all((out >= 0) & (out <= 1))
 
     def test_weighted_luk_can_exceed_unweighted(self):
         # w < 1 weakens the deficit sum, a property of the weighted form
-        weighted = logic.weighted_tnorm("luk", [[0.5], [0.5]], [[0.5], [0.5]])
+        weighted = weighted_conjoin("luk", [[0.5], [0.5]], [[0.5], [0.5]])
         unweighted = logic.tnorm("luk", [[0.5], [0.5]])
         assert weighted[0] > unweighted[0]
 
@@ -188,10 +202,10 @@ class TestConjoinBounds:
                 a = TruthBounds(np.array([l1, u1]))
                 b = TruthBounds(np.array([0.5, 0.5]))
                 w = [np.array([1.0]), np.array([0.3])]
-                raw_l = logic.weighted_tnorm("min", np.array([[w[0][0]], [w[1][0]]]),
-                                             np.array([[a.lower[0]], [b.lower[0]]]))[0]
-                raw_u = logic.weighted_tnorm("min", np.array([[w[0][0]], [w[1][0]]]),
-                                             np.array([[a.upper[0]], [b.upper[0]]]))[0]
+                raw_l = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
+                                         np.array([[a.lower[0]], [b.lower[0]]]))[0]
+                raw_u = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
+                                         np.array([[a.upper[0]], [b.upper[0]]]))[0]
                 out = logic.conjoin_bounds("min", [a, b], w)
                 assert out.lower[0] <= out.upper[0]
                 if raw_l > raw_u:
@@ -206,46 +220,46 @@ class TestConjoinBounds:
             logic.conjoin_bounds("luk", [TruthBounds(np.zeros(4)), TruthBounds(np.zeros(6))])
 
 
-class TestDisjoinBounds:
-    def test_de_morgan_identity_holds_by_construction(self):
+class TestDeMorganDisjunction:
+    def test_de_morgan_gives_the_dual_conorm(self):
+        # not(T(not a, not b)) per slot: the probabilistic sum for prod and the
+        # bounded sum for luk, on lowers and uppers alike
         rng = np.random.default_rng(3)
-        for kind in KINDS:
-            inputs = [random_bounds(rng) for _ in range(2)]
-            direct = logic.disjoin_bounds(kind, inputs)
-            manual = logic.negate(
-                logic.conjoin_bounds(kind, [logic.negate(b) for b in inputs]))
-            np.testing.assert_array_equal(direct.values, manual.values)
+        conorms = {"prod": lambda a, b: a + b - a * b, "luk": lambda a, b: np.minimum(1.0, a + b)}
+        for kind, conorm in conorms.items():
+            a, b = (random_bounds(rng).values for _ in range(2))
+            np.testing.assert_allclose(disjoin(kind, [a, b]), conorm(a, b), atol=1e-12)
 
-    def test_disjoin_with_all_false_is_identity_under_min(self):
+    def test_disjoin_with_all_false_is_identity(self):
         rng = np.random.default_rng(4)
         tb = random_bounds(rng)
-        bottom = TruthBounds(np.zeros(12))
-        out = logic.disjoin_bounds("min", [tb, bottom])
-        np.testing.assert_array_equal(out.values, tb.values)
+        bottom = np.zeros(12)
+        np.testing.assert_array_equal(disjoin("prod", [tb.values, bottom]), tb.values)
+        np.testing.assert_allclose(disjoin("luk", [tb.values, bottom]), tb.values, atol=1e-12)
 
     def test_disjoin_idempotent_under_min_weighted(self):
         rng = np.random.default_rng(5)
         tb = random_bounds(rng)
-        ones = [np.ones(6), np.ones(6)]
-        out = logic.disjoin_bounds("min", [tb, tb], ones)
-        np.testing.assert_allclose(out.values, tb.values, atol=1e-6)
+        np.testing.assert_allclose(disjoin("min", [tb.values, tb.values]), tb.values, atol=1e-6)
 
     def test_probabilistic_sum_for_prod(self):
-        tb = TruthBounds(np.array([0.5, 0.5]))
-        out = logic.disjoin_bounds("prod", [tb, tb])
-        np.testing.assert_allclose(out.values, [0.75, 0.75])
+        half = np.array([0.5, 0.5])
+        np.testing.assert_allclose(disjoin("prod", [half, half]), [0.75, 0.75])
 
 
 class TestEntropy:
     def test_full_interval_has_zero_entropy(self):
-        tb = TruthBounds.from_pairs([0.0], [1.0])
-        assert logic.entropy_vector(tb)[0] == 0.0
+        assert logic.entropy_slots(np.array([0.0, 1.0]))[0] == 0.0
 
     def test_half_interval(self):
-        tb = TruthBounds.from_pairs([0.25], [0.75])
-        assert logic.entropy_vector(tb)[0] == pytest.approx(np.log(0.5))
+        assert logic.entropy_slots(np.array([0.25, 0.75]))[0] == pytest.approx(np.log(0.5))
 
     def test_point_truth_clamped(self):
-        tb = TruthBounds.from_pairs([0.3], [0.3])
-        assert logic.entropy_vector(tb)[0] == pytest.approx(np.log(1e-9))
-        assert np.isfinite(logic.entropy_vector(tb)).all()
+        entropy = logic.entropy_slots(np.array([0.3, 0.3]))
+        assert entropy[0] == pytest.approx(np.log(1e-9))
+        assert np.isfinite(entropy).all()
+
+    def test_batched_rows(self):
+        rows = np.array([[0.0, 0.25, 1.0, 0.75], [0.5, 0.5, 0.5, 0.5]])
+        np.testing.assert_allclose(logic.entropy_slots(rows),
+                                   [[0.0, np.log(0.5)], [np.log(1e-9)] * 2])

@@ -131,13 +131,18 @@ class TestTapeOperatorsMatchLogic:
         negated = ctx.negate(leaves[0]).value
         ones = [np.ones(D)] * k
         alpha = params.config.alpha
+
+        def negate(v):  # [l, u] -> [1 - u, 1 - l]
+            return np.concatenate([1.0 - v[D:], 1.0 - v[:D]])
+
         for row in range(4):
             inputs = [TruthBounds(v[row]) for v in values]
             np.testing.assert_array_equal(
                 conjoined[row], logic.conjoin_bounds(kind, inputs, ones, alpha).values)
+            flipped = [TruthBounds(negate(v[row])) for v in values]
             np.testing.assert_array_equal(
-                disjoined[row], logic.disjoin_bounds(kind, inputs, ones, alpha).values)
-            np.testing.assert_array_equal(negated[row], logic.negate(inputs[0]).values)
+                disjoined[row], negate(logic.conjoin_bounds(kind, flipped, ones, alpha).values))
+            np.testing.assert_array_equal(negated[row], negate(values[0][row]))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bounds_mode_with_attention_weights(self, kind):
@@ -159,9 +164,10 @@ class TestTapeOperatorsMatchLogic:
         values = [rng.uniform(0.0, 1.0, (4, 2 * D)) for _ in range(3)]
         ctx = ForwardContext(params, train=True)
         leaves = [ctx.tape.leaf(v) for v in values]
-        want = logic.weighted_tnorm(kind, np.ones((3, 4, 2 * D)), np.stack(values),
-                                    params.config.alpha)
+        want, repairs = logic.conjoin_slots(kind, values, [np.ones((4, 2 * D))] * 3,
+                                            params.config.alpha, "point")
         np.testing.assert_array_equal(ctx.conjoin(leaves).value, want)
+        assert repairs == 0
         np.testing.assert_array_equal(ctx.negate(leaves[0]).value, 1.0 - values[0])
 
 
@@ -302,11 +308,20 @@ class TestSlotPlans:
             algebra.structure_plan.cache_clear()
             algebra.plan_branches.cache_clear()
 
-    def test_oracle_and_sampler_never_validate(self, graph, monkeypatch):
-        algebra.structure_plan("2in")  # compiled and validated before the count starts
-        calls = []
-        original = algebra.validate
-        monkeypatch.setattr(algebra, "validate", lambda plan: calls.append(1) or original(plan))
-        oracle.sample_dataset(graph, ("2in",), 3, 0, "generalization")
-        oracle.eval_plan(algebra.structure_plan("2in"), (0, 1), (0, 1), kg.build_index(graph))
-        assert calls == []
+    def test_warm_cache_builds_no_plan(self, graph, dataset, monkeypatch):
+        """Once every structure's plan and branches are cached, sampling and
+        ranking build no QueryPlan, so the shape check never runs again."""
+        for structure in algebra.STRUCTURE_NAMES:
+            for union in algebra.UNION_MODES:
+                algebra.plan_branches(structure, union)
+        built = []
+        original = algebra.QueryPlan.__post_init__
+        monkeypatch.setattr(algebra.QueryPlan, "__post_init__",
+                            lambda plan: built.append(1) or original(plan))
+        oracle.sample_dataset(graph, algebra.STRUCTURE_NAMES, 2, 0, "generalization")
+        for union in algebra.UNION_MODES:
+            evaluation.evaluate_ranking(dataset, _params(), union)
+        assert built == []
+        plan = algebra.PlanBuilder()
+        plan.build(plan.add(algebra.Anchor(0)))
+        assert built == [1]  # the counter does see a plan being built

@@ -145,6 +145,24 @@ class TestDeMorgan:
             assert oracle.eval_plan(direct, *bindings) == oracle.eval_plan(rewritten, *bindings)
 
 
+class TestDnfBranches:
+    @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
+    @pytest.mark.parametrize("structure", algebra.UNION_STRUCTURES)
+    def test_branch_answers_union_to_the_plan(self, structure, splits, small_graph):
+        index = kg.build_index(small_graph, splits)
+        branches = algebra.plan_branches(structure, "dnf")
+        assert len(branches) == 2
+        rng = np.random.default_rng(algebra.STRUCTURE_NAMES.index(structure))
+        nonempty = 0
+        for _ in range(100):
+            instance = random_instance(structure, rng, 50, 3)
+            bindings = (instance.anchors, instance.relations, index)
+            full = oracle.eval_plan(algebra.structure_plan(structure), *bindings)
+            assert set().union(*(oracle.eval_plan(b, *bindings) for b in branches)) == full
+            nonempty += bool(full)
+        assert nonempty >= 20
+
+
 class TestSampling:
     def test_entailment_mode_has_no_hard_answers(self, small_graph):
         dataset = oracle.sample_dataset(
