@@ -455,13 +455,24 @@ def instance_to_record(instance: QueryInstance, graph, easy=(), hard=()) -> dict
 
 
 def record_to_instance(record: dict, graph) -> tuple[QueryInstance, tuple[int, ...], tuple[int, ...]]:
+    """Resolve a JSONL query record against the graph's vocabularies. Raises
+    DataError on a missing field, a ``structure`` that is not a string, name
+    fields that are not lists of names, or an unknown name."""
     try:
         structure = record["structure"]
-        anchors = tuple(graph.entities.id_of(n) for n in record["anchors"])
-        relations = tuple(graph.relations.id_of(n) for n in record["relations"])
+        fields = {"anchors": record["anchors"], "relations": record["relations"],
+                  "easy": record.get("easy", []), "hard": record.get("hard", [])}
     except KeyError as exc:
         raise DataError(f"query record missing field {exc}") from None
-    instance = QueryInstance(structure, anchors, relations)
-    easy = tuple(sorted(graph.entities.id_of(n) for n in record.get("easy", [])))
-    hard = tuple(sorted(graph.entities.id_of(n) for n in record.get("hard", [])))
+    if not isinstance(structure, str):
+        raise DataError(f"query record field 'structure' must be a string, "
+                        f"got {type(structure).__name__}")
+    for name, names in fields.items():
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DataError(f"query record field {name!r} must be a list of names")
+    instance = QueryInstance(structure,
+                             tuple(graph.entities.id_of(n) for n in fields["anchors"]),
+                             tuple(graph.relations.id_of(n) for n in fields["relations"]))
+    easy = tuple(sorted(graph.entities.id_of(n) for n in fields["easy"]))
+    hard = tuple(sorted(graph.entities.id_of(n) for n in fields["hard"]))
     return instance, easy, hard

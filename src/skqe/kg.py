@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,7 +123,9 @@ class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
     Built from the subset of triples whose split label is in ``splits``;
-    immutable afterwards and safe for concurrent reads.
+    immutable afterwards and safe for concurrent reads. The derived
+    ``incoming``, ``tails`` and ``universe`` are computed on first use and
+    kept on the index (a racing first read at worst builds one twice).
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
@@ -142,6 +145,26 @@ class AdjacencyIndex:
     def lookup(self, head: int, relation: int) -> tuple[int, ...]:
         """Tails of ``relation`` edges out of ``head``; empty for unknown pairs."""
         return self.forward.get((head, relation), ())
+
+    @functools.cached_property
+    def incoming(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """The (head, relation) pairs into each tail, in (head, relation) order,
+        for the sampler's inverse walks. Built on first use, once per index."""
+        incoming: dict[int, list[tuple[int, int]]] = {}
+        for (h, r), tails in sorted(self.forward.items()):
+            for t in tails:
+                incoming.setdefault(t, []).append((h, r))
+        return {t: tuple(pairs) for t, pairs in incoming.items()}
+
+    @functools.cached_property
+    def tails(self) -> tuple[int, ...]:
+        """Every entity with an incoming edge, ascending. Built on first use."""
+        return tuple(sorted(self.incoming))
+
+    @functools.cached_property
+    def universe(self) -> frozenset[int]:
+        """All entity ids, the set a complement is taken against."""
+        return frozenset(range(self.num_entities))
 
 
 def build_index(graph: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> AdjacencyIndex:

@@ -1,11 +1,30 @@
-"""Exact set-semantics evaluation of query plans and dataset generation."""
+"""Exact set-semantics evaluation of query plans and dataset generation.
+
+``eval_plan`` answers a cached structure plan (or DNF branch) under an
+instance's slot bindings in one forward pass over its nodes; complements are
+taken against the index's ``universe``. ``exhaustive_eval`` is the plan-free
+brute-force reference.
+
+``sample_queries`` draws queries by inverse random walks: it draws an answer
+entity, then walks the template's atoms backwards from it in
+``walk_order(template)`` (worked out once per template) through the walked
+index's ``incoming`` table (built once per ``AdjacencyIndex``). Each attempt
+draws the same random numbers in the same order as a walk that works its
+order out as it goes, so a (graph, structure, count, seed, mode) request
+always yields the same queries. Only the (anchors, relations) bindings of an
+attempt are kept until its answers pass the mode's filter; duplicates are
+dropped. ``sample_dataset`` samples several structures over one pair of
+indexes and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,12 +32,12 @@ from . import algebra
 from .algebra import (
     Anchor,
     Conjoin,
-    Disjoin,
     Negate,
     QueryInstance,
     QueryPlan,
     Relate,
     TEMPLATES,
+    Template,
 )
 from .errors import DataError
 from .kg import SPLITS, AdjacencyIndex, KnowledgeGraph, build_index
@@ -39,73 +58,48 @@ def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:
     return out
 
 
-def _eval_node(plan: QueryPlan, node_id: int, anchors, relations, index: AdjacencyIndex,
-               cache: dict[int, tuple[set[int], bool]]) -> tuple[set[int], bool]:
-    """Evaluate to (set, complemented); complements stay lazy inside conjunctions."""
-    if node_id in cache:
-        return cache[node_id]
-    node = plan.nodes[node_id]
-    if isinstance(node, Anchor):
-        result = ({anchors[node.slot]}, False)
-    elif isinstance(node, Relate):
-        base, complemented = _eval_node(plan, node.input, anchors, relations, index, cache)
-        if complemented:
-            base = set(range(index.num_entities)) - base
-        result = (follow(relations[node.slot], base, index), False)
-    elif isinstance(node, Negate):
-        base, complemented = _eval_node(plan, node.input, anchors, relations, index, cache)
-        result = (base, not complemented)
-    elif isinstance(node, Conjoin):
-        parts = [_eval_node(plan, i, anchors, relations, index, cache) for i in node.inputs]
-        positives = [s for s, c in parts if not c]
-        negatives = [s for s, c in parts if c]
-        if positives:
-            acc = set(positives[0])
-            for s in positives[1:]:
-                acc &= s
-            for s in negatives:
-                acc -= s
-            result = (acc, False)
-        else:
-            # all inputs complemented: intersection of complements
-            acc = set(negatives[0])
-            for s in negatives[1:]:
-                acc |= s
-            result = (acc, True)
-    elif isinstance(node, Disjoin):
-        parts = [_eval_node(plan, i, anchors, relations, index, cache) for i in node.inputs]
-        positives = [s for s, c in parts if not c]
-        negatives = [s for s, c in parts if c]
-        if negatives:
-            acc = set(negatives[0])
-            for s in negatives[1:]:
-                acc &= s
-            for s in positives:
-                acc -= s
-            result = (acc, True)
-        else:
-            acc = set()
-            for s in positives:
-                acc |= s
-            result = (acc, False)
-    else:
-        raise DataError(f"unknown plan node {type(node).__name__}")
-    cache[node_id] = result
-    return result
-
-
 def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set[int]:
-    """Answer set of a plan under its slot bindings, evaluated bottom-up;
-    complements are taken against the full universe.
+    """Answer set of a plan under its slot bindings.
 
     ``plan`` is one structure's plan (``algebra.structure_plan``) or one of
     its DNF branches, valid by construction, and ``anchors`` / ``relations``
-    are an instance's ids for its anchor and relation slots.
+    are an instance's ids for its anchor and relation slots. One forward pass
+    over the nodes suffices because every input comes before its node. Each
+    node evaluates to (set, complemented): complements stay lazy inside
+    joins and are taken against the index's universe only where a relation
+    is followed or at the sink.
     """
-    answers, complemented = _eval_node(plan, plan.sink, anchors, relations, index, {})
-    if complemented:
-        return set(range(index.num_entities)) - answers
-    return answers
+    values: list[tuple[set[int], bool]] = []
+    for node in plan.nodes:
+        if isinstance(node, Relate):
+            base, complemented = values[node.input]
+            if complemented:
+                base = index.universe - base
+            values.append((follow(relations[node.slot], base, index), False))
+        elif isinstance(node, Anchor):
+            values.append(({anchors[node.slot]}, False))
+        elif isinstance(node, Negate):
+            base, complemented = values[node.input]
+            values.append((base, not complemented))
+        else:  # Conjoin or Disjoin
+            parts = [values[i] for i in node.inputs]
+            positives = [s for s, c in parts if not c]
+            negatives = [s for s, c in parts if c]
+            if isinstance(node, Conjoin):
+                if positives:
+                    acc = positives[0].intersection(*positives[1:])
+                    acc.difference_update(*negatives)
+                    values.append((acc, False))
+                else:  # all inputs complemented: the complement of their union
+                    values.append((set().union(*negatives), True))
+            elif negatives:  # the complement of (negated sets minus the positive ones)
+                acc = negatives[0].intersection(*negatives[1:])
+                acc.difference_update(*positives)
+                values.append((acc, True))
+            else:
+                values.append((set().union(*positives), False))
+    answers, complemented = values[-1]
+    return set(index.universe - answers) if complemented else answers
 
 
 def exhaustive_eval(instance: QueryInstance, graph: KnowledgeGraph,
@@ -205,49 +199,71 @@ class QueryDataset:
                 raise DataError("easy/hard answer sets overlap")
 
 
-def _incoming_table(index: AdjacencyIndex) -> dict[int, list[tuple[int, int]]]:
-    incoming: dict[int, list[tuple[int, int]]] = {}
-    for (h, r), tails in sorted(index.forward.items()):
-        for t in tails:
-            incoming.setdefault(t, []).append((h, r))
-    return incoming
+class WalkOrder(NamedTuple):
+    """A template's atoms in the order the sampler walks them. Terms are
+    numbered from the target (0) in the order the walk binds them."""
+
+    steps: tuple[tuple[int, int, int], ...]  # (dst term, src term or -1, relation slot or -1)
+    num_terms: int
+    anchors: tuple[int, ...]  # term numbers of the anchor slots
+    num_relations: int
 
 
-def _walk_instance(template, answer: int, incoming, rng) -> QueryInstance | None:
-    """Instantiate a template by walking its atoms backwards from ``answer``.
-
-    Negated atoms are walked like positive ones so the sampled negation is
-    informative (it actually excludes the walked entity).
-    """
-    assign: dict[str, int] = {algebra.TARGET_TERM: answer}
-    relations: dict[int, int] = {}
-    # walk atoms in reverse dependency order: dst always assigned before src
+@functools.cache
+def walk_order(template: Template) -> WalkOrder:
+    """Work out once per template the order in which the inverse walk visits
+    its atoms: in passes over the pending atoms, each atom whose destination
+    is already bound, in template order. A step binds its source term and
+    its relation slot only where no earlier step did; a later atom through a
+    bound slot still draws an edge but keeps the slot's first relation.
+    Raises DataError when the atoms are not a DAG rooted at the target."""
+    number = {algebra.TARGET_TERM: 0}
+    walked: set[int] = set()
+    steps = []
     pending = list(template.atoms)
     while pending:
         progressed = False
         for atom in list(pending):
-            if atom.dst not in assign:
+            if atom.dst not in number:
                 continue
             pending.remove(atom)
             progressed = True
-            options = incoming.get(assign[atom.dst], [])
-            if not options:
-                return None
-            head, rel = options[int(rng.integers(len(options)))]
-            if atom.relation in relations and relations[atom.relation] != rel:
-                # positional slot already walked through another atom; reuse it
-                rel = relations[atom.relation]
-            relations[atom.relation] = rel
-            if atom.src in assign:
-                continue  # only the relation mattered; source already fixed
-            assign[atom.src] = head
+            src = slot = -1
+            if atom.src not in number:
+                src = number[atom.src] = len(number)
+            if atom.relation not in walked:
+                slot = atom.relation
+                walked.add(slot)
+            steps.append((number[atom.dst], src, slot))
         if not progressed:
             raise DataError(f"template {template.name} atoms are not a DAG")
-    anchors = tuple(
-        assign[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors]
-    )
-    rels = tuple(relations[i] for i in range(template.num_relations))
-    return QueryInstance(template.name, anchors, rels)
+    anchors = tuple(number[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors])
+    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations)
+
+
+def _walk_instance(order: WalkOrder, answer: int, incoming,
+                   rng) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Bind a template's slots by walking its atoms backwards from ``answer``.
+
+    Each step of ``order`` draws one (head, relation) edge into its
+    destination's entity from ``incoming`` (``AdjacencyIndex.incoming``).
+    Returns the (anchors, relations) bindings, or None where the walk meets
+    an entity without incoming edges. Negated atoms are walked like positive
+    ones so the sampled negation is informative (it actually excludes the
+    walked entity).
+    """
+    terms = [answer] * order.num_terms
+    relations = [0] * order.num_relations
+    for dst, src, slot in order.steps:
+        options = incoming.get(terms[dst])
+        if not options:
+            return None
+        head, rel = options[int(rng.integers(len(options)))]
+        if src >= 0:
+            terms[src] = head
+        if slot >= 0:
+            relations[slot] = rel
+    return tuple(terms[a] for a in order.anchors), tuple(relations)
 
 
 def sample_queries(
@@ -270,30 +286,28 @@ def sample_queries(
         raise DataError(f"unknown dataset mode {mode!r}")
     if count < 1:
         raise DataError("count must be at least 1")
-    template = TEMPLATES[structure]
     plan = algebra.structure_plan(structure)
+    order = walk_order(TEMPLATES[structure])
     if full_index is None:
         full_index = build_index(graph, SPLITS)
     if train_index is None:
         train_index = build_index(graph, ("train",))
     walk_index = train_index if mode == "train" else full_index
-    incoming = _incoming_table(walk_index)
-    tails = sorted(incoming)
+    incoming, tails = walk_index.incoming, walk_index.tails
     if not tails:
         raise DataError("graph subset has no edges to walk")
 
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     samples: list[QuerySample] = []
-    seen: set[QueryInstance] = set()
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     budget = RETRY_FACTOR * count
     attempts = 0
     while len(samples) < count and attempts < budget:
         attempts += 1
         answer = tails[int(rng.integers(len(tails)))]
-        instance = _walk_instance(template, answer, incoming, rng)
-        if instance is None or instance in seen:
+        bindings = _walk_instance(order, answer, incoming, rng)
+        if bindings is None or bindings in seen:
             continue
-        bindings = instance.anchors, instance.relations
         if mode == "train":
             easy = eval_plan(plan, *bindings, train_index)
             hard: set[int] = set()
@@ -314,10 +328,9 @@ def sample_queries(
             hard = full - easy
             if not hard:
                 continue
-        seen.add(instance)
-        samples.append(
-            QuerySample(instance, tuple(sorted(easy)), tuple(sorted(hard)))
-        )
+        seen.add(bindings)
+        samples.append(QuerySample(QueryInstance(structure, *bindings),
+                                   tuple(sorted(easy)), tuple(sorted(hard))))
     if len(samples) < count:
         log.warning(
             "sampled only %d/%d %s queries within the retry budget",
@@ -334,7 +347,16 @@ def sample_dataset(
     mode: str,
     negation_frac: float = 1.0,
 ) -> QueryDataset:
-    """Sample a dataset across structures, optionally thinning negation forms."""
+    """Sample a dataset across structures, optionally thinning negation forms.
+
+    Raises DataError on a repeated structure or unless ``negation_frac`` is
+    finite and in (0, 1].
+    """
+    repeated = sorted({s for s in structures if structures.count(s) > 1})
+    if repeated:
+        raise DataError(f"repeated structures: {repeated}")
+    if not 0 < negation_frac <= 1:  # also false for NaN
+        raise DataError(f"negation_frac must be in (0, 1], got {negation_frac}")
     full_index = build_index(graph, SPLITS)
     train_index = build_index(graph, ("train",))
     samples: list[QuerySample] = []
@@ -389,10 +411,18 @@ def read_dataset(path: str | Path, graph: KnowledgeGraph,
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{line_no}: expected a JSON object, "
+                                f"got {type(obj).__name__}")
             if "meta" in obj:
                 metadata = obj["meta"]
+                if not isinstance(metadata, dict):
+                    raise DataError(f"{path}:{line_no}: 'meta' must be a JSON object")
                 continue
-            instance, easy, hard = algebra.record_to_instance(obj, graph)
+            try:
+                instance, easy, hard = algebra.record_to_instance(obj, graph)
+            except DataError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from None
             samples.append(QuerySample(instance, easy, hard))
     if check_hash and metadata.get("graph_hash"):
         actual = graph.content_hash()

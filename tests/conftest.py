@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg
+from skqe import algebra, autodiff as ad, kg, oracle
+from skqe.errors import DataError
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +114,184 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     return pos_term + neg_term, d_pos.value, d_neg.value
+
+
+# --- the sampler as it was before the static walk order ------------------------
+# Kept verbatim, apart from names and counters, as the independent reference
+# for ``oracle.walk_order``, ``oracle._walk_instance``, the one-pass
+# ``oracle.eval_plan`` and the walk table on ``kg.AdjacencyIndex``: the walk
+# order is worked out again on every attempt, plans are evaluated by recursion
+# with a cache, and the incoming table is rebuilt for every structure.
+
+def reference_eval_node(plan, node_id: int, anchors, relations, index,
+                        cache: dict[int, tuple[set[int], bool]]) -> tuple[set[int], bool]:
+    """Evaluate to (set, complemented); complements stay lazy inside conjunctions."""
+    if node_id in cache:
+        return cache[node_id]
+    node = plan.nodes[node_id]
+    if isinstance(node, algebra.Anchor):
+        result = ({anchors[node.slot]}, False)
+    elif isinstance(node, algebra.Relate):
+        base, complemented = reference_eval_node(plan, node.input, anchors, relations, index, cache)
+        if complemented:
+            base = set(range(index.num_entities)) - base
+        result = (oracle.follow(relations[node.slot], base, index), False)
+    elif isinstance(node, algebra.Negate):
+        base, complemented = reference_eval_node(plan, node.input, anchors, relations, index, cache)
+        result = (base, not complemented)
+    elif isinstance(node, algebra.Conjoin):
+        parts = [reference_eval_node(plan, i, anchors, relations, index, cache)
+                 for i in node.inputs]
+        positives = [s for s, c in parts if not c]
+        negatives = [s for s, c in parts if c]
+        if positives:
+            acc = set(positives[0])
+            for s in positives[1:]:
+                acc &= s
+            for s in negatives:
+                acc -= s
+            result = (acc, False)
+        else:
+            # all inputs complemented: intersection of complements
+            acc = set(negatives[0])
+            for s in negatives[1:]:
+                acc |= s
+            result = (acc, True)
+    elif isinstance(node, algebra.Disjoin):
+        parts = [reference_eval_node(plan, i, anchors, relations, index, cache)
+                 for i in node.inputs]
+        positives = [s for s, c in parts if not c]
+        negatives = [s for s, c in parts if c]
+        if negatives:
+            acc = set(negatives[0])
+            for s in negatives[1:]:
+                acc &= s
+            for s in positives:
+                acc -= s
+            result = (acc, True)
+        else:
+            acc = set()
+            for s in positives:
+                acc |= s
+            result = (acc, False)
+    else:
+        raise DataError(f"unknown plan node {type(node).__name__}")
+    cache[node_id] = result
+    return result
+
+
+def reference_eval_plan(plan, anchors, relations, index) -> set[int]:
+    answers, complemented = reference_eval_node(plan, plan.sink, anchors, relations, index, {})
+    if complemented:
+        return set(range(index.num_entities)) - answers
+    return answers
+
+
+def reference_incoming_table(index) -> dict[int, list[tuple[int, int]]]:
+    incoming: dict[int, list[tuple[int, int]]] = {}
+    for (h, r), tails in sorted(index.forward.items()):
+        for t in tails:
+            incoming.setdefault(t, []).append((h, r))
+    return incoming
+
+
+def reference_walk_instance(template, answer: int, incoming, rng) -> algebra.QueryInstance | None:
+    """Instantiate a template by walking its atoms backwards from ``answer``,
+    working out the atom order as it goes."""
+    assign: dict[str, int] = {algebra.TARGET_TERM: answer}
+    relations: dict[int, int] = {}
+    # walk atoms in reverse dependency order: dst always assigned before src
+    pending = list(template.atoms)
+    while pending:
+        progressed = False
+        for atom in list(pending):
+            if atom.dst not in assign:
+                continue
+            pending.remove(atom)
+            progressed = True
+            options = incoming.get(assign[atom.dst], [])
+            if not options:
+                return None
+            head, rel = options[int(rng.integers(len(options)))]
+            if atom.relation in relations and relations[atom.relation] != rel:
+                # positional slot already walked through another atom; reuse it
+                rel = relations[atom.relation]
+            relations[atom.relation] = rel
+            if atom.src in assign:
+                continue  # only the relation mattered; source already fixed
+            assign[atom.src] = head
+        if not progressed:
+            raise DataError(f"template {template.name} atoms are not a DAG")
+    anchors = tuple(
+        assign[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors]
+    )
+    rels = tuple(relations[i] for i in range(template.num_relations))
+    return algebra.QueryInstance(template.name, anchors, rels)
+
+
+def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
+                             full_index, train_index) -> tuple[list, int, int]:
+    """The samples of ``oracle.sample_queries``, with the number of walk
+    attempts and of plan evaluations it took."""
+    template = algebra.TEMPLATES[structure]
+    plan = algebra.structure_plan(structure)
+    walk_index = train_index if mode == "train" else full_index
+    incoming = reference_incoming_table(walk_index)
+    tails = sorted(incoming)
+    rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
+    samples: list[oracle.QuerySample] = []
+    seen: set[algebra.QueryInstance] = set()
+    attempts = evals = 0
+    while len(samples) < count and attempts < oracle.RETRY_FACTOR * count:
+        attempts += 1
+        answer = tails[int(rng.integers(len(tails)))]
+        instance = reference_walk_instance(template, answer, incoming, rng)
+        if instance is None or instance in seen:
+            continue
+        bindings = instance.anchors, instance.relations
+        if mode == "train":
+            evals += 1
+            easy = reference_eval_plan(plan, *bindings, train_index)
+            hard: set[int] = set()
+            if not easy:
+                continue
+        elif mode == "entailment":
+            evals += 1
+            easy = reference_eval_plan(plan, *bindings, full_index)
+            hard = set()
+            if not easy:
+                continue
+        else:
+            evals += 1
+            full = reference_eval_plan(plan, *bindings, full_index)
+            if not full:
+                continue
+            evals += 1
+            easy = reference_eval_plan(plan, *bindings, train_index) & full
+            hard = full - easy
+            if not hard:
+                continue
+        seen.add(instance)
+        samples.append(oracle.QuerySample(instance, tuple(sorted(easy)), tuple(sorted(hard))))
+    return samples, attempts, evals
+
+
+def reference_sample_dataset(graph, structures, per_structure: int, seed: int, mode: str,
+                             negation_frac: float = 1.0) -> tuple[oracle.QueryDataset, dict, dict]:
+    """``oracle.sample_dataset`` through the reference sampler, with the walk
+    attempts and plan evaluations per structure."""
+    full_index = kg.build_index(graph, kg.SPLITS)
+    train_index = kg.build_index(graph, ("train",))
+    samples: list[oracle.QuerySample] = []
+    counts, attempts, evals = {}, {}, {}
+    for structure in structures:
+        count = per_structure
+        if structure in algebra.NEGATION_STRUCTURES:
+            count = max(1, int(round(per_structure * negation_frac)))
+        got, attempts[structure], evals[structure] = reference_sample_queries(
+            structure, count, seed, mode, full_index, train_index)
+        counts[structure] = len(got)
+        samples.extend(got)
+    metadata = {"graph_hash": graph.content_hash(), "mode": mode, "seed": seed,
+                "counts": counts}
+    return oracle.QueryDataset(samples, metadata), attempts, evals

@@ -155,3 +155,40 @@ def test_wrong_anchor_count_exits_with_data_error(files, command, every, tmp_pat
     assert code == cli.EXIT_DATA
     assert "1p expects 1 anchors, got 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--structures", "1p,1p"],
+    ["--negation-frac", "nan"],
+    ["--negation-frac", "inf"],
+    ["--negation-frac", "-1"],
+    ["--negation-frac", "0"],
+], ids=["repeated-structure", "frac-nan", "frac-inf", "frac-negative", "frac-zero"])
+def test_gen_queries_bad_sampling_request_exits_with_data_error(files, extra, tmp_path, capsys):
+    out = tmp_path / "q.jsonl"
+    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "entailment",
+                     "--per-structure", "5", *extra, "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ("3", "expected a JSON object, got int"),
+    ('{"structure": "1p", "anchors": "e1", "relations": ["r0"]}',
+     "query record field 'anchors' must be a list of names"),
+], ids=["int-line", "anchors-string"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_malformed_query_file_exits_with_data_error(files, command, record, message,
+                                                    tmp_path, capsys):
+    queries = tmp_path / "q.jsonl"
+    lines = (files / "q.jsonl").read_text().splitlines()
+    queries.write_text("\n".join([lines[0], record, *lines[1:]]) + "\n")
+    out = tmp_path / "out"
+    extra = (["--ckpt", str(files / "model.ckpt")] if command == "eval" else
+             ["--steps", "1", "--batch-size", "4", "--negatives", "4", "--d", "16", "--h", "16"])
+    code = cli.main([command, "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(out), *extra])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {queries}:2: {message}\n"
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,12 @@ from skqe import algebra, kg, oracle
 from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, PlanBuilder, QueryInstance, Relate
 from skqe.errors import DataError
 
-from conftest import random_instance
+from conftest import (
+    random_instance,
+    reference_eval_plan,
+    reference_incoming_table,
+    reference_sample_dataset,
+)
 
 
 def answers(instance: QueryInstance, index: kg.AdjacencyIndex) -> set[int]:
@@ -73,6 +80,105 @@ class TestEvalPlan:
         relate = plan.add(Relate(0, anchor))
         plan = plan.build(plan.add(Negate(relate)))
         assert oracle.eval_plan(plan, (0,), (0,), kg.build_index(toy_graph)) == {0, 3}
+
+
+def _with_complemented_sink(plan):
+    """The plan's complement, and that complement followed through relation 0."""
+    negated = PlanBuilder(plan.nodes)
+    negated = negated.build(negated.add(Negate(plan.sink)))
+    followed = PlanBuilder(negated.nodes)
+    followed = followed.build(followed.add(Relate(0, negated.sink)))
+    return negated, followed
+
+
+class TestReferenceParity:
+    """The one-pass evaluator and the static walk against the recursive
+    evaluator and the dynamic walk kept in conftest."""
+
+    @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_eval_plan_matches_recursive_reference(self, structure, splits, small_graph):
+        index = kg.build_index(small_graph, splits)
+        plans = {algebra.structure_plan(structure), *algebra.plan_branches(structure, "dnf")}
+        plans |= {variant for plan in list(plans) for variant in _with_complemented_sink(plan)}
+        rng = np.random.default_rng([5, algebra.STRUCTURE_NAMES.index(structure)])
+        sampled = oracle.sample_dataset(small_graph, (structure,), 10, seed=5,
+                                        mode="generalization")
+        bindings = [(s.instance.anchors, s.instance.relations) for s in sampled.samples]
+        for _ in range(30):
+            instance = random_instance(structure, rng, 50, 3)
+            bindings.append((instance.anchors, instance.relations))
+        nonempty = 0
+        for plan in plans:
+            for anchors, relations in bindings:
+                got = oracle.eval_plan(plan, anchors, relations, index)
+                assert got == reference_eval_plan(plan, anchors, relations, index)
+                nonempty += 0 < len(got) < index.num_entities
+        assert nonempty >= 10
+
+    @pytest.mark.parametrize("join", [Conjoin, Disjoin])
+    @pytest.mark.parametrize("negated", list(itertools.product((False, True), repeat=3)))
+    def test_eval_plan_matches_reference_on_every_join_case(self, join, negated, small_index):
+        # three one-hop inputs, each negated or not: joins of positives only,
+        # of complements only and mixed, including a complemented sink
+        plan = PlanBuilder()
+        parts = []
+        for slot, negate in enumerate(negated):
+            node = plan.add(Relate(slot, plan.add(Anchor(slot))))
+            parts.append(plan.add(Negate(node)) if negate else node)
+        plan = plan.build(plan.add(join(tuple(parts))))
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            anchors = tuple(int(x) for x in rng.integers(0, 50, 3))
+            relations = tuple(int(x) for x in rng.permutation(3))
+            assert oracle.eval_plan(plan, anchors, relations, small_index) == \
+                reference_eval_plan(plan, anchors, relations, small_index)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
+    def test_sample_dataset_matches_dynamic_walk(self, mode, seed, small_graph):
+        got = oracle.sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12, seed, mode)
+        want, _, _ = reference_sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12,
+                                              seed, mode)
+        assert got.samples and got == want
+
+    def test_thinned_negation_matches_dynamic_walk(self, small_graph):
+        got = oracle.sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12, seed=4,
+                                    mode="generalization", negation_frac=0.5)
+        want, _, _ = reference_sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12,
+                                              4, "generalization", negation_frac=0.5)
+        assert got.metadata["counts"]["2in"] == 6
+        assert got == want
+
+    @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
+    def test_walk_table_built_once_per_index(self, splits, small_graph):
+        index = kg.build_index(small_graph, splits)
+        assert index.incoming is index.incoming and index.tails is index.tails
+        assert index.incoming == {t: tuple(pairs)
+                                  for t, pairs in reference_incoming_table(index).items()}
+        assert index.tails == tuple(sorted(reference_incoming_table(index)))
+        assert index.universe == frozenset(range(50))
+
+
+class TestWalkOrder:
+    def test_ip_walks_its_projection_before_the_intersection(self):
+        # r(V, T) binds V from the target, then p(a, V) and q(b, V) bind the anchors
+        order = oracle.walk_order(algebra.TEMPLATES["ip"])
+        assert order.steps == ((0, 1, 2), (1, 2, 0), (1, 3, 1))
+        assert order.anchors == (2, 3) and order.num_terms == 4
+
+    def test_cached_per_template(self):
+        template = algebra.TEMPLATES["pni"]
+        assert oracle.walk_order(template) is oracle.walk_order(template)
+
+    def test_cycle_is_not_a_dag(self):
+        template = algebra.Template("cycle", 1, 3, (
+            algebra.Atom(False, 0, "a", "T"),
+            algebra.Atom(False, 1, "V", "W"),
+            algebra.Atom(False, 2, "W", "V"),
+        ))
+        with pytest.raises(DataError, match="not a DAG"):
+            oracle.walk_order(template)
 
 
 class TestExhaustiveEquivalence:
@@ -205,6 +311,17 @@ class TestSampling:
             assert not (set(sample.easy) & set(sample.hard))
             assert set(sample.answers) == answers(sample.instance, full_index)
 
+    def test_repeated_structure_is_refused(self, small_graph):
+        with pytest.raises(DataError, match=r"repeated structures: \['1p'\]"):
+            oracle.sample_dataset(small_graph, ("1p", "2p", "1p"), 5, seed=1,
+                                  mode="entailment")
+
+    @pytest.mark.parametrize("frac", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_negation_frac_outside_unit_interval_is_refused(self, frac, small_graph):
+        with pytest.raises(DataError, match="negation_frac"):
+            oracle.sample_dataset(small_graph, ("2in",), 5, seed=1, mode="entailment",
+                                  negation_frac=frac)
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, small_graph):
@@ -224,3 +341,31 @@ class TestDatasetIO:
         other = kg.generate_synthetic(50, 3, 2.0, 0.1, 0.1, seed=99)
         with pytest.raises(DataError, match="different graph"):
             oracle.read_dataset(path, other)
+
+    @pytest.mark.parametrize("record, message", [
+        ("3", "expected a JSON object, got int"),
+        ('["1p"]', "expected a JSON object, got list"),
+        ('{"meta": 1}', "'meta' must be a JSON object"),
+        ('{"structure": 1, "anchors": ["e1"], "relations": ["r0"]}',
+         "query record field 'structure' must be a string, got int"),
+        ('{"structure": ["1p"], "anchors": ["e1"], "relations": ["r0"]}',
+         "query record field 'structure' must be a string, got list"),
+        ('{"structure": "1p", "anchors": "e1", "relations": ["r0"]}',
+         "query record field 'anchors' must be a list of names"),
+        ('{"structure": "1p", "anchors": ["e1"], "relations": {"r0": 1}}',
+         "query record field 'relations' must be a list of names"),
+        ('{"structure": "1p", "anchors": ["e1"], "relations": ["r0"], "easy": "e2"}',
+         "query record field 'easy' must be a list of names"),
+        ('{"structure": "1p", "anchors": ["e1"], "relations": ["r0"], "hard": [3]}',
+         "query record field 'hard' must be a list of names"),
+        ('{"structure": "1p", "anchors": ["e1", "e2"], "relations": ["r0"]}',
+         "1p expects 1 anchors, got 2"),
+    ], ids=["int-line", "list-line", "meta-int", "structure-int", "structure-list",
+            "anchors-string", "relations-object", "easy-string", "hard-ints",
+            "anchor-count"])
+    def test_malformed_record_names_its_line(self, record, message, tmp_path, small_graph):
+        path = tmp_path / "queries.jsonl"
+        path.write_text('{"meta": {"mode": "entailment"}}\n' + record + "\n")
+        with pytest.raises(DataError) as error:
+            oracle.read_dataset(path, small_graph)
+        assert str(error.value) == f"{path}:2: {message}"

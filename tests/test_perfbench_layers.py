@@ -7,14 +7,19 @@ from pathlib import Path
 from skqe import algebra, autodiff, evaluation, model, oracle, training
 from skqe.model import ForwardContext
 
+from conftest import reference_sample_dataset
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (oracle, algebra, autodiff, training, training.Adam, evaluation, model, ForwardContext)
 
 
-def test_instrument_wraps_current_names_and_stop_restores_them(monkeypatch):
+def _perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    layers = importlib.import_module("layers")
-    tracer_mod = importlib.import_module("tracer")
+    return importlib.import_module("layers"), importlib.import_module("tracer")
+
+
+def test_instrument_wraps_current_names_and_stop_restores_them(monkeypatch):
+    layers, tracer_mod = _perfbench(monkeypatch)
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = tracer_mod.Tracer()
     try:
@@ -30,3 +35,34 @@ def test_instrument_wraps_current_names_and_stop_restores_them(monkeypatch):
         now = vars(owner)
         assert now.keys() == saved.keys(), owner
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def test_traced_sampling_counts_every_walk_and_labels_every_eval_plan(monkeypatch, small_graph):
+    """The sampler's per-layer metrics see every attempt and every plan
+    evaluation, each labelled with its structure, as the untraced reference
+    sampler counts them."""
+    layers, tracer_mod = _perfbench(monkeypatch)
+    structures = ("2p", "pi", "2in", "inp", "up")
+    want, attempts, evals = reference_sample_dataset(small_graph, structures, 6, 4,
+                                                     "generalization")
+    tracer = tracer_mod.Tracer()
+    layers.instrument(tracer)
+    try:
+        got = oracle.sample_dataset(small_graph, structures, 6, 4, "generalization")
+    finally:
+        tracer.stop()
+    assert got == want
+    assert tracer.counts["oracle.walk_attempts"] == sum(attempts.values())
+    spans = tracer.spans
+    labels = []
+    for span in spans:
+        if span[tracer_mod.NAME] == "oracle.eval_plan":
+            parent = spans[span[tracer_mod.PARENT]]
+            assert parent[tracer_mod.NAME] == "oracle.sample_queries"
+            assert span[tracer_mod.LABEL] == parent[tracer_mod.LABEL]
+            labels.append(span[tracer_mod.LABEL])
+    assert {s: labels.count(s) for s in structures} == evals
+    metrics = layers.layer_metrics(tracer, ops=1)
+    assert metrics["oracle.walk_attempts"] == sum(attempts.values())
+    assert metrics["oracle.eval_plan_calls"] == sum(evals.values())
+    assert all(metrics[f"oracle.eval_plan_ms.{s}"] > 0 for s in structures)
