@@ -15,8 +15,10 @@ Inference realizes the entity rows it needs; scoring against all entities
 calls ``realize_all_entities``. Training realizes the whole (N, 2d) entity
 table once per optimizer step: every training context of that step gathers
 anchors, positives and negatives from that table as slot-space leaves and
-records one touch (ids, leaf) per gather. The step sums the touches' slot
-gradients per entity and pulls them back through the realization once.
+records one touch (ids, leaf) per gather. The step adds the touches' slot
+gradients, in touch order, into one zeroed (N, 2d) table
+(``training._merge_row_grads``) and pulls the touched rows back through the
+realization once.
 ``ForwardContext.realize`` (the Skolem output's realization) and the fused
 training distance ``ForwardContext.entity_distance`` are tape primitives with
 a hand-derived backward; tests pin them to the composed tape ops.
@@ -210,7 +212,9 @@ def sum_rows(inverse: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """(count, width) sums of ``rows`` grouped by ``inverse``, each group's rows
     added in their order. One flat ``np.bincount`` over ``inverse * width +
     column`` adds in ``np.add.at``'s order, so the sums match it bit for bit
-    (``np.add.reduceat`` regroups them)."""
+    (``np.add.reduceat`` regroups them). ``entity_distance`` sums its draws
+    per distinct entity with it; the step merges its touches, whose ids are
+    already grouped per touch, in a dense table instead."""
     width = rows.shape[-1]
     bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
     return np.bincount(bins, weights=rows.reshape(-1),
@@ -309,8 +313,8 @@ class ForwardContext:
         for j, q in enumerate(branches):
             last = j == len(branches) - 1
             diff = np.subtract(drawn, q.value[:, None, :], out=drawn if last else None)
-            dists.append(np.abs(diff).mean(axis=2))
-            signs.append(np.sign(diff, out=diff))
+            signs.append(np.sign(diff))  # in place it runs several times slower
+            dists.append(np.abs(diff, out=diff).mean(axis=2))
         dists = np.stack(dists)
         choice = np.argmin(dists, axis=0)
 

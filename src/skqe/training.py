@@ -224,16 +224,26 @@ def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray
     return loss_vec, d_pos.value, d_neg.value
 
 
-def _merge_row_grads(touches) -> tuple[np.ndarray, np.ndarray] | None:
+def _merge_row_grads(touches, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Sum the gradient rows of (ids, grads) touches per id; ids come back sorted.
-    Each id's rows are added in touch order (``model.sum_rows``), as
-    ``np.add.at`` adds them, so the sums match it bit for bit."""
+
+    Each touch is added in touch order into one zeroed (rows, width) table:
+    by ``table[ids] += grads`` when its ids are strictly increasing (so
+    distinct, as ``entity_distance``'s are), else by ``np.add.at``. Either way
+    each id's rows are added one after another starting from zero, so the
+    sums match ``np.add.at`` over the concatenated touches bit for bit."""
     if not touches:
         return None
-    unique, inverse = np.unique(np.concatenate([ids for ids, _ in touches]),
-                                return_inverse=True)
-    grads = np.concatenate([grad for _, grad in touches], axis=0)
-    return unique, model_mod.sum_rows(inverse, grads, unique.size)
+    table = np.zeros((rows, touches[0][1].shape[-1]))
+    touched = np.zeros(rows, dtype=bool)
+    for ids, grads in touches:
+        if ids.size < 2 or np.all(ids[1:] > ids[:-1]):
+            table[ids] += grads
+        else:
+            np.add.at(table, ids, grads)
+        touched[ids] = True
+    ids = np.flatnonzero(touched)
+    return ids, table[ids]
 
 
 def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
@@ -268,12 +278,14 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     The (N, 2d) entity table is realized once (``model._realize_parts``) and
     shared by every task's context, which gathers anchors, positives and
     negatives from it and hands back slot-space gradients per touched row.
-    After the merge one ``model._realize_backward`` over the touched rows
-    gives their pre-activation gradients. Returns the loss summed over the
-    batch, the positive and negative scores 1 - D, and the interval-repair
-    count. Each task runs on its own tape and hands back only its gradients,
-    so the tape is freed when the task returns. Raises NumericError on a
-    non-finite loss, before anything is updated.
+    ``_merge_row_grads`` adds those touches, in task and touch order, into
+    one dense table per embedding table, and one ``model._realize_backward``
+    over the touched entity rows gives their pre-activation gradients.
+    Returns the loss summed over the batch, the positive and negative scores
+    1 - D, and the interval-repair count. Each task runs on its own tape and
+    hands back only its gradients, so the tape is freed when the task
+    returns. Raises NumericError on a non-finite loss, before anything is
+    updated.
     """
     mode = params.config.mode
     entities = model_mod._realize_parts(params.arrays["entity"], mode)
@@ -312,12 +324,12 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     for name in DENSE_PARAMS:
         if name in dense_grads:
             optimizer.update_dense(name, params.arrays[name], dense_grads[name])
-    merged = _merge_row_grads(entity_touches)
+    merged = _merge_row_grads(entity_touches, params.config.num_entities)
     if merged is not None:
         ids, slot_grads = merged
         optimizer.update_rows("entity", params.arrays["entity"], ids,
                               model_mod._realize_backward(slot_grads, entities[0][ids], mode))
-    merged = _merge_row_grads(relation_touches)
+    merged = _merge_row_grads(relation_touches, params.config.num_relations)
     if merged is not None:
         optimizer.update_rows("relation", params.arrays["relation"], *merged)
     return (sum(r[0] for r in results),
@@ -403,8 +415,15 @@ def train_step_on_batch(graph: KnowledgeGraph, dataset: QueryDataset,
 
     Positives are the first easy answer of each query, so repeated calls on
     the same batch differ only in their negative draws. Exposed for
-    convergence checks on a frozen batch.
+    convergence checks on a frozen batch. Raises DataError, before any state
+    changes, on an empty batch or an index outside the dataset.
     """
+    if len(batch) == 0:
+        raise DataError("empty batch")
+    bad = [i for i in batch if not 0 <= i < len(dataset.samples)]
+    if bad:
+        raise DataError(f"batch indices {bad} outside the dataset's "
+                        f"{len(dataset.samples)} queries")
     groups = _prepare_groups(dataset)
     local_index: dict[str, int] = {}
     locator: list[tuple[str, int]] = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg, oracle
+from skqe import algebra, autodiff as ad, kg, model, oracle
 from skqe.errors import DataError
 
 
@@ -114,6 +114,20 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     return pos_term + neg_term, d_pos.value, d_neg.value
+
+
+# --- the row-gradient merge as it was before the dense table ----------------
+
+def reference_merge_row_grads(touches, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``training._merge_row_grads`` by concatenation: ``np.unique`` of every
+    touched id, then ``model.sum_rows`` over the inverse. ``rows`` (the table
+    size) is not needed here."""
+    if not touches:
+        return None
+    unique, inverse = np.unique(np.concatenate([ids for ids, _ in touches]),
+                                return_inverse=True)
+    grads = np.concatenate([grad for _, grad in touches], axis=0)
+    return unique, model.sum_rows(inverse, grads, unique.size)
 
 
 # --- the sampler as it was before the static walk order ------------------------

@@ -260,6 +260,26 @@ class TestFusedEntityDistance:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_equal_slots_get_zero_gradient(self, mode):
+        # d|x|/dx is taken as sign(0) = 0 where the entity equals the query,
+        # which np.copysign or a `diff >= 0` test would make +-1
+        params = _params(mode)
+        ids = np.array([[3, 3, 3], [5, 5, 5]])
+        equal = np.zeros(32, dtype=bool)
+        equal[::3] = True
+        table = model._realize_parts(params.arrays["entity"], mode)
+        query = table[1][ids[:, 0]].copy()
+        query[:, ~equal] = np.clip(query[:, ~equal] + 0.1, 0.0, 1.0)
+        ctx = ForwardContext(params, train=True, entities=table)
+        branch = ctx.tape.leaf(query)
+        ad.backward(ad.sum_all(ctx.entity_distance(ids, [branch])))
+        (touched, rows), = ctx.entity_touches
+        np.testing.assert_array_equal(touched, [3, 5])
+        for grad in (branch.grad, rows.grad):
+            assert np.all(grad[:, equal] == 0.0)
+            assert np.all(grad[:, ~equal] != 0.0)
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
     def test_per_row_reference_merged_per_entity(self, mode, num_branches):
         # in slot space the per-entity sums add each entity's draws in draw

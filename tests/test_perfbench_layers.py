@@ -66,3 +66,23 @@ def test_traced_sampling_counts_every_walk_and_labels_every_eval_plan(monkeypatc
     assert metrics["oracle.walk_attempts"] == sum(attempts.values())
     assert metrics["oracle.eval_plan_calls"] == sum(evals.values())
     assert all(metrics[f"oracle.eval_plan_ms.{s}"] > 0 for s in structures)
+
+
+def test_traced_training_times_both_row_merges_every_step(monkeypatch, small_graph):
+    """A traced ``train`` opens one ``training.merge_rows`` span per embedding
+    table (entities, relations) in every step, and the per-layer metric reads
+    their time."""
+    layers, tracer_mod = _perfbench(monkeypatch)
+    dataset = oracle.sample_dataset(small_graph, ("1p", "2i", "2in"), 4, 0, "train")
+    config = training.TrainConfig(d=16, h=16, negatives=4, batch_size=8, steps=3)
+    tracer = tracer_mod.Tracer()
+    layers.instrument(tracer)
+    try:
+        loop = tracer.open(layers.LOOP)
+        training.train(small_graph, dataset, config)
+        tracer.close(loop)
+    finally:
+        tracer.stop()
+    merges = [s for s in tracer.spans if s[tracer_mod.NAME] == "training.merge_rows"]
+    assert len(merges) == 2 * config.steps
+    assert layers.layer_metrics(tracer, ops=config.steps)["training.merge_rows_ms"] > 0

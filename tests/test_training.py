@@ -5,7 +5,7 @@ from skqe import algebra, cli, kg, model, oracle, training
 from skqe.errors import DataError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import composed_group_forward, composed_realize
+from conftest import composed_group_forward, composed_realize, reference_merge_row_grads
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +88,100 @@ class TestEntityTable:
 
 
 class TestGradientMerge:
-    def test_equals_scatter_add_bit_for_bit(self):
-        rng = np.random.default_rng(0)
-        touches = [(rng.integers(0, 30, n), rng.normal(size=(n, 8)) * 10.0 ** rng.uniform(-6, 6))
-                   for n in (50, 1, 200)]
-        ids, summed = training._merge_row_grads(touches)
-        all_ids = np.concatenate([i for i, _ in touches])
-        want_ids, inverse = np.unique(all_ids, return_inverse=True)
-        want = np.zeros((want_ids.size, 8))
-        np.add.at(want, inverse, np.concatenate([g for _, g in touches]))
+    @staticmethod
+    def _scatter_add(touches, rows):
+        """The merge's reference: ``np.add.at`` over the concatenated touches,
+        kept for the touched ids."""
+        width = touches[0][1].shape[-1]
+        want = np.zeros((rows, width))
+        np.add.at(want, np.concatenate([i for i, _ in touches]),
+                  np.concatenate([g for _, g in touches]))
+        ids = np.unique(np.concatenate([i for i, _ in touches]))
+        return ids, want[ids]
+
+    def _check(self, touches, rows):
+        ids, summed = training._merge_row_grads(touches, rows)
+        want_ids, want = self._scatter_add(touches, rows)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(summed, want)
 
+    @staticmethod
+    def _grads(rng, n, width=8):
+        return rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+
+    def test_equals_scatter_add_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        self._check([(rng.integers(0, 30, n), self._grads(rng, n)) for n in (50, 1, 200)], 30)
+
+    # touches of more than 64 rows below, so that a size threshold cannot
+    # stand in for knowing whether a touch's ids are distinct
+
+    @pytest.mark.parametrize("ids", [[1, 1, 2], np.repeat(np.arange(50), 2)])
+    def test_sorted_repeated_ids(self, ids):
+        rng = np.random.default_rng(1)
+        ids = np.asarray(ids, dtype=np.int64)
+        self._check([(ids, self._grads(rng, ids.size))], 60)
+
+    def test_repeated_ids_after_a_distinct_touch_of_the_same_ids(self):
+        rng = np.random.default_rng(2)
+        distinct = np.arange(0, 200, 2)
+        repeated = rng.choice(distinct, 120)
+        self._check([(distinct, self._grads(rng, distinct.size)),
+                     (repeated, self._grads(rng, repeated.size)),
+                     (distinct[::-1].copy(), self._grads(rng, distinct.size))], 200)
+
+    def test_table_larger_than_the_touched_ids(self):
+        rng = np.random.default_rng(3)
+        touches = [(rng.integers(0, 40, 100), self._grads(rng, 100)),
+                   (np.arange(10, 30), self._grads(rng, 20))]
+        ids, summed = training._merge_row_grads(touches, 500)
+        assert ids.max() < 40 and summed.shape == (ids.size, 8)
+        self._check(touches, 500)
+
     def test_no_touches(self):
-        assert training._merge_row_grads([]) is None
+        assert training._merge_row_grads([], 5) is None
+
+    @pytest.mark.parametrize("overrides,replacement", [
+        ({}, False),
+        ({"mode": "point", "kind": "prod"}, False),
+        ({"kind": "min", "union": "dm"}, False),
+        ({"workers": 2}, False),
+        ({"negatives": 118}, True),
+    ])
+    def test_training_equals_the_concatenating_merge(self, train_graph, train_dataset,
+                                                     monkeypatch, caplog, overrides,
+                                                     replacement):
+        config = _config(**overrides)
+        params, records = training.train(train_graph, train_dataset, config)
+        assert ("with replacement" in caplog.text) == replacement
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_merge_row_grads", reference_merge_row_grads)
+            ref_params, ref_records = training.train(train_graph, train_dataset, config)
+        np.testing.assert_array_equal([r.loss for r in records], [r.loss for r in ref_records])
+        for name, array in ref_params.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+
+class TestStepOnBatch:
+    @pytest.mark.parametrize("batch", [[], ["end"], [0, "end"], [-1]])
+    def test_bad_batch_changes_nothing(self, train_graph, train_dataset, batch):
+        config = _config()
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        optimizer = training.Adam(0.1)
+        rng = np.random.default_rng(0)
+        training.train_step_on_batch(train_graph, train_dataset, config, params, [0, 1],
+                                     optimizer, rng)
+        before = params.copy()
+        state = rng.bit_generator.state
+        end = len(train_dataset.samples)
+        batch = [end if i == "end" else i for i in batch]
+        with pytest.raises(DataError, match="batch"):
+            training.train_step_on_batch(train_graph, train_dataset, config, params, batch,
+                                         optimizer, rng)
+        assert optimizer.t == 1
+        assert rng.bit_generator.state == state
+        for name, array in before.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
 
 
 def _loop_negatives(answers, k, num_entities, rng, filter_answers=True):
