@@ -313,7 +313,9 @@ def make_parser() -> _Parser:
     p.add_argument("--union", choices=("dnf", "dm"))
     p.add_argument("--log-every", type=int)
     p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="threads per step, one per structure task; 2 pays only with "
+                        "OPENBLAS_NUM_THREADS=1, and finished results wait in task order")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="ranking metrics on a query dataset")
@@ -321,7 +323,7 @@ def make_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -338,7 +340,7 @@ def make_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--epochs", type=int, default=250)
+    p.add_argument("--epochs", type=_positive_int, default=250)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_cardinality)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,6 +250,8 @@ def generate_synthetic(
         raise DataError("need at least 2 entities and 1 relation")
     if not (0 < valid_frac < 1 and 0 < test_frac < 1 and valid_frac + test_frac < 1):
         raise DataError("split fractions must lie in (0,1) and sum below 1")
+    if not (math.isfinite(avg_out_degree) and avg_out_degree > 0):
+        raise DataError(f"average out-degree must be finite and positive, got {avg_out_degree}")
     num_edges = int(round(num_entities * avg_out_degree))
     capacity = num_entities * num_relations * (num_entities - 1)
     if num_edges < 1 or num_edges > capacity // 2:

@@ -15,13 +15,17 @@ Inference realizes the entity rows it needs; scoring against all entities
 calls ``realize_all_entities``. Training realizes the whole (N, 2d) entity
 table once per optimizer step: every training context of that step gathers
 anchors, positives and negatives from that table as slot-space leaves and
-records one touch (ids, leaf) per gather. The step adds the touches' slot
-gradients, in touch order, into one zeroed (N, 2d) table
-(``training._merge_row_grads``) and pulls the touched rows back through the
-realization once.
+records one touch (ids, leaf) per gather. The step folds each task's slot
+gradients, as soon as that task finishes and in touch order, into one zeroed
+(N, 2d) table (``training._merge_row_grads``) and pulls the touched rows back
+through the realization once, after the last task.
 ``ForwardContext.realize`` (the Skolem output's realization) and the fused
 training distance ``ForwardContext.entity_distance`` are tape primitives with
-a hand-derived backward; tests pin them to the composed tape ops.
+a hand-derived backward; tests pin them to the composed tape ops. The
+distance's working set is bounded: it gathers its (B, K, 2d) draws in row
+tiles of at most ``DISTANCE_TILE_BYTES``, and its backward sums them per
+entity ``SUM_ROWS_COLUMNS`` columns at a time (``sum_rows``). Only the
+sign of each draw's difference, which the backward needs, is kept whole.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in in
 
 CHECKPOINT_MAGIC = b"SKQE"
 CHECKPOINT_VERSION = 1
+
+DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
+SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class ModelConfig:
             raise DataError("embedding dimension must be a positive multiple of 16")
         if self.num_entities < 1 or self.num_relations < 1:
             raise DataError("model needs at least one entity and one relation")
+        if self.h < 1:
+            raise DataError(f"hidden width h must be at least 1, got {self.h}")
 
 
 def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -210,15 +219,24 @@ def _realize_backward(g: np.ndarray, sig: np.ndarray, mode: str) -> np.ndarray:
 
 def sum_rows(inverse: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     """(count, width) sums of ``rows`` grouped by ``inverse``, each group's rows
-    added in their order. One flat ``np.bincount`` over ``inverse * width +
-    column`` adds in ``np.add.at``'s order, so the sums match it bit for bit
-    (``np.add.reduceat`` regroups them). ``entity_distance`` sums its draws
+    added in their order. One flat ``np.bincount`` per chunk of at most
+    ``SUM_ROWS_COLUMNS`` columns, over ``inverse * chunk + column``, adds in
+    ``np.add.at``'s order; columns are independent, so the sums match it bit
+    for bit (``np.add.reduceat`` regroups them), while the bins and weights
+    cover one chunk, not the whole block. ``entity_distance`` sums its draws
     per distinct entity with it; the step merges its touches, whose ids are
     already grouped per touch, in a dense table instead."""
     width = rows.shape[-1]
-    bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(bins, weights=rows.reshape(-1),
-                       minlength=count * width).reshape(count, width)
+    out = np.empty((count, width))
+    bins = None
+    for start in range(0, width, SUM_ROWS_COLUMNS):
+        chunk = rows[:, start:start + SUM_ROWS_COLUMNS]
+        cols = chunk.shape[1]
+        if bins is None or bins.size != inverse.size * cols:
+            bins = (inverse[:, None] * cols + np.arange(cols)).reshape(-1)
+        out[:, start:start + cols] = np.bincount(
+            bins, weights=chunk.reshape(-1), minlength=count * cols).reshape(count, cols)
+    return out
 
 
 def realize_entity_rows(rows: np.ndarray, mode: str) -> np.ndarray:
@@ -299,23 +317,35 @@ class ForwardContext:
         mean -> branch minimum (ties go to the first branch). It works per
         distinct entity: the sorted distinct ids gather one slot-space leaf
         from the realized entity table (one touch per call), and the backward
-        sums each draw's slot gradient per entity in draw order. The forward
-        keeps the sign of each branch's (B, K, 2d) difference, so the backward
-        does not form the difference again. The realization pullback is left
-        to the owner of the table.
+        sums each draw's slot gradient per entity in draw order
+        (``sum_rows``). The forward gathers the draws a tile of rows at a
+        time into one reused buffer of at most ``DISTANCE_TILE_BYTES`` (at
+        least one row), and keeps only the sign of each branch's (B, K, 2d)
+        difference, so the backward does not form the difference again. Rows
+        are independent, so the tiling does not change a bit. The
+        realization pullback is left to the owner of the table.
         """
         ids = np.asarray(ids, dtype=np.int64)
         unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
         rows = self.entity_slots(unique)
-        n = rows.shape[-1]
-        drawn = rows.value[inverse].reshape(ids.shape[0], -1, n)
-        dists, signs = [], []
-        for j, q in enumerate(branches):
-            last = j == len(branches) - 1
-            diff = np.subtract(drawn, q.value[:, None, :], out=drawn if last else None)
-            signs.append(np.sign(diff))  # in place it runs several times slower
-            dists.append(np.abs(diff, out=diff).mean(axis=2))
-        dists = np.stack(dists)
+        b, n = ids.shape[0], rows.shape[-1]
+        inverse = inverse.reshape(b, -1)
+        k = inverse.shape[1]
+        signs = [np.empty((b, k, n)) for _ in branches]
+        dists = np.empty((len(branches), b, k))
+        tile = max(1, DISTANCE_TILE_BYTES // (k * n * rows.value.itemsize))
+        drawn = np.empty((min(tile, b), k, n))
+        spare = np.empty_like(drawn) if len(branches) > 1 else drawn
+        for start in range(0, b, tile):
+            stop = min(start + tile, b)
+            block = drawn[:stop - start]
+            # "clip" because "raise" gathers into a temporary and then copies to out
+            np.take(rows.value, inverse[start:stop], axis=0, out=block, mode="clip")
+            for j, q in enumerate(branches):
+                diff = block if j == len(branches) - 1 else spare[:stop - start]
+                np.subtract(block, q.value[start:stop, None, :], out=diff)
+                np.sign(diff, out=signs[j][start:stop])  # in place it runs several times slower
+                np.mean(np.abs(diff, out=diff), axis=2, out=dists[j, start:stop])
         choice = np.argmin(dists, axis=0)
 
         def backward(g):  # runs once, so it overwrites the sign buffers
@@ -325,7 +355,8 @@ class ForwardContext:
                 gj = np.multiply((g * (choice == j) / n)[..., None], sign, out=sign)
                 q._accumulate(-gj.sum(axis=1))
                 g_drawn = gj if g_drawn is None else np.add(g_drawn, gj, out=g_drawn)
-            rows._accumulate(sum_rows(inverse, g_drawn.reshape(-1, n), unique.size))
+            rows._accumulate(sum_rows(inverse.reshape(-1), g_drawn.reshape(-1, n),
+                                      unique.size))
 
         value = dists.min(axis=0).reshape(ids.shape)
         return ad.Tensor(self.tape, value, backward)

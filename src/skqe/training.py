@@ -44,6 +44,11 @@ class TrainConfig:
     filter_negatives: bool = True
     log_every: int = 100
     checkpoint_every: int = 0
+    # Threads that run a step's structure tasks. workers=2 pays only with one
+    # BLAS thread per worker (OPENBLAS_NUM_THREADS=1); otherwise the pool and
+    # BLAS compete for the cores. Results come back in task order, so a task
+    # that finishes early holds its gradients until every earlier task has been
+    # folded into the step's tables.
     workers: int = 1
 
     def __post_init__(self):
@@ -121,13 +126,22 @@ class Adam:
         return self._m[name], self._v[name]
 
     def _apply(self, m, v, grad):
+        """Update the moments in place and return the step
+        ``(lr * m_hat) / (sqrt(v_hat) + eps)``, built in two work arrays with
+        the operations of the plain expression in their order."""
+        step, denom = np.empty_like(grad), np.empty_like(grad)
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        m += np.multiply(grad, 1.0 - self.beta1, out=step)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(grad, 1.0 - self.beta2, out=step)
+        v += np.multiply(step, grad, out=step)
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
+        step *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return step
 
     def update_dense(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
         m, v = self._state(name, param)
@@ -224,26 +238,21 @@ def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray
     return loss_vec, d_pos.value, d_neg.value
 
 
-def _merge_row_grads(touches, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sum the gradient rows of (ids, grads) touches per id; ids come back sorted.
+def _merge_row_grads(touches, table: np.ndarray, touched: np.ndarray) -> None:
+    """Fold (ids, grads) touches into ``table`` and mark their ids in ``touched``.
 
-    Each touch is added in touch order into one zeroed (rows, width) table:
-    by ``table[ids] += grads`` when its ids are strictly increasing (so
-    distinct, as ``entity_distance``'s are), else by ``np.add.at``. Either way
-    each id's rows are added one after another starting from zero, so the
-    sums match ``np.add.at`` over the concatenated touches bit for bit."""
-    if not touches:
-        return None
-    table = np.zeros((rows, touches[0][1].shape[-1]))
-    touched = np.zeros(rows, dtype=bool)
+    Each touch is added in touch order: by ``table[ids] += grads`` when its
+    ids are strictly increasing (so distinct, as ``entity_distance``'s are),
+    else by ``np.add.at``. Either way each id's rows are added one after
+    another onto what the table already holds, so folding a step's tasks one
+    at a time, in task order, into a zeroed table gives ``np.add.at`` over
+    all their touches concatenated, bit for bit."""
     for ids, grads in touches:
         if ids.size < 2 or np.all(ids[1:] > ids[:-1]):
             table[ids] += grads
         else:
             np.add.at(table, ids, grads)
         touched[ids] = True
-    ids = np.flatnonzero(touched)
-    return ids, table[ids]
 
 
 def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
@@ -273,22 +282,28 @@ def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, li
 def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig,
           batch_size: int, pool: ThreadPoolExecutor | None = None):
     """One optimizer step: realize the entity table, forward and backward per
-    task, then the updates.
+    task, folding each task's gradients as it finishes, then the updates.
 
     The (N, 2d) entity table is realized once (``model._realize_parts``) and
     shared by every task's context, which gathers anchors, positives and
     negatives from it and hands back slot-space gradients per touched row.
-    ``_merge_row_grads`` adds those touches, in task and touch order, into
-    one dense table per embedding table, and one ``model._realize_backward``
-    over the touched entity rows gives their pre-activation gradients.
-    Returns the loss summed over the batch, the positive and negative scores
-    1 - D, and the interval-repair count. Each task runs on its own tape and
-    hands back only its gradients, so the tape is freed when the task
-    returns. Raises NumericError on a non-finite loss, before anything is
-    updated.
+    The step's zeroed entity and relation gradient tables and their touched
+    masks exist from the start; as each task's result arrives (in task order,
+    from ``map`` or ``pool.map``, in this thread) ``_merge_row_grads`` folds
+    its touches into them in touch order, dense gradients are summed, and the
+    task's gradients are dropped, so the step holds one task's gradients
+    besides its tables. One ``model._realize_backward`` over the touched
+    entity rows then gives their pre-activation gradients. Returns the loss
+    summed over the batch, the positive and negative scores 1 - D, and the
+    interval-repair count. Each task runs on its own tape and hands back only
+    its gradients, so the tape is freed when the task returns. Raises
+    NumericError on a non-finite loss; ``begin_step`` and every update come
+    after the last task, so nothing has been updated then.
     """
     mode = params.config.mode
     entities = model_mod._realize_parts(params.arrays["entity"], mode)
+    tables = {name: np.zeros_like(params.arrays[name]) for name in ("entity", "relation")}
+    touched = {name: np.zeros(len(table), dtype=bool) for name, table in tables.items()}
 
     def run_task(task):
         group, rows, pos, neg = task
@@ -307,35 +322,31 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         relation = [(ids, t.grad) for ids, t in ctx.relation_touches if t.grad is not None]
         return loss, d_pos, d_neg, ctx.repair_count, dense, entity, relation
 
-    if pool is not None and len(tasks) > 1:
-        results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
+    results = (pool.map if pool is not None and len(tasks) > 1 else map)(run_task, tasks)
+    loss, repairs, pos_dists, neg_dists = 0, 0, [], []
     dense_grads: dict[str, np.ndarray] = {}
-    entity_touches, relation_touches = [], []
-    for _, _, _, _, dense, entity, relation in results:
+    for task_loss, d_pos, d_neg, task_repairs, dense, entity, relation in results:
+        loss += task_loss
+        repairs += task_repairs
+        pos_dists.append(d_pos)
+        neg_dists.append(d_neg.reshape(-1))
         for name, grad in dense.items():
             dense_grads[name] = dense_grads[name] + grad if name in dense_grads else grad
-        entity_touches.extend(entity)
-        relation_touches.extend(relation)
+        _merge_row_grads(entity, tables["entity"], touched["entity"])
+        _merge_row_grads(relation, tables["relation"], touched["relation"])
+        del dense, entity, relation  # free before the next task's result is made
 
     optimizer.begin_step()
     for name in DENSE_PARAMS:
         if name in dense_grads:
             optimizer.update_dense(name, params.arrays[name], dense_grads[name])
-    merged = _merge_row_grads(entity_touches, params.config.num_entities)
-    if merged is not None:
-        ids, slot_grads = merged
-        optimizer.update_rows("entity", params.arrays["entity"], ids,
-                              model_mod._realize_backward(slot_grads, entities[0][ids], mode))
-    merged = _merge_row_grads(relation_touches, params.config.num_relations)
-    if merged is not None:
-        optimizer.update_rows("relation", params.arrays["relation"], *merged)
-    return (sum(r[0] for r in results),
-            1.0 - np.concatenate([r[1] for r in results]),
-            1.0 - np.concatenate([r[2].reshape(-1) for r in results]),
-            sum(r[3] for r in results))
+    for name, table in tables.items():  # every task touches both tables
+        ids = np.flatnonzero(touched[name])
+        grads = table[ids]
+        if name == "entity":
+            grads = model_mod._realize_backward(grads, entities[0][ids], mode)
+        optimizer.update_rows(name, params.arrays[name], ids, grads)
+    return loss, 1.0 - np.concatenate(pos_dists), 1.0 - np.concatenate(neg_dists), repairs
 
 
 def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,

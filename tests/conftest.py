@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg, model, oracle
+from skqe import algebra, autodiff as ad, kg, oracle
 from skqe.errors import DataError
 
 
@@ -118,16 +118,27 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
 
 # --- the row-gradient merge as it was before the dense table ----------------
 
-def reference_merge_row_grads(touches, rows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``training._merge_row_grads`` by concatenation: ``np.unique`` of every
-    touched id, then ``model.sum_rows`` over the inverse. ``rows`` (the table
-    size) is not needed here."""
-    if not touches:
-        return None
-    unique, inverse = np.unique(np.concatenate([ids for ids, _ in touches]),
-                                return_inverse=True)
-    grads = np.concatenate([grad for _, grad in touches], axis=0)
-    return unique, model.sum_rows(inverse, grads, unique.size)
+class ReferenceMergeRowGrads:
+    """``training._merge_row_grads`` by concatenation. Each call keeps the
+    touches it is given for its table, then writes over that table the merge
+    of every touch the table has had so far: one ``np.add.at`` of all their
+    rows, concatenated, into zeros. After a step's last task the table holds
+    the concatenating merge of all the step's touches, whatever it held
+    between tasks."""
+
+    def __init__(self):
+        self._seen: dict[int, tuple[np.ndarray, list]] = {}
+
+    def __call__(self, touches, table: np.ndarray, touched: np.ndarray) -> None:
+        owner, kept = self._seen.setdefault(id(table), (table, []))
+        assert owner is table  # kept tables stay alive, so ids are not reused
+        kept.extend(touches)
+        if not kept:
+            return
+        ids = np.concatenate([ids for ids, _ in kept])
+        table[:] = 0.0
+        np.add.at(table, ids, np.concatenate([grad for _, grad in kept], axis=0))
+        touched[ids] = True
 
 
 # --- the sampler as it was before the static walk order ------------------------

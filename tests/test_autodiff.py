@@ -180,11 +180,26 @@ def _params(mode, seed=0, entities=12):
     return ModelParams.initialize(ModelConfig(entities, 3, d=16, h=16, mode=mode), seed)
 
 
+@pytest.fixture(params=["one-row", "uneven", "default"])
+def tiles(request, monkeypatch):
+    """Sets ``model.DISTANCE_TILE_BYTES`` for (B, K) draws of 32 slots: tiles
+    of one row, tiles of B - 1 rows (so the last tile is shorter), or the
+    default budget."""
+    def apply(ids_shape):
+        b, k = ids_shape[0], int(np.prod(ids_shape[1:]))
+        rows = {"one-row": 1, "uneven": max(1, b - 1), "default": None}[request.param]
+        if rows is not None:
+            monkeypatch.setattr(model, "DISTANCE_TILE_BYTES", rows * k * 32 * 8)
+
+    return apply
+
+
 class TestFusedEntityDistance:
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
     @pytest.mark.parametrize("ids_shape", [(3,), (3, 4)])
-    def test_matches_composed_ops_bit_for_bit(self, mode, num_branches, ids_shape):
+    def test_matches_composed_ops_bit_for_bit(self, mode, num_branches, ids_shape, tiles):
+        tiles(ids_shape)
         params = _params(mode)
         rng = _rng(5)
         ids = rng.integers(0, params.config.num_entities, ids_shape)
@@ -242,9 +257,10 @@ class TestFusedEntityDistance:
                                        rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_exact_tie_goes_to_first_branch(self, mode):
+    def test_exact_tie_goes_to_first_branch(self, mode, tiles):
         params = _params(mode)
         ids = _rng(7).integers(0, 12, (3, 4))
+        tiles(ids.shape)
         query = _rng(8).uniform(0.0, 1.0, (3, 32))
         grads = []
         for distance in (ForwardContext.entity_distance, composed_gather_distance):
@@ -260,11 +276,12 @@ class TestFusedEntityDistance:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_equal_slots_get_zero_gradient(self, mode):
+    def test_equal_slots_get_zero_gradient(self, mode, tiles):
         # d|x|/dx is taken as sign(0) = 0 where the entity equals the query,
         # which np.copysign or a `diff >= 0` test would make +-1
         params = _params(mode)
         ids = np.array([[3, 3, 3], [5, 5, 5]])
+        tiles(ids.shape)
         equal = np.zeros(32, dtype=bool)
         equal[::3] = True
         table = model._realize_parts(params.arrays["entity"], mode)
@@ -281,12 +298,13 @@ class TestFusedEntityDistance:
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("num_branches", [1, 2])
-    def test_per_row_reference_merged_per_entity(self, mode, num_branches):
+    def test_per_row_reference_merged_per_entity(self, mode, num_branches, tiles):
         # in slot space the per-entity sums add each entity's draws in draw
         # order, as the per-row path merged with np.add.at does
         params = _params(mode)
         rng = _rng(13)
         ids = rng.integers(0, params.config.num_entities, (6, 40))
+        tiles(ids.shape)
         queries = [rng.uniform(0.0, 1.0, (6, 32)) for _ in range(num_branches)]
         weights = rng.uniform(0.5, 1.5, ids.shape)
         results = []
@@ -332,6 +350,39 @@ class TestFusedEntityDistance:
             own.entity_distance(ids, [own.tape.leaf(query)])
         own.embed_instances("1p", [[0], [1]], [[0], [1]])
         assert seen == [40, 2]  # its own table once, then the Skolem output
+
+    @pytest.mark.parametrize("budget_rows,want", [(1, [1] * 7), (3, [3, 3, 1]), (7, [7]),
+                                                  (100, [7])])
+    def test_gathers_tiles_within_the_budget(self, monkeypatch, budget_rows, want):
+        params = _params("bounds")
+        ids = _rng(16).integers(0, 12, (7, 5))
+        monkeypatch.setattr(model, "DISTANCE_TILE_BYTES", budget_rows * 5 * 32 * 8 + 8)
+        take, gathered = np.take, []
+
+        def recording(a, indices, axis=None, out=None, mode="raise"):
+            gathered.append(out.shape[0])
+            assert out.nbytes <= model.DISTANCE_TILE_BYTES
+            return take(a, indices, axis=axis, out=out, mode=mode)
+
+        monkeypatch.setattr(np, "take", recording)
+        ctx = ForwardContext(params, train=True)
+        ctx.entity_distance(ids, [ctx.tape.leaf(_rng(17).uniform(0.0, 1.0, (7, 32)))])
+        assert gathered == want
+
+
+class TestSumRows:
+    @pytest.mark.parametrize("width", [1, 16, 40, 64])
+    def test_equals_scatter_add_bit_for_bit(self, width):
+        # 40 is not a multiple of the 16-column chunk; ids 30 and 31 get no rows
+        rng = _rng(18)
+        inverse = rng.integers(0, 30, 500)
+        rows = rng.normal(size=(500, width)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
+        want = np.zeros((32, width))
+        np.add.at(want, inverse, rows)
+        got = model.sum_rows(inverse, rows, 32)
+        assert got.shape == (32, width)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestRealize:
     @pytest.mark.parametrize("mode", ["bounds", "point"])

@@ -51,6 +51,30 @@ def test_answer_topk_below_one_is_a_usage_error(files, topk, capsys):
     assert "--topk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--workers", "0"), ("eval", "--workers", "-3"),
+    ("fit-cardinality", "--epochs", "0"), ("fit-cardinality", "--epochs", "-2"),
+])
+def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                  "--queries", str(files / "q.jsonl"), flag, value,
+                  "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("degree", ["nan", "inf", "-1", "0"])
+def test_gen_kg_bad_degree_exits_with_data_error(degree, tmp_path, capsys):
+    code = cli.main(["gen-kg", "--entities", "30", "--relations", "3",
+                     f"--avg-degree={degree}", "--out", str(tmp_path / "kg")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        "error: average out-degree must be finite and positive, got ")
+    assert not (tmp_path / "kg").exists()
+
+
 def test_answer_topk_one_prints_one_entity(files, capsys):
     assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
                      "--query", "EXISTS T . r0(e0,T)", "--topk", "1"]) == cli.EXIT_OK

@@ -100,6 +100,11 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             kg.generate_synthetic(50, 3, 2.0, 0.5, 0.6, seed=1)
 
+    @pytest.mark.parametrize("degree", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_degree_must_be_finite_and_positive(self, degree):
+        with pytest.raises(DataError, match="average out-degree must be finite and positive"):
+            kg.generate_synthetic(50, 3, degree, 0.1, 0.1, seed=1)
+
     def test_golden_counts_for_seed_one(self, small_graph):
         # 50 entities * degree 2 = 100 edges; 10% valid, 10% test
         assert small_graph.split_counts() == {"train": 80, "valid": 10, "test": 10}

@@ -237,6 +237,12 @@ class TestCardinalityMirror:
                                    rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("h", [0, -1])
+def test_hidden_width_below_one_is_a_data_error(h):
+    with pytest.raises(DataError, match="hidden width h must be at least 1"):
+        ModelConfig(5, 2, d=16, h=h)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = _params("point", "prod", attention=False)

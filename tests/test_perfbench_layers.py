@@ -70,8 +70,8 @@ def test_traced_sampling_counts_every_walk_and_labels_every_eval_plan(monkeypatc
 
 def test_traced_training_times_both_row_merges_every_step(monkeypatch, small_graph):
     """A traced ``train`` opens one ``training.merge_rows`` span per embedding
-    table (entities, relations) in every step, and the per-layer metric reads
-    their time."""
+    table (entities, relations) for every task (one ``training.group_forward``
+    span each) of every step, and the per-layer metric reads their time."""
     layers, tracer_mod = _perfbench(monkeypatch)
     dataset = oracle.sample_dataset(small_graph, ("1p", "2i", "2in"), 4, 0, "train")
     config = training.TrainConfig(d=16, h=16, negatives=4, batch_size=8, steps=3)
@@ -83,6 +83,8 @@ def test_traced_training_times_both_row_merges_every_step(monkeypatch, small_gra
         tracer.close(loop)
     finally:
         tracer.stop()
-    merges = [s for s in tracer.spans if s[tracer_mod.NAME] == "training.merge_rows"]
-    assert len(merges) == 2 * config.steps
+    names = [s[tracer_mod.NAME] for s in tracer.spans]
+    tasks = names.count("training.group_forward")
+    assert tasks >= config.steps
+    assert names.count("training.merge_rows") == 2 * tasks
     assert layers.layer_metrics(tracer, ops=config.steps)["training.merge_rows_ms"] > 0

@@ -1,11 +1,13 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from skqe import algebra, cli, kg, model, oracle, training
-from skqe.errors import DataError
+from skqe import algebra, autodiff as ad, cli, kg, model, oracle, training
+from skqe.errors import DataError, NumericError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import composed_group_forward, composed_realize, reference_merge_row_grads
+from conftest import ReferenceMergeRowGrads, composed_group_forward, composed_realize
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +101,23 @@ class TestGradientMerge:
         ids = np.unique(np.concatenate([i for i, _ in touches]))
         return ids, want[ids]
 
+    @staticmethod
+    def _fold(tasks, rows, width=8):
+        """Fold each task's touches in turn into one zeroed table, as a step
+        does; the touched ids and their rows."""
+        table, touched = np.zeros((rows, width)), np.zeros(rows, dtype=bool)
+        for touches in tasks:
+            training._merge_row_grads(touches, table, touched)
+        ids = np.flatnonzero(touched)
+        return ids, table[ids]
+
     def _check(self, touches, rows):
-        ids, summed = training._merge_row_grads(touches, rows)
         want_ids, want = self._scatter_add(touches, rows)
-        np.testing.assert_array_equal(ids, want_ids)
-        np.testing.assert_array_equal(summed, want)
+        # one task with every touch, and one task per touch
+        for tasks in ([touches], [[touch] for touch in touches]):
+            ids, summed = self._fold(tasks, rows)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(summed, want)
 
     @staticmethod
     def _grads(rng, n, width=8):
@@ -134,12 +148,13 @@ class TestGradientMerge:
         rng = np.random.default_rng(3)
         touches = [(rng.integers(0, 40, 100), self._grads(rng, 100)),
                    (np.arange(10, 30), self._grads(rng, 20))]
-        ids, summed = training._merge_row_grads(touches, 500)
+        ids, summed = self._fold([touches], 500)
         assert ids.max() < 40 and summed.shape == (ids.size, 8)
         self._check(touches, 500)
 
     def test_no_touches(self):
-        assert training._merge_row_grads([], 5) is None
+        ids, summed = self._fold([[], []], 5)
+        assert ids.size == 0 and summed.shape == (0, 8)
 
     @pytest.mark.parametrize("overrides,replacement", [
         ({}, False),
@@ -155,10 +170,79 @@ class TestGradientMerge:
         params, records = training.train(train_graph, train_dataset, config)
         assert ("with replacement" in caplog.text) == replacement
         with monkeypatch.context() as patch:
-            patch.setattr(training, "_merge_row_grads", reference_merge_row_grads)
+            patch.setattr(training, "_merge_row_grads", ReferenceMergeRowGrads())
             ref_params, ref_records = training.train(train_graph, train_dataset, config)
         np.testing.assert_array_equal([r.loss for r in records], [r.loss for r in ref_records])
         for name, array in ref_params.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+
+class TestStepFold:
+    @staticmethod
+    def _tasks(train_graph, train_dataset, config, rng):
+        """One task per structure, two queries each."""
+        groups = training._prepare_groups(train_dataset)
+        per_structure = {s: [0, 1] for s in groups}
+        return training._build_tasks(groups, per_structure, config, train_graph.num_entities,
+                                     rng, first_positive=True)
+
+    def test_each_task_is_folded_before_the_next_runs(self, train_graph, train_dataset,
+                                                      monkeypatch):
+        config = _config()
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        tasks = self._tasks(train_graph, train_dataset, config, np.random.default_rng(0))
+        events = []
+        group_forward, merge = training._group_forward, training._merge_row_grads
+
+        def forward_spy(ctx, group, *args):
+            events.append(("forward", group.structure))
+            return group_forward(ctx, group, *args)
+
+        def merge_spy(touches, table, touched):
+            events.append(("merge", table.shape[1]))
+            return merge(touches, table, touched)
+
+        monkeypatch.setattr(training, "_group_forward", forward_spy)
+        monkeypatch.setattr(training, "_merge_row_grads", merge_spy)
+        training._step(params, training.Adam(0.1), tasks, config, 2 * len(tasks))
+        widths = (2 * config.d, config.d)  # the entity table, then the relation table
+        assert len(tasks) > 2
+        assert events == [e for task in tasks for e in (
+            ("forward", task[0].structure), ("merge", widths[0]), ("merge", widths[1]))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_loss_in_a_later_task_changes_nothing(self, train_graph, train_dataset,
+                                                             monkeypatch, workers):
+        config = _config()
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        optimizer = training.Adam(0.1)
+        rng = np.random.default_rng(0)
+        training._step(params, optimizer, self._tasks(train_graph, train_dataset, config, rng),
+                       config, 24)  # so that the moments are not all zero
+        tasks = self._tasks(train_graph, train_dataset, config, rng)
+        poisoned = tasks[1][0].structure
+        group_forward = training._group_forward
+
+        def nan_second(ctx, group, *args):
+            loss_vec, d_pos, d_neg = group_forward(ctx, group, *args)
+            if group.structure == poisoned:
+                loss_vec = ad.scale(loss_vec, float("nan"))
+            return loss_vec, d_pos, d_neg
+
+        monkeypatch.setattr(training, "_group_forward", nan_second)
+        before = params.copy()
+        moments = {name: (optimizer._m[name].copy(), optimizer._v[name].copy())
+                   for name in optimizer._m}
+        with ThreadPoolExecutor(max_workers=workers) as pool, \
+                pytest.raises(NumericError, match="non-finite loss at step 2"):
+            training._step(params, optimizer, tasks, config, 24,
+                           pool if workers > 1 else None)
+        assert optimizer.t == 1
+        assert optimizer._m.keys() == moments.keys()
+        for name, (m, v) in moments.items():
+            np.testing.assert_array_equal(optimizer._m[name], m, err_msg=name)
+            np.testing.assert_array_equal(optimizer._v[name], v, err_msg=name)
+        for name, array in before.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
 
 
@@ -288,6 +372,14 @@ class TestTrainCli:
         assert self._train(files, flag, "0") == cli.EXIT_DATA
         assert not (files / "model.ckpt").exists()
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_hidden_width_below_one_exits_with_data_error(self, files, tmp_path, value,
+                                                           capsys):
+        assert self._train(files, "--steps", "1", "--h", value,
+                           out=tmp_path / "m.ckpt") == cli.EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+        assert f"hidden width h must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_one_step_trains(self, files):
         assert self._train(files, "--steps", "1") == cli.EXIT_OK
