@@ -14,7 +14,7 @@ from . import algebra, evaluation, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams
-from .oracle import read_dataset, sample_dataset, write_dataset
+from .oracle import read_dataset, requested_count, sample_dataset, write_dataset
 from .training import TrainConfig, train, train_cardinality_head, write_train_log
 
 EXIT_OK = 0
@@ -133,6 +133,15 @@ def cmd_gen_queries(args) -> int:
                              args.mode, args.negation_frac)
     write_dataset(dataset, graph, args.out)
     print(f"wrote {len(dataset.samples)} queries ({args.mode}) to {args.out}")
+    counts, attempts = dataset.metadata["counts"], dataset.metadata["attempts"]
+    short = []
+    for structure in structures:
+        wanted = requested_count(structure, args.per_structure, args.negation_frac)
+        if counts[structure] < wanted:
+            short.append(f"{structure} {counts[structure]}/{wanted} "
+                         f"after {attempts[structure]:,} attempts")
+    if short:
+        print(f"short of the request: {', '.join(short)}")
     return EXIT_OK
 
 

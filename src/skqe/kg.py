@@ -7,6 +7,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,12 +121,23 @@ class KnowledgeGraph:
         return digest.hexdigest()
 
 
+class WalkTable(NamedTuple):
+    """The incoming edges of every entity as int64 CSR arrays: rows
+    ``offsets[t]:offsets[t + 1]`` of ``heads`` and ``relations`` hold the
+    (head, relation) pairs of the edges into tail ``t``, in (head, relation)
+    order."""
+
+    offsets: np.ndarray  # (num_entities + 1,)
+    heads: np.ndarray
+    relations: np.ndarray
+
+
 class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
     Built from the subset of triples whose split label is in ``splits``;
     immutable afterwards and safe for concurrent reads. The derived
-    ``incoming``, ``tails`` and ``universe`` are computed on first use and
+    ``walk_table``, ``tails`` and ``universe`` are computed on first use and
     kept on the index (a racing first read at worst builds one twice).
     """
 
@@ -148,19 +160,21 @@ class AdjacencyIndex:
         return self.forward.get((head, relation), ())
 
     @functools.cached_property
-    def incoming(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """The (head, relation) pairs into each tail, in (head, relation) order,
-        for the sampler's inverse walks. Built on first use, once per index."""
-        incoming: dict[int, list[tuple[int, int]]] = {}
-        for (h, r), tails in sorted(self.forward.items()):
-            for t in tails:
-                incoming.setdefault(t, []).append((h, r))
-        return {t: tuple(pairs) for t, pairs in incoming.items()}
+    def walk_table(self) -> WalkTable:
+        """The incoming edges of every entity, for the sampler's inverse walks.
+        Built on first use, once per index."""
+        edges = np.array([(h, r, t) for (h, r), tails in self.forward.items() for t in tails],
+                         dtype=np.int64).reshape(-1, 3)
+        heads, relations, tails = edges.T
+        order = np.lexsort((relations, heads, tails))
+        offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.num_entities), out=offsets[1:])
+        return WalkTable(offsets, heads[order], relations[order])
 
     @functools.cached_property
-    def tails(self) -> tuple[int, ...]:
-        """Every entity with an incoming edge, ascending. Built on first use."""
-        return tuple(sorted(self.incoming))
+    def tails(self) -> np.ndarray:
+        """Every entity with an incoming edge, ascending (int64). Built on first use."""
+        return np.flatnonzero(np.diff(self.walk_table.offsets))
 
     @functools.cached_property
     def universe(self) -> frozenset[int]:

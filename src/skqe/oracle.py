@@ -8,13 +8,16 @@ brute-force reference.
 ``sample_queries`` draws queries by inverse random walks: it draws an answer
 entity, then walks the template's atoms backwards from it in
 ``walk_order(template)`` (worked out once per template) through the walked
-index's ``incoming`` table (built once per ``AdjacencyIndex``). Each attempt
-draws the same random numbers in the same order as a walk that works its
-order out as it goes, so a (graph, structure, count, seed, mode) request
-always yields the same queries. Only the (anchors, relations) bindings of an
-attempt are kept until its answers pass the mode's filter; duplicates are
-dropped. ``sample_dataset`` samples several structures over one pair of
-indexes and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
+index's ``walk_table`` (int64 CSR arrays, built once per ``AdjacencyIndex``).
+Walks are drawn ``WALK_BATCH`` attempts at a time: one uniform matrix per
+batch, one column per attempt, walked with a few numpy calls per step. The
+attempts are then taken one at a time, in order, so a (graph, structure,
+count, seed, mode) request always yields the same queries, and one that gets
+all of its k queries yields the first k of any larger request. Only the
+(anchors, relations) bindings of an attempt are kept until its answers pass
+the mode's filter; duplicates are dropped. ``sample_dataset`` samples several
+structures over one pair of indexes, recording the count and the attempts of
+each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ log = logging.getLogger(__name__)
 
 EXHAUSTIVE_GUARD = 10**8
 RETRY_FACTOR = 100
+WALK_BATCH = 256  # sampler attempts walked per uniform draw
 
 DATASET_MODES = ("generalization", "entailment", "train")
 
@@ -241,29 +245,73 @@ def walk_order(template: Template) -> WalkOrder:
     return WalkOrder(tuple(steps), len(number), anchors, template.num_relations)
 
 
-def _walk_instance(order: WalkOrder, answer: int, incoming,
-                   rng) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Bind a template's slots by walking its atoms backwards from ``answer``.
+class WalkBatch(NamedTuple):
+    """The bindings of ``WALK_BATCH`` inverse walks, one entry per attempt."""
 
-    Each step of ``order`` draws one (head, relation) edge into its
-    destination's entity from ``incoming`` (``AdjacencyIndex.incoming``).
-    Returns the (anchors, relations) bindings, or None where the walk meets
-    an entity without incoming edges. Negated atoms are walked like positive
-    ones so the sampled negation is informative (it actually excludes the
-    walked entity).
+    anchors: list[list[int]]
+    relations: list[list[int]]
+    alive: list[bool]  # False where the walk met an entity without incoming edges
+
+
+def _walk_batch(order: WalkOrder, index: AdjacencyIndex, draws: np.ndarray) -> WalkBatch:
+    """Walk a template's atoms backwards from one answer per column of ``draws``.
+
+    ``draws`` holds uniforms in [0, 1), one row per random choice and one
+    column per attempt. Row 0 picks the answer, ``tails[floor(u * len(tails))]``;
+    row s + 1 picks step s's edge, ``floor(u * deg)`` among the ``deg`` rows of
+    the walk table into that step's destination (floor(u * deg) < deg for
+    every u < 1 in float64). A step binds its source term to the edge's head
+    and its relation slot to the edge's relation where ``order`` says so. An
+    attempt dies at a destination without incoming edges; its later steps
+    walk from a stand-in edge, so no index leaves the table, and their
+    bindings are ignored. Negated atoms are walked like positive ones so the
+    sampled negation is informative (it actually excludes the walked entity).
     """
-    terms = [answer] * order.num_terms
-    relations = [0] * order.num_relations
-    for dst, src, slot in order.steps:
-        options = incoming.get(terms[dst])
-        if not options:
-            return None
-        head, rel = options[int(rng.integers(len(options)))]
+    offsets, heads, rels = index.walk_table
+    tails = index.tails
+    terms = np.empty((order.num_terms, draws.shape[1]), dtype=np.int64)
+    relations = np.zeros((order.num_relations, draws.shape[1]), dtype=np.int64)
+    terms[0] = tails[(draws[0] * len(tails)).astype(np.int64)]
+    alive = np.ones(draws.shape[1], dtype=bool)
+    for u, (dst, src, slot) in zip(draws[1:], order.steps):
+        node = terms[dst]
+        start = offsets[node]
+        degree = offsets[node + 1] - start
+        has_edge = degree > 0
+        alive &= has_edge
+        edge = np.where(has_edge, start + (u * degree).astype(np.int64), 0)
         if src >= 0:
-            terms[src] = head
+            terms[src] = heads[edge]
         if slot >= 0:
-            relations[slot] = rel
-    return tuple(terms[a] for a in order.anchors), tuple(relations)
+            relations[slot] = rels[edge]
+    return WalkBatch(terms[list(order.anchors)].T.tolist(), relations.T.tolist(),
+                     alive.tolist())
+
+
+def _walk_instance(batch: WalkBatch, i: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Attempt ``i``'s (anchors, relations) bindings from its batch, or None
+    where its walk died. Called once per attempt."""
+    if not batch.alive[i]:
+        return None
+    return tuple(batch.anchors[i]), tuple(batch.relations[i])
+
+
+def _walks(order: WalkOrder, index: AdjacencyIndex, rng: np.random.Generator):
+    """Each attempt's bindings (or None), in order, ``WALK_BATCH`` walks at a
+    time: one ``(1 + steps, WALK_BATCH)`` uniform draw per batch."""
+    while True:
+        batch = _walk_batch(order, index, rng.random((1 + len(order.steps), WALK_BATCH)))
+        for i in range(WALK_BATCH):
+            yield _walk_instance(batch, i)
+
+
+class QuerySamples(list):
+    """The samples of one ``sample_queries`` request, with the walk attempts
+    it took."""
+
+    def __init__(self, samples: list[QuerySample], attempts: int):
+        super().__init__(samples)
+        self.attempts = attempts
 
 
 def sample_queries(
@@ -274,13 +322,21 @@ def sample_queries(
     mode: str,
     full_index: AdjacencyIndex | None = None,
     train_index: AdjacencyIndex | None = None,
-) -> list[QuerySample]:
+) -> QuerySamples:
     """Sample grounded queries with non-empty answers by inverse random walks.
 
     Modes: ``generalization`` walks the full graph and keeps only queries with
     at least one answer requiring a held-out edge (easy = train answers,
     hard = the rest); ``entailment`` walks the full graph with easy = full
     answers; ``train`` restricts both walking and answers to training edges.
+
+    Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
+    ``[seed, structure index]`` and taken one attempt at a time, in order:
+    an attempt is dropped if its walk died, its bindings were seen before or
+    its answers fail the mode's filter. Sampling stops at ``count`` queries
+    or after ``RETRY_FACTOR * count`` attempts; walks drawn past that point
+    are not attempts. The draws do not depend on ``count``, so a request that
+    gets all of its k queries returns the first k of any larger request.
     """
     if mode not in DATASET_MODES:
         raise DataError(f"unknown dataset mode {mode!r}")
@@ -293,19 +349,17 @@ def sample_queries(
     if train_index is None:
         train_index = build_index(graph, ("train",))
     walk_index = train_index if mode == "train" else full_index
-    incoming, tails = walk_index.incoming, walk_index.tails
-    if not tails:
+    if not len(walk_index.tails):
         raise DataError("graph subset has no edges to walk")
 
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     samples: list[QuerySample] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    budget = RETRY_FACTOR * count
+    walks = _walks(order, walk_index, rng)
     attempts = 0
-    while len(samples) < count and attempts < budget:
+    while len(samples) < count and attempts < RETRY_FACTOR * count:
         attempts += 1
-        answer = tails[int(rng.integers(len(tails)))]
-        bindings = _walk_instance(order, answer, incoming, rng)
+        bindings = next(walks)
         if bindings is None or bindings in seen:
             continue
         if mode == "train":
@@ -333,10 +387,18 @@ def sample_queries(
                                    tuple(sorted(easy)), tuple(sorted(hard))))
     if len(samples) < count:
         log.warning(
-            "sampled only %d/%d %s queries within the retry budget",
-            len(samples), count, structure,
+            "sampled only %d/%d %s queries after %d attempts",
+            len(samples), count, structure, attempts,
         )
-    return samples
+    return QuerySamples(samples, attempts)
+
+
+def requested_count(structure: str, per_structure: int, negation_frac: float) -> int:
+    """How many ``structure`` queries ``sample_dataset`` asks for: negation
+    structures are thinned by ``negation_frac``, to at least one."""
+    if structure in algebra.NEGATION_STRUCTURES:
+        return max(1, int(round(per_structure * negation_frac)))
+    return per_structure
 
 
 def sample_dataset(
@@ -361,15 +423,14 @@ def sample_dataset(
     train_index = build_index(graph, ("train",))
     samples: list[QuerySample] = []
     counts: dict[str, int] = {}
+    attempts: dict[str, int] = {}
     for structure in structures:
-        count = per_structure
-        if structure in algebra.NEGATION_STRUCTURES:
-            count = max(1, int(round(per_structure * negation_frac)))
         got = sample_queries(
-            graph, structure, count, seed, mode,
-            full_index=full_index, train_index=train_index,
+            graph, structure, requested_count(structure, per_structure, negation_frac),
+            seed, mode, full_index=full_index, train_index=train_index,
         )
         counts[structure] = len(got)
+        attempts[structure] = got.attempts
         samples.extend(got)
     dataset = QueryDataset(
         samples,
@@ -378,6 +439,7 @@ def sample_dataset(
             "mode": mode,
             "seed": seed,
             "counts": counts,
+            "attempts": attempts,
         },
     )
     dataset.verify()

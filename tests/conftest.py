@@ -142,11 +142,15 @@ class ReferenceMergeRowGrads:
 
 
 # --- the sampler as it was before the static walk order ------------------------
-# Kept verbatim, apart from names and counters, as the independent reference
-# for ``oracle.walk_order``, ``oracle._walk_instance``, the one-pass
-# ``oracle.eval_plan`` and the walk table on ``kg.AdjacencyIndex``: the walk
-# order is worked out again on every attempt, plans are evaluated by recursion
-# with a cache, and the incoming table is rebuilt for every structure.
+# Kept verbatim, apart from names, counters and the source of its random
+# numbers, as the independent reference for ``oracle.walk_order``, the batched
+# walks of ``oracle._walk_batch``, the one-pass ``oracle.eval_plan`` and the
+# walk table on ``kg.AdjacencyIndex``: the walk order is worked out again on
+# every attempt, each attempt walks alone over a dict table rebuilt for every
+# structure, and plans are evaluated by recursion with a cache. Its random
+# numbers are the sampler's: one (rows, ``WALK_BATCH``) uniform matrix per
+# ``WALK_BATCH`` attempts, column i for attempt i, each choice among n options
+# taking ``int(u * n)`` of the next number in its column.
 
 def reference_eval_node(plan, node_id: int, anchors, relations, index,
                         cache: dict[int, tuple[set[int], bool]]) -> tuple[set[int], bool]:
@@ -220,9 +224,18 @@ def reference_incoming_table(index) -> dict[int, list[tuple[int, int]]]:
     return incoming
 
 
-def reference_walk_instance(template, answer: int, incoming, rng) -> algebra.QueryInstance | None:
+def reference_uniforms(rng, rows: int):
+    """Per attempt, an iterator over its column of the sampler's uniforms."""
+    while True:
+        block = rng.random((rows, oracle.WALK_BATCH))
+        for column in block.T.tolist():
+            yield iter(column)
+
+
+def reference_walk_instance(template, answer: int, incoming, draws) -> algebra.QueryInstance | None:
     """Instantiate a template by walking its atoms backwards from ``answer``,
-    working out the atom order as it goes."""
+    working out the atom order as it goes; ``draws`` yields the attempt's
+    uniforms."""
     assign: dict[str, int] = {algebra.TARGET_TERM: answer}
     relations: dict[int, int] = {}
     # walk atoms in reverse dependency order: dst always assigned before src
@@ -237,7 +250,7 @@ def reference_walk_instance(template, answer: int, incoming, rng) -> algebra.Que
             options = incoming.get(assign[atom.dst], [])
             if not options:
                 return None
-            head, rel = options[int(rng.integers(len(options)))]
+            head, rel = options[int(next(draws) * len(options))]
             if atom.relation in relations and relations[atom.relation] != rel:
                 # positional slot already walked through another atom; reuse it
                 rel = relations[atom.relation]
@@ -264,13 +277,15 @@ def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
     incoming = reference_incoming_table(walk_index)
     tails = sorted(incoming)
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
+    uniforms = reference_uniforms(rng, 1 + len(template.atoms))
     samples: list[oracle.QuerySample] = []
     seen: set[algebra.QueryInstance] = set()
     attempts = evals = 0
     while len(samples) < count and attempts < oracle.RETRY_FACTOR * count:
         attempts += 1
-        answer = tails[int(rng.integers(len(tails)))]
-        instance = reference_walk_instance(template, answer, incoming, rng)
+        draws = next(uniforms)
+        answer = tails[int(next(draws) * len(tails))]
+        instance = reference_walk_instance(template, answer, incoming, draws)
         if instance is None or instance in seen:
             continue
         bindings = instance.anchors, instance.relations
@@ -318,5 +333,5 @@ def reference_sample_dataset(graph, structures, per_structure: int, seed: int, m
         counts[structure] = len(got)
         samples.extend(got)
     metadata = {"graph_hash": graph.content_hash(), "mode": mode, "seed": seed,
-                "counts": counts}
+                "counts": counts, "attempts": attempts}
     return oracle.QueryDataset(samples, metadata), attempts, evals

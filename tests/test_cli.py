@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skqe import cli, kg, oracle
+from skqe import cli, evaluation, kg, oracle
 from skqe.model import ModelConfig, ModelParams
 
 
@@ -123,8 +123,13 @@ def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_pat
     assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == \
         cli.EXIT_NUMERIC
     captured = capsys.readouterr()
-    # every command meets the file's first record (1p) or the 1p --query first
-    assert captured.err == "numeric failure: 1p: non-finite query embedding\n"
+    # every command meets the file's first record (1p) or the 1p --query first,
+    # except eval-cardinality, which embeds only the hash-test half
+    first = "1p"
+    if command == "eval-cardinality":
+        dataset = oracle.read_dataset(files / "q.jsonl", kg.load_tsv_dir(files / "kg"))
+        first = dataset.samples[evaluation.split_by_hash(dataset)[1][0]].instance.structure
+    assert captured.err == f"numeric failure: {first}: non-finite query embedding\n"
     assert "nan" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -195,6 +200,22 @@ def test_gen_queries_bad_sampling_request_exits_with_data_error(files, extra, tm
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_gen_queries_names_each_shortfall_with_its_attempts(files, tmp_path, capsys):
+    # 30 entities and 3 relations hold fewer than 100 distinct 1p queries;
+    # 2in asks for round(100 * 0.05) = 5 and gets them
+    out = tmp_path / "q.jsonl"
+    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "entailment",
+                     "--per-structure", "100", "--structures", "1p,2in",
+                     "--negation-frac", "0.05", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    meta = oracle.read_dataset(out, kg.load_tsv_dir(files / "kg")).metadata
+    got = meta["counts"]["1p"]
+    assert got < 100 and meta["counts"]["2in"] == 5
+    assert meta["attempts"]["1p"] == 100 * oracle.RETRY_FACTOR
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"short of the request: 1p {got}/100 after 10,000 attempts"
 
 
 @pytest.mark.parametrize("record, message", [

@@ -153,11 +153,93 @@ class TestReferenceParity:
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
     def test_walk_table_built_once_per_index(self, splits, small_graph):
         index = kg.build_index(small_graph, splits)
-        assert index.incoming is index.incoming and index.tails is index.tails
-        assert index.incoming == {t: tuple(pairs)
-                                  for t, pairs in reference_incoming_table(index).items()}
-        assert index.tails == tuple(sorted(reference_incoming_table(index)))
+        assert index.walk_table is index.walk_table and index.tails is index.tails
+        offsets, heads, relations = index.walk_table
+        assert all(a.dtype == np.int64 for a in (offsets, heads, relations, index.tails))
+        assert offsets.shape == (51,) and offsets[0] == 0 and offsets[-1] == len(heads)
+        want = reference_incoming_table(index)
+        for tail in range(50):
+            rows = slice(offsets[tail], offsets[tail + 1])
+            assert list(zip(heads[rows].tolist(), relations[rows].tolist())) == \
+                want.get(tail, [])
+        assert index.tails.tolist() == sorted(want)
         assert index.universe == frozenset(range(50))
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_attempts_per_structure_match_reference(self, seed, small_graph, tmp_path):
+        got = oracle.sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12, seed,
+                                    "generalization")
+        _, attempts, _ = reference_sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 12,
+                                                  seed, "generalization")
+        assert got.metadata["attempts"] == attempts
+        assert all(attempts[s] >= got.metadata["counts"][s] for s in attempts)
+        path = tmp_path / "queries.jsonl"
+        oracle.write_dataset(got, small_graph, path)
+        assert oracle.read_dataset(path, small_graph).metadata["attempts"] == attempts
+
+
+class TestBatchedWalks:
+    """The sampler's random stream: one uniform matrix per ``WALK_BATCH``
+    attempts, walked with numpy over the walk table."""
+
+    @staticmethod
+    def dead_end_graph():
+        """b -r-> a, with ``a`` the last entity id: every 2p walk ends at ``b``,
+        which has no incoming edge, so every 2p attempt dies at its second
+        step, at an offset equal to the table's length."""
+        graph = kg.KnowledgeGraph(kg.Vocabulary(["a", "b"]), kg.Vocabulary(["r"]))
+        graph.add_triple(1, 0, 0, "train")
+        return graph
+
+    def test_walk_into_an_entity_without_incoming_edges_dies(self):
+        graph = self.dead_end_graph()
+        index = kg.build_index(graph)
+        assert index.walk_table.offsets.tolist() == [0, 1, 1]
+        order = oracle.walk_order(algebra.TEMPLATES["2p"])
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            batch = oracle._walk_batch(order, index, np.full((3, 5), u))
+            assert batch.alive == [False] * 5
+            assert all(oracle._walk_instance(batch, i) is None for i in range(5))
+
+    def test_dead_attempts_are_counted(self, monkeypatch):
+        calls = []
+        walk_instance = oracle._walk_instance
+
+        def recorded(*args):
+            calls.append(walk_instance(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(oracle, "_walk_instance", recorded)
+        got = oracle.sample_queries(self.dead_end_graph(), "2p", 2, seed=0, mode="train")
+        assert got == [] and got.attempts == 2 * oracle.RETRY_FACTOR
+        assert calls == [None] * got.attempts
+
+    @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
+    def test_same_request_twice_gives_identical_files(self, mode, small_graph, tmp_path):
+        paths = [tmp_path / "one.jsonl", tmp_path / "two.jsonl"]
+        for path in paths:
+            oracle.write_dataset(
+                oracle.sample_dataset(small_graph, algebra.STRUCTURE_NAMES, 10, 6, mode),
+                small_graph, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("structure", ["1p", "2p", "pi", "2in", "up"])
+    def test_full_request_is_a_prefix_of_any_larger_one(self, structure, small_graph):
+        large = oracle.sample_queries(small_graph, structure, 30, 2, "entailment")
+        for k in (1, 7, 20):
+            small = oracle.sample_queries(small_graph, structure, k, 2, "entailment")
+            assert len(small) == k and small == large[:k]
+        assert len(large) == 30
+
+    def test_largest_draw_stays_below_every_option_count(self, small_graph):
+        u = np.nextafter(1.0, 0.0)
+        for splits in (kg.SPLITS, ("train",)):
+            index = kg.build_index(small_graph, splits)
+            counts = set(np.diff(index.walk_table.offsets).tolist()) | {len(index.tails)}
+            counts.discard(0)
+            for n in counts:
+                assert int(u * n) == n - 1
+                assert int(np.floor(np.float64(u) * np.int64(n))) == n - 1
 
 
 class TestWalkOrder:
