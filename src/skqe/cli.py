@@ -245,7 +245,7 @@ def cmd_answer(args) -> int:
     branches = model_mod.ForwardContext(params).embed_instances(
         instance.structure, [instance.anchors], [instance.relations], args.union,
         collect=collected)
-    qe = model_mod.QueryEmbedding(tuple(b[0] for b in branches), params.config.mode)
+    qe = model_mod.QueryEmbedding(tuple(b[0] for b in branches))
     entity_matrix = model_mod.realize_all_entities(params)
     scores = model_mod.score_entities(qe, params, entity_matrix)
     top = np.argsort(-scores, kind="stable")[: args.topk]
@@ -256,7 +256,7 @@ def cmd_answer(args) -> int:
               f"({instance.structure}, nearest entities by satisfiability):")
         for node_id, value in memo.items():
             node_scores = model_mod.score_entities(
-                model_mod.QueryEmbedding((value[0],), params.config.mode), params, entity_matrix)
+                model_mod.QueryEmbedding((value[0],)), params, entity_matrix)
             nearest = np.argsort(-node_scores, kind="stable")[:3]
             names = ", ".join(
                 f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in nearest
@@ -311,18 +311,18 @@ def make_parser() -> _Parser:
     p.add_argument("--d", type=int)
     p.add_argument("--h", type=int)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--negatives", type=_positive_int)
+    p.add_argument("--batch-size", type=_positive_int)
+    p.add_argument("--steps", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--tnorm", choices=("min", "prod", "luk"))
     p.add_argument("--attention", choices=("on", "off"))
     p.add_argument("--mode", choices=("bounds", "point"))
     p.add_argument("--union", choices=("dnf", "dm"))
-    p.add_argument("--log-every", type=int)
+    p.add_argument("--log-every", type=_positive_int)
     p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=_positive_int,
                    help="threads per step, one per structure task; 2 pays only with "
                         "OPENBLAS_NUM_THREADS=1, and finished results wait in task order")
     p.set_defaults(func=cmd_train)

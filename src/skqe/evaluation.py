@@ -1,7 +1,12 @@
-"""Ranking metrics, uncertainty correlations, and answer-size error."""
+"""Ranking metrics, uncertainty correlations, and answer-size error.
+
+Uncertainty statistics and the size head's features come from one De Morgan
+pass (``_dm_embeddings``); the hash split of the size head's train and test
+halves (``split_by_hash``) lives here too."""
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +18,6 @@ from .algebra import EPFO_STRUCTURES, NEGATION_STRUCTURES, STRUCTURE_NAMES
 from .errors import DataError, NumericError
 from .model import ForwardContext, ModelParams, QueryEmbedding
 from .oracle import QueryDataset
-from .training import split_by_hash
 
 EVAL_BATCH = 256
 SCORE_BLOCK_BYTES = 1 << 20  # budget of one (rows, cols, 2d) scoring tile
@@ -279,28 +283,22 @@ class UncertaintyReport:
 
 def query_statistics(dataset: QueryDataset, params: ModelParams,
                      statistic: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Per-query uncertainty statistic and answer-set size.
+    """Per-query uncertainty statistic and answer-set size, grouped by structure.
 
     Union queries are embedded through De Morgan's law so a single embedding
     exists; everything else uses its plan directly.
     """
-    if params.config.mode != "bounds":
-        raise DataError("uncertainty statistics require bounds mode")
     if statistic not in ("entropy", "width"):
         raise DataError(f"unknown statistic {statistic!r} (want entropy or width)")
-    d = params.config.d
-    stats, sizes, structures = [], [], []
-    for structure, samples in dataset.by_structure().items():
-        for chunk, branch_values in _embed_structure_batches(params, samples, "dm"):
-            values = branch_values[0]
-            if statistic == "entropy":
-                per_query = np.sum(logic.entropy_slots(values), axis=1)
-            else:
-                per_query = np.sum(values[:, d:] - values[:, :d], axis=1)
-            stats.extend(per_query.tolist())
-            sizes.extend(float(len(s.answers)) for s in chunk)
-            structures.extend(structure for _ in chunk)
-    return np.asarray(stats), np.asarray(sizes), structures
+    samples = [s for group in dataset.by_structure().values() for s in group]
+    values = _dm_embeddings(params, samples)
+    if statistic == "entropy":
+        stats = np.sum(logic.entropy_slots(values), axis=1)
+    else:
+        d = params.config.d
+        stats = np.sum(values[:, d:] - values[:, :d], axis=1)
+    sizes = np.array([float(len(s.answers)) for s in samples])
+    return stats, sizes, [s.instance.structure for s in samples]
 
 
 def uncertainty_correlation(dataset: QueryDataset, params: ModelParams,
@@ -321,31 +319,34 @@ def uncertainty_correlation(dataset: QueryDataset, params: ModelParams,
     return report
 
 
-def cardinality_features(params: ModelParams, samples) -> np.ndarray:
-    """Entropy vector of each sample's De Morgan embedding, in sample order.
-
-    Queries are embedded in batches per structure; union queries go through
-    De Morgan's law, so each query has one embedding.
-    """
+def _dm_embeddings(params: ModelParams, samples) -> np.ndarray:
+    """(len(samples), 2d) De Morgan embeddings in sample order, embedded in
+    batches per structure; unions go through De Morgan's law, so each query
+    has one embedding. Its interval statistics need bounds mode."""
     if params.config.mode != "bounds":
-        raise DataError("cardinality prediction requires bounds mode")
+        raise DataError("entropy and width statistics require bounds mode")
     positions: dict[str, list[int]] = {}
     for i, sample in enumerate(samples):
         positions.setdefault(sample.instance.structure, []).append(i)
-    features = np.empty((len(samples), params.config.d))
+    values = np.empty((len(samples), 2 * params.config.d))
     for where in positions.values():
         group = [samples[i] for i in where]
-        features[where] = np.concatenate([
-            logic.entropy_slots(branch_values[0])
+        values[where] = np.concatenate([
+            branch_values[0]
             for _, branch_values in _embed_structure_batches(params, group, "dm")
         ])
-    return features
+    return values
+
+
+def cardinality_features(params: ModelParams, samples) -> np.ndarray:
+    """Entropy vector of each sample's De Morgan embedding, in sample order."""
+    return logic.entropy_slots(_dm_embeddings(params, samples))
 
 
 def _relative_size_errors(params: ModelParams, samples) -> np.ndarray:
     """|prediction - size| / size of the size head on samples with answers."""
     sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
-    predictions = model_mod.cardinality_forward(cardinality_features(params, samples), params)
+    predictions = ForwardContext(params).cardinality(cardinality_features(params, samples))
     return np.abs(predictions - sizes) / sizes
 
 
@@ -357,6 +358,21 @@ def _mae_by_structure(samples, errors) -> dict[str, tuple[float, int]]:
         structure: (100.0 * float(np.mean(errors)), len(errors))
         for structure, errors in by_structure.items()
     }
+
+
+def query_sort_key(sample) -> str:
+    """Stable digest used to split datasets deterministically."""
+    inst = sample.instance
+    text = f"{inst.structure}|{','.join(map(str, inst.anchors))}|{','.join(map(str, inst.relations))}"
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def split_by_hash(dataset: QueryDataset) -> tuple[list[int], list[int]]:
+    """1:1 train/test split (count-exact to one query) ordered by query hash."""
+    order = sorted(range(len(dataset.samples)),
+                   key=lambda i: (query_sort_key(dataset.samples[i]), i))
+    half = (len(order) + 1) // 2
+    return order[:half], order[half:]
 
 
 def cardinality_test_half(dataset: QueryDataset, params: ModelParams):

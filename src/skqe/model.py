@@ -1,31 +1,33 @@
-"""Parameter store and query-embedding forward semantics.
+"""Parameter store and the model's one forward pass.
 
-A query is embedded by walking its structure's one cached plan
-(``algebra.plan_branches``) under a batch of (anchors, relations) bindings,
-in training, evaluation and ``skqe answer`` alike. Embeddings are flat 2d
-truth-slot vectors. In bounds mode the first d slots are interval lowers and
-the last d are uppers, kept ordered by construction; in point mode all 2d
-slots are independent point truths. The forward pass calls the slot operators
-of ``logic`` and the array-generic ``autodiff`` primitives, so training and
-inference share one code path: in training the parameters enter a tape as
-leaves, and in inference they are the plain parameter arrays and the forward
-pass records nothing. Realization (sigmoid, then ordered bounds) is written
-once in numpy (``_realize_parts`` and its pullback ``_realize_backward``).
-Inference realizes the entity rows it needs; scoring against all entities
-calls ``realize_all_entities``. Training realizes the whole (N, 2d) entity
-table once per optimizer step: every training context of that step gathers
-anchors, positives and negatives from that table as slot-space leaves and
-records one touch (ids, leaf) per gather. The step folds each task's slot
-gradients, as soon as that task finishes and in touch order, into one zeroed
-(N, 2d) table (``training._merge_row_grads``) and pulls the touched rows back
-through the realization once, after the last task.
-``ForwardContext.realize`` (the Skolem output's realization) and the fused
-training distance ``ForwardContext.entity_distance`` are tape primitives with
-a hand-derived backward; tests pin them to the composed tape ops. The
-distance's working set is bounded: it gathers its (B, K, 2d) draws in row
-tiles of at most ``DISTANCE_TILE_BYTES``, and its backward sums them per
-entity ``SUM_ROWS_COLUMNS`` columns at a time (``sum_rows``). Only the
-sign of each draw's difference, which the backward needs, is kept whole.
+``ForwardContext`` runs the query embedding and the answer-size head
+(``cardinality``), in training and in inference. A query is embedded by
+walking its structure's one cached plan (``algebra.plan_branches``) under a
+batch of (anchors, relations) bindings, in training, evaluation and
+``skqe answer`` alike. Embeddings are flat 2d truth-slot vectors. In bounds
+mode the first d slots are interval lowers and the last d are uppers, kept
+ordered by construction; in point mode all 2d slots are independent point
+truths. The forward pass calls the slot operators of ``logic`` and the
+array-generic ``autodiff`` primitives, so training and inference share one
+code path: in training the parameters enter a tape as leaves, and in
+inference they are the plain parameter arrays and the forward pass records
+nothing. Realization (sigmoid, then ordered bounds) is written once in numpy
+(``_realize_parts`` and its pullback ``_realize_backward``). Inference
+realizes the entity rows it needs; scoring against all entities calls
+``realize_all_entities``. Training realizes the whole (N, 2d) entity table
+once per optimizer step: every training context of that step gathers anchors,
+positives and negatives from that table as slot-space leaves and records one
+touch (ids, leaf) per gather. The step folds each task's slot gradients, as
+soon as that task finishes and in touch order, into one zeroed (N, 2d) table
+(``training._merge_row_grads``) and pulls the touched rows back through the
+realization once, after the last task. ``ForwardContext.realize`` (the Skolem
+output's realization) and the fused training distance
+``ForwardContext.entity_distance`` are tape primitives with a hand-derived
+backward; tests pin them to the composed tape ops. The distance's working set
+is bounded: it gathers its (B, K, 2d) draws in row tiles of at most
+``DISTANCE_TILE_BYTES``, and its backward sums them per entity
+``SUM_ROWS_COLUMNS`` columns at a time (``sum_rows``). Only the sign of each
+draw's difference, which the backward needs, is kept whole.
 """
 
 from __future__ import annotations
@@ -186,7 +188,6 @@ class QueryEmbedding:
     """One slot vector per DNF branch; a single branch for union-free plans."""
 
     branches: tuple[np.ndarray, ...]
-    mode: str
 
     @property
     def single(self) -> np.ndarray:
@@ -414,6 +415,15 @@ class ForwardContext:
     def disjoin(self, xs: list[Slots]) -> Slots:
         return self.negate(self.conjoin([self.negate(x) for x in xs]))
 
+    def cardinality(self, h: Slots) -> Slots:
+        """Answer-size estimates in (0, rho), shape (B,), of (B, d) entropy
+        vectors: a three-layer MLP whose sigmoid output is scaled by rho."""
+        z1 = ad.relu(ad.matmul(h, self.dense("H1")) + self.dense("H1b"))
+        z2 = ad.relu(ad.matmul(z1, self.dense("H2")) + self.dense("H2b"))
+        s = ad.scale(ad.sigmoid(ad.matmul(z2, self.dense("H3")) + self.dense("H3b")),
+                     self.config.rho)
+        return ad.reshape(s, s.shape[:1])
+
     # --- plan walking --------------------------------------------------------
 
     def _walk(self, plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
@@ -472,7 +482,7 @@ def embed_instance(instance: QueryInstance, params: ModelParams,
     """Embed one query; DNF mode returns one branch per union branch."""
     outs = ForwardContext(params).embed_instances(
         instance.structure, [instance.anchors], [instance.relations], union_mode)
-    return QueryEmbedding(tuple(o[0] for o in outs), params.config.mode)
+    return QueryEmbedding(tuple(o[0] for o in outs))
 
 
 def score_entities(qe: QueryEmbedding, params: ModelParams,
@@ -491,17 +501,7 @@ def score_entities(qe: QueryEmbedding, params: ModelParams,
 
 def predict_cardinality(qe: QueryEmbedding | np.ndarray, params: ModelParams) -> float:
     """Answer-size estimate in (0, rho) from the embedding's entropy vector."""
-    config = params.config
-    if config.mode != "bounds":
+    if params.config.mode != "bounds":
         raise DataError("cardinality prediction requires bounds mode")
     x = qe.single if isinstance(qe, QueryEmbedding) else np.asarray(qe, float)
-    h = logic.entropy_slots(x)
-    return float(cardinality_forward(np.atleast_2d(h), params)[0])
-
-
-def cardinality_forward(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    a = params.arrays
-    z1 = np.maximum(0.0, h @ a["H1"] + a["H1b"])
-    z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
-    z3 = z2 @ a["H3"] + a["H3b"]
-    return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+    return float(ForwardContext(params).cardinality(np.atleast_2d(logic.entropy_slots(x)))[0])

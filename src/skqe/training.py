@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import logging
 import math
 import time
@@ -14,6 +13,7 @@ import numpy as np
 
 from . import algebra, autodiff as ad, model as model_mod
 from .errors import DataError, NumericError
+from .evaluation import cardinality_features, split_by_hash
 from .kg import KnowledgeGraph
 from .model import ForwardContext, ModelConfig, ModelParams
 from .oracle import QueryDataset
@@ -21,7 +21,6 @@ from .oracle import QueryDataset
 log = logging.getLogger(__name__)
 
 DENSE_PARAMS = ("F1", "F1b", "F2", "F2b", "F3", "F3b", "G1", "G1b", "G2", "G2b")
-HEAD_PARAMS = ("H1", "H1b", "H2", "H2b", "H3", "H3b")
 
 
 @dataclass
@@ -453,19 +452,10 @@ def train_step_on_batch(graph: KnowledgeGraph, dataset: QueryDataset,
     return _step(params, optimizer, tasks, config, len(batch))[0] / len(batch)
 
 
-def query_sort_key(sample) -> str:
-    """Stable digest used to split datasets deterministically."""
-    inst = sample.instance
-    text = f"{inst.structure}|{','.join(map(str, inst.anchors))}|{','.join(map(str, inst.relations))}"
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def split_by_hash(dataset: QueryDataset) -> tuple[list[int], list[int]]:
-    """1:1 train/test split (count-exact to one query) ordered by query hash."""
-    order = sorted(range(len(dataset.samples)),
-                   key=lambda i: (query_sort_key(dataset.samples[i]), i))
-    half = (len(order) + 1) // 2
-    return order[:half], order[half:]
+def _cardinality_loss(ctx: ForwardContext, features: np.ndarray,
+                      targets: np.ndarray) -> ad.Tensor:
+    """Mean absolute relative error of the size head on (B, d) entropy features."""
+    return ad.mean_all(ad.absolute(ctx.cardinality(features) - targets) / targets)
 
 
 def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
@@ -475,17 +465,13 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
 
     Minimizes the mean absolute relative error between the size prediction
     and |easy + hard|. Union queries contribute through their De Morgan
-    embedding, which is single-branch.
+    embedding, which is single-branch. Each epoch runs a fresh training context.
     """
-    if params.config.mode != "bounds":
-        raise DataError("cardinality head requires bounds mode")
     if not dataset.samples:
         raise DataError("empty dataset")
     train_idx, test_idx = split_by_hash(dataset)
     if not train_idx or not test_idx:
         raise DataError("dataset too small to split 1:1")
-
-    from .evaluation import cardinality_features  # evaluation imports this module
 
     features = cardinality_features(params, dataset.samples)
     targets = np.array([max(1, len(s.answers)) for s in dataset.samples], dtype=np.float64)
@@ -495,23 +481,17 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     h_train = features[train_idx]
     y_train = targets[train_idx]
     for _ in range(epochs):
-        tape = ad.Tape()
-        leaves = {name: tape.leaf(params.arrays[name]) for name in HEAD_PARAMS}
-        z1 = ad.relu(ad.matmul(h_train, leaves["H1"]) + leaves["H1b"])
-        z2 = ad.relu(ad.matmul(z1, leaves["H2"]) + leaves["H2b"])
-        s = ad.scale(ad.sigmoid(ad.matmul(z2, leaves["H3"]) + leaves["H3b"]),
-                     params.config.rho)
-        errors = ad.absolute(ad.reshape(s, (len(train_idx),)) - y_train) / y_train
-        loss = ad.mean_all(errors)
+        ctx = ForwardContext(params, train=True)
+        loss = _cardinality_loss(ctx, h_train, y_train)
         if not np.isfinite(loss.value):
             raise NumericError("non-finite cardinality loss")
         ad.backward(loss)
         optimizer.begin_step()
-        for name in HEAD_PARAMS:
-            if leaves[name].grad is not None:
-                optimizer.update_dense(name, params.arrays[name], leaves[name].grad)
+        for name, leaf in ctx._dense.items():
+            if leaf.grad is not None:
+                optimizer.update_dense(name, params.arrays[name], leaf.grad)
 
-    predictions = model_mod.cardinality_forward(features, params)
+    predictions = ForwardContext(params).cardinality(features)
     report = {
         "train_mae": float(np.mean(np.abs(predictions[train_idx] - y_train) / y_train)),
         "test_mae": float(np.mean(

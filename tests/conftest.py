@@ -116,6 +116,17 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     return pos_term + neg_term, d_pos.value, d_neg.value
 
 
+def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
+    """Plain-numpy reference for ``ForwardContext.cardinality``: two ReLU
+    layers, then rho times the tanh form of the sigmoid, on (B, d) entropy
+    vectors."""
+    a = params.arrays
+    z1 = np.maximum(0.0, h @ a["H1"] + a["H1b"])
+    z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
+    z3 = z2 @ a["H3"] + a["H3b"]
+    return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+
+
 # --- the row-gradient merge as it was before the dense table ----------------
 
 class ReferenceMergeRowGrads:

@@ -54,10 +54,14 @@ def test_answer_topk_below_one_is_a_usage_error(files, topk, capsys):
 @pytest.mark.parametrize("command,flag,value", [
     ("eval", "--workers", "0"), ("eval", "--workers", "-3"),
     ("fit-cardinality", "--epochs", "0"), ("fit-cardinality", "--epochs", "-2"),
+    ("train", "--steps", "0"), ("train", "--batch-size", "0"), ("train", "--workers", "0"),
+    ("train", "--log-every", "0"), ("train", "--negatives", "-1"),
 ])
 def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path, capsys):
+    # a count in a train --config file is checked by TrainConfig instead (exit 2)
+    ckpt = [] if command == "train" else ["--ckpt", str(files / "model.ckpt")]
     with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+        cli.main([command, "--kg", str(files / "kg"), *ckpt,
                   "--queries", str(files / "q.jsonl"), flag, value,
                   "--out", str(tmp_path / "out")])
     assert exit_info.value.code == cli.EXIT_USAGE
@@ -134,17 +138,40 @@ def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-def test_correlate_writes_correlations_and_plot_data(files, tmp_path):
+@pytest.mark.parametrize("statistic", ["entropy", "width"])
+def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path):
     assert cli.main(["correlate", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
-                     "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "corr.csv"),
+                     "--queries", str(files / "q.jsonl"), "--statistic", statistic,
+                     "--out", str(tmp_path / "corr.csv"),
                      "--emit-plot-data", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
     corr = (tmp_path / "corr.csv").read_text().splitlines()
     assert corr[0] == "structure,metric,value,count"
     assert {line.split(",")[0] for line in corr[1:]} == {"1p", "2i", "2u", "avg"}
-    plot = (tmp_path / "plot.csv").read_text().splitlines()
-    assert plot[0] == "structure,answer_size,statistic"
+    plot = [line.split(",") for line in (tmp_path / "plot.csv").read_text().splitlines()]
+    assert plot[0] == ["structure", "answer_size", "statistic"]
     dataset = oracle.read_dataset(str(files / "q.jsonl"), kg.load_tsv_dir(str(files / "kg")))
-    assert len(plot) == 1 + len(dataset.samples)
+    values, sizes, structures = evaluation.query_statistics(
+        dataset, ModelParams.load(files / "model.ckpt"), statistic)
+    grouped = [s for group in dataset.by_structure().values() for s in group]
+    assert len(plot) == 1 + len(grouped)
+    for row, sample, value, size, structure in zip(plot[1:], grouped, values, sizes, structures):
+        assert row[0] == structure == sample.instance.structure
+        assert int(row[1]) == size == len(sample.answers)
+        assert row[2] == f"{value:.6f}"
+
+
+@pytest.mark.parametrize("command", ["correlate", "fit-cardinality", "eval-cardinality"])
+def test_point_mode_checkpoint_exits_with_data_error(files, command, tmp_path, capsys):
+    graph = kg.load_tsv_dir(str(files / "kg"))
+    config = ModelConfig(graph.num_entities, graph.num_relations, d=16, h=16, mode="point")
+    ModelParams.initialize(config, 0).save(tmp_path / "point.ckpt")
+    extra = ["--emit-plot-data", str(tmp_path / "plot.csv")] if command == "correlate" else []
+    code = cli.main([command, "--kg", str(files / "kg"), "--ckpt", str(tmp_path / "point.ckpt"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "out"),
+                     *extra])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: entropy and width statistics require bounds mode\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["point.ckpt"]
 
 
 def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):

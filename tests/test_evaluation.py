@@ -198,7 +198,7 @@ class TestCardinality:
     def test_test_half_matches_one_query_reference(self, graph, dataset):
         params = _params(graph)
         samples = list(dataset.samples)
-        train_idx, test_idx = training.split_by_hash(dataset)
+        train_idx, test_idx = evaluation.split_by_hash(dataset)
         # a zero-answer test query is skipped by the MAE and the baseline
         empty = test_idx[0]
         samples[empty] = QuerySample(samples[empty].instance, (), ())
@@ -231,6 +231,30 @@ class TestCardinality:
         with pytest.raises(DataError, match="no test-half query"):
             evaluation.cardinality_test_half(QueryDataset(no_answers, dataset.metadata), params)
 
-    def test_point_mode_is_a_data_error(self, graph, dataset):
-        with pytest.raises(DataError, match="bounds mode"):
-            evaluation.cardinality_features(_params(graph, "point"), dataset.samples)
+    @pytest.mark.parametrize("call", [
+        lambda params, data: evaluation.cardinality_features(params, data.samples),
+        lambda params, data: evaluation.query_statistics(data, params, "width"),
+        lambda params, data: training.train_cardinality_head(params, data, epochs=1),
+        lambda params, data: evaluation.cardinality_test_half(data, params),
+    ], ids=["features", "statistics", "fit", "test-half"])
+    def test_point_mode_is_a_data_error(self, graph, dataset, call):
+        with pytest.raises(DataError, match="^entropy and width statistics require bounds mode$"):
+            call(_params(graph, "point"), dataset)
+        with pytest.raises(DataError, match="^cardinality prediction requires bounds mode$"):
+            model.predict_cardinality(np.full(2 * D, 0.5), _params(graph, "point"))
+
+    @pytest.mark.parametrize("statistic", ["entropy", "width"])
+    def test_statistics_match_one_query_embedding(self, graph, dataset, statistic):
+        params = _params(graph)
+        order = np.random.default_rng(0).permutation(len(dataset.samples))
+        data = QueryDataset([dataset.samples[i] for i in order], dataset.metadata)
+        values, sizes, structures = evaluation.query_statistics(data, params, statistic)
+        grouped = [s for group in data.by_structure().values() for s in group]
+        assert grouped != data.samples
+        assert structures == [s.instance.structure for s in grouped]
+        np.testing.assert_array_equal(sizes, [len(s.answers) for s in grouped])
+        for value, sample in zip(values, grouped):
+            single = model.embed_instance(sample.instance, params, "dm").single
+            want = (np.sum(logic.entropy_slots(single)) if statistic == "entropy" else
+                    np.sum(single[D:] - single[:D]))
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)

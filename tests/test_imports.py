@@ -1,8 +1,10 @@
-"""Unused-import guard for the package modules, with the stdlib ``ast`` only.
+"""Import guards for the package modules, with the stdlib ``ast`` only.
 
 A module's import is used when its bound name appears as a name anywhere in
 the module (attribute roots such as ``np`` in ``np.zeros`` included).
-``__init__`` re-exports and ``from __future__`` imports are exempt.
+``__init__`` re-exports and ``from __future__`` imports are exempt. Every
+import sits at module level, so the imports between ``skqe`` modules form a
+graph, and that graph has no cycle.
 """
 
 import ast
@@ -29,6 +31,66 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def nested_imports(source: str) -> list[int]:
+    """Lines of the imports that are not statements of the module body."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def package_imports(source: str, modules: set[str]) -> set[str]:
+    """The package modules that a module imports: ``from . import m``,
+    ``from .m import x``, ``import skqe.m`` and ``from skqe.m import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 1:
+                base = f"skqe.{base}" if base else "skqe"
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if len(parts) > 1 and parts[0] == "skqe" and parts[1] in modules:
+                found.add(parts[1])
+    return found
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a closed path of module names, or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 done
+    path: list[str] = []
+
+    def visit(name):
+        state[name] = 1
+        path.append(name)
+        for target in sorted(graph.get(name, ())):
+            if state.get(target) == 1:
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[name] = 2
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            cycle = visit(name)
+            if cycle:
+                return cycle
+    return None
+
+
+def import_graph() -> dict[str, set[str]]:
+    names = {p.stem for p in MODULES}
+    return {p.stem: package_imports(p.read_text(encoding="utf-8"), names) for p in MODULES}
+
+
 def test_every_module_is_checked():
     assert {p.stem for p in MODULES} >= {"algebra", "cli", "evaluation", "logic", "training"}
 
@@ -41,3 +103,34 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     source = "from __future__ import annotations\nimport json\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["line 2: json"]
+
+
+@pytest.mark.parametrize("path", [PACKAGE / "__init__.py", *MODULES], ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_nested_import():
+    source = ("import numpy as np\n\ndef f():\n    from .evaluation import x\n    return x\n\n"
+              "if np:\n    import json\n")
+    assert nested_imports(source) == [4, 8]
+
+
+def test_package_modules_import_no_cycle():
+    graph = import_graph()
+    assert graph["training"] >= {"evaluation", "model"}
+    assert "training" not in graph["evaluation"]
+    assert find_cycle(graph) is None
+
+
+def test_guard_sees_an_import_cycle():
+    modules = {"a", "b", "c"}
+    sources = {
+        "a": "from . import b\n",
+        "b": "from .c import thing\n",
+        "c": "import skqe.a\n",
+    }
+    graph = {name: package_imports(source, modules) for name, source in sources.items()}
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}}
+    assert find_cycle(graph) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None

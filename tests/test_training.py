@@ -367,12 +367,6 @@ class TestTrainCli:
                          "--out", str(out), "--d", "16", "--h", "16",
                          "--negatives", "4", "--batch-size", "8", *extra])
 
-    @pytest.mark.parametrize("flag", ["--steps", "--batch-size", "--workers"])
-    def test_values_below_one_exit_with_data_error(self, files, flag, capsys):
-        assert self._train(files, flag, "0") == cli.EXIT_DATA
-        assert not (files / "model.ckpt").exists()
-        assert "must be at least 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_hidden_width_below_one_exits_with_data_error(self, files, tmp_path, value,
                                                            capsys):
@@ -418,7 +412,9 @@ class TestTrainCli:
     @pytest.mark.parametrize("text,message", [
         ("steps = 1\nlearning_rate = 0.1\n", "unknown config key 'learning_rate'"),
         ("steps = 1\nattention = maybe\n", "cannot parse boolean"),
-    ], ids=["unknown-key", "bad-boolean"])
+        ("steps = 0\n", "steps must be at least 1, got 0"),
+        ("steps = 1\nworkers = 0\n", "workers must be at least 1, got 0"),
+    ], ids=["unknown-key", "bad-boolean", "steps-zero", "workers-zero"])
     def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
                                                    capsys):
         (tmp_path / "train.cfg").write_text(text)
