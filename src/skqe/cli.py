@@ -58,8 +58,9 @@ def _load_checkpoint(path: str, graph) -> ModelParams:
     return params
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """key -> (value, "path:line") of a flat ``key = value`` file."""
+    values: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -68,22 +69,25 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise DataError(f"{path}:{line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+            values[key] = (value, f"{path}:{line_no}")
     return values
 
 
-def _coerce(field: dataclasses.Field, text: str):
-    if field.type in ("int", int):
-        return int(text)
-    if field.type in ("float", float):
-        return float(text)
-    if field.type in ("bool", bool):
+def _coerce(field: dataclasses.Field, text: str, where: str):
+    kind = getattr(field.type, "__name__", field.type)
+    if kind in ("int", "float"):
+        try:
+            return int(text) if kind == "int" else float(text)
+        except ValueError:
+            raise DataError(f"{where}: cannot parse {kind} from {text!r} "
+                            f"for {field.name!r}") from None
+    if kind == "bool":
         lowered = text.lower()
         if lowered in ("1", "true", "on", "yes"):
             return True
         if lowered in ("0", "false", "off", "no"):
             return False
-        raise DataError(f"cannot parse boolean from {text!r}")
+        raise DataError(f"{where}: cannot parse boolean from {text!r} for {field.name!r}")
     return text
 
 
@@ -91,10 +95,10 @@ def build_train_config(args) -> TrainConfig:
     values = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     if args.config:
-        for key, text in _parse_config_file(args.config).items():
+        for key, (text, where) in _parse_config_file(args.config).items():
             if key not in fields:
-                raise DataError(f"unknown config key {key!r}")
-            values[key] = _coerce(fields[key], text)
+                raise DataError(f"{where}: unknown config key {key!r}")
+            values[key] = _coerce(fields[key], text, where)
     overrides = {
         "d": args.d, "h": args.h, "gamma": args.gamma, "negatives": args.negatives,
         "batch_size": args.batch_size, "steps": args.steps, "lr": args.lr,

@@ -20,7 +20,7 @@ from .model import ForwardContext, ModelParams, QueryEmbedding
 from .oracle import QueryDataset
 
 EVAL_BATCH = 256
-SCORE_BLOCK_BYTES = 1 << 20  # budget of one (rows, cols, 2d) scoring tile
+SCORE_BLOCK_BYTES = 1 << 20  # scoring budget: a query copy and a difference block, half each
 
 
 @dataclass(frozen=True)
@@ -121,42 +121,47 @@ def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
     values and an ``(N, 2d)`` entity matrix.
 
     The ``(B, N, 2d)`` difference is never built whole. Rows and entities are
-    tiled so that one tile's ``(rows, cols, 2d)`` block fits in
+    tiled so that a ``(rows, cols, 2d)`` buffer fits in half of
     ``SCORE_BLOCK_BYTES`` (a tile spans at least one row and one entity, and
-    at least four rows when the budget allows); one block buffer and one
-    ``(rows, cols)`` distance buffer are reused for every tile and branch.
-    Peak memory is the ``(B, N)`` result plus about the budget, not
-    O(B·N·2d). Each score is still the mean of one contiguous 2d-slot row,
-    and the branch maximum is taken in branch order, so the output is
-    byte-identical to the one-block formula
-    ``max_b (1 - mean(|E[None] - V_b[:, None]|, axis=2))``.
+    at least eight rows when the budget allows). Two such buffers are used:
+    for each row block and branch, the branch's values are copied once across
+    ``cols`` into the first, and every entity tile of that row block then
+    subtracts it from a whole slice of entities into the second, so no
+    subtraction broadcasts a query row. A ``(rows, cols)`` distance buffer
+    takes the later branches. Peak memory is the ``(B, N)`` result plus about
+    the budget, not O(B·N·2d). Each score is the sum of one contiguous
+    2d-slot row divided by 2d, as ``np.mean`` computes it, and the branch
+    maximum is taken in branch order, so the output is byte-identical to the
+    one-block formula ``max_b (1 - mean(|E[None] - V_b[:, None]|, axis=2))``.
     """
     rows_total = branch_values[0].shape[0]
     count, width = entity_matrix.shape
     dtype = np.result_type(entity_matrix, *branch_values)
-    pairs = max(1, SCORE_BLOCK_BYTES // (width * dtype.itemsize))
-    cols = max(1, min(count, pairs // 4))
+    pairs = max(1, SCORE_BLOCK_BYTES // (2 * width * dtype.itemsize))
+    cols = max(1, min(count, pairs // 8))
     rows = max(1, min(rows_total, pairs // cols))
     best = np.empty((rows_total, count), dtype=dtype)
+    replica = np.empty((rows, cols, width), dtype=dtype)
     block_buffer = np.empty(rows * cols * width, dtype=dtype)
     dist_buffer = np.empty(rows * cols, dtype=dtype)
     for r0 in range(0, rows_total, rows):
         r1 = min(rows_total, r0 + rows)
-        for c0 in range(0, count, cols):
-            c1 = min(count, c0 + cols)
-            shape = (r1 - r0, c1 - c0)
-            block = block_buffer[: shape[0] * shape[1] * width].reshape(*shape, width)
-            dist = dist_buffer[: shape[0] * shape[1]].reshape(shape)
-            tile = best[r0:r1, c0:c1]
-            entities = entity_matrix[None, c0:c1, :]
-            for branch, values in enumerate(branch_values):
-                np.subtract(entities, values[r0:r1, None, :], out=block)
+        queries = replica[: r1 - r0]
+        for branch, values in enumerate(branch_values):
+            np.copyto(queries, values[r0:r1, None, :])
+            for c0 in range(0, count, cols):
+                c1 = min(count, c0 + cols)
+                shape = (r1 - r0, c1 - c0)
+                block = block_buffer[: shape[0] * shape[1] * width].reshape(*shape, width)
+                np.subtract(entity_matrix[None, c0:c1], queries[:, : shape[1]], out=block)
                 np.abs(block, out=block)
-                target = tile if branch == 0 else dist
-                np.mean(block, axis=2, out=target)
+                tile = best[r0:r1, c0:c1]
+                target = tile if branch == 0 else dist_buffer[: shape[0] * shape[1]].reshape(shape)
+                np.add.reduce(block, axis=2, out=target)
+                target /= width
                 np.subtract(1.0, target, out=target)
                 if branch:
-                    np.maximum(tile, dist, out=tile)
+                    np.maximum(tile, target, out=tile)
     return best
 
 
@@ -343,7 +348,7 @@ def cardinality_features(params: ModelParams, samples) -> np.ndarray:
     return logic.entropy_slots(_dm_embeddings(params, samples))
 
 
-def _relative_size_errors(params: ModelParams, samples) -> np.ndarray:
+def relative_size_errors(params: ModelParams, samples) -> np.ndarray:
     """|prediction - size| / size of the size head on samples with answers."""
     sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
     predictions = ForwardContext(params).cardinality(cardinality_features(params, samples))
@@ -375,18 +380,26 @@ def split_by_hash(dataset: QueryDataset) -> tuple[list[int], list[int]]:
     return order[:half], order[half:]
 
 
+def cardinality_halves(dataset: QueryDataset) -> tuple[list[int], list[int]]:
+    """The size head's hash split: the train half, and the test half without
+    its zero-answer queries. Such a query has no relative error, so the fit
+    report and ``cardinality_test_half`` both skip it."""
+    train_idx, test_idx = split_by_hash(dataset)
+    test_idx = [i for i in test_idx if dataset.samples[i].answers]
+    if not test_idx:
+        raise DataError("no test-half query with a nonempty answer set")
+    return train_idx, test_idx
+
+
 def cardinality_test_half(dataset: QueryDataset, params: ModelParams):
     """MAE on the hash-test half plus the constant-mean-predictor baseline.
 
     Both skip zero-answer test queries; ``test_count`` counts the rest.
     """
-    train_idx, test_idx = split_by_hash(dataset)
+    train_idx, test_idx = cardinality_halves(dataset)
     sizes = np.array([len(s.answers) for s in dataset.samples], dtype=np.float64)
-    test_idx = [i for i in test_idx if sizes[i] > 0]
-    if not test_idx:
-        raise DataError("no test-half query with a nonempty answer set")
     test = [dataset.samples[i] for i in test_idx]
-    errors = _relative_size_errors(params, test)
+    errors = relative_size_errors(params, test)
     mean_size = float(np.mean(sizes[train_idx]))
     test_sizes = sizes[test_idx]
     baseline = 100.0 * float(np.mean(np.abs(mean_size - test_sizes) / test_sizes))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra, autodiff as ad, model as model_mod
 from .errors import DataError, NumericError
-from .evaluation import cardinality_features, split_by_hash
+from .evaluation import cardinality_features, cardinality_halves, relative_size_errors
 from .kg import KnowledgeGraph
 from .model import ForwardContext, ModelConfig, ModelParams
 from .oracle import QueryDataset
@@ -466,12 +466,9 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     Minimizes the mean absolute relative error between the size prediction
     and |easy + hard|. Union queries contribute through their De Morgan
     embedding, which is single-branch. Each epoch runs a fresh training context.
+    The report's test MAE and count are those of ``cardinality_test_half``.
     """
-    if not dataset.samples:
-        raise DataError("empty dataset")
-    train_idx, test_idx = split_by_hash(dataset)
-    if not train_idx or not test_idx:
-        raise DataError("dataset too small to split 1:1")
+    train_idx, test_idx = cardinality_halves(dataset)
 
     features = cardinality_features(params, dataset.samples)
     targets = np.array([max(1, len(s.answers)) for s in dataset.samples], dtype=np.float64)
@@ -494,8 +491,8 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     predictions = ForwardContext(params).cardinality(features)
     report = {
         "train_mae": float(np.mean(np.abs(predictions[train_idx] - y_train) / y_train)),
-        "test_mae": float(np.mean(
-            np.abs(predictions[test_idx] - targets[test_idx]) / targets[test_idx])),
+        "test_mae": float(np.mean(relative_size_errors(
+            params, [dataset.samples[i] for i in test_idx]))),
         "train_count": len(train_idx),
         "test_count": len(test_idx),
         "epochs": epochs,

@@ -5,7 +5,7 @@ import importlib
 from pathlib import Path
 
 from skqe import algebra, autodiff, evaluation, model, oracle, training
-from skqe.model import ForwardContext
+from skqe.model import ForwardContext, ModelParams
 
 from conftest import reference_sample_dataset
 
@@ -88,3 +88,35 @@ def test_traced_training_times_both_row_merges_every_step(monkeypatch, small_gra
     assert tasks >= config.steps
     assert names.count("training.merge_rows") == 2 * tasks
     assert layers.layer_metrics(tracer, ops=config.steps)["training.merge_rows_ms"] > 0
+
+
+def test_traced_ranking_scores_every_batch_and_ranks_every_query(monkeypatch, small_graph):
+    """A traced ``evaluate_ranking`` opens one ``evaluation.score`` span per
+    embedded batch and one ``evaluation.rank`` span per query, both inside
+    the ranking, and the per-layer metrics read their time."""
+    layers, tracer_mod = _perfbench(monkeypatch)
+    monkeypatch.setattr(evaluation, "EVAL_BATCH", 4)
+    dataset = oracle.sample_dataset(small_graph, ("1p", "2in", "2u"), 6, 0, "generalization")
+    config = training.TrainConfig(d=16, h=16).model_config(small_graph)
+    params = ModelParams.initialize(config, 0)
+    tracer = tracer_mod.Tracer()
+    layers.instrument(tracer)
+    try:
+        loop = tracer.open(layers.LOOP)
+        report = evaluation.evaluate_ranking(dataset, params)
+        tracer.close(loop)
+    finally:
+        tracer.stop()
+    spans = tracer.spans
+    names = [s[tracer_mod.NAME] for s in spans]
+    batches = sum(-(-len(group) // 4) for group in dataset.by_structure().values())
+    assert batches > len(report.ranks)  # some structure has more than one batch
+    assert names.count("evaluation.score") == batches
+    assert names.count("evaluation.rank") == len(dataset.samples)
+    for span in spans:
+        if span[tracer_mod.NAME] in ("evaluation.score", "evaluation.rank"):
+            parent = spans[span[tracer_mod.PARENT]]
+            assert parent[tracer_mod.NAME] == "evaluation.evaluate_ranking"
+    metrics = layers.layer_metrics(tracer, ops=1)
+    assert metrics["evaluation.score_ms"] > 0
+    assert metrics["evaluation.rank_ms"] > 0

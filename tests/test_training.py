@@ -414,7 +414,10 @@ class TestTrainCli:
         ("steps = 1\nattention = maybe\n", "cannot parse boolean"),
         ("steps = 0\n", "steps must be at least 1, got 0"),
         ("steps = 1\nworkers = 0\n", "workers must be at least 1, got 0"),
-    ], ids=["unknown-key", "bad-boolean", "steps-zero", "workers-zero"])
+        ("# settings\nsteps = abc\n", "train.cfg:2: cannot parse int from 'abc' for 'steps'"),
+        ("steps = 1\nlr = 1e-3x\n", "train.cfg:2: cannot parse float from '1e-3x' for 'lr'"),
+    ], ids=["unknown-key", "bad-boolean", "steps-zero", "workers-zero", "bad-int",
+            "bad-float"])
     def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
                                                    capsys):
         (tmp_path / "train.cfg").write_text(text)
