@@ -179,6 +179,7 @@ def cmd_eval(args) -> int:
     print(f"evaluated {sum(report.counts.values())} answers over "
           f"{len(report.per_structure)} structures: "
           f"MRR {avg.mrr:.4f}, Hits@3 {avg.hits3:.4f}")
+    print(f"near ties rescored exactly: {report.rescored} entities")
     print(f"metrics written to {args.out}")
     return EXIT_OK
 

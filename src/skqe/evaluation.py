@@ -1,5 +1,12 @@
 """Ranking metrics, uncertainty correlations, and answer-size error.
 
+Filtered ranking runs in two stages with the same ranks as exact scoring.
+``_batch_scores`` screens every entity against a batch of queries in float32;
+``rank_answers`` then compares each target's exact score with the screen,
+settles every entity whose screen lies further than ``screen_tolerance`` from
+it, and rescores the near ties in between with ``model.score_entities``, the
+one exact scorer.
+
 Uncertainty statistics and the size head's features come from one De Morgan
 pass (``_dm_embeddings``); the hash split of the size head's train and test
 halves (``split_by_hash``) lives here too."""
@@ -47,19 +54,38 @@ def mrr_hits(ranks) -> RankMetrics:
     )
 
 
-def rank_answers(scores: np.ndarray, filter_ids, targets) -> list[int]:
+def rank_answers(scores: np.ndarray, filter_ids, targets, rescore=None,
+                 tolerance: float = 0.0) -> list[int]:
     """Filtered rank of each target: 1 + number of non-answer entities scoring
-    at least as high (ties count against the target)."""
+    at least as high (ties count against the target; a target never counts
+    against itself).
+
+    Without ``rescore`` the scores are exact and compared as they are. With
+    it, ``scores`` is a screen within ``tolerance`` of the exact scores and
+    ``rescore(ids)`` returns the exact scores of the entities ``ids``: it
+    gives each target's own score. An entity whose screen is at least that
+    score plus ``tolerance`` counts, one below that score minus ``tolerance``
+    does not, and each near tie in between is rescored and counts when its
+    exact score is at least the target's.
+    """
     allowed = np.ones(scores.shape[0], dtype=bool)
     filter_ids = np.asarray(sorted(filter_ids), dtype=np.int64)
     if filter_ids.size:
         allowed[filter_ids] = False
+    targets = np.asarray(targets, dtype=np.int64)
+    exact = scores[targets] if rescore is None else rescore(targets)
     ranks = []
-    for t in targets:
-        target_score = scores[t]
-        competitors = (scores >= target_score) & allowed
+    for t, target_score in zip(targets, exact):
+        competitors = (scores >= target_score + tolerance) & allowed
         competitors[t] = False
-        ranks.append(1 + int(np.count_nonzero(competitors)))
+        count = np.count_nonzero(competitors)
+        if rescore is not None:
+            near = (scores >= target_score - tolerance) & allowed & ~competitors
+            near[t] = False
+            ids = np.flatnonzero(near)
+            if ids.size:
+                count += np.count_nonzero(rescore(ids) >= target_score)
+        ranks.append(1 + int(count))
     return ranks
 
 
@@ -75,6 +101,7 @@ class RankingReport:
     per_structure: dict[str, RankMetrics] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     ranks: dict[str, list[int]] = field(default_factory=dict)
+    rescored: int = 0  # near ties the float32 screen left to the exact scorer
 
     def average(self, structures=None) -> RankMetrics | None:
         names = [s for s in (structures or self.per_structure) if s in self.per_structure]
@@ -116,9 +143,13 @@ def _embed_structure_batches(params: ModelParams, samples, union_mode: str):
 
 
 def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
-    """Satisfiability ``1 - mean|E - v|`` of every entity against every query
-    row, best branch first-to-last: a ``(B, N)`` array for ``(B, 2d)`` branch
-    values and an ``(N, 2d)`` entity matrix.
+    """Float32 screen of the satisfiability ``1 - mean|E - v|`` of every
+    entity against every query row, best branch first-to-last: a ``(B, N)``
+    float32 array for ``(B, 2d)`` branch values and an ``(N, 2d)`` entity
+    matrix (float32 in ``evaluate_ranking``; the values are rounded to float32
+    as they are copied). Each score lies within ``screen_tolerance`` of the
+    exact float64 score of ``model.score_entities``, so it can rank only
+    together with an exact recheck of near ties (``rank_answers``).
 
     The ``(B, N, 2d)`` difference is never built whole. Rows and entities are
     tiled so that a ``(rows, cols, 2d)`` buffer fits in half of
@@ -127,23 +158,21 @@ def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
     for each row block and branch, the branch's values are copied once across
     ``cols`` into the first, and every entity tile of that row block then
     subtracts it from a whole slice of entities into the second, so no
-    subtraction broadcasts a query row. A ``(rows, cols)`` distance buffer
-    takes the later branches. Peak memory is the ``(B, N)`` result plus about
-    the budget, not O(B·N·2d). Each score is the sum of one contiguous
-    2d-slot row divided by 2d, as ``np.mean`` computes it, and the branch
-    maximum is taken in branch order, so the output is byte-identical to the
-    one-block formula ``max_b (1 - mean(|E[None] - V_b[:, None]|, axis=2))``.
+    subtraction broadcasts a query row. One matrix-vector product with a
+    vector of ones sums each pair's ``2d`` slots into a ``(rows, cols)``
+    buffer. Peak memory is the ``(B, N)`` float32 result plus about the
+    budget, not O(B·N·2d).
     """
     rows_total = branch_values[0].shape[0]
     count, width = entity_matrix.shape
-    dtype = np.result_type(entity_matrix, *branch_values)
-    pairs = max(1, SCORE_BLOCK_BYTES // (2 * width * dtype.itemsize))
+    pairs = max(1, SCORE_BLOCK_BYTES // (2 * width * 4))  # 4 bytes per float32
     cols = max(1, min(count, pairs // 8))
     rows = max(1, min(rows_total, pairs // cols))
-    best = np.empty((rows_total, count), dtype=dtype)
-    replica = np.empty((rows, cols, width), dtype=dtype)
-    block_buffer = np.empty(rows * cols * width, dtype=dtype)
-    dist_buffer = np.empty(rows * cols, dtype=dtype)
+    best = np.empty((rows_total, count), dtype=np.float32)
+    replica = np.empty((rows, cols, width), dtype=np.float32)
+    block_buffer = np.empty(rows * cols * width, dtype=np.float32)
+    sum_buffer = np.empty(rows * cols, dtype=np.float32)
+    ones = np.ones(width, dtype=np.float32)
     for r0 in range(0, rows_total, rows):
         r1 = min(rows_total, r0 + rows)
         queries = replica[: r1 - r0]
@@ -152,17 +181,42 @@ def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
             for c0 in range(0, count, cols):
                 c1 = min(count, c0 + cols)
                 shape = (r1 - r0, c1 - c0)
-                block = block_buffer[: shape[0] * shape[1] * width].reshape(*shape, width)
-                np.subtract(entity_matrix[None, c0:c1], queries[:, : shape[1]], out=block)
+                pair_count = shape[0] * shape[1]
+                block = block_buffer[: pair_count * width].reshape(pair_count, width)
+                np.subtract(entity_matrix[None, c0:c1], queries[:, : shape[1]],
+                            out=block.reshape(*shape, width))
                 np.abs(block, out=block)
+                distance = sum_buffer[:pair_count]
+                np.matmul(block, ones, out=distance)
+                distance = distance.reshape(shape)
+                distance /= width
                 tile = best[r0:r1, c0:c1]
-                target = tile if branch == 0 else dist_buffer[: shape[0] * shape[1]].reshape(shape)
-                np.add.reduce(block, axis=2, out=target)
-                target /= width
-                np.subtract(1.0, target, out=target)
-                if branch:
-                    np.maximum(tile, target, out=tile)
+                if branch == 0:
+                    np.subtract(1.0, distance, out=tile)
+                else:
+                    np.subtract(1.0, distance, out=distance)
+                    np.maximum(tile, distance, out=tile)
     return best
+
+
+def screen_tolerance(width: int, magnitude: float) -> float:
+    """Bound on |screen - exact score| over ``width`` = W = 2d slots, for a
+    ``magnitude`` M >= 1 that bounds every entity and query value.
+
+    Let u = 2^-24, float32's unit roundoff. Rounding e and v to float32 and
+    subtracting puts each slot's |e - v| off by at most uM + uM + u·2M = 4uM.
+    Summing the W terms in any order adds at most (W - 1)u times their total
+    of at most 2MW, which is 2(W - 1)uM on the mean; dividing by W adds
+    u·2M, and ``1 - x`` adds u(1 + 2M) <= 3uM (M >= 1 also absorbs float32
+    underflow). So |screen - exact| <= (2W + 7)uM, to first order. The
+    tolerance 4(W + 1)uM covers that for every W >= 2, with room for the
+    float64 score's own error (about W·2^-53·M) and for rounding
+    ``target ± tolerance``. Where float32 sums could overflow the tolerance
+    is infinite, so every entity is rescored.
+    """
+    if 4 * width * magnitude >= float(np.finfo(np.float32).max):
+        return np.inf
+    return 4 * (width + 1) * 2.0 ** -24 * magnitude
 
 
 def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
@@ -171,9 +225,14 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
 
     Generalization datasets rank hard answers filtering all known answers;
     entailment-style datasets (no hard answers) rank easy answers filtering
-    the other easy answers. Raises NumericError on a non-finite entity or
-    query embedding (the latter from ``ForwardContext.embed_instances``),
-    whose scores would rank every target first.
+    the other easy answers. Each embedded batch is screened once against a
+    float32 copy of the entity table (``_batch_scores``, made once per call),
+    and each query's targets are ranked by ``rank_answers`` with the exact
+    ``model.score_entities`` on gathered rows as the rescorer, so the ranks
+    equal those of exact scores; ``RankingReport.rescored`` counts the near
+    ties it rescored. Raises NumericError on a non-finite entity or query
+    embedding (the latter from ``ForwardContext.embed_instances``), whose
+    scores would rank every target first.
     """
     entailment = dataset.mode in ("entailment", "train")
     if not entailment and dataset.mode != "generalization":
@@ -183,13 +242,19 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     entity_matrix = model_mod.realize_all_entities(params)
     if not np.all(np.isfinite(entity_matrix)):
         raise NumericError("non-finite entity embeddings")
+    screen_entities = entity_matrix.astype(np.float32)
+    entity_magnitude = max(1.0, float(np.max(np.abs(entity_matrix))))
+    width = entity_matrix.shape[1]
     report = RankingReport()
 
     def eval_structure(item):
         structure, samples = item
         ranks: list[int] = []
+        rescored = 0
         for chunk, branch_values in _embed_structure_batches(params, samples, union_mode):
-            scores = _batch_scores(branch_values, entity_matrix)
+            screen = _batch_scores(branch_values, screen_entities)
+            tolerance = screen_tolerance(width, max(
+                entity_magnitude, *(float(np.max(np.abs(v))) for v in branch_values)))
             for row, sample in enumerate(chunk):
                 if entailment:
                     if sample.hard:
@@ -200,8 +265,16 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
                         raise DataError("generalization query without hard answers")
                     targets = sample.hard
                     filter_ids = set(sample.easy) | set(sample.hard)
-                ranks.extend(rank_answers(scores[row], filter_ids, targets))
-        return structure, ranks
+                qe = QueryEmbedding(tuple(values[row] for values in branch_values))
+                asked = []
+
+                def rescore(ids):
+                    asked.append(len(ids))
+                    return model_mod.score_entities(qe, params, entity_matrix[ids])
+
+                ranks.extend(rank_answers(screen[row], filter_ids, targets, rescore, tolerance))
+                rescored += sum(asked) - len(targets)
+        return structure, ranks, rescored
 
     items = list(dataset.by_structure().items())
     if workers > 1 and len(items) > 1:
@@ -209,10 +282,11 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
             results = list(pool.map(eval_structure, items))
     else:
         results = [eval_structure(item) for item in items]
-    for structure, ranks in results:
+    for structure, ranks, rescored in results:
         report.ranks[structure] = ranks
         report.counts[structure] = len(ranks)
         report.per_structure[structure] = mrr_hits(ranks)
+        report.rescored += rescored
     return report
 
 

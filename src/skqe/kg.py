@@ -260,6 +260,8 @@ def generate_synthetic(
     triples; ``valid_frac``/``test_frac`` of them (rounded) go to the held-out
     splits. Deterministic for a fixed seed.
     """
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     if num_entities < 2 or num_relations < 1:
         raise DataError("need at least 2 entities and 1 relation")
     if not (0 < valid_frac < 1 and 0 < test_frac < 1 and valid_frac + test_frac < 1):

@@ -411,9 +411,11 @@ def sample_dataset(
 ) -> QueryDataset:
     """Sample a dataset across structures, optionally thinning negation forms.
 
-    Raises DataError on a repeated structure or unless ``negation_frac`` is
-    finite and in (0, 1].
+    Raises DataError on a negative seed, a repeated structure or unless
+    ``negation_frac`` is finite and in (0, 1].
     """
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     repeated = sorted({s for s in structures if structures.count(s) > 1})
     if repeated:
         raise DataError(f"repeated structures: {repeated}")

@@ -51,6 +51,8 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
         for name in ("gamma", "lr", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -79,6 +79,33 @@ def test_gen_kg_bad_degree_exits_with_data_error(degree, tmp_path, capsys):
     assert not (tmp_path / "kg").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-kg", "gen-queries", "train"])
+def test_negative_seed_exits_with_data_error(files, command, tmp_path, capsys):
+    # numpy's generators reject negative seeds with a ValueError traceback
+    out = tmp_path / "out"
+    inputs = {
+        "gen-kg": ["--entities", "30", "--relations", "3"],
+        "gen-queries": ["--kg", str(files / "kg"), "--mode", "entailment",
+                        "--per-structure", "2"],
+        "train": ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl"),
+                  "--steps", "1"],
+    }[command]
+    code = cli.main([command, *inputs, "--seed", "-5", "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_train_config_file_exits_with_data_error(files, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("seed = -5\n")
+    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(files / "q.jsonl"),
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert "seed must be non-negative, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_answer_topk_one_prints_one_entity(files, capsys):
     assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
                      "--query", "EXISTS T . r0(e0,T)", "--topk", "1"]) == cli.EXIT_OK
@@ -114,6 +141,22 @@ def test_non_finite_checkpoint_exits_with_data_error(files, command, tmp_path, c
     assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == cli.EXIT_DATA
     assert "non-finite values in parameters ['F3b']" in capsys.readouterr().err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_eval_prints_the_near_ties_rescored(files, tmp_path, capsys):
+    graph = kg.load_tsv_dir(str(files / "kg"))
+    params = ModelParams.load(files / "model.ckpt")
+    # identical entity rows tie exactly, which the float32 screen cannot settle
+    params.arrays["entity"][1:4] = params.arrays["entity"][0]
+    params.save(tmp_path / "twins.ckpt")
+    out = tmp_path / "metrics.csv"
+    assert cli.main(["eval", "--kg", str(files / "kg"), "--ckpt", str(tmp_path / "twins.ckpt"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(out)]) == cli.EXIT_OK
+    report = evaluation.evaluate_ranking(oracle.read_dataset(files / "q.jsonl", graph), params)
+    assert report.rescored > 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"near ties rescored exactly: {report.rescored} entities",
+                         f"metrics written to {out}"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

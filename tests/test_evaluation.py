@@ -13,12 +13,23 @@ D = 16
 
 
 def one_block_scores(branch_values, entity_matrix):
-    """The unblocked formula: the whole (B, N, 2d) difference at once."""
+    """The unblocked exact formula: the whole (B, N, 2d) difference at once."""
     best = None
     for values in branch_values:
         scores = 1.0 - np.mean(np.abs(entity_matrix[None, :, :] - values[:, None, :]), axis=2)
         best = scores if best is None else np.maximum(best, scores)
     return best
+
+
+def assert_within_screen_tolerance(got, branch_values, entity_matrix):
+    """The float32 screen lies within ``screen_tolerance`` of the exact
+    float64 formula on the float64 inputs."""
+    magnitude = max(1.0, *(float(np.max(np.abs(a))) for a in (entity_matrix, *branch_values)))
+    tolerance = evaluation.screen_tolerance(entity_matrix.shape[1], magnitude)
+    want = one_block_scores([np.asarray(v, dtype=np.float64) for v in branch_values],
+                            np.asarray(entity_matrix, dtype=np.float64))
+    assert got.dtype == np.float32 and got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -37,38 +48,46 @@ def _params(graph, mode="bounds", seed=0):
 
 
 class TestBlockedScorer:
+    """``_batch_scores`` is a float32 screen, not an exact scorer: every score
+    must lie within ``screen_tolerance`` of the one-block formula, whatever
+    the tiling. Exact ranks come from the recheck (``TestNearTieRanks``)."""
+
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("structure,branches", [("1p", 1), ("2u", 2)])
-    def test_ragged_tiles_match_one_block_byte_for_byte(self, graph, dataset, mode,
-                                                        structure, branches, monkeypatch):
+    def test_ragged_tiles_stay_within_tolerance_of_one_block(self, graph, dataset, mode,
+                                                              structure, branches, monkeypatch):
         params = _params(graph, mode)
         entity_matrix = model.realize_all_entities(params)
         samples = dataset.by_structure()[structure]
         ((_, branch_values),) = evaluation._embed_structure_batches(params, samples, "dnf")
         assert len(branch_values) == branches and branch_values[0].shape[0] == 10
         width = entity_matrix.shape[1]
-        # 40 (row, entity) pairs in each of the two buffers: 8-row by 5-entity
-        # tiles, so the 10 rows split 8 + 2 and the 23 entities 5 + 5 + 5 + 5 + 3.
-        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 2 * 40 * width * 8)
-        got = evaluation._batch_scores(branch_values, entity_matrix)
-        want = one_block_scores(branch_values, entity_matrix)
+        # 40 float32 (row, entity) pairs in each of the two buffers: 8-row by
+        # 5-entity tiles, so the 10 rows split 8 + 2 and the 23 entities
+        # 5 + 5 + 5 + 5 + 3.
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 2 * 40 * width * 4)
+        got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
         assert got.shape == (10, graph.num_entities)
-        assert got.tobytes() == want.tobytes()
+        assert_within_screen_tolerance(got, branch_values, entity_matrix)
 
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
     @pytest.mark.parametrize("branches", [1, 2, 3])
-    @pytest.mark.parametrize("budget", [1, 2 * D * 8 - 1, 2 * 40 * 2 * D * 8,
+    @pytest.mark.parametrize("budget", [1, 2 * 2 * D * 4 - 1, 2 * 40 * 2 * D * 4,
                                         evaluation.SCORE_BLOCK_BYTES],
                              ids=["one-byte", "below-one-row", "ragged", "default"])
-    def test_any_budget_matches_one_block(self, budget, branches, monkeypatch):
+    def test_any_budget_stays_within_tolerance_of_one_block(self, budget, branches, scale,
+                                                            monkeypatch):
         # "ragged": 8-row by 5-entity tiles, so the 19 rows split 8 + 8 + 3 and
         # the 17 entities 5 + 5 + 5 + 2; the last tile is partial both ways.
         # The two smaller budgets fall back to one (row, entity) pair per tile.
+        # scale 8 puts values in [-8, 8), so the tolerance grows with them.
         rng = np.random.default_rng(3)
-        entity_matrix = rng.uniform(size=(17, 2 * D))
-        branch_values = [rng.uniform(size=(19, 2 * D)) for _ in range(branches)]
+        entity_matrix = scale * rng.uniform(-1.0 if scale > 1 else 0.0, 1.0, size=(17, 2 * D))
+        branch_values = [scale * rng.uniform(-1.0 if scale > 1 else 0.0, 1.0, size=(19, 2 * D))
+                         for _ in range(branches)]
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", budget)
-        got = evaluation._batch_scores(branch_values, entity_matrix)
-        assert got.tobytes() == one_block_scores(branch_values, entity_matrix).tobytes()
+        got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
+        assert_within_screen_tolerance(got, branch_values, entity_matrix)
 
     def test_nan_query_row_stays_nan(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -76,17 +95,24 @@ class TestBlockedScorer:
         branch_values = [rng.uniform(size=(6, 2 * D)) for _ in range(2)]
         branch_values[1][2, 5] = np.nan
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", 6 * 2 * D * 8)
-        got = evaluation._batch_scores(branch_values, entity_matrix)
+        got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
         assert np.isnan(got[2]).all()
         assert np.isfinite(np.delete(got, 2, axis=0)).all()
-        np.testing.assert_array_equal(got, one_block_scores(branch_values, entity_matrix))
+        tolerance = evaluation.screen_tolerance(2 * D, 1.0)
+        np.testing.assert_allclose(got, one_block_scores(branch_values, entity_matrix),
+                                   rtol=0, atol=tolerance)
+
+    def test_tolerance_is_infinite_where_float32_could_overflow(self):
+        assert evaluation.screen_tolerance(64, 1.0) == 4 * 65 * 2.0 ** -24
+        assert evaluation.screen_tolerance(64, 1e30) < np.inf
+        assert evaluation.screen_tolerance(64, 1e37) == np.inf
 
     @pytest.mark.parametrize("budget", [evaluation.SCORE_BLOCK_BYTES, 1 << 18])
     def test_memory_stays_bounded(self, budget, monkeypatch):
         rng = np.random.default_rng(5)
-        entity_matrix = rng.uniform(size=(20_000, 64))
+        entity_matrix = rng.uniform(size=(20_000, 64)).astype(np.float32)
         branch_values = [rng.uniform(size=(32, 64)) for _ in range(2)]
-        output_bytes = 32 * 20_000 * 8
+        output_bytes = 32 * 20_000 * 4
         monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES", budget)
         tracemalloc.start()
         try:
@@ -95,7 +121,7 @@ class TestBlockedScorer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert scores.shape == (32, 20_000)
+        assert scores.shape == (32, 20_000) and scores.dtype == np.float32
         # The one-block formula would need two 32 x 20,000 x 64 temporaries
         # (~650 MB). The kernel holds the query copy and the difference block,
         # half the budget each, and a (rows, cols) distance tile; on a small
@@ -113,6 +139,29 @@ class TestRanking:
         # the target never counts against itself, filtered or not
         assert evaluation.rank_answers(scores, set(), [0]) == [5]
         assert evaluation.rank_answers(scores, {1, 3, 5}, [0, 2]) == [2, 2]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screen_with_rescorer_ranks_as_exact_scores(self, seed):
+        # 400 exact scores on a coarse grid (many exact ties), plus pairs a few
+        # float64 ulps apart; the screen moves each by up to the tolerance
+        rng = np.random.default_rng(seed)
+        tolerance = 1e-5
+        exact = rng.integers(0, 40, size=400) / 40.0
+        exact[200:] = exact[:200] + rng.integers(-2, 3, size=200) * np.spacing(exact[:200])
+        screen = (exact + rng.uniform(-tolerance, tolerance, size=exact.size)).astype(np.float32)
+        screen[::7] = exact[::7]  # some screens land exactly on the exact score
+        asked = []
+
+        def rescore(ids):
+            asked.append(np.asarray(ids))
+            return exact[ids]
+
+        filter_ids = set(rng.choice(400, size=30, replace=False).tolist())
+        targets = list(rng.choice(400, size=25, replace=False))
+        got = evaluation.rank_answers(screen, filter_ids, targets, rescore, tolerance)
+        assert got == evaluation.rank_answers(exact, filter_ids, targets)
+        assert list(asked[0]) == targets  # each target's own score is exact
+        assert sum(len(ids) for ids in asked[1:]) > 0  # and some near ties were rescored
 
     def test_identical_entity_rows_tie_in_evaluate_ranking(self, graph):
         dataset = oracle.sample_dataset(graph, ("1p",), 5, 2, "generalization")
@@ -188,6 +237,83 @@ class TestRanksAgainstOneQueryReference:
                     want.extend(evaluation.rank_answers(model.score_entities(qe, params),
                                                         set(sample.easy), sample.easy))
             assert report.ranks[structure] == want, structure
+
+
+def _add_near_ties(params, dataset, seed):
+    """Give the first target of each structure's first query five twins among
+    that query's non-answers: one with the target's entity row, two 1 float32
+    ulp from it in every slot and two 2 ulps from it, signs drawn per slot.
+    Their exact scores tie the target's or differ by far less than the float32
+    screen resolves."""
+    rows = params.arrays["entity"]
+    rng = np.random.default_rng(seed)
+    taken = set()
+    for samples in dataset.by_structure().values():
+        sample = samples[0]
+        target = (sample.hard or sample.easy)[0]
+        taken.add(target)
+        excluded = set(sample.easy) | set(sample.hard) | taken
+        free = [e for e in range(rows.shape[0]) if e not in excluded]
+        twins = rng.choice(free, size=5, replace=False)
+        taken.update(twins.tolist())
+        row = rows[target].copy()
+        ulp = np.spacing(row.astype(np.float32)).astype(np.float64)
+        for twin, ulps in zip(twins, (0, 1, 1, 2, 2)):
+            rows[twin] = row + ulps * rng.choice([-1.0, 1.0], size=row.shape) * ulp
+
+
+def _exact_reranks(dataset, params, union_mode):
+    """Every query re-ranked alone against the whole table with
+    ``model.score_entities`` and the plain ``rank_answers``."""
+    ranks = {}
+    for structure, samples in dataset.by_structure().items():
+        ranks[structure] = []
+        for sample in samples:
+            scores = model.score_entities(model.embed_instance(sample.instance, params,
+                                                               union_mode), params)
+            targets = sample.hard or sample.easy
+            ranks[structure].extend(evaluation.rank_answers(
+                scores, set(sample.easy) | set(sample.hard), targets))
+    return ranks
+
+
+class TestNearTieRanks:
+    """Entity rows equal to a target's, or 1-2 float32 ulps from it, which the
+    float32 screen cannot separate from the target: the exact recheck must
+    rank them as a full-table re-rank with exact scores does."""
+
+    @pytest.fixture(scope="class")
+    def big_graph(self):
+        return kg.generate_synthetic(300, 6, 3.0, 0.1, 0.1, seed=3)
+
+    @pytest.fixture(scope="class")
+    def datasets(self, big_graph):
+        return {
+            "generalization": oracle.sample_dataset(big_graph, STRUCTURE_NAMES, 6, 5,
+                                                    "generalization"),
+            "entailment": oracle.sample_dataset(big_graph, ("1p", "2i", "2in", "2u", "up"), 6,
+                                                6, "entailment"),
+        }
+
+    @pytest.mark.parametrize("union_mode", ["dnf", "dm"])
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("kind", ["generalization", "entailment"])
+    def test_ranks_equal_exact_reranks(self, big_graph, datasets, kind, mode, union_mode):
+        dataset = datasets[kind]
+        params = _params(big_graph, mode, seed=7)
+        _add_near_ties(params, dataset, seed=8)
+        report = evaluation.evaluate_ranking(dataset, params, union_mode)
+        assert report.ranks == _exact_reranks(dataset, params, union_mode)
+        assert report.rescored > 0
+
+    def test_a_zero_tolerance_misranks_them(self, big_graph, datasets, monkeypatch):
+        # without the recheck band the screen alone decides the twins
+        dataset = datasets["generalization"]
+        params = _params(big_graph, seed=7)
+        _add_near_ties(params, dataset, seed=8)
+        monkeypatch.setattr(evaluation, "screen_tolerance", lambda width, magnitude: 0.0)
+        report = evaluation.evaluate_ranking(dataset, params)
+        assert report.ranks != _exact_reranks(dataset, params, "dnf")
 
 
 class TestCorrelation:

@@ -96,6 +96,25 @@ class TestSlotBinding:
             np.testing.assert_array_equal(g, w)
 
 
+class TestScoreEntitiesOnGatheredRows:
+    """The ranking recheck scores gathered rows ``E[ids]``; each score must be
+    the same bytes as that entity's score against the whole table."""
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("structure", ["2i", "2u"])  # one branch, two DNF branches
+    @pytest.mark.parametrize("ids", [[0], [59], [7, 3, 41, 3], list(range(60))[::-1]],
+                             ids=["first", "last", "unsorted-repeated", "all-reversed"])
+    def test_subset_scores_equal_full_table_scores(self, dataset, mode, structure, ids):
+        params = _params(mode)
+        entity_matrix = model.realize_all_entities(params)
+        ids = np.array(ids, dtype=np.int64)
+        for sample in dataset.by_structure()[structure]:
+            qe = model.embed_instance(sample.instance, params, "dnf")
+            got = model.score_entities(qe, params, entity_matrix[ids])
+            want = model.score_entities(qe, params)[ids]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestInferenceRecordsNothing:
     def test_embedding_and_ranking_create_no_tensor(self, dataset, monkeypatch):
         created = []
