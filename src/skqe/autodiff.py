@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
-One tape per worker; forward values are recorded in creation order, which is
-already a topological order, and ``backward`` walks it in reverse. Only the
-primitives needed by the model and loss are provided. Tensors support numpy
-broadcasting in the elementwise binaries; gradients are summed back down to
-the operand shapes.
+One tape per training forward pass; values are recorded in creation order,
+which is already a topological order, and ``backward`` walks it in reverse.
+Only the primitives needed by the model and loss are provided. Tensors
+support numpy broadcasting in the elementwise binaries; gradients are summed
+back down to the operand shapes.
 
 Constants are plain arrays. A primitive with no tensor among its inputs
 returns a plain array and records nothing; otherwise it records a ``Tensor``
@@ -81,7 +81,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications; not shared across threads."""
+    """Ordered record of one forward pass's primitive applications."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []

@@ -104,7 +104,7 @@ def build_train_config(args) -> TrainConfig:
         "batch_size": args.batch_size, "steps": args.steps, "lr": args.lr,
         "seed": args.seed, "kind": args.tnorm, "mode": args.mode,
         "union": args.union, "log_every": args.log_every,
-        "checkpoint_every": args.checkpoint_every, "workers": args.workers,
+        "checkpoint_every": args.checkpoint_every,
     }
     if args.attention is not None:
         overrides["attention"] = args.attention == "on"
@@ -173,7 +173,7 @@ def cmd_eval(args) -> int:
     graph = _load_graph(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
-    report = evaluation.evaluate_ranking(dataset, params, args.union, args.workers)
+    report = evaluation.evaluate_ranking(dataset, params, args.union)
     evaluation.write_metric_csv(report.to_rows(), args.out)
     avg = report.average()
     print(f"evaluated {sum(report.counts.values())} answers over "
@@ -299,7 +299,7 @@ def make_parser() -> _Parser:
     p = sub.add_parser("gen-queries", help="sample a query dataset via the oracle")
     p.add_argument("--kg", required=True)
     p.add_argument("--mode", choices=oracle_mod.DATASET_MODES, required=True)
-    p.add_argument("--per-structure", type=int, required=True)
+    p.add_argument("--per-structure", type=_positive_int, required=True)
     p.add_argument("--structures", help="comma-separated subset (default: all 14)")
     p.add_argument("--negation-frac", type=float, default=1.0,
                    help="sampling fraction for negation structures (0.1 matches the upstream ratio)")
@@ -327,9 +327,6 @@ def make_parser() -> _Parser:
     p.add_argument("--union", choices=("dnf", "dm"))
     p.add_argument("--log-every", type=_positive_int)
     p.add_argument("--checkpoint-every", type=int)
-    p.add_argument("--workers", type=_positive_int,
-                   help="threads per step, one per structure task; 2 pays only with "
-                        "OPENBLAS_NUM_THREADS=1, and finished results wait in task order")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="ranking metrics on a query dataset")
@@ -337,7 +334,6 @@ def make_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -14,7 +14,6 @@ halves (``split_by_hash``) lives here too."""
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,6 +233,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     embedding (the latter from ``ForwardContext.embed_instances``), whose
     scores would rank every target first.
     """
+    if workers != 1:  # accepted, as 1 only, for perfbench/workloads.py
+        raise DataError(f"ranking is serial: workers must be 1, got {workers}")
     entailment = dataset.mode in ("entailment", "train")
     if not entailment and dataset.mode != "generalization":
         raise DataError(f"cannot rank dataset with mode {dataset.mode!r}")
@@ -246,11 +247,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     entity_magnitude = max(1.0, float(np.max(np.abs(entity_matrix))))
     width = entity_matrix.shape[1]
     report = RankingReport()
-
-    def eval_structure(item):
-        structure, samples = item
+    for structure, samples in dataset.by_structure().items():
         ranks: list[int] = []
-        rescored = 0
         for chunk, branch_values in _embed_structure_batches(params, samples, union_mode):
             screen = _batch_scores(branch_values, screen_entities)
             tolerance = screen_tolerance(width, max(
@@ -273,20 +271,11 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
                     return model_mod.score_entities(qe, params, entity_matrix[ids])
 
                 ranks.extend(rank_answers(screen[row], filter_ids, targets, rescore, tolerance))
-                rescored += sum(asked) - len(targets)
-        return structure, ranks, rescored
-
-    items = list(dataset.by_structure().items())
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_structure, items))
-    else:
-        results = [eval_structure(item) for item in items]
-    for structure, ranks, rescored in results:
+                report.rescored += sum(asked) - len(targets)
+            del screen  # free before the next batch's screen is made
         report.ranks[structure] = ranks
         report.counts[structure] = len(ranks)
         report.per_structure[structure] = mrr_hits(ranks)
-        report.rescored += rescored
     return report
 
 

@@ -117,6 +117,14 @@ def exhaustive_eval(instance: QueryInstance, graph: KnowledgeGraph,
     This is the lifted reading of the query forms (variables denote entity
     subsets, not single witnesses), which the relation-following semantics of
     the plan evaluator must reproduce exactly.
+
+    ``EXHAUSTIVE_GUARD`` bounds N^(vars+1), the number of assignments of the
+    bound variables and the target over N entities, which a naive
+    enumeration would visit; beyond it this raises DataError. That is not
+    this scan's cost: membership is memoized per (term, entity), so the scan
+    makes at most N² triple lookups per atom ((vars+1)·N² for a chain), and
+    the guard refuses queries (``3p`` at N = 2,000, say) that it could still
+    answer in polynomial time.
     """
     template = instance.template()
     n_vals = graph.num_entities

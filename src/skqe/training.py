@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import InitVar, dataclass, asdict
 
 import numpy as np
 
@@ -43,14 +41,11 @@ class TrainConfig:
     filter_negatives: bool = True
     log_every: int = 100
     checkpoint_every: int = 0
-    # Threads that run a step's structure tasks. workers=2 pays only with one
-    # BLAS thread per worker (OPENBLAS_NUM_THREADS=1); otherwise the pool and
-    # BLAS compete for the cores. Results come back in task order, so a task
-    # that finishes early holds its gradients until every earlier task has been
-    # folded into the step's tables.
-    workers: int = 1
+    workers: InitVar[int] = 1  # accepted, as 1 only, for perfbench/workloads.py
 
-    def __post_init__(self):
+    def __post_init__(self, workers):
+        if workers != 1:
+            raise DataError(f"training is serial: workers must be 1, got {workers}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
         for name in ("gamma", "lr", "eps"):
@@ -62,7 +57,7 @@ class TrainConfig:
                 raise DataError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.negatives < 1:
             raise DataError("need at least one negative sample")
-        for name in ("steps", "batch_size", "workers", "log_every"):
+        for name in ("steps", "batch_size", "log_every"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.checkpoint_every < 0:
@@ -257,8 +252,8 @@ def _merge_row_grads(touches, table: np.ndarray, touched: np.ndarray) -> None:
 
 
 def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
-                 config: TrainConfig, num_entities: int, rng: np.random.Generator,
-                 first_positive: bool = False) -> list[tuple]:
+                 config: TrainConfig, num_entities: int, rng: np.random.Generator
+                 ) -> list[tuple]:
     """(group, rows, positive ids, negative ids) per structure, drawn in a
     fixed structure order for determinism."""
     tasks = []
@@ -268,7 +263,7 @@ def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, li
             continue
         group = groups[structure]
         pos = np.array([
-            group.positives[i][0 if first_positive else int(rng.integers(len(group.positives[i])))]
+            group.positives[i][int(rng.integers(len(group.positives[i])))]
             for i in locals_
         ], dtype=np.int64)
         neg = np.stack([
@@ -280,8 +275,7 @@ def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, li
     return tasks
 
 
-def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig,
-          batch_size: int, pool: ThreadPoolExecutor | None = None):
+def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig):
     """One optimizer step: realize the entity table, forward and backward per
     task, folding each task's gradients as it finishes, then the updates.
 
@@ -289,18 +283,19 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     shared by every task's context, which gathers anchors, positives and
     negatives from it and hands back slot-space gradients per touched row.
     The step's zeroed entity and relation gradient tables and their touched
-    masks exist from the start; as each task's result arrives (in task order,
-    from ``map`` or ``pool.map``, in this thread) ``_merge_row_grads`` folds
-    its touches into them in touch order, dense gradients are summed, and the
-    task's gradients are dropped, so the step holds one task's gradients
-    besides its tables. One ``model._realize_backward`` over the touched
-    entity rows then gives their pre-activation gradients. Returns the loss
-    summed over the batch, the positive and negative scores 1 - D, and the
-    interval-repair count. Each task runs on its own tape and hands back only
-    its gradients, so the tape is freed when the task returns. Raises
-    NumericError on a non-finite loss; ``begin_step`` and every update come
-    after the last task, so nothing has been updated then.
+    masks exist from the start; as each task finishes, in task order,
+    ``_merge_row_grads`` folds its touches into them in touch order, dense
+    gradients are summed, and the task's gradients are dropped, so the step
+    holds one task's gradients besides its tables. One
+    ``model._realize_backward`` over the touched entity rows then gives their
+    pre-activation gradients. Every gradient is of the mean loss over all
+    task rows. Returns the loss summed over the batch, the positive and
+    negative scores 1 - D, and the interval-repair count. Each task runs on
+    its own tape and hands back only its gradients, so the tape is freed when
+    the task returns. Raises NumericError on a non-finite loss; ``begin_step`` and
+    every update come after the last task, so nothing has been updated then.
     """
+    batch_size = sum(len(rows) for _, rows, _, _ in tasks)
     mode = params.config.mode
     entities = model_mod._realize_parts(params.arrays["entity"], mode)
     tables = {name: np.zeros_like(params.arrays[name]) for name in ("entity", "relation")}
@@ -323,10 +318,9 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         relation = [(ids, t.grad) for ids, t in ctx.relation_touches if t.grad is not None]
         return loss, d_pos, d_neg, ctx.repair_count, dense, entity, relation
 
-    results = (pool.map if pool is not None and len(tasks) > 1 else map)(run_task, tasks)
     loss, repairs, pos_dists, neg_dists = 0, 0, [], []
     dense_grads: dict[str, np.ndarray] = {}
-    for task_loss, d_pos, d_neg, task_repairs, dense, entity, relation in results:
+    for task_loss, d_pos, d_neg, task_repairs, dense, entity, relation in map(run_task, tasks):
         loss += task_loss
         repairs += task_repairs
         pos_dists.append(d_pos)
@@ -392,66 +386,28 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     records: list[TrainLogRecord] = []
     started = time.perf_counter()
 
-    with (ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1
-          else contextlib.nullcontext()) as pool:
-        for step in range(1, config.steps + 1):
-            picks = rng.integers(0, len(group_offsets), size=config.batch_size)
-            per_structure: dict[str, list[int]] = {}
-            for pick in picks:
-                structure, local = group_offsets[pick]
-                per_structure.setdefault(structure, []).append(local)
-            tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng)
-            loss, pos_scores, neg_scores, repairs = _step(
-                params, optimizer, tasks, config, config.batch_size, pool)
+    for step in range(1, config.steps + 1):
+        picks = rng.integers(0, len(group_offsets), size=config.batch_size)
+        per_structure: dict[str, list[int]] = {}
+        for pick in picks:
+            structure, local = group_offsets[pick]
+            per_structure.setdefault(structure, []).append(local)
+        tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng)
+        loss, pos_scores, neg_scores, repairs = _step(params, optimizer, tasks, config)
 
-            if step % config.log_every == 0 or step == config.steps or step == 1:
-                records.append(TrainLogRecord(
-                    step=step,
-                    loss=loss / config.batch_size,
-                    pos_score=float(np.mean(pos_scores)),
-                    neg_score=float(np.mean(neg_scores)),
-                    repairs=repairs,
-                    seconds=time.perf_counter() - started,
-                ))
-            if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
-                on_checkpoint(step, params)
+        if step % config.log_every == 0 or step == config.steps or step == 1:
+            records.append(TrainLogRecord(
+                step=step,
+                loss=loss / config.batch_size,
+                pos_score=float(np.mean(pos_scores)),
+                neg_score=float(np.mean(neg_scores)),
+                repairs=repairs,
+                seconds=time.perf_counter() - started,
+            ))
+        if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
+            on_checkpoint(step, params)
 
     return params, records
-
-
-def train_step_on_batch(graph: KnowledgeGraph, dataset: QueryDataset,
-                        config: TrainConfig, params: ModelParams,
-                        batch: list[int], optimizer: Adam,
-                        rng: np.random.Generator) -> float:
-    """Run one optimizer step on a fixed list of dataset indices; returns the loss.
-
-    Positives are the first easy answer of each query, so repeated calls on
-    the same batch differ only in their negative draws. Exposed for
-    convergence checks on a frozen batch. Raises DataError, before any state
-    changes, on an empty batch or an index outside the dataset.
-    """
-    if len(batch) == 0:
-        raise DataError("empty batch")
-    bad = [i for i in batch if not 0 <= i < len(dataset.samples)]
-    if bad:
-        raise DataError(f"batch indices {bad} outside the dataset's "
-                        f"{len(dataset.samples)} queries")
-    groups = _prepare_groups(dataset)
-    local_index: dict[str, int] = {}
-    locator: list[tuple[str, int]] = []
-    for sample in dataset.samples:
-        structure = sample.instance.structure
-        locator.append((structure, local_index.get(structure, 0)))
-        local_index[structure] = local_index.get(structure, 0) + 1
-
-    per_structure: dict[str, list[int]] = {}
-    for i in batch:
-        structure, local = locator[i]
-        per_structure.setdefault(structure, []).append(local)
-
-    tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng,
-                         first_positive=True)
-    return _step(params, optimizer, tasks, config, len(batch))[0] / len(batch)
 
 
 def _cardinality_loss(ctx: ForwardContext, features: np.ndarray,

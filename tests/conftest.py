@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,54 @@ def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
     z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
     z3 = z2 @ a["H3"] + a["H3b"]
     return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+
+
+# --- the logic, one slot at a time -------------------------------------------
+
+def reference_negate(x, mode: str = "bounds") -> np.ndarray:
+    """Negation of one flat slot vector: [l, u] -> [1 - u, 1 - l] per
+    dimension in bounds mode, t -> 1 - t per slot in point mode."""
+    x = [float(v) for v in x]
+    if mode == "point":
+        return np.array([1.0 - t for t in x])
+    d = len(x) // 2
+    return np.array([1.0 - u for u in x[d:]] + [1.0 - lo for lo in x[:d]])
+
+
+def reference_conjoin(kind: str, inputs, weights, alpha: float,
+                      mode: str = "bounds") -> tuple[np.ndarray, int]:
+    """Weighted conjunction of k flat slot vectors in Python floats, slot by
+    slot; returns (value, repaired dimensions). Written from the formulas,
+    not from ``logic.conjoin_slots``:
+
+    - luk: max(0, 1 - sum_j w_j (1 - t_j));
+    - prod: prod_j t_j^w_j;
+    - min, the smooth minimum: sum_j t_j w_j e^(alpha t_j) / sum_j w_j e^(alpha t_j).
+
+    In bounds mode each dimension whose conjoined lower exceeds its upper
+    takes their midpoint for both; point mode repairs nothing."""
+    out = []
+    for slot in range(len(inputs[0])):
+        ts = [float(x[slot]) for x in inputs]
+        ws = [float(w[slot]) for w in weights]
+        if kind == "luk":
+            value = max(0.0, 1.0 - sum(w * (1.0 - t) for t, w in zip(ts, ws)))
+        elif kind == "prod":
+            value = math.prod(t ** w for t, w in zip(ts, ws))
+        elif kind == "min":
+            value = (sum(t * w * math.exp(alpha * t) for t, w in zip(ts, ws))
+                     / sum(w * math.exp(alpha * t) for t, w in zip(ts, ws)))
+        else:
+            raise ValueError(kind)
+        out.append(value)
+    repairs = 0
+    if mode == "bounds":
+        d = len(out) // 2
+        for i in range(d):
+            if out[i] > out[d + i]:
+                out[i] = out[d + i] = 0.5 * (out[i] + out[d + i])
+                repairs += 1
+    return np.array(out), repairs
 
 
 # --- the row-gradient merge as it was before the dense table ----------------

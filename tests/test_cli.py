@@ -51,21 +51,38 @@ def test_answer_topk_below_one_is_a_usage_error(files, topk, capsys):
     assert "--topk" in capsys.readouterr().err
 
 
+def _inputs(files, command):
+    """Every required flag of ``command`` but ``--out``."""
+    if command == "gen-queries":
+        return ["--kg", str(files / "kg"), "--mode", "entailment"]
+    ckpt = [] if command == "train" else ["--ckpt", str(files / "model.ckpt")]
+    return ["--kg", str(files / "kg"), *ckpt, "--queries", str(files / "q.jsonl")]
+
+
 @pytest.mark.parametrize("command,flag,value", [
-    ("eval", "--workers", "0"), ("eval", "--workers", "-3"),
+    ("gen-queries", "--per-structure", "0"), ("gen-queries", "--per-structure", "-2"),
     ("fit-cardinality", "--epochs", "0"), ("fit-cardinality", "--epochs", "-2"),
-    ("train", "--steps", "0"), ("train", "--batch-size", "0"), ("train", "--workers", "0"),
+    ("train", "--steps", "0"), ("train", "--batch-size", "0"),
     ("train", "--log-every", "0"), ("train", "--negatives", "-1"),
 ])
 def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path, capsys):
     # a count in a train --config file is checked by TrainConfig instead (exit 2)
-    ckpt = [] if command == "train" else ["--ckpt", str(files / "model.ckpt")]
     with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, "--kg", str(files / "kg"), *ckpt,
-                  "--queries", str(files / "q.jsonl"), flag, value,
+        cli.main([command, *_inputs(files, command), flag, value,
                   "--out", str(tmp_path / "out")])
     assert exit_info.value.code == cli.EXIT_USAGE
     assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_removed_workers_flag_is_a_usage_error(files, command, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *_inputs(files, command), "--workers", value,
+                  "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: --workers {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -187,6 +187,13 @@ class TestRanking:
             evaluation.evaluate_ranking(QueryDataset([], {"mode": "generalization"}),
                                         _params(graph))
 
+    @pytest.mark.parametrize("workers", [2, 0])
+    def test_workers_other_than_one_is_a_data_error(self, graph, workers):
+        dataset = oracle.sample_dataset(graph, ("1p",), 2, 2, "generalization")
+        assert evaluation.evaluate_ranking(dataset, _params(graph), workers=1).counts
+        with pytest.raises(DataError, match=f"workers must be 1, got {workers}"):
+            evaluation.evaluate_ranking(dataset, _params(graph), workers=workers)
+
 
     @pytest.mark.parametrize("name,row", [("F3b", slice(None)), ("entity", 3)],
                              ids=["query-row", "entity-row"])
@@ -218,13 +225,12 @@ class TestRanksAgainstOneQueryReference:
                                                 2, "entailment"),
         }
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("union_mode", ["dnf", "dm"])
     @pytest.mark.parametrize("mode", ["generalization", "entailment"])
-    def test_ranks_equal_score_entities(self, big_graph, datasets, mode, union_mode, workers):
+    def test_ranks_equal_score_entities(self, big_graph, datasets, mode, union_mode):
         dataset = datasets[mode]
         params = _params(big_graph, seed=4)
-        report = evaluation.evaluate_ranking(dataset, params, union_mode, workers)
+        report = evaluation.evaluate_ranking(dataset, params, union_mode)
         by_structure = dataset.by_structure()
         assert report.ranks.keys() == by_structure.keys()
         for structure, samples in by_structure.items():

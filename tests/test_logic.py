@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from skqe import logic
 from skqe.logic import TruthBounds
 
+from conftest import reference_conjoin, reference_negate
+
 GRID = np.arange(0, 21) * 0.05
 KINDS = ("min", "prod", "luk")
 
@@ -218,6 +220,46 @@ class TestConjoinBounds:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="imension"):
             logic.conjoin_bounds("luk", [TruthBounds(np.zeros(4)), TruthBounds(np.zeros(6))])
+
+
+class TestSlotsMatchReference:
+    """``conjoin_slots`` and ``negate_slots``, batched over rows, against the
+    per-slot Python-float references in ``conftest``."""
+
+    @staticmethod
+    def _slots(rng, mode, rows=8, d=6):
+        if mode == "point":
+            return rng.uniform(0.05, 1.0, (rows, 2 * d))
+        lower = rng.uniform(0.05, 1.0, (rows, d))
+        upper = lower + rng.uniform(0.0, 1.0, (rows, d)) * (1.0 - lower)
+        return np.concatenate([lower, upper], axis=1)
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conjoin_slots(self, kind, mode):
+        rng = np.random.default_rng(5)
+        xs = [self._slots(rng, mode) for _ in range(3)]
+        if mode == "bounds":  # a point truth beside wide intervals makes min cross
+            xs[1][:, 6:] = xs[1][:, :6]
+        # one weight per dimension, shared by its lower and upper, as in the model
+        ws = [np.tile(rng.uniform(0.1, 1.0, (8, 6)), 2) for _ in range(3)]
+        got, repairs = logic.conjoin_slots(kind, xs, ws, logic.DEFAULT_ALPHA, mode)
+        assert (repairs > 0) == (kind == "min" and mode == "bounds")
+        want_repairs = 0
+        for row in range(xs[0].shape[0]):
+            want, row_repairs = reference_conjoin(kind, [x[row] for x in xs],
+                                                  [w[row] for w in ws],
+                                                  logic.DEFAULT_ALPHA, mode)
+            np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
+            want_repairs += row_repairs
+        assert repairs == want_repairs
+
+    @pytest.mark.parametrize("mode", ["bounds", "point"])
+    def test_negate_slots(self, mode):
+        xs = self._slots(np.random.default_rng(6), mode)
+        got = logic.negate_slots(xs, mode)
+        for row in range(xs.shape[0]):
+            np.testing.assert_array_equal(got[row], reference_negate(xs[row], mode))
 
 
 class TestDeMorganDisjunction:

@@ -6,14 +6,15 @@ import pytest
 
 from skqe import algebra, autodiff as ad, cli, evaluation, kg, logic, model, oracle, training
 from skqe.errors import DataError
-from skqe.logic import TruthBounds
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import reference_cardinality_head
+from conftest import reference_cardinality_head, reference_conjoin, reference_negate
 from test_autodiff import ATOL, RTOL, check_gradients, numeric_grad
 
 D = 16
 KINDS = ("luk", "prod", "min")
+# the references sum in another order, in Python floats
+RTOL_LOGIC, ATOL_LOGIC = 1e-12, 1e-14
 
 
 def _params(mode="bounds", kind="luk", attention=True, entities=60, seed=0):
@@ -136,8 +137,10 @@ class TestInferenceRecordsNothing:
 
 
 class TestTapeOperatorsMatchLogic:
-    """With attention off the tape operators weigh every input by 1, so they
-    equal the ``logic`` API with explicit all-ones weights."""
+    """The tape operators against ``reference_conjoin`` and
+    ``reference_negate``, which evaluate the conjunction formulas slot by slot
+    in Python floats; disjunction is De Morgan's law over both. With attention
+    off every input weighs 1."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k", [2, 3])
@@ -149,20 +152,15 @@ class TestTapeOperatorsMatchLogic:
         conjoined = ctx.conjoin(leaves).value
         disjoined = ctx.disjoin(leaves).value
         negated = ctx.negate(leaves[0]).value
-        ones = [np.ones(D)] * k
+        ones = [np.ones(2 * D)] * k
         alpha = params.config.alpha
-
-        def negate(v):  # [l, u] -> [1 - u, 1 - l]
-            return np.concatenate([1.0 - v[D:], 1.0 - v[:D]])
-
         for row in range(4):
-            inputs = [TruthBounds(v[row]) for v in values]
-            np.testing.assert_array_equal(
-                conjoined[row], logic.conjoin_bounds(kind, inputs, ones, alpha).values)
-            flipped = [TruthBounds(negate(v[row])) for v in values]
-            np.testing.assert_array_equal(
-                disjoined[row], negate(logic.conjoin_bounds(kind, flipped, ones, alpha).values))
-            np.testing.assert_array_equal(negated[row], negate(values[0][row]))
+            want, _ = reference_conjoin(kind, [v[row] for v in values], ones, alpha)
+            np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
+            flipped = [reference_negate(v[row]) for v in values]
+            want = reference_negate(reference_conjoin(kind, flipped, ones, alpha)[0])
+            np.testing.assert_allclose(disjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
+            np.testing.assert_array_equal(negated[row], reference_negate(values[0][row]))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_bounds_mode_with_attention_weights(self, kind):
@@ -172,10 +170,12 @@ class TestTapeOperatorsMatchLogic:
         leaves = [ctx.tape.leaf(v) for v in values]
         conjoined = ctx.conjoin(leaves).value
         weights = [w.value for w in ctx.attention_weights(leaves)]
+        assert min(np.min(w) for w in weights) < 0.9  # the weights matter
         for row in range(4):
-            want = logic.conjoin_bounds(kind, [TruthBounds(v[row]) for v in values],
-                                        [w[row] for w in weights], params.config.alpha)
-            np.testing.assert_array_equal(conjoined[row], want.values)
+            want, _ = reference_conjoin(kind, [v[row] for v in values],
+                                        [np.concatenate([w[row], w[row]]) for w in weights],
+                                        params.config.alpha)
+            np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_point_mode(self, kind):
@@ -184,11 +184,17 @@ class TestTapeOperatorsMatchLogic:
         values = [rng.uniform(0.0, 1.0, (4, 2 * D)) for _ in range(3)]
         ctx = ForwardContext(params, train=True)
         leaves = [ctx.tape.leaf(v) for v in values]
-        want, repairs = logic.conjoin_slots(kind, values, [np.ones((4, 2 * D))] * 3,
-                                            params.config.alpha, "point")
-        np.testing.assert_array_equal(ctx.conjoin(leaves).value, want)
-        assert repairs == 0
-        np.testing.assert_array_equal(ctx.negate(leaves[0]).value, 1.0 - values[0])
+        conjoined = ctx.conjoin(leaves).value
+        assert ctx.repair_count == 0
+        for row in range(4):
+            want, repairs = reference_conjoin(kind, [v[row] for v in values],
+                                              [np.ones(2 * D)] * 3, params.config.alpha,
+                                              "point")
+            np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
+            assert repairs == 0
+        negated = ctx.negate(leaves[0]).value
+        for row in range(4):
+            np.testing.assert_array_equal(negated[row], reference_negate(values[0][row], "point"))
 
 
 class TestRepairedConjunction:
@@ -205,17 +211,18 @@ class TestRepairedConjunction:
         wide[:, 0], wide[:, D] = 0.2, 0.3  # one narrow dimension that does not cross
         return wide, point
 
-    def test_value_matches_logic_and_counts_repairs(self):
+    def test_value_matches_reference_and_counts_repairs(self):
         params = _params("bounds", "min", attention=False)
         wide, point = self._inputs()
         ctx = ForwardContext(params, train=True)
         out = ctx.conjoin([ctx.tape.leaf(wide), ctx.tape.leaf(point)]).value
         assert ctx.repair_count == 3 * (D - 1)
-        ones = [np.ones(D)] * 2
+        ones = [np.ones(2 * D)] * 2
         for row in range(3):
-            want = logic.conjoin_bounds("min", [TruthBounds(wide[row]), TruthBounds(point[row])],
-                                        ones, params.config.alpha)
-            np.testing.assert_array_equal(out[row], want.values)
+            want, repairs = reference_conjoin("min", [wide[row], point[row]], ones,
+                                              params.config.alpha)
+            np.testing.assert_allclose(out[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
+            assert repairs == D - 1
         assert np.all(out[:, 1:D] == out[:, D + 1:])
         assert out[0, 0] < out[0, D]
 

@@ -1,4 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,11 +26,20 @@ def _config(**overrides):
     return training.TrainConfig(**values)
 
 
+def _first_positive_tasks(groups, per_structure, config, num_entities, rng):
+    """``train``'s step tasks for fixed query rows with each query's first
+    positive, so repeated steps on the same rows differ only in their
+    negatives."""
+    return [(group, rows, np.array([group.positives[i][0] for i in rows]), neg)
+            for group, rows, _, neg in training._build_tasks(groups, per_structure, config,
+                                                             num_entities, rng)]
+
+
 class TestTrajectory:
     @pytest.mark.parametrize("overrides", [
         {},
         {"mode": "point", "kind": "prod"},
-        {"kind": "min", "union": "dm", "workers": 2},
+        {"kind": "min", "union": "dm"},
     ])
     def test_matches_composed_reference(self, train_graph, train_dataset, monkeypatch,
                                         overrides):
@@ -47,32 +56,34 @@ class TestTrajectory:
             np.testing.assert_allclose(params.arrays[name], array, rtol=0, atol=1e-10,
                                        err_msg=name)
 
-    def test_deterministic_and_independent_of_workers(self, train_graph, train_dataset):
-        runs = [training.train(train_graph, train_dataset, _config(steps=3, workers=w))
-                for w in (1, 1, 2)]
-        for params, records in runs[1:]:
-            assert [r.loss for r in records] == [r.loss for r in runs[0][1]]
-            for name, array in runs[0][0].arrays.items():
-                np.testing.assert_array_equal(params.arrays[name], array)
+    def test_deterministic(self, train_graph, train_dataset):
+        (params, records), (again, again_records) = (
+            training.train(train_graph, train_dataset, _config(steps=3)) for _ in range(2))
+        assert [r.loss for r in again_records] == [r.loss for r in records]
+        for name, array in params.arrays.items():
+            np.testing.assert_array_equal(again.arrays[name], array, err_msg=name)
 
     def test_frozen_batch_converges(self, train_graph, train_dataset):
         config = _config(negatives=4)
         params = ModelParams.initialize(config.model_config(train_graph), 0)
         optimizer = training.Adam(0.1)
         rng = np.random.default_rng(0)
-        batch = list(range(0, len(train_dataset.samples), 5))
-        losses = [training.train_step_on_batch(train_graph, train_dataset, config, params,
-                                               batch, optimizer, rng) for _ in range(60)]
+        groups = training._prepare_groups(train_dataset)
+        rows = {s: [0, 5] for s in groups}  # two queries of each structure
+        size = 2 * len(groups)
+        losses = []
+        for _ in range(60):
+            tasks = _first_positive_tasks(groups, rows, config, train_graph.num_entities, rng)
+            losses.append(training._step(params, optimizer, tasks, config)[0] / size)
         assert np.all(np.isfinite(losses))
         # negatives are redrawn every step, so compare ten-step means
         assert np.mean(losses[-10:]) < np.mean(losses[:10]) - 0.1
 
 
 class TestEntityTable:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_one_realization_of_the_table_per_step(self, train_graph, train_dataset,
-                                                   monkeypatch, workers):
-        config = _config(steps=3, workers=workers)
+                                                   monkeypatch):
+        config = _config(steps=3)
         params = ModelParams.initialize(config.model_config(train_graph), config.seed)
         calls = []
         realize_parts = model._realize_parts
@@ -160,7 +171,6 @@ class TestGradientMerge:
         ({}, False),
         ({"mode": "point", "kind": "prod"}, False),
         ({"kind": "min", "union": "dm"}, False),
-        ({"workers": 2}, False),
         ({"negatives": 118}, True),
     ])
     def test_training_equals_the_concatenating_merge(self, train_graph, train_dataset,
@@ -182,9 +192,8 @@ class TestStepFold:
     def _tasks(train_graph, train_dataset, config, rng):
         """One task per structure, two queries each."""
         groups = training._prepare_groups(train_dataset)
-        per_structure = {s: [0, 1] for s in groups}
-        return training._build_tasks(groups, per_structure, config, train_graph.num_entities,
-                                     rng, first_positive=True)
+        return _first_positive_tasks(groups, {s: [0, 1] for s in groups}, config,
+                                     train_graph.num_entities, rng)
 
     def test_each_task_is_folded_before_the_next_runs(self, train_graph, train_dataset,
                                                       monkeypatch):
@@ -204,21 +213,21 @@ class TestStepFold:
 
         monkeypatch.setattr(training, "_group_forward", forward_spy)
         monkeypatch.setattr(training, "_merge_row_grads", merge_spy)
-        training._step(params, training.Adam(0.1), tasks, config, 2 * len(tasks))
+        training._step(params, training.Adam(0.1), tasks, config)
         widths = (2 * config.d, config.d)  # the entity table, then the relation table
         assert len(tasks) > 2
         assert events == [e for task in tasks for e in (
             ("forward", task[0].structure), ("merge", widths[0]), ("merge", widths[1]))]
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_loss_in_a_later_task_changes_nothing(self, train_graph, train_dataset,
-                                                             monkeypatch, workers):
+                                                             monkeypatch):
         config = _config()
         params = ModelParams.initialize(config.model_config(train_graph), 0)
         optimizer = training.Adam(0.1)
         rng = np.random.default_rng(0)
+        # so that the moments are not all zero
         training._step(params, optimizer, self._tasks(train_graph, train_dataset, config, rng),
-                       config, 24)  # so that the moments are not all zero
+                       config)
         tasks = self._tasks(train_graph, train_dataset, config, rng)
         poisoned = tasks[1][0].structure
         group_forward = training._group_forward
@@ -233,37 +242,13 @@ class TestStepFold:
         before = params.copy()
         moments = {name: (optimizer._m[name].copy(), optimizer._v[name].copy())
                    for name in optimizer._m}
-        with ThreadPoolExecutor(max_workers=workers) as pool, \
-                pytest.raises(NumericError, match="non-finite loss at step 2"):
-            training._step(params, optimizer, tasks, config, 24,
-                           pool if workers > 1 else None)
+        with pytest.raises(NumericError, match="non-finite loss at step 2"):
+            training._step(params, optimizer, tasks, config)
         assert optimizer.t == 1
         assert optimizer._m.keys() == moments.keys()
         for name, (m, v) in moments.items():
             np.testing.assert_array_equal(optimizer._m[name], m, err_msg=name)
             np.testing.assert_array_equal(optimizer._v[name], v, err_msg=name)
-        for name, array in before.arrays.items():
-            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
-
-
-class TestStepOnBatch:
-    @pytest.mark.parametrize("batch", [[], ["end"], [0, "end"], [-1]])
-    def test_bad_batch_changes_nothing(self, train_graph, train_dataset, batch):
-        config = _config()
-        params = ModelParams.initialize(config.model_config(train_graph), 0)
-        optimizer = training.Adam(0.1)
-        rng = np.random.default_rng(0)
-        training.train_step_on_batch(train_graph, train_dataset, config, params, [0, 1],
-                                     optimizer, rng)
-        before = params.copy()
-        state = rng.bit_generator.state
-        end = len(train_dataset.samples)
-        batch = [end if i == "end" else i for i in batch]
-        with pytest.raises(DataError, match="batch"):
-            training.train_step_on_batch(train_graph, train_dataset, config, params, batch,
-                                         optimizer, rng)
-        assert optimizer.t == 1
-        assert rng.bit_generator.state == state
         for name, array in before.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
 
@@ -324,15 +309,24 @@ class TestSampleNegatives:
 
 
 class TestTrainConfigBounds:
-    @pytest.mark.parametrize("field", ["steps", "batch_size", "workers", "log_every",
-                                       "negatives"])
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "log_every", "negatives"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_values_below_one(self, field, value):
         with pytest.raises(DataError):
             training.TrainConfig(**{field: value})
 
     def test_accepts_one(self):
-        training.TrainConfig(steps=1, batch_size=1, workers=1, log_every=1, negatives=1)
+        training.TrainConfig(steps=1, batch_size=1, log_every=1, negatives=1)
+
+    def test_workers_is_only_a_stub_for_one(self):
+        config = training.TrainConfig(workers=1)
+        assert "workers" not in dataclasses.asdict(config)
+        assert dataclasses.replace(config, steps=2).steps == 2
+
+    @pytest.mark.parametrize("workers", [2, 0, -1])
+    def test_workers_other_than_one_is_a_data_error(self, workers):
+        with pytest.raises(DataError, match=f"workers must be 1, got {workers}"):
+            training.TrainConfig(workers=workers)
 
     @pytest.mark.parametrize("field,value", [
         ("lr", 0.0), ("lr", -1e-4), ("lr", float("nan")), ("lr", float("inf")),
@@ -413,10 +407,10 @@ class TestTrainCli:
         ("steps = 1\nlearning_rate = 0.1\n", "unknown config key 'learning_rate'"),
         ("steps = 1\nattention = maybe\n", "cannot parse boolean"),
         ("steps = 0\n", "steps must be at least 1, got 0"),
-        ("steps = 1\nworkers = 0\n", "workers must be at least 1, got 0"),
+        ("steps = 1\nworkers = 1\n", "unknown config key 'workers'"),
         ("# settings\nsteps = abc\n", "train.cfg:2: cannot parse int from 'abc' for 'steps'"),
         ("steps = 1\nlr = 1e-3x\n", "train.cfg:2: cannot parse float from '1e-3x' for 'lr'"),
-    ], ids=["unknown-key", "bad-boolean", "steps-zero", "workers-zero", "bad-int",
+    ], ids=["unknown-key", "bad-boolean", "steps-zero", "removed-workers-key", "bad-int",
             "bad-float"])
     def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
                                                    capsys):
