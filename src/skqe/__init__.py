@@ -39,7 +39,6 @@ from .model import (
     QueryEmbedding,
     embed_instance,
     entity_embedding,
-    predict_cardinality,
     score_entities,
 )
 from .oracle import (

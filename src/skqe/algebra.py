@@ -1,16 +1,17 @@
 """Query structures and their compilation into Skolem set-logic plans.
 
 Each of the 14 supported structures is an existential FOL atom list (used by
-the parser and the brute-force oracle) and, compiled from it, one single-sink
-DAG plan of anchor / relation / negation / conjunction / disjunction nodes.
-The plan is the program and a query is only data: its anchor and relation
-nodes hold positional slots, and a ``QueryInstance`` binds those slots to
-entity and relation ids. A ``QueryPlan`` checks its own shape when it is
-built, so every plan that exists is valid. ``structure_plan`` compiles each
-structure's plan once per process, and ``plan_branches`` compiles its DNF
-branches from the template (one atom of each OR-pair kept) once per union
-mode; the set oracle, the sampler, the model and the CLI all evaluate those
-cached plans under an instance's (anchors, relations).
+the parser and the brute-force oracle) and, compiled from it, one DAG plan of
+anchor / relation / negation / conjunction / disjunction nodes in
+topological order, its last node the answer. The plan is the program and a
+query is only data: its anchor and relation nodes hold positional slots, and
+a ``QueryInstance`` binds those slots to entity and relation ids. A
+``QueryPlan`` checks its own shape when it is built, so every plan that
+exists is valid. ``structure_plan`` compiles each structure's plan once per
+process, and ``plan_branches`` compiles its DNF branches from the template
+(one atom of each OR-pair kept) once per union mode; the set oracle, the
+sampler, the model and the CLI all evaluate those cached plans under an
+instance's (anchors, relations) in one forward pass over the nodes.
 """
 
 from __future__ import annotations
@@ -150,21 +151,22 @@ PlanNode = Anchor | Relate | Negate | Conjoin | Disjoin
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Single-sink node graph; node ids are tuple positions. Frozen, since one
-    cached plan serves every query of its structure.
+    """Node graph in topological order; node ids are tuple positions and the
+    last node is the answer. Frozen, since one cached plan serves every query
+    of its structure.
 
-    Valid by construction: raises DataError unless every input id comes before
-    its node, each Conjoin / Disjoin has two or more inputs, the sink is the
-    last node and every other node feeds a later one. Evaluators can therefore
-    walk a plan without checking it.
+    Valid by construction: raises DataError unless the plan has a node, every
+    input id comes before its node, each Conjoin / Disjoin has two or more
+    inputs and every node but the last feeds a later one. Evaluators can
+    therefore evaluate the nodes in order, once each, without checking them,
+    and answer with the last value.
     """
 
     nodes: tuple[PlanNode, ...]
-    sink: int
 
     def __post_init__(self):
-        if not self.nodes or self.sink != len(self.nodes) - 1:
-            raise DataError(f"plan sink {self.sink} is not its last node")
+        if not self.nodes:
+            raise DataError("a plan needs at least one node")
         unfed = set(range(len(self.nodes) - 1))
         for idx, node in enumerate(self.nodes):
             if isinstance(node, Anchor):
@@ -185,7 +187,8 @@ class QueryPlan:
 
 
 class PlanBuilder:
-    """Appends plan nodes; ``build`` freezes them into a QueryPlan."""
+    """Appends plan nodes; ``build`` freezes them into a QueryPlan whose
+    answer is the last node added."""
 
     def __init__(self, nodes=()):
         self.nodes: list[PlanNode] = list(nodes)
@@ -194,8 +197,8 @@ class PlanBuilder:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
-    def build(self, sink: int) -> QueryPlan:
-        return QueryPlan(tuple(self.nodes), sink)
+    def build(self) -> QueryPlan:
+        return QueryPlan(tuple(self.nodes))
 
 
 def compile_instance(structure: str) -> QueryPlan:
@@ -210,8 +213,15 @@ def compile_instance(structure: str) -> QueryPlan:
         template = TEMPLATES[structure]
     except KeyError:
         raise DataError(f"unknown query structure {structure!r}") from None
+    return _compile(template)
+
+
+def _compile(template: Template) -> QueryPlan:
+    """The template's plan. ``_build_term`` adds a term's node after every node
+    it reads, so the target's node comes last: the plan's answer."""
     plan = PlanBuilder()
-    return plan.build(_build_term(TARGET_TERM, template, plan, {}))
+    _build_term(TARGET_TERM, template, plan, {})
+    return plan.build()
 
 
 def _build_term(term: str, template: Template, plan: PlanBuilder,
@@ -269,9 +279,7 @@ def plan_branches(structure: str, union_mode: str) -> tuple[QueryPlan, ...]:
     branches = []
     for kept in itertools.product(*pairs):
         atoms = tuple(a for i, a in enumerate(template.atoms) if i not in joined or i in kept)
-        branch = replace(template, atoms=atoms, or_pairs=frozenset())
-        builder = PlanBuilder()
-        branches.append(builder.build(_build_term(TARGET_TERM, branch, builder, {})))
+        branches.append(_compile(replace(template, atoms=atoms, or_pairs=frozenset())))
     return tuple(branches)
 
 

@@ -188,13 +188,14 @@ def cmd_correlate(args) -> int:
     graph = _load_graph(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
-    report = evaluation.uncertainty_correlation(dataset, params, args.statistic)
+    statistics = evaluation.query_statistics(dataset, params, args.statistic)
+    report = evaluation.uncertainty_correlation(statistics, args.statistic)
     evaluation.write_metric_csv(report.to_rows(), args.out)
     sp, pe = report.average()
     print(f"{args.statistic}: Spearman {sp:.4f}, Pearson {pe:.4f} "
           f"averaged over {len(report.per_structure)} structures")
     if args.emit_plot_data:
-        evaluation.write_plot_data(dataset, params, args.statistic, args.emit_plot_data)
+        evaluation.write_plot_data(statistics, args.emit_plot_data)
         print(f"plot data written to {args.emit_plot_data}")
     print(f"correlations written to {args.out}")
     return EXIT_OK
@@ -256,17 +257,17 @@ def cmd_answer(args) -> int:
     top = np.argsort(-scores, kind="stable")[: args.topk]
     for entity in top:
         print(f"{graph.entities.name_of(int(entity))}\t{scores[entity]:.6f}")
-    for branch_no, (branch_plan, memo) in enumerate(collected, start=1):
+    for branch_no, (branch_plan, values) in enumerate(collected, start=1):
         print(f"# branch {branch_no} intermediates "
               f"({instance.structure}, nearest entities by satisfiability):")
-        for node_id, value in memo.items():
+        for node, value in zip(branch_plan.nodes, values):
             node_scores = model_mod.score_entities(
                 model_mod.QueryEmbedding((value[0],)), params, entity_matrix)
             nearest = np.argsort(-node_scores, kind="stable")[:3]
             names = ", ".join(
                 f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in nearest
             )
-            print(f"#   {_describe_node(branch_plan.nodes[node_id], instance, graph)}: {names}")
+            print(f"#   {_describe_node(node, instance, graph)}: {names}")
     return EXIT_OK
 
 

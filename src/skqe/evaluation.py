@@ -351,7 +351,9 @@ class UncertaintyReport:
 
 def query_statistics(dataset: QueryDataset, params: ModelParams,
                      statistic: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Per-query uncertainty statistic and answer-set size, grouped by structure.
+    """Per-query uncertainty statistic, answer-set size and structure, grouped
+    by structure: the input of ``uncertainty_correlation`` and
+    ``write_plot_data``.
 
     Union queries are embedded through De Morgan's law so a single embedding
     exists; everything else uses its plan directly.
@@ -369,10 +371,11 @@ def query_statistics(dataset: QueryDataset, params: ModelParams,
     return stats, sizes, [s.instance.structure for s in samples]
 
 
-def uncertainty_correlation(dataset: QueryDataset, params: ModelParams,
+def uncertainty_correlation(statistics: tuple[np.ndarray, np.ndarray, list[str]],
                             statistic: str) -> UncertaintyReport:
-    """Spearman/Pearson between an uncertainty statistic and answer-set size."""
-    stats, sizes, structures = query_statistics(dataset, params, statistic)
+    """Spearman/Pearson per structure between the uncertainty statistic named
+    ``statistic`` and answer-set size, from ``query_statistics``' output."""
+    stats, sizes, structures = statistics
     report = UncertaintyReport(statistic)
     for structure in dict.fromkeys(structures):
         mask = np.array([s == structure for s in structures])
@@ -409,13 +412,6 @@ def _dm_embeddings(params: ModelParams, samples) -> np.ndarray:
 def cardinality_features(params: ModelParams, samples) -> np.ndarray:
     """Entropy vector of each sample's De Morgan embedding, in sample order."""
     return logic.entropy_slots(_dm_embeddings(params, samples))
-
-
-def relative_size_errors(params: ModelParams, samples) -> np.ndarray:
-    """|prediction - size| / size of the size head on samples with answers."""
-    sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
-    predictions = ForwardContext(params).cardinality(cardinality_features(params, samples))
-    return np.abs(predictions - sizes) / sizes
 
 
 def _mae_by_structure(samples, errors) -> dict[str, tuple[float, int]]:
@@ -462,9 +458,10 @@ def cardinality_test_half(dataset: QueryDataset, params: ModelParams):
     train_idx, test_idx = cardinality_halves(dataset)
     sizes = np.array([len(s.answers) for s in dataset.samples], dtype=np.float64)
     test = [dataset.samples[i] for i in test_idx]
-    errors = relative_size_errors(params, test)
-    mean_size = float(np.mean(sizes[train_idx]))
     test_sizes = sizes[test_idx]
+    predictions = ForwardContext(params).cardinality(cardinality_features(params, test))
+    errors = np.abs(predictions - test_sizes) / test_sizes
+    mean_size = float(np.mean(sizes[train_idx]))
     baseline = 100.0 * float(np.mean(np.abs(mean_size - test_sizes) / test_sizes))
     return {"test_mae": 100.0 * float(np.mean(errors)), "baseline_mae": baseline,
             "per_structure": _mae_by_structure(test, errors), "test_count": len(test)}
@@ -479,10 +476,10 @@ def write_metric_csv(rows: list[tuple[str, str, float, int]], path) -> None:
             handle.write(f"{structure},{metric},{value:.6f},{count}\n")
 
 
-def write_plot_data(dataset: QueryDataset, params: ModelParams, statistic: str,
-                    path) -> None:
-    """(answer-size, statistic) pairs per structure for external plotting."""
-    stats, sizes, structures = query_statistics(dataset, params, statistic)
+def write_plot_data(statistics: tuple[np.ndarray, np.ndarray, list[str]], path) -> None:
+    """(answer-size, statistic) pairs per structure, from ``query_statistics``'
+    output, for external plotting."""
+    stats, sizes, structures = statistics
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("structure,answer_size,statistic\n")
         for structure, size, value in zip(structures, sizes, stats):

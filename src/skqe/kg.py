@@ -135,10 +135,9 @@ class WalkTable(NamedTuple):
 class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
-    Built from the subset of triples whose split label is in ``splits``;
-    immutable afterwards and safe for concurrent reads. The derived
-    ``walk_table``, ``tails`` and ``universe`` are computed on first use and
-    kept on the index (a racing first read at worst builds one twice).
+    Built from the subset of triples whose split label is in ``splits`` and
+    not changed afterwards. The derived ``walk_table``, ``tails`` and
+    ``universe`` are computed on first use and kept on the index.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):

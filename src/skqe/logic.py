@@ -10,7 +10,7 @@ on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
 tape tensors alike: the model calls them in training and in inference.
 ``conjoin_bounds`` applies ``conjoin_slots`` to ``TruthBounds`` values, and
 ``tnorm`` is the plain unweighted t-norm the weighted forms are checked
-against. All float64, safe for concurrent use.
+against. All float64.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Parameter store and the model's one forward pass.
 
 ``ForwardContext`` runs the query embedding and the answer-size head
-(``cardinality``), in training and in inference. A query is embedded by
-walking its structure's one cached plan (``algebra.plan_branches``) under a
-batch of (anchors, relations) bindings, in training, evaluation and
-``skqe answer`` alike. Embeddings are flat 2d truth-slot vectors. In bounds
+(``cardinality``), in training and in inference. A query is embedded by one
+forward pass over the nodes of its structure's cached plan (or of each DNF
+branch, ``algebra.plan_branches``) under a batch of (anchors, relations)
+bindings, in training, evaluation and ``skqe answer`` alike; the last node's
+value is the embedding. Embeddings are flat 2d truth-slot vectors. In bounds
 mode the first d slots are interval lowers and the last d are uppers, kept
 ordered by construction; in point mode all 2d slots are independent point
 truths. The forward pass calls the slot operators of ``logic`` and the
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import algebra, autodiff as ad, logic
-from .algebra import QueryInstance, QueryPlan
+from .algebra import QueryInstance
 from .errors import DataError, NumericError
 from .logic import DEFAULT_ALPHA, TNORM_KINDS
 
@@ -188,12 +189,6 @@ class QueryEmbedding:
     """One slot vector per DNF branch; a single branch for union-free plans."""
 
     branches: tuple[np.ndarray, ...]
-
-    @property
-    def single(self) -> np.ndarray:
-        if len(self.branches) != 1:
-            raise DataError("query embedding has multiple branches")
-        return self.branches[0]
 
 
 def _realize_parts(rows: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -424,34 +419,7 @@ class ForwardContext:
                      self.config.rho)
         return ad.reshape(s, s.shape[:1])
 
-    # --- plan walking --------------------------------------------------------
-
-    def _walk(self, plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
-              memo: dict[int, Slots], node_id: int) -> Slots:
-        """Embed ``node_id`` with the plan's slots bound to the columns of
-        ``anchors`` and ``relations``, memoizing visited nodes. A recursive
-        closure here would be a reference cycle holding the tape."""
-        if node_id in memo:
-            return memo[node_id]
-
-        def visit(i: int) -> Slots:
-            return self._walk(plan, anchors, relations, memo, i)
-
-        node = plan.nodes[node_id]
-        if isinstance(node, algebra.Anchor):
-            out = self.entity_slots(anchors[:, node.slot])
-        elif isinstance(node, algebra.Relate):
-            out = self.skolem(self.relation_rows(relations[:, node.slot]), visit(node.input))
-        elif isinstance(node, algebra.Negate):
-            out = self.negate(visit(node.input))
-        elif isinstance(node, algebra.Conjoin):
-            out = self.conjoin([visit(i) for i in node.inputs])
-        elif isinstance(node, algebra.Disjoin):
-            out = self.disjoin([visit(i) for i in node.inputs])
-        else:
-            raise DataError(f"unknown plan node {type(node).__name__}")
-        memo[node_id] = out
-        return out
+    # --- query embedding -----------------------------------------------------
 
     def embed_instances(self, structure: str, anchors: np.ndarray, relations: np.ndarray,
                         union_mode: str = "dnf", collect: list | None = None) -> list[Slots]:
@@ -459,19 +427,38 @@ class ForwardContext:
         DNF branch, a tensor in training mode and an array in inference.
 
         Row i binds the plan's anchor and relation slots to ``anchors[i]`` and
-        ``relations[i]``. When ``collect`` is given, a (branch plan, node-id ->
-        embedding) pair is appended per branch so callers can inspect the
-        intermediate embeddings. Inference raises NumericError on a
-        non-finite query embedding, whose scores would be NaN.
+        ``relations[i]``. Each branch plan is evaluated in one forward pass
+        over its nodes, as ``oracle.eval_plan`` does: every input comes before
+        its node, so a node's value is appended once its inputs are there,
+        and the last value is the branch's embedding. Entity and relation
+        rows are therefore gathered, and their touches recorded, in node
+        order. When ``collect`` is given, a (branch plan, values) pair is
+        appended per branch, one value per plan node in node order, so
+        callers can inspect the intermediate embeddings. Inference raises
+        NumericError on a non-finite query embedding, whose scores would be
+        NaN.
         """
         anchors = np.atleast_2d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_2d(np.asarray(relations, dtype=np.int64))
         outs = []
         for branch in algebra.plan_branches(structure, union_mode):
-            memo: dict[int, Slots] = {}
-            outs.append(self._walk(branch, anchors, relations, memo, branch.sink))
+            values: list[Slots] = []
+            for node in branch.nodes:
+                if isinstance(node, algebra.Anchor):
+                    out = self.entity_slots(anchors[:, node.slot])
+                elif isinstance(node, algebra.Relate):
+                    out = self.skolem(self.relation_rows(relations[:, node.slot]),
+                                      values[node.input])
+                elif isinstance(node, algebra.Negate):
+                    out = self.negate(values[node.input])
+                elif isinstance(node, algebra.Conjoin):
+                    out = self.conjoin([values[i] for i in node.inputs])
+                else:  # Disjoin
+                    out = self.disjoin([values[i] for i in node.inputs])
+                values.append(out)
+            outs.append(values[-1])
             if collect is not None:
-                collect.append((branch, memo))
+                collect.append((branch, values))
         if not self.train and not all(np.all(np.isfinite(out)) for out in outs):
             raise NumericError(f"{structure}: non-finite query embedding")
         return outs
@@ -497,11 +484,3 @@ def score_entities(qe: QueryEmbedding, params: ModelParams,
         scores = 1.0 - np.mean(np.abs(entities - branch[None, :]), axis=1)
         best = scores if best is None else np.maximum(best, scores)
     return best
-
-
-def predict_cardinality(qe: QueryEmbedding | np.ndarray, params: ModelParams) -> float:
-    """Answer-size estimate in (0, rho) from the embedding's entropy vector."""
-    if params.config.mode != "bounds":
-        raise DataError("cardinality prediction requires bounds mode")
-    x = qe.single if isinstance(qe, QueryEmbedding) else np.asarray(qe, float)
-    return float(ForwardContext(params).cardinality(np.atleast_2d(logic.entropy_slots(x)))[0])

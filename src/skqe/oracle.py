@@ -71,7 +71,7 @@ def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set
     over the nodes suffices because every input comes before its node. Each
     node evaluates to (set, complemented): complements stay lazy inside
     joins and are taken against the index's universe only where a relation
-    is followed or at the sink.
+    is followed or at the last node, the plan's answer.
     """
     values: list[tuple[set[int], bool]] = []
     for node in plan.nodes:
@@ -370,17 +370,7 @@ def sample_queries(
         bindings = next(walks)
         if bindings is None or bindings in seen:
             continue
-        if mode == "train":
-            easy = eval_plan(plan, *bindings, train_index)
-            hard: set[int] = set()
-            if not easy:
-                continue
-        elif mode == "entailment":
-            easy = eval_plan(plan, *bindings, full_index)
-            hard = set()
-            if not easy:
-                continue
-        else:
+        if mode == "generalization":
             full = eval_plan(plan, *bindings, full_index)
             if not full:
                 continue
@@ -389,6 +379,11 @@ def sample_queries(
             easy = eval_plan(plan, *bindings, train_index) & full
             hard = full - easy
             if not hard:
+                continue
+        else:  # train and entailment answer on the edges they walk
+            easy = eval_plan(plan, *bindings, walk_index)
+            hard = set()
+            if not easy:
                 continue
         seen.add(bindings)
         samples.append(QuerySample(QueryInstance(structure, *bindings),

@@ -271,7 +271,8 @@ def reference_eval_node(plan, node_id: int, anchors, relations, index,
 
 
 def reference_eval_plan(plan, anchors, relations, index) -> set[int]:
-    answers, complemented = reference_eval_node(plan, plan.sink, anchors, relations, index, {})
+    answers, complemented = reference_eval_node(plan, len(plan.nodes) - 1, anchors, relations,
+                                                index, {})
     if complemented:
         return set(range(index.num_entities)) - answers
     return answers

@@ -30,7 +30,7 @@ CANONICAL_FOL = {
 
 def shape_of(plan: QueryPlan, anchors, relations, node_id: int | None = None):
     """Plan under slot bindings as a nested tuple, for structural comparison."""
-    node_id = plan.sink if node_id is None else node_id
+    node_id = len(plan.nodes) - 1 if node_id is None else node_id
     node = plan.nodes[node_id]
     if isinstance(node, Anchor):
         return ("anchor", anchors[node.slot])
@@ -91,12 +91,12 @@ class TestPlanShape:
     def test_compiled_plans_are_valid(self, structure):
         for union_mode in algebra.UNION_MODES:
             for branch in algebra.plan_branches(structure, union_mode):
-                assert QueryPlan(branch.nodes, branch.sink) == branch
+                assert QueryPlan(branch.nodes) == branch
 
     def test_cached_plans_are_frozen(self):
         plan = algebra.structure_plan("up")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.sink = 0
+            plan.nodes = ()
         for cached in (plan, *algebra.plan_branches("up", "dnf")):
             assert isinstance(cached.nodes, tuple)
 
@@ -104,37 +104,42 @@ class TestPlanShape:
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
         plan.add(Relate(0, a))
+        plan.add(Relate(1, a))
         with pytest.raises(DataError, match="feed no later node"):
-            plan.build(plan.add(Relate(1, a)))
+            plan.build()
 
     def test_self_feeding_relate_rejected(self):
         plan = PlanBuilder()
         plan.add(Anchor(0))
+        plan.add(Relate(0, 1))
         with pytest.raises(DataError, match="does not come before it"):
-            plan.build(plan.add(Relate(0, 1)))
+            plan.build()
 
     def test_forward_input_rejected(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
         b = plan.add(Anchor(1))
         plan.nodes[0] = Conjoin((0, 1))  # corrupt: a join reading itself and a later node
+        plan.add(Conjoin((a, b)))
         with pytest.raises(DataError, match="does not come before it"):
-            plan.build(plan.add(Conjoin((a, b))))
+            plan.build()
 
     def test_bad_conjoin_arity_rejected(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
+        plan.add(Conjoin((a,)))
         with pytest.raises(DataError, match="two or more inputs"):
-            plan.build(plan.add(Conjoin((a,))))
+            plan.build()
 
-    def test_sink_must_be_the_last_node(self):
+    def test_answer_must_be_the_last_node(self):
         plan = PlanBuilder()
         a = plan.add(Anchor(0))
         plan.add(Relate(0, a))
-        with pytest.raises(DataError, match="not its last node"):
-            plan.build(a)
-        with pytest.raises(DataError, match="not its last node"):
-            QueryPlan((), 0)
+        plan.add(Anchor(1))  # the relation's value would be dropped
+        with pytest.raises(DataError, match=r"plan nodes \[1\] feed no later node"):
+            plan.build()
+        with pytest.raises(DataError, match="at least one node"):
+            QueryPlan(())
 
 
 def _or_defined_terms(template):

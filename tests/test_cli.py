@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from skqe import cli, evaluation, kg, oracle
+from skqe import cli, evaluation, kg, model, oracle
+from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
 
 
@@ -123,6 +124,61 @@ def test_negative_seed_in_a_train_config_file_exits_with_data_error(files, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+def _nearest(params, graph, branches: tuple) -> str:
+    """An explanation line's three nearest entities by satisfiability."""
+    scores = model.score_entities(model.QueryEmbedding(branches), params)
+    top = np.argsort(-scores, kind="stable")[:3]
+    return ", ".join(f"{graph.entities.name_of(int(e))} ({scores[e]:.3f})" for e in top)
+
+
+@pytest.mark.parametrize("union", ["dnf", "dm"])
+def test_answer_explains_every_node_of_every_branch(files, union, capsys):
+    """``up`` under DNF is two 2p chains, one per disjunct; under De Morgan it
+    is one plan with a union node. Each node's line names its nearest
+    entities, which must be those of the same prefix embedded as a query of
+    its own."""
+    assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--query", "EXISTS V,T . r0(e0,V) OR r1(e1,V) AND r2(V,T)",
+                     "--union", union, "--topk", "3"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    graph = kg.load_tsv_dir(str(files / "kg"))
+    params = ModelParams.load(files / "model.ckpt")
+    e0, e1 = (graph.entities.id_of(name) for name in ("e0", "e1"))
+    r0, r1, r2 = (graph.relations.id_of(name) for name in ("r0", "r1", "r2"))
+
+    def near(structure, anchors, relations):
+        qe = model.embed_instance(QueryInstance(structure, anchors, relations), params, union)
+        return _nearest(params, graph, qe.branches)
+
+    def anchor(entity):
+        return _nearest(params, graph, (model.entity_embedding(entity, params),))
+
+    header = "intermediates (up, nearest entities by satisfiability):"
+    if union == "dnf":
+        explained = [
+            f"# branch 1 {header}",
+            f"#   anchor e0: {anchor(e0)}",
+            f"#   relation r0: {near('1p', (e0,), (r0,))}",
+            f"#   relation r2: {near('2p', (e0,), (r0, r2))}",
+            f"# branch 2 {header}",
+            f"#   anchor e1: {anchor(e1)}",
+            f"#   relation r1: {near('1p', (e1,), (r1,))}",
+            f"#   relation r2: {near('2p', (e1,), (r1, r2))}",
+        ]
+    else:
+        explained = [
+            f"# branch 1 {header}",
+            f"#   anchor e0: {anchor(e0)}",
+            f"#   relation r0: {near('1p', (e0,), (r0,))}",
+            f"#   anchor e1: {anchor(e1)}",
+            f"#   relation r1: {near('1p', (e1,), (r1,))}",
+            f"#   union: {near('2u', (e0, e1), (r0, r1))}",
+            f"#   relation r2: {near('up', (e0, e1), (r0, r1, r2))}",
+        ]
+    assert lines[3:] == explained
+    assert anchor(e0).startswith("e0 (1.000)")
+
+
 def test_answer_topk_one_prints_one_entity(files, capsys):
     assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
                      "--query", "EXISTS T . r0(e0,T)", "--topk", "1"]) == cli.EXIT_OK
@@ -199,7 +255,11 @@ def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_pat
 
 
 @pytest.mark.parametrize("statistic", ["entropy", "width"])
-def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path):
+def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path, monkeypatch):
+    passes = []
+    query_statistics = evaluation.query_statistics
+    monkeypatch.setattr(evaluation, "query_statistics",
+                        lambda *args: passes.append(1) or query_statistics(*args))
     assert cli.main(["correlate", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
                      "--queries", str(files / "q.jsonl"), "--statistic", statistic,
                      "--out", str(tmp_path / "corr.csv"),
@@ -209,6 +269,7 @@ def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path)
     assert {line.split(",")[0] for line in corr[1:]} == {"1p", "2i", "2u", "avg"}
     plot = [line.split(",") for line in (tmp_path / "plot.csv").read_text().splitlines()]
     assert plot[0] == ["structure", "answer_size", "statistic"]
+    assert passes == [1]  # one De Morgan pass feeds both files
     dataset = oracle.read_dataset(str(files / "q.jsonl"), kg.load_tsv_dir(str(files / "kg")))
     values, sizes, structures = evaluation.query_statistics(
         dataset, ModelParams.load(files / "model.ckpt"), statistic)

@@ -9,6 +9,8 @@ from skqe.errors import DataError, NumericError
 from skqe.model import ModelConfig, ModelParams
 from skqe.oracle import QueryDataset, QuerySample
 
+from conftest import reference_cardinality_head
+
 D = 16
 
 
@@ -358,10 +360,10 @@ class TestCorrelation:
                    for s in dataset.samples]
         data = QueryDataset(samples, dataset.metadata)
         params = _params(graph)
-        report = evaluation.uncertainty_correlation(data, params, "entropy")
+        values, sizes, structures = evaluation.query_statistics(data, params, "entropy")
+        report = evaluation.uncertainty_correlation((values, sizes, structures), "entropy")
         assert report.per_structure["1p"] == evaluation.CorrelationStats(
             0.0, 0.0, len(data.by_structure()["1p"]), True)
-        values, sizes, structures = evaluation.query_statistics(data, params, "entropy")
         mask = np.array([s == "2i" for s in structures])
         assert np.std(sizes[mask]) > 0
         got = report.per_structure["2i"]
@@ -377,7 +379,7 @@ class TestCardinality:
         params = _params(graph)
         got = evaluation.cardinality_features(params, dataset.samples)
         for row, sample in zip(got, dataset.samples):
-            single = model.embed_instance(sample.instance, params, "dm").single
+            single = model.embed_instance(sample.instance, params, "dm").branches[0]
             np.testing.assert_allclose(row, logic.entropy_slots(single),
                                        rtol=1e-12, atol=0)
 
@@ -393,9 +395,11 @@ class TestCardinality:
 
         kept = [i for i in test_idx if i != empty]
         sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
-        errors = [abs(model.predict_cardinality(
-            model.embed_instance(samples[i].instance, params, "dm"), params) - sizes[i]) / sizes[i]
-            for i in kept]
+        errors = []
+        for i in kept:
+            (single,) = model.embed_instance(samples[i].instance, params, "dm").branches
+            size = reference_cardinality_head(logic.entropy_slots(single)[None], params)[0]
+            errors.append(abs(size - sizes[i]) / sizes[i])
         mean_size = np.mean(sizes[train_idx])
         baseline = 100 * np.mean(np.abs(mean_size - sizes[kept]) / sizes[kept])
         assert result["test_count"] == len(kept)
@@ -438,8 +442,6 @@ class TestCardinality:
     def test_point_mode_is_a_data_error(self, graph, dataset, call):
         with pytest.raises(DataError, match="^entropy and width statistics require bounds mode$"):
             call(_params(graph, "point"), dataset)
-        with pytest.raises(DataError, match="^cardinality prediction requires bounds mode$"):
-            model.predict_cardinality(np.full(2 * D, 0.5), _params(graph, "point"))
 
     @pytest.mark.parametrize("statistic", ["entropy", "width"])
     def test_statistics_match_one_query_embedding(self, graph, dataset, statistic):
@@ -452,7 +454,7 @@ class TestCardinality:
         assert structures == [s.instance.structure for s in grouped]
         np.testing.assert_array_equal(sizes, [len(s.answers) for s in grouped])
         for value, sample in zip(values, grouped):
-            single = model.embed_instance(sample.instance, params, "dm").single
+            single = model.embed_instance(sample.instance, params, "dm").branches[0]
             want = (np.sum(logic.entropy_slots(single)) if statistic == "entropy" else
                     np.sum(single[D:] - single[:D]))
             assert value == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -97,6 +97,48 @@ class TestSlotBinding:
             np.testing.assert_array_equal(g, w)
 
 
+class TestForwardPass:
+    """``embed_instances`` evaluates each branch plan once, node by node."""
+
+    @pytest.mark.parametrize("union", algebra.UNION_MODES)
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_collect_yields_one_value_per_node(self, structure, union):
+        template = algebra.TEMPLATES[structure]
+        rng = np.random.default_rng(2)
+        anchors = rng.integers(0, 60, (3, template.num_anchors))
+        relations = rng.integers(0, 4, (3, template.num_relations))
+        for train in (False, True):
+            collected = []
+            outs = ForwardContext(_params(), train=train).embed_instances(
+                structure, anchors, relations, union, collect=collected)
+            plans = algebra.plan_branches(structure, union)
+            assert [plan for plan, _ in collected] == list(plans)
+            assert len(outs) == len(plans)
+            for out, (plan, values) in zip(outs, collected):
+                assert len(values) == len(plan.nodes)
+                assert values[-1] is out
+                assert all(ad.value_of(v).shape == (3, 2 * D) for v in values)
+
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_rows_are_gathered_in_node_order(self, structure):
+        """Anchor and relation rows are gathered, and their touches recorded,
+        in node order: a relation's rows after its input's. The step folds
+        relation-row gradients in this order."""
+        template = algebra.TEMPLATES[structure]
+        anchors = np.array([range(template.num_anchors), range(10, 10 + template.num_anchors)])
+        relations = np.array([range(template.num_relations), range(1, 1 + template.num_relations)])
+        for union in algebra.UNION_MODES:
+            ctx = ForwardContext(_params(), train=True)
+            ctx.embed_instances(structure, anchors, relations, union)
+            nodes = [node for plan in algebra.plan_branches(structure, union) for node in plan.nodes]
+            assert [ids.tolist() for ids, _ in ctx.relation_touches] == [
+                relations[:, node.slot].tolist() for node in nodes
+                if isinstance(node, algebra.Relate)]
+            assert [ids.tolist() for ids, _ in ctx.entity_touches] == [
+                anchors[:, node.slot].tolist() for node in nodes
+                if isinstance(node, algebra.Anchor)]
+
+
 class TestScoreEntitiesOnGatheredRows:
     """The ranking recheck scores gathered rows ``E[ids]``; each score must be
     the same bytes as that entity's score against the whole table."""
@@ -267,9 +309,9 @@ class TestCardinalityHead:
         np.testing.assert_array_equal(got, want)
         for sample in dataset.samples:  # one row: BLAS may sum it unlike a batch row
             qe = model.embed_instance(sample.instance, params, "dm")
-            size = reference_cardinality_head(logic.entropy_slots(qe.single)[None], params)[0]
-            assert model.predict_cardinality(qe, params) == size
-            assert model.predict_cardinality(qe.single, params) == size
+            h = logic.entropy_slots(qe.branches[0])[None]
+            np.testing.assert_array_equal(ForwardContext(params).cardinality(h),
+                                          reference_cardinality_head(h, params))
 
     def test_first_epoch_tape_value_equals_the_reference(self, graph, dataset, monkeypatch):
         params = _head_params(graph)
@@ -410,5 +452,6 @@ class TestSlotPlans:
             evaluation.evaluate_ranking(dataset, _params(), union)
         assert built == []
         plan = algebra.PlanBuilder()
-        plan.build(plan.add(algebra.Anchor(0)))
+        plan.add(algebra.Anchor(0))
+        plan.build()
         assert built == [1]  # the counter does see a plan being built

@@ -59,8 +59,9 @@ class TestEvalPlan:
     def test_double_negation_is_identity(self, small_graph, small_index):
         base = algebra.structure_plan("1p")
         wrapped = PlanBuilder(base.nodes)
-        inner = wrapped.add(Negate(base.sink))
-        wrapped = wrapped.build(wrapped.add(Negate(inner)))
+        inner = wrapped.add(Negate(len(base.nodes) - 1))
+        wrapped.add(Negate(inner))
+        wrapped = wrapped.build()
         for anchor, relation in [(0, 0), (3, 1), (7, 2)]:
             assert oracle.eval_plan(wrapped, (anchor,), (relation,), small_index) == \
                    oracle.eval_plan(base, (anchor,), (relation,), small_index)
@@ -78,16 +79,19 @@ class TestEvalPlan:
         plan = PlanBuilder()
         anchor = plan.add(Anchor(0))
         relate = plan.add(Relate(0, anchor))
-        plan = plan.build(plan.add(Negate(relate)))
+        plan.add(Negate(relate))
+        plan = plan.build()
         assert oracle.eval_plan(plan, (0,), (0,), kg.build_index(toy_graph)) == {0, 3}
 
 
-def _with_complemented_sink(plan):
+def _with_complemented_answer(plan):
     """The plan's complement, and that complement followed through relation 0."""
     negated = PlanBuilder(plan.nodes)
-    negated = negated.build(negated.add(Negate(plan.sink)))
+    negated.add(Negate(len(plan.nodes) - 1))
+    negated = negated.build()
     followed = PlanBuilder(negated.nodes)
-    followed = followed.build(followed.add(Relate(0, negated.sink)))
+    followed.add(Relate(0, len(negated.nodes) - 1))
+    followed = followed.build()
     return negated, followed
 
 
@@ -100,7 +104,7 @@ class TestReferenceParity:
     def test_eval_plan_matches_recursive_reference(self, structure, splits, small_graph):
         index = kg.build_index(small_graph, splits)
         plans = {algebra.structure_plan(structure), *algebra.plan_branches(structure, "dnf")}
-        plans |= {variant for plan in list(plans) for variant in _with_complemented_sink(plan)}
+        plans |= {variant for plan in list(plans) for variant in _with_complemented_answer(plan)}
         rng = np.random.default_rng([5, algebra.STRUCTURE_NAMES.index(structure)])
         sampled = oracle.sample_dataset(small_graph, (structure,), 10, seed=5,
                                         mode="generalization")
@@ -120,13 +124,14 @@ class TestReferenceParity:
     @pytest.mark.parametrize("negated", list(itertools.product((False, True), repeat=3)))
     def test_eval_plan_matches_reference_on_every_join_case(self, join, negated, small_index):
         # three one-hop inputs, each negated or not: joins of positives only,
-        # of complements only and mixed, including a complemented sink
+        # of complements only and mixed, including a complemented answer
         plan = PlanBuilder()
         parts = []
         for slot, negate in enumerate(negated):
             node = plan.add(Relate(slot, plan.add(Anchor(slot))))
             parts.append(plan.add(Negate(node)) if negate else node)
-        plan = plan.build(plan.add(join(tuple(parts))))
+        plan.add(join(tuple(parts)))
+        plan = plan.build()
         rng = np.random.default_rng(12)
         for _ in range(20):
             anchors = tuple(int(x) for x in rng.integers(0, 50, 3))
@@ -312,7 +317,8 @@ class TestDeMorgan:
         ra = direct.add(Relate(0, a))
         b = direct.add(Anchor(1))
         rb = direct.add(Relate(1, b))
-        direct = direct.build(direct.add(Disjoin((ra, rb))))
+        direct.add(Disjoin((ra, rb)))
+        direct = direct.build()
 
         rewritten = PlanBuilder()
         a2 = rewritten.add(Anchor(0))
@@ -322,7 +328,8 @@ class TestDeMorgan:
         rb2 = rewritten.add(Relate(1, b2))
         nb = rewritten.add(Negate(rb2))
         conj = rewritten.add(Conjoin((na, nb)))
-        rewritten = rewritten.build(rewritten.add(Negate(conj)))
+        rewritten.add(Negate(conj))
+        rewritten = rewritten.build()
 
         rng = np.random.default_rng(11)
         for _ in range(50):
