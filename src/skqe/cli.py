@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -173,13 +174,16 @@ def cmd_eval(args) -> int:
     graph = _load_graph(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
+    began = time.perf_counter()
     report = evaluation.evaluate_ranking(dataset, params, args.union)
+    seconds = time.perf_counter() - began
     evaluation.write_metric_csv(report.to_rows(), args.out)
     avg = report.average()
-    print(f"evaluated {sum(report.counts.values())} answers over "
-          f"{len(report.per_structure)} structures: "
+    answers = sum(report.counts.values())
+    print(f"evaluated {answers} answers over {len(report.per_structure)} structures: "
           f"MRR {avg.mrr:.4f}, Hits@3 {avg.hits3:.4f}")
     print(f"near ties rescored exactly: {report.rescored} entities")
+    print(f"ranking took {seconds:.3f} s: {answers / seconds:.1f} answers/s")
     print(f"metrics written to {args.out}")
     return EXIT_OK
 

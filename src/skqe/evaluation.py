@@ -1,11 +1,15 @@
 """Ranking metrics, uncertainty correlations, and answer-size error.
 
-Filtered ranking runs in two stages with the same ranks as exact scoring.
-``_batch_scores`` screens every entity against a batch of queries in float32;
-``rank_answers`` then compares each target's exact score with the screen,
-settles every entity whose screen lies further than ``screen_tolerance`` from
-it, and rescores the near ties in between with ``model.score_entities``, the
-one exact scorer.
+Filtered ranking runs in two stages per embedded batch, with the same ranks
+as exact scoring. ``_batch_scores`` screens every entity against the batch's
+queries in float32, in the min form ``|E - v| = E + v - 2 min(E, v)``;
+``rank_answers`` then ranks all the batch's targets in whole-array passes: it
+scores every target exactly in one gathered call, settles every entity whose
+screen lies further than ``screen_tolerance`` from its target's score, and
+rescores the near ties in between, all through ``model.satisfiability``, the
+one exact scoring formula (``model.score_entities`` scores a whole table with
+it). Both stages keep their working set within about ``SCORE_BLOCK_BYTES``
+besides the ``(B, N)`` screen.
 
 Uncertainty statistics and the size head's features come from one De Morgan
 pass (``_dm_embeddings``); the hash split of the size head's train and test
@@ -14,6 +18,7 @@ halves (``split_by_hash``) lives here too."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +31,12 @@ from .model import ForwardContext, ModelParams, QueryEmbedding
 from .oracle import QueryDataset
 
 EVAL_BATCH = 256
-SCORE_BLOCK_BYTES = 1 << 20  # scoring budget: a query copy and a difference block, half each
+SCORE_BLOCK_BYTES = 1 << 20  # working-set budget of the screen and of ranking
+# Ranking's bytes per screen entity of a target: its float32 or float64 screen
+# copy and two masks, or later at worst one filtered (row, id) index pair.
+RANK_BYTES_PER_ENTITY = 18
+# Bytes per rescored near tie: indices, ids, exact scores and comparisons.
+RANK_BYTES_PER_NEAR_TIE = 64
 
 
 @dataclass(frozen=True)
@@ -53,46 +63,90 @@ def mrr_hits(ranks) -> RankMetrics:
     )
 
 
-def rank_answers(scores: np.ndarray, filter_ids, targets, rescore=None,
+def _at_or_above(values: np.ndarray, dtype) -> np.ndarray:
+    """The least ``dtype`` number at or above each float64 value: an array of
+    ``dtype`` compares with it exactly as with the float64 value."""
+    rounded = values.astype(dtype)
+    below = rounded < values
+    rounded[below] = np.nextafter(rounded[below], np.inf)
+    return rounded
+
+
+def rank_answers(scores: np.ndarray, filters, targets, rescore=None,
                  tolerance: float = 0.0) -> list[int]:
-    """Filtered rank of each target: 1 + number of non-answer entities scoring
-    at least as high (ties count against the target; a target never counts
-    against itself).
+    """Filtered ranks of a batch of queries, row by row and each row's in
+    target order: for row b of the ``(B, N)`` ``scores`` and each target t of
+    ``targets[b]``, 1 + the number of entities outside ``filters[b]`` and
+    other than t scoring at least as high as t (ties count against the
+    target; a target never counts against itself, filtered or not).
 
     Without ``rescore`` the scores are exact and compared as they are. With
     it, ``scores`` is a screen within ``tolerance`` of the exact scores and
-    ``rescore(ids)`` returns the exact scores of the entities ``ids``: it
-    gives each target's own score. An entity whose screen is at least that
-    score plus ``tolerance`` counts, one below that score minus ``tolerance``
-    does not, and each near tie in between is rescored and counts when its
-    exact score is at least the target's.
+    ``rescore(rows, ids)`` returns the exact scores of query row ``rows[i]``
+    against entity ``ids[i]``; one call scores every target. An entity whose
+    screen is at least its target's score plus ``tolerance`` counts, one
+    below that score minus ``tolerance`` does not, and each near tie in
+    between is rescored and counts when its exact score is at least the
+    target's. Both thresholds are rounded up to the screen's dtype, so a
+    float32 screen compares with them as with the float64 thresholds.
+
+    Targets are ranked in chunks of their screen rows. One comparison pass
+    over a chunk counts, per target, the entities at or above its upper
+    threshold, and one more marks those at or above its lower one; each
+    target and its row's filtered ids are cleared from both before anything
+    is counted. What is left between the thresholds are the near ties, which
+    are rescored in slices. Each stage's temporaries stay within about
+    ``SCORE_BLOCK_BYTES`` (``RANK_BYTES_PER_ENTITY``,
+    ``RANK_BYTES_PER_NEAR_TIE``), whatever the filters and the ties.
     """
-    allowed = np.ones(scores.shape[0], dtype=bool)
-    filter_ids = np.asarray(sorted(filter_ids), dtype=np.int64)
-    if filter_ids.size:
-        allowed[filter_ids] = False
-    targets = np.asarray(targets, dtype=np.int64)
-    exact = scores[targets] if rescore is None else rescore(targets)
-    ranks = []
-    for t, target_score in zip(targets, exact):
-        competitors = (scores >= target_score + tolerance) & allowed
-        competitors[t] = False
-        count = np.count_nonzero(competitors)
-        if rescore is not None:
-            near = (scores >= target_score - tolerance) & allowed & ~competitors
-            near[t] = False
-            ids = np.flatnonzero(near)
-            if ids.size:
-                count += np.count_nonzero(rescore(ids) >= target_score)
-        ranks.append(1 + int(count))
-    return ranks
+    if rescore is None:
+        def rescore(rows, ids):
+            return scores[rows, ids]
+    count = scores.shape[1]
+    sizes = [len(row) for row in targets]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    ids = np.fromiter(itertools.chain.from_iterable(targets), dtype=np.int64, count=rows.size)
+    exact = rescore(rows, ids)
+    upper = _at_or_above(exact + tolerance, scores.dtype)
+    lower = _at_or_above(exact - tolerance, scores.dtype)
+    excluded = [np.fromiter(f, dtype=np.int64) for f in filters]
+    excluded_sizes = np.array([f.size for f in excluded], dtype=np.int64)
+    ranks = np.ones(rows.size, dtype=np.int64)
+    step = max(1, SCORE_BLOCK_BYTES // (count * RANK_BYTES_PER_ENTITY))
+    tie_step = max(1, SCORE_BLOCK_BYTES // RANK_BYTES_PER_NEAR_TIE)
+    for start in range(0, rows.size, step):
+        part = slice(start, start + step)
+        r = rows[part]
+        local = np.arange(r.size)
+        screen = scores[r]
+        above = screen >= upper[part, None]
+        band = screen >= lower[part, None]
+        del screen
+        filter_rows = np.repeat(local, excluded_sizes[r])
+        filter_ids = np.concatenate([excluded[b] for b in r.tolist()])
+        for mask in (above, band):
+            mask[filter_rows, filter_ids] = False
+            mask[local, ids[part]] = False
+        del filter_rows, filter_ids
+        counts = np.count_nonzero(above, axis=1)
+        band ^= above  # the near ties: below the upper threshold, not the lower
+        del above
+        ties = np.flatnonzero(band)  # far faster than a 2-D np.nonzero
+        del band
+        for tie_start in range(0, ties.size, tie_step):
+            flat = ties[tie_start:tie_start + tie_step]
+            j = flat // count
+            wins = rescore(r[j], flat - j * count) >= exact[part][j]
+            counts += np.bincount(j[wins], minlength=r.size)
+        ranks[part] += counts
+    return ranks.tolist()
 
 
 def rank_hard_answers(qe: QueryEmbedding, sample, params: ModelParams,
                       entity_matrix: np.ndarray | None = None) -> list[int]:
     """Ranks of the hard answers under the filtered protocol."""
     scores = model_mod.score_entities(qe, params, entity_matrix)
-    return rank_answers(scores, set(sample.easy) | set(sample.hard), sample.hard)
+    return rank_answers(scores[None, :], [set(sample.easy) | set(sample.hard)], [sample.hard])
 
 
 @dataclass
@@ -147,20 +201,26 @@ def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
     float32 array for ``(B, 2d)`` branch values and an ``(N, 2d)`` entity
     matrix (float32 in ``evaluate_ranking``; the values are rounded to float32
     as they are copied). Each score lies within ``screen_tolerance`` of the
-    exact float64 score of ``model.score_entities``, so it can rank only
+    exact float64 score of ``model.satisfiability``, so it can rank only
     together with an exact recheck of near ties (``rank_answers``).
 
-    The ``(B, N, 2d)`` difference is never built whole. Rows and entities are
+    Each pair's distance takes the min form ``ΣE + Σv - 2·Σ min(E, v)`` over
+    the 2d slots. The entity sums are made once per call and the query sums
+    once per row block, both in float64; the only pass over ``2d`` slots per
+    pair is one ``np.minimum``, and one matrix-vector product with a vector of
+    twos (exact doubling) sums its slots in float32. Each ``(rows, cols)``
+    tile then becomes ``1 - (ΣE + Σv - 2·Σ min) / 2d`` in float64 and is
+    rounded once into the float32 result.
+
+    The ``(B, N, 2d)`` block is never built whole. Rows and entities are
     tiled so that a ``(rows, cols, 2d)`` buffer fits in half of
     ``SCORE_BLOCK_BYTES`` (a tile spans at least one row and one entity, and
     at least eight rows when the budget allows). Two such buffers are used:
     for each row block and branch, the branch's values are copied once across
     ``cols`` into the first, and every entity tile of that row block then
-    subtracts it from a whole slice of entities into the second, so no
-    subtraction broadcasts a query row. One matrix-vector product with a
-    vector of ones sums each pair's ``2d`` slots into a ``(rows, cols)``
-    buffer. Peak memory is the ``(B, N)`` float32 result plus about the
-    budget, not O(B·N·2d).
+    takes its minimum with a whole slice of entities into the second, so no
+    minimum broadcasts a query row. Peak memory is the ``(B, N)`` float32
+    result plus about the budget and the ``N`` entity sums, not O(B·N·2d).
     """
     rows_total = branch_values[0].shape[0]
     count, width = entity_matrix.shape
@@ -170,30 +230,34 @@ def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
     best = np.empty((rows_total, count), dtype=np.float32)
     replica = np.empty((rows, cols, width), dtype=np.float32)
     block_buffer = np.empty(rows * cols * width, dtype=np.float32)
-    sum_buffer = np.empty(rows * cols, dtype=np.float32)
-    ones = np.ones(width, dtype=np.float32)
+    mins_buffer = np.empty(rows * cols, dtype=np.float32)
+    distance_buffer = np.empty(rows * cols)
+    twos = np.full(width, 2.0, dtype=np.float32)
+    entity_sums = np.add.reduce(entity_matrix, axis=1, dtype=np.float64)
     for r0 in range(0, rows_total, rows):
         r1 = min(rows_total, r0 + rows)
         queries = replica[: r1 - r0]
         for branch, values in enumerate(branch_values):
             np.copyto(queries, values[r0:r1, None, :])
+            query_sums = np.add.reduce(values[r0:r1], axis=1, dtype=np.float64)[:, None]
             for c0 in range(0, count, cols):
                 c1 = min(count, c0 + cols)
                 shape = (r1 - r0, c1 - c0)
                 pair_count = shape[0] * shape[1]
                 block = block_buffer[: pair_count * width].reshape(pair_count, width)
-                np.subtract(entity_matrix[None, c0:c1], queries[:, : shape[1]],
-                            out=block.reshape(*shape, width))
-                np.abs(block, out=block)
-                distance = sum_buffer[:pair_count]
-                np.matmul(block, ones, out=distance)
-                distance = distance.reshape(shape)
+                np.minimum(entity_matrix[None, c0:c1], queries[:, : shape[1]],
+                           out=block.reshape(*shape, width))
+                mins = mins_buffer[:pair_count]
+                np.matmul(block, twos, out=mins)
+                distance = distance_buffer[:pair_count].reshape(shape)
+                np.add(query_sums, entity_sums[c0:c1], out=distance)
+                distance -= mins.reshape(shape)
                 distance /= width
+                np.subtract(1.0, distance, out=distance)
                 tile = best[r0:r1, c0:c1]
                 if branch == 0:
-                    np.subtract(1.0, distance, out=tile)
+                    np.copyto(tile, distance)
                 else:
-                    np.subtract(1.0, distance, out=distance)
                     np.maximum(tile, distance, out=tile)
     return best
 
@@ -202,16 +266,22 @@ def screen_tolerance(width: int, magnitude: float) -> float:
     """Bound on |screen - exact score| over ``width`` = W = 2d slots, for a
     ``magnitude`` M >= 1 that bounds every entity and query value.
 
-    Let u = 2^-24, float32's unit roundoff. Rounding e and v to float32 and
-    subtracting puts each slot's |e - v| off by at most uM + uM + u·2M = 4uM.
-    Summing the W terms in any order adds at most (W - 1)u times their total
-    of at most 2MW, which is 2(W - 1)uM on the mean; dividing by W adds
-    u·2M, and ``1 - x`` adds u(1 + 2M) <= 3uM (M >= 1 also absorbs float32
-    underflow). So |screen - exact| <= (2W + 7)uM, to first order. The
-    tolerance 4(W + 1)uM covers that for every W >= 2, with room for the
-    float64 score's own error (about W·2^-53·M) and for rounding
-    ``target ± tolerance``. Where float32 sums could overflow the tolerance
-    is infinite, so every entity is rescored.
+    Let u = 2^-24, float32's unit roundoff, and let e', v' be e and v rounded
+    to float32, each within uM. The screen takes |e - v| = e + v - 2 min(e, v)
+    with e' in the entity sum, v itself in the query sum and min(e', v') in
+    the float32 sum. Per slot that is off by at most |e' - e| + 2|min(e', v')
+    - min(e, v)| <= 3uM, which is 3uM on the mean. Summing the W terms
+    2 min(e', v') in float32, in any order, adds at most (W - 1)u times their
+    total of at most 2MW, which is 2(W - 1)uM on the mean. The float64 sums,
+    the combination and the division by W add only float64 errors (about
+    W·2^-53·M), and rounding the score, of magnitude at most 1 + 2M <= 3M,
+    to float32 adds 3uM (M >= 1 also absorbs float32 underflow). So
+    |screen - exact| <= (2W + 4)uM, to first order. The tolerance 4(W + 1)uM
+    covers that for every W >= 2, with 2W·uM to spare for the float64
+    score's own error and for ``target ± tolerance``, which ``rank_answers``
+    rounds up to float32 so the screen compares with it as with the float64
+    value. Where float32 sums could overflow the tolerance is infinite, so
+    every entity is rescored.
     """
     if 4 * width * magnitude >= float(np.finfo(np.float32).max):
         return np.inf
@@ -226,12 +296,13 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     entailment-style datasets (no hard answers) rank easy answers filtering
     the other easy answers. Each embedded batch is screened once against a
     float32 copy of the entity table (``_batch_scores``, made once per call),
-    and each query's targets are ranked by ``rank_answers`` with the exact
-    ``model.score_entities`` on gathered rows as the rescorer, so the ranks
-    equal those of exact scores; ``RankingReport.rescored`` counts the near
-    ties it rescored. Raises NumericError on a non-finite entity or query
-    embedding (the latter from ``ForwardContext.embed_instances``), whose
-    scores would rank every target first.
+    and all its targets are ranked by one ``rank_answers`` call, whose
+    rescorer scores gathered (query row, entity) pairs exactly
+    (``_pair_scores``), so the ranks equal those of exact scores;
+    ``RankingReport.rescored`` counts the near ties it rescored. Raises
+    NumericError on a non-finite entity or query embedding (the latter from
+    ``ForwardContext.embed_instances``), whose scores would rank every
+    target first.
     """
     if workers != 1:  # accepted, as 1 only, for perfbench/workloads.py
         raise DataError(f"ranking is serial: workers must be 1, got {workers}")
@@ -253,30 +324,44 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
             screen = _batch_scores(branch_values, screen_entities)
             tolerance = screen_tolerance(width, max(
                 entity_magnitude, *(float(np.max(np.abs(v))) for v in branch_values)))
-            for row, sample in enumerate(chunk):
+            targets, filters = [], []
+            for sample in chunk:
                 if entailment:
                     if sample.hard:
                         raise DataError("entailment dataset contains hard answers")
-                    targets, filter_ids = sample.easy, set(sample.easy)
+                    targets.append(sample.easy)
+                    filters.append(sample.easy)
                 else:
                     if not sample.hard:
                         raise DataError("generalization query without hard answers")
-                    targets = sample.hard
-                    filter_ids = set(sample.easy) | set(sample.hard)
-                qe = QueryEmbedding(tuple(values[row] for values in branch_values))
-                asked = []
+                    targets.append(sample.hard)
+                    filters.append((*sample.easy, *sample.hard))
+            asked = []
 
-                def rescore(ids):
-                    asked.append(len(ids))
-                    return model_mod.score_entities(qe, params, entity_matrix[ids])
+            def rescore(rows, ids):
+                asked.append(len(ids))
+                return _pair_scores(branch_values, entity_matrix, rows, ids)
 
-                ranks.extend(rank_answers(screen[row], filter_ids, targets, rescore, tolerance))
-                report.rescored += sum(asked) - len(targets)
+            ranks.extend(rank_answers(screen, filters, targets, rescore, tolerance))
+            report.rescored += sum(asked) - sum(len(t) for t in targets)
             del screen  # free before the next batch's screen is made
         report.ranks[structure] = ranks
         report.counts[structure] = len(ranks)
         report.per_structure[structure] = mrr_hits(ranks)
     return report
+
+
+def _pair_scores(branch_values, entity_matrix: np.ndarray, rows, ids) -> np.ndarray:
+    """Exact float64 scores of query row ``rows[i]`` against entity ``ids[i]``,
+    by ``model.satisfiability`` on gathered rows, in slices whose gathers and
+    differences stay within ``SCORE_BLOCK_BYTES``."""
+    step = max(1, SCORE_BLOCK_BYTES // (4 * entity_matrix.shape[1] * 8))
+    out = np.empty(len(ids))
+    for start in range(0, len(ids), step):
+        part = slice(start, start + step)
+        out[part] = model_mod.satisfiability(entity_matrix[ids[part]],
+                                             (values[rows[part]] for values in branch_values))
+    return out
 
 
 # --- correlation statistics ---------------------------------------------------

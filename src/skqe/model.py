@@ -472,6 +472,21 @@ def embed_instance(instance: QueryInstance, params: ModelParams,
     return QueryEmbedding(tuple(o[0] for o in outs))
 
 
+def satisfiability(entities: np.ndarray, branches) -> np.ndarray:
+    """Satisfiability 1 - D of (K, 2d) entity rows, D the mean L1 distance
+    over the 2d slots, against each branch: one (2d,) query for every row or
+    one (K, 2d) query row per entity row. DNF embeddings score as the best
+    branch. The one exact scoring formula; ``np.add.reduce`` over the slots,
+    divided by their count, gives the bytes of ``np.mean`` without its
+    wrapper."""
+    width = entities.shape[1]
+    best = None
+    for branch in branches:
+        scores = 1.0 - np.add.reduce(np.abs(entities - branch), axis=1) / width
+        best = scores if best is None else np.maximum(best, scores)
+    return best
+
+
 def score_entities(qe: QueryEmbedding, params: ModelParams,
                    entity_matrix: np.ndarray | None = None) -> np.ndarray:
     """Satisfiability 1 - D of every entity against the query embedding.
@@ -479,8 +494,4 @@ def score_entities(qe: QueryEmbedding, params: ModelParams,
     DNF embeddings score as the best branch.
     """
     entities = realize_all_entities(params) if entity_matrix is None else entity_matrix
-    best = None
-    for branch in qe.branches:
-        scores = 1.0 - np.mean(np.abs(entities - branch[None, :]), axis=1)
-        best = scores if best is None else np.maximum(best, scores)
-    return best
+    return satisfiability(entities, qe.branches)

@@ -129,6 +129,19 @@ def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
     return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
 
 
+# --- ranking, one target at a time -------------------------------------------
+
+def reference_rank(scores, filter_ids, target: int) -> int:
+    """Filtered rank of one target, entity by entity in Python floats: 1 +
+    the number of entities other than the target and outside ``filter_ids``
+    whose score is at least the target's (ties count against the target)."""
+    scores = np.asarray(scores, dtype=np.float64).tolist()
+    filtered = {int(e) for e in filter_ids}
+    mine = scores[target]
+    return 1 + sum(1 for entity, score in enumerate(scores)
+                   if entity != target and entity not in filtered and score >= mine)
+
+
 # --- the logic, one slot at a time -------------------------------------------
 
 def reference_negate(x, mode: str = "bounds") -> np.ndarray:

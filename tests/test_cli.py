@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -228,8 +229,14 @@ def test_eval_prints_the_near_ties_rescored(files, tmp_path, capsys):
     report = evaluation.evaluate_ranking(oracle.read_dataset(files / "q.jsonl", graph), params)
     assert report.rescored > 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == [f"near ties rescored exactly: {report.rescored} entities",
-                         f"metrics written to {out}"]
+    assert lines[1] == f"near ties rescored exactly: {report.rescored} entities"
+    timing = re.fullmatch(r"ranking took (\d+\.\d{3}) s: (\d+\.\d) answers/s", lines[2])
+    assert timing, lines[2]
+    seconds, rate = map(float, timing.groups())
+    answers = sum(report.counts.values())
+    # the rate is the answers over the unrounded time the line rounds to ms
+    assert rate > 0 and abs(rate * seconds - answers) <= rate * 5e-4 + 0.05
+    assert lines[3:] == [f"metrics written to {out}"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

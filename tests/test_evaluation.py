@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skqe import evaluation, kg, logic, model, oracle, training
 from skqe.algebra import STRUCTURE_NAMES
@@ -9,7 +11,7 @@ from skqe.errors import DataError, NumericError
 from skqe.model import ModelConfig, ModelParams
 from skqe.oracle import QueryDataset, QuerySample
 
-from conftest import reference_cardinality_head
+from conftest import reference_cardinality_head, reference_rank
 
 D = 16
 
@@ -91,6 +93,22 @@ class TestBlockedScorer:
         got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
         assert_within_screen_tolerance(got, branch_values, entity_matrix)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([2, 4, 64]),
+           magnitude=st.sampled_from([1.0, 1e3]))
+    def test_min_form_stays_within_tolerance(self, data, width, magnitude):
+        # |E - v| = E + v - 2 min(E, v): a query row equal to an entity row
+        # cancels its sums completely, the min form's worst case
+        values = st.floats(-magnitude, magnitude, allow_nan=False, allow_infinity=False)
+        entity_matrix = data.draw(hnp.arrays(np.float64, (5, width), elements=values))
+        queries = data.draw(hnp.arrays(np.float64, (4, width), elements=values))
+        equal = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                                   max_size=4))
+        for row, entity in equal:
+            queries[row] = entity_matrix[entity]
+        got = evaluation._batch_scores([queries], entity_matrix.astype(np.float32))
+        assert_within_screen_tolerance(got, [queries], entity_matrix)
+
     def test_nan_query_row_stays_nan(self, monkeypatch):
         rng = np.random.default_rng(4)
         entity_matrix = rng.uniform(size=(11, 2 * D))
@@ -125,45 +143,176 @@ class TestBlockedScorer:
             tracemalloc.stop()
         assert scores.shape == (32, 20_000) and scores.dtype == np.float32
         # The one-block formula would need two 32 x 20,000 x 64 temporaries
-        # (~650 MB). The kernel holds the query copy and the difference block,
-        # half the budget each, and a (rows, cols) distance tile; on a small
-        # tile numpy's ufunc iterator may also buffer up to getbufsize()
-        # elements per operand.
+        # (~650 MB). The kernel holds the query copy and the min block, half
+        # the budget each, a (rows, cols) distance tile and the float64 sum
+        # of each entity's slots; on a small tile numpy's ufunc iterator may
+        # also buffer up to getbufsize() elements per operand.
+        entity_sums = 20_000 * 8
         slack = 4 * np.getbufsize() * 8
-        assert peak <= output_bytes + budget + slack
+        assert peak <= output_bytes + budget + entity_sums + slack
+
+
+def _reference_ranks(exact, filters, targets):
+    """``reference_rank`` of every target of a batch, row by row."""
+    return [reference_rank(exact[row], filters[row], t)
+            for row in range(len(targets)) for t in targets[row]]
+
+
+def _near_tie_batch(seed, rows=6, count=400, tolerance=1e-5):
+    """Exact (rows, count) scores on a coarse grid, so many tie exactly, with
+    the last half of each row a few float64 ulps from the first half, and a
+    float32 screen that moves each by up to ``tolerance``: near ties in every
+    row."""
+    rng = np.random.default_rng(seed)
+    exact = rng.integers(0, 40, size=(rows, count)) / 40.0
+    half = count // 2
+    exact[:, count - half:] = exact[:, :half] + (rng.integers(-2, 3, size=(rows, half))
+                                                 * np.spacing(exact[:, :half]))
+    screen = (exact + rng.uniform(-tolerance, tolerance, size=exact.shape)).astype(np.float32)
+    screen[:, ::7] = exact[:, ::7]  # some screens land exactly on the exact score
+    return rng, exact, screen
+
+
+class _Rescorer:
+    """``rank_answers``' exact rescorer on a table of exact scores, keeping
+    the (row, id) pairs it was asked for."""
+
+    def __init__(self, exact):
+        self.exact, self.asked = exact, []
+
+    def __call__(self, rows, ids):
+        self.asked.append((np.array(rows), np.array(ids)))
+        return self.exact[rows, ids]
 
 
 class TestRanking:
+    """The batched ``rank_answers`` against ``reference_rank``, one target at
+    a time."""
+
     def test_ties_count_against_the_target(self):
-        scores = np.array([0.5, 0.9, 0.5, 0.5, 0.2, 0.9])
+        scores = np.array([[0.5, 0.9, 0.5, 0.5, 0.2, 0.9]])
         # competitors of entity 0: 1 and 5 score higher, 2 ties; 3 is filtered
-        assert evaluation.rank_answers(scores, {0, 3}, [0]) == [4]
+        assert evaluation.rank_answers(scores, [{0, 3}], [[0]]) == [4]
         # the target never counts against itself, filtered or not
-        assert evaluation.rank_answers(scores, set(), [0]) == [5]
-        assert evaluation.rank_answers(scores, {1, 3, 5}, [0, 2]) == [2, 2]
+        assert evaluation.rank_answers(scores, [set()], [[0]]) == [5]
+        assert evaluation.rank_answers(scores, [{1, 3, 5}], [[0, 2]]) == [2, 2]
+        # the reference agrees on the same cases
+        assert _reference_ranks(np.repeat(scores, 3, axis=0), [{0, 3}, set(), {1, 3, 5}],
+                                [[0], [0], [0, 2]]) == [4, 5, 2, 2]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_screen_with_rescorer_ranks_as_exact_scores(self, seed):
-        # 400 exact scores on a coarse grid (many exact ties), plus pairs a few
-        # float64 ulps apart; the screen moves each by up to the tolerance
-        rng = np.random.default_rng(seed)
+        # near ties in several rows of one batch
         tolerance = 1e-5
-        exact = rng.integers(0, 40, size=400) / 40.0
-        exact[200:] = exact[:200] + rng.integers(-2, 3, size=200) * np.spacing(exact[:200])
-        screen = (exact + rng.uniform(-tolerance, tolerance, size=exact.size)).astype(np.float32)
-        screen[::7] = exact[::7]  # some screens land exactly on the exact score
-        asked = []
+        rng, exact, screen = _near_tie_batch(seed, tolerance=tolerance)
+        filters = [set(rng.choice(400, size=30, replace=False).tolist()) for _ in range(6)]
+        targets = [list(rng.choice(400, size=5, replace=False)) for _ in range(6)]
+        rescore = _Rescorer(exact)
+        got = evaluation.rank_answers(screen, filters, targets, rescore, tolerance)
+        assert got == _reference_ranks(exact, filters, targets)
+        # one call scores every target exactly, row by row
+        rows, ids = rescore.asked[0]
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(6), 5))
+        np.testing.assert_array_equal(ids, np.concatenate(targets))
+        ties = np.concatenate([rows for rows, _ in rescore.asked[1:]])
+        assert len(set(ties.tolist())) > 1  # near ties were rescored in several rows
 
-        def rescore(ids):
-            asked.append(np.asarray(ids))
-            return exact[ids]
+    def test_chunks_split_rows_mid_batch(self, monkeypatch):
+        # 90 bytes per target row of 5 entities: a chunk of 18 bytes per entity
+        # holds one target, so every row's targets are split across chunks
+        tolerance = 1e-5
+        rng, exact, screen = _near_tie_batch(3, rows=4, count=5, tolerance=tolerance)
+        filters = [{0}, set(), {1, 2}, {4}]
+        targets = [[0, 1, 2], [3], [0, 3, 4], [1, 4]]
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                            5 * evaluation.RANK_BYTES_PER_ENTITY)
+        got = evaluation.rank_answers(screen, filters, targets, _Rescorer(exact), tolerance)
+        assert got == _reference_ranks(exact, filters, targets)
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                            2 * 5 * evaluation.RANK_BYTES_PER_ENTITY)  # two targets a chunk
+        assert evaluation.rank_answers(screen, filters, targets, _Rescorer(exact),
+                                       tolerance) == got
 
-        filter_ids = set(rng.choice(400, size=30, replace=False).tolist())
-        targets = list(rng.choice(400, size=25, replace=False))
-        got = evaluation.rank_answers(screen, filter_ids, targets, rescore, tolerance)
-        assert got == evaluation.rank_answers(exact, filter_ids, targets)
-        assert list(asked[0]) == targets  # each target's own score is exact
-        assert sum(len(ids) for ids in asked[1:]) > 0  # and some near ties were rescored
+    def test_near_ties_are_rescored_in_slices(self, monkeypatch):
+        # a tolerance wider than every gap makes each unfiltered entity a near tie
+        rng, exact, screen = _near_tie_batch(4, rows=3, count=50)
+        filters = [{1, 2}, set(), {7}]
+        targets = [[0, 5], [9], [7, 8]]
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK_BYTES",
+                            7 * evaluation.RANK_BYTES_PER_NEAR_TIE)
+        rescore = _Rescorer(exact)
+        got = evaluation.rank_answers(screen, filters, targets, rescore, 2.0)
+        assert got == _reference_ranks(exact, filters, targets)
+        assert max(len(ids) for _, ids in rescore.asked[1:]) == 7
+
+    def test_a_target_outside_its_filter_never_counts_against_itself(self):
+        rng, exact, screen = _near_tie_batch(5, rows=2, count=60)
+        filters = [{3, 4}, set()]  # neither row filters its targets
+        targets = [[10, 11, 3], [20]]
+        got = evaluation.rank_answers(screen, filters, targets, _Rescorer(exact), 1e-5)
+        assert got == _reference_ranks(exact, filters, targets)
+        assert evaluation.rank_answers(exact, filters, targets) == got
+
+    def test_many_targets_per_query(self):
+        # entailment: every answer is a target and filters the others
+        rng, exact, screen = _near_tie_batch(6, rows=3, count=400)
+        targets = [rng.choice(400, size=size, replace=False).tolist() for size in (150, 1, 40)]
+        filters = [set(t) for t in targets]
+        got = evaluation.rank_answers(screen, filters, targets, _Rescorer(exact), 1e-5)
+        assert got == _reference_ranks(exact, filters, targets)
+        assert evaluation.rank_answers(exact, filters, targets) == got
+
+    def test_thresholds_round_up_to_the_screen_dtype(self):
+        rng = np.random.default_rng(8)
+        thresholds = np.concatenate([rng.uniform(-2, 2, 500), [0.5, -0.0, np.inf, -np.inf]])
+        got = evaluation._at_or_above(thresholds, np.float32)
+        assert got.dtype == np.float32
+        # every float32 next to a threshold compares with the rounded one as
+        # with the float64 one
+        screen = np.concatenate([got, np.nextafter(got, -np.inf), np.nextafter(got, np.inf)])
+        for rounded, threshold in zip(got, thresholds):
+            np.testing.assert_array_equal(screen >= rounded, screen >= threshold)
+
+    def test_hard_answers_rank_as_the_reference(self, graph):
+        dataset = oracle.sample_dataset(graph, ("1p", "2in"), 5, 2, "generalization")
+        params = _params(graph)
+        for sample in dataset.samples:
+            qe = model.embed_instance(sample.instance, params)
+            scores = model.score_entities(qe, params)
+            known = set(sample.easy) | set(sample.hard)
+            assert evaluation.rank_hard_answers(qe, sample, params) == \
+                [reference_rank(scores, known, t) for t in sample.hard]
+
+    def test_memory_stays_bounded(self):
+        # 256 queries of 100 targets each against 2,000 entities
+        rng = np.random.default_rng(7)
+        entity_matrix = rng.uniform(size=(2_000, 64))
+        branch_values = [rng.uniform(size=(256, 64))]
+        targets = [rng.choice(2_000, size=100, replace=False).tolist() for _ in range(256)]
+        filters = [set(t) for t in targets]
+        screen_entities = entity_matrix.astype(np.float32)
+        tolerance = evaluation.screen_tolerance(64, 1.0)
+
+        def rescore(rows, ids):
+            return evaluation._pair_scores(branch_values, entity_matrix, rows, ids)
+
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            screen = evaluation._batch_scores(branch_values, screen_entities)
+            ranks = evaluation.rank_answers(screen, filters, targets, rescore, tolerance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ranks) == 25_600
+        # The (B, N) screen, one budget of working set, and per target its
+        # share of the batch's index, score and threshold arrays (about 48
+        # bytes) and of the returned list (an int object and a slot, 36);
+        # numpy's ufunc iterator may buffer up to getbufsize() elements per
+        # operand on a small tile.
+        per_target = 48 + 36
+        slack = 4 * np.getbufsize() * 8
+        assert peak <= screen.nbytes + evaluation.SCORE_BLOCK_BYTES + 25_600 * per_target + slack
 
     def test_identical_entity_rows_tie_in_evaluate_ranking(self, graph):
         dataset = oracle.sample_dataset(graph, ("1p",), 5, 2, "generalization")
@@ -209,8 +358,8 @@ class TestRanking:
 
 
 class TestRanksAgainstOneQueryReference:
-    """Every rank of ``evaluate_ranking`` equals a re-rank of its query, one
-    at a time, with ``model.score_entities``. At d=16 and 300 entities the
+    """Every rank of ``evaluate_ranking`` equals ``reference_rank`` of its
+    target on ``model.score_entities``, one query at a time. At d=16 and 300 entities the
     default budget gives 8-row by 256-entity tiles, so each 12-query batch
     splits 8 + 4 rows and the entities 256 + 44."""
 
@@ -239,11 +388,10 @@ class TestRanksAgainstOneQueryReference:
             want = []
             for sample in samples:
                 qe = model.embed_instance(sample.instance, params, union_mode)
-                if mode == "generalization":
-                    want.extend(evaluation.rank_hard_answers(qe, sample, params))
-                else:
-                    want.extend(evaluation.rank_answers(model.score_entities(qe, params),
-                                                        set(sample.easy), sample.easy))
+                scores = model.score_entities(qe, params)
+                targets = sample.hard if mode == "generalization" else sample.easy
+                known = set(sample.easy) | set(sample.hard)
+                want.extend(reference_rank(scores, known, t) for t in targets)
             assert report.ranks[structure] == want, structure
 
 
@@ -272,16 +420,16 @@ def _add_near_ties(params, dataset, seed):
 
 def _exact_reranks(dataset, params, union_mode):
     """Every query re-ranked alone against the whole table with
-    ``model.score_entities`` and the plain ``rank_answers``."""
+    ``model.score_entities`` and ``reference_rank``."""
     ranks = {}
     for structure, samples in dataset.by_structure().items():
         ranks[structure] = []
         for sample in samples:
             scores = model.score_entities(model.embed_instance(sample.instance, params,
                                                                union_mode), params)
-            targets = sample.hard or sample.easy
-            ranks[structure].extend(evaluation.rank_answers(
-                scores, set(sample.easy) | set(sample.hard), targets))
+            known = set(sample.easy) | set(sample.hard)
+            ranks[structure].extend(reference_rank(scores, known, t)
+                                    for t in sample.hard or sample.easy)
     return ranks
 
 

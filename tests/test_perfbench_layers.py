@@ -91,9 +91,9 @@ def test_traced_training_times_both_row_merges_every_step(monkeypatch, small_gra
 
 
 def test_traced_ranking_scores_every_batch_and_ranks_every_query(monkeypatch, small_graph):
-    """A traced ``evaluate_ranking`` opens one ``evaluation.score`` span per
-    embedded batch and one ``evaluation.rank`` span per query, both inside
-    the ranking, and the per-layer metrics read their time."""
+    """A traced ``evaluate_ranking`` opens one ``evaluation.score`` span and
+    one ``evaluation.rank`` span per embedded batch, both inside the ranking,
+    and the per-layer metrics read their time."""
     layers, tracer_mod = _perfbench(monkeypatch)
     monkeypatch.setattr(evaluation, "EVAL_BATCH", 4)
     dataset = oracle.sample_dataset(small_graph, ("1p", "2in", "2u"), 6, 0, "generalization")
@@ -112,7 +112,9 @@ def test_traced_ranking_scores_every_batch_and_ranks_every_query(monkeypatch, sm
     batches = sum(-(-len(group) // 4) for group in dataset.by_structure().values())
     assert batches > len(report.ranks)  # some structure has more than one batch
     assert names.count("evaluation.score") == batches
-    assert names.count("evaluation.rank") == len(dataset.samples)
+    assert names.count("evaluation.rank") == batches
+    assert sum(len(ranks) for ranks in report.ranks.values()) == sum(
+        len(sample.hard) for sample in dataset.samples)
     for span in spans:
         if span[tracer_mod.NAME] in ("evaluation.score", "evaluation.rank"):
             parent = spans[span[tracer_mod.PARENT]]
