@@ -134,11 +134,16 @@ def cmd_gen_queries(args) -> int:
     unknown = [s for s in structures if s not in algebra.TEMPLATES]
     if unknown:
         raise DataError(f"unknown structures: {unknown}")
+    began = time.perf_counter()
     dataset = sample_dataset(graph, structures, args.per_structure, args.seed,
                              args.mode, args.negation_frac)
+    seconds = time.perf_counter() - began
     write_dataset(dataset, graph, args.out)
     print(f"wrote {len(dataset.samples)} queries ({args.mode}) to {args.out}")
+    print(f"sampling took {seconds:.3f} s: {len(dataset.samples) / seconds:.1f} queries/s")
     counts, attempts = dataset.metadata["counts"], dataset.metadata["attempts"]
+    print("yield (queries/attempts): "
+          + ", ".join(f"{s} {counts[s]}/{attempts[s]:,}" for s in structures))
     short = []
     for structure in structures:
         wanted = requested_count(structure, args.per_structure, args.negation_frac)

@@ -136,8 +136,8 @@ class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
     Built from the subset of triples whose split label is in ``splits`` and
-    not changed afterwards. The derived ``walk_table``, ``tails`` and
-    ``universe`` are computed on first use and kept on the index.
+    not changed afterwards. The derived ``walk_table``, ``degree_table``,
+    ``tails`` and ``universe`` are computed on first use and kept on the index.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
@@ -169,6 +169,26 @@ class AdjacencyIndex:
         offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=self.num_entities), out=offsets[1:])
         return WalkTable(offsets, heads[order], relations[order])
+
+    @functools.cached_property
+    def degree_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The out-degree of every (head, relation) pair with an edge, as
+        ascending ``head * num_relations + relation`` keys and their counts
+        (int64, O(edges) memory). Both end in a sentinel entry (the largest
+        int64 key, count 0) that no pair reaches, so ``out_degree`` needs no
+        bounds check. Built on first use from the walk table."""
+        _, heads, relations = self.walk_table
+        keys, counts = np.unique(heads * self.num_relations + relations, return_counts=True)
+        return (np.append(keys, np.iinfo(np.int64).max),
+                np.append(counts, 0).astype(np.int64))
+
+    def out_degree(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
+        """``len(lookup(h, r))`` for each pair of the int64 arrays ``heads``
+        and ``relations``; 0 for pairs without an edge."""
+        keys, counts = self.degree_table
+        wanted = heads * self.num_relations + relations
+        at = np.searchsorted(keys, wanted)
+        return np.where(keys[at] == wanted, counts[at], 0)
 
     @functools.cached_property
     def tails(self) -> np.ndarray:

@@ -15,7 +15,17 @@ attempts are then taken one at a time, in order, so a (graph, structure,
 count, seed, mode) request always yields the same queries, and one that gets
 all of its k queries yields the first k of any larger request. Only the
 (anchors, relations) bindings of an attempt are kept until its answers pass
-the mode's filter; duplicates are dropped. ``sample_dataset`` samples several
+the mode's filter; duplicates are dropped.
+
+Before any ``eval_plan``, ``answer_bound`` bounds every attempt's answer-set
+size with numpy, a whole batch at once, from the walked index's out-degrees
+(``AdjacencyIndex.out_degree``): the size of a one-hop set is its degree, a
+conjunction is no larger than its smallest positive input, and a negated
+input removes at least the walked entity, since the walk drew the negated
+atom's edge into it too. An attempt whose bound is below 1 has no answers on
+the walked index, the index every mode's first filter answers on, so it
+would have been rejected anyway: it is dropped like a dead walk, and no
+dataset or attempt count changes. ``sample_dataset`` samples several
 structures over one pair of indexes, recording the count and the attempts of
 each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
 """
@@ -219,6 +229,7 @@ class WalkOrder(NamedTuple):
     num_terms: int
     anchors: tuple[int, ...]  # term numbers of the anchor slots
     num_relations: int
+    fresh: bool  # every step binds a new source term and its own relation slot
 
 
 @functools.cache
@@ -250,7 +261,77 @@ def walk_order(template: Template) -> WalkOrder:
         if not progressed:
             raise DataError(f"template {template.name} atoms are not a DAG")
     anchors = tuple(number[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors])
-    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations)
+    fresh = all(src >= 0 and slot >= 0 for _, src, slot in steps)
+    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations, fresh)
+
+
+def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
+                 index: AdjacencyIndex, walked: bool) -> np.ndarray:
+    """An upper bound on ``len(eval_plan(plan, anchors[:, j], relations[:, j],
+    index))`` for every column j of the int64 arrays ``anchors`` (one row per
+    anchor slot) and ``relations`` (one row per relation slot): float64, inf
+    where there is no bound.
+
+    One forward pass over the nodes keeps, for each node, a bound on the size
+    of its set as ``eval_plan`` holds it (complements stay lazy), the
+    complement flag, and whether the set provably holds the walked entity of
+    the node's term:
+
+    - an Anchor is bounded by 1;
+    - a Relate out of an Anchor by the exact out-degree of (anchor, relation);
+    - any other Relate by 0 where its input is empty (bounded below 1 and not
+      complemented), and not at all elsewhere;
+    - a Negate by its input's bound, with the complement flag flipped;
+    - a Conjoin with positive inputs by the least of their bounds, less 1
+      where every positive input and some complemented input hold the walked
+      entity: the entity is then in the smallest positive set and removed
+      from the result;
+    - a Conjoin of complemented inputs only, a Disjoin or a complemented last
+      node not at all.
+
+    ``walked`` says that every column is an inverse walk of the plan's
+    template whose steps each bound a new source term and its own relation
+    slot (``WalkOrder.fresh``). Then each Anchor holds its walked entity, and
+    a Relate of a positive input that holds its entity holds its own, since
+    the walk drew an edge of that relation from one to the other. Without
+    ``walked`` no set holds one and nothing is subtracted, so the bound holds
+    for any bindings.
+    """
+    columns = anchors.shape[1]
+    unbounded = np.full(columns, np.inf)
+    # per node: (bound, complemented, holds the walked entity)
+    values: list[tuple[np.ndarray, bool, bool]] = []
+    for node in plan.nodes:
+        if isinstance(node, Anchor):
+            values.append((np.ones(columns), False, walked))
+        elif isinstance(node, Relate):
+            bound, complemented, held = values[node.input]
+            source = plan.nodes[node.input]
+            if isinstance(source, Anchor):
+                bound = index.out_degree(anchors[source.slot], relations[node.slot])
+                bound = bound.astype(np.float64)
+            elif complemented:
+                bound = unbounded
+            else:
+                bound = np.where(bound < 1, 0.0, np.inf)
+            values.append((bound, False, held and not complemented))
+        elif isinstance(node, Negate):
+            bound, complemented, held = values[node.input]
+            values.append((bound, not complemented, held))
+        else:  # Conjoin or Disjoin
+            parts = [values[i] for i in node.inputs]
+            positives = [(bound, held) for bound, complemented, held in parts if not complemented]
+            negatives = [held for _, complemented, held in parts if complemented]
+            if not isinstance(node, Conjoin) or not positives:
+                values.append((unbounded, bool(negatives), False))
+                continue
+            bound = np.minimum.reduce([bound for bound, _ in positives])
+            held = all(held for _, held in positives)
+            if held and any(negatives):
+                bound = np.maximum(bound - 1, 0.0)
+            values.append((bound, False, held and not negatives))
+    bound, complemented, _ = values[-1]
+    return unbounded if complemented else bound
 
 
 class WalkBatch(NamedTuple):
@@ -258,11 +339,13 @@ class WalkBatch(NamedTuple):
 
     anchors: list[list[int]]
     relations: list[list[int]]
-    alive: list[bool]  # False where the walk met an entity without incoming edges
+    alive: list[bool]  # False where the walk died or its answer set is provably empty
 
 
-def _walk_batch(order: WalkOrder, index: AdjacencyIndex, draws: np.ndarray) -> WalkBatch:
-    """Walk a template's atoms backwards from one answer per column of ``draws``.
+def _walk_batch(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
+                draws: np.ndarray) -> WalkBatch:
+    """Walk a template's atoms backwards from one answer per column of ``draws``
+    and drop the attempts whose answer set on ``index`` is provably empty.
 
     ``draws`` holds uniforms in [0, 1), one row per random choice and one
     column per attempt. Row 0 picks the answer, ``tails[floor(u * len(tails))]``;
@@ -274,6 +357,14 @@ def _walk_batch(order: WalkOrder, index: AdjacencyIndex, draws: np.ndarray) -> W
     walk from a stand-in edge, so no index leaves the table, and their
     bindings are ignored. Negated atoms are walked like positive ones so the
     sampled negation is informative (it actually excludes the walked entity).
+    So the walked entity is never an answer of a conjunction with a negated
+    input, and its positive part needs a second member: where
+    ``answer_bound(plan, ...)`` (the structure's ``plan``, with
+    ``order.fresh``) is below 1 the answer set on ``index`` is empty and the
+    attempt is marked dead as well. Every mode's first filter answers on the
+    walked index, so such an attempt would have been rejected after an
+    ``eval_plan``; pruning it changes neither a dataset nor its attempt
+    counts.
     """
     offsets, heads, rels = index.walk_table
     tails = index.tails
@@ -292,8 +383,9 @@ def _walk_batch(order: WalkOrder, index: AdjacencyIndex, draws: np.ndarray) -> W
             terms[src] = heads[edge]
         if slot >= 0:
             relations[slot] = rels[edge]
-    return WalkBatch(terms[list(order.anchors)].T.tolist(), relations.T.tolist(),
-                     alive.tolist())
+    anchors = terms[list(order.anchors)]
+    alive &= answer_bound(plan, anchors, relations, index, order.fresh) >= 1
+    return WalkBatch(anchors.T.tolist(), relations.T.tolist(), alive.tolist())
 
 
 def _walk_instance(batch: WalkBatch, i: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -304,11 +396,13 @@ def _walk_instance(batch: WalkBatch, i: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(batch.anchors[i]), tuple(batch.relations[i])
 
 
-def _walks(order: WalkOrder, index: AdjacencyIndex, rng: np.random.Generator):
+def _walks(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
+           rng: np.random.Generator):
     """Each attempt's bindings (or None), in order, ``WALK_BATCH`` walks at a
     time: one ``(1 + steps, WALK_BATCH)`` uniform draw per batch."""
     while True:
-        batch = _walk_batch(order, index, rng.random((1 + len(order.steps), WALK_BATCH)))
+        batch = _walk_batch(order, plan, index,
+                            rng.random((1 + len(order.steps), WALK_BATCH)))
         for i in range(WALK_BATCH):
             yield _walk_instance(batch, i)
 
@@ -341,9 +435,12 @@ def sample_queries(
     Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
     ``[seed, structure index]`` and taken one attempt at a time, in order:
     an attempt is dropped if its walk died, its bindings were seen before or
-    its answers fail the mode's filter. Sampling stops at ``count`` queries
-    or after ``RETRY_FACTOR * count`` attempts; walks drawn past that point
-    are not attempts. The draws do not depend on ``count``, so a request that
+    its answers fail the mode's filter. An attempt whose answer set on the
+    walked index ``answer_bound`` proves empty is dropped like a dead walk,
+    without an ``eval_plan``: it would fail the filter, so the queries and
+    the attempt count are those of evaluating it. Sampling stops at
+    ``count`` queries or after ``RETRY_FACTOR * count`` attempts; walks drawn
+    past that point are not attempts. The draws do not depend on ``count``, so a request that
     gets all of its k queries returns the first k of any larger request.
     """
     if mode not in DATASET_MODES:
@@ -363,7 +460,7 @@ def sample_queries(
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     samples: list[QuerySample] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    walks = _walks(order, walk_index, rng)
+    walks = _walks(order, plan, walk_index, rng)
     attempts = 0
     while len(samples) < count and attempts < RETRY_FACTOR * count:
         attempts += 1

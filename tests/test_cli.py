@@ -373,6 +373,30 @@ def test_gen_queries_names_each_shortfall_with_its_attempts(files, tmp_path, cap
         f"short of the request: 1p {got}/100 after 10,000 attempts"
 
 
+def test_gen_queries_prints_its_time_and_yield_and_writes_the_dataset(files, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "q.jsonl"
+    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "generalization",
+                     "--per-structure", "6", "--structures", "1p,2in,inp", "--seed", "3",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    graph = kg.load_tsv_dir(files / "kg")
+    dataset = oracle.sample_dataset(graph, ("1p", "2in", "inp"), 6, 3, "generalization")
+    oracle.write_dataset(dataset, graph, tmp_path / "library.jsonl")
+    assert out.read_bytes() == (tmp_path / "library.jsonl").read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {len(dataset.samples)} queries (generalization) to {out}"
+    timing = re.fullmatch(r"sampling took (\d+\.\d{3}) s: (\d+\.\d) queries/s", lines[1])
+    assert timing, lines[1]
+    seconds, rate = map(float, timing.groups())
+    # the rate is the queries over the unrounded time the line rounds to ms
+    assert rate > 0 and abs(rate * seconds - len(dataset.samples)) <= rate * 5e-4 + 0.05
+    counts, attempts = dataset.metadata["counts"], dataset.metadata["attempts"]
+    assert lines[2] == "yield (queries/attempts): " + ", ".join(
+        f"{s} {counts[s]}/{attempts[s]:,}" for s in ("1p", "2in", "inp"))
+    assert len(lines) == 3 + (min(counts.values()) < 6)  # and a shortfall line
+
+
 @pytest.mark.parametrize("record, message", [
     ("3", "expected a JSON object, got int"),
     ('{"structure": "1p", "anchors": "e1", "relations": ["r0"]}',

@@ -12,6 +12,7 @@ from conftest import (
     reference_eval_plan,
     reference_incoming_table,
     reference_sample_dataset,
+    reference_walk_instance,
 )
 
 
@@ -202,7 +203,8 @@ class TestBatchedWalks:
         assert index.walk_table.offsets.tolist() == [0, 1, 1]
         order = oracle.walk_order(algebra.TEMPLATES["2p"])
         for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            batch = oracle._walk_batch(order, index, np.full((3, 5), u))
+            batch = oracle._walk_batch(order, algebra.structure_plan("2p"), index,
+                                       np.full((3, 5), u))
             assert batch.alive == [False] * 5
             assert all(oracle._walk_instance(batch, i) is None for i in range(5))
 
@@ -266,6 +268,136 @@ class TestWalkOrder:
         ))
         with pytest.raises(DataError, match="not a DAG"):
             oracle.walk_order(template)
+
+
+class TestAnswerBound:
+    """``answer_bound`` against ``eval_plan``, and the walks it prunes."""
+
+    @staticmethod
+    def awards_index():
+        """award1 is won by x and y, award2 by y."""
+        graph = kg.KnowledgeGraph(kg.Vocabulary(["award1", "award2", "x", "y"]),
+                                  kg.Vocabulary(["won_by"]))
+        for head, tail in [(0, 2), (0, 3), (1, 3)]:
+            graph.add_triple(head, 0, tail, "train")
+        return kg.build_index(graph)
+
+    @staticmethod
+    def bounds(plan, instances, index, walked=False) -> np.ndarray:
+        anchors = np.array([i.anchors for i in instances], dtype=np.int64).T
+        relations = np.array([i.relations for i in instances], dtype=np.int64).T
+        return oracle.answer_bound(plan, anchors, relations, index, walked)
+
+    @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",), ("valid",)],
+                             ids=["full", "train", "valid"])
+    def test_degree_table_counts_every_pair(self, splits, small_graph):
+        index = kg.build_index(small_graph, splits)
+        pairs = list(itertools.product(range(50), range(3)))
+        heads, relations = np.array(pairs, dtype=np.int64).T
+        want = [len(index.lookup(h, r)) for h, r in pairs]
+        assert index.out_degree(heads, relations).tolist() == want
+        assert 0 in want and max(want) > 1
+        keys, counts = index.degree_table
+        assert index.degree_table is index.degree_table
+        # one entry per (head, relation) pair with an edge, and the sentinel
+        assert len(keys) == len(counts) == len(index.forward) + 1
+
+    def test_index_without_edges_has_degree_zero(self, toy_graph):
+        index = kg.build_index(toy_graph, ("valid",))
+        got = index.out_degree(np.arange(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        assert got.tolist() == [0] * 4
+
+    def test_rules_on_a_small_graph(self):
+        index = self.awards_index()
+
+        def bound(structure, anchors, relations, walked=True, plan=None):
+            plan = plan or algebra.structure_plan(structure)
+            return self.bounds(plan, [QueryInstance(structure, anchors, relations)], index,
+                               walked).tolist()
+
+        assert bound("1p", (0,), (0,)) == [2.0]
+        assert bound("2i", (0, 1), (0, 0)) == [1.0]
+        # {x, y} less the walked entity y, which award2's negated edge reaches
+        assert bound("2in", (0, 1), (0, 0)) == [1.0]
+        assert bound("2in", (0, 1), (0, 0), walked=False) == [2.0]
+        assert bound("2in", (1, 0), (0, 0)) == [0.0]
+        assert bound("2p", (2,), (0, 0)) == [0.0]  # x wins nothing
+        assert bound("2p", (0,), (0, 0)) == [np.inf]
+        assert bound("inp", (1, 0), (0, 0, 0)) == [0.0]  # {y} less y, then followed
+        assert bound("pin", (0, 1), (0, 0, 0)) == [np.inf]
+        assert bound("2u", (0, 1), (0, 0)) == [np.inf]
+        negated, _ = _with_complemented_answer(algebra.structure_plan("1p"))
+        assert bound("1p", (2,), (0,), plan=negated) == [np.inf]
+
+    @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_bound_covers_every_live_walk_and_random_instance(self, structure, splits,
+                                                              small_graph):
+        index = kg.build_index(small_graph, splits)
+        template, plan = algebra.TEMPLATES[structure], algebra.structure_plan(structure)
+        order = oracle.walk_order(template)
+        incoming = reference_incoming_table(index)
+        tails = sorted(incoming)
+        rng = np.random.default_rng([9, algebra.STRUCTURE_NAMES.index(structure)])
+        for _ in range(3):
+            draws = rng.random((1 + len(order.steps), oracle.WALK_BATCH))
+            walks = [reference_walk_instance(template, tails[int(column[0] * len(tails))],
+                                             incoming, iter(column[1:]))
+                     for column in draws.T.tolist()]
+            live = [walk for walk in walks if walk is not None]
+            bound = self.bounds(plan, live, index, walked=order.fresh)
+            sizes = [len(oracle.eval_plan(plan, w.anchors, w.relations, index)) for w in live]
+            assert (bound >= sizes).all()
+            # the batch keeps exactly the live walks bounded by 1 or more
+            kept = iter(bound >= 1)
+            batch = oracle._walk_batch(order, plan, index, draws)
+            assert batch.alive == [walk is not None and bool(next(kept)) for walk in walks]
+            for i, walk in enumerate(walks):
+                if batch.alive[i]:
+                    assert oracle._walk_instance(batch, i) == (walk.anchors, walk.relations)
+        instances = [random_instance(structure, rng, 50, 3) for _ in range(200)]
+        bound = self.bounds(plan, instances, index)
+        sizes = [len(answers(instance, index)) for instance in instances]
+        assert (bound >= sizes).all()
+
+    @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
+    def test_pruning_skips_a_third_of_the_attempts_and_counts_them(self, mode, small_graph,
+                                                                   monkeypatch):
+        structures = ("2in", "3in", "inp", "pni")
+        want, attempts, reference_evals = reference_sample_dataset(small_graph, structures,
+                                                                   12, 3, mode)
+        plans = {algebra.structure_plan(s): s for s in structures}
+        evals = dict.fromkeys(structures, 0)
+        walks = []
+        eval_plan, walk_instance = oracle.eval_plan, oracle._walk_instance
+
+        def counted_eval(plan, *args):
+            evals[plans[plan]] += 1
+            return eval_plan(plan, *args)
+
+        def counted_walk(*args):
+            walks.append(walk_instance(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(oracle, "eval_plan", counted_eval)
+        monkeypatch.setattr(oracle, "_walk_instance", counted_walk)
+        got = oracle.sample_dataset(small_graph, structures, 12, 3, mode)
+        assert got == want and got.metadata["attempts"] == attempts
+        assert len(walks) == sum(attempts.values())
+        for structure in structures:
+            # a pruned attempt is one the reference evaluated once and rejected
+            pruned = reference_evals[structure] - evals[structure]
+            assert pruned >= attempts[structure] / 3, structure
+
+    def test_a_step_through_a_bound_term_or_slot_is_not_fresh(self):
+        assert all(oracle.walk_order(t).fresh for t in algebra.TEMPLATES.values())
+        Atom = algebra.Atom
+        shared_slot = algebra.Template("shared-slot", 2, 1, (
+            Atom(False, 0, "a", "T"), Atom(True, 0, "b", "T")))
+        bound_term = algebra.Template("bound-term", 1, 3, (
+            Atom(False, 0, "a", "T"), Atom(False, 1, "V", "T"), Atom(True, 2, "a", "V")))
+        for template in (shared_slot, bound_term):
+            assert not oracle.walk_order(template).fresh, template.name
 
 
 class TestExhaustiveEquivalence:

@@ -38,13 +38,27 @@ def test_instrument_wraps_current_names_and_stop_restores_them(monkeypatch):
 
 
 def test_traced_sampling_counts_every_walk_and_labels_every_eval_plan(monkeypatch, small_graph):
-    """The sampler's per-layer metrics see every attempt and every plan
-    evaluation, each labelled with its structure, as the untraced reference
-    sampler counts them."""
+    """The sampler's per-layer metrics see every attempt, as the untraced
+    reference sampler counts them, and every plan evaluation, each labelled
+    with its structure, as an untraced run counts them."""
     layers, tracer_mod = _perfbench(monkeypatch)
     structures = ("2p", "pi", "2in", "inp", "up")
-    want, attempts, evals = reference_sample_dataset(small_graph, structures, 6, 4,
-                                                     "generalization")
+    want, attempts, reference_evals = reference_sample_dataset(small_graph, structures, 6, 4,
+                                                               "generalization")
+    plans = {algebra.structure_plan(s): s for s in structures}
+    evals = dict.fromkeys(structures, 0)
+    eval_plan = oracle.eval_plan
+
+    def counted(plan, *args):
+        evals[plans[plan]] += 1
+        return eval_plan(plan, *args)
+
+    monkeypatch.setattr(oracle, "eval_plan", counted)
+    assert oracle.sample_dataset(small_graph, structures, 6, 4, "generalization") == want
+    monkeypatch.setattr(oracle, "eval_plan", eval_plan)
+    # the sampler skips the attempts whose answers are provably empty
+    assert all(evals[s] <= reference_evals[s] for s in structures)
+    assert evals["inp"] < reference_evals["inp"]
     tracer = tracer_mod.Tracer()
     layers.instrument(tracer)
     try:
