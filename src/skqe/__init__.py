@@ -5,7 +5,6 @@ from .algebra import (
     NEGATION_STRUCTURES,
     STRUCTURE_NAMES,
     TRAIN_STRUCTURES,
-    PlanBuilder,
     QueryInstance,
     QueryPlan,
     compile_instance,
@@ -28,11 +27,7 @@ from .kg import (
     load_tsv_dir,
     write_tsv,
 )
-from .logic import (
-    TruthBounds,
-    conjoin_bounds,
-    tnorm,
-)
+from .logic import TruthBounds, conjoin_bounds
 from .model import (
     ModelConfig,
     ModelParams,

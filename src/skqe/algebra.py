@@ -186,21 +186,6 @@ class QueryPlan:
             raise DataError(f"plan nodes {sorted(unfed)} feed no later node")
 
 
-class PlanBuilder:
-    """Appends plan nodes; ``build`` freezes them into a QueryPlan whose
-    answer is the last node added."""
-
-    def __init__(self, nodes=()):
-        self.nodes: list[PlanNode] = list(nodes)
-
-    def add(self, node: PlanNode) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-    def build(self) -> QueryPlan:
-        return QueryPlan(tuple(self.nodes))
-
-
 def compile_instance(structure: str) -> QueryPlan:
     """Convert a structure into its Skolem set-logic plan over slots.
 
@@ -217,20 +202,21 @@ def compile_instance(structure: str) -> QueryPlan:
 
 
 def _compile(template: Template) -> QueryPlan:
-    """The template's plan. ``_build_term`` adds a term's node after every node
-    it reads, so the target's node comes last: the plan's answer."""
-    plan = PlanBuilder()
-    _build_term(TARGET_TERM, template, plan, {})
-    return plan.build()
+    """The template's plan. ``_build_term`` appends a term's node after every
+    node it reads, so the target's node comes last: the plan's answer."""
+    nodes: list[PlanNode] = []
+    _build_term(TARGET_TERM, template, nodes, {})
+    return QueryPlan(tuple(nodes))
 
 
-def _build_term(term: str, template: Template, plan: PlanBuilder,
+def _build_term(term: str, template: Template, nodes: list[PlanNode],
                 anchor_nodes: dict[str, int]) -> int:
-    """Add the nodes defining ``term`` to ``plan``; returns its node id. (A
+    """Append the nodes defining ``term`` to ``nodes``; returns its node id. (A
     recursive closure would be a reference cycle left to the garbage collector.)"""
     if term in ANCHOR_TERMS:
         if term not in anchor_nodes:
-            anchor_nodes[term] = plan.add(Anchor(ANCHOR_TERMS.index(term)))
+            nodes.append(Anchor(ANCHOR_TERMS.index(term)))
+            anchor_nodes[term] = len(nodes) - 1
         return anchor_nodes[term]
     incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
     if not incoming:
@@ -238,16 +224,16 @@ def _build_term(term: str, template: Template, plan: PlanBuilder,
     parts = []
     for i in incoming:
         atom = template.atoms[i]
-        source = _build_term(atom.src, template, plan, anchor_nodes)
-        node = plan.add(Relate(atom.relation, source))
+        source = _build_term(atom.src, template, nodes, anchor_nodes)
+        nodes.append(Relate(atom.relation, source))
         if atom.negated:
-            node = plan.add(Negate(node))
-        parts.append(node)
+            nodes.append(Negate(len(nodes) - 1))
+        parts.append(len(nodes) - 1)
     if len(parts) == 1:
         return parts[0]
-    if frozenset(incoming) in template.or_pairs:
-        return plan.add(Disjoin(tuple(parts)))
-    return plan.add(Conjoin(tuple(parts)))
+    join = Disjoin if frozenset(incoming) in template.or_pairs else Conjoin
+    nodes.append(join(tuple(parts)))
+    return len(nodes) - 1
 
 
 @functools.cache

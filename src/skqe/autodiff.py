@@ -162,13 +162,6 @@ def maximum(a, b):
                    lambda g, av, bv, out: g * (av < bv))
 
 
-def minimum(a, b):
-    """Elementwise min; ties route the gradient to the first operand."""
-    return _binary("minimum", a, b, np.minimum,
-                   lambda g, av, bv, out: g * (av <= bv),
-                   lambda g, av, bv, out: g * (av > bv))
-
-
 def pow_elem(base, exponent):
     """Elementwise base**exponent; the base is clamped inside the exponent
     gradient's logarithm so zero truths cannot produce non-finite gradients."""

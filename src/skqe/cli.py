@@ -40,17 +40,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_graph(kg_dir: str):
-    return load_tsv_dir(kg_dir)
-
-
 def _load_checkpoint(path: str, graph) -> ModelParams:
     params = ModelParams.load(path)
     stored = params.extra.get("graph_hash")
     if stored and stored != graph.content_hash():
         raise DataError(
             f"checkpoint {path} was trained on a different graph "
-            f"(hash {stored[:12]}… vs {graph.content_hash()[:12]}…)"
+            f"(hash {str(stored)[:12]}… vs {graph.content_hash()[:12]}…)"
         )
     if params.config.num_entities != graph.num_entities:
         raise DataError("checkpoint entity count does not match the graph")
@@ -129,8 +125,10 @@ def cmd_gen_kg(args) -> int:
 
 
 def cmd_gen_queries(args) -> int:
-    graph = _load_graph(args.kg)
-    structures = tuple(args.structures.split(",")) if args.structures else algebra.STRUCTURE_NAMES
+    graph = load_tsv_dir(args.kg)
+    # train mode leaves out the evaluation-only structures, which train refuses
+    default = algebra.TRAIN_STRUCTURES if args.mode == "train" else algebra.STRUCTURE_NAMES
+    structures = tuple(args.structures.split(",")) if args.structures else default
     unknown = [s for s in structures if s not in algebra.TEMPLATES]
     if unknown:
         raise DataError(f"unknown structures: {unknown}")
@@ -156,7 +154,7 @@ def cmd_gen_queries(args) -> int:
 
 
 def cmd_train(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     config = build_train_config(args)
     dataset = read_dataset(args.queries, graph)
 
@@ -176,7 +174,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
     began = time.perf_counter()
@@ -194,7 +192,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
     statistics = evaluation.query_statistics(dataset, params, args.statistic)
@@ -211,7 +209,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fit_cardinality(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
     fitted, report = train_cardinality_head(params, dataset, args.epochs, args.lr)
@@ -225,7 +223,7 @@ def cmd_fit_cardinality(args) -> int:
 
 
 def cmd_eval_cardinality(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     dataset = read_dataset(args.queries, graph)
     result = evaluation.cardinality_test_half(dataset, params)
@@ -253,7 +251,7 @@ def _describe_node(node, instance, graph) -> str:
 
 
 def cmd_answer(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     instance = algebra.parse_fol(args.query, graph)
     collected: list = []
@@ -281,7 +279,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    graph = _load_graph(args.kg)
+    graph = load_tsv_dir(args.kg)
     splits = tuple(args.splits.split(",")) if args.splits else SPLITS
     instance = algebra.parse_fol(args.query, graph)
     index = build_index(graph, splits)
@@ -310,7 +308,8 @@ def make_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--mode", choices=oracle_mod.DATASET_MODES, required=True)
     p.add_argument("--per-structure", type=_positive_int, required=True)
-    p.add_argument("--structures", help="comma-separated subset (default: all 14)")
+    p.add_argument("--structures", help="comma-separated subset (default: the ten "
+                   "training structures in train mode, all 14 in the others)")
     p.add_argument("--negation-frac", type=float, default=1.0,
                    help="sampling fraction for negation structures (0.1 matches the upstream ratio)")
     p.add_argument("--seed", type=int, default=0)

@@ -378,17 +378,9 @@ def pearson(x, y) -> float:
 
 def rank_with_average_ties(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=np.float64), return_inverse=True,
+                                   return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float:

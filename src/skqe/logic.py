@@ -1,4 +1,4 @@
-"""Truth-bound logic kernel: negation, t-norms, weighted t-norms, entropy.
+"""Truth-bound logic kernel: negation, weighted t-norms, entropy.
 
 An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
 [l_1..l_d, u_1..u_d]; interval width encodes uncertainty. In point mode the
@@ -7,10 +7,9 @@ An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
 The slot operators ``negate_slots``, ``conjoin_slots`` and ``entropy_slots``
 are the one definition of the logic, over flat (..., 2d) slot arrays. Built
 on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
-tape tensors alike: the model calls them in training and in inference.
-``conjoin_bounds`` applies ``conjoin_slots`` to ``TruthBounds`` values, and
-``tnorm`` is the plain unweighted t-norm the weighted forms are checked
-against. All float64.
+tape tensors alike: the model calls them in training and in inference. With
+unit weights ``conjoin_slots`` is the plain t-norm (the smooth minimum for
+min). ``conjoin_bounds`` applies it to ``TruthBounds`` values. All float64.
 """
 
 from __future__ import annotations
@@ -49,18 +48,6 @@ class TruthBounds:
     @property
     def dim(self) -> int:
         return self.values.size // 2
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.values[: self.dim]
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.values[self.dim:]
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 def negate_slots(x, mode: str):
@@ -113,52 +100,33 @@ def conjoin_slots(kind: str, xs: list, ws: list, alpha: float, mode: str):
     return ad.concat_last([keep * lower + mask * mid, keep * upper + mask * mid]), count
 
 
-def entropy_slots(x: np.ndarray, eps: float = ENTROPY_EPS) -> np.ndarray:
+def entropy_slots(x: np.ndarray) -> np.ndarray:
     """Per-dimension differential entropy log(u - l) of (..., 2d) bounds,
-    clamped at log(eps)."""
+    clamped at log(ENTROPY_EPS)."""
     d = x.shape[-1] // 2
-    return np.log(np.maximum(x[..., d:] - x[..., :d], eps))
-
-
-def tnorm(kind: str, truths) -> np.ndarray:
-    """Unweighted conjunction of k truth arrays stacked on axis 0.
-
-    min is the hard minimum; prod the product; luk the Lukasiewicz form
-    max(0, 1 - sum(1 - t_j)).
-    """
-    t = np.asarray(truths, dtype=np.float64)
-    if t.shape[0] < 1:
-        raise ValueError("need at least one input")
-    if kind == "min":
-        return np.min(t, axis=0)
-    if kind == "prod":
-        return np.prod(t, axis=0)
-    if kind == "luk":
-        return np.maximum(0.0, 1.0 - np.sum(1.0 - t, axis=0))
-    raise ValueError(f"unknown t-norm kind {kind!r}")
+    return np.log(np.maximum(x[..., d:] - x[..., :d], ENTROPY_EPS))
 
 
 def conjoin_bounds(kind: str, inputs: list[TruthBounds],
-                   weights: list[np.ndarray] | None = None,
-                   alpha: float = DEFAULT_ALPHA) -> TruthBounds:
-    """Per-dimension conjunction of lowers and uppers, with midpoint repair.
+                   weights: list[np.ndarray]) -> TruthBounds:
+    """Per-dimension ``conjoin_slots`` of lowers and uppers at DEFAULT_ALPHA,
+    with midpoint repair.
 
-    ``weights`` is one per-dimension weight vector per input; None means the
-    unweighted t-norm. Only the non-monotonic weighted minimum can cross
-    bounds; the repair is a no-op for the monotone kinds.
+    ``weights`` is one per-dimension weight vector per input, shared by its
+    lowers and uppers; unit weights give the plain t-norm for prod and luk.
+    Only the non-monotonic smooth minimum can cross bounds; the repair is a
+    no-op for the monotone kinds.
     """
     if not inputs:
         raise ValueError("need at least one input")
     d = inputs[0].dim
     if any(b.dim != d for b in inputs):
         raise ValueError("dimension mismatch between conjunction inputs")
-    if weights is None:
-        return TruthBounds(tnorm(kind, np.stack([b.values for b in inputs])))
     if len(weights) != len(inputs):
         raise ValueError("one weight vector per input required")
     w = np.stack([np.asarray(v, float) for v in weights])
     if w.shape != (len(inputs), d):
         raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
     value, _ = conjoin_slots(kind, [b.values for b in inputs],
-                             [np.concatenate([v, v]) for v in w], alpha, "bounds")
+                             [np.concatenate([v, v]) for v in w], DEFAULT_ALPHA, "bounds")
     return TruthBounds(value)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -68,6 +69,14 @@ class ModelConfig:
     rho: float = 1000.0
 
     def __post_init__(self):
+        sizes = (self.num_entities, self.num_relations, self.d, self.h)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in sizes):
+            raise DataError(f"entity and relation counts, d and h must be integers, got {sizes}")
+        reals = (self.alpha, self.rho)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in reals):
+            raise DataError(f"alpha and rho must be numbers, got {reals}")
+        if not isinstance(self.attention, bool):
+            raise DataError(f"attention must be a boolean, got {self.attention!r}")
         if self.mode not in MODES:
             raise DataError(f"unknown embedding mode {self.mode!r}")
         if self.kind not in TNORM_KINDS:
@@ -165,12 +174,24 @@ class ModelParams:
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         (header_len,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        config = ModelConfig(**header["config"])
         offset = 12 + header_len
+        if offset > len(payload):
+            raise DataError(f"{path}: checkpoint header runs past the end of the file")
+        try:
+            header = json.loads(blob[12:offset].decode("utf-8"))
+        except (ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deep
+            raise DataError(f"{path}: checkpoint header is not valid JSON") from None
+        if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+                and isinstance(header.get("extra", {}), dict)):
+            raise DataError(f"{path}: checkpoint header must be an object whose "
+                            f"'config' and 'extra' are objects")
+        try:  # TypeError: a key ModelConfig lacks, or a required one missing
+            config = ModelConfig(**header["config"])
+        except (TypeError, DataError) as exc:
+            raise DataError(f"{path}: bad checkpoint config ({exc})") from None
         arrays = {}
         for name, shape in param_shapes(config):
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             end = offset + 8 * count
             if end > len(payload):
                 raise DataError(f"{path}: truncated checkpoint")
@@ -192,7 +213,8 @@ class QueryEmbedding:
 
 
 def _realize_parts(rows: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sigmoid of pre-activations and the slot vector built from it."""
+    """Sigmoid s of pre-activation rows and the slot vector built from it: s
+    in point mode; lower = s1 and upper = s1 + s2 (1 - s1) in bounds mode."""
     sig = 0.5 * (1.0 + np.tanh(0.5 * rows))
     if mode == "point":
         return sig, sig
@@ -235,21 +257,15 @@ def sum_rows(inverse: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def realize_entity_rows(rows: np.ndarray, mode: str) -> np.ndarray:
-    """Slot vectors of pre-activation entity rows: sigmoid, then in bounds mode
-    lower = s1 and upper = s1 + s2 (1 - s1)."""
-    return _realize_parts(np.asarray(rows, dtype=np.float64), mode)[1]
-
-
 def realize_all_entities(params: ModelParams) -> np.ndarray:
-    return realize_entity_rows(params.arrays["entity"], params.config.mode)
+    return _realize_parts(params.arrays["entity"], params.config.mode)[1]
 
 
 def entity_embedding(entity_id: int, params: ModelParams) -> np.ndarray:
     """Realized slot vector of one entity; valid bounds in bounds mode."""
     if not (0 <= entity_id < params.config.num_entities):
         raise DataError(f"entity id {entity_id} out of range")
-    return realize_entity_rows(params.arrays["entity"][entity_id], params.config.mode)
+    return _realize_parts(params.arrays["entity"][entity_id], params.config.mode)[1]
 
 
 class ForwardContext:

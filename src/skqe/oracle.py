@@ -561,8 +561,7 @@ def write_dataset(dataset: QueryDataset, graph: KnowledgeGraph, path: str | Path
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_dataset(path: str | Path, graph: KnowledgeGraph,
-                 check_hash: bool = True) -> QueryDataset:
+def read_dataset(path: str | Path, graph: KnowledgeGraph) -> QueryDataset:
     """Read a JSONL dataset, verifying the stored graph hash when present."""
     samples: list[QuerySample] = []
     metadata: dict = {}
@@ -588,12 +587,12 @@ def read_dataset(path: str | Path, graph: KnowledgeGraph,
             except DataError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from None
             samples.append(QuerySample(instance, easy, hard))
-    if check_hash and metadata.get("graph_hash"):
+    if metadata.get("graph_hash"):
         actual = graph.content_hash()
         if metadata["graph_hash"] != actual:
             raise DataError(
                 f"dataset {path} was generated for a different graph "
-                f"(hash {metadata['graph_hash'][:12]}… vs {actual[:12]}…)"
+                f"(hash {str(metadata['graph_hash'])[:12]}… vs {actual[:12]}…)"
             )
     dataset = QueryDataset(samples, metadata)
     dataset.verify()

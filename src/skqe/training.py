@@ -18,9 +18,6 @@ from .oracle import QueryDataset
 
 log = logging.getLogger(__name__)
 
-DENSE_PARAMS = ("F1", "F1b", "F2", "F2b", "F3", "F3b", "G1", "G1b", "G2", "G2b")
-
-
 @dataclass
 class TrainConfig:
     d: int = 32
@@ -332,9 +329,8 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         del dense, entity, relation  # free before the next task's result is made
 
     optimizer.begin_step()
-    for name in DENSE_PARAMS:
-        if name in dense_grads:
-            optimizer.update_dense(name, params.arrays[name], dense_grads[name])
+    for name, grad in dense_grads.items():
+        optimizer.update_dense(name, params.arrays[name], grad)
     for name, table in tables.items():  # every task touches both tables
         ids = np.flatnonzero(touched[name])
         grads = table[ids]

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -95,12 +98,13 @@ def composed_gather_distance(ctx, ids: np.ndarray, branches):
 
 
 def _nearest_branch(emb, branches, shape):
-    """Mean L1 distance of (B, K, 2d) slot rows to the nearest (B, 2d) branch."""
+    """Mean L1 distance of (B, K, 2d) slot rows to the nearest (B, 2d) branch.
+    The minimum is -max(-a, -b): its ties, like max's, go to the first operand."""
     b, width = emb.shape[0], emb.shape[-1]
     best = None
     for q in branches:
         dist = ad.mean_axis(ad.absolute(emb - ad.reshape(q, (b, 1, width))), axis=2)
-        best = dist if best is None else ad.minimum(best, dist)
+        best = dist if best is None else -ad.maximum(-best, -dist)
     return ad.reshape(best, shape)
 
 
@@ -127,6 +131,48 @@ def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
     z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
     z3 = z2 @ a["H3"] + a["H3b"]
     return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+
+
+# --- malformed checkpoint headers ---------------------------------------------
+
+def _with_config(header, **changes):
+    return {**header, "config": {**header["config"], **changes}}
+
+
+# id -> (new header from the saved one, bytes declared beyond the new header);
+# a header given as bytes is written as is
+MALFORMED_HEADERS = {
+    "unknown-config-key": (lambda h: _with_config(h, beta=1), 0),
+    "no-config": (lambda h: {"extra": h["extra"]}, 0),
+    "config-not-object": (lambda h: {**h, "config": [16]}, 0),
+    "d-string": (lambda h: _with_config(h, d="16"), 0),
+    "d-float": (lambda h: _with_config(h, d=16.0), 0),
+    "h-bool": (lambda h: _with_config(h, h=True), 0),
+    "entities-missing": (lambda h: {**h, "config": {
+        k: v for k, v in h["config"].items() if k != "num_entities"}}, 0),
+    "entities-huge": (lambda h: _with_config(h, num_entities=2 ** 62), 0),
+    "alpha-string": (lambda h: _with_config(h, alpha="-10"), 0),
+    "attention-string": (lambda h: _with_config(h, attention="yes"), 0),
+    "extra-not-object": (lambda h: {**h, "extra": [1]}, 0),
+    "header-not-object": (lambda h: [h], 0),
+    "header-not-json": (lambda h: b"{", 0),
+    "header-not-utf8": (lambda h: b"\xff\xfe", 0),
+    "header-too-deep": (lambda h: b"[" * 100_000, 0),
+    "length-past-payload": (lambda h: h, 1 << 20),
+}
+
+
+def write_malformed_checkpoint(source, path, case: str) -> str:
+    """Copy of the checkpoint ``source`` with header case ``case`` of
+    ``MALFORMED_HEADERS`` and a valid sha256 trailer; returns its path."""
+    edit, beyond = MALFORMED_HEADERS[case]
+    blob = source.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    header = edit(json.loads(blob[12:12 + length]))
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    payload = blob[:8] + struct.pack("<I", len(raw) + beyond) + raw + blob[12 + length:-32]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    return str(path)
 
 
 # --- ranking, one target at a time -------------------------------------------

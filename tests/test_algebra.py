@@ -5,7 +5,7 @@ import pytest
 
 from skqe import algebra, kg
 from skqe.algebra import (
-    Anchor, Conjoin, Disjoin, Negate, PlanBuilder, QueryInstance, QueryPlan, Relate,
+    Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate,
 )
 from skqe.errors import DataError, QueryParseError, UnsupportedQueryError
 
@@ -25,6 +25,31 @@ CANONICAL_FOL = {
     "inp": "EXISTS V,T . p(a,V) AND NOT q(b,V) AND r(V,T)",
     "2u": "EXISTS T . p(a,T) OR q(b,T)",
     "up": "EXISTS V,T . p(a,V) OR q(b,V) AND r(V,T)",
+}
+
+
+A, R, N, C, D = Anchor, Relate, Negate, Conjoin, Disjoin
+# Every structure's compiled plan, node by node.
+PINNED_PLANS = {
+    "1p": (A(0), R(0, 0)),
+    "2p": (A(0), R(0, 0), R(1, 1)),
+    "3p": (A(0), R(0, 0), R(1, 1), R(2, 2)),
+    "2i": (A(0), R(0, 0), A(1), R(1, 2), C((1, 3))),
+    "3i": (A(0), R(0, 0), A(1), R(1, 2), A(2), R(2, 4), C((1, 3, 5))),
+    "pi": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), C((2, 4))),
+    "ip": (A(0), R(0, 0), A(1), R(1, 2), C((1, 3)), R(2, 4)),
+    "2in": (A(0), R(0, 0), A(1), R(1, 2), N(3), C((1, 4))),
+    "3in": (A(0), R(0, 0), A(1), R(1, 2), A(2), R(2, 4), N(5), C((1, 3, 6))),
+    "pin": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), N(4), C((2, 5))),
+    "pni": (A(0), R(0, 0), R(1, 1), N(2), A(1), R(2, 4), C((3, 5))),
+    "inp": (A(0), R(0, 0), A(1), R(1, 2), N(3), C((1, 4)), R(2, 5)),
+    "2u": (A(0), R(0, 0), A(1), R(1, 2), D((1, 3))),
+    "up": (A(0), R(0, 0), A(1), R(1, 2), D((1, 3)), R(2, 4)),
+}
+# The DNF branches of the union structures; every other plan is its own branch.
+PINNED_DNF_BRANCHES = {
+    "2u": ((A(0), R(0, 0)), (A(1), R(1, 0))),
+    "up": ((A(0), R(0, 0), R(2, 1)), (A(1), R(1, 0), R(2, 1))),
 }
 
 
@@ -74,6 +99,21 @@ class TestCompile:
             algebra.compile_instance("4p")
 
 
+class TestPinnedPlans:
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_plan_and_branches_node_by_node(self, structure):
+        plan = algebra.structure_plan(structure)
+        assert plan.nodes == PINNED_PLANS[structure]
+        assert algebra.compile_instance(structure) == plan
+        assert algebra.plan_branches(structure, "dm") == (plan,)
+        want = PINNED_DNF_BRANCHES.get(structure, (PINNED_PLANS[structure],))
+        assert tuple(b.nodes for b in algebra.plan_branches(structure, "dnf")) == want
+
+    def test_every_structure_is_pinned(self):
+        assert tuple(PINNED_PLANS) == algebra.STRUCTURE_NAMES
+        assert tuple(PINNED_DNF_BRANCHES) == algebra.UNION_STRUCTURES
+
+
 class TestQueryInstance:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(DataError, match="2i expects 2 anchors, got 1"):
@@ -101,43 +141,26 @@ class TestPlanShape:
             assert isinstance(cached.nodes, tuple)
 
     def test_two_sinks_rejected(self):
-        plan = PlanBuilder()
-        a = plan.add(Anchor(0))
-        plan.add(Relate(0, a))
-        plan.add(Relate(1, a))
         with pytest.raises(DataError, match="feed no later node"):
-            plan.build()
+            QueryPlan((Anchor(0), Relate(0, 0), Relate(1, 0)))
 
     def test_self_feeding_relate_rejected(self):
-        plan = PlanBuilder()
-        plan.add(Anchor(0))
-        plan.add(Relate(0, 1))
         with pytest.raises(DataError, match="does not come before it"):
-            plan.build()
+            QueryPlan((Anchor(0), Relate(0, 1)))
 
     def test_forward_input_rejected(self):
-        plan = PlanBuilder()
-        a = plan.add(Anchor(0))
-        b = plan.add(Anchor(1))
-        plan.nodes[0] = Conjoin((0, 1))  # corrupt: a join reading itself and a later node
-        plan.add(Conjoin((a, b)))
+        # a join reading itself and a later node
         with pytest.raises(DataError, match="does not come before it"):
-            plan.build()
+            QueryPlan((Conjoin((0, 1)), Anchor(1), Conjoin((0, 1))))
 
     def test_bad_conjoin_arity_rejected(self):
-        plan = PlanBuilder()
-        a = plan.add(Anchor(0))
-        plan.add(Conjoin((a,)))
         with pytest.raises(DataError, match="two or more inputs"):
-            plan.build()
+            QueryPlan((Anchor(0), Conjoin((0,))))
 
     def test_answer_must_be_the_last_node(self):
-        plan = PlanBuilder()
-        a = plan.add(Anchor(0))
-        plan.add(Relate(0, a))
-        plan.add(Anchor(1))  # the relation's value would be dropped
+        # the relation's value would be dropped
         with pytest.raises(DataError, match=r"plan nodes \[1\] feed no later node"):
-            plan.build()
+            QueryPlan((Anchor(0), Relate(0, 0), Anchor(1)))
         with pytest.raises(DataError, match="at least one node"):
             QueryPlan(())
 

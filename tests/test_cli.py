@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from skqe import cli, evaluation, kg, model, oracle
+from skqe import algebra, cli, evaluation, kg, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
+
+from conftest import MALFORMED_HEADERS, write_malformed_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -416,3 +418,65 @@ def test_malformed_query_file_exits_with_data_error(files, command, record, mess
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == f"error: {queries}:2: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "answer"])
+@pytest.mark.parametrize("case", MALFORMED_HEADERS)
+def test_malformed_checkpoint_header_exits_with_data_error(files, case, command, tmp_path,
+                                                           capsys):
+    ckpt = write_malformed_checkpoint(files / "model.ckpt", tmp_path / "bad.ckpt", case)
+    extra = (["--query", "EXISTS T . r0(e0,T)"] if command == "answer" else
+             ["--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "metrics.csv")])
+    assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_checkpoint_with_a_non_string_graph_hash_exits_with_data_error(files, tmp_path,
+                                                                      capsys):
+    params = ModelParams.load(files / "model.ckpt")
+    params.extra["graph_hash"] = 5
+    params.save(tmp_path / "m.ckpt")
+    code = cli.main(["eval", "--kg", str(files / "kg"), "--ckpt", str(tmp_path / "m.ckpt"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "m.csv")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint {tmp_path / 'm.ckpt'} was trained on a different graph (hash 5…")
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_dataset_with_a_non_string_graph_hash_exits_with_data_error(files, command, tmp_path,
+                                                                    capsys):
+    queries = tmp_path / "q.jsonl"
+    lines = (files / "q.jsonl").read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["meta"]["graph_hash"] = 5
+    queries.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+    extra = (["--ckpt", str(files / "model.ckpt")] if command == "eval" else
+             ["--steps", "1", "--batch-size", "4", "--negatives", "4", "--d", "16", "--h", "16"])
+    code = cli.main([command, "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(tmp_path / "out"), *extra])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"error: dataset {queries} was generated for a different graph (hash 5…")
+
+
+def test_default_train_mode_file_holds_the_training_structures_and_trains(files, tmp_path,
+                                                                          capsys):
+    queries = tmp_path / "train.jsonl"
+    assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
+                     "--per-structure", "3", "--seed", "4", "--out", str(queries)]) == cli.EXIT_OK
+    # each structure samples from its own stream, so the records are those of
+    # all 14 structures less the evaluation-only ones, in training order
+    graph = kg.load_tsv_dir(files / "kg")
+    every = oracle.sample_dataset(graph, algebra.STRUCTURE_NAMES, 3, 4, "train")
+    oracle.write_dataset(every, graph, tmp_path / "every.jsonl")
+    records = [json.loads(line) for line in queries.read_text().splitlines()[1:]]
+    want = [json.loads(line) for line in (tmp_path / "every.jsonl").read_text().splitlines()[1:]]
+    want = [r for r in want if r["structure"] in algebra.TRAIN_STRUCTURES]
+    assert records == sorted(want, key=lambda r: algebra.TRAIN_STRUCTURES.index(r["structure"]))
+    assert {r["structure"] for r in records} == set(algebra.TRAIN_STRUCTURES)
+    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1", "--batch-size", "4",
+                     "--negatives", "4", "--d", "16", "--h", "16"])
+    assert code == cli.EXIT_OK, capsys.readouterr().err

@@ -23,6 +23,13 @@ def weighted_conjoin(kind, weights, truths):
     return logic.conjoin_slots(kind, list(t), list(w), logic.DEFAULT_ALPHA, "point")[0]
 
 
+def tnorm(kind, truths):
+    """``weighted_conjoin`` with unit weights: the plain t-norm for prod and
+    luk, the smooth minimum for min."""
+    t = np.asarray(truths, dtype=np.float64)
+    return weighted_conjoin(kind, np.ones_like(t), t)
+
+
 def disjoin(kind, xs):
     """De Morgan disjunction of flat bounds with unit weights, composed from
     the slot operators as the model composes it."""
@@ -39,12 +46,11 @@ def random_bounds(rng, d=6) -> TruthBounds:
 
 
 class TestTruthBounds:
-    def test_layout_and_views(self):
-        tb = TruthBounds(np.array([0.1, 0.2, 0.5, 0.9]))
+    def test_layout(self):
+        tb = TruthBounds.from_pairs([0.1, 0.2], [0.5, 0.9])
         assert tb.dim == 2
-        assert tb.lower.tolist() == [0.1, 0.2]
-        assert tb.upper.tolist() == [0.5, 0.9]
-        assert np.allclose(tb.widths, [0.4, 0.7])
+        assert tb.values[:2].tolist() == [0.1, 0.2]
+        assert tb.values[2:].tolist() == [0.5, 0.9]
 
     def test_crossed_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -78,47 +84,50 @@ class TestNegate:
 
 
 class TestUnweightedTnorm:
+    """The t-norm axioms of point-mode ``conjoin_slots`` with unit weights.
+    prod and luk are t-norms; the smooth minimum only commutes."""
+
     def test_lukasiewicz_example(self):
-        assert logic.tnorm("luk", [[0.7], [0.6]])[0] == pytest.approx(0.3, abs=1e-12)
+        assert tnorm("luk", [[0.7], [0.6]])[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_product_example(self):
-        assert logic.tnorm("prod", [[0.5], [0.5]])[0] == 0.25
+        assert tnorm("prod", [[0.5], [0.5]])[0] == 0.25
 
     def test_identity_element(self):
         # luk computes 1 - (1 - t), one ulp off t for non-dyadic grid values
-        for kind in KINDS:
-            out = logic.tnorm(kind, np.stack([np.ones_like(GRID), GRID]))
+        for kind in ("prod", "luk"):
+            out = tnorm(kind, np.stack([np.ones_like(GRID), GRID]))
             np.testing.assert_allclose(out, GRID, atol=1e-9)
 
     def test_annihilator(self):
-        for kind in KINDS:
-            out = logic.tnorm(kind, np.stack([np.zeros_like(GRID), GRID]))
+        for kind in ("prod", "luk"):
+            out = tnorm(kind, np.stack([np.zeros_like(GRID), GRID]))
             np.testing.assert_allclose(out, np.zeros_like(GRID), atol=1e-9)
 
     def test_commutative_on_grid(self):
         pairs = np.array(list(itertools.product(GRID, GRID)))
         for kind in KINDS:
-            ab = logic.tnorm(kind, pairs.T)
-            ba = logic.tnorm(kind, pairs.T[::-1])
+            ab = tnorm(kind, pairs.T)
+            ba = tnorm(kind, pairs.T[::-1])
             np.testing.assert_array_equal(ab, ba)
 
     def test_associative_on_grid(self):
         triples = np.array(list(itertools.product(GRID, GRID, GRID)))
         a, b, c = triples.T
-        for kind in KINDS:
-            left = logic.tnorm(kind, np.stack([logic.tnorm(kind, np.stack([a, b])), c]))
-            right = logic.tnorm(kind, np.stack([a, logic.tnorm(kind, np.stack([b, c]))]))
+        for kind in ("prod", "luk"):
+            left = tnorm(kind, np.stack([tnorm(kind, np.stack([a, b])), c]))
+            right = tnorm(kind, np.stack([a, tnorm(kind, np.stack([b, c]))]))
             np.testing.assert_allclose(left, right, atol=1e-9)
 
     def test_monotone_on_grid(self):
-        for kind in KINDS:
+        for kind in ("prod", "luk"):
             for s in GRID:
-                outs = logic.tnorm(kind, np.stack([GRID, np.full_like(GRID, s)]))
+                outs = tnorm(kind, np.stack([GRID, np.full_like(GRID, s)]))
                 assert np.all(np.diff(outs) >= 0)
 
     def test_lukasiewicz_nilpotency_exact(self):
         t = np.linspace(0, 1, 1001)
-        out = logic.tnorm("luk", np.stack([t, 1.0 - t]))
+        out = tnorm("luk", np.stack([t, 1.0 - t]))
         assert np.all(out == 0.0)
 
 
@@ -140,18 +149,17 @@ class TestWeightedTnorm:
 
     def test_all_ones_reduces_exactly_for_prod_and_luk(self):
         pairs = np.array(list(itertools.product(GRID, GRID))).T
-        ones = np.ones_like(pairs)
+        plain = {"prod": np.prod(pairs, axis=0),
+                 "luk": np.maximum(0.0, 1.0 - np.sum(1.0 - pairs, axis=0))}
         for kind in ("prod", "luk"):
-            weighted = weighted_conjoin(kind, ones, pairs)
-            unweighted = logic.tnorm(kind, pairs)
-            np.testing.assert_array_equal(weighted, unweighted)
+            np.testing.assert_array_equal(tnorm(kind, pairs), plain[kind])
 
     def test_smoothmin_tracks_hard_min(self):
         # max deviation of the alpha=-10 smooth minimum from the hard minimum
         # over grid pairs is 0.0274 (at |t1-t2| = 0.15)
         pairs = np.array(list(itertools.product(GRID, GRID))).T
-        weighted = weighted_conjoin("min", np.ones_like(pairs), pairs)
-        hard = logic.tnorm("min", pairs)
+        weighted = tnorm("min", pairs)
+        hard = np.minimum(pairs[0], pairs[1])
         deviation = np.abs(weighted - hard)
         assert deviation.max() == pytest.approx(0.0273638, abs=1e-6)
         assert np.all(deviation <= 0.028)
@@ -173,7 +181,7 @@ class TestWeightedTnorm:
     def test_weighted_luk_can_exceed_unweighted(self):
         # w < 1 weakens the deficit sum, a property of the weighted form
         weighted = weighted_conjoin("luk", [[0.5], [0.5]], [[0.5], [0.5]])
-        unweighted = logic.tnorm("luk", [[0.5], [0.5]])
+        unweighted = tnorm("luk", [[0.5], [0.5]])
         assert weighted[0] > unweighted[0]
 
 
@@ -185,15 +193,18 @@ class TestConjoinBounds:
                 inputs = [random_bounds(rng) for _ in range(3)]
                 weights = [rng.uniform(0, 1, 6) for _ in range(3)]
                 out = logic.conjoin_bounds(kind, inputs, weights)
-                assert np.all(out.lower <= out.upper)
+                assert np.all(out.values[:6] <= out.values[6:])
 
-    def test_all_true_is_identity_for_min_and_prod(self):
+    def test_all_true_is_identity_for_prod_and_luk(self):
+        # the smooth minimum is no t-norm: an all-true input raises it
         rng = np.random.default_rng(2)
         tb = random_bounds(rng)
         top = TruthBounds(np.ones(12))
-        for kind in ("min", "prod"):
-            out = logic.conjoin_bounds(kind, [tb, top])
-            np.testing.assert_array_equal(out.values, tb.values)
+        unit = [np.ones(6), np.ones(6)]
+        np.testing.assert_array_equal(logic.conjoin_bounds("prod", [tb, top], unit).values,
+                                      tb.values)
+        np.testing.assert_allclose(logic.conjoin_bounds("luk", [tb, top], unit).values,
+                                   tb.values, atol=1e-12)
 
     def test_smoothmin_crossing_is_repaired_to_midpoint(self):
         # crafted crossing: smoothmin is non-monotonic, so a wide interval
@@ -205,21 +216,22 @@ class TestConjoinBounds:
                 b = TruthBounds(np.array([0.5, 0.5]))
                 w = [np.array([1.0]), np.array([0.3])]
                 raw_l = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
-                                         np.array([[a.lower[0]], [b.lower[0]]]))[0]
+                                         np.array([[a.values[0]], [b.values[0]]]))[0]
                 raw_u = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
-                                         np.array([[a.upper[0]], [b.upper[0]]]))[0]
-                out = logic.conjoin_bounds("min", [a, b], w)
-                assert out.lower[0] <= out.upper[0]
+                                         np.array([[a.values[1]], [b.values[1]]]))[0]
+                lower, upper = logic.conjoin_bounds("min", [a, b], w).values
+                assert lower <= upper
                 if raw_l > raw_u:
                     found = True
                     mid = 0.5 * (raw_l + raw_u)
-                    assert out.lower[0] == pytest.approx(mid, abs=1e-12)
-                    assert out.upper[0] == pytest.approx(mid, abs=1e-12)
+                    assert lower == pytest.approx(mid, abs=1e-12)
+                    assert upper == pytest.approx(mid, abs=1e-12)
         assert found, "no crossing instance found on the search grid"
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="imension"):
-            logic.conjoin_bounds("luk", [TruthBounds(np.zeros(4)), TruthBounds(np.zeros(6))])
+            logic.conjoin_bounds("luk", [TruthBounds(np.zeros(4)), TruthBounds(np.zeros(6))],
+                                 [np.ones(2), np.ones(3)])
 
 
 class TestSlotsMatchReference:

@@ -8,7 +8,10 @@ from skqe import algebra, autodiff as ad, cli, evaluation, kg, logic, model, ora
 from skqe.errors import DataError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import reference_cardinality_head, reference_conjoin, reference_negate
+from conftest import (
+    MALFORMED_HEADERS, reference_cardinality_head, reference_conjoin, reference_negate,
+    write_malformed_checkpoint,
+)
 from test_autodiff import ATOL, RTOL, check_gradients, numeric_grad
 
 D = 16
@@ -389,6 +392,22 @@ class TestCheckpoint:
             ModelParams.load(path)
 
 
+    @pytest.mark.parametrize("case", MALFORMED_HEADERS)
+    def test_malformed_header_raises_data_error_naming_the_path(self, tmp_path, case):
+        # the sha256 trailer is valid, so only the header checks can catch these
+        _params().save(tmp_path / "m.ckpt")
+        path = write_malformed_checkpoint(tmp_path / "m.ckpt", tmp_path / "bad.ckpt", case)
+        with pytest.raises(DataError) as info:
+            ModelParams.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("field", ["num_entities", "num_relations", "d", "h"])
+    @pytest.mark.parametrize("value", ["16", 16.0, True, None])
+    def test_non_integer_size_is_a_data_error(self, field, value):
+        sizes = dict(num_entities=5, num_relations=2, d=16, h=16)
+        with pytest.raises(DataError, match="must be integers"):
+            ModelConfig(**{**sizes, field: value})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_raises_data_error(self, tmp_path, value):
         params = _params()
@@ -451,7 +470,5 @@ class TestSlotPlans:
         for union in algebra.UNION_MODES:
             evaluation.evaluate_ranking(dataset, _params(), union)
         assert built == []
-        plan = algebra.PlanBuilder()
-        plan.add(algebra.Anchor(0))
-        plan.build()
+        algebra.QueryPlan((algebra.Anchor(0),))
         assert built == [1]  # the counter does see a plan being built

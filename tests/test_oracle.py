@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skqe import algebra, kg, oracle
-from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, PlanBuilder, QueryInstance, Relate
+from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate
 from skqe.errors import DataError
 
 from conftest import (
@@ -59,10 +59,8 @@ class TestEvalPlan:
 
     def test_double_negation_is_identity(self, small_graph, small_index):
         base = algebra.structure_plan("1p")
-        wrapped = PlanBuilder(base.nodes)
-        inner = wrapped.add(Negate(len(base.nodes) - 1))
-        wrapped.add(Negate(inner))
-        wrapped = wrapped.build()
+        answer = len(base.nodes) - 1
+        wrapped = QueryPlan((*base.nodes, Negate(answer), Negate(answer + 1)))
         for anchor, relation in [(0, 0), (3, 1), (7, 2)]:
             assert oracle.eval_plan(wrapped, (anchor,), (relation,), small_index) == \
                    oracle.eval_plan(base, (anchor,), (relation,), small_index)
@@ -77,22 +75,14 @@ class TestEvalPlan:
         assert answers(QueryInstance("2u", (0, 2), (0, 1)), kg.build_index(graph)) == {1, 3}
 
     def test_negated_sink_materializes_complement(self, toy_graph):
-        plan = PlanBuilder()
-        anchor = plan.add(Anchor(0))
-        relate = plan.add(Relate(0, anchor))
-        plan.add(Negate(relate))
-        plan = plan.build()
+        plan = QueryPlan((Anchor(0), Relate(0, 0), Negate(1)))
         assert oracle.eval_plan(plan, (0,), (0,), kg.build_index(toy_graph)) == {0, 3}
 
 
 def _with_complemented_answer(plan):
     """The plan's complement, and that complement followed through relation 0."""
-    negated = PlanBuilder(plan.nodes)
-    negated.add(Negate(len(plan.nodes) - 1))
-    negated = negated.build()
-    followed = PlanBuilder(negated.nodes)
-    followed.add(Relate(0, len(negated.nodes) - 1))
-    followed = followed.build()
+    negated = QueryPlan((*plan.nodes, Negate(len(plan.nodes) - 1)))
+    followed = QueryPlan((*negated.nodes, Relate(0, len(negated.nodes) - 1)))
     return negated, followed
 
 
@@ -126,13 +116,13 @@ class TestReferenceParity:
     def test_eval_plan_matches_reference_on_every_join_case(self, join, negated, small_index):
         # three one-hop inputs, each negated or not: joins of positives only,
         # of complements only and mixed, including a complemented answer
-        plan = PlanBuilder()
-        parts = []
+        nodes, parts = [], []
         for slot, negate in enumerate(negated):
-            node = plan.add(Relate(slot, plan.add(Anchor(slot))))
-            parts.append(plan.add(Negate(node)) if negate else node)
-        plan.add(join(tuple(parts)))
-        plan = plan.build()
+            nodes += [Anchor(slot), Relate(slot, len(nodes))]
+            if negate:
+                nodes.append(Negate(len(nodes) - 1))
+            parts.append(len(nodes) - 1)
+        plan = QueryPlan((*nodes, join(tuple(parts))))
         rng = np.random.default_rng(12)
         for _ in range(20):
             anchors = tuple(int(x) for x in rng.integers(0, 50, 3))
@@ -444,24 +434,10 @@ class TestExhaustiveEquivalence:
 
 class TestDeMorgan:
     def test_set_level_identity(self, small_graph, small_index):
-        direct = PlanBuilder()
-        a = direct.add(Anchor(0))
-        ra = direct.add(Relate(0, a))
-        b = direct.add(Anchor(1))
-        rb = direct.add(Relate(1, b))
-        direct.add(Disjoin((ra, rb)))
-        direct = direct.build()
-
-        rewritten = PlanBuilder()
-        a2 = rewritten.add(Anchor(0))
-        ra2 = rewritten.add(Relate(0, a2))
-        na = rewritten.add(Negate(ra2))
-        b2 = rewritten.add(Anchor(1))
-        rb2 = rewritten.add(Relate(1, b2))
-        nb = rewritten.add(Negate(rb2))
-        conj = rewritten.add(Conjoin((na, nb)))
-        rewritten.add(Negate(conj))
-        rewritten = rewritten.build()
+        direct = QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2), Disjoin((1, 3))))
+        rewritten = QueryPlan((Anchor(0), Relate(0, 0), Negate(1),
+                               Anchor(1), Relate(1, 3), Negate(4),
+                               Conjoin((2, 5)), Negate(6)))
 
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -1,0 +1,127 @@
+"""Print the acceptance digests of plans, datasets, training, ranks and statistics.
+
+A change that must keep behaviour byte-identical runs this script on its
+parent and on itself and compares the two outputs line by line. Each line is
+``<run>: <digest>``, the digest being the first 16 hex digits of a sha256.
+The bits depend on the machine's BLAS, so compare outputs of one machine
+only; this is not a test.
+
+    python3 tools/digests.py            # about ten seconds on 2 cores
+
+It imports ``skqe`` from the ``src`` directory next to this file, so a copy
+of the parent checkout gives the parent's digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import logging
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from skqe import algebra, evaluation, kg, oracle, training  # noqa: E402
+from skqe.model import ModelParams  # noqa: E402
+
+SMALL_TRAIN = dict(d=16, h=32, batch_size=64, negatives=32, steps=15, seed=5, log_every=1)
+PAPER_TRAIN = dict(d=32, h=128, batch_size=512, negatives=128, steps=30, seed=2, log_every=1)
+
+
+def _hex(h) -> str:
+    return h.hexdigest()[:16]
+
+
+def dataset_digest(dataset, graph) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "queries.jsonl"
+        oracle.write_dataset(dataset, graph, path)
+        return _hex(hashlib.sha256(path.read_bytes()))
+
+
+def train_digest(graph, dataset, **config) -> str:
+    """The losses of every step, then every parameter in sorted name order."""
+    params, records = training.train(graph, dataset, training.TrainConfig(**config))
+    h = hashlib.sha256(json.dumps([r.loss for r in records]).encode())
+    for name in sorted(params.arrays):
+        h.update(params.arrays[name].tobytes())
+    return _hex(h)
+
+
+def runs():
+    """(name, thunk) pairs; graphs and datasets are built on first use."""
+    cache: dict = {}
+
+    def get(key, build):
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
+    def big():
+        return get("big", lambda: kg.generate_synthetic(2000, 20, 4.0, 0.1, 0.1, seed=0))
+
+    def small():
+        return get("small", lambda: kg.generate_synthetic(300, 6, 4.0, 0.1, 0.1, seed=1))
+
+    def sampled(graph, structures, per, seed, mode):
+        return get((graph.__name__, structures, per, seed, mode),
+                   lambda: oracle.sample_dataset(graph(), structures, per, seed, mode))
+
+    train, every = algebra.TRAIN_STRUCTURES, algebra.STRUCTURE_NAMES
+    yield "plans", lambda: _hex(hashlib.sha256(repr(
+        [(algebra.structure_plan(s), algebra.plan_branches(s, "dnf"),
+          algebra.plan_branches(s, "dm")) for s in every]).encode()))
+    for mode, structures, per, seeds in (("generalization", every, 200, (401, 7)),
+                                         ("train", train, 100, (401, 7)),
+                                         ("entailment", every, 100, (401, 7)),
+                                         ("train", train, 500, (401, 7)),
+                                         ("train", train, 200, (7,)),
+                                         ("generalization", every, 100, (7,))):
+        for seed in seeds:
+            yield (f"dataset {mode} {len(structures)}x{per} seed {seed}",
+                   lambda a=(structures, per, seed, mode):
+                   dataset_digest(sampled(big, *a), big()))
+
+    small_train = lambda: sampled(small, train, 20, 3, "train")
+    for name, extra in (("bounds/luk/dnf", {}),
+                        ("point/prod/dnf", dict(mode="point", kind="prod")),
+                        ("bounds/min/dm", dict(kind="min", union="dm")),
+                        ("attention off", dict(attention=False))):
+        yield (f"train small {name}",
+               lambda extra=extra: train_digest(small(), small_train(), **SMALL_TRAIN, **extra))
+    yield ("train small entailment dnf",
+           lambda: train_digest(small(), sampled(small, every, 10, 3, "entailment"),
+                                **SMALL_TRAIN))
+    yield ("train paper shape",
+           lambda: train_digest(big(), sampled(big, train, 100, 2, "train"), **PAPER_TRAIN))
+
+    generalization = lambda: sampled(big, every, 200, 401, "generalization")
+    params = lambda: get("params", lambda: ModelParams.initialize(
+        training.TrainConfig(d=32, h=128, seed=401).model_config(big()), 401))
+    for union in ("dnf", "dm"):
+        def ranks(union=union):
+            report = evaluation.evaluate_ranking(generalization(), params(), union)
+            total = sum(len(r) for r in report.ranks.values())
+            digest = _hex(hashlib.sha256(json.dumps(report.ranks, sort_keys=True).encode()))
+            return f"{digest} ({total} ranks, {report.rescored} rescored)"
+        yield f"ranks {union}", ranks
+    for statistic in ("entropy", "width"):
+        def stats(statistic=statistic):
+            values = evaluation.query_statistics(generalization(), params(), statistic)
+            stats_hex = _hex(hashlib.sha256(values[0].tobytes() + values[1].tobytes()))
+            rows = evaluation.uncertainty_correlation(values, statistic).to_rows()
+            return f"{stats_hex} / {_hex(hashlib.sha256(json.dumps(rows).encode()))}"
+        yield f"{statistic} statistics / rows", stats
+
+
+def main() -> int:
+    logging.basicConfig(level=logging.ERROR)  # sampler shortfalls are expected here
+    for name, thunk in runs():
+        print(f"{name}: {thunk()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
