@@ -54,16 +54,14 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self._names == other._names
 
-
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
     """Entity/relation vocabularies plus a split-partitioned triple store.
 
     ``triples`` maps (head-id, relation-id, tail-id) to its split label, so
     the no-duplicate and split-partition invariants hold by construction.
+    Graphs compare by identity; ``content_hash`` compares their content.
     """
 
     entities: Vocabulary

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 
 TNORM_KINDS = ("min", "prod", "luk")
-DEFAULT_ALPHA = -10.0
+SMOOTHMIN_ALPHA = -10.0  # temperature a of the smooth minimum
 ENTROPY_EPS = 1e-9
 
 
@@ -61,12 +61,13 @@ def negate_slots(x, mode: str):
     return ad.concat_last([1.0 - upper, 1.0 - lower])
 
 
-def conjoin_slots(kind: str, xs: list, ws: list, alpha: float, mode: str):
+def conjoin_slots(kind: str, xs: list, ws: list, mode: str):
     """Weighted conjunction of k slot arrays; returns (value, repairs).
 
     ``ws`` holds one weight array per input, of its shape; a weight of 0
     removes an input. luk is max(0, 1 - sum(w_j (1 - t_j))), prod is
-    prod(t_j^w_j), and min is the smooth minimum sum(t w e^(at)) / sum(w e^(at)).
+    prod(t_j^w_j), and min is the smooth minimum sum(t w e^(at)) / sum(w e^(at))
+    with a = SMOOTHMIN_ALPHA.
     In bounds mode the slots are (..., 2d) intervals, and crossed ones (l > u),
     which only the non-monotonic smooth minimum produces, collapse to their
     midpoint; ``repairs`` counts them. Point mode repairs nothing.
@@ -81,7 +82,7 @@ def conjoin_slots(kind: str, xs: list, ws: list, alpha: float, mode: str):
         for x, w in zip(xs[1:], ws[1:]):
             out = out * ad.pow_elem(x, w)
     elif kind == "min":
-        out = ad.smoothmin_weighted(xs, ws, alpha)
+        out = ad.smoothmin_weighted(xs, ws, SMOOTHMIN_ALPHA)
     else:
         raise ValueError(f"unknown t-norm kind {kind!r}")
     if mode != "bounds":
@@ -109,8 +110,8 @@ def entropy_slots(x: np.ndarray) -> np.ndarray:
 
 def conjoin_bounds(kind: str, inputs: list[TruthBounds],
                    weights: list[np.ndarray]) -> TruthBounds:
-    """Per-dimension ``conjoin_slots`` of lowers and uppers at DEFAULT_ALPHA,
-    with midpoint repair.
+    """Per-dimension ``conjoin_slots`` of lowers and uppers, with midpoint
+    repair.
 
     ``weights`` is one per-dimension weight vector per input, shared by its
     lowers and uppers; unit weights give the plain t-norm for prod and luk.
@@ -128,5 +129,5 @@ def conjoin_bounds(kind: str, inputs: list[TruthBounds],
     if w.shape != (len(inputs), d):
         raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
     value, _ = conjoin_slots(kind, [b.values for b in inputs],
-                             [np.concatenate([v, v]) for v in w], DEFAULT_ALPHA, "bounds")
+                             [np.concatenate([v, v]) for v in w], "bounds")
     return TruthBounds(value)

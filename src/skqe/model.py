@@ -44,16 +44,17 @@ import numpy as np
 from . import algebra, autodiff as ad, logic
 from .algebra import QueryInstance
 from .errors import DataError, NumericError
-from .logic import DEFAULT_ALPHA, TNORM_KINDS
+from .logic import TNORM_KINDS
 
 MODES = ("bounds", "point")
 Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 also stored G2b and the config keys alpha and rho
 
 DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
 SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
+CARDINALITY_SCALE = 1000.0  # upper bound of the size head's answer-size estimates
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,11 @@ class ModelConfig:
     mode: str = "bounds"
     kind: str = "luk"
     attention: bool = True
-    alpha: float = DEFAULT_ALPHA
-    rho: float = 1000.0
 
     def __post_init__(self):
         sizes = (self.num_entities, self.num_relations, self.d, self.h)
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in sizes):
             raise DataError(f"entity and relation counts, d and h must be integers, got {sizes}")
-        reals = (self.alpha, self.rho)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in reals):
-            raise DataError(f"alpha and rho must be numbers, got {reals}")
         if not isinstance(self.attention, bool):
             raise DataError(f"attention must be a boolean, got {self.attention!r}")
         if self.mode not in MODES:
@@ -104,7 +100,6 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("G1", (2 * d, 2 * d)),
         ("G1b", (2 * d,)),
         ("G2", (2 * d, d)),
-        ("G2b", (d,)),
         ("H1", (d, d // 4)),
         ("H1b", (d // 4,)),
         ("H2", (d // 4, d // 16)),
@@ -402,7 +397,10 @@ class ForwardContext:
         """Per-dimension weights in (0,1] with max exactly 1 across inputs.
 
         Equal to the softargmax score divided by its max over inputs; the
-        exp(g - max g) form computes that without the division.
+        exp(g - max g) form computes that without the division. The scores
+        g = relu(x G1 + G1b) G2 have no output bias: a bias adds the same
+        shift to every input's g, and the weights are invariant to a shift
+        shared by all inputs.
         """
         if not self.config.attention:
             ones = np.ones(xs[0].shape[:-1] + (self.config.d,))
@@ -410,7 +408,7 @@ class ForwardContext:
         gs = []
         for x in xs:
             hidden = ad.relu(ad.matmul(x, self.dense("G1")) + self.dense("G1b"))
-            gs.append(ad.matmul(hidden, self.dense("G2")) + self.dense("G2b"))
+            gs.append(ad.matmul(hidden, self.dense("G2")))
         peak = gs[0]
         for g in gs[1:]:
             peak = ad.maximum(peak, g)
@@ -418,8 +416,7 @@ class ForwardContext:
 
     def conjoin(self, xs: list[Slots]) -> Slots:
         tiled = [ad.concat_last([w, w]) for w in self.attention_weights(xs)]
-        out, repairs = logic.conjoin_slots(self.config.kind, xs, tiled, self.config.alpha,
-                                           self.config.mode)
+        out, repairs = logic.conjoin_slots(self.config.kind, xs, tiled, self.config.mode)
         self.repair_count += repairs
         return out
 
@@ -427,12 +424,13 @@ class ForwardContext:
         return self.negate(self.conjoin([self.negate(x) for x in xs]))
 
     def cardinality(self, h: Slots) -> Slots:
-        """Answer-size estimates in (0, rho), shape (B,), of (B, d) entropy
-        vectors: a three-layer MLP whose sigmoid output is scaled by rho."""
+        """Answer-size estimates in (0, CARDINALITY_SCALE), shape (B,), of (B, d)
+        entropy vectors: a three-layer MLP whose sigmoid output is scaled by
+        CARDINALITY_SCALE."""
         z1 = ad.relu(ad.matmul(h, self.dense("H1")) + self.dense("H1b"))
         z2 = ad.relu(ad.matmul(z1, self.dense("H2")) + self.dense("H2b"))
         s = ad.scale(ad.sigmoid(ad.matmul(z2, self.dense("H3")) + self.dense("H3b")),
-                     self.config.rho)
+                     CARDINALITY_SCALE)
         return ad.reshape(s, s.shape[:1])
 
     # --- query embedding -----------------------------------------------------

@@ -18,6 +18,12 @@ from .oracle import QueryDataset
 
 log = logging.getLogger(__name__)
 
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DataError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class TrainConfig:
     d: int = 32
@@ -27,9 +33,6 @@ class TrainConfig:
     batch_size: int = 512
     steps: int = 20000
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     kind: str = "luk"
     attention: bool = True
@@ -45,13 +48,8 @@ class TrainConfig:
             raise DataError(f"training is serial: workers must be 1, got {workers}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
-        for name in ("gamma", "lr", "eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DataError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise DataError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("gamma", "lr"):
+            _check_positive(name, getattr(self, name))
         if self.negatives < 1:
             raise DataError("need at least one negative sample")
         for name in ("steps", "batch_size", "log_every"):
@@ -96,15 +94,16 @@ class Adam:
     """Adam with lazy per-row updates for the embedding tables.
 
     Moment buffers cover full tables but only touched rows are read or
-    written, so untouched rows are bit-identical after a step.
+    written, so untouched rows are bit-identical after a step. The moment
+    decays and the denominator's epsilon are Adam's published defaults.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -120,19 +119,19 @@ class Adam:
 
     def _apply(self, m, v, grad):
         """Update the moments in place and return the step
-        ``(lr * m_hat) / (sqrt(v_hat) + eps)``, built in two work arrays with
+        ``(lr * m_hat) / (sqrt(v_hat) + EPS)``, built in two work arrays with
         the operations of the plain expression in their order."""
         step, denom = np.empty_like(grad), np.empty_like(grad)
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=step)
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=step)
+        m *= self.BETA1
+        m += np.multiply(grad, 1.0 - self.BETA1, out=step)
+        v *= self.BETA2
+        np.multiply(grad, 1.0 - self.BETA2, out=step)
         v += np.multiply(step, grad, out=step)
-        np.divide(m, 1.0 - self.beta1 ** self.t, out=step)
+        np.divide(m, 1.0 - self.BETA1 ** self.t, out=step)
         step *= self.lr
-        np.divide(v, 1.0 - self.beta2 ** self.t, out=denom)
+        np.divide(v, 1.0 - self.BETA2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         return step
 
@@ -378,7 +377,7 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
         group_offsets.extend((structure, i) for i in range(len(groups[structure].positives)))
 
     rng = np.random.default_rng([config.seed, 1])
-    optimizer = Adam(config.lr, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(config.lr)
     records: list[TrainLogRecord] = []
     started = time.perf_counter()
 
@@ -423,7 +422,9 @@ def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
     The base model is frozen, so every sample is embedded once, and the
     report's train and test MAE both come from one prediction over those
     features; the test MAE and count are those of ``cardinality_test_half``.
+    Raises DataError unless ``lr`` is finite and positive.
     """
+    _check_positive("lr", lr)
     train_idx, test_idx = cardinality_halves(dataset)
 
     features = cardinality_features(params, dataset.samples)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg, oracle
+from skqe import algebra, autodiff as ad, kg, logic, model, oracle
 from skqe.errors import DataError
 
 
@@ -124,13 +124,13 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
 
 def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
     """Plain-numpy reference for ``ForwardContext.cardinality``: two ReLU
-    layers, then rho times the tanh form of the sigmoid, on (B, d) entropy
-    vectors."""
+    layers, then ``model.CARDINALITY_SCALE`` times the tanh form of the
+    sigmoid, on (B, d) entropy vectors."""
     a = params.arrays
     z1 = np.maximum(0.0, h @ a["H1"] + a["H1b"])
     z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
     z3 = z2 @ a["H3"] + a["H3b"]
-    return params.config.rho * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+    return model.CARDINALITY_SCALE * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
 
 
 # --- malformed checkpoint headers ---------------------------------------------
@@ -151,7 +151,7 @@ MALFORMED_HEADERS = {
     "entities-missing": (lambda h: {**h, "config": {
         k: v for k, v in h["config"].items() if k != "num_entities"}}, 0),
     "entities-huge": (lambda h: _with_config(h, num_entities=2 ** 62), 0),
-    "alpha-string": (lambda h: _with_config(h, alpha="-10"), 0),
+    "removed-config-key": (lambda h: _with_config(h, alpha=-10.0), 0),  # a version-1 field
     "attention-string": (lambda h: _with_config(h, attention="yes"), 0),
     "extra-not-object": (lambda h: {**h, "extra": [1]}, 0),
     "header-not-object": (lambda h: [h], 0),
@@ -171,6 +171,15 @@ def write_malformed_checkpoint(source, path, case: str) -> str:
     header = edit(json.loads(blob[12:12 + length]))
     raw = header if isinstance(header, bytes) else json.dumps(header).encode()
     payload = blob[:8] + struct.pack("<I", len(raw) + beyond) + raw + blob[12 + length:-32]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    return str(path)
+
+
+def write_checkpoint_version(source, path, version: int) -> str:
+    """Copy of the checkpoint ``source`` that declares format ``version``,
+    with a valid sha256 trailer; returns its path."""
+    blob = source.read_bytes()
+    payload = blob[:4] + struct.pack("<I", version) + blob[8:-32]
     path.write_bytes(payload + hashlib.sha256(payload).digest())
     return str(path)
 
@@ -200,7 +209,7 @@ def reference_negate(x, mode: str = "bounds") -> np.ndarray:
     return np.array([1.0 - u for u in x[d:]] + [1.0 - lo for lo in x[:d]])
 
 
-def reference_conjoin(kind: str, inputs, weights, alpha: float,
+def reference_conjoin(kind: str, inputs, weights,
                       mode: str = "bounds") -> tuple[np.ndarray, int]:
     """Weighted conjunction of k flat slot vectors in Python floats, slot by
     slot; returns (value, repaired dimensions). Written from the formulas,
@@ -208,10 +217,12 @@ def reference_conjoin(kind: str, inputs, weights, alpha: float,
 
     - luk: max(0, 1 - sum_j w_j (1 - t_j));
     - prod: prod_j t_j^w_j;
-    - min, the smooth minimum: sum_j t_j w_j e^(alpha t_j) / sum_j w_j e^(alpha t_j).
+    - min, the smooth minimum: sum_j t_j w_j e^(a t_j) / sum_j w_j e^(a t_j),
+      a = ``logic.SMOOTHMIN_ALPHA``.
 
     In bounds mode each dimension whose conjoined lower exceeds its upper
     takes their midpoint for both; point mode repairs nothing."""
+    alpha = logic.SMOOTHMIN_ALPHA
     out = []
     for slot in range(len(inputs[0])):
         ts = [float(x[slot]) for x in inputs]

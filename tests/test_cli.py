@@ -8,7 +8,7 @@ from skqe import algebra, cli, evaluation, kg, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
 
-from conftest import MALFORMED_HEADERS, write_malformed_checkpoint
+from conftest import MALFORMED_HEADERS, write_checkpoint_version, write_malformed_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,16 @@ def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):
     assert fitted.extra["cardinality_fit"]["train_count"] >= 1
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+def test_fit_cardinality_bad_learning_rate_exits_with_data_error(files, lr, tmp_path, capsys):
+    out = tmp_path / "card.ckpt"
+    assert cli.main(["fit-cardinality", "--kg", str(files / "kg"),
+                     "--ckpt", str(files / "model.ckpt"), "--queries", str(files / "q.jsonl"),
+                     "--epochs", "1", "--lr", lr, "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: lr must be finite and positive, got {float(lr)}\n"
+    assert not out.exists()
+
+
 def _with_extra_anchor(files, path, every: bool) -> str:
     """The query file with two anchors on the first (or every) 1p record."""
     lines = (files / "q.jsonl").read_text().splitlines()
@@ -429,6 +439,16 @@ def test_malformed_checkpoint_header_exits_with_data_error(files, case, command,
              ["--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "metrics.csv")])
     assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: ")
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "answer"])
+def test_version_one_checkpoint_exits_with_data_error(files, command, tmp_path, capsys):
+    ckpt = write_checkpoint_version(files / "model.ckpt", tmp_path / "v1.ckpt", 1)
+    extra = (["--query", "EXISTS T . r0(e0,T)"] if command == "answer" else
+             ["--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "metrics.csv")])
+    assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {ckpt}: unsupported checkpoint version 1\n"
     assert not (tmp_path / "metrics.csv").exists()
 
 

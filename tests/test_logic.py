@@ -20,7 +20,7 @@ def weighted_conjoin(kind, weights, truths):
     """Point-mode ``conjoin_slots`` of truths stacked on axis 0."""
     w = np.asarray(weights, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)
-    return logic.conjoin_slots(kind, list(t), list(w), logic.DEFAULT_ALPHA, "point")[0]
+    return logic.conjoin_slots(kind, list(t), list(w), "point")[0]
 
 
 def tnorm(kind, truths):
@@ -35,7 +35,7 @@ def disjoin(kind, xs):
     the slot operators as the model composes it."""
     flipped = [logic.negate_slots(x, "bounds") for x in xs]
     ones = [np.ones_like(x) for x in xs]
-    conjoined, _ = logic.conjoin_slots(kind, flipped, ones, logic.DEFAULT_ALPHA, "bounds")
+    conjoined, _ = logic.conjoin_slots(kind, flipped, ones, "bounds")
     return logic.negate_slots(conjoined, "bounds")
 
 
@@ -155,7 +155,7 @@ class TestWeightedTnorm:
             np.testing.assert_array_equal(tnorm(kind, pairs), plain[kind])
 
     def test_smoothmin_tracks_hard_min(self):
-        # max deviation of the alpha=-10 smooth minimum from the hard minimum
+        # max deviation of the a=-10 smooth minimum from the hard minimum
         # over grid pairs is 0.0274 (at |t1-t2| = 0.15)
         pairs = np.array(list(itertools.product(GRID, GRID))).T
         weighted = tnorm("min", pairs)
@@ -255,13 +255,12 @@ class TestSlotsMatchReference:
             xs[1][:, 6:] = xs[1][:, :6]
         # one weight per dimension, shared by its lower and upper, as in the model
         ws = [np.tile(rng.uniform(0.1, 1.0, (8, 6)), 2) for _ in range(3)]
-        got, repairs = logic.conjoin_slots(kind, xs, ws, logic.DEFAULT_ALPHA, mode)
+        got, repairs = logic.conjoin_slots(kind, xs, ws, mode)
         assert (repairs > 0) == (kind == "min" and mode == "bounds")
         want_repairs = 0
         for row in range(xs[0].shape[0]):
             want, row_repairs = reference_conjoin(kind, [x[row] for x in xs],
-                                                  [w[row] for w in ws],
-                                                  logic.DEFAULT_ALPHA, mode)
+                                                  [w[row] for w in ws], mode)
             np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
             want_repairs += row_repairs
         assert repairs == want_repairs

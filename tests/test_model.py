@@ -10,7 +10,7 @@ from skqe.model import ForwardContext, ModelConfig, ModelParams
 
 from conftest import (
     MALFORMED_HEADERS, reference_cardinality_head, reference_conjoin, reference_negate,
-    write_malformed_checkpoint,
+    write_checkpoint_version, write_malformed_checkpoint,
 )
 from test_autodiff import ATOL, RTOL, check_gradients, numeric_grad
 
@@ -198,12 +198,11 @@ class TestTapeOperatorsMatchLogic:
         disjoined = ctx.disjoin(leaves).value
         negated = ctx.negate(leaves[0]).value
         ones = [np.ones(2 * D)] * k
-        alpha = params.config.alpha
         for row in range(4):
-            want, _ = reference_conjoin(kind, [v[row] for v in values], ones, alpha)
+            want, _ = reference_conjoin(kind, [v[row] for v in values], ones)
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             flipped = [reference_negate(v[row]) for v in values]
-            want = reference_negate(reference_conjoin(kind, flipped, ones, alpha)[0])
+            want = reference_negate(reference_conjoin(kind, flipped, ones)[0])
             np.testing.assert_allclose(disjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             np.testing.assert_array_equal(negated[row], reference_negate(values[0][row]))
 
@@ -218,8 +217,7 @@ class TestTapeOperatorsMatchLogic:
         assert min(np.min(w) for w in weights) < 0.9  # the weights matter
         for row in range(4):
             want, _ = reference_conjoin(kind, [v[row] for v in values],
-                                        [np.concatenate([w[row], w[row]]) for w in weights],
-                                        params.config.alpha)
+                                        [np.concatenate([w[row], w[row]]) for w in weights])
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -233,8 +231,7 @@ class TestTapeOperatorsMatchLogic:
         assert ctx.repair_count == 0
         for row in range(4):
             want, repairs = reference_conjoin(kind, [v[row] for v in values],
-                                              [np.ones(2 * D)] * 3, params.config.alpha,
-                                              "point")
+                                              [np.ones(2 * D)] * 3, "point")
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             assert repairs == 0
         negated = ctx.negate(leaves[0]).value
@@ -264,8 +261,7 @@ class TestRepairedConjunction:
         assert ctx.repair_count == 3 * (D - 1)
         ones = [np.ones(2 * D)] * 2
         for row in range(3):
-            want, repairs = reference_conjoin("min", [wide[row], point[row]], ones,
-                                              params.config.alpha)
+            want, repairs = reference_conjoin("min", [wide[row], point[row]], ones)
             np.testing.assert_allclose(out[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             assert repairs == D - 1
         assert np.all(out[:, 1:D] == out[:, D + 1:])
@@ -306,7 +302,7 @@ class TestCardinalityHead:
             params, _ = training.train_cardinality_head(params, dataset, epochs=5, lr=1e-2)
         features = evaluation.cardinality_features(params, dataset.samples)
         want = reference_cardinality_head(features, params)
-        assert np.all((want > 0) & (want < params.config.rho))
+        assert np.all((want > 0) & (want < model.CARDINALITY_SCALE))
         got = ForwardContext(params).cardinality(features)
         assert type(got) is np.ndarray and got.shape == (len(dataset.samples),)
         np.testing.assert_array_equal(got, want)
@@ -400,6 +396,14 @@ class TestCheckpoint:
         with pytest.raises(DataError) as info:
             ModelParams.load(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_version_one_file_is_an_unsupported_version(self, tmp_path):
+        # version 1 held the attention bias G2b and the alpha and rho config keys
+        _params().save(tmp_path / "m.ckpt")
+        path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "v1.ckpt", 1)
+        with pytest.raises(DataError) as info:
+            ModelParams.load(path)
+        assert str(info.value) == f"{path}: unsupported checkpoint version 1"
 
     @pytest.mark.parametrize("field", ["num_entities", "num_relations", "d", "h"])
     @pytest.mark.parametrize("value", ["16", 16.0, True, None])

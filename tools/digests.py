@@ -9,11 +9,13 @@ only; this is not a test.
     python3 tools/digests.py            # about ten seconds on 2 cores
 
 It imports ``skqe`` from the ``src`` directory next to this file, so a copy
-of the parent checkout gives the parent's digests.
+of the parent checkout gives the parent's digests. ``tools/train_diff.py``
+reuses its training runs (``train_runs``) with another checkout's ``skqe``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -50,25 +52,46 @@ def train_digest(graph, dataset, **config) -> str:
     return _hex(h)
 
 
+@functools.cache
+def big_graph():
+    return kg.generate_synthetic(2000, 20, 4.0, 0.1, 0.1, seed=0)
+
+
+@functools.cache
+def small_graph():
+    return kg.generate_synthetic(300, 6, 4.0, 0.1, 0.1, seed=1)
+
+
+@functools.cache
+def sampled(graph, structures, per, seed, mode):
+    """A dataset of the graph that the thunk ``graph`` builds, made once."""
+    return oracle.sample_dataset(graph(), structures, per, seed, mode)
+
+
+@functools.cache
+def seeded_params():
+    return ModelParams.initialize(
+        training.TrainConfig(d=32, h=128, seed=401).model_config(big_graph()), 401)
+
+
+def train_runs():
+    """(name, graph thunk, dataset thunk, ``TrainConfig`` keywords) of the
+    training runs; ``tools/train_diff.py`` runs the same ones."""
+    train, every = algebra.TRAIN_STRUCTURES, algebra.STRUCTURE_NAMES
+    small_train = lambda: sampled(small_graph, train, 20, 3, "train")
+    for name, extra in (("bounds/luk/dnf", {}),
+                        ("point/prod/dnf", dict(mode="point", kind="prod")),
+                        ("bounds/min/dm", dict(kind="min", union="dm")),
+                        ("attention off", dict(attention=False))):
+        yield f"train small {name}", small_graph, small_train, {**SMALL_TRAIN, **extra}
+    yield ("train small entailment dnf", small_graph,
+           lambda: sampled(small_graph, every, 10, 3, "entailment"), SMALL_TRAIN)
+    yield ("train paper shape", big_graph,
+           lambda: sampled(big_graph, train, 100, 2, "train"), PAPER_TRAIN)
+
+
 def runs():
     """(name, thunk) pairs; graphs and datasets are built on first use."""
-    cache: dict = {}
-
-    def get(key, build):
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
-    def big():
-        return get("big", lambda: kg.generate_synthetic(2000, 20, 4.0, 0.1, 0.1, seed=0))
-
-    def small():
-        return get("small", lambda: kg.generate_synthetic(300, 6, 4.0, 0.1, 0.1, seed=1))
-
-    def sampled(graph, structures, per, seed, mode):
-        return get((graph.__name__, structures, per, seed, mode),
-                   lambda: oracle.sample_dataset(graph(), structures, per, seed, mode))
-
     train, every = algebra.TRAIN_STRUCTURES, algebra.STRUCTURE_NAMES
     yield "plans", lambda: _hex(hashlib.sha256(repr(
         [(algebra.structure_plan(s), algebra.plan_branches(s, "dnf"),
@@ -82,34 +105,23 @@ def runs():
         for seed in seeds:
             yield (f"dataset {mode} {len(structures)}x{per} seed {seed}",
                    lambda a=(structures, per, seed, mode):
-                   dataset_digest(sampled(big, *a), big()))
+                   dataset_digest(sampled(big_graph, *a), big_graph()))
 
-    small_train = lambda: sampled(small, train, 20, 3, "train")
-    for name, extra in (("bounds/luk/dnf", {}),
-                        ("point/prod/dnf", dict(mode="point", kind="prod")),
-                        ("bounds/min/dm", dict(kind="min", union="dm")),
-                        ("attention off", dict(attention=False))):
-        yield (f"train small {name}",
-               lambda extra=extra: train_digest(small(), small_train(), **SMALL_TRAIN, **extra))
-    yield ("train small entailment dnf",
-           lambda: train_digest(small(), sampled(small, every, 10, 3, "entailment"),
-                                **SMALL_TRAIN))
-    yield ("train paper shape",
-           lambda: train_digest(big(), sampled(big, train, 100, 2, "train"), **PAPER_TRAIN))
+    for name, graph, dataset, config in train_runs():
+        yield name, lambda graph=graph, dataset=dataset, config=config: train_digest(
+            graph(), dataset(), **config)
 
-    generalization = lambda: sampled(big, every, 200, 401, "generalization")
-    params = lambda: get("params", lambda: ModelParams.initialize(
-        training.TrainConfig(d=32, h=128, seed=401).model_config(big()), 401))
+    generalization = lambda: sampled(big_graph, every, 200, 401, "generalization")
     for union in ("dnf", "dm"):
         def ranks(union=union):
-            report = evaluation.evaluate_ranking(generalization(), params(), union)
+            report = evaluation.evaluate_ranking(generalization(), seeded_params(), union)
             total = sum(len(r) for r in report.ranks.values())
             digest = _hex(hashlib.sha256(json.dumps(report.ranks, sort_keys=True).encode()))
             return f"{digest} ({total} ranks, {report.rescored} rescored)"
         yield f"ranks {union}", ranks
     for statistic in ("entropy", "width"):
         def stats(statistic=statistic):
-            values = evaluation.query_statistics(generalization(), params(), statistic)
+            values = evaluation.query_statistics(generalization(), seeded_params(), statistic)
             stats_hex = _hex(hashlib.sha256(values[0].tobytes() + values[1].tobytes()))
             rows = evaluation.uncertainty_correlation(values, statistic).to_rows()
             return f"{stats_hex} / {_hex(hashlib.sha256(json.dumps(rows).encode()))}"
