@@ -24,11 +24,13 @@ soon as that task finishes and in touch order, into one zeroed (N, 2d) table
 realization once, after the last task. ``ForwardContext.realize`` (the Skolem
 output's realization) and the fused training distance
 ``ForwardContext.entity_distance`` are tape primitives with a hand-derived
-backward; tests pin them to the composed tape ops. The distance's working set
-is bounded: it gathers its (B, K, 2d) draws in row tiles of at most
-``DISTANCE_TILE_BYTES``, and its backward sums them per entity
-``SUM_ROWS_COLUMNS`` columns at a time (``sum_rows``). Only the sign of each
-draw's difference, which the backward needs, is kept whole.
+backward; tests pin them to the composed tape ops. The distance gathers each
+distinct entity of its ids once, found with a presence mask over the entity
+table rather than a sort. Its working set is bounded: it gathers its
+(B, K, 2d) draws in row tiles of at most ``DISTANCE_TILE_BYTES``, and its
+backward sums them per entity ``SUM_ROWS_COLUMNS`` columns at a time
+(``sum_rows``). Only the sign of each draw's difference, which the backward
+needs, is kept whole.
 """
 
 from __future__ import annotations
@@ -322,21 +324,26 @@ class ForwardContext:
         ``ids`` is (B,) or (B, K), each branch a (B, 2d) query tensor; the value
         has the shape of ``ids``. One primitive for gather -> sub -> abs ->
         mean -> branch minimum (ties go to the first branch). It works per
-        distinct entity: the sorted distinct ids gather one slot-space leaf
-        from the realized entity table (one touch per call), and the backward
-        sums each draw's slot gradient per entity in draw order
-        (``sum_rows``). The forward gathers the draws a tile of rows at a
-        time into one reused buffer of at most ``DISTANCE_TILE_BYTES`` (at
+        distinct entity: the sorted distinct ids, read off a presence mask
+        over the entity table (their inverse from its running count, so no
+        sort), gather one slot-space leaf from the realized entity table (one
+        touch per call), and the backward sums each draw's slot gradient per
+        entity in draw order (``sum_rows``). The forward gathers the draws a
+        tile of rows at a time into one reused buffer of at most ``DISTANCE_TILE_BYTES`` (at
         least one row), and keeps only the sign of each branch's (B, K, 2d)
         difference, so the backward does not form the difference again. Rows
         are independent, so the tiling does not change a bit. The
         realization pullback is left to the owner of the table.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        present = np.zeros(self.config.num_entities, dtype=bool)
+        present[ids] = True
+        unique = np.flatnonzero(present)
+        index = np.cumsum(present)
+        index -= 1
         rows = self.entity_slots(unique)
         b, n = ids.shape[0], rows.shape[-1]
-        inverse = inverse.reshape(b, -1)
+        inverse = index[ids].reshape(b, -1)
         k = inverse.shape[1]
         signs = [np.empty((b, k, n)) for _ in branches]
         dists = np.empty((len(branches), b, k))

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
-from dataclasses import InitVar, dataclass, asdict
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -173,7 +174,9 @@ def sample_negatives(answers, k: int, num_entities: int,
                      rng: np.random.Generator, filter_answers: bool = True) -> np.ndarray:
     """k uniform entity ids, rejecting true answers; falls back to sampling
     with replacement from the non-answers when fewer than k of them exist
-    (``train`` warns about such queries once)."""
+    (``train`` warns about such queries once). This is the one-row path of
+    ``_draw_negatives``, which a step takes for a structure's rows only when
+    one round of 2k candidates per row does not serve them all."""
     if k > num_entities:
         raise DataError(f"cannot draw {k} negatives from {num_entities} entities")
     excluded = np.zeros(num_entities, dtype=bool)
@@ -194,16 +197,35 @@ def sample_negatives(answers, k: int, num_entities: int,
     return out
 
 
+def _flat(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows concatenated as int64, and their (len(rows) + 1,) offsets."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, offsets[-1]), offsets
+
+
 @dataclass
 class _StructureGroup:
     structure: str
     anchors: np.ndarray      # (N, num_anchors)
     relations: np.ndarray    # (N, num_relations)
-    positives: list[tuple[int, ...]]
-    answers: list[tuple[int, ...]]
+    positives: list[tuple[int, ...]]  # read by perfbench/checks.py; a step reads
+    answers: list[tuple[int, ...]]    # the flat arrays below
+    positive_ids: np.ndarray = field(init=False)      # positives, concatenated
+    positive_offsets: np.ndarray = field(init=False)  # (N + 1,) into positive_ids
+    answer_ids: np.ndarray = field(init=False)        # answers, each sorted and distinct
+    answer_offsets: np.ndarray = field(init=False)    # (N + 1,) into answer_ids
+
+    def __post_init__(self):
+        self.positive_ids, self.positive_offsets = _flat(self.positives)
+        self.answer_ids, self.answer_offsets = _flat(self.answers)
 
 
 def _prepare_groups(dataset: QueryDataset) -> dict[str, _StructureGroup]:
+    """One group per structure. Each query's positives are its easy answers,
+    or its hard ones when it has none; both they and its answers are kept
+    as tuples and, for the step's array draws, once more as flat int64
+    arrays with offsets."""
     groups: dict[str, _StructureGroup] = {}
     for structure, samples in dataset.by_structure().items():
         anchors = np.array([s.instance.anchors for s in samples], dtype=np.int64)
@@ -247,28 +269,71 @@ def _merge_row_grads(touches, table: np.ndarray, touched: np.ndarray) -> None:
         touched[ids] = True
 
 
-def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, list[int]],
+def _draw_negatives(group: _StructureGroup, rows: np.ndarray, k: int, num_entities: int,
+                    rng: np.random.Generator, filter_answers: bool) -> np.ndarray:
+    """(len(rows), k) negatives: row i's are ``sample_negatives`` of query
+    ``rows[i]``, drawn in row order from the same generator stream.
+
+    Bounded draws consume the generator value by value across calls, so one
+    (rows, 2k) draw is every row's first round of 2k candidates, and each row
+    keeps its first k non-answers. A draw that answers any of the rows is
+    looked up among the sorted (row, answer) keys, so nothing of shape
+    (rows, num_entities) is built. When a row has fewer than k non-answers,
+    or keeps fewer than k in that round, the generator is put back as it was
+    before the draw and the rows go through ``sample_negatives`` one at a
+    time, in order."""
+    start, stop = group.answer_offsets[rows], group.answer_offsets[rows + 1]
+    counts = stop - start if filter_answers else np.zeros_like(rows)
+    if np.all(counts <= num_entities - k):
+        state = rng.bit_generator.state
+        draw = rng.integers(0, num_entities, size=(rows.size, 2 * k))
+        ends = np.cumsum(counts)
+        answers = group.answer_ids[np.arange(ends[-1]) + np.repeat(start - ends + counts, counts)]
+        any_row = np.zeros(num_entities, dtype=bool)
+        any_row[answers] = True
+        suspects = np.flatnonzero(any_row[draw])
+        # keys and probes are row * num_entities + entity
+        keys = np.repeat(np.arange(rows.size) * num_entities, counts) + answers
+        probes = draw.reshape(-1)[suspects] + suspects // (2 * k) * num_entities
+        keep = np.ones(draw.shape, dtype=bool)
+        keep.reshape(-1)[suspects] = keys[np.minimum(np.searchsorted(keys, probes),
+                                                     keys.size - 1)] != probes
+        kept = np.cumsum(keep, axis=1)
+        if np.all(kept[:, -1] >= k):
+            return draw[keep & (kept <= k)].reshape(rows.size, k)
+        rng.bit_generator.state = state
+    return np.stack([sample_negatives(group.answer_ids[a:b], k, num_entities, rng, filter_answers)
+                     for a, b in zip(start, stop)])
+
+
+def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, np.ndarray],
                  config: TrainConfig, num_entities: int, rng: np.random.Generator
                  ) -> list[tuple]:
     """(group, rows, positive ids, negative ids) per structure, drawn in a
-    fixed structure order for determinism."""
+    fixed structure order for determinism. Each structure takes one draw
+    for its rows' positives, a uniform pick among each query's positives,
+    then its negatives (``_draw_negatives``)."""
     tasks = []
     for structure in algebra.STRUCTURE_NAMES:
-        locals_ = per_structure.get(structure)
-        if not locals_:
+        rows = np.asarray(per_structure.get(structure, ()), dtype=np.int64)
+        if not rows.size:
             continue
         group = groups[structure]
-        pos = np.array([
-            group.positives[i][int(rng.integers(len(group.positives[i])))]
-            for i in locals_
-        ], dtype=np.int64)
-        neg = np.stack([
-            sample_negatives(group.answers[i], config.negatives, num_entities,
-                             rng, config.filter_negatives)
-            for i in locals_
-        ])
-        tasks.append((group, np.asarray(locals_, dtype=np.int64), pos, neg))
+        first = group.positive_offsets[rows]
+        pos = group.positive_ids[first + rng.integers(0, group.positive_offsets[rows + 1] - first)]
+        neg = _draw_negatives(group, rows, config.negatives, num_entities, rng,
+                              config.filter_negatives)
+        tasks.append((group, rows, pos, neg))
     return tasks
+
+
+def _split_picks(picks: np.ndarray, order: list[str], starts: np.ndarray
+                 ) -> dict[str, np.ndarray]:
+    """Each structure's query rows among a batch's picks, in pick order. The
+    picks index the structures' queries laid end to end in ``order``, the
+    structure at ``order[i]`` starting at ``starts[i]``."""
+    which = np.searchsorted(starts, picks, side="right") - 1
+    return {structure: picks[which == i] - starts[i] for i, structure in enumerate(order)}
 
 
 def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: TrainConfig):
@@ -366,15 +431,13 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
 
     groups = _prepare_groups(dataset)
     if config.filter_negatives:
-        short = sum(graph.num_entities - len(answers) < config.negatives
-                    for group in groups.values() for answers in group.answers)
+        short = sum(np.count_nonzero(graph.num_entities - np.diff(group.answer_offsets)
+                                     < config.negatives) for group in groups.values())
         if short:
             log.warning("%d queries have fewer than %d non-answer entities; "
                         "sampling their negatives with replacement", short, config.negatives)
     order = [s for s in algebra.STRUCTURE_NAMES if s in groups]
-    group_offsets: list[tuple[str, int]] = []
-    for structure in order:
-        group_offsets.extend((structure, i) for i in range(len(groups[structure].positives)))
+    starts = np.cumsum([0] + [len(groups[s].anchors) for s in order])
 
     rng = np.random.default_rng([config.seed, 1])
     optimizer = Adam(config.lr)
@@ -382,12 +445,9 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     started = time.perf_counter()
 
     for step in range(1, config.steps + 1):
-        picks = rng.integers(0, len(group_offsets), size=config.batch_size)
-        per_structure: dict[str, list[int]] = {}
-        for pick in picks:
-            structure, local = group_offsets[pick]
-            per_structure.setdefault(structure, []).append(local)
-        tasks = _build_tasks(groups, per_structure, config, graph.num_entities, rng)
+        picks = rng.integers(0, starts[-1], size=config.batch_size)
+        tasks = _build_tasks(groups, _split_picks(picks, order, starts), config,
+                             graph.num_entities, rng)
         loss, pos_scores, neg_scores, repairs = _step(params, optimizer, tasks, config)
 
         if step % config.log_every == 0 or step == config.steps or step == 1:

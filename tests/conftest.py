@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg, logic, model, oracle
+from skqe import algebra, autodiff as ad, kg, logic, model, oracle, training
 from skqe.errors import DataError
 
 
@@ -270,6 +270,42 @@ class ReferenceMergeRowGrads:
         table[:] = 0.0
         np.add.at(table, ids, np.concatenate([grad for _, grad in kept], axis=0))
         touched[ids] = True
+
+
+# --- a step's data path as it was before the whole-array draws ----------------
+# Kept as the reference for ``training._split_picks`` and
+# ``training._build_tasks``: the picks are grouped one at a time, and each
+# query takes one scalar draw for its positive and one ``sample_negatives``
+# call for its negatives.
+
+def reference_split_picks(picks, order, starts) -> dict[str, list[int]]:
+    offsets = [(structure, i) for structure, begin, end in zip(order, starts, starts[1:])
+               for i in range(end - begin)]
+    per_structure: dict[str, list[int]] = {}
+    for pick in picks:
+        structure, local = offsets[pick]
+        per_structure.setdefault(structure, []).append(local)
+    return per_structure
+
+
+def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> list[tuple]:
+    tasks = []
+    for structure in algebra.STRUCTURE_NAMES:
+        locals_ = per_structure.get(structure)
+        if not locals_:
+            continue
+        group = groups[structure]
+        pos = np.array([
+            group.positives[i][int(rng.integers(len(group.positives[i])))]
+            for i in locals_
+        ], dtype=np.int64)
+        neg = np.stack([
+            training.sample_negatives(group.answers[i], config.negatives, num_entities,
+                                      rng, config.filter_negatives)
+            for i in locals_
+        ])
+        tasks.append((group, np.asarray(locals_, dtype=np.int64), pos, neg))
+    return tasks
 
 
 # --- the sampler as it was before the static walk order ------------------------

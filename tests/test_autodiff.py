@@ -327,6 +327,41 @@ class TestFusedEntityDistance:
         for got, want in zip(fused[3], per_row[3]):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("ids", [
+        [11, 0, 11, 4, 0, 0],
+        [[0, 11, 0], [11, 11, 3], [5, 0, 0], [3, 11, 7]],
+    ], ids=["B", "BxK"])
+    def test_distinct_ids_and_inverse_are_np_unique(self, monkeypatch, ids):
+        # the first and last entity, with repeats; the inverse reaches the
+        # backward's per-entity sums
+        params = _params("bounds")
+        ids = np.array(ids)
+        assert {0, params.config.num_entities - 1} <= set(ids.reshape(-1).tolist())  # N = 12
+        inverses, sum_rows = [], model.sum_rows
+
+        def recording(inverse, rows, count):
+            inverses.append(inverse.copy())
+            return sum_rows(inverse, rows, count)
+
+        monkeypatch.setattr(model, "sum_rows", recording)
+        ctx = ForwardContext(params, train=True)
+        query = ctx.tape.leaf(_rng(19).uniform(0.0, 1.0, (ids.shape[0], 32)))
+        ad.backward(ad.sum_all(ctx.entity_distance(ids, [query])))
+        unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        (touched, rows), = ctx.entity_touches
+        np.testing.assert_array_equal(touched, unique)
+        (got,) = inverses
+        assert got.dtype == inverse.dtype
+        np.testing.assert_array_equal(got, inverse)
+
+        # so the step's merge adds the touch by ``table[ids] += grads``
+        assert np.all(touched[1:] > touched[:-1])
+        n = params.config.num_entities
+        table, merged = np.zeros((n, 32)), np.zeros(n, dtype=bool)
+        training._merge_row_grads([(touched, rows.grad)], table, merged)
+        np.testing.assert_array_equal(np.flatnonzero(merged), unique)
+        np.testing.assert_array_equal(table[unique], rows.grad)
+
     def test_gathers_from_the_realized_table(self, monkeypatch):
         params = _params("bounds", entities=40)
         ids = _rng(14).integers(0, 12, (5, 30))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from skqe import algebra, autodiff as ad, cli, kg, model, oracle, training
 from skqe.errors import DataError, NumericError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
-from conftest import ReferenceMergeRowGrads, composed_group_forward, composed_realize
+from conftest import (ReferenceMergeRowGrads, composed_group_forward, composed_realize,
+                      reference_build_tasks, reference_split_picks)
 
 
 @pytest.fixture(scope="module")
@@ -254,8 +256,13 @@ class TestStepFold:
 
 
 def _loop_negatives(answers, k, num_entities, rng, filter_answers=True):
-    """The per-candidate rejection loop that ``sample_negatives`` vectorizes."""
+    """The per-candidate rejection loop that ``sample_negatives`` vectorizes,
+    with its draw with replacement from a pool of fewer than k non-answers
+    (from every entity when there is none)."""
     excluded = set(answers) if filter_answers else set()
+    pool = [e for e in range(num_entities) if e not in excluded]
+    if len(pool) < k:
+        return rng.choice(pool or list(range(num_entities)), size=k, replace=True)
     out = np.empty(k, dtype=np.int64)
     filled = 0
     while filled < k:
@@ -427,3 +434,158 @@ class TestTrainCli:
         ModelParams.initialize(config, 0).save(tmp_path / "other.ckpt")
         with pytest.raises(DataError, match="relation count"):
             cli._load_checkpoint(str(tmp_path / "other.ckpt"), graph)
+
+
+class _CountedSampleNegatives:
+    """``training.sample_negatives``, counting its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self._inner = 0, training.sample_negatives
+        monkeypatch.setattr(training, "sample_negatives", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._inner(*args)
+
+
+def _group(answers):
+    """A group whose queries have the given answers, each sorted and distinct."""
+    n = len(answers)
+    return training._StructureGroup("1p", np.zeros((n, 1), dtype=np.int64),
+                                    np.zeros((n, 1), dtype=np.int64),
+                                    [a or (0,) for a in answers], list(answers))
+
+
+class TestDrawNegatives:
+    N = 40
+    FEW = [(1, 2, 3), (), (5,), (0, 39), (7, 8)]  # every query keeps k = 8 from 16 draws
+    MOST = tuple(range(9, 40))  # 9 non-answers: a round of 16 draws keeps fewer than 8
+    NEARLY_ALL = tuple(range(35))  # 5 non-answers: drawn with replacement
+
+    def _check(self, monkeypatch, answers, rows, k, filtered=True):
+        """The batched draw against ``_loop_negatives`` row by row, from one
+        seed: the same ids and the same generator state after. Returns the
+        number of one-row calls the batched draw made."""
+        counted = _CountedSampleNegatives(monkeypatch)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = training._draw_negatives(_group(answers), np.asarray(rows, dtype=np.int64), k,
+                                       self.N, got_rng, filtered)
+        want = np.stack([_loop_negatives(answers[i], k, self.N, want_rng, filtered)
+                         for i in rows])
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if filtered:
+            for i, row in zip(rows, got):
+                if self.N - len(answers[i]) >= k:
+                    assert not set(row.tolist()) & set(answers[i])
+        return counted.calls
+
+    def test_one_draw_when_every_row_keeps_k(self, monkeypatch):
+        rows = [0, 3, 3, 1, 4, 2, 0]
+        assert self._check(monkeypatch, self.FEW, rows, 8) == 0
+
+    def test_row_that_keeps_fewer_than_k_in_the_middle(self, monkeypatch):
+        answers = self.FEW + [self.MOST]
+        rows = [0, 3, 5, 1, 4]
+        assert self._check(monkeypatch, answers, rows, 8) == len(rows)
+
+    def test_pool_fallback_row_in_the_middle(self, monkeypatch):
+        answers = self.FEW + [self.NEARLY_ALL]
+        rows = [2, 0, 5, 4, 5, 1]
+        assert self._check(monkeypatch, answers, rows, 8) == len(rows)
+
+    def test_unfiltered(self, monkeypatch):
+        answers = self.FEW + [self.MOST, self.NEARLY_ALL]
+        assert self._check(monkeypatch, answers, [5, 6, 0, 6, 3], 8, filtered=False) == 0
+
+    def test_row_without_answers(self, monkeypatch):
+        assert self._check(monkeypatch, [(), (), (4,)], [0, 2, 1, 1], 20) == 0
+
+    def test_k_equal_to_the_non_answer_count(self, monkeypatch):
+        # a round of 2k = 76 draws keeps 38 of 38 non-answers
+        assert self._check(monkeypatch, self.FEW, [3, 4, 3], self.N - 2) == 0
+        # a round of 16 draws among 32 answers keeps fewer than 8
+        answers = self.FEW + [tuple(range(4, 36))]
+        assert self._check(monkeypatch, answers, [0, 5, 1], 8) == 3
+
+    def test_more_negatives_than_entities(self):
+        with pytest.raises(DataError, match="cannot draw 41 negatives from 40 entities"):
+            training._draw_negatives(_group(self.FEW), np.array([0]), 41, self.N,
+                                     np.random.default_rng(0), True)
+
+    def test_builds_nothing_of_shape_rows_by_entities(self):
+        # (64, 10**6) booleans would be 64 MB
+        tracemalloc.start()
+        try:
+            training._draw_negatives(_group(self.FEW), np.arange(64) % 5, 4, 10 ** 6,
+                                     np.random.default_rng(0), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+class TestWholeArrayDraws:
+    def test_bounded_draws_take_the_stream_value_by_value(self):
+        # what the batched draws rely on: one call with per-row bounds, or
+        # one (rows, m) call, reads the generator as the per-row calls do; a
+        # bound of 1 reads nothing
+        for seed in range(5):
+            counts = np.array([1, 3, 1, 7, 2000, 1, 2])
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = got_rng.integers(0, counts)
+            want = [want_rng.integers(int(c)) for c in counts]
+            np.testing.assert_array_equal(got, want)
+            got = got_rng.integers(0, 2000, size=(50, 256))
+            want = np.stack([want_rng.integers(0, 2000, size=256) for _ in range(50)])
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_split_picks_keeps_pick_order(self):
+        order, starts = ["1p", "2p", "3p"], np.array([0, 3, 3, 7])
+        picks = np.random.default_rng(0).integers(0, 7, 40)
+        got = training._split_picks(picks, order, starts)
+        want = reference_split_picks(picks, order, starts)
+        assert got.keys() == set(order)
+        for structure in order:
+            np.testing.assert_array_equal(got[structure], want.get(structure, []))
+
+    @staticmethod
+    def _train_both(graph, dataset, config, monkeypatch):
+        params, records = training.train(graph, dataset, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_split_picks", reference_split_picks)
+            patch.setattr(training, "_build_tasks", reference_build_tasks)
+            ref_params, ref_records = training.train(graph, dataset, config)
+        np.testing.assert_array_equal([r.loss for r in records], [r.loss for r in ref_records])
+        for name, array in ref_params.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+    def test_toy_graph_where_every_query_falls_back(self, toy_graph, monkeypatch):
+        dataset = oracle.sample_dataset(toy_graph, ("1p",), 4, 0, "train")
+        config = training.TrainConfig(d=16, h=16, negatives=3, batch_size=8, steps=4,
+                                      log_every=1)
+        self._train_both(toy_graph, dataset, config, monkeypatch)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"filter_negatives": False},
+        {"negatives": 114},  # queries with more than 6 answers fall back
+        {"mode": "point", "kind": "prod", "union": "dm"},
+    ])
+    def test_matches_the_per_row_step_builder(self, train_graph, train_dataset, monkeypatch,
+                                              overrides):
+        self._train_both(train_graph, train_dataset, _config(**overrides), monkeypatch)
+
+    def test_paper_shape_makes_no_one_row_call(self, monkeypatch):
+        graph = kg.generate_synthetic(2000, 20, 4.0, 0.1, 0.1, seed=0)
+        dataset = oracle.sample_dataset(graph, algebra.TRAIN_STRUCTURES, 10, 1, "train")
+        counted = _CountedSampleNegatives(monkeypatch)
+        training.train(graph, dataset, training.TrainConfig(d=16, h=16, steps=2))
+        assert counted.calls == 0
+
+    def test_train_graph_makes_no_one_row_call(self, train_graph, train_dataset, monkeypatch):
+        # at most 7 answers among 120 entities: no query keeps fewer than 8 of 16
+        counted = _CountedSampleNegatives(monkeypatch)
+        training.train(train_graph, train_dataset, _config())
+        assert counted.calls == 0
