@@ -276,14 +276,13 @@ def absolute(a):
     return _record(np.abs(av), backward, a)
 
 
-def mean_axis(a, axis: int, keepdims: bool = False):
+def mean_axis(a, axis: int):
     av = value_of(a)
 
     def backward(g):
-        g = g if keepdims else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, av.shape) / av.shape[axis])
+        a._accumulate(np.broadcast_to(np.expand_dims(g, axis), av.shape) / av.shape[axis])
 
-    return _record(av.mean(axis=axis, keepdims=keepdims), backward, a)
+    return _record(av.mean(axis=axis), backward, a)
 
 
 def sum_all(a):

@@ -15,7 +15,7 @@ from . import algebra, evaluation, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams
-from .oracle import read_dataset, requested_count, sample_dataset, write_dataset
+from .oracle import QueryDataset, read_dataset, requested_count, sample_dataset, write_dataset
 from .training import TrainConfig, train, train_cardinality_head, write_train_log
 
 EXIT_OK = 0
@@ -53,6 +53,13 @@ def _load_checkpoint(path: str, graph) -> ModelParams:
     if params.config.num_relations != graph.num_relations:
         raise DataError("checkpoint relation count does not match the graph")
     return params
+
+
+def _load_inputs(args) -> tuple[ModelParams, QueryDataset]:
+    """The checkpoint and query dataset named by ``--ckpt`` and ``--queries``,
+    both checked against the graph in ``--kg``."""
+    graph = load_tsv_dir(args.kg)
+    return _load_checkpoint(args.ckpt, graph), read_dataset(args.queries, graph)
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -174,9 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    graph = load_tsv_dir(args.kg)
-    params = _load_checkpoint(args.ckpt, graph)
-    dataset = read_dataset(args.queries, graph)
+    params, dataset = _load_inputs(args)
     began = time.perf_counter()
     report = evaluation.evaluate_ranking(dataset, params, args.union)
     seconds = time.perf_counter() - began
@@ -192,9 +197,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    graph = load_tsv_dir(args.kg)
-    params = _load_checkpoint(args.ckpt, graph)
-    dataset = read_dataset(args.queries, graph)
+    params, dataset = _load_inputs(args)
     statistics = evaluation.query_statistics(dataset, params, args.statistic)
     report = evaluation.uncertainty_correlation(statistics, args.statistic)
     evaluation.write_metric_csv(report.to_rows(), args.out)
@@ -209,9 +212,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fit_cardinality(args) -> int:
-    graph = load_tsv_dir(args.kg)
-    params = _load_checkpoint(args.ckpt, graph)
-    dataset = read_dataset(args.queries, graph)
+    params, dataset = _load_inputs(args)
     fitted, report = train_cardinality_head(params, dataset, args.epochs, args.lr)
     fitted.extra["cardinality_fit"] = report
     fitted.save(args.out)
@@ -223,9 +224,7 @@ def cmd_fit_cardinality(args) -> int:
 
 
 def cmd_eval_cardinality(args) -> int:
-    graph = load_tsv_dir(args.kg)
-    params = _load_checkpoint(args.ckpt, graph)
-    dataset = read_dataset(args.queries, graph)
+    params, dataset = _load_inputs(args)
     result = evaluation.cardinality_test_half(dataset, params)
     rows = [(s, "cardinality_mae_pct", mae, count)
             for s, (mae, count) in sorted(result["per_structure"].items())]
@@ -254,12 +253,12 @@ def cmd_answer(args) -> int:
     graph = load_tsv_dir(args.kg)
     params = _load_checkpoint(args.ckpt, graph)
     instance = algebra.parse_fol(args.query, graph)
+    entity_matrix = model_mod.realize_all_entities(params)
     collected: list = []
-    branches = model_mod.ForwardContext(params).embed_instances(
+    branches = model_mod.ForwardContext(params, entities=entity_matrix).embed_instances(
         instance.structure, [instance.anchors], [instance.relations], args.union,
         collect=collected)
     qe = model_mod.QueryEmbedding(tuple(b[0] for b in branches))
-    entity_matrix = model_mod.realize_all_entities(params)
     scores = model_mod.score_entities(qe, params, entity_matrix)
     top = np.argsort(-scores, kind="stable")[: args.topk]
     for entity in top:
@@ -293,6 +292,10 @@ def cmd_oracle(args) -> int:
 def make_parser() -> _Parser:
     parser = _Parser(prog="skqe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # the flags of _load_inputs
+    inputs.add_argument("--kg", required=True)
+    inputs.add_argument("--ckpt", required=True)
+    inputs.add_argument("--queries", required=True)
 
     p = sub.add_parser("gen-kg", help="generate a synthetic knowledge graph")
     p.add_argument("--entities", type=int, required=True)
@@ -338,36 +341,25 @@ def make_parser() -> _Parser:
     p.add_argument("--checkpoint-every", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="ranking metrics on a query dataset")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("eval", help="ranking metrics on a query dataset", parents=[inputs])
     p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("correlate", help="uncertainty statistic vs answer size")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("correlate", help="uncertainty statistic vs answer size", parents=[inputs])
     p.add_argument("--statistic", choices=("entropy", "width"), default="entropy")
     p.add_argument("--emit-plot-data", help="also write per-query (size, statistic) pairs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("fit-cardinality", help="fit the answer-size head")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("fit-cardinality", help="fit the answer-size head", parents=[inputs])
     p.add_argument("--epochs", type=_positive_int, default=250)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_cardinality)
 
-    p = sub.add_parser("eval-cardinality", help="answer-size error on the held-out half")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--queries", required=True)
+    p = sub.add_parser("eval-cardinality", help="answer-size error on the held-out half",
+                       parents=[inputs])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_cardinality)
 
@@ -400,7 +392,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, SkqeError, OSError) as exc:
+    except (SkqeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -142,10 +142,9 @@ def rank_answers(scores: np.ndarray, filters, targets, rescore=None,
     return ranks.tolist()
 
 
-def rank_hard_answers(qe: QueryEmbedding, sample, params: ModelParams,
-                      entity_matrix: np.ndarray | None = None) -> list[int]:
+def rank_hard_answers(qe: QueryEmbedding, sample, params: ModelParams) -> list[int]:
     """Ranks of the hard answers under the filtered protocol."""
-    scores = model_mod.score_entities(qe, params, entity_matrix)
+    scores = model_mod.score_entities(qe, params)
     return rank_answers(scores[None, :], [set(sample.easy) | set(sample.hard)], [sample.hard])
 
 
@@ -184,15 +183,19 @@ class RankingReport:
         return rows
 
 
-def _embed_structure_batches(params: ModelParams, samples, union_mode: str):
-    """Yield (batch samples, list-of-branch score-ready arrays (B, 2d))."""
+def _embed_structure_batches(params: ModelParams, samples, union_mode: str,
+                             entities: np.ndarray):
+    """Yield (batch samples, list-of-branch score-ready arrays (B, 2d)) for
+    same-structure ``samples``, ``EVAL_BATCH`` at a time. Every batch's
+    inference context gathers its anchors from ``entities``, the realized
+    entity table (``model.realize_all_entities``) of ``params``."""
     structure = samples[0].instance.structure
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start:start + EVAL_BATCH]
         anchors = np.array([s.instance.anchors for s in chunk], dtype=np.int64)
         relations = np.array([s.instance.relations for s in chunk], dtype=np.int64)
-        yield chunk, ForwardContext(params).embed_instances(structure, anchors, relations,
-                                                            union_mode)
+        yield chunk, ForwardContext(params, entities=entities).embed_instances(
+            structure, anchors, relations, union_mode)
 
 
 def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
@@ -320,7 +323,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     report = RankingReport()
     for structure, samples in dataset.by_structure().items():
         ranks: list[int] = []
-        for chunk, branch_values in _embed_structure_batches(params, samples, union_mode):
+        for chunk, branch_values in _embed_structure_batches(params, samples, union_mode,
+                                                             entity_matrix):
             screen = _batch_scores(branch_values, screen_entities)
             tolerance = screen_tolerance(width, max(
                 entity_magnitude, *(float(np.max(np.abs(v))) for v in branch_values)))
@@ -469,19 +473,21 @@ def uncertainty_correlation(statistics: tuple[np.ndarray, np.ndarray, list[str]]
 
 def _dm_embeddings(params: ModelParams, samples) -> np.ndarray:
     """(len(samples), 2d) De Morgan embeddings in sample order, embedded in
-    batches per structure; unions go through De Morgan's law, so each query
-    has one embedding. Its interval statistics need bounds mode."""
+    batches per structure from one realized entity table; unions go through
+    De Morgan's law, so each query has one embedding. Its interval statistics
+    need bounds mode."""
     if params.config.mode != "bounds":
         raise DataError("entropy and width statistics require bounds mode")
     positions: dict[str, list[int]] = {}
     for i, sample in enumerate(samples):
         positions.setdefault(sample.instance.structure, []).append(i)
+    entities = model_mod.realize_all_entities(params)
     values = np.empty((len(samples), 2 * params.config.d))
     for where in positions.values():
         group = [samples[i] for i in where]
         values[where] = np.concatenate([
             branch_values[0]
-            for _, branch_values in _embed_structure_batches(params, group, "dm")
+            for _, branch_values in _embed_structure_batches(params, group, "dm", entities)
         ])
     return values
 

@@ -223,24 +223,6 @@ def _read_triple_file(path: Path, split: str, graph: KnowledgeGraph) -> None:
             graph.add_triple(h, r, t, split)
 
 
-def load_tsv(train_path: str | Path, valid_path: str | Path, test_path: str | Path) -> KnowledgeGraph:
-    """Load a graph from three TSV files, one ``head<TAB>relation<TAB>tail`` per line.
-
-    Ids are assigned in first-appearance order (train file first). Duplicate
-    lines within one file collapse; the same triple in two splits is an error.
-    """
-    graph = KnowledgeGraph(Vocabulary(), Vocabulary())
-    paths = {"train": Path(train_path), "valid": Path(valid_path), "test": Path(test_path)}
-    for split, path in paths.items():
-        if not path.exists():
-            raise DataError(f"missing triple file: {path}")
-    for split in SPLITS:
-        _read_triple_file(paths[split], split, graph)
-    if not graph.triples:
-        raise DataError("empty file set: no triples loaded")
-    return graph
-
-
 def write_tsv(graph: KnowledgeGraph, out_dir: str | Path) -> dict[str, Path]:
     """Write ``train.tsv``/``valid.tsv``/``test.tsv`` with triples sorted by id."""
     out = Path(out_dir)
@@ -258,9 +240,22 @@ def write_tsv(graph: KnowledgeGraph, out_dir: str | Path) -> dict[str, Path]:
 
 
 def load_tsv_dir(kg_dir: str | Path) -> KnowledgeGraph:
-    """Load ``train.tsv``/``valid.tsv``/``test.tsv`` from one directory."""
-    base = Path(kg_dir)
-    return load_tsv(base / "train.tsv", base / "valid.tsv", base / "test.tsv")
+    """Load a graph from ``train.tsv``, ``valid.tsv`` and ``test.tsv`` in one
+    directory, one ``head<TAB>relation<TAB>tail`` per line.
+
+    Ids are assigned in first-appearance order (train file first). Duplicate
+    lines within one file collapse; the same triple in two splits is an error.
+    """
+    graph = KnowledgeGraph(Vocabulary(), Vocabulary())
+    paths = {split: Path(kg_dir) / f"{split}.tsv" for split in SPLITS}
+    for path in paths.values():
+        if not path.exists():
+            raise DataError(f"missing triple file: {path}")
+    for split, path in paths.items():
+        _read_triple_file(path, split, graph)
+    if not graph.triples:
+        raise DataError("empty file set: no triples loaded")
+    return graph
 
 
 def generate_synthetic(

@@ -12,14 +12,19 @@ truths. The forward pass calls the slot operators of ``logic`` and the
 array-generic ``autodiff`` primitives, so training and inference share one
 code path: in training the parameters enter a tape as leaves, and in
 inference they are the plain parameter arrays and the forward pass records
-nothing. Realization (sigmoid, then ordered bounds) is written once in numpy
-(``_realize_parts`` and its pullback ``_realize_backward``). Inference
-realizes the entity rows it needs; scoring against all entities calls
-``realize_all_entities``. Training realizes the whole (N, 2d) entity table
-once per optimizer step: every training context of that step gathers anchors,
-positives and negatives from that table as slot-space leaves and records one
-touch (ids, leaf) per gather. The step folds each task's slot gradients, as
-soon as that task finishes and in touch order, into one zeroed (N, 2d) table
+nothing.
+
+Realization (sigmoid, then ordered bounds) is written once in numpy
+(``_realize_parts`` and its pullback ``_realize_backward``). Every context
+gathers its entity rows from one realized (N, 2d) entity table: the one it is
+given, or ``realize_all_entities`` on its first gather. Realization works
+element by element, so a gathered row equals the realization of that
+parameter row. Evaluation and ``skqe answer`` realize the table once and pass
+it to each context and to scoring. Training realizes it once per optimizer
+step and passes it to every task's context, which gathers anchors, positives
+and negatives from it as slot-space leaves and records one touch (ids, leaf)
+per gather. The step folds each task's slot gradients, as soon as that task
+finishes and in touch order, into one zeroed (N, 2d) table
 (``training._merge_row_grads``) and pulls the touched rows back through the
 realization once, after the last task. ``ForwardContext.realize`` (the Skolem
 output's realization) and the fused training distance
@@ -271,15 +276,16 @@ class ForwardContext:
     In training mode every parameter enters the tape as a leaf and touched
     embedding rows are recorded for sparse updates. In inference mode the
     parameters are the plain arrays, so every operator returns a plain array
-    and the tape stays empty. The context owns its tape: dropping the context
-    frees the tape and all its arrays.
+    and the tape stays empty. Entity rows come from one realized entity table
+    in both modes. The context owns its tape: dropping the context frees the
+    tape and all its arrays.
     """
 
     def __init__(self, params: ModelParams, train: bool = False,
-                 entities: tuple[np.ndarray, np.ndarray] | None = None):
-        """``entities`` is the step's realized entity table, the
-        ``_realize_parts`` pair (sigmoid, slot vectors) of all entity rows; a
-        training context built without one realizes the table on first use."""
+                 entities: np.ndarray | None = None):
+        """``entities`` is the realized (N, 2d) entity table
+        (``realize_all_entities``) that every entity gather reads; a context
+        built without one realizes it on its first gather."""
         self.params = params
         self.config = params.config
         self.tape = ad.Tape()
@@ -299,16 +305,15 @@ class ForwardContext:
         return self._dense[name]
 
     def entity_slots(self, ids: np.ndarray) -> Slots:
-        """Realized slot vectors of entity rows. Training gathers them from
-        the realized entity table into one slot-space leaf and records the
-        touch; inference realizes the parameter rows."""
+        """Realized slot vectors of entity rows, gathered from the realized
+        entity table in both modes. Inference returns the rows; training wraps
+        them in one slot-space leaf and records the touch."""
         ids = np.asarray(ids, dtype=np.int64)
-        if not self.train:
-            return self.realize(self.params.arrays["entity"][ids])
         if self._entities is None:
-            self._entities = _realize_parts(self.params.arrays["entity"], self.config.mode)
-        slots = self.tape.leaf(self._entities[1][ids])
-        self.entity_touches.append((ids, slots))
+            self._entities = realize_all_entities(self.params)
+        slots = self._wrap(self._entities[ids])
+        if self.train:
+            self.entity_touches.append((ids, slots))
         return slots
 
     def relation_rows(self, ids: np.ndarray) -> Slots:
@@ -378,9 +383,9 @@ class ForwardContext:
     # --- embedding-space operators -----------------------------------------
 
     def realize(self, pre: Slots) -> Slots:
-        """Slot vectors from pre-activations (the Skolem MLP's last layer, or
-        entity rows in inference): one primitive over the numpy realization,
-        or that realization itself when ``pre`` is an array."""
+        """Slot vectors from the Skolem MLP's last-layer pre-activations: one
+        primitive over the numpy realization, or that realization itself when
+        ``pre`` is an array."""
         sig, value = _realize_parts(ad.value_of(pre), self.config.mode)
         if not isinstance(pre, ad.Tensor):
             return value

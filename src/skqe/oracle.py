@@ -202,13 +202,6 @@ class QueryDataset:
     def mode(self) -> str:
         return self.metadata.get("mode", "")
 
-    def structures(self) -> tuple[str, ...]:
-        seen = []
-        for sample in self.samples:
-            if sample.instance.structure not in seen:
-                seen.append(sample.instance.structure)
-        return tuple(seen)
-
     def by_structure(self) -> dict[str, list[QuerySample]]:
         grouped: dict[str, list[QuerySample]] = {}
         for sample in self.samples:
@@ -223,23 +216,24 @@ class QueryDataset:
 
 class WalkOrder(NamedTuple):
     """A template's atoms in the order the sampler walks them. Terms are
-    numbered from the target (0) in the order the walk binds them."""
+    numbered from the target (0) in the order the walk binds them; each step
+    binds a new source term and its own relation slot."""
 
-    steps: tuple[tuple[int, int, int], ...]  # (dst term, src term or -1, relation slot or -1)
+    steps: tuple[tuple[int, int, int], ...]  # (dst term, src term, relation slot)
     num_terms: int
     anchors: tuple[int, ...]  # term numbers of the anchor slots
     num_relations: int
-    fresh: bool  # every step binds a new source term and its own relation slot
 
 
 @functools.cache
 def walk_order(template: Template) -> WalkOrder:
     """Work out once per template the order in which the inverse walk visits
     its atoms: in passes over the pending atoms, each atom whose destination
-    is already bound, in template order. A step binds its source term and
-    its relation slot only where no earlier step did; a later atom through a
-    bound slot still draws an edge but keeps the slot's first relation.
-    Raises DataError when the atoms are not a DAG rooted at the target."""
+    is already bound, in template order. Each step binds its atom's source
+    term and relation slot. Raises DataError when the atoms are not a DAG
+    rooted at the target, or when a step would bind a term or a relation
+    slot that an earlier step bound (no template in ``algebra.TEMPLATES``
+    has such an atom)."""
     number = {algebra.TARGET_TERM: 0}
     walked: set[int] = set()
     steps = []
@@ -249,28 +243,33 @@ def walk_order(template: Template) -> WalkOrder:
         for atom in list(pending):
             if atom.dst not in number:
                 continue
+            if atom.src in number or atom.relation in walked:
+                raise DataError(f"template {template.name}: atom {atom.src} -> {atom.dst} "
+                                f"rebinds a term or reuses relation slot {atom.relation}")
             pending.remove(atom)
             progressed = True
-            src = slot = -1
-            if atom.src not in number:
-                src = number[atom.src] = len(number)
-            if atom.relation not in walked:
-                slot = atom.relation
-                walked.add(slot)
-            steps.append((number[atom.dst], src, slot))
+            number[atom.src] = len(number)
+            walked.add(atom.relation)
+            steps.append((number[atom.dst], number[atom.src], atom.relation))
         if not progressed:
             raise DataError(f"template {template.name} atoms are not a DAG")
     anchors = tuple(number[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors])
-    fresh = all(src >= 0 and slot >= 0 for _, src, slot in steps)
-    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations, fresh)
+    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations)
 
 
 def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
-                 index: AdjacencyIndex, walked: bool) -> np.ndarray:
+                 index: AdjacencyIndex) -> np.ndarray:
     """An upper bound on ``len(eval_plan(plan, anchors[:, j], relations[:, j],
     index))`` for every column j of the int64 arrays ``anchors`` (one row per
     anchor slot) and ``relations`` (one row per relation slot): float64, inf
     where there is no bound.
+
+    Precondition: every column is an inverse walk of the plan's template on
+    ``index`` (``_walk_batch``), so each step bound a new source term and its
+    own relation slot (``walk_order``). Then each Anchor holds its walked
+    entity, and a Relate of a positive input that holds its entity holds its
+    own, since the walk drew an edge of that relation from one to the other.
+    For other bindings the bound can fall below the answer-set size.
 
     One forward pass over the nodes keeps, for each node, a bound on the size
     of its set as ``eval_plan`` holds it (complements stay lazy), the
@@ -288,14 +287,6 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
       from the result;
     - a Conjoin of complemented inputs only, a Disjoin or a complemented last
       node not at all.
-
-    ``walked`` says that every column is an inverse walk of the plan's
-    template whose steps each bound a new source term and its own relation
-    slot (``WalkOrder.fresh``). Then each Anchor holds its walked entity, and
-    a Relate of a positive input that holds its entity holds its own, since
-    the walk drew an edge of that relation from one to the other. Without
-    ``walked`` no set holds one and nothing is subtracted, so the bound holds
-    for any bindings.
     """
     columns = anchors.shape[1]
     unbounded = np.full(columns, np.inf)
@@ -303,7 +294,7 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
     values: list[tuple[np.ndarray, bool, bool]] = []
     for node in plan.nodes:
         if isinstance(node, Anchor):
-            values.append((np.ones(columns), False, walked))
+            values.append((np.ones(columns), False, True))
         elif isinstance(node, Relate):
             bound, complemented, held = values[node.input]
             source = plan.nodes[node.input]
@@ -351,20 +342,20 @@ def _walk_batch(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
     column per attempt. Row 0 picks the answer, ``tails[floor(u * len(tails))]``;
     row s + 1 picks step s's edge, ``floor(u * deg)`` among the ``deg`` rows of
     the walk table into that step's destination (floor(u * deg) < deg for
-    every u < 1 in float64). A step binds its source term to the edge's head
-    and its relation slot to the edge's relation where ``order`` says so. An
+    every u < 1 in float64). Each step binds its source term to the edge's
+    head and its relation slot to the edge's relation (``walk_order``). An
     attempt dies at a destination without incoming edges; its later steps
     walk from a stand-in edge, so no index leaves the table, and their
     bindings are ignored. Negated atoms are walked like positive ones so the
     sampled negation is informative (it actually excludes the walked entity).
     So the walked entity is never an answer of a conjunction with a negated
     input, and its positive part needs a second member: where
-    ``answer_bound(plan, ...)`` (the structure's ``plan``, with
-    ``order.fresh``) is below 1 the answer set on ``index`` is empty and the
-    attempt is marked dead as well. Every mode's first filter answers on the
-    walked index, so such an attempt would have been rejected after an
-    ``eval_plan``; pruning it changes neither a dataset nor its attempt
-    counts.
+    ``answer_bound(plan, ...)`` (the structure's ``plan``; the columns are
+    inverse walks, as it requires) is below 1 the answer set on ``index`` is
+    empty and the attempt is marked dead as well. Every mode's first filter
+    answers on the walked index, so such an attempt would have been rejected
+    after an ``eval_plan``; pruning it changes neither a dataset nor its
+    attempt counts.
     """
     offsets, heads, rels = index.walk_table
     tails = index.tails
@@ -379,12 +370,10 @@ def _walk_batch(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
         has_edge = degree > 0
         alive &= has_edge
         edge = np.where(has_edge, start + (u * degree).astype(np.int64), 0)
-        if src >= 0:
-            terms[src] = heads[edge]
-        if slot >= 0:
-            relations[slot] = rels[edge]
+        terms[src] = heads[edge]
+        relations[slot] = rels[edge]
     anchors = terms[list(order.anchors)]
-    alive &= answer_bound(plan, anchors, relations, index, order.fresh) >= 1
+    alive &= answer_bound(plan, anchors, relations, index) >= 1
     return WalkBatch(anchors.T.tolist(), relations.T.tolist(), alive.tolist())
 
 

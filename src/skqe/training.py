@@ -342,7 +342,8 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
 
     The (N, 2d) entity table is realized once (``model._realize_parts``) and
     shared by every task's context, which gathers anchors, positives and
-    negatives from it and hands back slot-space gradients per touched row.
+    negatives from it and hands back slot-space gradients per touched row;
+    the step keeps the table's sigmoid for the pullback.
     The step's zeroed entity and relation gradient tables and their touched
     masks exist from the start; as each task finishes, in task order,
     ``_merge_row_grads`` folds its touches into them in touch order, dense
@@ -358,7 +359,7 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     """
     batch_size = sum(len(rows) for _, rows, _, _ in tasks)
     mode = params.config.mode
-    entities = model_mod._realize_parts(params.arrays["entity"], mode)
+    sig, entities = model_mod._realize_parts(params.arrays["entity"], mode)
     tables = {name: np.zeros_like(params.arrays[name]) for name in ("entity", "relation")}
     touched = {name: np.zeros(len(table), dtype=bool) for name, table in tables.items()}
 
@@ -399,7 +400,7 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         ids = np.flatnonzero(touched[name])
         grads = table[ids]
         if name == "entity":
-            grads = model_mod._realize_backward(grads, entities[0][ids], mode)
+            grads = model_mod._realize_backward(grads, sig[ids], mode)
         optimizer.update_rows(name, params.arrays[name], ids, grads)
     return loss, 1.0 - np.concatenate(pos_dists), 1.0 - np.concatenate(neg_dists), repairs
 
@@ -413,9 +414,8 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     ``generalization``) may only contain the ten training structures; the
     held-out compositional forms stay unseen. Deterministic for a fixed seed.
     """
-    structures = dataset.structures()
     if dataset.mode in ("train", "generalization"):
-        illegal = [s for s in structures if s not in algebra.TRAIN_STRUCTURES]
+        illegal = [s for s in dataset.by_structure() if s not in algebra.TRAIN_STRUCTURES]
         if illegal:
             raise DataError(
                 f"structures {illegal} are evaluation-only and cannot be trained "

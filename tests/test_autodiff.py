@@ -128,9 +128,9 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(out.value, [-800.0, 0.0])
         np.testing.assert_allclose(x.grad, [1.0, 0.0])
 
-    @pytest.mark.parametrize("axis,keepdims", [(0, False), (1, False), (1, True), (2, False)])
-    def test_mean_axis(self, axis, keepdims):
-        check_gradients(lambda a: ad.mean_axis(a, axis, keepdims), _rng(1).normal(size=(2, 3, 4)))
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_mean_axis(self, axis):
+        check_gradients(lambda a: ad.mean_axis(a, axis), _rng(1).normal(size=(2, 3, 4)))
 
     @pytest.mark.parametrize("op", [ad.sum_all, ad.mean_all])
     def test_full_reductions(self, op):
@@ -286,8 +286,8 @@ class TestFusedEntityDistance:
         tiles(ids.shape)
         equal = np.zeros(32, dtype=bool)
         equal[::3] = True
-        table = model._realize_parts(params.arrays["entity"], mode)
-        query = table[1][ids[:, 0]].copy()
+        table = model.realize_all_entities(params)
+        query = table[ids[:, 0]].copy()
         query[:, ~equal] = np.clip(query[:, ~equal] + 0.1, 0.0, 1.0)
         ctx = ForwardContext(params, train=True, entities=table)
         branch = ctx.tape.leaf(query)
@@ -374,13 +374,13 @@ class TestFusedEntityDistance:
 
         monkeypatch.setattr(model, "_realize_parts", recording)
         query = _rng(15).uniform(0.0, 1.0, (5, 32))
-        table = realize_parts(params.arrays["entity"], "bounds")
+        table = realize_parts(params.arrays["entity"], "bounds")[1]
         given = ForwardContext(params, train=True, entities=table)
         out = given.entity_distance(ids, [given.tape.leaf(query)])
         ad.backward(ad.sum_all(out))
         assert seen == []  # a given table is only gathered from
         (touched, rows), = given.entity_touches
-        np.testing.assert_array_equal(rows.value, table[1][np.unique(ids)])
+        np.testing.assert_array_equal(rows.value, table[np.unique(ids)])
 
         own = ForwardContext(params, train=True)
         for _ in range(2):

@@ -63,7 +63,8 @@ class TestBlockedScorer:
         params = _params(graph, mode)
         entity_matrix = model.realize_all_entities(params)
         samples = dataset.by_structure()[structure]
-        ((_, branch_values),) = evaluation._embed_structure_batches(params, samples, "dnf")
+        ((_, branch_values),) = evaluation._embed_structure_batches(params, samples, "dnf",
+                                                                    entity_matrix)
         assert len(branch_values) == branches and branch_values[0].shape[0] == 10
         width = entity_matrix.shape[1]
         # 40 float32 (row, entity) pairs in each of the two buffers: 8-row by

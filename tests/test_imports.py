@@ -2,12 +2,14 @@
 
 A module's import is used when its bound name appears as a name anywhere in
 the module (attribute roots such as ``np`` in ``np.zeros`` included).
-``__init__`` re-exports and ``from __future__`` imports are exempt. Every
-import sits at module level, so the imports between ``skqe`` modules form a
-graph, and that graph has no cycle.
+``from __future__`` imports are exempt, and the package root, which imports
+nothing, has a test of its own. Every import sits at module level, so the
+imports between ``skqe`` modules form a graph, and that graph has no cycle.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +136,19 @@ def test_guard_sees_an_import_cycle():
     assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}}
     assert find_cycle(graph) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_package_root_binds_its_version_and_nothing_else():
+    """``import skqe`` in a fresh interpreter loads none of the package's
+    modules and binds ``__version__`` and no re-exported name. The package
+    comes from this checkout's ``src``, as ``perfbench/run.py`` checks."""
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import skqe; "
+              "print(skqe.__file__); print(skqe.__version__); "
+              "print(sorted(n for n in vars(skqe) if not n.startswith('__'))); "
+              "print(sorted(m for m in sys.modules if m.startswith('skqe.')))")
+    done = subprocess.run([sys.executable, "-I", "-c", script, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True)
+    path, version, names, modules = done.stdout.splitlines()
+    assert Path(path).resolve().is_relative_to(PACKAGE.parent)
+    assert version == "0.1.0"
+    assert names == modules == "[]"

@@ -14,7 +14,7 @@ class TestLoadTsv:
         write_lines(tmp_path / "train.tsv", ["a\tr\tb", "a\tr\tc", "b\tq\td"])
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", [])
-        graph = kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+        graph = kg.load_tsv_dir(tmp_path)
         assert graph.num_entities == 4
         assert graph.num_relations == 2
         assert graph.split_counts() == {"train": 3, "valid": 0, "test": 0}
@@ -23,7 +23,7 @@ class TestLoadTsv:
         write_lines(tmp_path / "train.tsv", ["x\tr\ty", "y\tr\tz"])
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", [])
-        graph = kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+        graph = kg.load_tsv_dir(tmp_path)
         assert [graph.entities.name_of(i) for i in range(3)] == ["x", "y", "z"]
 
     def test_duplicate_across_splits_rejected(self, tmp_path):
@@ -31,13 +31,13 @@ class TestLoadTsv:
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", ["a\tr\tb"])
         with pytest.raises(DataError, match="multiple splits"):
-            kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+            kg.load_tsv_dir(tmp_path)
 
     def test_duplicate_within_file_collapses(self, tmp_path):
         write_lines(tmp_path / "train.tsv", ["a\tr\tb", "a\tr\tb"])
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", [])
-        graph = kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+        graph = kg.load_tsv_dir(tmp_path)
         assert len(graph.triples) == 1
 
     def test_malformed_line_reports_position(self, tmp_path):
@@ -45,19 +45,25 @@ class TestLoadTsv:
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", [])
         with pytest.raises(DataError, match="train.tsv:2"):
-            kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+            kg.load_tsv_dir(tmp_path)
 
     def test_empty_file_set_rejected(self, tmp_path):
         for name in ("train.tsv", "valid.tsv", "test.tsv"):
             write_lines(tmp_path / name, [])
         with pytest.raises(DataError, match="empty"):
-            kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+            kg.load_tsv_dir(tmp_path)
+
+    def test_missing_file_rejected_before_any_is_read(self, tmp_path):
+        write_lines(tmp_path / "train.tsv", ["bad line"])
+        write_lines(tmp_path / "test.tsv", [])
+        with pytest.raises(DataError, match="missing triple file: .*valid.tsv"):
+            kg.load_tsv_dir(tmp_path)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         write_lines(tmp_path / "train.tsv", ["# header", "", "a\tr\tb"])
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", [])
-        graph = kg.load_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv")
+        graph = kg.load_tsv_dir(tmp_path)
         assert len(graph.triples) == 1
 
 

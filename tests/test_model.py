@@ -70,6 +70,56 @@ class TestInferenceMatchesTraining:
                 np.testing.assert_array_equal(got, want.value[0], err_msg=structure)
 
 
+class TestOneEntityTable:
+    """Every context gathers entity rows from one realized (N, 2d) table: the
+    one it is given or its own, realized on its first gather. Realization
+    works element by element, so every path gives the bytes of realizing the
+    gathered parameter rows."""
+
+    @pytest.mark.parametrize("mode", model.MODES)
+    @pytest.mark.parametrize("shape", [(7,), (5, 9)], ids=["B", "BxK"])
+    def test_entity_slots_are_the_same_bytes_in_every_path(self, mode, shape):
+        params = _params(mode)
+        ids = np.random.default_rng(3).integers(0, 60, shape)
+        ids.reshape(-1)[:2] = (59, 0)  # the last and the first row
+        want = model._realize_parts(params.arrays["entity"][ids], mode)[1]
+        table = model.realize_all_entities(params)
+        for train in (False, True):
+            for ctx in (ForwardContext(params, train, table), ForwardContext(params, train)):
+                got = ctx.entity_slots(ids)
+                assert isinstance(got, ad.Tensor) == train
+                assert ad.value_of(got).tobytes() == want.tobytes()
+                assert len(ctx.entity_touches) == train
+
+    @pytest.mark.parametrize("mode", model.MODES)
+    @pytest.mark.parametrize("union", algebra.UNION_MODES)
+    def test_embeddings_on_a_passed_table_equal_the_other_paths(self, mode, union,
+                                                                monkeypatch):
+        params = _params(mode)
+        table = model.realize_all_entities(params)
+        realized, realize_parts = [], model._realize_parts
+
+        def recording(rows, mode):
+            realized.append(rows.shape[0])
+            return realize_parts(rows, mode)
+
+        monkeypatch.setattr(model, "_realize_parts", recording)
+        rng = np.random.default_rng(4)
+        for structure in algebra.STRUCTURE_NAMES:
+            template = algebra.TEMPLATES[structure]
+            anchors = rng.integers(0, 60, (5, template.num_anchors))
+            relations = rng.integers(0, 4, (5, template.num_relations))
+            passed = ForwardContext(params, entities=table).embed_instances(
+                structure, anchors, relations, union)
+            assert set(realized) == {5}, structure  # Skolem outputs, never the table
+            lazy = ForwardContext(params).embed_instances(structure, anchors, relations, union)
+            trained = ForwardContext(params, True, table).embed_instances(
+                structure, anchors, relations, union)
+            for got, own, tape in zip(passed, lazy, trained, strict=True):
+                assert got.tobytes() == own.tobytes() == tape.value.tobytes(), structure
+            realized.clear()
+
+
 class TestSlotBinding:
     """The plan walk binds anchor and relation slots by position: compare it
     with the operators composed by hand on explicit ids."""
@@ -454,7 +504,7 @@ class TestSlotPlans:
                     assert cli.main([command, "--kg", str(tmp_path / "kg"), *extra,
                                      "--query", query]) == cli.EXIT_OK
             assert capsys.readouterr().out
-            assert set(datasets["entailment"].structures()) == set(algebra.STRUCTURE_NAMES)
+            assert set(datasets["entailment"].by_structure()) == set(algebra.STRUCTURE_NAMES)
             assert compiled == Counter({s: 1 for s in algebra.STRUCTURE_NAMES})
         finally:
             algebra.structure_plan.cache_clear()

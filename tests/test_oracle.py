@@ -250,6 +250,28 @@ class TestWalkOrder:
         template = algebra.TEMPLATES["pni"]
         assert oracle.walk_order(template) is oracle.walk_order(template)
 
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_every_step_binds_a_new_term_and_its_own_slot(self, structure):
+        template = algebra.TEMPLATES[structure]
+        order = oracle.walk_order(template)
+        sources = [src for _, src, _ in order.steps]
+        slots = [slot for _, _, slot in order.steps]
+        assert sources == list(range(1, order.num_terms))
+        assert sorted(slots) == sorted({atom.relation for atom in template.atoms})
+
+    @pytest.mark.parametrize("template", [
+        # the second atom walks relation slot 0 again
+        algebra.Template("shared-slot", 2, 1, (
+            algebra.Atom(False, 0, "a", "T"), algebra.Atom(True, 0, "b", "T"))),
+        # the third atom binds the anchor term that the first one bound
+        algebra.Template("bound-term", 1, 3, (
+            algebra.Atom(False, 0, "a", "T"), algebra.Atom(False, 1, "V", "T"),
+            algebra.Atom(True, 2, "a", "V"))),
+    ], ids=lambda template: template.name)
+    def test_a_step_through_a_bound_term_or_slot_is_refused(self, template):
+        with pytest.raises(DataError, match="rebinds a term or reuses relation slot"):
+            oracle.walk_order(template)
+
     def test_cycle_is_not_a_dag(self):
         template = algebra.Template("cycle", 1, 3, (
             algebra.Atom(False, 0, "a", "T"),
@@ -273,10 +295,10 @@ class TestAnswerBound:
         return kg.build_index(graph)
 
     @staticmethod
-    def bounds(plan, instances, index, walked=False) -> np.ndarray:
+    def bounds(plan, instances, index) -> np.ndarray:
         anchors = np.array([i.anchors for i in instances], dtype=np.int64).T
         relations = np.array([i.relations for i in instances], dtype=np.int64).T
-        return oracle.answer_bound(plan, anchors, relations, index, walked)
+        return oracle.answer_bound(plan, anchors, relations, index)
 
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",), ("valid",)],
                              ids=["full", "train", "valid"])
@@ -300,16 +322,15 @@ class TestAnswerBound:
     def test_rules_on_a_small_graph(self):
         index = self.awards_index()
 
-        def bound(structure, anchors, relations, walked=True, plan=None):
+        def bound(structure, anchors, relations, plan=None):
             plan = plan or algebra.structure_plan(structure)
-            return self.bounds(plan, [QueryInstance(structure, anchors, relations)], index,
-                               walked).tolist()
+            return self.bounds(plan, [QueryInstance(structure, anchors, relations)],
+                               index).tolist()
 
         assert bound("1p", (0,), (0,)) == [2.0]
         assert bound("2i", (0, 1), (0, 0)) == [1.0]
         # {x, y} less the walked entity y, which award2's negated edge reaches
         assert bound("2in", (0, 1), (0, 0)) == [1.0]
-        assert bound("2in", (0, 1), (0, 0), walked=False) == [2.0]
         assert bound("2in", (1, 0), (0, 0)) == [0.0]
         assert bound("2p", (2,), (0, 0)) == [0.0]  # x wins nothing
         assert bound("2p", (0,), (0, 0)) == [np.inf]
@@ -321,8 +342,7 @@ class TestAnswerBound:
 
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
-    def test_bound_covers_every_live_walk_and_random_instance(self, structure, splits,
-                                                              small_graph):
+    def test_bound_covers_every_live_walk(self, structure, splits, small_graph):
         index = kg.build_index(small_graph, splits)
         template, plan = algebra.TEMPLATES[structure], algebra.structure_plan(structure)
         order = oracle.walk_order(template)
@@ -335,7 +355,7 @@ class TestAnswerBound:
                                              incoming, iter(column[1:]))
                      for column in draws.T.tolist()]
             live = [walk for walk in walks if walk is not None]
-            bound = self.bounds(plan, live, index, walked=order.fresh)
+            bound = self.bounds(plan, live, index)
             sizes = [len(oracle.eval_plan(plan, w.anchors, w.relations, index)) for w in live]
             assert (bound >= sizes).all()
             # the batch keeps exactly the live walks bounded by 1 or more
@@ -345,10 +365,6 @@ class TestAnswerBound:
             for i, walk in enumerate(walks):
                 if batch.alive[i]:
                     assert oracle._walk_instance(batch, i) == (walk.anchors, walk.relations)
-        instances = [random_instance(structure, rng, 50, 3) for _ in range(200)]
-        bound = self.bounds(plan, instances, index)
-        sizes = [len(answers(instance, index)) for instance in instances]
-        assert (bound >= sizes).all()
 
     @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
     def test_pruning_skips_a_third_of_the_attempts_and_counts_them(self, mode, small_graph,
@@ -378,16 +394,6 @@ class TestAnswerBound:
             # a pruned attempt is one the reference evaluated once and rejected
             pruned = reference_evals[structure] - evals[structure]
             assert pruned >= attempts[structure] / 3, structure
-
-    def test_a_step_through_a_bound_term_or_slot_is_not_fresh(self):
-        assert all(oracle.walk_order(t).fresh for t in algebra.TEMPLATES.values())
-        Atom = algebra.Atom
-        shared_slot = algebra.Template("shared-slot", 2, 1, (
-            Atom(False, 0, "a", "T"), Atom(True, 0, "b", "T")))
-        bound_term = algebra.Template("bound-term", 1, 3, (
-            Atom(False, 0, "a", "T"), Atom(False, 1, "V", "T"), Atom(True, 2, "a", "V")))
-        for template in (shared_slot, bound_term):
-            assert not oracle.walk_order(template).fresh, template.name
 
 
 class TestExhaustiveEquivalence:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from skqe import algebra, evaluation, kg, oracle, training  # noqa: E402
+from skqe import algebra, evaluation, kg, model, oracle, training  # noqa: E402
 from skqe.model import ModelParams  # noqa: E402
 
 SMALL_TRAIN = dict(d=16, h=32, batch_size=64, negatives=32, steps=15, seed=5, log_every=1)
@@ -112,6 +112,26 @@ def runs():
             graph(), dataset(), **config)
 
     generalization = lambda: sampled(big_graph, every, 200, 401, "generalization")
+
+    def one_query():
+        """Each structure's first query embedded alone, as ``skqe answer``
+        does: ``model.embed_instance``'s branches, then every node value that
+        ``collect`` returns, under dnf and dm."""
+        h = hashlib.sha256()
+        params, samples = seeded_params(), generalization().by_structure()
+        for union in ("dnf", "dm"):
+            for structure in every:
+                instance = samples[structure][0].instance
+                for branch in model.embed_instance(instance, params, union).branches:
+                    h.update(branch.tobytes())
+                collected = []
+                model.ForwardContext(params).embed_instances(
+                    structure, [instance.anchors], [instance.relations], union, collected)
+                for _, values in collected:
+                    for value in values:
+                        h.update(value.tobytes())
+        return _hex(h)
+    yield "one-query embeddings / intermediates dnf+dm", one_query
     for union in ("dnf", "dm"):
         def ranks(union=union):
             report = evaluation.evaluate_ranking(generalization(), seeded_params(), union)

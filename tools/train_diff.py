@@ -29,8 +29,10 @@ import numpy as np
 
 TOOLS = Path(__file__).resolve().parent
 
-# Imports the chosen side's skqe before digests.py puts this checkout's src
-# on the path; the package already imported is the one digests.py then uses.
+# Imports the chosen side's skqe package before digests.py puts this
+# checkout's src on the path. The package root imports no module, but every
+# later ``from skqe import m`` finds the package in sys.modules and loads m
+# through its ``__path__``, so digests.py runs the chosen side's modules.
 _SIDE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -42,10 +44,9 @@ train_diff.dump_runs(sys.argv[3])
 
 
 def dump_runs(path) -> None:
-    """Pickle {run name: (losses, parameter arrays)} and the imported
-    package's path to ``path``."""
+    """Pickle {run name: (losses, parameter arrays)} and the path of the
+    ``skqe.training`` module that ran them to ``path``."""
     import digests
-    import skqe
     from skqe import training
 
     logging.basicConfig(level=logging.ERROR)  # sampler shortfalls are expected here
@@ -54,7 +55,7 @@ def dump_runs(path) -> None:
         params, records = training.train(graph(), dataset(), training.TrainConfig(**config))
         runs[name] = ([r.loss for r in records], params.arrays)
     with open(path, "wb") as handle:
-        pickle.dump((skqe.__file__, runs), handle)
+        pickle.dump((training.__file__, runs), handle)
 
 
 def run_side(checkout: Path) -> dict:
@@ -64,9 +65,9 @@ def run_side(checkout: Path) -> dict:
         subprocess.run([sys.executable, "-c", _SIDE, str(src), str(TOOLS), str(out)],
                        check=True)
         with open(out, "rb") as handle:
-            package, runs = pickle.load(handle)
-    if Path(package).resolve().parent.parent != src:
-        raise RuntimeError(f"expected skqe from {src}, imported {package}")
+            module, runs = pickle.load(handle)
+    if Path(module).resolve().parent.parent != src:
+        raise RuntimeError(f"expected skqe.training from {src}, imported {module}")
     return runs
 
 
