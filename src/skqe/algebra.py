@@ -91,7 +91,6 @@ TEMPLATES: dict[str, Template] = {
 STRUCTURE_NAMES = tuple(TEMPLATES)
 EPFO_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "pi", "ip", "2u", "up")
 NEGATION_STRUCTURES = ("2in", "3in", "pin", "pni", "inp")
-UNION_STRUCTURES = ("2u", "up")
 TRAIN_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "2in", "3in", "inp", "pin", "pni")
 UNION_MODES = ("dnf", "dm")
 

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, evaluation, model as model_mod, oracle as oracle_mod
+from . import algebra, cardinality, evaluation, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams
 from .oracle import QueryDataset, read_dataset, requested_count, sample_dataset, write_dataset
-from .training import TrainConfig, train, train_cardinality_head, write_train_log
+from .training import TrainConfig, train, write_train_log
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,18 +103,10 @@ def build_train_config(args) -> TrainConfig:
             if key not in fields:
                 raise DataError(f"{where}: unknown config key {key!r}")
             values[key] = _coerce(fields[key], text, where)
-    overrides = {
-        "d": args.d, "h": args.h, "gamma": args.gamma, "negatives": args.negatives,
-        "batch_size": args.batch_size, "steps": args.steps, "lr": args.lr,
-        "seed": args.seed, "kind": args.tnorm, "mode": args.mode,
-        "union": args.union, "log_every": args.log_every,
-        "checkpoint_every": args.checkpoint_every,
-    }
-    if args.attention is not None:
-        overrides["attention"] = args.attention == "on"
-    for key, value in overrides.items():
+    for key in fields:  # each flag's dest is the field it sets
+        value = getattr(args, key, None)
         if value is not None:
-            values[key] = value
+            values[key] = value == "on" if key == "attention" else value
     return TrainConfig(**values)
 
 
@@ -211,28 +203,36 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
+def _print_cardinality(r: dict) -> None:
+    print(f"answer-size MAE: train {r['train_mae_pct']:.1f}% ({r['train_count']} queries), "
+          f"test {r['test_mae_pct']:.1f}% ({r['test_count']} queries)")
+    print(f"test-half baselines: best constant {r['constant']:g}, {r['constant_mae_pct']:.1f}%; "
+          f"|easy| floored at 1, {r['easy_mae_pct']:.1f}%")
+
+
 def cmd_fit_cardinality(args) -> int:
     params, dataset = _load_inputs(args)
-    fitted, report = train_cardinality_head(params, dataset, args.epochs, args.lr)
-    fitted.extra["cardinality_fit"] = report
+    features = cardinality.features(params, dataset.samples)  # the query model stays frozen
+    fitted = cardinality.fit(params, dataset, features, args.epochs, args.lr)
+    report = cardinality.report(fitted, dataset, features)
+    fitted.extra["cardinality_fit"] = {**report, "epochs": args.epochs}
     fitted.save(args.out)
-    print(f"fit cardinality head on {report['train_count']} queries "
-          f"({report['epochs']} epochs): train MAE {100 * report['train_mae']:.1f}%, "
-          f"test MAE {100 * report['test_mae']:.1f}%")
+    _print_cardinality(report)
     print(f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def cmd_eval_cardinality(args) -> int:
     params, dataset = _load_inputs(args)
-    result = evaluation.cardinality_test_half(dataset, params)
+    report = cardinality.report(params, dataset, cardinality.features(params, dataset.samples))
     rows = [(s, "cardinality_mae_pct", mae, count)
-            for s, (mae, count) in sorted(result["per_structure"].items())]
-    rows.append(("all", "cardinality_mae_pct", result["test_mae"], result["test_count"]))
-    rows.append(("all", "baseline_mae_pct", result["baseline_mae"], result["test_count"]))
+            for s, (mae, count) in sorted(report["per_structure"].items())]
+    rows += [("all", "cardinality_mae_pct", report["test_mae_pct"], report["test_count"]),
+             ("all", "train_cardinality_mae_pct", report["train_mae_pct"], report["train_count"]),
+             ("all", "best_constant_mae_pct", report["constant_mae_pct"], report["test_count"]),
+             ("all", "easy_mae_pct", report["easy_mae_pct"], report["test_count"])]
     evaluation.write_metric_csv(rows, args.out)
-    print(f"test-half MAE {result['test_mae']:.1f}% "
-          f"(constant-mean baseline {result['baseline_mae']:.1f}%)")
+    _print_cardinality(report)
     print(f"metrics written to {args.out}")
     return EXIT_OK
 
@@ -333,7 +333,7 @@ def make_parser() -> _Parser:
     p.add_argument("--steps", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tnorm", choices=("min", "prod", "luk"))
+    p.add_argument("--tnorm", dest="kind", choices=("min", "prod", "luk"))
     p.add_argument("--attention", choices=("on", "off"))
     p.add_argument("--mode", choices=("bounds", "point"))
     p.add_argument("--union", choices=("dnf", "dm"))

@@ -1,4 +1,4 @@
-"""Ranking metrics, uncertainty correlations, and answer-size error.
+"""Ranking metrics and uncertainty correlations.
 
 Filtered ranking runs in two stages per embedded batch, with the same ranks
 as exact scoring. ``_batch_scores`` screens every entity against the batch's
@@ -11,13 +11,11 @@ one exact scoring formula (``model.score_entities`` scores a whole table with
 it). Both stages keep their working set within about ``SCORE_BLOCK_BYTES``
 besides the ``(B, N)`` screen.
 
-Uncertainty statistics and the size head's features come from one De Morgan
-pass (``_dm_embeddings``); the hash split of the size head's train and test
-halves (``split_by_hash``) lives here too."""
+Each uncertainty statistic comes from one De Morgan pass (``dm_embeddings``),
+which also feeds the answer-size head's entropy features."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -409,14 +407,12 @@ class UncertaintyReport:
     statistic: str
     per_structure: dict[str, CorrelationStats] = field(default_factory=dict)
 
-    def average(self, structures=None) -> tuple[float, float]:
-        names = [s for s in (structures or self.per_structure) if s in self.per_structure]
-        if not names:
+    def average(self) -> tuple[float, float]:
+        if not self.per_structure:
             raise DataError("no structures to average")
-        return (
-            float(np.mean([self.per_structure[s].spearman for s in names])),
-            float(np.mean([self.per_structure[s].pearson for s in names])),
-        )
+        stats = self.per_structure.values()
+        return (float(np.mean([s.spearman for s in stats])),
+                float(np.mean([s.pearson for s in stats])))
 
     def to_rows(self) -> list[tuple[str, str, float, int]]:
         rows = []
@@ -442,7 +438,7 @@ def query_statistics(dataset: QueryDataset, params: ModelParams,
     if statistic not in ("entropy", "width"):
         raise DataError(f"unknown statistic {statistic!r} (want entropy or width)")
     samples = [s for group in dataset.by_structure().values() for s in group]
-    values = _dm_embeddings(params, samples)
+    values = dm_embeddings(params, samples)
     if statistic == "entropy":
         stats = np.sum(logic.entropy_slots(values), axis=1)
     else:
@@ -471,7 +467,7 @@ def uncertainty_correlation(statistics: tuple[np.ndarray, np.ndarray, list[str]]
     return report
 
 
-def _dm_embeddings(params: ModelParams, samples) -> np.ndarray:
+def dm_embeddings(params: ModelParams, samples) -> np.ndarray:
     """(len(samples), 2d) De Morgan embeddings in sample order, embedded in
     batches per structure from one realized entity table; unions go through
     De Morgan's law, so each query has one embedding. Its interval statistics
@@ -490,64 +486,6 @@ def _dm_embeddings(params: ModelParams, samples) -> np.ndarray:
             for _, branch_values in _embed_structure_batches(params, group, "dm", entities)
         ])
     return values
-
-
-def cardinality_features(params: ModelParams, samples) -> np.ndarray:
-    """Entropy vector of each sample's De Morgan embedding, in sample order."""
-    return logic.entropy_slots(_dm_embeddings(params, samples))
-
-
-def _mae_by_structure(samples, errors) -> dict[str, tuple[float, int]]:
-    by_structure: dict[str, list[float]] = {}
-    for sample, error in zip(samples, errors):
-        by_structure.setdefault(sample.instance.structure, []).append(error)
-    return {
-        structure: (100.0 * float(np.mean(errors)), len(errors))
-        for structure, errors in by_structure.items()
-    }
-
-
-def query_sort_key(sample) -> str:
-    """Stable digest used to split datasets deterministically."""
-    inst = sample.instance
-    text = f"{inst.structure}|{','.join(map(str, inst.anchors))}|{','.join(map(str, inst.relations))}"
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def split_by_hash(dataset: QueryDataset) -> tuple[list[int], list[int]]:
-    """1:1 train/test split (count-exact to one query) ordered by query hash."""
-    order = sorted(range(len(dataset.samples)),
-                   key=lambda i: (query_sort_key(dataset.samples[i]), i))
-    half = (len(order) + 1) // 2
-    return order[:half], order[half:]
-
-
-def cardinality_halves(dataset: QueryDataset) -> tuple[list[int], list[int]]:
-    """The size head's hash split: the train half, and the test half without
-    its zero-answer queries. Such a query has no relative error, so the fit
-    report and ``cardinality_test_half`` both skip it."""
-    train_idx, test_idx = split_by_hash(dataset)
-    test_idx = [i for i in test_idx if dataset.samples[i].answers]
-    if not test_idx:
-        raise DataError("no test-half query with a nonempty answer set")
-    return train_idx, test_idx
-
-
-def cardinality_test_half(dataset: QueryDataset, params: ModelParams):
-    """MAE on the hash-test half plus the constant-mean-predictor baseline.
-
-    Both skip zero-answer test queries; ``test_count`` counts the rest.
-    """
-    train_idx, test_idx = cardinality_halves(dataset)
-    sizes = np.array([len(s.answers) for s in dataset.samples], dtype=np.float64)
-    test = [dataset.samples[i] for i in test_idx]
-    test_sizes = sizes[test_idx]
-    predictions = ForwardContext(params).cardinality(cardinality_features(params, test))
-    errors = np.abs(predictions - test_sizes) / test_sizes
-    mean_size = float(np.mean(sizes[train_idx]))
-    baseline = 100.0 * float(np.mean(np.abs(mean_size - test_sizes) / test_sizes))
-    return {"test_mae": 100.0 * float(np.mean(errors)), "baseline_mae": baseline,
-            "per_structure": _mae_by_structure(test, errors), "test_count": len(test)}
 
 
 def write_metric_csv(rows: list[tuple[str, str, float, int]], path) -> None:

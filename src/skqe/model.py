@@ -1,18 +1,18 @@
 """Parameter store and the model's one forward pass.
 
-``ForwardContext`` runs the query embedding and the answer-size head
-(``cardinality``), in training and in inference. A query is embedded by one
-forward pass over the nodes of its structure's cached plan (or of each DNF
-branch, ``algebra.plan_branches``) under a batch of (anchors, relations)
-bindings, in training, evaluation and ``skqe answer`` alike; the last node's
-value is the embedding. Embeddings are flat 2d truth-slot vectors. In bounds
-mode the first d slots are interval lowers and the last d are uppers, kept
-ordered by construction; in point mode all 2d slots are independent point
-truths. The forward pass calls the slot operators of ``logic`` and the
-array-generic ``autodiff`` primitives, so training and inference share one
-code path: in training the parameters enter a tape as leaves, and in
-inference they are the plain parameter arrays and the forward pass records
-nothing.
+``ForwardContext`` embeds queries, in training and in inference. The store
+also holds the six ``H*`` arrays of the answer-size head, whose module runs
+them on a context. A query is embedded by one forward pass over the nodes of
+its structure's cached plan (or of each DNF branch,
+``algebra.plan_branches``) under a batch of (anchors, relations) bindings,
+in training, evaluation and ``skqe answer`` alike; the last node's value is
+the embedding. Embeddings are flat 2d truth-slot vectors. In bounds mode the
+first d slots are interval lowers and the last d are uppers, kept ordered by
+construction; in point mode all 2d slots are independent point truths. The
+forward pass calls the slot operators of ``logic`` and the array-generic
+``autodiff`` primitives, so training and inference share one code path: in
+training the parameters enter a tape as leaves, and in inference they are
+the plain parameter arrays and the forward pass records nothing.
 
 Realization (sigmoid, then ordered bounds) is written once in numpy
 (``_realize_parts`` and its pullback ``_realize_backward``). Every context
@@ -61,7 +61,6 @@ CHECKPOINT_VERSION = 2  # version 1 also stored G2b and the config keys alpha an
 
 DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
 SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
-CARDINALITY_SCALE = 1000.0  # upper bound of the size head's answer-size estimates
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class ModelConfig:
             raise DataError(f"unknown embedding mode {self.mode!r}")
         if self.kind not in TNORM_KINDS:
             raise DataError(f"unknown t-norm kind {self.kind!r}")
-        if self.d < 16 or self.d % 16 != 0:
+        if self.d < 16 or self.d % 16 != 0:  # the answer-size head's widths are d/4, d/16
             raise DataError("embedding dimension must be a positive multiple of 16")
         if self.num_entities < 1 or self.num_relations < 1:
             raise DataError("model needs at least one entity and one relation")
@@ -434,16 +433,6 @@ class ForwardContext:
 
     def disjoin(self, xs: list[Slots]) -> Slots:
         return self.negate(self.conjoin([self.negate(x) for x in xs]))
-
-    def cardinality(self, h: Slots) -> Slots:
-        """Answer-size estimates in (0, CARDINALITY_SCALE), shape (B,), of (B, d)
-        entropy vectors: a three-layer MLP whose sigmoid output is scaled by
-        CARDINALITY_SCALE."""
-        z1 = ad.relu(ad.matmul(h, self.dense("H1")) + self.dense("H1b"))
-        z2 = ad.relu(ad.matmul(z1, self.dense("H2")) + self.dense("H2b"))
-        s = ad.scale(ad.sigmoid(ad.matmul(z2, self.dense("H3")) + self.dense("H3b")),
-                     CARDINALITY_SCALE)
-        return ad.reshape(s, s.shape[:1])
 
     # --- query embedding -----------------------------------------------------
 

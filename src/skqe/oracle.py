@@ -411,15 +411,16 @@ def sample_queries(
     count: int,
     seed: int,
     mode: str,
-    full_index: AdjacencyIndex | None = None,
-    train_index: AdjacencyIndex | None = None,
+    full_index: AdjacencyIndex,
+    train_index: AdjacencyIndex,
 ) -> QuerySamples:
     """Sample grounded queries with non-empty answers by inverse random walks.
 
-    Modes: ``generalization`` walks the full graph and keeps only queries with
-    at least one answer requiring a held-out edge (easy = train answers,
-    hard = the rest); ``entailment`` walks the full graph with easy = full
-    answers; ``train`` restricts both walking and answers to training edges.
+    Modes: ``generalization`` walks the full graph (``full_index``) and keeps
+    only queries with at least one answer requiring a held-out edge (easy =
+    train answers, from ``train_index``, hard = the rest); ``entailment``
+    walks the full graph with easy = full answers; ``train`` restricts both
+    walking and answers to training edges (``train_index``).
 
     Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
     ``[seed, structure index]`` and taken one attempt at a time, in order:
@@ -438,10 +439,6 @@ def sample_queries(
         raise DataError("count must be at least 1")
     plan = algebra.structure_plan(structure)
     order = walk_order(TEMPLATES[structure])
-    if full_index is None:
-        full_index = build_index(graph, SPLITS)
-    if train_index is None:
-        train_index = build_index(graph, ("train",))
     walk_index = train_index if mode == "train" else full_index
     if not len(walk_index.tails):
         raise DataError("graph subset has no edges to walk")

@@ -1,4 +1,5 @@
-"""Margin-loss training with negative sampling, Adam, and sparse row updates."""
+"""Margin-loss training of the query model with negative sampling, Adam, and
+sparse row updates."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import numpy as np
 
 from . import algebra, autodiff as ad, model as model_mod
 from .errors import DataError, NumericError
-from .evaluation import cardinality_features, cardinality_halves
 from .kg import KnowledgeGraph
 from .model import ForwardContext, ModelConfig, ModelParams
 from .oracle import QueryDataset
@@ -463,55 +463,3 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
             on_checkpoint(step, params)
 
     return params, records
-
-
-def _cardinality_loss(ctx: ForwardContext, features: np.ndarray,
-                      targets: np.ndarray) -> ad.Tensor:
-    """Mean absolute relative error of the size head on (B, d) entropy features."""
-    return ad.mean_all(ad.absolute(ctx.cardinality(features) - targets) / targets)
-
-
-def train_cardinality_head(params: ModelParams, dataset: QueryDataset,
-                           epochs: int = 250, lr: float = 1e-4
-                           ) -> tuple[ModelParams, dict]:
-    """Fit the answer-size head on the hash-train half, base model frozen.
-
-    Minimizes the mean absolute relative error between the size prediction
-    and |easy + hard|. Union queries contribute through their De Morgan
-    embedding, which is single-branch. Each epoch runs a fresh training context.
-    The base model is frozen, so every sample is embedded once, and the
-    report's train and test MAE both come from one prediction over those
-    features; the test MAE and count are those of ``cardinality_test_half``.
-    Raises DataError unless ``lr`` is finite and positive.
-    """
-    _check_positive("lr", lr)
-    train_idx, test_idx = cardinality_halves(dataset)
-
-    features = cardinality_features(params, dataset.samples)
-    targets = np.array([max(1, len(s.answers)) for s in dataset.samples], dtype=np.float64)
-
-    params = params.copy()
-    optimizer = Adam(lr)
-    h_train = features[train_idx]
-    y_train = targets[train_idx]
-    for _ in range(epochs):
-        ctx = ForwardContext(params, train=True)
-        loss = _cardinality_loss(ctx, h_train, y_train)
-        if not np.isfinite(loss.value):
-            raise NumericError("non-finite cardinality loss")
-        ad.backward(loss)
-        optimizer.begin_step()
-        for name, leaf in ctx._dense.items():
-            if leaf.grad is not None:
-                optimizer.update_dense(name, params.arrays[name], leaf.grad)
-
-    predictions = ForwardContext(params).cardinality(features)
-    y_test = targets[test_idx]
-    report = {
-        "train_mae": float(np.mean(np.abs(predictions[train_idx] - y_train) / y_train)),
-        "test_mae": float(np.mean(np.abs(predictions[test_idx] - y_test) / y_test)),
-        "train_count": len(train_idx),
-        "test_count": len(test_idx),
-        "epochs": epochs,
-    }
-    return params, report

@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, kg, logic, model, oracle, training
+from skqe import algebra, autodiff as ad, cardinality, kg, logic, oracle, training
 from skqe.errors import DataError
+
+UNION_STRUCTURES = tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs)
 
 
 @pytest.fixture(scope="session")
@@ -123,14 +125,14 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
 
 
 def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
-    """Plain-numpy reference for ``ForwardContext.cardinality``: two ReLU
-    layers, then ``model.CARDINALITY_SCALE`` times the tanh form of the
-    sigmoid, on (B, d) entropy vectors."""
+    """Plain-numpy reference for ``cardinality.predict``: two ReLU layers,
+    then ``cardinality.SCALE`` times the tanh form of the sigmoid, on (B, d)
+    entropy vectors."""
     a = params.arrays
     z1 = np.maximum(0.0, h @ a["H1"] + a["H1b"])
     z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
     z3 = z2 @ a["H3"] + a["H3b"]
-    return model.CARDINALITY_SCALE * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
+    return cardinality.SCALE * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
 
 
 # --- malformed checkpoint headers ---------------------------------------------

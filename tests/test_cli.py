@@ -252,13 +252,8 @@ def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_pat
     assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == \
         cli.EXIT_NUMERIC
     captured = capsys.readouterr()
-    # every command meets the file's first record (1p) or the 1p --query first,
-    # except eval-cardinality, which embeds only the hash-test half
-    first = "1p"
-    if command == "eval-cardinality":
-        dataset = oracle.read_dataset(files / "q.jsonl", kg.load_tsv_dir(files / "kg"))
-        first = dataset.samples[evaluation.split_by_hash(dataset)[1][0]].instance.structure
-    assert captured.err == f"numeric failure: {first}: non-finite query embedding\n"
+    # every command meets the file's first record (1p) or the 1p --query first
+    assert captured.err == "numeric failure: 1p: non-finite query embedding\n"
     assert "nan" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -312,6 +307,32 @@ def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):
     fitted = ModelParams.load(out)
     assert fitted.extra["cardinality_fit"]["epochs"] == 3
     assert fitted.extra["cardinality_fit"]["train_count"] >= 1
+
+
+def test_fit_cardinality_stores_and_prints_what_eval_cardinality_reports(files, tmp_path,
+                                                                         capsys):
+    inputs = ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl")]
+    fitted, metrics = tmp_path / "card.ckpt", tmp_path / "card.csv"
+    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(files / "model.ckpt"),
+                     "--epochs", "3", "--lr", "0.01", "--out", str(fitted)]) == cli.EXIT_OK
+    fit_lines = capsys.readouterr().out.splitlines()
+    assert cli.main(["eval-cardinality", *inputs, "--ckpt", str(fitted),
+                     "--out", str(metrics)]) == cli.EXIT_OK
+    eval_lines = capsys.readouterr().out.splitlines()
+    assert fit_lines == [*eval_lines[:2], f"checkpoint written to {fitted}"]
+    assert eval_lines[2:] == [f"metrics written to {metrics}"]
+    stored = ModelParams.load(fitted).extra["cardinality_fit"]
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2:]
+            for line in metrics.read_text().splitlines()[1:]}
+    for metric, value, count in (
+            ("cardinality_mae_pct", "test_mae_pct", "test_count"),
+            ("train_cardinality_mae_pct", "train_mae_pct", "train_count"),
+            ("best_constant_mae_pct", "constant_mae_pct", "test_count"),
+            ("easy_mae_pct", "easy_mae_pct", "test_count")):
+        assert rows["all", metric] == [f"{stored[value]:.6f}", str(stored[count])]
+    for structure, (mae, count) in stored["per_structure"].items():
+        assert rows[structure, "cardinality_mae_pct"] == [f"{mae:.6f}", str(count)]
+    assert len(rows) == len(stored["per_structure"]) + 4
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])

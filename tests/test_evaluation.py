@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skqe import evaluation, kg, logic, model, oracle, training
+from skqe import evaluation, kg, logic, model, oracle
 from skqe.algebra import STRUCTURE_NAMES
 from skqe.errors import DataError, NumericError
 from skqe.model import ModelConfig, ModelParams
 from skqe.oracle import QueryDataset, QuerySample
 
-from conftest import reference_cardinality_head, reference_rank
+from conftest import reference_rank
 
 D = 16
 
@@ -523,74 +523,10 @@ class TestCorrelation:
             stats.pearsonr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
 
 
-class TestCardinality:
-    def test_features_match_one_query_embedding(self, graph, dataset):
-        params = _params(graph)
-        got = evaluation.cardinality_features(params, dataset.samples)
-        for row, sample in zip(got, dataset.samples):
-            single = model.embed_instance(sample.instance, params, "dm").branches[0]
-            np.testing.assert_allclose(row, logic.entropy_slots(single),
-                                       rtol=1e-12, atol=0)
-
-    def test_test_half_matches_one_query_reference(self, graph, dataset):
-        params = _params(graph)
-        samples = list(dataset.samples)
-        train_idx, test_idx = evaluation.split_by_hash(dataset)
-        # a zero-answer test query is skipped by the MAE and the baseline
-        empty = test_idx[0]
-        samples[empty] = QuerySample(samples[empty].instance, (), ())
-        data = QueryDataset(samples, dataset.metadata)
-        result = evaluation.cardinality_test_half(data, params)
-
-        kept = [i for i in test_idx if i != empty]
-        sizes = np.array([len(s.answers) for s in samples], dtype=np.float64)
-        errors = []
-        for i in kept:
-            (single,) = model.embed_instance(samples[i].instance, params, "dm").branches
-            size = reference_cardinality_head(logic.entropy_slots(single)[None], params)[0]
-            errors.append(abs(size - sizes[i]) / sizes[i])
-        mean_size = np.mean(sizes[train_idx])
-        baseline = 100 * np.mean(np.abs(mean_size - sizes[kept]) / sizes[kept])
-        assert result["test_count"] == len(kept)
-        assert result["test_mae"] == pytest.approx(100 * np.mean(errors), rel=1e-12)
-        assert result["baseline_mae"] == pytest.approx(baseline, rel=1e-12)
-        by_structure = {}
-        for i, error in zip(kept, errors):
-            by_structure.setdefault(samples[i].instance.structure, []).append(error)
-        assert result["per_structure"].keys() == by_structure.keys()
-        for structure, (mae, count) in result["per_structure"].items():
-            assert mae == pytest.approx(100 * np.mean(by_structure[structure]), rel=1e-12)
-            assert count == len(by_structure[structure])
-
-    def test_fit_report_scores_the_test_half_as_eval_does(self, graph, dataset):
-        """A zero-answer test query is skipped by the fit report as by
-        ``cardinality_test_half``, so both give one MAE over one count."""
-        samples = list(dataset.samples)
-        empty = evaluation.split_by_hash(dataset)[1][0]
-        samples[empty] = QuerySample(samples[empty].instance, (), ())
-        data = QueryDataset(samples, dataset.metadata)
-        fitted, report = training.train_cardinality_head(_params(graph), data, epochs=2, lr=1e-2)
-        result = evaluation.cardinality_test_half(data, fitted)
-        assert report["test_count"] == result["test_count"] == len(samples) // 2 - 1
-        assert 100 * report["test_mae"] == result["test_mae"]
-
-    def test_no_test_query_is_a_data_error(self, graph, dataset):
-        params = _params(graph)
-        with pytest.raises(DataError, match="no test-half query"):
-            evaluation.cardinality_test_half(QueryDataset([], dataset.metadata), params)
-        no_answers = [QuerySample(s.instance, (), ()) for s in dataset.samples]
-        with pytest.raises(DataError, match="no test-half query"):
-            evaluation.cardinality_test_half(QueryDataset(no_answers, dataset.metadata), params)
-
-    @pytest.mark.parametrize("call", [
-        lambda params, data: evaluation.cardinality_features(params, data.samples),
-        lambda params, data: evaluation.query_statistics(data, params, "width"),
-        lambda params, data: training.train_cardinality_head(params, data, epochs=1),
-        lambda params, data: evaluation.cardinality_test_half(data, params),
-    ], ids=["features", "statistics", "fit", "test-half"])
-    def test_point_mode_is_a_data_error(self, graph, dataset, call):
+class TestDeMorganStatistics:
+    def test_point_mode_is_a_data_error(self, graph, dataset):
         with pytest.raises(DataError, match="^entropy and width statistics require bounds mode$"):
-            call(_params(graph, "point"), dataset)
+            evaluation.query_statistics(dataset, _params(graph, "point"), "width")
 
     @pytest.mark.parametrize("statistic", ["entropy", "width"])
     def test_statistics_match_one_query_embedding(self, graph, dataset, statistic):

@@ -120,9 +120,14 @@ def test_guard_sees_a_nested_import():
 
 def test_package_modules_import_no_cycle():
     graph = import_graph()
-    assert graph["training"] >= {"evaluation", "model"}
+    assert graph["training"] >= {"model"}
     assert "training" not in graph["evaluation"]
     assert find_cycle(graph) is None
+
+
+@pytest.mark.parametrize("name", ["training", "model"])
+def test_query_model_imports_neither_evaluation_nor_the_answer_size_head(name):
+    assert not import_graph()[name] & {"evaluation", "cardinality"}
 
 
 def test_guard_sees_an_import_cycle():

@@ -4,15 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, cli, evaluation, kg, logic, model, oracle, training
+from skqe import algebra, autodiff as ad, cli, evaluation, kg, model, oracle, training
 from skqe.errors import DataError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
 from conftest import (
-    MALFORMED_HEADERS, reference_cardinality_head, reference_conjoin, reference_negate,
+    MALFORMED_HEADERS, reference_conjoin, reference_negate,
     write_checkpoint_version, write_malformed_checkpoint,
 )
-from test_autodiff import ATOL, RTOL, check_gradients, numeric_grad
+from test_autodiff import check_gradients
 
 D = 16
 KINDS = ("luk", "prod", "min")
@@ -328,85 +328,6 @@ class TestRepairedConjunction:
             return out
 
         check_gradients(op, *self._inputs())
-
-
-HEAD_PARAMS = ("H1", "H1b", "H2", "H2b", "H3", "H3b")
-
-
-def _head_params(graph, seed=0):
-    """d = 32, so the head's hidden layers are 8 and 2 units wide; positive
-    biases keep their ReLUs and the sigmoid away from their flat parts."""
-    config = ModelConfig(graph.num_entities, graph.num_relations, d=32, h=16)
-    params = ModelParams.initialize(config, seed)
-    for name, value in (("H1b", 0.2), ("H2b", 0.2), ("H3b", 0.3)):
-        params.arrays[name][:] = value
-    return params
-
-
-class TestCardinalityHead:
-    @pytest.mark.parametrize("fitted", [False, True], ids=["seeded", "fitted"])
-    def test_forward_and_prediction_equal_the_reference_bit_for_bit(self, graph, dataset,
-                                                                    fitted):
-        params = _head_params(graph)
-        if fitted:
-            params, _ = training.train_cardinality_head(params, dataset, epochs=5, lr=1e-2)
-        features = evaluation.cardinality_features(params, dataset.samples)
-        want = reference_cardinality_head(features, params)
-        assert np.all((want > 0) & (want < model.CARDINALITY_SCALE))
-        got = ForwardContext(params).cardinality(features)
-        assert type(got) is np.ndarray and got.shape == (len(dataset.samples),)
-        np.testing.assert_array_equal(got, want)
-        for sample in dataset.samples:  # one row: BLAS may sum it unlike a batch row
-            qe = model.embed_instance(sample.instance, params, "dm")
-            h = logic.entropy_slots(qe.branches[0])[None]
-            np.testing.assert_array_equal(ForwardContext(params).cardinality(h),
-                                          reference_cardinality_head(h, params))
-
-    def test_first_epoch_tape_value_equals_the_reference(self, graph, dataset, monkeypatch):
-        params = _head_params(graph)
-        values = []
-        original = ForwardContext.cardinality
-
-        def capturing(ctx, h):
-            out = original(ctx, h)
-            if ctx.train:
-                values.append(out.value.copy())
-            return out
-
-        monkeypatch.setattr(ForwardContext, "cardinality", capturing)
-        training.train_cardinality_head(params, dataset, epochs=1)
-        (tape_head,) = values
-        train_idx, _ = evaluation.split_by_hash(dataset)
-        features = evaluation.cardinality_features(params, dataset.samples)[train_idx]
-        np.testing.assert_array_equal(tape_head, reference_cardinality_head(features, params))
-
-    def test_fit_moves_every_head_parameter_and_nothing_else(self, graph, dataset):
-        params = _head_params(graph)
-        before = params.copy()
-        fitted, report = training.train_cardinality_head(params, dataset, epochs=3, lr=1e-2)
-        assert report["epochs"] == 3
-        for name, array in fitted.arrays.items():
-            np.testing.assert_array_equal(params.arrays[name], before.arrays[name])
-            moved = not np.array_equal(array, before.arrays[name])
-            assert moved == (name in HEAD_PARAMS), name
-
-    def test_fit_loss_gradient_by_finite_differences(self, graph, dataset):
-        params = _head_params(graph)
-        features = evaluation.cardinality_features(params, dataset.samples)
-        targets = np.random.default_rng(3).uniform(1.0, 50.0, len(features))
-        ctx = ForwardContext(params, train=True)
-        ad.backward(training._cardinality_loss(ctx, features, targets))
-        assert set(ctx._dense) == set(HEAD_PARAMS)
-        for name in HEAD_PARAMS:
-            def loss(value, name=name):
-                trial = params.copy()
-                trial.arrays[name] = value
-                return float(training._cardinality_loss(ForwardContext(trial), features, targets))
-
-            grad = ctx._dense[name].grad
-            assert np.any(grad != 0), name
-            np.testing.assert_allclose(grad, numeric_grad(loss, params.arrays[name]),
-                                       rtol=RTOL, atol=ATOL, err_msg=name)
 
 
 @pytest.mark.parametrize("h", [0, -1])

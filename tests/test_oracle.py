@@ -8,6 +8,7 @@ from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryP
 from skqe.errors import DataError
 
 from conftest import (
+    UNION_STRUCTURES,
     random_instance,
     reference_eval_plan,
     reference_incoming_table,
@@ -207,7 +208,9 @@ class TestBatchedWalks:
             return calls[-1]
 
         monkeypatch.setattr(oracle, "_walk_instance", recorded)
-        got = oracle.sample_queries(self.dead_end_graph(), "2p", 2, seed=0, mode="train")
+        graph = self.dead_end_graph()
+        got = oracle.sample_queries(graph, "2p", 2, 0, "train", kg.build_index(graph),
+                                    kg.build_index(graph, ("train",)))
         assert got == [] and got.attempts == 2 * oracle.RETRY_FACTOR
         assert calls == [None] * got.attempts
 
@@ -222,9 +225,10 @@ class TestBatchedWalks:
 
     @pytest.mark.parametrize("structure", ["1p", "2p", "pi", "2in", "up"])
     def test_full_request_is_a_prefix_of_any_larger_one(self, structure, small_graph):
-        large = oracle.sample_queries(small_graph, structure, 30, 2, "entailment")
+        indexes = kg.build_index(small_graph), kg.build_index(small_graph, ("train",))
+        large = oracle.sample_queries(small_graph, structure, 30, 2, "entailment", *indexes)
         for k in (1, 7, 20):
-            small = oracle.sample_queries(small_graph, structure, k, 2, "entailment")
+            small = oracle.sample_queries(small_graph, structure, k, 2, "entailment", *indexes)
             assert len(small) == k and small == large[:k]
         assert len(large) == 30
 
@@ -456,7 +460,7 @@ class TestDeMorgan:
 
 class TestDnfBranches:
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
-    @pytest.mark.parametrize("structure", algebra.UNION_STRUCTURES)
+    @pytest.mark.parametrize("structure", UNION_STRUCTURES)
     def test_branch_answers_union_to_the_plan(self, structure, splits, small_graph):
         index = kg.build_index(small_graph, splits)
         branches = algebra.plan_branches(structure, "dnf")

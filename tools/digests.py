@@ -1,12 +1,15 @@
-"""Print the acceptance digests of plans, datasets, training, ranks and statistics.
+"""Print the acceptance digests of plans, datasets, training, ranks, statistics
+and the answer-size head.
 
 A change that must keep behaviour byte-identical runs this script on its
-parent and on itself and compares the two outputs line by line. Each line is
+parent and on itself and compares the two outputs line by line. The
+answer-size head's line goes through the two CLI commands, whose names and
+flags stay put when the head's code moves. Each line is
 ``<run>: <digest>``, the digest being the first 16 hex digits of a sha256.
 The bits depend on the machine's BLAS, so compare outputs of one machine
 only; this is not a test.
 
-    python3 tools/digests.py            # about ten seconds on 2 cores
+    python3 tools/digests.py            # about twenty seconds on 2 cores
 
 It imports ``skqe`` from the ``src`` directory next to this file, so a copy
 of the parent checkout gives the parent's digests. ``tools/train_diff.py``
@@ -15,8 +18,10 @@ reuses its training runs (``train_runs``) with another checkout's ``skqe``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -25,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from skqe import algebra, evaluation, kg, model, oracle, training  # noqa: E402
+from skqe import algebra, cli, evaluation, kg, model, oracle, training  # noqa: E402
 from skqe.model import ModelParams  # noqa: E402
 
 SMALL_TRAIN = dict(d=16, h=32, batch_size=64, negatives=32, steps=15, seed=5, log_every=1)
@@ -146,6 +151,40 @@ def runs():
             rows = evaluation.uncertainty_correlation(values, statistic).to_rows()
             return f"{stats_hex} / {_hex(hashlib.sha256(json.dumps(rows).encode()))}"
         yield f"{statistic} statistics / rows", stats
+
+    def size_head():
+        """``skqe fit-cardinality`` with its default epochs and lr, then
+        ``skqe eval-cardinality`` on the fitted checkpoint, both through
+        ``cli.main`` on files of the big graph, the generalization set and
+        the seeded parameters: the fitted parameters in sorted name order,
+        then the ``cardinality_mae_pct`` rows of the metrics file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            kg.write_tsv(big_graph(), path / "kg")
+            # the file's ids follow first appearance, so its graph hashes differently
+            files_hash = kg.load_tsv_dir(path / "kg").content_hash()
+            dataset = generalization()
+            metadata = {**dataset.metadata, "graph_hash": files_hash}
+            oracle.write_dataset(oracle.QueryDataset(dataset.samples, metadata), big_graph(),
+                                 path / "queries.jsonl")
+            seeded_params().save(path / "seeded.ckpt")
+            inputs = ["--kg", str(path / "kg"), "--queries", str(path / "queries.jsonl")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["fit-cardinality", *inputs, "--ckpt", str(path / "seeded.ckpt"),
+                                   "--out", str(path / "fitted.ckpt")]),
+                         cli.main(["eval-cardinality", *inputs, "--ckpt", str(path / "fitted.ckpt"),
+                                   "--out", str(path / "metrics.csv")])]
+            if codes != [0, 0]:
+                raise RuntimeError(f"size-head commands exited with {codes}")
+            h = hashlib.sha256()
+            arrays = ModelParams.load(path / "fitted.ckpt").arrays
+            for name in sorted(arrays):
+                h.update(arrays[name].tobytes())
+            rows = [line for line in (path / "metrics.csv").read_text().splitlines()
+                    if line.split(",")[1] == "cardinality_mae_pct"]
+            h.update("\n".join(rows).encode())
+            return f"{_hex(h)} ({len(rows)} rows)"
+    yield "size head fit-cardinality / eval-cardinality rows", size_head
 
 
 def main() -> int:
