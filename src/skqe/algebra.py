@@ -89,8 +89,8 @@ TEMPLATES: dict[str, Template] = {
 }
 
 STRUCTURE_NAMES = tuple(TEMPLATES)
-EPFO_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "pi", "ip", "2u", "up")
-NEGATION_STRUCTURES = ("2in", "3in", "pin", "pni", "inp")
+NEGATION_STRUCTURES = tuple(s for s, t in TEMPLATES.items() if any(a.negated for a in t.atoms))
+EPFO_STRUCTURES = tuple(s for s in TEMPLATES if s not in NEGATION_STRUCTURES)
 TRAIN_STRUCTURES = ("1p", "2p", "3p", "2i", "3i", "2in", "3in", "inp", "pin", "pni")
 UNION_MODES = ("dnf", "dm")
 

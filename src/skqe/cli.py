@@ -106,7 +106,7 @@ def build_train_config(args) -> TrainConfig:
     for key in fields:  # each flag's dest is the field it sets
         value = getattr(args, key, None)
         if value is not None:
-            values[key] = value == "on" if key == "attention" else value
+            values[key] = value
     return TrainConfig(**values)
 
 
@@ -334,7 +334,6 @@ def make_parser() -> _Parser:
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--tnorm", dest="kind", choices=("min", "prod", "luk"))
-    p.add_argument("--attention", choices=("on", "off"))
     p.add_argument("--mode", choices=("bounds", "point"))
     p.add_argument("--union", choices=("dnf", "dm"))
     p.add_argument("--log-every", type=_positive_int)

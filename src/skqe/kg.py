@@ -243,7 +243,8 @@ def load_tsv_dir(kg_dir: str | Path) -> KnowledgeGraph:
     """Load a graph from ``train.tsv``, ``valid.tsv`` and ``test.tsv`` in one
     directory, one ``head<TAB>relation<TAB>tail`` per line.
 
-    Ids are assigned in first-appearance order (train file first). Duplicate
+    Ids follow first appearance (train file first): a ``write_tsv`` round trip
+    keeps names, splits and triples, not ids or ``content_hash``. Duplicate
     lines within one file collapse; the same triple in two splits is an error.
     """
     graph = KnowledgeGraph(Vocabulary(), Vocabulary())

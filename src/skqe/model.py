@@ -1,18 +1,18 @@
 """Parameter store and the model's one forward pass.
 
-``ForwardContext`` embeds queries, in training and in inference. The store
-also holds the six ``H*`` arrays of the answer-size head, whose module runs
-them on a context. A query is embedded by one forward pass over the nodes of
-its structure's cached plan (or of each DNF branch,
-``algebra.plan_branches``) under a batch of (anchors, relations) bindings,
-in training, evaluation and ``skqe answer`` alike; the last node's value is
-the embedding. Embeddings are flat 2d truth-slot vectors. In bounds mode the
-first d slots are interval lowers and the last d are uppers, kept ordered by
-construction; in point mode all 2d slots are independent point truths. The
-forward pass calls the slot operators of ``logic`` and the array-generic
-``autodiff`` primitives, so training and inference share one code path: in
-training the parameters enter a tape as leaves, and in inference they are
-the plain parameter arrays and the forward pass records nothing.
+``ForwardContext`` embeds queries. The store also holds the six ``H*`` arrays
+of the answer-size head, whose module runs them on a context. A query is
+embedded by one forward pass over the nodes of its structure's cached plan
+(or of each DNF branch, ``algebra.plan_branches``) under a batch of (anchors,
+relations) bindings, in training, evaluation and ``skqe answer`` alike; the
+last node's value is the embedding. Every conjunction weighs its inputs per
+dimension by ``ForwardContext.attention_weights``. Embeddings are flat 2d
+truth-slot vectors. In bounds mode the first d slots are interval lowers and
+the last d are uppers, kept ordered by construction; in point mode all 2d
+slots are independent point truths. The forward pass calls the slot operators
+of ``logic`` and the array-generic ``autodiff`` primitives, so training and
+inference share one code path: in training the parameters enter a tape as
+leaves, and in inference they are the plain arrays and nothing is recorded.
 
 Realization (sigmoid, then ordered bounds) is written once in numpy
 (``_realize_parts`` and its pullback ``_realize_backward``). Every context
@@ -57,7 +57,7 @@ MODES = ("bounds", "point")
 Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
-CHECKPOINT_VERSION = 2  # version 1 also stored G2b and the config keys alpha and rho
+CHECKPOINT_VERSION = 3  # version 2 also stored attention; version 1 also G2b, alpha and rho
 
 DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
 SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
@@ -71,14 +71,11 @@ class ModelConfig:
     h: int = 128
     mode: str = "bounds"
     kind: str = "luk"
-    attention: bool = True
 
     def __post_init__(self):
         sizes = (self.num_entities, self.num_relations, self.d, self.h)
         if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in sizes):
             raise DataError(f"entity and relation counts, d and h must be integers, got {sizes}")
-        if not isinstance(self.attention, bool):
-            raise DataError(f"attention must be a boolean, got {self.attention!r}")
         if self.mode not in MODES:
             raise DataError(f"unknown embedding mode {self.mode!r}")
         if self.kind not in TNORM_KINDS:
@@ -405,7 +402,7 @@ class ForwardContext:
         return logic.negate_slots(x, self.config.mode)
 
     def attention_weights(self, xs: list[Slots]) -> list[Slots]:
-        """Per-dimension weights in (0,1] with max exactly 1 across inputs.
+        """Per-dimension weights in (0,1], max exactly 1 across inputs, for every conjoin.
 
         Equal to the softargmax score divided by its max over inputs; the
         exp(g - max g) form computes that without the division. The scores
@@ -413,9 +410,6 @@ class ForwardContext:
         shift to every input's g, and the weights are invariant to a shift
         shared by all inputs.
         """
-        if not self.config.attention:
-            ones = np.ones(xs[0].shape[:-1] + (self.config.d,))
-            return [ones for _ in xs]
         gs = []
         for x in xs:
             hidden = ad.relu(ad.matmul(x, self.dense("G1")) + self.dense("G1b"))

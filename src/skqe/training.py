@@ -36,7 +36,6 @@ class TrainConfig:
     lr: float = 1e-4
     seed: int = 0
     kind: str = "luk"
-    attention: bool = True
     mode: str = "bounds"
     union: str = "dnf"
     filter_negatives: bool = True
@@ -67,7 +66,6 @@ class TrainConfig:
             h=self.h,
             mode=self.mode,
             kind=self.kind,
-            attention=self.attention,
         )
 
 

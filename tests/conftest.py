@@ -154,7 +154,7 @@ MALFORMED_HEADERS = {
         k: v for k, v in h["config"].items() if k != "num_entities"}}, 0),
     "entities-huge": (lambda h: _with_config(h, num_entities=2 ** 62), 0),
     "removed-config-key": (lambda h: _with_config(h, alpha=-10.0), 0),  # a version-1 field
-    "attention-string": (lambda h: _with_config(h, attention="yes"), 0),
+    "removed-attention-key": (lambda h: _with_config(h, attention=True), 0),  # a version-2 field
     "extra-not-object": (lambda h: {**h, "extra": [1]}, 0),
     "header-not-object": (lambda h: [h], 0),
     "header-not-json": (lambda h: b"{", 0),

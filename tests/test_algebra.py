@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
 from skqe import algebra, kg
@@ -199,6 +198,13 @@ class TestTemplates:
 
     def test_union_structures_are_the_ones_with_or_pairs(self):
         assert UNION_STRUCTURES == ("2u", "up")
+
+    def test_structure_families_follow_the_templates(self):
+        # BetaE's grouping, in TEMPLATES order; the training set is BetaE's ten
+        assert algebra.NEGATION_STRUCTURES == ("2in", "3in", "pin", "pni", "inp")
+        assert algebra.EPFO_STRUCTURES == ("1p", "2p", "3p", "2i", "3i", "pi", "ip", "2u", "up")
+        assert algebra.TRAIN_STRUCTURES == (
+            "1p", "2p", "3p", "2i", "3i", "2in", "3in", "inp", "pin", "pni")
 
 
 class TestDnfBranches:

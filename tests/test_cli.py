@@ -79,14 +79,17 @@ def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["1", "2"])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_removed_workers_flag_is_a_usage_error(files, command, value, tmp_path, capsys):
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--workers", "1"), ("train", "--workers", "2"),
+    ("eval", "--workers", "1"), ("eval", "--workers", "2"),
+    ("train", "--attention", "on"), ("train", "--attention", "off"),
+])
+def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        cli.main([command, *_inputs(files, command), "--workers", value,
+        cli.main([command, *_inputs(files, command), flag, value,
                   "--out", str(tmp_path / "out")])
     assert exit_info.value.code == cli.EXIT_USAGE
-    assert f"unrecognized arguments: --workers {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -463,13 +466,15 @@ def test_malformed_checkpoint_header_exits_with_data_error(files, case, command,
     assert not (tmp_path / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("command", ["eval", "answer"])
-def test_version_one_checkpoint_exits_with_data_error(files, command, tmp_path, capsys):
-    ckpt = write_checkpoint_version(files / "model.ckpt", tmp_path / "v1.ckpt", 1)
+def test_older_checkpoint_version_exits_with_data_error(files, command, version, tmp_path,
+                                                        capsys):
+    ckpt = write_checkpoint_version(files / "model.ckpt", tmp_path / "old.ckpt", version)
     extra = (["--query", "EXISTS T . r0(e0,T)"] if command == "answer" else
              ["--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "metrics.csv")])
     assert cli.main([command, "--kg", str(files / "kg"), "--ckpt", ckpt, *extra]) == cli.EXIT_DATA
-    assert capsys.readouterr().err == f"error: {ckpt}: unsupported checkpoint version 1\n"
+    assert capsys.readouterr().err == f"error: {ckpt}: unsupported checkpoint version {version}\n"
     assert not (tmp_path / "metrics.csv").exists()
 
 

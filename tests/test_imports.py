@@ -3,8 +3,9 @@
 A module's import is used when its bound name appears as a name anywhere in
 the module (attribute roots such as ``np`` in ``np.zeros`` included).
 ``from __future__`` imports are exempt, and the package root, which imports
-nothing, has a test of its own. Every import sits at module level, so the
-imports between ``skqe`` modules form a graph, and that graph has no cycle.
+nothing, has a test of its own. The unused-import guard also reads the test
+and tool scripts. Every import sits at module level, so the imports between
+``skqe`` modules form a graph, and that graph has no cycle.
 """
 
 import ast
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skqe"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skqe"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -99,6 +102,11 @@ def test_every_module_is_checked():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_tools(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -20,8 +21,8 @@ KINDS = ("luk", "prod", "min")
 RTOL_LOGIC, ATOL_LOGIC = 1e-12, 1e-14
 
 
-def _params(mode="bounds", kind="luk", attention=True, entities=60, seed=0):
-    config = ModelConfig(entities, 4, d=D, h=16, mode=mode, kind=kind, attention=attention)
+def _params(mode="bounds", kind="luk", entities=60, seed=0):
+    config = ModelConfig(entities, 4, d=D, h=16, mode=mode, kind=kind)
     return ModelParams.initialize(config, seed)
 
 
@@ -42,10 +43,10 @@ def dataset(graph):
 
 
 class TestInferenceMatchesTraining:
-    @pytest.mark.parametrize("mode,kind,attention,union", list(itertools.product(
-        model.MODES, KINDS, (True, False), algebra.UNION_MODES)))
-    def test_plain_arrays_equal_tape_values_bit_for_bit(self, mode, kind, attention, union):
-        params = _params(mode, kind, attention)
+    @pytest.mark.parametrize("mode,kind,union", list(itertools.product(
+        model.MODES, KINDS, algebra.UNION_MODES)))
+    def test_plain_arrays_equal_tape_values_bit_for_bit(self, mode, kind, union):
+        params = _params(mode, kind)
         rng = np.random.default_rng(1)
         for structure in algebra.STRUCTURE_NAMES:
             template = algebra.TEMPLATES[structure]
@@ -234,54 +235,51 @@ class TestInferenceRecordsNothing:
 class TestTapeOperatorsMatchLogic:
     """The tape operators against ``reference_conjoin`` and
     ``reference_negate``, which evaluate the conjunction formulas slot by slot
-    in Python floats; disjunction is De Morgan's law over both. With attention
-    off every input weighs 1."""
+    in Python floats; disjunction is De Morgan's law over both. Every
+    conjunction is weighted: the references take the weights that
+    ``attention_weights`` gives for the conjuncts, tiled over both slot
+    halves, and the unit-weight formulas are pinned in ``test_logic.py``."""
+
+    @staticmethod
+    def _weights(ctx, xs) -> list[np.ndarray]:
+        return [np.concatenate([w.value, w.value], axis=1) for w in ctx.attention_weights(xs)]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("k", [2, 3])
     def test_bounds_mode(self, kind, k):
-        params = _params("bounds", kind, attention=False)
+        params = _params("bounds", kind)
         values = [_bounds_rows(np.random.default_rng(i), 4) for i in range(k)]
         ctx = ForwardContext(params, train=True)
         leaves = [ctx.tape.leaf(v) for v in values]
         conjoined = ctx.conjoin(leaves).value
         disjoined = ctx.disjoin(leaves).value
         negated = ctx.negate(leaves[0]).value
-        ones = [np.ones(2 * D)] * k
+        weights = self._weights(ctx, leaves)
+        flipped_weights = self._weights(ctx, [ctx.negate(x) for x in leaves])
+        assert min(np.min(w) for w in weights + flipped_weights) < 0.9  # the weights matter
         for row in range(4):
-            want, _ = reference_conjoin(kind, [v[row] for v in values], ones)
+            want, _ = reference_conjoin(kind, [v[row] for v in values], [w[row] for w in weights])
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             flipped = [reference_negate(v[row]) for v in values]
-            want = reference_negate(reference_conjoin(kind, flipped, ones)[0])
+            want = reference_negate(
+                reference_conjoin(kind, flipped, [w[row] for w in flipped_weights])[0])
             np.testing.assert_allclose(disjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             np.testing.assert_array_equal(negated[row], reference_negate(values[0][row]))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_bounds_mode_with_attention_weights(self, kind):
-        params = _params("bounds", kind, attention=True)
-        values = [_bounds_rows(np.random.default_rng(i), 4) for i in range(2)]
-        ctx = ForwardContext(params, train=True)
-        leaves = [ctx.tape.leaf(v) for v in values]
-        conjoined = ctx.conjoin(leaves).value
-        weights = [w.value for w in ctx.attention_weights(leaves)]
-        assert min(np.min(w) for w in weights) < 0.9  # the weights matter
-        for row in range(4):
-            want, _ = reference_conjoin(kind, [v[row] for v in values],
-                                        [np.concatenate([w[row], w[row]]) for w in weights])
-            np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
-
-    @pytest.mark.parametrize("kind", KINDS)
     def test_point_mode(self, kind):
-        params = _params("point", kind, attention=False)
+        params = _params("point", kind)
         rng = np.random.default_rng(3)
         values = [rng.uniform(0.0, 1.0, (4, 2 * D)) for _ in range(3)]
         ctx = ForwardContext(params, train=True)
         leaves = [ctx.tape.leaf(v) for v in values]
         conjoined = ctx.conjoin(leaves).value
         assert ctx.repair_count == 0
+        weights = self._weights(ctx, leaves)
+        assert min(np.min(w) for w in weights) < 0.9
         for row in range(4):
             want, repairs = reference_conjoin(kind, [v[row] for v in values],
-                                              [np.ones(2 * D)] * 3, "point")
+                                              [w[row] for w in weights], "point")
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             assert repairs == 0
         negated = ctx.negate(leaves[0]).value
@@ -290,8 +288,9 @@ class TestTapeOperatorsMatchLogic:
 
 
 class TestRepairedConjunction:
-    """A wide interval [0.7, 1.0] against the point 0.5: the smooth minimum is
-    not monotone, so the conjoined lower exceeds the upper and is repaired."""
+    """A wide interval [0.7, 1.0] against the point 0.5: the weighted smooth
+    minimum is not monotone, so the conjoined lower exceeds the upper and is
+    repaired."""
 
     @staticmethod
     def _inputs():
@@ -304,21 +303,23 @@ class TestRepairedConjunction:
         return wide, point
 
     def test_value_matches_reference_and_counts_repairs(self):
-        params = _params("bounds", "min", attention=False)
+        params = _params("bounds", "min")
         wide, point = self._inputs()
         ctx = ForwardContext(params, train=True)
-        out = ctx.conjoin([ctx.tape.leaf(wide), ctx.tape.leaf(point)]).value
+        leaves = [ctx.tape.leaf(wide), ctx.tape.leaf(point)]
+        out = ctx.conjoin(leaves).value
         assert ctx.repair_count == 3 * (D - 1)
-        ones = [np.ones(2 * D)] * 2
+        weights = TestTapeOperatorsMatchLogic._weights(ctx, leaves)
         for row in range(3):
-            want, repairs = reference_conjoin("min", [wide[row], point[row]], ones)
+            want, repairs = reference_conjoin("min", [wide[row], point[row]],
+                                              [w[row] for w in weights])
             np.testing.assert_allclose(out[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             assert repairs == D - 1
         assert np.all(out[:, 1:D] == out[:, D + 1:])
         assert out[0, 0] < out[0, D]
 
     def test_gradient_by_finite_differences(self):
-        params = _params("bounds", "min", attention=False)
+        params = _params("bounds", "min")
 
         def op(a, b):
             ctx = ForwardContext(params)
@@ -330,6 +331,14 @@ class TestRepairedConjunction:
         check_gradients(op, *self._inputs())
 
 
+def test_config_fields_are_the_settings_a_run_can_change():
+    # every conjunction is weighted, so no field switches the weights off
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "num_entities", "num_relations", "d", "h", "mode", "kind"]
+    with pytest.raises(TypeError, match="attention"):
+        ModelConfig(5, 2, attention=False)
+
+
 @pytest.mark.parametrize("h", [0, -1])
 def test_hidden_width_below_one_is_a_data_error(h):
     with pytest.raises(DataError, match="hidden width h must be at least 1"):
@@ -338,7 +347,7 @@ def test_hidden_width_below_one_is_a_data_error(h):
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        params = _params("point", "prod", attention=False)
+        params = _params("point", "prod")
         params.extra["note"] = {"steps": 3}
         params.save(tmp_path / "m.ckpt")
         loaded = ModelParams.load(tmp_path / "m.ckpt")
@@ -368,13 +377,16 @@ class TestCheckpoint:
             ModelParams.load(path)
         assert str(info.value).startswith(f"{path}: ")
 
-    def test_version_one_file_is_an_unsupported_version(self, tmp_path):
-        # version 1 held the attention bias G2b and the alpha and rho config keys
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_is_an_unsupported_version(self, tmp_path, version):
+        # version 2 held the config key attention; version 1 also the attention
+        # bias G2b and the alpha and rho config keys
+        assert model.CHECKPOINT_VERSION == 3
         _params().save(tmp_path / "m.ckpt")
-        path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "v1.ckpt", 1)
+        path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "old.ckpt", version)
         with pytest.raises(DataError) as info:
             ModelParams.load(path)
-        assert str(info.value) == f"{path}: unsupported checkpoint version 1"
+        assert str(info.value) == f"{path}: unsupported checkpoint version {version}"
 
     @pytest.mark.parametrize("field", ["num_entities", "num_relations", "d", "h"])
     @pytest.mark.parametrize("value", ["16", 16.0, True, None])

@@ -315,7 +315,55 @@ class TestSampleNegatives:
         assert "fewer than 3 non-answer entities" in warnings[0].getMessage()
 
 
+class TestMarginLossReference:
+    """``_group_forward``'s per-query losses on a frozen batch against the
+    plain-numpy ``margin_loss`` of each query alone: its branches from
+    ``model.embed_instance``, its rows from ``model.entity_embedding``. The
+    tolerance is the one the benchmark's frozen-batch check
+    (``perfbench/checks.py``) judges every training run by."""
+
+    RTOL, ATOL = 1e-9, 1e-12
+
+    def _check(self, graph, dataset, structure, config, branches):
+        params = ModelParams.initialize(config.model_config(graph), 7)
+        group = training._prepare_groups(dataset)[structure]
+        samples = dataset.by_structure()[structure]
+        rows = np.arange(len(samples))
+        assert rows.size
+        rng = np.random.default_rng(11)
+        pos = np.array([rng.choice(group.positives[i]) for i in rows])
+        neg = np.stack([training.sample_negatives(group.answers[i], config.negatives,
+                                                  graph.num_entities, rng) for i in rows])
+        ctx = ForwardContext(params, train=True)
+        loss_vec, _, _ = training._group_forward(ctx, group, rows, pos, neg, config)
+        want = []
+        for i in rows:
+            qe = model.embed_instance(samples[i].instance, params, config.union)
+            assert len(qe.branches) == branches
+            want.append(training.margin_loss(
+                qe.branches, model.entity_embedding(int(pos[i]), params),
+                [model.entity_embedding(int(z), params) for z in neg[i]], config.gamma))
+        assert loss_vec.value.shape == (len(rows),)
+        np.testing.assert_allclose(loss_vec.value, want, rtol=self.RTOL, atol=self.ATOL)
+
+    @pytest.mark.parametrize("kind", ("luk", "prod", "min"))
+    @pytest.mark.parametrize("mode", model.MODES)
+    @pytest.mark.parametrize("structure", algebra.TRAIN_STRUCTURES)
+    def test_each_training_structure(self, train_graph, train_dataset, structure, mode, kind):
+        self._check(train_graph, train_dataset, structure, _config(mode=mode, kind=kind), 1)
+
+    @pytest.mark.parametrize("structure", ("2u", "up"))
+    def test_union_branches_under_dnf(self, train_graph, structure):
+        dataset = oracle.sample_dataset(train_graph, ("2u", "up"), 6, 1, "entailment")
+        self._check(train_graph, dataset, structure, _config(union="dnf"), 2)
+
+
 class TestTrainConfigBounds:
+    def test_fields_are_the_settings_a_run_can_change(self):
+        assert [f.name for f in dataclasses.fields(training.TrainConfig)] == [
+            "d", "h", "gamma", "negatives", "batch_size", "steps", "lr", "seed", "kind",
+            "mode", "union", "filter_negatives", "log_every", "checkpoint_every"]
+
     @pytest.mark.parametrize("field", ["steps", "batch_size", "log_every", "negatives"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_values_below_one(self, field, value):
@@ -391,12 +439,13 @@ class TestTrainCli:
 
     def test_config_file_sets_fields(self, files, tmp_path):
         (tmp_path / "train.cfg").write_text(
-            "# settings\nsteps = 2\ngamma = 0.5  # margin\n\nattention = off\nkind = prod\n")
+            "# settings\nsteps = 2\ngamma = 0.5  # margin\n\nfilter_negatives = off\n"
+            "kind = prod\n")
         out = tmp_path / "m.ckpt"
         assert self._train(files, "--config", str(tmp_path / "train.cfg"),
                            out=out) == cli.EXIT_OK
         stored = ModelParams.load(out).extra["train_config"]
-        assert (stored["steps"], stored["gamma"], stored["attention"], stored["kind"]) == (
+        assert (stored["steps"], stored["gamma"], stored["filter_negatives"], stored["kind"]) == (
             2, 0.5, False, "prod")
 
     def test_flag_overrides_config_file(self, files, tmp_path):
@@ -409,7 +458,8 @@ class TestTrainCli:
 
     @pytest.mark.parametrize("text,message", [
         ("steps = 1\nlearning_rate = 0.1\n", "unknown config key 'learning_rate'"),
-        ("steps = 1\nattention = maybe\n", "cannot parse boolean"),
+        ("steps = 1\nfilter_negatives = maybe\n", "cannot parse boolean"),
+        ("steps = 1\nattention = on\n", "train.cfg:2: unknown config key 'attention'"),
         ("steps = 0\n", "steps must be at least 1, got 0"),
         ("steps = 1\nworkers = 1\n", "unknown config key 'workers'"),
         ("steps = 1\nbeta1 = 0.9\n", "unknown config key 'beta1'"),
@@ -417,9 +467,9 @@ class TestTrainCli:
         ("steps = 1\neps = 1e-8\n", "unknown config key 'eps'"),
         ("# settings\nsteps = abc\n", "train.cfg:2: cannot parse int from 'abc' for 'steps'"),
         ("steps = 1\nlr = 1e-3x\n", "train.cfg:2: cannot parse float from '1e-3x' for 'lr'"),
-    ], ids=["unknown-key", "bad-boolean", "steps-zero", "removed-workers-key",
-            "removed-beta1-key", "removed-beta2-key", "removed-eps-key", "bad-int",
-            "bad-float"])
+    ], ids=["unknown-key", "bad-boolean", "removed-attention-key", "steps-zero",
+            "removed-workers-key", "removed-beta1-key", "removed-beta2-key", "removed-eps-key",
+            "bad-int", "bad-float"])
     def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
                                                    capsys):
         (tmp_path / "train.cfg").write_text(text)
@@ -427,6 +477,32 @@ class TestTrainCli:
                            out=tmp_path / "m.ckpt") == cli.EXIT_DATA
         assert not (tmp_path / "m.ckpt").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps,log_every,every,logged,saved", [
+        (6, 4, 3, [1, 4, 6], [3, 6]),
+        (5, 2, 2, [1, 2, 4, 5], [2, 4]),
+    ], ids=["every-divides-steps", "every-does-not-divide-steps"])
+    def test_log_and_step_checkpoints(self, files, tmp_path, capsys, steps, log_every, every,
+                                      logged, saved):
+        out, log = tmp_path / "m.ckpt", tmp_path / "train.csv"
+        assert self._train(files, "--steps", str(steps), "--log-every", str(log_every),
+                           "--checkpoint-every", str(every), "--log", str(log),
+                           out=out) == cli.EXIT_OK
+        header, *lines = log.read_text().splitlines()
+        assert header == "step,loss,pos_score,neg_score,repairs,seconds"
+        rows = [line.split(",") for line in lines]
+        assert [int(row[0]) for row in rows] == logged
+        printed = capsys.readouterr().out.splitlines()[0]
+        assert printed.startswith(f"trained {steps} steps: loss {float(rows[-1][1]):.4f}, ")
+
+        names = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("m.ckpt."))
+        assert names == sorted(f"m.ckpt.step{n}" for n in saved)
+        graph = kg.load_tsv_dir(str(files / "kg"))
+        final = out.read_bytes()
+        for n in saved:
+            path = tmp_path / f"m.ckpt.step{n}"
+            cli._load_checkpoint(str(path), graph)
+            assert (path.read_bytes() == final) == (n == steps)
 
     def test_checkpoint_relation_count_is_checked(self, files, tmp_path):
         graph = kg.load_tsv_dir(str(files / "kg"))

@@ -86,8 +86,7 @@ def train_runs():
     small_train = lambda: sampled(small_graph, train, 20, 3, "train")
     for name, extra in (("bounds/luk/dnf", {}),
                         ("point/prod/dnf", dict(mode="point", kind="prod")),
-                        ("bounds/min/dm", dict(kind="min", union="dm")),
-                        ("attention off", dict(attention=False))):
+                        ("bounds/min/dm", dict(kind="min", union="dm"))):
         yield f"train small {name}", small_graph, small_train, {**SMALL_TRAIN, **extra}
     yield ("train small entailment dnf", small_graph,
            lambda: sampled(small_graph, every, 10, 3, "entailment"), SMALL_TRAIN)
