@@ -450,7 +450,8 @@ def instance_to_record(instance: QueryInstance, graph, easy=(), hard=()) -> dict
 def record_to_instance(record: dict, graph) -> tuple[QueryInstance, tuple[int, ...], tuple[int, ...]]:
     """Resolve a JSONL query record against the graph's vocabularies. Raises
     DataError on a missing field, a ``structure`` that is not a string, name
-    fields that are not lists of names, or an unknown name."""
+    fields that are not lists of names, an unknown name, or an answer name
+    listed twice in one field."""
     try:
         structure = record["structure"]
         fields = {"anchors": record["anchors"], "relations": record["relations"],
@@ -466,6 +467,10 @@ def record_to_instance(record: dict, graph) -> tuple[QueryInstance, tuple[int, .
     instance = QueryInstance(structure,
                              tuple(graph.entities.id_of(n) for n in fields["anchors"]),
                              tuple(graph.relations.id_of(n) for n in fields["relations"]))
-    easy = tuple(sorted(graph.entities.id_of(n) for n in fields["easy"]))
-    hard = tuple(sorted(graph.entities.id_of(n) for n in fields["hard"]))
+    easy, hard = (tuple(sorted(graph.entities.id_of(n) for n in fields[name]))
+                  for name in ("easy", "hard"))
+    for name, ids in (("easy", easy), ("hard", hard)):
+        twice = [graph.entities.name_of(a) for a, b in zip(ids, ids[1:]) if a == b]
+        if twice:
+            raise DataError(f"query record field {name!r} lists {twice[0]!r} more than once")
     return instance, easy, hard

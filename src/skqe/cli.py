@@ -1,4 +1,8 @@
-"""Command-line entry point: generate data, train, evaluate, and answer queries."""
+"""Command-line entry point: generate data, train, evaluate, and answer queries.
+
+Each ``train`` setting has one flag, whose dest is its ``TrainConfig`` field;
+an unset flag keeps the default. ``filter_negatives`` has no flag.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, cardinality, evaluation, model as model_mod, oracle as oracle_mod
+from . import algebra, cardinality, evaluation, logic, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams
@@ -62,52 +66,10 @@ def _load_inputs(args) -> tuple[ModelParams, QueryDataset]:
     return _load_checkpoint(args.ckpt, graph), read_dataset(args.queries, graph)
 
 
-def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
-    """key -> (value, "path:line") of a flat ``key = value`` file."""
-    values: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = (value, f"{path}:{line_no}")
-    return values
-
-
-def _coerce(field: dataclasses.Field, text: str, where: str):
-    kind = getattr(field.type, "__name__", field.type)
-    if kind in ("int", "float"):
-        try:
-            return int(text) if kind == "int" else float(text)
-        except ValueError:
-            raise DataError(f"{where}: cannot parse {kind} from {text!r} "
-                            f"for {field.name!r}") from None
-    if kind == "bool":
-        lowered = text.lower()
-        if lowered in ("1", "true", "on", "yes"):
-            return True
-        if lowered in ("0", "false", "off", "no"):
-            return False
-        raise DataError(f"{where}: cannot parse boolean from {text!r} for {field.name!r}")
-    return text
-
-
 def build_train_config(args) -> TrainConfig:
-    values = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    if args.config:
-        for key, (text, where) in _parse_config_file(args.config).items():
-            if key not in fields:
-                raise DataError(f"{where}: unknown config key {key!r}")
-            values[key] = _coerce(fields[key], text, where)
-    for key in fields:  # each flag's dest is the field it sets
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
-    return TrainConfig(**values)
+    """The ``TrainConfig`` that ``train``'s flags set."""
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+                          if getattr(args, f.name, None) is not None})
 
 
 def cmd_gen_kg(args) -> int:
@@ -156,12 +118,8 @@ def cmd_train(args) -> int:
     graph = load_tsv_dir(args.kg)
     config = build_train_config(args)
     dataset = read_dataset(args.queries, graph)
-
-    def on_checkpoint(step, params):
-        params.save(f"{args.out}.step{step}")
-
     params, records = train(graph, dataset, config,
-                            on_checkpoint=on_checkpoint if config.checkpoint_every else None)
+                            on_checkpoint=lambda step, p: p.save(f"{args.out}.step{step}"))
     params.save(args.out)
     if args.log:
         write_train_log(records, args.log)
@@ -290,7 +248,7 @@ def cmd_oracle(args) -> int:
 
 
 def make_parser() -> _Parser:
-    parser = _Parser(prog="skqe", description=__doc__)
+    parser = _Parser(prog="skqe", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     inputs = argparse.ArgumentParser(add_help=False)  # the flags of _load_inputs
     inputs.add_argument("--kg", required=True)
@@ -322,7 +280,6 @@ def make_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model on a query dataset")
     p.add_argument("--kg", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--config", help="flat key = value settings file")
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="write the training log CSV here")
     p.add_argument("--d", type=int)
@@ -333,20 +290,20 @@ def make_parser() -> _Parser:
     p.add_argument("--steps", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tnorm", dest="kind", choices=("min", "prod", "luk"))
-    p.add_argument("--mode", choices=("bounds", "point"))
-    p.add_argument("--union", choices=("dnf", "dm"))
+    p.add_argument("--tnorm", dest="kind", choices=logic.TNORM_KINDS)
+    p.add_argument("--mode", choices=model_mod.MODES)
+    p.add_argument("--union", choices=algebra.UNION_MODES)
     p.add_argument("--log-every", type=_positive_int)
     p.add_argument("--checkpoint-every", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="ranking metrics on a query dataset", parents=[inputs])
-    p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
+    p.add_argument("--union", choices=algebra.UNION_MODES, default="dnf")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("correlate", help="uncertainty statistic vs answer size", parents=[inputs])
-    p.add_argument("--statistic", choices=("entropy", "width"), default="entropy")
+    p.add_argument("--statistic", choices=evaluation.STATISTICS, default="entropy")
     p.add_argument("--emit-plot-data", help="also write per-query (size, statistic) pairs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
@@ -367,7 +324,7 @@ def make_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--topk", type=_positive_int, default=10)
-    p.add_argument("--union", choices=("dnf", "dm"), default="dnf")
+    p.add_argument("--union", choices=algebra.UNION_MODES, default="dnf")
     p.set_defaults(func=cmd_answer)
 
     p = sub.add_parser("oracle", help="exact answer set of a query (no model)")

@@ -35,6 +35,7 @@ SCORE_BLOCK_BYTES = 1 << 20  # working-set budget of the screen and of ranking
 RANK_BYTES_PER_ENTITY = 18
 # Bytes per rescored near tie: indices, ids, exact scores and comparisons.
 RANK_BYTES_PER_NEAR_TIE = 64
+STATISTICS = ("entropy", "width")  # the uncertainty statistics of query_statistics
 
 
 @dataclass(frozen=True)
@@ -435,8 +436,8 @@ def query_statistics(dataset: QueryDataset, params: ModelParams,
     Union queries are embedded through De Morgan's law so a single embedding
     exists; everything else uses its plan directly.
     """
-    if statistic not in ("entropy", "width"):
-        raise DataError(f"unknown statistic {statistic!r} (want entropy or width)")
+    if statistic not in STATISTICS:
+        raise DataError(f"unknown statistic {statistic!r} (want {' or '.join(STATISTICS)})")
     samples = [s for group in dataset.by_structure().values() for s in group]
     values = dm_embeddings(params, samples)
     if statistic == "entropy":

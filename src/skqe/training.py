@@ -48,6 +48,8 @@ class TrainConfig:
             raise DataError(f"training is serial: workers must be 1, got {workers}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
+        if self.union not in algebra.UNION_MODES:
+            raise DataError(f"unknown union mode {self.union!r}")
         for name in ("gamma", "lr"):
             _check_positive(name, getattr(self, name))
         if self.negatives < 1:
@@ -411,6 +413,7 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     Datasets generated for generalization runs (modes ``train`` and
     ``generalization``) may only contain the ten training structures; the
     held-out compositional forms stay unseen. Deterministic for a fixed seed.
+    Given ``params`` must match ``config``'s model config, checked before any write.
     """
     if dataset.mode in ("train", "generalization"):
         illegal = [s for s in dataset.by_structure() if s not in algebra.TRAIN_STRUCTURES]
@@ -422,8 +425,11 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     if not dataset.samples:
         raise DataError("empty training dataset")
 
+    model_config = config.model_config(graph)
     if params is None:
-        params = ModelParams.initialize(config.model_config(graph), config.seed)
+        params = ModelParams.initialize(model_config, config.seed)
+    elif params.config != model_config:
+        raise DataError(f"parameters of {params.config} cannot train under {model_config}")
     params.extra.setdefault("train_config", asdict(config))
     params.extra["graph_hash"] = graph.content_hash()
 

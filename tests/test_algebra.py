@@ -319,3 +319,16 @@ class TestRecords:
         }
         back, easy, hard = algebra.record_to_instance(record, placeholder_graph)
         assert back == instance and easy == (2,) and hard == (1,)
+
+    @pytest.mark.parametrize("field", ["easy", "hard"])
+    def test_answer_name_listed_twice_is_a_data_error(self, placeholder_graph, field):
+        # a repeated answer would count twice in the metrics and in training's positive picks
+        record = {"structure": "1p", "anchors": ["a"], "relations": ["p"],
+                  "easy": ["a"], "hard": ["b"], field: ["c", "b", "c"]}
+        with pytest.raises(DataError, match=f"field '{field}' lists 'c' more than once"):
+            algebra.record_to_instance(record, placeholder_graph)
+
+    def test_an_anchor_may_repeat(self, placeholder_graph):
+        record = {"structure": "2i", "anchors": ["a", "a"], "relations": ["p", "q"]}
+        instance, easy, hard = algebra.record_to_instance(record, placeholder_graph)
+        assert instance.anchors == (0, 0) and easy == hard == ()

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 
@@ -7,6 +9,7 @@ import pytest
 from skqe import algebra, cli, evaluation, kg, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
+from skqe.training import TrainConfig
 
 from conftest import MALFORMED_HEADERS, write_checkpoint_version, write_malformed_checkpoint
 
@@ -70,7 +73,7 @@ def _inputs(files, command):
     ("train", "--log-every", "0"), ("train", "--negatives", "-1"),
 ])
 def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path, capsys):
-    # a count in a train --config file is checked by TrainConfig instead (exit 2)
+    # argparse rejects these (exit 1); TrainConfig checks them again for the Python API (exit 2)
     with pytest.raises(SystemExit) as exit_info:
         cli.main([command, *_inputs(files, command), flag, value,
                   "--out", str(tmp_path / "out")])
@@ -83,6 +86,7 @@ def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path
     ("train", "--workers", "1"), ("train", "--workers", "2"),
     ("eval", "--workers", "1"), ("eval", "--workers", "2"),
     ("train", "--attention", "on"), ("train", "--attention", "off"),
+    ("train", "--config", "train.cfg"),
 ])
 def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -91,6 +95,31 @@ def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, ca
     assert exit_info.value.code == cli.EXIT_USAGE
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a non-default value of each TrainConfig field as train's flag text, and as parsed
+TRAIN_FLAG_VALUES = {
+    "d": ("48", 48), "h": ("64", 64), "gamma": ("0.5", 0.5), "negatives": ("7", 7),
+    "batch_size": ("9", 9), "steps": ("3", 3), "lr": ("0.01", 0.01), "seed": ("4", 4),
+    "kind": ("prod", "prod"), "mode": ("point", "point"), "union": ("dm", "dm"),
+    "log_every": ("5", 5), "checkpoint_every": ("2", 2),
+    "filter_negatives": None,  # set only through the Python API
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_each_train_setting_has_one_flag(field):
+    parser = cli.make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a.option_strings for a in commands.choices["train"]._actions if a.dest == field]
+    if TRAIN_FLAG_VALUES[field] is None:
+        assert flags == []
+        return
+    [[flag]] = flags
+    text, value = TRAIN_FLAG_VALUES[field]
+    assert value != getattr(TrainConfig(), field)
+    args = parser.parse_args(["train", "--kg", "kg", "--queries", "q", "--out", "o", flag, text])
+    assert cli.build_train_config(args) == dataclasses.replace(TrainConfig(), **{field: value})
 
 
 @pytest.mark.parametrize("degree", ["nan", "inf", "-1", "0"])
@@ -118,16 +147,6 @@ def test_negative_seed_exits_with_data_error(files, command, tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
     assert not out.exists()
-
-
-def test_negative_seed_in_a_train_config_file_exits_with_data_error(files, tmp_path, capsys):
-    config = tmp_path / "train.cfg"
-    config.write_text("seed = -5\n")
-    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(files / "q.jsonl"),
-                     "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_DATA
-    assert "seed must be non-negative, got -5" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def _nearest(params, graph, branches: tuple) -> str:
@@ -437,7 +456,9 @@ def test_gen_queries_prints_its_time_and_yield_and_writes_the_dataset(files, tmp
     ("3", "expected a JSON object, got int"),
     ('{"structure": "1p", "anchors": "e1", "relations": ["r0"]}',
      "query record field 'anchors' must be a list of names"),
-], ids=["int-line", "anchors-string"])
+    ('{"structure": "1p", "anchors": ["e1"], "relations": ["r0"], "hard": ["e2", "e3", "e2"]}',
+     "query record field 'hard' lists 'e2' more than once"),
+], ids=["int-line", "anchors-string", "hard-name-twice"])
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_malformed_query_file_exits_with_data_error(files, command, record, message,
                                                     tmp_path, capsys):

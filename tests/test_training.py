@@ -395,6 +395,39 @@ class TestTrainConfigBounds:
     def test_accepts_edge_values(self):
         training.TrainConfig(checkpoint_every=0, lr=1e-12)
 
+    def test_rejects_an_unknown_union_mode(self):
+        with pytest.raises(DataError, match="unknown union mode 'bogus'"):
+            training.TrainConfig(union="bogus")
+
+
+class TestTrainChecksItsParams:
+    @pytest.mark.parametrize("field,value", [("kind", "prod"), ("mode", "point"),
+                                             ("d", 32), ("h", 32)])
+    def test_params_of_another_model_config_are_a_data_error(self, train_graph,
+                                                               train_dataset, field, value):
+        # without the check, luk parameters trained silently under a prod config
+        params = ModelParams.initialize(_config().model_config(train_graph), 0)
+        before = {name: array.copy() for name, array in params.arrays.items()}
+        with pytest.raises(DataError, match="cannot train under"):
+            training.train(train_graph, train_dataset, _config(**{field: value}), params=params)
+        assert params.extra == {}
+        for name, array in before.items():
+            np.testing.assert_array_equal(params.arrays[name], array)
+
+    def test_params_of_another_graph_are_a_data_error(self, train_graph, train_dataset):
+        other = kg.generate_synthetic(121, 4, 4.0, 0.1, 0.1, seed=3)
+        params = ModelParams.initialize(_config().model_config(other), 0)
+        with pytest.raises(DataError, match="cannot train under"):
+            training.train(train_graph, train_dataset, _config(), params=params)
+        assert params.extra == {}
+
+    def test_matching_params_train(self, train_graph, train_dataset):
+        config = _config(steps=1)
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        trained, _ = training.train(train_graph, train_dataset, config, params=params)
+        assert trained is params
+        assert params.extra["train_config"] == dataclasses.asdict(config)
+
 
 class TestTrainCli:
     @pytest.fixture(scope="class")
@@ -436,47 +469,6 @@ class TestTrainCli:
                            out=tmp_path / "m.ckpt") == cli.EXIT_DATA
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_config_file_sets_fields(self, files, tmp_path):
-        (tmp_path / "train.cfg").write_text(
-            "# settings\nsteps = 2\ngamma = 0.5  # margin\n\nfilter_negatives = off\n"
-            "kind = prod\n")
-        out = tmp_path / "m.ckpt"
-        assert self._train(files, "--config", str(tmp_path / "train.cfg"),
-                           out=out) == cli.EXIT_OK
-        stored = ModelParams.load(out).extra["train_config"]
-        assert (stored["steps"], stored["gamma"], stored["filter_negatives"], stored["kind"]) == (
-            2, 0.5, False, "prod")
-
-    def test_flag_overrides_config_file(self, files, tmp_path):
-        (tmp_path / "train.cfg").write_text("steps = 3\nlr = 0.01\n")
-        out = tmp_path / "m.ckpt"
-        assert self._train(files, "--config", str(tmp_path / "train.cfg"), "--steps", "1",
-                           out=out) == cli.EXIT_OK
-        stored = ModelParams.load(out).extra["train_config"]
-        assert (stored["steps"], stored["lr"]) == (1, 0.01)
-
-    @pytest.mark.parametrize("text,message", [
-        ("steps = 1\nlearning_rate = 0.1\n", "unknown config key 'learning_rate'"),
-        ("steps = 1\nfilter_negatives = maybe\n", "cannot parse boolean"),
-        ("steps = 1\nattention = on\n", "train.cfg:2: unknown config key 'attention'"),
-        ("steps = 0\n", "steps must be at least 1, got 0"),
-        ("steps = 1\nworkers = 1\n", "unknown config key 'workers'"),
-        ("steps = 1\nbeta1 = 0.9\n", "unknown config key 'beta1'"),
-        ("steps = 1\nbeta2 = 0.999\n", "unknown config key 'beta2'"),
-        ("steps = 1\neps = 1e-8\n", "unknown config key 'eps'"),
-        ("# settings\nsteps = abc\n", "train.cfg:2: cannot parse int from 'abc' for 'steps'"),
-        ("steps = 1\nlr = 1e-3x\n", "train.cfg:2: cannot parse float from '1e-3x' for 'lr'"),
-    ], ids=["unknown-key", "bad-boolean", "removed-attention-key", "steps-zero",
-            "removed-workers-key", "removed-beta1-key", "removed-beta2-key", "removed-eps-key",
-            "bad-int", "bad-float"])
-    def test_bad_config_file_exits_with_data_error(self, files, tmp_path, text, message,
-                                                   capsys):
-        (tmp_path / "train.cfg").write_text(text)
-        assert self._train(files, "--config", str(tmp_path / "train.cfg"),
-                           out=tmp_path / "m.ckpt") == cli.EXIT_DATA
-        assert not (tmp_path / "m.ckpt").exists()
-        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps,log_every,every,logged,saved", [
         (6, 4, 3, [1, 4, 6], [3, 6]),

@@ -4,7 +4,9 @@ and the answer-size head.
 A change that must keep behaviour byte-identical runs this script on its
 parent and on itself and compares the two outputs line by line. The
 answer-size head's line goes through the two CLI commands, whose names and
-flags stay put when the head's code moves. Each line is
+flags stay put when the head's code moves; the ``train small via cli flags``
+line goes through ``skqe train``, so it checks how the flags reach
+``TrainConfig``. Each line is
 ``<run>: <digest>``, the digest being the first 16 hex digits of a sha256.
 The bits depend on the machine's BLAS, so compare outputs of one machine
 only; this is not a test.
@@ -46,6 +48,36 @@ def dataset_digest(dataset, graph) -> str:
         path = Path(tmp) / "queries.jsonl"
         oracle.write_dataset(dataset, graph, path)
         return _hex(hashlib.sha256(path.read_bytes()))
+
+
+def write_inputs(graph, dataset, path: Path) -> list[str]:
+    """Write ``graph`` as TSV files and ``dataset`` as JSONL under ``path``,
+    the dataset stamped with the hash of the graph the files load as;
+    returns the ``--kg`` and ``--queries`` flags that name them."""
+    kg.write_tsv(graph, path / "kg")
+    # the file's ids follow first appearance, so its graph hashes differently
+    files_hash = kg.load_tsv_dir(path / "kg").content_hash()
+    metadata = {**dataset.metadata, "graph_hash": files_hash}
+    oracle.write_dataset(oracle.QueryDataset(dataset.samples, metadata), graph,
+                         path / "queries.jsonl")
+    return ["--kg", str(path / "kg"), "--queries", str(path / "queries.jsonl")]
+
+
+def checkpoint_hash(path: Path):
+    """A sha256 fed with a checkpoint's arrays in sorted name order."""
+    h = hashlib.sha256()
+    arrays = ModelParams.load(path).arrays
+    for name in sorted(arrays):
+        h.update(arrays[name].tobytes())
+    return h
+
+
+def cli_main(argv: list[str]) -> None:
+    """``cli.main(argv)`` with its output swallowed; raises unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"skqe {argv[0]} exited with {code}")
 
 
 def train_digest(graph, dataset, **config) -> str:
@@ -115,6 +147,19 @@ def runs():
         yield name, lambda graph=graph, dataset=dataset, config=config: train_digest(
             graph(), dataset(), **config)
 
+    def train_via_flags():
+        """``skqe train`` with ``SMALL_TRAIN``'s settings as flags, through
+        ``cli.main`` on files of the small graph and its train set: the
+        checkpoint's parameters in sorted name order."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            inputs = write_inputs(small_graph(), sampled(small_graph, train, 20, 3, "train"), path)
+            flags = [text for key, value in SMALL_TRAIN.items()
+                     for text in (f"--{key.replace('_', '-')}", str(value))]
+            cli_main(["train", *inputs, *flags, "--out", str(path / "model.ckpt")])
+            return _hex(checkpoint_hash(path / "model.ckpt"))
+    yield "train small via cli flags", train_via_flags
+
     generalization = lambda: sampled(big_graph, every, 200, 401, "generalization")
 
     def one_query():
@@ -159,26 +204,13 @@ def runs():
         then the ``cardinality_mae_pct`` rows of the metrics file."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp)
-            kg.write_tsv(big_graph(), path / "kg")
-            # the file's ids follow first appearance, so its graph hashes differently
-            files_hash = kg.load_tsv_dir(path / "kg").content_hash()
-            dataset = generalization()
-            metadata = {**dataset.metadata, "graph_hash": files_hash}
-            oracle.write_dataset(oracle.QueryDataset(dataset.samples, metadata), big_graph(),
-                                 path / "queries.jsonl")
+            inputs = write_inputs(big_graph(), generalization(), path)
             seeded_params().save(path / "seeded.ckpt")
-            inputs = ["--kg", str(path / "kg"), "--queries", str(path / "queries.jsonl")]
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes = [cli.main(["fit-cardinality", *inputs, "--ckpt", str(path / "seeded.ckpt"),
-                                   "--out", str(path / "fitted.ckpt")]),
-                         cli.main(["eval-cardinality", *inputs, "--ckpt", str(path / "fitted.ckpt"),
-                                   "--out", str(path / "metrics.csv")])]
-            if codes != [0, 0]:
-                raise RuntimeError(f"size-head commands exited with {codes}")
-            h = hashlib.sha256()
-            arrays = ModelParams.load(path / "fitted.ckpt").arrays
-            for name in sorted(arrays):
-                h.update(arrays[name].tobytes())
+            cli_main(["fit-cardinality", *inputs, "--ckpt", str(path / "seeded.ckpt"),
+                      "--out", str(path / "fitted.ckpt")])
+            cli_main(["eval-cardinality", *inputs, "--ckpt", str(path / "fitted.ckpt"),
+                      "--out", str(path / "metrics.csv")])
+            h = checkpoint_hash(path / "fitted.ckpt")
             rows = [line for line in (path / "metrics.csv").read_text().splitlines()
                     if line.split(",")[1] == "cardinality_mae_pct"]
             h.update("\n".join(rows).encode())
