@@ -156,9 +156,12 @@ class QueryPlan:
 
     Valid by construction: raises DataError unless the plan has a node, every
     input id comes before its node, each Conjoin / Disjoin has two or more
-    inputs and every node but the last feeds a later one. Evaluators can
-    therefore evaluate the nodes in order, once each, without checking them,
-    and answer with the last value.
+    inputs and every node but the last feeds a later one. A Negate stands
+    where the 14 structures put one, as an input of a Conjoin with a
+    non-negated input: one that feeds any other node, a Conjoin of Negates
+    only and a Negate as the last node are refused. Evaluators can therefore
+    evaluate the nodes in order, once each, without checking them, answer
+    with the last value, and read a Negate as the set its Conjoin subtracts.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -167,6 +170,7 @@ class QueryPlan:
         if not self.nodes:
             raise DataError("a plan needs at least one node")
         unfed = set(range(len(self.nodes) - 1))
+        negates: set[int] = set()
         for idx, node in enumerate(self.nodes):
             if isinstance(node, Anchor):
                 inputs = ()
@@ -180,9 +184,18 @@ class QueryPlan:
                 raise DataError(f"plan node {idx}: unknown node type {type(node).__name__}")
             if not all(0 <= i < idx for i in inputs):
                 raise DataError(f"plan node {idx}: input {inputs} does not come before it")
+            if isinstance(node, Conjoin):
+                if negates.issuperset(inputs):
+                    raise DataError(f"plan node {idx}: a conjunction needs a non-negated input")
+            elif negates.intersection(inputs):
+                raise DataError(f"plan node {idx}: a negation feeds only a conjunction")
+            if isinstance(node, Negate):
+                negates.add(idx)
             unfed.difference_update(inputs)
         if unfed:
             raise DataError(f"plan nodes {sorted(unfed)} feed no later node")
+        if isinstance(self.nodes[-1], Negate):
+            raise DataError("a plan cannot answer with a negation")
 
 
 def compile_instance(structure: str) -> QueryPlan:

@@ -134,22 +134,22 @@ class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
     Built from the subset of triples whose split label is in ``splits`` and
-    not changed afterwards. The derived ``walk_table``, ``degree_table``,
-    ``tails`` and ``universe`` are computed on first use and kept on the index.
+    not changed afterwards. The derived ``walk_table``, ``degree_table`` and
+    ``tails`` are computed on first use and kept on the index.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
         for s in splits:
             if s not in SPLITS:
                 raise DataError(f"unknown split {s!r}")
-        self.splits = tuple(splits)
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
         forward: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in graph.split_triples(self.splits):
+        # sorted distinct triples, so each pair's tails arrive sorted and distinct
+        for h, r, t in graph.split_triples(splits):
             forward.setdefault((h, r), []).append(t)
         self.forward: dict[tuple[int, int], tuple[int, ...]] = {
-            key: tuple(sorted(set(tails))) for key, tails in forward.items()
+            key: tuple(tails) for key, tails in forward.items()
         }
 
     def lookup(self, head: int, relation: int) -> tuple[int, ...]:
@@ -192,11 +192,6 @@ class AdjacencyIndex:
     def tails(self) -> np.ndarray:
         """Every entity with an incoming edge, ascending (int64). Built on first use."""
         return np.flatnonzero(np.diff(self.walk_table.offsets))
-
-    @functools.cached_property
-    def universe(self) -> frozenset[int]:
-        """All entity ids, the set a complement is taken against."""
-        return frozenset(range(self.num_entities))
 
 
 def build_index(graph: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> AdjacencyIndex:

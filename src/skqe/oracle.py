@@ -1,9 +1,9 @@
 """Exact set-semantics evaluation of query plans and dataset generation.
 
 ``eval_plan`` answers a cached structure plan (or DNF branch) under an
-instance's slot bindings in one forward pass over its nodes; complements are
-taken against the index's ``universe``. ``exhaustive_eval`` is the plan-free
-brute-force reference.
+instance's slot bindings in one forward pass over its nodes, each node a
+plain set: a negated set is only ever subtracted by its conjunction.
+``exhaustive_eval`` is the plan-free brute-force reference.
 
 ``sample_queries`` draws queries by inverse random walks: it draws an answer
 entity, then walks the template's atoms backwards from it in
@@ -78,42 +78,28 @@ def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set
     ``plan`` is one structure's plan (``algebra.structure_plan``) or one of
     its DNF branches, valid by construction, and ``anchors`` / ``relations``
     are an instance's ids for its anchor and relation slots. One forward pass
-    over the nodes suffices because every input comes before its node. Each
-    node evaluates to (set, complemented): complements stay lazy inside
-    joins and are taken against the index's universe only where a relation
-    is followed or at the last node, the plan's answer.
+    over the nodes suffices because every input comes before its node. A
+    plan negates only an input of a Conjoin that has a non-negated input
+    (``QueryPlan``), so a Negate passes its input's set through and the
+    Conjoin subtracts it from the intersection of its other inputs.
     """
-    values: list[tuple[set[int], bool]] = []
+    values: list[set[int]] = []
     for node in plan.nodes:
         if isinstance(node, Relate):
-            base, complemented = values[node.input]
-            if complemented:
-                base = index.universe - base
-            values.append((follow(relations[node.slot], base, index), False))
+            values.append(follow(relations[node.slot], values[node.input], index))
         elif isinstance(node, Anchor):
-            values.append(({anchors[node.slot]}, False))
+            values.append({anchors[node.slot]})
         elif isinstance(node, Negate):
-            base, complemented = values[node.input]
-            values.append((base, not complemented))
-        else:  # Conjoin or Disjoin
-            parts = [values[i] for i in node.inputs]
-            positives = [s for s, c in parts if not c]
-            negatives = [s for s, c in parts if c]
-            if isinstance(node, Conjoin):
-                if positives:
-                    acc = positives[0].intersection(*positives[1:])
-                    acc.difference_update(*negatives)
-                    values.append((acc, False))
-                else:  # all inputs complemented: the complement of their union
-                    values.append((set().union(*negatives), True))
-            elif negatives:  # the complement of (negated sets minus the positive ones)
-                acc = negatives[0].intersection(*negatives[1:])
-                acc.difference_update(*positives)
-                values.append((acc, True))
-            else:
-                values.append((set().union(*positives), False))
-    answers, complemented = values[-1]
-    return set(index.universe - answers) if complemented else answers
+            values.append(values[node.input])
+        elif isinstance(node, Conjoin):
+            positives = [values[i] for i in node.inputs if not isinstance(plan.nodes[i], Negate)]
+            negatives = [values[i] for i in node.inputs if isinstance(plan.nodes[i], Negate)]
+            acc = positives[0].intersection(*positives[1:])
+            acc.difference_update(*negatives)
+            values.append(acc)
+        else:  # Disjoin
+            values.append(set().union(*(values[i] for i in node.inputs)))
+    return values[-1]
 
 
 def exhaustive_eval(instance: QueryInstance, graph: KnowledgeGraph,
@@ -267,62 +253,53 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
     Precondition: every column is an inverse walk of the plan's template on
     ``index`` (``_walk_batch``), so each step bound a new source term and its
     own relation slot (``walk_order``). Then each Anchor holds its walked
-    entity, and a Relate of a positive input that holds its entity holds its
-    own, since the walk drew an edge of that relation from one to the other.
+    entity, and a Relate whose input holds its entity holds its own, since
+    the walk drew an edge of that relation from one to the other.
     For other bindings the bound can fall below the answer-set size.
 
     One forward pass over the nodes keeps, for each node, a bound on the size
-    of its set as ``eval_plan`` holds it (complements stay lazy), the
-    complement flag, and whether the set provably holds the walked entity of
-    the node's term:
+    of its set as ``eval_plan`` holds it and whether the set provably holds
+    the walked entity of the node's term:
 
     - an Anchor is bounded by 1;
     - a Relate out of an Anchor by the exact out-degree of (anchor, relation);
-    - any other Relate by 0 where its input is empty (bounded below 1 and not
-      complemented), and not at all elsewhere;
-    - a Negate by its input's bound, with the complement flag flipped;
-    - a Conjoin with positive inputs by the least of their bounds, less 1
-      where every positive input and some complemented input hold the walked
-      entity: the entity is then in the smallest positive set and removed
-      from the result;
-    - a Conjoin of complemented inputs only, a Disjoin or a complemented last
-      node not at all.
+    - any other Relate by 0 where its input is empty (bounded below 1), and
+      not at all elsewhere;
+    - a Negate keeps its input's bound and flag for its Conjoin to read;
+    - a Conjoin by the least bound of its non-negated inputs, less 1 where
+      every non-negated input and some negated input hold the walked
+      entity: the entity is then in the smallest non-negated set and
+      removed from the result;
+    - a Disjoin not at all.
     """
     columns = anchors.shape[1]
-    unbounded = np.full(columns, np.inf)
-    # per node: (bound, complemented, holds the walked entity)
-    values: list[tuple[np.ndarray, bool, bool]] = []
+    # per node: (bound, holds the walked entity)
+    values: list[tuple[np.ndarray, bool]] = []
     for node in plan.nodes:
         if isinstance(node, Anchor):
-            values.append((np.ones(columns), False, True))
+            values.append((np.ones(columns), True))
         elif isinstance(node, Relate):
-            bound, complemented, held = values[node.input]
+            bound, held = values[node.input]
             source = plan.nodes[node.input]
             if isinstance(source, Anchor):
                 bound = index.out_degree(anchors[source.slot], relations[node.slot])
                 bound = bound.astype(np.float64)
-            elif complemented:
-                bound = unbounded
             else:
                 bound = np.where(bound < 1, 0.0, np.inf)
-            values.append((bound, False, held and not complemented))
+            values.append((bound, held))
         elif isinstance(node, Negate):
-            bound, complemented, held = values[node.input]
-            values.append((bound, not complemented, held))
-        else:  # Conjoin or Disjoin
-            parts = [values[i] for i in node.inputs]
-            positives = [(bound, held) for bound, complemented, held in parts if not complemented]
-            negatives = [held for _, complemented, held in parts if complemented]
-            if not isinstance(node, Conjoin) or not positives:
-                values.append((unbounded, bool(negatives), False))
-                continue
+            values.append(values[node.input])
+        elif isinstance(node, Conjoin):
+            positives = [values[i] for i in node.inputs if not isinstance(plan.nodes[i], Negate)]
+            negatives = [values[i][1] for i in node.inputs if isinstance(plan.nodes[i], Negate)]
             bound = np.minimum.reduce([bound for bound, _ in positives])
             held = all(held for _, held in positives)
             if held and any(negatives):
                 bound = np.maximum(bound - 1, 0.0)
-            values.append((bound, False, held and not negatives))
-    bound, complemented, _ = values[-1]
-    return unbounded if complemented else bound
+            values.append((bound, held and not negatives))
+        else:  # Disjoin
+            values.append((np.full(columns, np.inf), False))
+    return values[-1][0]
 
 
 class WalkBatch(NamedTuple):

@@ -430,7 +430,7 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
         params = ModelParams.initialize(model_config, config.seed)
     elif params.config != model_config:
         raise DataError(f"parameters of {params.config} cannot train under {model_config}")
-    params.extra.setdefault("train_config", asdict(config))
+    params.extra["train_config"] = asdict(config)
     params.extra["graph_hash"] = graph.content_hash()
 
     groups = _prepare_groups(dataset)

@@ -322,68 +322,40 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
 # taking ``int(u * n)`` of the next number in its column.
 
 def reference_eval_node(plan, node_id: int, anchors, relations, index,
-                        cache: dict[int, tuple[set[int], bool]]) -> tuple[set[int], bool]:
-    """Evaluate to (set, complemented); complements stay lazy inside conjunctions."""
+                        cache: dict[int, set[int]]) -> set[int]:
+    """Evaluate one node's set; a conjunction subtracts the sets its negated
+    inputs negate."""
     if node_id in cache:
         return cache[node_id]
     node = plan.nodes[node_id]
     if isinstance(node, algebra.Anchor):
-        result = ({anchors[node.slot]}, False)
+        result = {anchors[node.slot]}
     elif isinstance(node, algebra.Relate):
-        base, complemented = reference_eval_node(plan, node.input, anchors, relations, index, cache)
-        if complemented:
-            base = set(range(index.num_entities)) - base
-        result = (oracle.follow(relations[node.slot], base, index), False)
-    elif isinstance(node, algebra.Negate):
-        base, complemented = reference_eval_node(plan, node.input, anchors, relations, index, cache)
-        result = (base, not complemented)
+        base = reference_eval_node(plan, node.input, anchors, relations, index, cache)
+        result = oracle.follow(relations[node.slot], base, index)
     elif isinstance(node, algebra.Conjoin):
-        parts = [reference_eval_node(plan, i, anchors, relations, index, cache)
-                 for i in node.inputs]
-        positives = [s for s, c in parts if not c]
-        negatives = [s for s, c in parts if c]
-        if positives:
-            acc = set(positives[0])
-            for s in positives[1:]:
-                acc &= s
-            for s in negatives:
-                acc -= s
-            result = (acc, False)
-        else:
-            # all inputs complemented: intersection of complements
-            acc = set(negatives[0])
-            for s in negatives[1:]:
-                acc |= s
-            result = (acc, True)
+        result = None
+        negated = []
+        for i in node.inputs:
+            if isinstance(plan.nodes[i], algebra.Negate):
+                negated.append(plan.nodes[i].input)
+                continue
+            part = reference_eval_node(plan, i, anchors, relations, index, cache)
+            result = set(part) if result is None else result & part
+        for i in negated:
+            result -= reference_eval_node(plan, i, anchors, relations, index, cache)
     elif isinstance(node, algebra.Disjoin):
-        parts = [reference_eval_node(plan, i, anchors, relations, index, cache)
-                 for i in node.inputs]
-        positives = [s for s, c in parts if not c]
-        negatives = [s for s, c in parts if c]
-        if negatives:
-            acc = set(negatives[0])
-            for s in negatives[1:]:
-                acc &= s
-            for s in positives:
-                acc -= s
-            result = (acc, True)
-        else:
-            acc = set()
-            for s in positives:
-                acc |= s
-            result = (acc, False)
+        result = set()
+        for i in node.inputs:
+            result |= reference_eval_node(plan, i, anchors, relations, index, cache)
     else:
-        raise DataError(f"unknown plan node {type(node).__name__}")
+        raise DataError(f"unevaluable plan node {type(node).__name__}")
     cache[node_id] = result
     return result
 
 
 def reference_eval_plan(plan, anchors, relations, index) -> set[int]:
-    answers, complemented = reference_eval_node(plan, len(plan.nodes) - 1, anchors, relations,
-                                                index, {})
-    if complemented:
-        return set(range(index.num_entities)) - answers
-    return answers
+    return reference_eval_node(plan, len(plan.nodes) - 1, anchors, relations, index, {})
 
 
 def reference_incoming_table(index) -> dict[int, list[tuple[int, int]]]:

@@ -165,6 +165,28 @@ class TestPlanShape:
         with pytest.raises(DataError, match="at least one node"):
             QueryPlan(())
 
+    def test_negation_feeding_a_relation_rejected(self):
+        # the entities outside a's r-tails, followed through q: no structure has it
+        with pytest.raises(DataError, match="plan node 3: a negation feeds only a conjunction"):
+            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Relate(1, 2)))
+
+    def test_negation_feeding_a_disjunction_rejected(self):
+        with pytest.raises(DataError, match="plan node 5: a negation feeds only a conjunction"):
+            QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2), Negate(3),
+                       Disjoin((1, 4))))
+
+    def test_conjunction_of_negations_only_rejected(self):
+        with pytest.raises(DataError, match="plan node 6: a conjunction needs a non-negated input"):
+            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Anchor(1), Relate(1, 3), Negate(4),
+                       Conjoin((2, 5))))
+
+    def test_negated_answer_rejected(self):
+        with pytest.raises(DataError, match="a plan cannot answer with a negation"):
+            QueryPlan((Anchor(0), Relate(0, 0), Negate(1)))
+        # nor a negation of a negation
+        with pytest.raises(DataError, match="plan node 3: a negation feeds only a conjunction"):
+            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Negate(2)))
+
 
 def _or_defined_terms(template):
     return {template.atoms[i].dst for pair in template.or_pairs for i in pair}

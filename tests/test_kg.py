@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skqe import kg
@@ -137,9 +139,17 @@ class TestAdjacencyIndex:
                 expected = tuple(sorted(t for (hh, rr, t) in triples if hh == h and rr == r))
                 assert small_index.lookup(h, r) == expected
 
-    def test_lists_sorted_and_unique(self, small_index):
-        for tails in small_index.forward.values():
-            assert list(tails) == sorted(set(tails))
+    def test_lists_sorted_and_unique(self, small_graph):
+        subsets = [c for n in (1, 2, 3) for c in itertools.combinations(kg.SPLITS, n)]
+        for splits in subsets:
+            index = kg.build_index(small_graph, splits)
+            want: dict[tuple[int, int], set[int]] = {}
+            for (h, r, t), split in small_graph.triples.items():
+                if split in splits:
+                    want.setdefault((h, r), set()).add(t)
+            assert index.forward == {key: tuple(sorted(tails)) for key, tails in want.items()}
+            for tails in index.forward.values():
+                assert list(tails) == sorted(set(tails))
 
 
 def test_content_hash_changes_with_data(small_graph):

@@ -58,14 +58,6 @@ class TestEvalPlan:
         graph.add_triple(1, 0, 3, "train")
         assert answers(QueryInstance("2in", (0, 1), (0, 0)), kg.build_index(graph)) == {2}
 
-    def test_double_negation_is_identity(self, small_graph, small_index):
-        base = algebra.structure_plan("1p")
-        answer = len(base.nodes) - 1
-        wrapped = QueryPlan((*base.nodes, Negate(answer), Negate(answer + 1)))
-        for anchor, relation in [(0, 0), (3, 1), (7, 2)]:
-            assert oracle.eval_plan(wrapped, (anchor,), (relation,), small_index) == \
-                   oracle.eval_plan(base, (anchor,), (relation,), small_index)
-
     def test_union_of_disjoint_answers(self):
         graph = kg.KnowledgeGraph(
             kg.Vocabulary(["a", "b", "c", "d"]),
@@ -74,17 +66,6 @@ class TestEvalPlan:
         graph.add_triple(0, 0, 1, "train")
         graph.add_triple(2, 1, 3, "train")
         assert answers(QueryInstance("2u", (0, 2), (0, 1)), kg.build_index(graph)) == {1, 3}
-
-    def test_negated_sink_materializes_complement(self, toy_graph):
-        plan = QueryPlan((Anchor(0), Relate(0, 0), Negate(1)))
-        assert oracle.eval_plan(plan, (0,), (0,), kg.build_index(toy_graph)) == {0, 3}
-
-
-def _with_complemented_answer(plan):
-    """The plan's complement, and that complement followed through relation 0."""
-    negated = QueryPlan((*plan.nodes, Negate(len(plan.nodes) - 1)))
-    followed = QueryPlan((*negated.nodes, Relate(0, len(negated.nodes) - 1)))
-    return negated, followed
 
 
 class TestReferenceParity:
@@ -96,11 +77,12 @@ class TestReferenceParity:
     def test_eval_plan_matches_recursive_reference(self, structure, splits, small_graph):
         index = kg.build_index(small_graph, splits)
         plans = {algebra.structure_plan(structure), *algebra.plan_branches(structure, "dnf")}
-        plans |= {variant for plan in list(plans) for variant in _with_complemented_answer(plan)}
         rng = np.random.default_rng([5, algebra.STRUCTURE_NAMES.index(structure)])
-        sampled = oracle.sample_dataset(small_graph, (structure,), 10, seed=5,
-                                        mode="generalization")
-        bindings = [(s.instance.anchors, s.instance.relations) for s in sampled.samples]
+        # sampled queries have answers on the full graph, train-mode ones on its train edges
+        bindings = [(s.instance.anchors, s.instance.relations)
+                    for mode in ("generalization", "train")
+                    for s in oracle.sample_dataset(small_graph, (structure,), 10, seed=5,
+                                                   mode=mode).samples]
         for _ in range(30):
             instance = random_instance(structure, rng, 50, 3)
             bindings.append((instance.anchors, instance.relations))
@@ -109,20 +91,29 @@ class TestReferenceParity:
             for anchors, relations in bindings:
                 got = oracle.eval_plan(plan, anchors, relations, index)
                 assert got == reference_eval_plan(plan, anchors, relations, index)
-                nonempty += 0 < len(got) < index.num_entities
+                nonempty += bool(got)
         assert nonempty >= 10
 
     @pytest.mark.parametrize("join", [Conjoin, Disjoin])
     @pytest.mark.parametrize("negated", list(itertools.product((False, True), repeat=3)))
     def test_eval_plan_matches_reference_on_every_join_case(self, join, negated, small_index):
-        # three one-hop inputs, each negated or not: joins of positives only,
-        # of complements only and mixed, including a complemented answer
+        # three one-hop inputs, each negated or not: conjunctions with 0-2 of
+        # them negated and a disjunction of all three evaluate; a conjunction
+        # of negations only and a negation feeding a disjunction are refused
         nodes, parts = [], []
         for slot, negate in enumerate(negated):
             nodes += [Anchor(slot), Relate(slot, len(nodes))]
             if negate:
                 nodes.append(Negate(len(nodes) - 1))
             parts.append(len(nodes) - 1)
+        if join is Conjoin and all(negated):
+            with pytest.raises(DataError, match="a conjunction needs a non-negated input"):
+                QueryPlan((*nodes, join(tuple(parts))))
+            return
+        if join is Disjoin and any(negated):
+            with pytest.raises(DataError, match="a negation feeds only a conjunction"):
+                QueryPlan((*nodes, join(tuple(parts))))
+            return
         plan = QueryPlan((*nodes, join(tuple(parts))))
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -160,7 +151,6 @@ class TestReferenceParity:
             assert list(zip(heads[rows].tolist(), relations[rows].tolist())) == \
                 want.get(tail, [])
         assert index.tails.tolist() == sorted(want)
-        assert index.universe == frozenset(range(50))
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_attempts_per_structure_match_reference(self, seed, small_graph, tmp_path):
@@ -326,10 +316,9 @@ class TestAnswerBound:
     def test_rules_on_a_small_graph(self):
         index = self.awards_index()
 
-        def bound(structure, anchors, relations, plan=None):
-            plan = plan or algebra.structure_plan(structure)
-            return self.bounds(plan, [QueryInstance(structure, anchors, relations)],
-                               index).tolist()
+        def bound(structure, anchors, relations):
+            return self.bounds(algebra.structure_plan(structure),
+                               [QueryInstance(structure, anchors, relations)], index).tolist()
 
         assert bound("1p", (0,), (0,)) == [2.0]
         assert bound("2i", (0, 1), (0, 0)) == [1.0]
@@ -341,8 +330,6 @@ class TestAnswerBound:
         assert bound("inp", (1, 0), (0, 0, 0)) == [0.0]  # {y} less y, then followed
         assert bound("pin", (0, 1), (0, 0, 0)) == [np.inf]
         assert bound("2u", (0, 1), (0, 0)) == [np.inf]
-        negated, _ = _with_complemented_answer(algebra.structure_plan("1p"))
-        assert bound("1p", (2,), (0,), plan=negated) == [np.inf]
 
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
@@ -440,22 +427,6 @@ class TestExhaustiveEquivalence:
                 oracle.exhaustive_eval(instance, graph)
         finally:
             oracle.EXHAUSTIVE_GUARD = old
-
-
-class TestDeMorgan:
-    def test_set_level_identity(self, small_graph, small_index):
-        direct = QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2), Disjoin((1, 3))))
-        rewritten = QueryPlan((Anchor(0), Relate(0, 0), Negate(1),
-                               Anchor(1), Relate(1, 3), Negate(4),
-                               Conjoin((2, 5)), Negate(6)))
-
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            left = random_instance("1p", rng, 50, 3)
-            right = random_instance("1p", rng, 50, 3)
-            bindings = ((left.anchors[0], right.anchors[0]),
-                        (left.relations[0], right.relations[0]), small_index)
-            assert oracle.eval_plan(direct, *bindings) == oracle.eval_plan(rewritten, *bindings)
 
 
 class TestDnfBranches:

@@ -428,6 +428,14 @@ class TestTrainChecksItsParams:
         assert trained is params
         assert params.extra["train_config"] == dataclasses.asdict(config)
 
+    def test_a_second_train_call_records_its_own_config(self, train_graph, train_dataset):
+        # a warm-up run, then the measured run on the same params
+        first, second = _config(steps=1, lr=1e-4), _config(steps=2, lr=1e-3)
+        params = ModelParams.initialize(first.model_config(train_graph), 0)
+        training.train(train_graph, train_dataset, first, params=params)
+        training.train(train_graph, train_dataset, second, params=params)
+        assert params.extra["train_config"] == dataclasses.asdict(second)
+
 
 class TestTrainCli:
     @pytest.fixture(scope="class")
