@@ -2,9 +2,11 @@
 
 One tape per training forward pass; values are recorded in creation order,
 which is already a topological order, and ``backward`` walks it in reverse.
-Only the primitives needed by the model and loss are provided. Tensors
-support numpy broadcasting in the elementwise binaries; gradients are summed
-back down to the operand shapes.
+The primitives are generic array operations, one per operation, and only
+those that another ``skqe`` module calls. No logic formula lives here: the
+t-norms, the smooth minimum included, are composed from these primitives in
+``logic.conjoin_slots``. Tensors support numpy broadcasting in the
+elementwise binaries; gradients are summed back down to the operand shapes.
 
 Constants are plain arrays. A primitive with no tensor among its inputs
 returns a plain array and records nothing; otherwise it records a ``Tensor``
@@ -73,11 +75,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, -1.0)
 
 
 class Tape:
@@ -170,13 +169,6 @@ def pow_elem(base, exponent):
         lambda g, bv, ev, out: g * ev * np.power(np.maximum(bv, POW_LOG_CLAMP), ev - 1.0),
         lambda g, bv, ev, out: g * out * np.log(np.maximum(bv, POW_LOG_CLAMP)),
     )
-
-
-def scale(a, c: float):
-    def backward(g):
-        a._accumulate(g * c)
-
-    return _record(value_of(a) * c, backward, a)
 
 
 def matmul(a, b):
@@ -292,42 +284,6 @@ def sum_all(a):
         a._accumulate(np.full(av.shape, float(g)))
 
     return _record(np.asarray(av.sum()), backward, a)
-
-
-def mean_all(a):
-    av = value_of(a)
-
-    def backward(g):
-        a._accumulate(np.full(av.shape, float(g) / av.size))
-
-    return _record(np.asarray(av.mean()), backward, a)
-
-
-def smoothmin_weighted(truths: list, weights: list, alpha: float):
-    """Weighted smooth minimum over k same-shape inputs:
-    sum_j t_j w_j e^(a t_j) / sum_j w_j e^(a t_j)."""
-    if len(truths) != len(weights) or not truths:
-        raise ValueError("smoothmin: need matching non-empty truth and weight lists")
-    tvs = [value_of(t) for t in truths]
-    exps = [np.exp(alpha * tv) for tv in tvs]
-    scores = [value_of(w) * e for w, e in zip(weights, exps)]
-    denom = np.zeros_like(scores[0])
-    numer = np.zeros_like(scores[0])
-    for tv, s in zip(tvs, scores):
-        denom = denom + s
-        numer = numer + tv * s
-    if np.any(denom == 0.0):
-        raise ValueError("smoothmin: all inputs removed (zero denominator)")
-    value = numer / denom
-
-    def backward(g):
-        for t, w, tv, e, s in zip(truths, weights, tvs, exps, scores):
-            if isinstance(t, Tensor):
-                t._accumulate(g * s * (1.0 + alpha * tv - alpha * value) / denom)
-            if isinstance(w, Tensor):
-                w._accumulate(g * e * (tv - value) / denom)
-
-    return _record(value, backward, *truths, *weights)
 
 
 def backward(output: Tensor) -> None:

@@ -23,7 +23,7 @@ def predict(ctx: ForwardContext, h: Slots) -> Slots:
     vectors: a three-layer MLP whose sigmoid output is scaled by SCALE."""
     z1 = ad.relu(ad.matmul(h, ctx.dense("H1")) + ctx.dense("H1b"))
     z2 = ad.relu(ad.matmul(z1, ctx.dense("H2")) + ctx.dense("H2b"))
-    s = ad.scale(ad.sigmoid(ad.matmul(z2, ctx.dense("H3")) + ctx.dense("H3b")), SCALE)
+    s = ad.sigmoid(ad.matmul(z2, ctx.dense("H3")) + ctx.dense("H3b")) * SCALE
     return ad.reshape(s, s.shape[:1])
 
 
@@ -69,7 +69,7 @@ def fit(params: ModelParams, dataset: QueryDataset, h: np.ndarray,
     optimizer = training.Adam(lr)
     for _ in range(epochs):
         ctx = ForwardContext(params, train=True)
-        loss = ad.mean_all(ad.absolute(predict(ctx, h_train) - y_train) / y_train)
+        loss = ad.sum_all(ad.absolute(predict(ctx, h_train) - y_train) / y_train) / len(y_train)
         if not np.isfinite(loss.value):
             raise NumericError("non-finite cardinality loss")
         ad.backward(loss)

@@ -7,8 +7,11 @@ An embedding is d interval pairs [l_i, u_i] in [0,1] stored flat as
 The slot operators ``negate_slots``, ``conjoin_slots`` and ``entropy_slots``
 are the one definition of the logic, over flat (..., 2d) slot arrays. Built
 on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
-tape tensors alike: the model calls them in training and in inference. With
-unit weights ``conjoin_slots`` is the plain t-norm (the smooth minimum for
+tape tensors alike: the model calls them in training and in inference.
+``conjoin_slots`` holds the three weighted t-norms: Łukasiewicz
+max(0, 1 - sum w (1 - t)), product prod t^w, and the smooth minimum
+sum t w e^(at) / sum w e^(at); the last raises ValueError where all weights
+are 0. With unit weights each is the plain t-norm (the smooth minimum for
 min). ``conjoin_bounds`` applies it to ``TruthBounds`` values. All float64.
 """
 
@@ -65,9 +68,16 @@ def conjoin_slots(kind: str, xs: list, ws: list, mode: str):
     """Weighted conjunction of k slot arrays; returns (value, repairs).
 
     ``ws`` holds one weight array per input, of its shape; a weight of 0
-    removes an input. luk is max(0, 1 - sum(w_j (1 - t_j))), prod is
-    prod(t_j^w_j), and min is the smooth minimum sum(t w e^(at)) / sum(w e^(at))
-    with a = SMOOTHMIN_ALPHA.
+    removes an input. The three t-norms, each composed here from tape
+    primitives and defined nowhere else:
+
+    - luk, Łukasiewicz: max(0, 1 - sum_j w_j (1 - t_j));
+    - prod, product: prod_j t_j^w_j;
+    - min, the smooth Gödel minimum: sum_j t_j s_j / sum_j s_j with
+      s_j = w_j e^(a t_j) and a = SMOOTHMIN_ALPHA, the sums taken in input
+      order. It raises ValueError where every weight of a slot is 0, since
+      all its inputs are then removed and the quotient is 0/0.
+
     In bounds mode the slots are (..., 2d) intervals, and crossed ones (l > u),
     which only the non-monotonic smooth minimum produces, collapse to their
     midpoint; ``repairs`` counts them. Point mode repairs nothing.
@@ -82,7 +92,14 @@ def conjoin_slots(kind: str, xs: list, ws: list, mode: str):
         for x, w in zip(xs[1:], ws[1:]):
             out = out * ad.pow_elem(x, w)
     elif kind == "min":
-        out = ad.smoothmin_weighted(xs, ws, SMOOTHMIN_ALPHA)
+        scores = [w * ad.exp(SMOOTHMIN_ALPHA * x) for x, w in zip(xs, ws)]
+        numer, denom = xs[0] * scores[0], scores[0]
+        for x, s in zip(xs[1:], scores[1:]):
+            numer = numer + x * s
+            denom = denom + s
+        if np.any(ad.value_of(denom) == 0.0):
+            raise ValueError("min: all inputs removed (zero smooth-minimum denominator)")
+        out = numer / denom
     else:
         raise ValueError(f"unknown t-norm kind {kind!r}")
     if mode != "bounds":

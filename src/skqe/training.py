@@ -374,7 +374,7 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
                 f"non-finite loss at step {optimizer.t + 1} "
                 f"(structures in batch: {sorted(t[0].structure for t in tasks)})"
             )
-        ad.backward(ad.scale(total, 1.0 / batch_size))
+        ad.backward(total * (1.0 / batch_size))
         dense = {name: t.grad for name, t in ctx._dense.items() if t.grad is not None}
         entity = [(ids, t.grad) for ids, t in ctx.entity_touches if t.grad is not None]
         relation = [(ids, t.grad) for ids, t in ctx.relation_touches if t.grad is not None]

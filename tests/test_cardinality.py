@@ -49,7 +49,8 @@ def _report(params, dataset):
 
 def _loss(ctx, features, targets):
     """``fit``'s loss: the mean absolute relative error of the estimates."""
-    return ad.mean_all(ad.absolute(cardinality.predict(ctx, features) - targets) / targets)
+    errors = ad.absolute(cardinality.predict(ctx, features) - targets) / targets
+    return ad.sum_all(errors) / len(targets)
 
 
 def _with_sizes(dataset, sizes):

@@ -5,7 +5,9 @@ the module (attribute roots such as ``np`` in ``np.zeros`` included).
 ``from __future__`` imports are exempt, and the package root, which imports
 nothing, has a test of its own. The unused-import guard also reads the test
 and tool scripts. Every import sits at module level, so the imports between
-``skqe`` modules form a graph, and that graph has no cycle.
+``skqe`` modules form a graph, and that graph has no cycle. Every public
+function of ``autodiff`` is used by the package itself: another module names
+it as ``ad.<name>``, or a ``Tensor`` method calls it.
 """
 
 import ast
@@ -91,6 +93,22 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+def unused_primitives(autodiff_source: str, other_sources: list[str]) -> list[str]:
+    """The public module-level functions of ``autodiff_source`` that no other
+    source names as ``ad.<name>`` and no method of its ``Tensor`` calls."""
+    tree = ast.parse(autodiff_source)
+    public = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    used = {node.attr for source in other_sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ad"}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Tensor":
+            used |= {node.func.id for node in ast.walk(cls)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    return [name for name in public if name not in used]
+
+
 def import_graph() -> dict[str, set[str]]:
     names = {p.stem for p in MODULES}
     return {p.stem: package_imports(p.read_text(encoding="utf-8"), names) for p in MODULES}
@@ -149,6 +167,20 @@ def test_guard_sees_an_import_cycle():
     assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}}
     assert find_cycle(graph) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_every_autodiff_primitive_is_used_by_the_package():
+    others = [p.read_text(encoding="utf-8") for p in MODULES if p.stem != "autodiff"]
+    assert unused_primitives((PACKAGE / "autodiff.py").read_text(encoding="utf-8"),
+                             others) == []
+
+
+def test_guard_sees_an_unused_primitive():
+    source = ("class Tensor:\n    def __neg__(self):\n        return mul(self, -1.0)\n\n"
+              "def mul(a, b): pass\ndef exp(a): pass\ndef spare(a): pass\n"
+              "def _helper(a): pass\n")
+    assert unused_primitives(source, ["from . import autodiff as ad\nad.exp(x)\n",
+                                      "spare = 1\n"]) == ["spare"]
 
 
 def test_package_root_binds_its_version_and_nothing_else():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, cli, kg, model, oracle, training
+from skqe import algebra, cli, evaluation, kg, model, oracle, training
 from skqe.errors import DataError, NumericError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
@@ -80,6 +80,32 @@ class TestTrajectory:
         assert np.all(np.isfinite(losses))
         # negatives are redrawn every step, so compare ten-step means
         assert np.mean(losses[-10:]) < np.mean(losses[:10]) - 0.1
+
+
+class TestLearning:
+    """Training raises the filtered MRR of its own queries: a change that
+    keeps every gradient right but stops learning fails here. On this graph
+    200 steps give 3.8 to 6.6 times the untrained MRR; at lr 1e-8 the ratio
+    is 1.0."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return kg.generate_synthetic(60, 3, 3.0, 0.1, 0.1, seed=0)
+
+    @pytest.fixture(scope="class")
+    def dataset(self, graph):
+        return oracle.sample_dataset(graph, ("1p", "2p", "2i", "2in"), 20, 0, "train")
+
+    @pytest.mark.parametrize("mode,kind", [("bounds", "luk"), ("bounds", "prod"),
+                                           ("bounds", "min"), ("point", "luk")])
+    def test_training_lifts_mrr_on_the_training_queries(self, graph, dataset, mode, kind):
+        config = training.TrainConfig(d=16, h=16, batch_size=32, negatives=8, lr=1e-2,
+                                      steps=200, mode=mode, kind=kind)
+        untrained = ModelParams.initialize(config.model_config(graph), config.seed)
+        before = evaluation.evaluate_ranking(dataset, untrained).average().mrr
+        params, _ = training.train(graph, dataset, config)
+        after = evaluation.evaluate_ranking(dataset, params).average().mrr
+        assert after >= 1.5 * before, (before, after)
 
 
 class TestEntityTable:
@@ -237,7 +263,7 @@ class TestStepFold:
         def nan_second(ctx, group, *args):
             loss_vec, d_pos, d_neg = group_forward(ctx, group, *args)
             if group.structure == poisoned:
-                loss_vec = ad.scale(loss_vec, float("nan"))
+                loss_vec = loss_vec * float("nan")
             return loss_vec, d_pos, d_neg
 
         monkeypatch.setattr(training, "_group_forward", nan_second)
