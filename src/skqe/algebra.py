@@ -2,10 +2,12 @@
 
 Each of the 14 supported structures is an existential FOL atom list (used by
 the parser and the brute-force oracle) and, compiled from it, one DAG plan of
-anchor / relation / negation / conjunction / disjunction nodes in
-topological order, its last node the answer. The plan is the program and a
-query is only data: its anchor and relation nodes hold positional slots, and
-a ``QueryInstance`` binds those slots to entity and relation ids. A
+anchor / relation / conjunction / disjunction nodes in topological order, its
+last node the answer. Negation is not a node: a conjunction lists among its
+inputs the ones whose complement it conjoins (``Conjoin.negated``), which is
+the only place the 14 structures negate. The plan is the program and a query
+is only data: its anchor and relation nodes hold positional slots, and a
+``QueryInstance`` binds those slots to entity and relation ids. A
 ``QueryPlan`` checks its own shape when it is built, so every plan that
 exists is valid. ``structure_plan`` compiles each structure's plan once per
 process, and ``plan_branches`` compiles its DNF branches from the template
@@ -131,13 +133,9 @@ class Relate:
 
 
 @dataclass(frozen=True)
-class Negate:
-    input: int
-
-
-@dataclass(frozen=True)
 class Conjoin:
     inputs: tuple[int, ...]
+    negated: tuple[int, ...] = ()  # the inputs whose complement is conjoined
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class Disjoin:
     inputs: tuple[int, ...]
 
 
-PlanNode = Anchor | Relate | Negate | Conjoin | Disjoin
+PlanNode = Anchor | Relate | Conjoin | Disjoin
 
 
 @dataclass(frozen=True)
@@ -156,12 +154,11 @@ class QueryPlan:
 
     Valid by construction: raises DataError unless the plan has a node, every
     input id comes before its node, each Conjoin / Disjoin has two or more
-    inputs and every node but the last feeds a later one. A Negate stands
-    where the 14 structures put one, as an input of a Conjoin with a
-    non-negated input: one that feeds any other node, a Conjoin of Negates
-    only and a Negate as the last node are refused. Evaluators can therefore
-    evaluate the nodes in order, once each, without checking them, answer
-    with the last value, and read a Negate as the set its Conjoin subtracts.
+    inputs, each Conjoin's ``negated`` is a proper subset of its inputs and
+    every node but the last feeds a later one. Evaluators can therefore
+    evaluate the nodes in order, once each, without checking them, and
+    answer with the last value; a Conjoin negates only its flagged inputs
+    and always has an input it does not negate.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -170,11 +167,10 @@ class QueryPlan:
         if not self.nodes:
             raise DataError("a plan needs at least one node")
         unfed = set(range(len(self.nodes) - 1))
-        negates: set[int] = set()
         for idx, node in enumerate(self.nodes):
             if isinstance(node, Anchor):
                 inputs = ()
-            elif isinstance(node, (Relate, Negate)):
+            elif isinstance(node, Relate):
                 inputs = (node.input,)
             elif isinstance(node, (Conjoin, Disjoin)):
                 inputs = node.inputs
@@ -184,18 +180,12 @@ class QueryPlan:
                 raise DataError(f"plan node {idx}: unknown node type {type(node).__name__}")
             if not all(0 <= i < idx for i in inputs):
                 raise DataError(f"plan node {idx}: input {inputs} does not come before it")
-            if isinstance(node, Conjoin):
-                if negates.issuperset(inputs):
-                    raise DataError(f"plan node {idx}: a conjunction needs a non-negated input")
-            elif negates.intersection(inputs):
-                raise DataError(f"plan node {idx}: a negation feeds only a conjunction")
-            if isinstance(node, Negate):
-                negates.add(idx)
+            if isinstance(node, Conjoin) and not set(node.negated) < set(inputs):
+                raise DataError(f"plan node {idx}: negated inputs {node.negated} are not "
+                                f"a proper subset of its inputs {inputs}")
             unfed.difference_update(inputs)
         if unfed:
             raise DataError(f"plan nodes {sorted(unfed)} feed no later node")
-        if isinstance(self.nodes[-1], Negate):
-            raise DataError("a plan cannot answer with a negation")
 
 
 def compile_instance(structure: str) -> QueryPlan:
@@ -203,8 +193,9 @@ def compile_instance(structure: str) -> QueryPlan:
 
     Each FOL atom ``rel(x, y)`` becomes a relation application to the plan of
     ``x``; atoms sharing a destination combine with conjunction, or with
-    disjunction where the template OR-joins them; negated atoms wrap in a
-    negation node. Callers want the cached ``structure_plan``.
+    disjunction where the template OR-joins them; a negated atom's relation
+    node is listed in its conjunction's ``negated``. Callers want the cached
+    ``structure_plan``.
     """
     try:
         template = TEMPLATES[structure]
@@ -224,7 +215,9 @@ def _compile(template: Template) -> QueryPlan:
 def _build_term(term: str, template: Template, nodes: list[PlanNode],
                 anchor_nodes: dict[str, int]) -> int:
     """Append the nodes defining ``term`` to ``nodes``; returns its node id. (A
-    recursive closure would be a reference cycle left to the garbage collector.)"""
+    recursive closure would be a reference cycle left to the garbage collector.)
+    Raises DataError on a negated atom that no conjunction joins: one alone at
+    its term or in an OR pair."""
     if term in ANCHOR_TERMS:
         if term not in anchor_nodes:
             nodes.append(Anchor(ANCHOR_TERMS.index(term)))
@@ -233,18 +226,21 @@ def _build_term(term: str, template: Template, nodes: list[PlanNode],
     incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
     if not incoming:
         raise DataError(f"term {term!r} has no defining atom")
-    parts = []
+    parts, negated = [], []
     for i in incoming:
         atom = template.atoms[i]
         source = _build_term(atom.src, template, nodes, anchor_nodes)
         nodes.append(Relate(atom.relation, source))
-        if atom.negated:
-            nodes.append(Negate(len(nodes) - 1))
         parts.append(len(nodes) - 1)
+        if atom.negated:
+            negated.append(len(nodes) - 1)
+    conjunction = len(parts) > 1 and frozenset(incoming) not in template.or_pairs
+    if negated and not conjunction:
+        raise DataError(f"template {template.name}: a negated atom into {term!r} "
+                        f"is not joined by a conjunction")
     if len(parts) == 1:
         return parts[0]
-    join = Disjoin if frozenset(incoming) in template.or_pairs else Conjoin
-    nodes.append(join(tuple(parts)))
+    nodes.append(Conjoin(tuple(parts), tuple(negated)) if conjunction else Disjoin(tuple(parts)))
     return len(nodes) - 1
 
 

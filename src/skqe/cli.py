@@ -200,8 +200,6 @@ def _describe_node(node, instance, graph) -> str:
         return f"anchor {graph.entities.name_of(instance.anchors[node.slot])}"
     if isinstance(node, algebra.Relate):
         return f"relation {graph.relations.name_of(instance.relations[node.slot])}"
-    if isinstance(node, algebra.Negate):
-        return "negation"
     if isinstance(node, algebra.Conjoin):
         return "intersection"
     return "union"
@@ -221,17 +219,22 @@ def cmd_answer(args) -> int:
     top = np.argsort(-scores, kind="stable")[: args.topk]
     for entity in top:
         print(f"{graph.entities.name_of(int(entity))}\t{scores[entity]:.6f}")
+
+    def nearest(value) -> str:
+        node_scores = model_mod.score_entities(
+            model_mod.QueryEmbedding((value,)), params, entity_matrix)
+        top3 = np.argsort(-node_scores, kind="stable")[:3]
+        return ", ".join(f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in top3)
+
     for branch_no, (branch_plan, values) in enumerate(collected, start=1):
         print(f"# branch {branch_no} intermediates "
               f"({instance.structure}, nearest entities by satisfiability):")
-        for node, value in zip(branch_plan.nodes, values):
-            node_scores = model_mod.score_entities(
-                model_mod.QueryEmbedding((value[0],)), params, entity_matrix)
-            nearest = np.argsort(-node_scores, kind="stable")[:3]
-            names = ", ".join(
-                f"{graph.entities.name_of(int(e))} ({node_scores[e]:.3f})" for e in nearest
-            )
-            print(f"#   {_describe_node(node, instance, graph)}: {names}")
+        negated = {i for node in branch_plan.nodes if isinstance(node, algebra.Conjoin)
+                   for i in node.negated}
+        for idx, (node, value) in enumerate(zip(branch_plan.nodes, values)):
+            print(f"#   {_describe_node(node, instance, graph)}: {nearest(value[0])}")
+            if idx in negated:  # the complement its conjunction reads
+                print(f"#   negation: {nearest(logic.negate_slots(value[0], params.config.mode))}")
     return EXIT_OK
 
 

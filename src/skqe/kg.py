@@ -266,7 +266,8 @@ def generate_synthetic(
 
     Edge count is ``round(num_entities * avg_out_degree)`` distinct non-loop
     triples; ``valid_frac``/``test_frac`` of them (rounded) go to the held-out
-    splits. Deterministic for a fixed seed.
+    splits. Deterministic for a fixed seed. Raises DataError unless that
+    count is at least 1 and at most half the possible non-loop triples.
     """
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
@@ -276,10 +277,11 @@ def generate_synthetic(
         raise DataError("split fractions must lie in (0,1) and sum below 1")
     if not (math.isfinite(avg_out_degree) and avg_out_degree > 0):
         raise DataError(f"average out-degree must be finite and positive, got {avg_out_degree}")
-    num_edges = int(round(num_entities * avg_out_degree))
-    capacity = num_entities * num_relations * (num_entities - 1)
-    if num_edges < 1 or num_edges > capacity // 2:
-        raise DataError(f"cannot place {num_edges} distinct edges in this graph size")
+    wanted = num_entities * avg_out_degree  # inf past the float range, which int() refuses
+    capacity = num_entities * num_relations * (num_entities - 1) // 2
+    num_edges = int(round(wanted)) if wanted < capacity + 1 else None
+    if num_edges is None or not 1 <= num_edges <= capacity:
+        raise DataError(f"cannot place {wanted:.3g} distinct edges in this graph size")
 
     rng = np.random.default_rng(seed)
     chosen: set[tuple[int, int, int]] = set()

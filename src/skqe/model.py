@@ -5,7 +5,8 @@ of the answer-size head, whose module runs them on a context. A query is
 embedded by one forward pass over the nodes of its structure's cached plan
 (or of each DNF branch, ``algebra.plan_branches``) under a batch of (anchors,
 relations) bindings, in training, evaluation and ``skqe answer`` alike; the
-last node's value is the embedding. Every conjunction weighs its inputs per
+last node's value is the embedding. A conjunction negates the inputs its
+node flags (``algebra.Conjoin.negated``), then weighs every input per
 dimension by ``ForwardContext.attention_weights``. Embeddings are flat 2d
 truth-slot vectors. In bounds mode the first d slots are interval lowers and
 the last d are uppers, kept ordered by construction; in point mode all 2d
@@ -398,9 +399,6 @@ class ForwardContext:
         h2 = ad.relu(ad.matmul(h1, self.dense("F2")) + self.dense("F2b"))
         return self.realize(ad.matmul(h2, self.dense("F3")) + self.dense("F3b"))
 
-    def negate(self, x: Slots) -> Slots:
-        return logic.negate_slots(x, self.config.mode)
-
     def attention_weights(self, xs: list[Slots]) -> list[Slots]:
         """Per-dimension weights in (0,1], max exactly 1 across inputs, for every conjoin.
 
@@ -426,7 +424,8 @@ class ForwardContext:
         return out
 
     def disjoin(self, xs: list[Slots]) -> Slots:
-        return self.negate(self.conjoin([self.negate(x) for x in xs]))
+        mode = self.config.mode
+        return logic.negate_slots(self.conjoin([logic.negate_slots(x, mode) for x in xs]), mode)
 
     # --- query embedding -----------------------------------------------------
 
@@ -441,11 +440,12 @@ class ForwardContext:
         its node, so a node's value is appended once its inputs are there,
         and the last value is the branch's embedding. Entity and relation
         rows are therefore gathered, and their touches recorded, in node
-        order. When ``collect`` is given, a (branch plan, values) pair is
-        appended per branch, one value per plan node in node order, so
-        callers can inspect the intermediate embeddings. Inference raises
-        NumericError on a non-finite query embedding, whose scores would be
-        NaN.
+        order. A Conjoin negates its ``negated`` inputs as it conjoins them,
+        so when ``collect`` is given, a (branch plan, values) pair is
+        appended per branch, one value per plan node in node order and no
+        negated value, so callers can inspect the intermediate embeddings.
+        Inference raises NumericError on a non-finite query embedding, whose
+        scores would be NaN.
         """
         anchors = np.atleast_2d(np.asarray(anchors, dtype=np.int64))
         relations = np.atleast_2d(np.asarray(relations, dtype=np.int64))
@@ -458,10 +458,10 @@ class ForwardContext:
                 elif isinstance(node, algebra.Relate):
                     out = self.skolem(self.relation_rows(relations[:, node.slot]),
                                       values[node.input])
-                elif isinstance(node, algebra.Negate):
-                    out = self.negate(values[node.input])
                 elif isinstance(node, algebra.Conjoin):
-                    out = self.conjoin([values[i] for i in node.inputs])
+                    out = self.conjoin([
+                        logic.negate_slots(values[i], self.config.mode)
+                        if i in node.negated else values[i] for i in node.inputs])
                 else:  # Disjoin
                     out = self.disjoin([values[i] for i in node.inputs])
                 values.append(out)

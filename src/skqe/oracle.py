@@ -2,7 +2,8 @@
 
 ``eval_plan`` answers a cached structure plan (or DNF branch) under an
 instance's slot bindings in one forward pass over its nodes, each node a
-plain set: a negated set is only ever subtracted by its conjunction.
+plain set: a conjunction subtracts the sets of the inputs it flags as
+negated from the intersection of the others, so no complement is formed.
 ``exhaustive_eval`` is the plan-free brute-force reference.
 
 ``sample_queries`` draws queries by inverse random walks: it draws an answer
@@ -20,12 +21,12 @@ the mode's filter; duplicates are dropped.
 Before any ``eval_plan``, ``answer_bound`` bounds every attempt's answer-set
 size with numpy, a whole batch at once, from the walked index's out-degrees
 (``AdjacencyIndex.out_degree``): the size of a one-hop set is its degree, a
-conjunction is no larger than its smallest positive input, and a negated
-input removes at least the walked entity, since the walk drew the negated
-atom's edge into it too. An attempt whose bound is below 1 has no answers on
-the walked index, the index every mode's first filter answers on, so it
-would have been rejected anyway: it is dropped like a dead walk, and no
-dataset or attempt count changes. ``sample_dataset`` samples several
+conjunction is no larger than its smallest non-negated input, and an input
+it negates removes at least the walked entity, since the walk drew the
+negated atom's edge into it too. An attempt whose bound is below 1 has no
+answers on the walked index, the index every mode's first filter answers
+on, so it would have been rejected anyway: it is dropped like a dead walk,
+and no dataset or attempt count changes. ``sample_dataset`` samples several
 structures over one pair of indexes, recording the count and the attempts of
 each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
 """
@@ -45,7 +46,6 @@ from . import algebra
 from .algebra import (
     Anchor,
     Conjoin,
-    Negate,
     QueryInstance,
     QueryPlan,
     Relate,
@@ -79,9 +79,8 @@ def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set
     its DNF branches, valid by construction, and ``anchors`` / ``relations``
     are an instance's ids for its anchor and relation slots. One forward pass
     over the nodes suffices because every input comes before its node. A
-    plan negates only an input of a Conjoin that has a non-negated input
-    (``QueryPlan``), so a Negate passes its input's set through and the
-    Conjoin subtracts it from the intersection of its other inputs.
+    Conjoin subtracts the sets of its ``negated`` inputs from the
+    intersection of its other inputs, of which ``QueryPlan`` guarantees one.
     """
     values: list[set[int]] = []
     for node in plan.nodes:
@@ -89,11 +88,9 @@ def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set
             values.append(follow(relations[node.slot], values[node.input], index))
         elif isinstance(node, Anchor):
             values.append({anchors[node.slot]})
-        elif isinstance(node, Negate):
-            values.append(values[node.input])
         elif isinstance(node, Conjoin):
-            positives = [values[i] for i in node.inputs if not isinstance(plan.nodes[i], Negate)]
-            negatives = [values[i] for i in node.inputs if isinstance(plan.nodes[i], Negate)]
+            positives = [values[i] for i in node.inputs if i not in node.negated]
+            negatives = [values[i] for i in node.negated]
             acc = positives[0].intersection(*positives[1:])
             acc.difference_update(*negatives)
             values.append(acc)
@@ -265,9 +262,8 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
     - a Relate out of an Anchor by the exact out-degree of (anchor, relation);
     - any other Relate by 0 where its input is empty (bounded below 1), and
       not at all elsewhere;
-    - a Negate keeps its input's bound and flag for its Conjoin to read;
     - a Conjoin by the least bound of its non-negated inputs, less 1 where
-      every non-negated input and some negated input hold the walked
+      every non-negated input and some ``negated`` input hold the walked
       entity: the entity is then in the smallest non-negated set and
       removed from the result;
     - a Disjoin not at all.
@@ -287,11 +283,9 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
             else:
                 bound = np.where(bound < 1, 0.0, np.inf)
             values.append((bound, held))
-        elif isinstance(node, Negate):
-            values.append(values[node.input])
         elif isinstance(node, Conjoin):
-            positives = [values[i] for i in node.inputs if not isinstance(plan.nodes[i], Negate)]
-            negatives = [values[i][1] for i in node.inputs if isinstance(plan.nodes[i], Negate)]
+            positives = [values[i] for i in node.inputs if i not in node.negated]
+            negatives = [values[i][1] for i in node.negated]
             bound = np.minimum.reduce([bound for bound, _ in positives])
             held = all(held for _, held in positives)
             if held and any(negatives):
@@ -325,8 +319,8 @@ def _walk_batch(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
     walk from a stand-in edge, so no index leaves the table, and their
     bindings are ignored. Negated atoms are walked like positive ones so the
     sampled negation is informative (it actually excludes the walked entity).
-    So the walked entity is never an answer of a conjunction with a negated
-    input, and its positive part needs a second member: where
+    So the walked entity is never an answer of a conjunction that negates an
+    input, and the intersection of its other inputs needs a second member: where
     ``answer_bound(plan, ...)`` (the structure's ``plan``; the columns are
     inverse walks, as it requires) is below 1 the answer set on ``index`` is
     empty and the attempt is marked dead as well. Every mode's first filter

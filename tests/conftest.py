@@ -323,8 +323,8 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
 
 def reference_eval_node(plan, node_id: int, anchors, relations, index,
                         cache: dict[int, set[int]]) -> set[int]:
-    """Evaluate one node's set; a conjunction subtracts the sets its negated
-    inputs negate."""
+    """Evaluate one node's set; a conjunction subtracts the sets of the inputs
+    it flags as negated."""
     if node_id in cache:
         return cache[node_id]
     node = plan.nodes[node_id]
@@ -337,8 +337,8 @@ def reference_eval_node(plan, node_id: int, anchors, relations, index,
         result = None
         negated = []
         for i in node.inputs:
-            if isinstance(plan.nodes[i], algebra.Negate):
-                negated.append(plan.nodes[i].input)
+            if i in node.negated:
+                negated.append(i)
                 continue
             part = reference_eval_node(plan, i, anchors, relations, index, cache)
             result = set(part) if result is None else result & part

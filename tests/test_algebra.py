@@ -4,7 +4,7 @@ import pytest
 
 from skqe import algebra, kg
 from skqe.algebra import (
-    Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate,
+    Anchor, Conjoin, Disjoin, QueryInstance, QueryPlan, Relate,
 )
 from skqe.errors import DataError, QueryParseError, UnsupportedQueryError
 
@@ -29,7 +29,7 @@ CANONICAL_FOL = {
 }
 
 
-A, R, N, C, D = Anchor, Relate, Negate, Conjoin, Disjoin
+A, R, C, D = Anchor, Relate, Conjoin, Disjoin
 # Every structure's compiled plan, node by node.
 PINNED_PLANS = {
     "1p": (A(0), R(0, 0)),
@@ -39,11 +39,11 @@ PINNED_PLANS = {
     "3i": (A(0), R(0, 0), A(1), R(1, 2), A(2), R(2, 4), C((1, 3, 5))),
     "pi": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), C((2, 4))),
     "ip": (A(0), R(0, 0), A(1), R(1, 2), C((1, 3)), R(2, 4)),
-    "2in": (A(0), R(0, 0), A(1), R(1, 2), N(3), C((1, 4))),
-    "3in": (A(0), R(0, 0), A(1), R(1, 2), A(2), R(2, 4), N(5), C((1, 3, 6))),
-    "pin": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), N(4), C((2, 5))),
-    "pni": (A(0), R(0, 0), R(1, 1), N(2), A(1), R(2, 4), C((3, 5))),
-    "inp": (A(0), R(0, 0), A(1), R(1, 2), N(3), C((1, 4)), R(2, 5)),
+    "2in": (A(0), R(0, 0), A(1), R(1, 2), C((1, 3), negated=(3,))),
+    "3in": (A(0), R(0, 0), A(1), R(1, 2), A(2), R(2, 4), C((1, 3, 5), negated=(5,))),
+    "pin": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), C((2, 4), negated=(4,))),
+    "pni": (A(0), R(0, 0), R(1, 1), A(1), R(2, 3), C((2, 4), negated=(2,))),
+    "inp": (A(0), R(0, 0), A(1), R(1, 2), C((1, 3), negated=(3,)), R(2, 4)),
     "2u": (A(0), R(0, 0), A(1), R(1, 2), D((1, 3))),
     "up": (A(0), R(0, 0), A(1), R(1, 2), D((1, 3)), R(2, 4)),
 }
@@ -62,10 +62,11 @@ def shape_of(plan: QueryPlan, anchors, relations, node_id: int | None = None):
         return ("anchor", anchors[node.slot])
     if isinstance(node, Relate):
         return ("relate", relations[node.slot], shape_of(plan, anchors, relations, node.input))
-    if isinstance(node, Negate):
-        return ("negate", shape_of(plan, anchors, relations, node.input))
-    name = "conjoin" if isinstance(node, Conjoin) else "disjoin"
-    return (name, tuple(shape_of(plan, anchors, relations, i) for i in node.inputs))
+    if isinstance(node, Disjoin):
+        return ("disjoin", tuple(shape_of(plan, anchors, relations, i) for i in node.inputs))
+    return ("conjoin", tuple(
+        ("negate", shape_of(plan, anchors, relations, i)) if i in node.negated
+        else shape_of(plan, anchors, relations, i) for i in node.inputs))
 
 
 class TestCompile:
@@ -165,27 +166,27 @@ class TestPlanShape:
         with pytest.raises(DataError, match="at least one node"):
             QueryPlan(())
 
-    def test_negation_feeding_a_relation_rejected(self):
-        # the entities outside a's r-tails, followed through q: no structure has it
-        with pytest.raises(DataError, match="plan node 3: a negation feeds only a conjunction"):
-            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Relate(1, 2)))
+    def test_negated_id_outside_the_inputs_rejected(self):
+        with pytest.raises(DataError, match=r"plan node 4: negated inputs \(2,\) are not a "
+                                            r"proper subset of its inputs \(1, 3\)"):
+            QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2),
+                       Conjoin((1, 3), negated=(2,))))
 
-    def test_negation_feeding_a_disjunction_rejected(self):
-        with pytest.raises(DataError, match="plan node 5: a negation feeds only a conjunction"):
-            QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2), Negate(3),
-                       Disjoin((1, 4))))
+    def test_conjunction_of_negated_inputs_only_rejected(self):
+        with pytest.raises(DataError, match=r"plan node 4: negated inputs \(1, 3\) are not a "
+                                            r"proper subset of its inputs \(1, 3\)"):
+            QueryPlan((Anchor(0), Relate(0, 0), Anchor(1), Relate(1, 2),
+                       Conjoin((1, 3), negated=(1, 3))))
 
-    def test_conjunction_of_negations_only_rejected(self):
-        with pytest.raises(DataError, match="plan node 6: a conjunction needs a non-negated input"):
-            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Anchor(1), Relate(1, 3), Negate(4),
-                       Conjoin((2, 5))))
-
-    def test_negated_answer_rejected(self):
-        with pytest.raises(DataError, match="a plan cannot answer with a negation"):
-            QueryPlan((Anchor(0), Relate(0, 0), Negate(1)))
-        # nor a negation of a negation
-        with pytest.raises(DataError, match="plan node 3: a negation feeds only a conjunction"):
-            QueryPlan((Anchor(0), Relate(0, 0), Negate(1), Negate(2)))
+    @pytest.mark.parametrize("structure,atom", [("1p", 0), ("2p", 0), ("2p", 1), ("2u", 0),
+                                                ("up", 1)])
+    def test_negated_atom_outside_a_conjunction_rejected(self, structure, atom):
+        # alone at its term, or OR-joined: no plan node can hold the negation
+        template = algebra.TEMPLATES[structure]
+        atoms = list(template.atoms)
+        atoms[atom] = dataclasses.replace(atoms[atom], negated=True)
+        with pytest.raises(DataError, match="is not joined by a conjunction"):
+            algebra._compile(dataclasses.replace(template, atoms=tuple(atoms)))
 
 
 def _or_defined_terms(template):

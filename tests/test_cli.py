@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from skqe import algebra, cli, evaluation, kg, model, oracle
+from skqe import algebra, cli, evaluation, kg, logic, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
 from skqe.training import TrainConfig
@@ -132,6 +132,15 @@ def test_gen_kg_bad_degree_exits_with_data_error(degree, tmp_path, capsys):
     assert not (tmp_path / "kg").exists()
 
 
+def test_gen_kg_degree_past_the_float_range_exits_with_data_error(tmp_path, capsys):
+    # 30 * 1e308 is inf: a DataError, not an OverflowError traceback
+    code = cli.main(["gen-kg", "--entities", "30", "--relations", "3",
+                     "--avg-degree=1e308", "--out", str(tmp_path / "kg")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: cannot place inf distinct edges in this graph size\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["gen-kg", "gen-queries", "train"])
 def test_negative_seed_exits_with_data_error(files, command, tmp_path, capsys):
     # numpy's generators reject negative seeds with a ValueError traceback
@@ -202,6 +211,62 @@ def test_answer_explains_every_node_of_every_branch(files, union, capsys):
         ]
     assert lines[3:] == explained
     assert anchor(e0).startswith("e0 (1.000)")
+
+
+@pytest.mark.parametrize("union", ["dnf", "dm"])
+@pytest.mark.parametrize("structure", ["pni", "inp"])
+def test_answer_explains_the_negated_input(files, structure, union, capsys):
+    """A negation's line follows its relation's line and names the nearest
+    entities of ``logic.negate_slots`` applied to that relation prefix's
+    embedding; neither structure has an OR, so both union modes give one
+    branch."""
+    query = {"pni": "EXISTS V,T . r0(e0,V) AND NOT r1(V,T) AND r2(e1,T)",
+             "inp": "EXISTS V,T . r0(e0,V) AND NOT r1(e1,V) AND r2(V,T)"}[structure]
+    assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--query", query, "--union", union, "--topk", "3"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    graph = kg.load_tsv_dir(str(files / "kg"))
+    params = ModelParams.load(files / "model.ckpt")
+    e0, e1 = (graph.entities.id_of(name) for name in ("e0", "e1"))
+    r0, r1, r2 = (graph.relations.id_of(name) for name in ("r0", "r1", "r2"))
+
+    def embed(structure, anchors, relations):
+        return model.embed_instance(QueryInstance(structure, anchors, relations),
+                                    params, union).branches
+
+    def near(structure, anchors, relations):
+        return _nearest(params, graph, embed(structure, anchors, relations))
+
+    def negated(structure, anchors, relations):
+        (branch,) = embed(structure, anchors, relations)
+        return _nearest(params, graph, (logic.negate_slots(branch, params.config.mode),))
+
+    def anchor(entity):
+        return _nearest(params, graph, (model.entity_embedding(entity, params),))
+
+    if structure == "pni":
+        explained = [
+            f"#   anchor e0: {anchor(e0)}",
+            f"#   relation r0: {near('1p', (e0,), (r0,))}",
+            f"#   relation r1: {near('2p', (e0,), (r0, r1))}",
+            f"#   negation: {negated('2p', (e0,), (r0, r1))}",
+            f"#   anchor e1: {anchor(e1)}",
+            f"#   relation r2: {near('1p', (e1,), (r2,))}",
+            f"#   intersection: {near('pni', (e0, e1), (r0, r1, r2))}",
+        ]
+    else:
+        explained = [
+            f"#   anchor e0: {anchor(e0)}",
+            f"#   relation r0: {near('1p', (e0,), (r0,))}",
+            f"#   anchor e1: {anchor(e1)}",
+            f"#   relation r1: {near('1p', (e1,), (r1,))}",
+            f"#   negation: {negated('1p', (e1,), (r1,))}",
+            f"#   intersection: {near('2in', (e0, e1), (r0, r1))}",
+            f"#   relation r2: {near('inp', (e0, e1), (r0, r1, r2))}",
+        ]
+    header = f"# branch 1 intermediates ({structure}, nearest entities by satisfiability):"
+    assert lines[3:] == [header, *explained]
+    assert explained[3] != f"#   negation: {near('2p', (e0,), (r0, r1))}"
 
 
 def test_answer_topk_one_prints_one_entity(files, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -111,6 +112,15 @@ class TestGenerateSynthetic:
     def test_degree_must_be_finite_and_positive(self, degree):
         with pytest.raises(DataError, match="average out-degree must be finite and positive"):
             kg.generate_synthetic(50, 3, degree, 0.1, 0.1, seed=1)
+
+    @pytest.mark.parametrize("degree,count", [(1e300, "5e+301"), (1e308, "inf"), (0.005, "0.25")])
+    def test_edge_count_must_fit_the_graph(self, degree, count, tmp_path, monkeypatch):
+        # 50 * 1e308 overflows to inf, which int() refuses; the count prints short
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DataError, match=rf"^cannot place {re.escape(count)} distinct edges "
+                                            r"in this graph size$"):
+            kg.generate_synthetic(50, 3, degree, 0.1, 0.1, seed=1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_golden_counts_for_seed_one(self, small_graph):
         # 50 entities * degree 2 = 100 edges; 10% valid, 10% test

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, cli, evaluation, kg, model, oracle, training
+from skqe import algebra, autodiff as ad, cli, evaluation, kg, logic, model, oracle, training
 from skqe.errors import DataError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 
@@ -136,7 +136,7 @@ class TestSlotBinding:
         ctx = ForwardContext(_params("point", "prod"))
         a, b = (ctx.entity_slots(self.anchors[:, i]) for i in (0, 1))
         want = ctx.conjoin([self._op(ctx, 1, self._op(ctx, 0, a)),
-                            ctx.negate(self._op(ctx, 2, b))])
+                            logic.negate_slots(self._op(ctx, 2, b), "point")])
         (got,) = ctx.embed_instances("pin", self.anchors, self.relations)
         np.testing.assert_array_equal(got, want)
 
@@ -253,9 +253,9 @@ class TestTapeOperatorsMatchLogic:
         leaves = [ctx.tape.leaf(v) for v in values]
         conjoined = ctx.conjoin(leaves).value
         disjoined = ctx.disjoin(leaves).value
-        negated = ctx.negate(leaves[0]).value
+        negated = logic.negate_slots(leaves[0], "bounds").value
         weights = self._weights(ctx, leaves)
-        flipped_weights = self._weights(ctx, [ctx.negate(x) for x in leaves])
+        flipped_weights = self._weights(ctx, [logic.negate_slots(x, "bounds") for x in leaves])
         assert min(np.min(w) for w in weights + flipped_weights) < 0.9  # the weights matter
         for row in range(4):
             want, _ = reference_conjoin(kind, [v[row] for v in values], [w[row] for w in weights])
@@ -282,7 +282,7 @@ class TestTapeOperatorsMatchLogic:
                                               [w[row] for w in weights], "point")
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             assert repairs == 0
-        negated = ctx.negate(leaves[0]).value
+        negated = logic.negate_slots(leaves[0], "point").value
         for row in range(4):
             np.testing.assert_array_equal(negated[row], reference_negate(values[0][row], "point"))
 

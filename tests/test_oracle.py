@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skqe import algebra, kg, oracle
-from skqe.algebra import Anchor, Conjoin, Disjoin, Negate, QueryInstance, QueryPlan, Relate
+from skqe.algebra import Anchor, Conjoin, Disjoin, QueryInstance, QueryPlan, Relate
 from skqe.errors import DataError
 
 from conftest import (
@@ -99,22 +99,22 @@ class TestReferenceParity:
     def test_eval_plan_matches_reference_on_every_join_case(self, join, negated, small_index):
         # three one-hop inputs, each negated or not: conjunctions with 0-2 of
         # them negated and a disjunction of all three evaluate; a conjunction
-        # of negations only and a negation feeding a disjunction are refused
-        nodes, parts = [], []
-        for slot, negate in enumerate(negated):
+        # that negates every input is refused, and a disjunction has no field
+        # that could negate one
+        nodes = []
+        for slot in range(3):
             nodes += [Anchor(slot), Relate(slot, len(nodes))]
-            if negate:
-                nodes.append(Negate(len(nodes) - 1))
-            parts.append(len(nodes) - 1)
-        if join is Conjoin and all(negated):
-            with pytest.raises(DataError, match="a conjunction needs a non-negated input"):
-                QueryPlan((*nodes, join(tuple(parts))))
+        parts = (1, 3, 5)
+        flagged = tuple(i for i, negate in zip(parts, negated) if negate)
+        if join is Disjoin and flagged:
+            with pytest.raises(TypeError):
+                Disjoin(parts, flagged)
             return
-        if join is Disjoin and any(negated):
-            with pytest.raises(DataError, match="a negation feeds only a conjunction"):
-                QueryPlan((*nodes, join(tuple(parts))))
+        if all(negated):
+            with pytest.raises(DataError, match="are not a proper subset of its inputs"):
+                QueryPlan((*nodes, Conjoin(parts, flagged)))
             return
-        plan = QueryPlan((*nodes, join(tuple(parts))))
+        plan = QueryPlan((*nodes, Conjoin(parts, flagged) if flagged else join(parts)))
         rng = np.random.default_rng(12)
         for _ in range(20):
             anchors = tuple(int(x) for x in rng.integers(0, 50, 3))

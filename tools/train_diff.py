@@ -3,21 +3,27 @@
 A change that declares a rounding-level numeric change to training shows its
 size with this script:
 
-    python3 tools/train_diff.py OTHER_CHECKOUT      # about ten seconds on 2 cores
+    python3 tools/train_diff.py OTHER_CHECKOUT      # about thirty seconds on 2 cores
 
 It runs the training runs of ``digests.py`` (same configs, graphs and
-datasets, defined by this checkout's ``digests.py``) once with this
-checkout's ``src`` and once with the ``src`` of OTHER_CHECKOUT, each side in
-its own Python process. For each run it prints the largest absolute
-difference of the per-step losses, the largest absolute difference over the
-parameters both sides have, and the parameter names only one side has. A
-change that keeps training bit-identical prints 0 for both. Like the
-digests, the bits depend on the machine's BLAS.
+datasets, defined by this checkout's ``digests.py``) with this checkout's
+``src`` ("here") and with the ``src`` of OTHER_CHECKOUT ("there"), three
+rounds a side, each round in its own Python process, in the order here,
+there, there, here, here, there, so that neither side always runs first or
+last. It raises if a side's three rounds differ in any loss or parameter
+bit, which also checks that training is deterministic across processes.
+For each run it prints the largest absolute difference of the per-step
+losses, the largest absolute difference over the parameters both sides
+have, and the parameter names only one side has. A change that keeps
+training bit-identical prints 0 for both. Like the digests, the bits depend
+on the machine's BLAS.
 
-Each run's line also gives its median step time on each side, read from the
-run's ``log_every=1`` records. Each side runs once, in sequence, so these
-times are indicative only; they are the one place where the point/prod and
-min/dm runs' speed shows, since the benchmark trains luk/bounds/dnf only.
+Each run's line also gives, per side, the median over the three rounds of
+the round's median step time, with the rounds' min-max, read from the
+run's ``log_every=1`` records. This is the one place where the point/prod
+and min/dm runs' speed shows, since the benchmark trains luk/bounds/dnf
+only; a spread as wide as the gap between the sides means no difference
+can be read.
 """
 
 from __future__ import annotations
@@ -81,6 +87,28 @@ def run_side(checkout: Path) -> dict:
     return runs
 
 
+ORDER = ("here", "there", "there", "here", "here", "there")
+
+
+def check_rounds(side: str, rounds: list[dict]) -> None:
+    """Raise unless every round of ``side`` has the first round's losses and
+    parameters, bit for bit."""
+    first = rounds[0]
+    for later in rounds[1:]:
+        for name, (losses, arrays, _) in first.items():
+            other_losses, other_arrays, _ = later[name]
+            same = (np.array(losses).tobytes() == np.array(other_losses).tobytes()
+                    and arrays.keys() == other_arrays.keys()
+                    and all(arrays[k].tobytes() == other_arrays[k].tobytes() for k in arrays))
+            if not same:
+                raise RuntimeError(f"{name}: the {side} rounds differ in a loss or a parameter")
+
+
+def _step_ms(rounds: list[dict], name: str) -> str:
+    medians = [1e3 * float(np.median(runs[name][2])) for runs in rounds]
+    return f"{np.median(medians):.1f} [{min(medians):.1f}-{max(medians):.1f}]"
+
+
 def _names(names) -> str:
     return ", ".join(sorted(names)) or "-"
 
@@ -89,9 +117,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
     args = parser.parse_args(argv)
-    here, there = run_side(TOOLS.parent), run_side(args.other)
-    for name, (losses, arrays, seconds) in here.items():
-        other_losses, other_arrays, other_seconds = there[name]
+    checkouts = {"here": TOOLS.parent, "there": args.other}
+    rounds: dict[str, list[dict]] = {"here": [], "there": []}
+    for side in ORDER:
+        rounds[side].append(run_side(checkouts[side]))
+    for side, side_rounds in rounds.items():
+        check_rounds(side, side_rounds)
+    here, there = rounds["here"][0], rounds["there"][0]
+    for name, (losses, arrays, _) in here.items():
+        other_losses, other_arrays, _ = there[name]
         if len(losses) != len(other_losses):
             raise RuntimeError(f"{name}: {len(losses)} losses here, {len(other_losses)} there")
         d_loss = float(np.max(np.abs(np.subtract(losses, other_losses))))
@@ -100,8 +134,8 @@ def main(argv=None) -> int:
         print(f"{name}: max |dloss| {d_loss:.3g}, max |dparam| {d_param:.3g}, "
               f"only here: {_names(arrays.keys() - other_arrays.keys())}, "
               f"only there: {_names(other_arrays.keys() - arrays.keys())}, "
-              f"median step ms (one run each, indicative) here "
-              f"{1e3 * np.median(seconds):.1f}, there {1e3 * np.median(other_seconds):.1f}",
+              f"median step ms [min-max] over {len(ORDER) // 2} rounds here "
+              f"{_step_ms(rounds['here'], name)}, there {_step_ms(rounds['there'], name)}",
               flush=True)
     return 0
 
