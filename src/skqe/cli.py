@@ -1,7 +1,8 @@
 """Command-line entry point: generate data, train, evaluate, and answer queries.
 
 Each ``train`` setting has one flag, whose dest is its ``TrainConfig`` field;
-an unset flag keeps the default. ``filter_negatives`` has no flag.
+an unset flag keeps the default. ``filter_negatives`` and ``union`` have no
+flag: a training query has one branch. A refused allocation is a data error.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def make_parser() -> _Parser:
     p.add_argument("--mode", choices=oracle_mod.DATASET_MODES, required=True)
     p.add_argument("--per-structure", type=_positive_int, required=True)
     p.add_argument("--structures", help="comma-separated subset (default: the ten "
-                   "training structures in train mode, all 14 in the others)")
+                   "union-free structures train takes in train mode, all 14 in generalization)")
     p.add_argument("--negation-frac", type=float, default=1.0,
                    help="sampling fraction for negation structures (0.1 matches the upstream ratio)")
     p.add_argument("--seed", type=int, default=0)
@@ -295,7 +296,6 @@ def make_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--tnorm", dest="kind", choices=logic.TNORM_KINDS)
     p.add_argument("--mode", choices=model_mod.MODES)
-    p.add_argument("--union", choices=algebra.UNION_MODES)
     p.add_argument("--log-every", type=_positive_int)
     p.add_argument("--checkpoint-every", type=int)
     p.set_defaults(func=cmd_train)
@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (SkqeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy refuses an array larger than memory, e.g. a huge --h
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_DATA
 
 

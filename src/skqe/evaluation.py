@@ -295,8 +295,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     """Filtered ranking over the dataset.
 
     Generalization datasets rank hard answers filtering all known answers;
-    entailment-style datasets (no hard answers) rank easy answers filtering
-    the other easy answers. Each embedded batch is screened once against a
+    train datasets (no hard answers) rank easy answers filtering the other
+    easy answers. Each embedded batch is screened once against a
     float32 copy of the entity table (``_batch_scores``, made once per call),
     and all its targets are ranked by one ``rank_answers`` call, whose
     rescorer scores gathered (query row, entity) pairs exactly
@@ -308,8 +308,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
     """
     if workers != 1:  # accepted, as 1 only, for perfbench/workloads.py
         raise DataError(f"ranking is serial: workers must be 1, got {workers}")
-    entailment = dataset.mode in ("entailment", "train")
-    if not entailment and dataset.mode != "generalization":
+    fit = dataset.mode == "train"
+    if not fit and dataset.mode != "generalization":
         raise DataError(f"cannot rank dataset with mode {dataset.mode!r}")
     if not dataset.samples:
         raise DataError("dataset has no queries to rank")
@@ -329,9 +329,9 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
                 entity_magnitude, *(float(np.max(np.abs(v))) for v in branch_values)))
             targets, filters = [], []
             for sample in chunk:
-                if entailment:
+                if fit:
                     if sample.hard:
-                        raise DataError("entailment dataset contains hard answers")
+                        raise DataError("train dataset contains hard answers")
                     targets.append(sample.easy)
                     filters.append(sample.easy)
                 else:

@@ -320,22 +320,21 @@ class ForwardContext:
             self.relation_touches.append((ids, rows))
         return rows
 
-    def entity_distance(self, ids: np.ndarray, branches: list[ad.Tensor]) -> ad.Tensor:
-        """L1 satisfiability distance D(q, e) of entities to their nearest branch.
+    def entity_distance(self, ids: np.ndarray, query: ad.Tensor) -> ad.Tensor:
+        """L1 satisfiability distance D(q, e) of entities to a query.
 
-        ``ids`` is (B,) or (B, K), each branch a (B, 2d) query tensor; the value
-        has the shape of ``ids``. One primitive for gather -> sub -> abs ->
-        mean -> branch minimum (ties go to the first branch). It works per
-        distinct entity: the sorted distinct ids, read off a presence mask
-        over the entity table (their inverse from its running count, so no
-        sort), gather one slot-space leaf from the realized entity table (one
-        touch per call), and the backward sums each draw's slot gradient per
-        entity in draw order (``sum_rows``). The forward gathers the draws a
-        tile of rows at a time into one reused buffer of at most ``DISTANCE_TILE_BYTES`` (at
-        least one row), and keeps only the sign of each branch's (B, K, 2d)
-        difference, so the backward does not form the difference again. Rows
-        are independent, so the tiling does not change a bit. The
-        realization pullback is left to the owner of the table.
+        ``ids`` is (B,) or (B, K) and ``query`` a training query's one (B, 2d)
+        branch; the value has the shape of ``ids``. One primitive for gather
+        -> sub -> abs -> mean. It works per distinct entity: the sorted
+        distinct ids, read off a presence mask over the entity table (their
+        inverse from its running count, so no sort), gather one slot-space leaf
+        from the realized entity table (one touch per call), and the backward
+        sums each draw's slot gradient per entity in draw order (``sum_rows``).
+        The forward gathers the draws a tile of rows at a time into one reused
+        buffer of at most ``DISTANCE_TILE_BYTES`` (at least one row), and keeps
+        only the sign of the (B, K, 2d) difference, so the backward does not
+        form the difference again. Rows are independent, so the tiling does not
+        change a bit. The realization pullback is left to the owner of the table.
         """
         ids = np.asarray(ids, dtype=np.int64)
         present = np.zeros(self.config.num_entities, dtype=bool)
@@ -347,35 +346,26 @@ class ForwardContext:
         b, n = ids.shape[0], rows.shape[-1]
         inverse = index[ids].reshape(b, -1)
         k = inverse.shape[1]
-        signs = [np.empty((b, k, n)) for _ in branches]
-        dists = np.empty((len(branches), b, k))
+        sign = np.empty((b, k, n))
+        dist = np.empty((b, k))
         tile = max(1, DISTANCE_TILE_BYTES // (k * n * rows.value.itemsize))
         drawn = np.empty((min(tile, b), k, n))
-        spare = np.empty_like(drawn) if len(branches) > 1 else drawn
         for start in range(0, b, tile):
             stop = min(start + tile, b)
             block = drawn[:stop - start]
             # "clip" because "raise" gathers into a temporary and then copies to out
             np.take(rows.value, inverse[start:stop], axis=0, out=block, mode="clip")
-            for j, q in enumerate(branches):
-                diff = block if j == len(branches) - 1 else spare[:stop - start]
-                np.subtract(block, q.value[start:stop, None, :], out=diff)
-                np.sign(diff, out=signs[j][start:stop])  # in place it runs several times slower
-                np.mean(np.abs(diff, out=diff), axis=2, out=dists[j, start:stop])
-        choice = np.argmin(dists, axis=0)
+            np.subtract(block, query.value[start:stop, None, :], out=block)
+            np.sign(block, out=sign[start:stop])  # in place it runs several times slower
+            np.mean(np.abs(block, out=block), axis=2, out=dist[start:stop])
 
-        def backward(g):  # runs once, so it overwrites the sign buffers
-            g = g.reshape(choice.shape)
-            g_drawn = None
-            for j, (q, sign) in enumerate(zip(branches, signs)):
-                gj = np.multiply((g * (choice == j) / n)[..., None], sign, out=sign)
-                q._accumulate(-gj.sum(axis=1))
-                g_drawn = gj if g_drawn is None else np.add(g_drawn, gj, out=g_drawn)
+        def backward(g):  # runs once, so it overwrites the sign buffer
+            g_drawn = np.multiply((g.reshape(b, k) / n)[..., None], sign, out=sign)
+            query._accumulate(-g_drawn.sum(axis=1))
             rows._accumulate(sum_rows(inverse.reshape(-1), g_drawn.reshape(-1, n),
                                       unique.size))
 
-        value = dists.min(axis=0).reshape(ids.shape)
-        return ad.Tensor(self.tape, value, backward)
+        return ad.Tensor(self.tape, dist.reshape(ids.shape), backward)
 
     # --- embedding-space operators -----------------------------------------
 

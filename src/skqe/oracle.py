@@ -28,7 +28,8 @@ answers on the walked index, the index every mode's first filter answers
 on, so it would have been rejected anyway: it is dropped like a dead walk,
 and no dataset or attempt count changes. ``sample_dataset`` samples several
 structures over one pair of indexes, recording the count and the attempts of
-each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL.
+each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL. The
+``DATASET_MODES`` are ``train``, what ``training.train`` fits, and ``generalization``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ EXHAUSTIVE_GUARD = 10**8
 RETRY_FACTOR = 100
 WALK_BATCH = 256  # sampler attempts walked per uniform draw
 
-DATASET_MODES = ("generalization", "entailment", "train")
+DATASET_MODES = ("generalization", "train")
 
 
 def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:
@@ -389,9 +390,8 @@ def sample_queries(
 
     Modes: ``generalization`` walks the full graph (``full_index``) and keeps
     only queries with at least one answer requiring a held-out edge (easy =
-    train answers, from ``train_index``, hard = the rest); ``entailment``
-    walks the full graph with easy = full answers; ``train`` restricts both
-    walking and answers to training edges (``train_index``).
+    train answers, from ``train_index``, hard = the rest); ``train``
+    restricts both walking and answers to training edges (``train_index``).
 
     Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
     ``[seed, structure index]`` and taken one attempt at a time, in order:
@@ -434,8 +434,8 @@ def sample_queries(
             hard = full - easy
             if not hard:
                 continue
-        else:  # train and entailment answer on the edges they walk
-            easy = eval_plan(plan, *bindings, walk_index)
+        else:  # train answers on the edges it walks
+            easy = eval_plan(plan, *bindings, train_index)
             hard = set()
             if not easy:
                 continue
@@ -519,7 +519,7 @@ def write_dataset(dataset: QueryDataset, graph: KnowledgeGraph, path: str | Path
 
 
 def read_dataset(path: str | Path, graph: KnowledgeGraph) -> QueryDataset:
-    """Read a JSONL dataset, verifying the stored graph hash when present."""
+    """Read a JSONL dataset, checking its stored graph hash and mode when present."""
     samples: list[QuerySample] = []
     metadata: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -544,6 +544,9 @@ def read_dataset(path: str | Path, graph: KnowledgeGraph) -> QueryDataset:
             except DataError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from None
             samples.append(QuerySample(instance, easy, hard))
+    if "mode" in metadata and metadata["mode"] not in DATASET_MODES:
+        raise DataError(f"dataset {path} has mode {metadata['mode']!r}; "
+                        f"supported modes are {', '.join(DATASET_MODES)}")
     if metadata.get("graph_hash"):
         actual = graph.content_hash()
         if metadata["graph_hash"] != actual:

@@ -37,7 +37,7 @@ class TrainConfig:
     seed: int = 0
     kind: str = "luk"
     mode: str = "bounds"
-    union: str = "dnf"
+    union: str = "dnf"  # accepted, as "dnf" only, for perfbench/checks.py
     filter_negatives: bool = True
     log_every: int = 100
     checkpoint_every: int = 0
@@ -48,8 +48,8 @@ class TrainConfig:
             raise DataError(f"training is serial: workers must be 1, got {workers}")
         if self.seed < 0:
             raise DataError(f"seed must be non-negative, got {self.seed}")
-        if self.union not in algebra.UNION_MODES:
-            raise DataError(f"unknown union mode {self.union!r}")
+        if self.union != "dnf":  # a training query has one branch
+            raise DataError(f"union must be 'dnf', got {self.union!r}")
         for name in ("gamma", "lr"):
             _check_positive(name, getattr(self, name))
         if self.negatives < 1:
@@ -154,13 +154,13 @@ def margin_loss(query: np.ndarray | tuple, positive: np.ndarray,
                 negatives: list[np.ndarray], gamma: float) -> float:
     """Plain-numpy contrastive loss: -log s(g - D(y,q)) - mean_j log s(D(z_j,q) - g).
 
-    ``query`` may be a tuple of branch vectors; distances then take the best
-    (minimum) branch.
+    ``query`` is one vector, or a training query's one-branch tuple
+    (``QueryEmbedding.branches``).
     """
-    branches = query if isinstance(query, tuple) else (query,)
+    (query,) = query if isinstance(query, tuple) else (query,)
 
     def dist(x):
-        return min(float(np.mean(np.abs(np.asarray(b) - np.asarray(x)))) for b in branches)
+        return float(np.mean(np.abs(np.asarray(query) - np.asarray(x))))
 
     def log_sig(x):
         return float(min(x, 0.0) - np.log1p(np.exp(-abs(x))))
@@ -225,7 +225,11 @@ def _prepare_groups(dataset: QueryDataset) -> dict[str, _StructureGroup]:
     """One group per structure. Each query's positives are its easy answers,
     or its hard ones when it has none; both they and its answers are kept
     as tuples and, for the step's array draws, once more as flat int64
-    arrays with offsets."""
+    arrays with offsets. Raises DataError on a structure outside the union-free
+    ``algebra.TRAIN_STRUCTURES``, whatever the dataset's mode."""
+    illegal = [s for s in dataset.by_structure() if s not in algebra.TRAIN_STRUCTURES]
+    if illegal:
+        raise DataError(f"structures {illegal} are evaluation-only and cannot be trained on")
     groups: dict[str, _StructureGroup] = {}
     for structure, samples in dataset.by_structure().items():
         anchors = np.array([s.instance.anchors for s in samples], dtype=np.int64)
@@ -240,12 +244,11 @@ def _prepare_groups(dataset: QueryDataset) -> dict[str, _StructureGroup]:
 
 def _group_forward(ctx: ForwardContext, group: _StructureGroup, rows: np.ndarray,
                    pos_ids: np.ndarray, neg_ids: np.ndarray, config: TrainConfig):
-    """Build the loss vector for one same-structure slice of a batch."""
-    branches = ctx.embed_instances(
-        group.structure, group.anchors[rows], group.relations[rows], config.union
-    )
-    d_pos = ctx.entity_distance(pos_ids, branches)
-    d_neg = ctx.entity_distance(neg_ids, branches)
+    """Build the loss vector for one same-structure slice of a batch, whose
+    union-free structure (``_prepare_groups``) gives one (B, 2d) embedding."""
+    (query,) = ctx.embed_instances(group.structure, group.anchors[rows], group.relations[rows])
+    d_pos = ctx.entity_distance(pos_ids, query)
+    d_neg = ctx.entity_distance(neg_ids, query)
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     loss_vec = pos_term + neg_term
@@ -410,20 +413,14 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
           ) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Optimize model parameters on a query dataset.
 
-    Datasets generated for generalization runs (modes ``train`` and
-    ``generalization``) may only contain the ten training structures; the
-    held-out compositional forms stay unseen. Deterministic for a fixed seed.
-    Given ``params`` must match ``config``'s model config, checked before any write.
+    A dataset of any mode may only hold the ten training structures
+    (``_prepare_groups``), so a training query has one branch and the held-out
+    forms, unions among them, stay unseen. Deterministic for a fixed seed. The
+    dataset, and given ``params`` against ``config``, are checked before any write.
     """
-    if dataset.mode in ("train", "generalization"):
-        illegal = [s for s in dataset.by_structure() if s not in algebra.TRAIN_STRUCTURES]
-        if illegal:
-            raise DataError(
-                f"structures {illegal} are evaluation-only and cannot be trained "
-                f"on in {dataset.mode} mode"
-            )
     if not dataset.samples:
         raise DataError("empty training dataset")
+    groups = _prepare_groups(dataset)
 
     model_config = config.model_config(graph)
     if params is None:
@@ -433,7 +430,6 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     params.extra["train_config"] = asdict(config)
     params.extra["graph_hash"] = graph.content_hash()
 
-    groups = _prepare_groups(dataset)
     if config.filter_negatives:
         short = sum(np.count_nonzero(graph.num_entities - np.diff(group.answer_offsets)
                                      < config.negatives) for group in groups.values())

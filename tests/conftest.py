@@ -66,15 +66,14 @@ def composed_realize(ctx, pre):
     return ad.concat_last([lower, upper])
 
 
-def composed_distance(ctx, ids: np.ndarray, branches):
+def composed_distance(ctx, ids: np.ndarray, query):
     """Per-row reference for ``ForwardContext.entity_distance`` built from
     composed tape ops on the realized entity table: gather every drawn row as
-    a slot-space leaf (one touch per draw) -> sub -> abs -> mean over slots
-    -> minimum over branches."""
+    a slot-space leaf (one touch per draw) -> sub -> abs -> mean over slots."""
     ids = np.asarray(ids, dtype=np.int64)
     b, width = ids.shape[0], 2 * ctx.config.d
     emb = ad.reshape(ctx.entity_slots(ids.reshape(-1)), (b, -1, width))
-    return _nearest_branch(emb, branches, ids.shape)
+    return _mean_distance(emb, query, ids.shape)
 
 
 def _gather(table, index: np.ndarray):
@@ -87,27 +86,23 @@ def _gather(table, index: np.ndarray):
     return ad.Tensor(table.tape, table.value[index], backward)
 
 
-def composed_gather_distance(ctx, ids: np.ndarray, branches):
+def composed_gather_distance(ctx, ids: np.ndarray, query):
     """Per-entity reference for ``ForwardContext.entity_distance`` built from
     composed tape ops on the realized entity table: gather the sorted
     distinct rows once as a slot-space leaf, gather them per draw, then sub
-    -> abs -> mean over slots -> minimum over branches."""
+    -> abs -> mean over slots."""
     ids = np.asarray(ids, dtype=np.int64)
     unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
     b, width = ids.shape[0], 2 * ctx.config.d
     emb = ad.reshape(_gather(ctx.entity_slots(unique), inverse), (b, -1, width))
-    return _nearest_branch(emb, branches, ids.shape)
+    return _mean_distance(emb, query, ids.shape)
 
 
-def _nearest_branch(emb, branches, shape):
-    """Mean L1 distance of (B, K, 2d) slot rows to the nearest (B, 2d) branch.
-    The minimum is -max(-a, -b): its ties, like max's, go to the first operand."""
+def _mean_distance(emb, query, shape):
+    """Mean L1 distance of (B, K, 2d) slot rows to their (B, 2d) query row."""
     b, width = emb.shape[0], emb.shape[-1]
-    best = None
-    for q in branches:
-        dist = ad.mean_axis(ad.absolute(emb - ad.reshape(q, (b, 1, width))), axis=2)
-        best = dist if best is None else -ad.maximum(-best, -dist)
-    return ad.reshape(best, shape)
+    dist = ad.mean_axis(ad.absolute(emb - ad.reshape(query, (b, 1, width))), axis=2)
+    return ad.reshape(dist, shape)
 
 
 def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
@@ -115,10 +110,9 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     fused distance; the reference for the training trajectory. Its per-draw
     slot-space touches are merged by ``training._step`` before the step's one
     realization pullback."""
-    branches = ctx.embed_instances(group.structure, group.anchors[rows],
-                                   group.relations[rows], config.union)
-    d_pos = composed_distance(ctx, pos_ids, branches)
-    d_neg = composed_distance(ctx, neg_ids, branches)
+    (query,) = ctx.embed_instances(group.structure, group.anchors[rows], group.relations[rows])
+    d_pos = composed_distance(ctx, pos_ids, query)
+    d_neg = composed_distance(ctx, neg_ids, query)
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     return pos_term + neg_term, d_pos.value, d_neg.value
@@ -435,12 +429,6 @@ def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
             evals += 1
             easy = reference_eval_plan(plan, *bindings, train_index)
             hard: set[int] = set()
-            if not easy:
-                continue
-        elif mode == "entailment":
-            evals += 1
-            easy = reference_eval_plan(plan, *bindings, full_index)
-            hard = set()
             if not easy:
                 continue
         else:

@@ -201,84 +201,58 @@ def tiles(request, monkeypatch):
 
 class TestFusedEntityDistance:
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    @pytest.mark.parametrize("num_branches", [1, 2])
     @pytest.mark.parametrize("ids_shape", [(3,), (3, 4)])
-    def test_matches_composed_ops_bit_for_bit(self, mode, num_branches, ids_shape, tiles):
+    def test_matches_composed_ops_bit_for_bit(self, mode, ids_shape, tiles):
         tiles(ids_shape)
         params = _params(mode)
         rng = _rng(5)
         ids = rng.integers(0, params.config.num_entities, ids_shape)
-        queries = [rng.uniform(0.0, 1.0, (ids_shape[0], 32)) for _ in range(num_branches)]
+        query_value = rng.uniform(0.0, 1.0, (ids_shape[0], 32))
         weights = rng.uniform(0.5, 1.5, ids_shape)
 
         results = []
         for distance in (ForwardContext.entity_distance, composed_gather_distance):
             ctx = ForwardContext(params, train=True)
-            branches = [ctx.tape.leaf(q) for q in queries]
-            out = distance(ctx, ids, branches)
+            query = ctx.tape.leaf(query_value)
+            out = distance(ctx, ids, query)
             ad.backward(ad.sum_all(out * weights))
             (touched, rows), = ctx.entity_touches
-            results.append((out.value, rows.grad, [b.grad for b in branches], touched))
+            results.append((out.value, rows.grad, query.grad, touched))
         (fused, composed) = results
         assert fused[0].shape == ids_shape
-        np.testing.assert_array_equal(fused[0], composed[0])
-        np.testing.assert_array_equal(fused[1], composed[1])
-        for got, want in zip(fused[2], composed[2]):
+        for got, want in zip(fused[:3], composed[:3]):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(fused[3], np.unique(ids))
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    @pytest.mark.parametrize("num_branches", [1, 2])
-    def test_finite_differences(self, mode, num_branches):
+    def test_finite_differences(self, mode):
         # slot-space gradients pulled back through the realization, against
         # finite differences at the entity pre-activations
         params = _params(mode, entities=8)
         rng = _rng(6)
         ids = np.arange(8).reshape(2, 4)  # distinct ids: one gradient row per entity
-        queries = [rng.uniform(0.0, 1.0, (2, 32)) for _ in range(num_branches)]
+        query_value = rng.uniform(0.0, 1.0, (2, 32))
         weights = rng.uniform(0.5, 1.5, ids.shape)
 
-        def loss(entity_table, query_values):
+        def loss(entity_table, value):
             probe = params.copy()
             probe.arrays["entity"] = entity_table
             ctx = ForwardContext(probe, train=True)  # realizes its own table
-            branches = [ctx.tape.leaf(q) for q in query_values]
-            out = ctx.entity_distance(ids, branches)
-            return ctx, branches, ad.sum_all(out * weights)
+            query = ctx.tape.leaf(value)
+            out = ctx.entity_distance(ids, query)
+            return ctx, query, ad.sum_all(out * weights)
 
-        ctx, branches, total = loss(params.arrays["entity"], queries)
+        ctx, query, total = loss(params.arrays["entity"], query_value)
         ad.backward(total)
         (touched, rows), = ctx.entity_touches
         table = params.arrays["entity"]
         sig = model._realize_parts(table, mode)[0]
         pre_grad = model._realize_backward(rows.grad, sig[touched], mode)
-        numeric = numeric_grad(lambda t: float(loss(t, queries)[2].value), table)
+        numeric = numeric_grad(lambda t: float(loss(t, query_value)[2].value), table)
         np.testing.assert_allclose(pre_grad, numeric[touched], rtol=RTOL, atol=ATOL)
-        for j, branch in enumerate(branches):
-            def f(q, j=j):
-                return float(loss(table, queries[:j] + [q] + queries[j + 1:])[2].value)
-
-            np.testing.assert_allclose(branch.grad, numeric_grad(f, queries[j]),
-                                       rtol=RTOL, atol=ATOL)
-
-    @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_exact_tie_goes_to_first_branch(self, mode, tiles):
-        params = _params(mode)
-        ids = _rng(7).integers(0, 12, (3, 4))
-        tiles(ids.shape)
-        query = _rng(8).uniform(0.0, 1.0, (3, 32))
-        grads = []
-        for distance in (ForwardContext.entity_distance, composed_gather_distance):
-            ctx = ForwardContext(params, train=True)
-            first, second = ctx.tape.leaf(query), ctx.tape.leaf(query.copy())
-            ad.backward(ad.sum_all(distance(ctx, ids, [first, second])))
-            (_, rows), = ctx.entity_touches
-            grads.append((first.grad, second.grad, rows.grad))
-        fused, composed = grads
-        assert np.any(fused[0] != 0.0)
-        assert np.all(fused[1] == 0.0)
-        for got, want in zip(fused, composed):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(
+            query.grad, numeric_grad(lambda q: float(loss(table, q)[2].value), query_value),
+            rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     def test_equal_slots_get_zero_gradient(self, mode, tiles):
@@ -293,33 +267,32 @@ class TestFusedEntityDistance:
         query = table[ids[:, 0]].copy()
         query[:, ~equal] = np.clip(query[:, ~equal] + 0.1, 0.0, 1.0)
         ctx = ForwardContext(params, train=True, entities=table)
-        branch = ctx.tape.leaf(query)
-        ad.backward(ad.sum_all(ctx.entity_distance(ids, [branch])))
+        leaf = ctx.tape.leaf(query)
+        ad.backward(ad.sum_all(ctx.entity_distance(ids, leaf)))
         (touched, rows), = ctx.entity_touches
         np.testing.assert_array_equal(touched, [3, 5])
-        for grad in (branch.grad, rows.grad):
+        for grad in (leaf.grad, rows.grad):
             assert np.all(grad[:, equal] == 0.0)
             assert np.all(grad[:, ~equal] != 0.0)
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    @pytest.mark.parametrize("num_branches", [1, 2])
-    def test_per_row_reference_merged_per_entity(self, mode, num_branches, tiles):
+    def test_per_row_reference_merged_per_entity(self, mode, tiles):
         # in slot space the per-entity sums add each entity's draws in draw
         # order, as the per-row path merged with np.add.at does
         params = _params(mode)
         rng = _rng(13)
         ids = rng.integers(0, params.config.num_entities, (6, 40))
         tiles(ids.shape)
-        queries = [rng.uniform(0.0, 1.0, (6, 32)) for _ in range(num_branches)]
+        query_value = rng.uniform(0.0, 1.0, (6, 32))
         weights = rng.uniform(0.5, 1.5, ids.shape)
         results = []
         for distance in (ForwardContext.entity_distance, composed_distance):
             ctx = ForwardContext(params, train=True)
-            branches = [ctx.tape.leaf(q) for q in queries]
-            out = distance(ctx, ids, branches)
+            query = ctx.tape.leaf(query_value)
+            out = distance(ctx, ids, query)
             ad.backward(ad.sum_all(out * weights))
             (touched, rows), = ctx.entity_touches
-            results.append((out.value, touched, rows.grad, [b.grad for b in branches]))
+            results.append((out.value, touched, rows.grad, query.grad))
         fused, per_row = results
         unique, inverse = np.unique(per_row[1], return_inverse=True)
         merged = np.zeros((unique.size, 32))
@@ -327,8 +300,7 @@ class TestFusedEntityDistance:
         np.testing.assert_array_equal(fused[0], per_row[0])
         np.testing.assert_array_equal(fused[1], unique)
         np.testing.assert_array_equal(fused[2], merged)
-        for got, want in zip(fused[3], per_row[3]):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fused[3], per_row[3])
 
     @pytest.mark.parametrize("ids", [
         [11, 0, 11, 4, 0, 0],
@@ -349,7 +321,7 @@ class TestFusedEntityDistance:
         monkeypatch.setattr(model, "sum_rows", recording)
         ctx = ForwardContext(params, train=True)
         query = ctx.tape.leaf(_rng(19).uniform(0.0, 1.0, (ids.shape[0], 32)))
-        ad.backward(ad.sum_all(ctx.entity_distance(ids, [query])))
+        ad.backward(ad.sum_all(ctx.entity_distance(ids, query)))
         unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
         (touched, rows), = ctx.entity_touches
         np.testing.assert_array_equal(touched, unique)
@@ -379,7 +351,7 @@ class TestFusedEntityDistance:
         query = _rng(15).uniform(0.0, 1.0, (5, 32))
         table = realize_parts(params.arrays["entity"], "bounds")[1]
         given = ForwardContext(params, train=True, entities=table)
-        out = given.entity_distance(ids, [given.tape.leaf(query)])
+        out = given.entity_distance(ids, given.tape.leaf(query))
         ad.backward(ad.sum_all(out))
         assert seen == []  # a given table is only gathered from
         (touched, rows), = given.entity_touches
@@ -387,7 +359,7 @@ class TestFusedEntityDistance:
 
         own = ForwardContext(params, train=True)
         for _ in range(2):
-            own.entity_distance(ids, [own.tape.leaf(query)])
+            own.entity_distance(ids, own.tape.leaf(query))
         own.embed_instances("1p", [[0], [1]], [[0], [1]])
         assert seen == [40, 2]  # its own table once, then the Skolem output
 
@@ -406,7 +378,7 @@ class TestFusedEntityDistance:
 
         monkeypatch.setattr(np, "take", recording)
         ctx = ForwardContext(params, train=True)
-        ctx.entity_distance(ids, [ctx.tape.leaf(_rng(17).uniform(0.0, 1.0, (7, 32)))])
+        ctx.entity_distance(ids, ctx.tape.leaf(_rng(17).uniform(0.0, 1.0, (7, 32))))
         assert gathered == want
 
 

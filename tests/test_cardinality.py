@@ -20,7 +20,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def dataset(graph):
-    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 10, 1, "entailment")
+    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 10, 1, "train")
 
 
 def _params(graph, mode="bounds", seed=0):
@@ -66,7 +66,7 @@ class TestHead:
 
     @pytest.fixture(scope="class")
     def dataset(self, graph):
-        return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 3, 0, "entailment")
+        return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 3, 0, "train")
 
     @pytest.mark.parametrize("fitted", [False, True], ids=["seeded", "fitted"])
     def test_forward_and_prediction_equal_the_reference_bit_for_bit(self, graph, dataset,

@@ -19,7 +19,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     assert cli.main(["gen-kg", "--entities", "30", "--relations", "3",
                      "--out", str(root / "kg")]) == cli.EXIT_OK
-    assert cli.main(["gen-queries", "--kg", str(root / "kg"), "--mode", "entailment",
+    assert cli.main(["gen-queries", "--kg", str(root / "kg"), "--mode", "train",
                      "--per-structure", "4", "--structures", "1p,2i,2u",
                      "--out", str(root / "q.jsonl")]) == cli.EXIT_OK
     graph = kg.load_tsv_dir(str(root / "kg"))
@@ -61,7 +61,7 @@ def test_answer_topk_below_one_is_a_usage_error(files, topk, capsys):
 def _inputs(files, command):
     """Every required flag of ``command`` but ``--out``."""
     if command == "gen-queries":
-        return ["--kg", str(files / "kg"), "--mode", "entailment"]
+        return ["--kg", str(files / "kg"), "--mode", "train"]
     ckpt = [] if command == "train" else ["--ckpt", str(files / "model.ckpt")]
     return ["--kg", str(files / "kg"), *ckpt, "--queries", str(files / "q.jsonl")]
 
@@ -86,7 +86,7 @@ def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path
     ("train", "--workers", "1"), ("train", "--workers", "2"),
     ("eval", "--workers", "1"), ("eval", "--workers", "2"),
     ("train", "--attention", "on"), ("train", "--attention", "off"),
-    ("train", "--config", "train.cfg"),
+    ("train", "--config", "train.cfg"), ("train", "--union", "dm"), ("train", "--union", "dnf"),
 ])
 def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -101,9 +101,10 @@ def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, ca
 TRAIN_FLAG_VALUES = {
     "d": ("48", 48), "h": ("64", 64), "gamma": ("0.5", 0.5), "negatives": ("7", 7),
     "batch_size": ("9", 9), "steps": ("3", 3), "lr": ("0.01", 0.01), "seed": ("4", 4),
-    "kind": ("prod", "prod"), "mode": ("point", "point"), "union": ("dm", "dm"),
+    "kind": ("prod", "prod"), "mode": ("point", "point"),
     "log_every": ("5", 5), "checkpoint_every": ("2", 2),
     "filter_negatives": None,  # set only through the Python API
+    "union": None,  # a stub that accepts "dnf" only: a training query has one branch
 }
 
 
@@ -147,7 +148,7 @@ def test_negative_seed_exits_with_data_error(files, command, tmp_path, capsys):
     out = tmp_path / "out"
     inputs = {
         "gen-kg": ["--entities", "30", "--relations", "3"],
-        "gen-queries": ["--kg", str(files / "kg"), "--mode", "entailment",
+        "gen-queries": ["--kg", str(files / "kg"), "--mode", "train",
                         "--per-structure", "2"],
         "train": ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl"),
                   "--steps", "1"],
@@ -470,7 +471,7 @@ def test_wrong_anchor_count_exits_with_data_error(files, command, every, tmp_pat
 ], ids=["repeated-structure", "frac-nan", "frac-inf", "frac-negative", "frac-zero"])
 def test_gen_queries_bad_sampling_request_exits_with_data_error(files, extra, tmp_path, capsys):
     out = tmp_path / "q.jsonl"
-    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "entailment",
+    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
                      "--per-structure", "5", *extra, "--out", str(out)])
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("error:")
@@ -481,7 +482,7 @@ def test_gen_queries_names_each_shortfall_with_its_attempts(files, tmp_path, cap
     # 30 entities and 3 relations hold fewer than 100 distinct 1p queries;
     # 2in asks for round(100 * 0.05) = 5 and gets them
     out = tmp_path / "q.jsonl"
-    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "entailment",
+    code = cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
                      "--per-structure", "100", "--structures", "1p,2in",
                      "--negation-frac", "0.05", "--out", str(out)])
     assert code == cli.EXIT_OK
@@ -612,3 +613,86 @@ def test_default_train_mode_file_holds_the_training_structures_and_trains(files,
                      "--out", str(tmp_path / "m.ckpt"), "--steps", "1", "--batch-size", "4",
                      "--negatives", "4", "--d", "16", "--h", "16"])
     assert code == cli.EXIT_OK, capsys.readouterr().err
+
+
+def test_gen_queries_entailment_mode_is_a_usage_error(files, tmp_path, capsys):
+    out = tmp_path / "q.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "entailment",
+                  "--per-structure", "2", "--out", str(out)])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "--mode: invalid choice: 'entailment'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["entailment", "generalisation"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_dataset_of_an_unsupported_mode_exits_with_data_error(files, command, mode, tmp_path,
+                                                              capsys):
+    queries = tmp_path / "q.jsonl"
+    lines = (files / "q.jsonl").read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["meta"]["mode"] = mode
+    queries.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+    extra = (["--ckpt", str(files / "model.ckpt")] if command == "eval" else
+             ["--steps", "1", "--batch-size", "4", "--negatives", "4", "--d", "16", "--h", "16"])
+    code = cli.main([command, "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(tmp_path / "out"), *extra])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (f"error: dataset {queries} has mode {mode!r}; "
+                                       f"supported modes are generalization, train\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_on_a_union_structure_exits_with_data_error(files, tmp_path, capsys):
+    # the fixture's train-mode file holds 2u, an evaluation-only structure
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(files / "q.jsonl"),
+                     "--out", str(out), "--steps", "1", "--checkpoint-every", "1",
+                     "--batch-size", "4", "--negatives", "4", "--d", "16", "--h", "16"])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == \
+        "error: structures ['2u'] are evaluation-only and cannot be trained on\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_allocation_exits_with_data_error(files, tmp_path, monkeypatch, capsys):
+    """``--h 1000000000`` asks numpy for 715 GiB, which it refuses with a
+    MemoryError; the test raises that error in place of the allocation, so
+    it allocates nothing large."""
+    queries = tmp_path / "train.jsonl"
+    assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
+                     "--per-structure", "2", "--structures", "1p,2i",
+                     "--out", str(queries)]) == cli.EXIT_OK
+    capsys.readouterr()
+    message = ("Unable to allocate 715. GiB for an array with shape (96, 1000000000) "
+               "and data type float64")
+    asked = []
+
+    def refuse(cls, config, seed):
+        asked.append(config.h)
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ModelParams, "initialize", classmethod(refuse))
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(out), "--h", "1000000000", "--steps", "1",
+                     "--checkpoint-every", "1", "--log", str(tmp_path / "log.csv")])
+    assert code == cli.EXIT_DATA
+    assert asked == [1000000000]
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["train.jsonl"]
+
+
+def test_refused_allocation_without_a_message_exits_with_data_error(files, tmp_path,
+                                                                    monkeypatch, capsys):
+    def refuse(params):
+        raise MemoryError
+
+    monkeypatch.setattr(model, "realize_all_entities", refuse)
+    out = tmp_path / "metrics.csv"
+    code = cli.main(["eval", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == "error: out of memory: allocation refused\n"
+    assert not out.exists()

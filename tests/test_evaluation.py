@@ -43,7 +43,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def dataset(graph):
-    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 10, 1, "entailment")
+    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 10, 1, "train")
 
 
 def _params(graph, mode="bounds", seed=0):
@@ -255,7 +255,7 @@ class TestRanking:
         assert evaluation.rank_answers(exact, filters, targets) == got
 
     def test_many_targets_per_query(self):
-        # entailment: every answer is a target and filters the others
+        # a train set: every answer is a target and filters the others
         rng, exact, screen = _near_tie_batch(6, rows=3, count=400)
         targets = [rng.choice(400, size=size, replace=False).tolist() for size in (150, 1, 40)]
         filters = [set(t) for t in targets]
@@ -373,12 +373,12 @@ class TestRanksAgainstOneQueryReference:
         return {
             "generalization": oracle.sample_dataset(big_graph, STRUCTURE_NAMES, 12, 1,
                                                     "generalization"),
-            "entailment": oracle.sample_dataset(big_graph, ("1p", "2i", "2in", "2u", "up"), 12,
-                                                2, "entailment"),
+            "train": oracle.sample_dataset(big_graph, ("1p", "2i", "2in", "2u", "up"), 12,
+                                                2, "train"),
         }
 
     @pytest.mark.parametrize("union_mode", ["dnf", "dm"])
-    @pytest.mark.parametrize("mode", ["generalization", "entailment"])
+    @pytest.mark.parametrize("mode", ["generalization", "train"])
     def test_ranks_equal_score_entities(self, big_graph, datasets, mode, union_mode):
         dataset = datasets[mode]
         params = _params(big_graph, seed=4)
@@ -448,13 +448,13 @@ class TestNearTieRanks:
         return {
             "generalization": oracle.sample_dataset(big_graph, STRUCTURE_NAMES, 6, 5,
                                                     "generalization"),
-            "entailment": oracle.sample_dataset(big_graph, ("1p", "2i", "2in", "2u", "up"), 6,
-                                                6, "entailment"),
+            "train": oracle.sample_dataset(big_graph, ("1p", "2i", "2in", "2u", "up"), 6,
+                                                6, "train"),
         }
 
     @pytest.mark.parametrize("union_mode", ["dnf", "dm"])
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    @pytest.mark.parametrize("kind", ["generalization", "entailment"])
+    @pytest.mark.parametrize("kind", ["generalization", "train"])
     def test_ranks_equal_exact_reranks(self, big_graph, datasets, kind, mode, union_mode):
         dataset = datasets[kind]
         params = _params(big_graph, mode, seed=7)

@@ -39,7 +39,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def dataset(graph):
-    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 3, 0, "entailment")
+    return oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 3, 0, "train")
 
 
 class TestInferenceMatchesTraining:
@@ -422,11 +422,10 @@ class TestSlotPlans:
         monkeypatch.setattr(algebra, "compile_instance", counting_compile)
         try:
             datasets = {mode: oracle.sample_dataset(graph, algebra.STRUCTURE_NAMES, 2, 0, mode)
-                        for mode in ("entailment", "generalization")}
-            datasets["train"] = oracle.sample_dataset(graph, algebra.TRAIN_STRUCTURES, 2, 0,
-                                                      "train")
+                        for mode in oracle.DATASET_MODES}
+            trainable = oracle.sample_dataset(graph, algebra.TRAIN_STRUCTURES, 2, 0, "train")
             config = training.TrainConfig(d=D, h=16, negatives=4, batch_size=12, steps=3)
-            params, _ = training.train(graph, datasets["entailment"], config)
+            params, _ = training.train(graph, trainable, config)
             for union in ("dnf", "dm", "dnf"):
                 evaluation.evaluate_ranking(datasets["generalization"], params, union)
             params.save(tmp_path / "model.ckpt")
@@ -437,7 +436,7 @@ class TestSlotPlans:
                     assert cli.main([command, "--kg", str(tmp_path / "kg"), *extra,
                                      "--query", query]) == cli.EXIT_OK
             assert capsys.readouterr().out
-            assert set(datasets["entailment"].by_structure()) == set(algebra.STRUCTURE_NAMES)
+            assert set(datasets["train"].by_structure()) == set(algebra.STRUCTURE_NAMES)
             assert compiled == Counter({s: 1 for s in algebra.STRUCTURE_NAMES})
         finally:
             algebra.structure_plan.cache_clear()

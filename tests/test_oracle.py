@@ -216,9 +216,9 @@ class TestBatchedWalks:
     @pytest.mark.parametrize("structure", ["1p", "2p", "pi", "2in", "up"])
     def test_full_request_is_a_prefix_of_any_larger_one(self, structure, small_graph):
         indexes = kg.build_index(small_graph), kg.build_index(small_graph, ("train",))
-        large = oracle.sample_queries(small_graph, structure, 30, 2, "entailment", *indexes)
+        large = oracle.sample_queries(small_graph, structure, 30, 2, "train", *indexes)
         for k in (1, 7, 20):
-            small = oracle.sample_queries(small_graph, structure, k, 2, "entailment", *indexes)
+            small = oracle.sample_queries(small_graph, structure, k, 2, "train", *indexes)
             assert len(small) == k and small == large[:k]
         assert len(large) == 30
 
@@ -448,9 +448,9 @@ class TestDnfBranches:
 
 
 class TestSampling:
-    def test_entailment_mode_has_no_hard_answers(self, small_graph):
+    def test_train_mode_has_no_hard_answers(self, small_graph):
         dataset = oracle.sample_dataset(
-            small_graph, algebra.STRUCTURE_NAMES, 10, seed=3, mode="entailment")
+            small_graph, algebra.STRUCTURE_NAMES, 10, seed=3, mode="train")
         assert dataset.samples
         assert all(not s.hard for s in dataset.samples)
         assert all(s.easy for s in dataset.samples)
@@ -470,15 +470,15 @@ class TestSampling:
 
     def test_negation_ratio(self, small_graph):
         dataset = oracle.sample_dataset(
-            small_graph, ("2i", "2in"), 20, seed=5, mode="entailment",
+            small_graph, ("2i", "2in"), 20, seed=5, mode="train",
             negation_frac=0.1)
         counts = dataset.metadata["counts"]
         assert counts["2i"] == 20
         assert counts["2in"] == 2
 
     def test_deterministic_for_seed(self, small_graph):
-        one = oracle.sample_dataset(small_graph, ("2p",), 10, seed=9, mode="entailment")
-        two = oracle.sample_dataset(small_graph, ("2p",), 10, seed=9, mode="entailment")
+        one = oracle.sample_dataset(small_graph, ("2p",), 10, seed=9, mode="train")
+        two = oracle.sample_dataset(small_graph, ("2p",), 10, seed=9, mode="train")
         assert [s.instance for s in one.samples] == [s.instance for s in two.samples]
 
     def test_easy_hard_partition_verified(self, small_graph):
@@ -492,12 +492,12 @@ class TestSampling:
     def test_repeated_structure_is_refused(self, small_graph):
         with pytest.raises(DataError, match=r"repeated structures: \['1p'\]"):
             oracle.sample_dataset(small_graph, ("1p", "2p", "1p"), 5, seed=1,
-                                  mode="entailment")
+                                  mode="train")
 
     @pytest.mark.parametrize("frac", [0.0, -1.0, 1.5, float("nan"), float("inf")])
     def test_negation_frac_outside_unit_interval_is_refused(self, frac, small_graph):
         with pytest.raises(DataError, match="negation_frac"):
-            oracle.sample_dataset(small_graph, ("2in",), 5, seed=1, mode="entailment",
+            oracle.sample_dataset(small_graph, ("2in",), 5, seed=1, mode="train",
                                   negation_frac=frac)
 
 
@@ -513,7 +513,7 @@ class TestDatasetIO:
         assert loaded.metadata["mode"] == "generalization"
 
     def test_graph_hash_mismatch_detected(self, tmp_path, small_graph):
-        dataset = oracle.sample_dataset(small_graph, ("1p",), 5, seed=2, mode="entailment")
+        dataset = oracle.sample_dataset(small_graph, ("1p",), 5, seed=2, mode="train")
         path = tmp_path / "queries.jsonl"
         oracle.write_dataset(dataset, small_graph, path)
         other = kg.generate_synthetic(50, 3, 2.0, 0.1, 0.1, seed=99)
@@ -543,7 +543,28 @@ class TestDatasetIO:
             "anchor-count"])
     def test_malformed_record_names_its_line(self, record, message, tmp_path, small_graph):
         path = tmp_path / "queries.jsonl"
-        path.write_text('{"meta": {"mode": "entailment"}}\n' + record + "\n")
+        path.write_text('{"meta": {"mode": "train"}}\n' + record + "\n")
         with pytest.raises(DataError) as error:
             oracle.read_dataset(path, small_graph)
         assert str(error.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("mode", ["entailment", "generalisation", "", 1])
+    def test_mode_outside_the_dataset_modes_is_refused(self, mode, tmp_path, small_graph):
+        dataset = oracle.sample_dataset(small_graph, ("1p",), 5, seed=2, mode="train")
+        path = tmp_path / "queries.jsonl"
+        oracle.write_dataset(oracle.QueryDataset(dataset.samples, {"mode": mode}),
+                             small_graph, path)
+        with pytest.raises(DataError) as error:
+            oracle.read_dataset(path, small_graph)
+        assert str(error.value) == (f"dataset {path} has mode {mode!r}; "
+                                    f"supported modes are generalization, train")
+
+    @pytest.mark.parametrize("meta", [None, {}], ids=["no-meta-line", "meta-without-mode"])
+    def test_dataset_without_a_mode_stays_readable(self, meta, tmp_path, small_graph):
+        dataset = oracle.sample_dataset(small_graph, ("1p", "2i"), 5, seed=2, mode="train")
+        path = tmp_path / "queries.jsonl"
+        oracle.write_dataset(oracle.QueryDataset(dataset.samples, meta or {}), small_graph, path)
+        if meta is None:
+            path.write_text("".join(path.read_text().splitlines(True)[1:]))
+        loaded = oracle.read_dataset(path, small_graph)
+        assert loaded.mode == "" and loaded.samples == dataset.samples

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("overrides", [
         {},
         {"mode": "point", "kind": "prod"},
-        {"kind": "min", "union": "dm"},
+        {"kind": "min"},
     ])
     def test_matches_composed_reference(self, train_graph, train_dataset, monkeypatch,
                                         overrides):
@@ -198,7 +199,7 @@ class TestGradientMerge:
     @pytest.mark.parametrize("overrides,replacement", [
         ({}, False),
         ({"mode": "point", "kind": "prod"}, False),
-        ({"kind": "min", "union": "dm"}, False),
+        ({"kind": "min"}, False),
         ({"negatives": 118}, True),
     ])
     def test_training_equals_the_concatenating_merge(self, train_graph, train_dataset,
@@ -343,14 +344,14 @@ class TestSampleNegatives:
 
 class TestMarginLossReference:
     """``_group_forward``'s per-query losses on a frozen batch against the
-    plain-numpy ``margin_loss`` of each query alone: its branches from
+    plain-numpy ``margin_loss`` of each query alone: its one branch from
     ``model.embed_instance``, its rows from ``model.entity_embedding``. The
     tolerance is the one the benchmark's frozen-batch check
     (``perfbench/checks.py``) judges every training run by."""
 
     RTOL, ATOL = 1e-9, 1e-12
 
-    def _check(self, graph, dataset, structure, config, branches):
+    def _check(self, graph, dataset, structure, config):
         params = ModelParams.initialize(config.model_config(graph), 7)
         group = training._prepare_groups(dataset)[structure]
         samples = dataset.by_structure()[structure]
@@ -365,7 +366,7 @@ class TestMarginLossReference:
         want = []
         for i in rows:
             qe = model.embed_instance(samples[i].instance, params, config.union)
-            assert len(qe.branches) == branches
+            assert len(qe.branches) == 1
             want.append(training.margin_loss(
                 qe.branches, model.entity_embedding(int(pos[i]), params),
                 [model.entity_embedding(int(z), params) for z in neg[i]], config.gamma))
@@ -376,12 +377,7 @@ class TestMarginLossReference:
     @pytest.mark.parametrize("mode", model.MODES)
     @pytest.mark.parametrize("structure", algebra.TRAIN_STRUCTURES)
     def test_each_training_structure(self, train_graph, train_dataset, structure, mode, kind):
-        self._check(train_graph, train_dataset, structure, _config(mode=mode, kind=kind), 1)
-
-    @pytest.mark.parametrize("structure", ("2u", "up"))
-    def test_union_branches_under_dnf(self, train_graph, structure):
-        dataset = oracle.sample_dataset(train_graph, ("2u", "up"), 6, 1, "entailment")
-        self._check(train_graph, dataset, structure, _config(union="dnf"), 2)
+        self._check(train_graph, train_dataset, structure, _config(mode=mode, kind=kind))
 
 
 class TestTrainConfigBounds:
@@ -421,9 +417,41 @@ class TestTrainConfigBounds:
     def test_accepts_edge_values(self):
         training.TrainConfig(checkpoint_every=0, lr=1e-12)
 
-    def test_rejects_an_unknown_union_mode(self):
-        with pytest.raises(DataError, match="unknown union mode 'bogus'"):
-            training.TrainConfig(union="bogus")
+    @pytest.mark.parametrize("union", ["dm", "bogus"])
+    def test_union_is_only_a_stub_for_dnf(self, union):
+        with pytest.raises(DataError, match=f"union must be 'dnf', got '{union}'"):
+            training.TrainConfig(union=union)
+        assert training.TrainConfig().union == "dnf"
+
+
+class TestOneBranchPerTrainingQuery:
+    """``train`` refuses the evaluation-only structures, the unions among
+    them, whatever the dataset's mode, before it writes to ``params``."""
+
+    @pytest.mark.parametrize("metadata", [{}, {"mode": "train"}, {"mode": "generalization"}],
+                             ids=["no-meta", "train", "generalization"])
+    @pytest.mark.parametrize("refused", [("2u", "up"), ("2u",), ("up",), ("ip",), ("pi",)],
+                             ids="+".join)
+    def test_evaluation_only_structures_are_refused_before_any_write(self, train_graph,
+                                                                     refused, metadata):
+        assert set(refused).isdisjoint(algebra.TRAIN_STRUCTURES)
+        sampled = oracle.sample_dataset(train_graph, ("1p", *refused), 4, 1, "train")
+        assert set(sampled.by_structure()) == {"1p", *refused}
+        dataset = oracle.QueryDataset(sampled.samples, metadata)
+        config = _config()
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        before = params.copy()
+        with pytest.raises(DataError, match=re.escape(
+                f"structures {list(refused)} are evaluation-only and cannot be trained on")):
+            training.train(train_graph, dataset, config, params=params)
+        assert params.extra == before.extra == {}
+        for name, array in before.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+    def test_prepare_groups_refuses_them_too(self, train_graph):
+        sampled = oracle.sample_dataset(train_graph, ("up", "2i"), 4, 1, "train")
+        with pytest.raises(DataError, match=r"structures \['up'\] are evaluation-only"):
+            training._prepare_groups(oracle.QueryDataset(sampled.samples, {}))
 
 
 class TestTrainChecksItsParams:
@@ -673,7 +701,7 @@ class TestWholeArrayDraws:
         {},
         {"filter_negatives": False},
         {"negatives": 114},  # queries with more than 6 answers fall back
-        {"mode": "point", "kind": "prod", "union": "dm"},
+        {"mode": "point", "kind": "prod"},
     ])
     def test_matches_the_per_row_step_builder(self, train_graph, train_dataset, monkeypatch,
                                               overrides):

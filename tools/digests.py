@@ -114,14 +114,12 @@ def seeded_params():
 def train_runs():
     """(name, graph thunk, dataset thunk, ``TrainConfig`` keywords) of the
     training runs; ``tools/train_diff.py`` runs the same ones."""
-    train, every = algebra.TRAIN_STRUCTURES, algebra.STRUCTURE_NAMES
+    train = algebra.TRAIN_STRUCTURES
     small_train = lambda: sampled(small_graph, train, 20, 3, "train")
-    for name, extra in (("bounds/luk/dnf", {}),
-                        ("point/prod/dnf", dict(mode="point", kind="prod")),
-                        ("bounds/min/dm", dict(kind="min", union="dm"))):
+    for name, extra in (("bounds/luk", {}),
+                        ("point/prod", dict(mode="point", kind="prod")),
+                        ("bounds/min", dict(kind="min"))):
         yield f"train small {name}", small_graph, small_train, {**SMALL_TRAIN, **extra}
-    yield ("train small entailment dnf", small_graph,
-           lambda: sampled(small_graph, every, 10, 3, "entailment"), SMALL_TRAIN)
     yield ("train paper shape", big_graph,
            lambda: sampled(big_graph, train, 100, 2, "train"), PAPER_TRAIN)
 
@@ -134,7 +132,6 @@ def runs():
           algebra.plan_branches(s, "dm")) for s in every]).encode()))
     for mode, structures, per, seeds in (("generalization", every, 200, (401, 7)),
                                          ("train", train, 100, (401, 7)),
-                                         ("entailment", every, 100, (401, 7)),
                                          ("train", train, 500, (401, 7)),
                                          ("train", train, 200, (7,)),
                                          ("generalization", every, 100, (7,))):

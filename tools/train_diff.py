@@ -16,14 +16,8 @@ For each run it prints the largest absolute difference of the per-step
 losses, the largest absolute difference over the parameters both sides
 have, and the parameter names only one side has. A change that keeps
 training bit-identical prints 0 for both. Like the digests, the bits depend
-on the machine's BLAS.
-
-Each run's line also gives, per side, the median over the three rounds of
-the round's median step time, with the rounds' min-max, read from the
-run's ``log_every=1`` records. This is the one place where the point/prod
-and min/dm runs' speed shows, since the benchmark trains luk/bounds/dnf
-only; a spread as wide as the gap between the sides means no difference
-can be read.
+on the machine's BLAS. It prints no step times: the runs are too short to
+time.
 """
 
 from __future__ import annotations
@@ -55,21 +49,16 @@ train_diff.dump_runs(sys.argv[3])
 
 
 def dump_runs(path) -> None:
-    """Pickle {run name: (losses, parameter arrays, step seconds)} and the
-    path of the ``skqe.training`` module that ran them to ``path``. The step
-    seconds are the differences of the records' elapsed times, so every run
-    must log every step."""
+    """Pickle {run name: (losses, parameter arrays)} and the path of the
+    ``skqe.training`` module that ran them to ``path``."""
     import digests
     from skqe import training
 
     logging.basicConfig(level=logging.ERROR)  # sampler shortfalls are expected here
     runs = {}
     for name, graph, dataset, config in digests.train_runs():
-        if config.get("log_every") != 1:
-            raise RuntimeError(f"{name}: step times need log_every=1")
         params, records = training.train(graph(), dataset(), training.TrainConfig(**config))
-        runs[name] = ([r.loss for r in records], params.arrays,
-                      np.diff([0.0] + [r.seconds for r in records]))
+        runs[name] = ([r.loss for r in records], params.arrays)
     with open(path, "wb") as handle:
         pickle.dump((training.__file__, runs), handle)
 
@@ -95,18 +84,13 @@ def check_rounds(side: str, rounds: list[dict]) -> None:
     parameters, bit for bit."""
     first = rounds[0]
     for later in rounds[1:]:
-        for name, (losses, arrays, _) in first.items():
-            other_losses, other_arrays, _ = later[name]
+        for name, (losses, arrays) in first.items():
+            other_losses, other_arrays = later[name]
             same = (np.array(losses).tobytes() == np.array(other_losses).tobytes()
                     and arrays.keys() == other_arrays.keys()
                     and all(arrays[k].tobytes() == other_arrays[k].tobytes() for k in arrays))
             if not same:
                 raise RuntimeError(f"{name}: the {side} rounds differ in a loss or a parameter")
-
-
-def _step_ms(rounds: list[dict], name: str) -> str:
-    medians = [1e3 * float(np.median(runs[name][2])) for runs in rounds]
-    return f"{np.median(medians):.1f} [{min(medians):.1f}-{max(medians):.1f}]"
 
 
 def _names(names) -> str:
@@ -124,8 +108,8 @@ def main(argv=None) -> int:
     for side, side_rounds in rounds.items():
         check_rounds(side, side_rounds)
     here, there = rounds["here"][0], rounds["there"][0]
-    for name, (losses, arrays, _) in here.items():
-        other_losses, other_arrays, _ = there[name]
+    for name, (losses, arrays) in here.items():
+        other_losses, other_arrays = there[name]
         if len(losses) != len(other_losses):
             raise RuntimeError(f"{name}: {len(losses)} losses here, {len(other_losses)} there")
         d_loss = float(np.max(np.abs(np.subtract(losses, other_losses))))
@@ -133,10 +117,7 @@ def main(argv=None) -> int:
         d_param = max(float(np.max(np.abs(arrays[k] - other_arrays[k]))) for k in shared)
         print(f"{name}: max |dloss| {d_loss:.3g}, max |dparam| {d_param:.3g}, "
               f"only here: {_names(arrays.keys() - other_arrays.keys())}, "
-              f"only there: {_names(other_arrays.keys() - arrays.keys())}, "
-              f"median step ms [min-max] over {len(ORDER) // 2} rounds here "
-              f"{_step_ms(rounds['here'], name)}, there {_step_ms(rounds['there'], name)}",
-              flush=True)
+              f"only there: {_names(other_arrays.keys() - arrays.keys())}", flush=True)
     return 0
 
 
