@@ -1,19 +1,21 @@
 """Query structures and their compilation into Skolem set-logic plans.
 
-Each of the 14 supported structures is an existential FOL atom list (used by
-the parser and the brute-force oracle) and, compiled from it, one DAG plan of
-anchor / relation / conjunction / disjunction nodes in topological order, its
-last node the answer. Negation is not a node: a conjunction lists among its
-inputs the ones whose complement it conjoins (``Conjoin.negated``), which is
-the only place the 14 structures negate. The plan is the program and a query
+Each of the 14 supported structures is an existential FOL atom list (read by
+the compiler, the parser and the brute-force oracle) and, compiled from it,
+one tree plan of anchor / relation / conjunction / disjunction nodes in
+topological order, its last node the answer and each slot bound once.
+Negation is not a node: a conjunction lists among its inputs the ones whose
+complement it conjoins (``Conjoin.negated``), which is the only place the 14
+structures negate. The plan is the program and a query
 is only data: its anchor and relation nodes hold positional slots, and a
 ``QueryInstance`` binds those slots to entity and relation ids. A
 ``QueryPlan`` checks its own shape when it is built, so every plan that
 exists is valid. ``structure_plan`` compiles each structure's plan once per
 process, and ``plan_branches`` compiles its DNF branches from the template
 (one atom of each OR-pair kept) once per union mode; the set oracle, the
-sampler, the model and the CLI all evaluate those cached plans under an
-instance's (anchors, relations) in one forward pass over the nodes.
+model and the CLI all evaluate those cached plans under an instance's
+(anchors, relations) in one forward pass over the nodes, and the sampler
+binds an instance's slots by walking a structure's plan backwards.
 """
 
 from __future__ import annotations
@@ -148,17 +150,19 @@ PlanNode = Anchor | Relate | Conjoin | Disjoin
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Node graph in topological order; node ids are tuple positions and the
+    """Node tree in topological order; node ids are tuple positions and the
     last node is the answer. Frozen, since one cached plan serves every query
     of its structure.
 
     Valid by construction: raises DataError unless the plan has a node, every
     input id comes before its node, each Conjoin / Disjoin has two or more
-    inputs, each Conjoin's ``negated`` is a proper subset of its inputs and
-    every node but the last feeds a later one. Evaluators can therefore
-    evaluate the nodes in order, once each, without checking them, and
-    answer with the last value; a Conjoin negates only its flagged inputs
-    and always has an input it does not negate.
+    inputs, each Conjoin's ``negated`` is a proper subset of its inputs,
+    every node but the last feeds exactly one later node, and no two Anchors
+    and no two Relates bind the same slot. Evaluators can therefore evaluate
+    the nodes in order, once each, without checking them, and answer with the
+    last value; a Conjoin negates only its flagged inputs and always has an
+    input it does not negate. The sampler walks the tree back from its last
+    node, so each node is reached once and each slot bound once.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -166,7 +170,8 @@ class QueryPlan:
     def __post_init__(self):
         if not self.nodes:
             raise DataError("a plan needs at least one node")
-        unfed = set(range(len(self.nodes) - 1))
+        fed = [0] * len(self.nodes)
+        bound: set[tuple[str, int]] = set()
         for idx, node in enumerate(self.nodes):
             if isinstance(node, Anchor):
                 inputs = ()
@@ -183,9 +188,19 @@ class QueryPlan:
             if isinstance(node, Conjoin) and not set(node.negated) < set(inputs):
                 raise DataError(f"plan node {idx}: negated inputs {node.negated} are not "
                                 f"a proper subset of its inputs {inputs}")
-            unfed.difference_update(inputs)
+            if isinstance(node, (Anchor, Relate)):
+                slot = ("anchor" if isinstance(node, Anchor) else "relation", node.slot)
+                if slot in bound:
+                    raise DataError(f"plan node {idx}: {slot[0]} slot {slot[1]} is bound twice")
+                bound.add(slot)
+            for i in inputs:
+                fed[i] += 1
+        unfed = [i for i in range(len(self.nodes) - 1) if not fed[i]]
         if unfed:
-            raise DataError(f"plan nodes {sorted(unfed)} feed no later node")
+            raise DataError(f"plan nodes {unfed} feed no later node")
+        shared = [i for i, count in enumerate(fed) if count > 1]
+        if shared:
+            raise DataError(f"plan nodes {shared} feed more than one later node")
 
 
 def compile_instance(structure: str) -> QueryPlan:
@@ -208,28 +223,26 @@ def _compile(template: Template) -> QueryPlan:
     """The template's plan. ``_build_term`` appends a term's node after every
     node it reads, so the target's node comes last: the plan's answer."""
     nodes: list[PlanNode] = []
-    _build_term(TARGET_TERM, template, nodes, {})
+    _build_term(TARGET_TERM, template, nodes)
     return QueryPlan(tuple(nodes))
 
 
-def _build_term(term: str, template: Template, nodes: list[PlanNode],
-                anchor_nodes: dict[str, int]) -> int:
+def _build_term(term: str, template: Template, nodes: list[PlanNode]) -> int:
     """Append the nodes defining ``term`` to ``nodes``; returns its node id. (A
     recursive closure would be a reference cycle left to the garbage collector.)
-    Raises DataError on a negated atom that no conjunction joins: one alone at
-    its term or in an OR pair."""
+    A term read by two atoms is built twice, so its slots repeat and
+    ``QueryPlan`` refuses the plan. Raises DataError on a negated atom that no
+    conjunction joins: one alone at its term or in an OR pair."""
     if term in ANCHOR_TERMS:
-        if term not in anchor_nodes:
-            nodes.append(Anchor(ANCHOR_TERMS.index(term)))
-            anchor_nodes[term] = len(nodes) - 1
-        return anchor_nodes[term]
+        nodes.append(Anchor(ANCHOR_TERMS.index(term)))
+        return len(nodes) - 1
     incoming = [i for i, atom in enumerate(template.atoms) if atom.dst == term]
     if not incoming:
         raise DataError(f"term {term!r} has no defining atom")
     parts, negated = [], []
     for i in incoming:
         atom = template.atoms[i]
-        source = _build_term(atom.src, template, nodes, anchor_nodes)
+        source = _build_term(atom.src, template, nodes)
         nodes.append(Relate(atom.relation, source))
         parts.append(len(nodes) - 1)
         if atom.negated:

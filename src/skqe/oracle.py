@@ -7,23 +7,23 @@ negated from the intersection of the others, so no complement is formed.
 ``exhaustive_eval`` is the plan-free brute-force reference.
 
 ``sample_queries`` draws queries by inverse random walks: it draws an answer
-entity, then walks the template's atoms backwards from it in
-``walk_order(template)`` (worked out once per template) through the walked
-index's ``walk_table`` (int64 CSR arrays, built once per ``AdjacencyIndex``).
-Walks are drawn ``WALK_BATCH`` attempts at a time: one uniform matrix per
-batch, one column per attempt, walked with a few numpy calls per step. The
-attempts are then taken one at a time, in order, so a (graph, structure,
-count, seed, mode) request always yields the same queries, and one that gets
-all of its k queries yields the first k of any larger request. Only the
-(anchors, relations) bindings of an attempt are kept until its answers pass
-the mode's filter; duplicates are dropped.
+entity, then walks the structure's cached plan backwards from its last node,
+breadth first, through the walked index's ``walk_table`` (int64 CSR arrays,
+built once per ``AdjacencyIndex``). So one compiled plan drives the oracle,
+the sampler and the model. Walks are drawn ``WALK_BATCH`` attempts at a
+time: one uniform matrix per batch, one column per attempt, walked with a few
+numpy calls per node. The attempts are then taken one at a time, in order,
+so a (graph, structure, count, seed, mode) request always yields the same
+queries, and one that gets all of its k queries yields the first k of any
+larger request. Only the (anchors, relations) bindings of an attempt are
+kept until its answers pass the mode's filter; duplicates are dropped.
 
 Before any ``eval_plan``, ``answer_bound`` bounds every attempt's answer-set
 size with numpy, a whole batch at once, from the walked index's out-degrees
 (``AdjacencyIndex.out_degree``): the size of a one-hop set is its degree, a
 conjunction is no larger than its smallest non-negated input, and an input
 it negates removes at least the walked entity, since the walk drew the
-negated atom's edge into it too. An attempt whose bound is below 1 has no
+negated input's edge into it too. An attempt whose bound is below 1 has no
 answers on the walked index, the index every mode's first filter answers
 on, so it would have been rejected anyway: it is dropped like a dead walk,
 and no dataset or attempt count changes. ``sample_dataset`` samples several
@@ -34,9 +34,9 @@ each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL. The
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -44,15 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .algebra import (
-    Anchor,
-    Conjoin,
-    QueryInstance,
-    QueryPlan,
-    Relate,
-    TEMPLATES,
-    Template,
-)
+from .algebra import Anchor, Conjoin, QueryInstance, QueryPlan, Relate
 from .errors import DataError
 from .kg import SPLITS, AdjacencyIndex, KnowledgeGraph, build_index
 
@@ -198,49 +190,6 @@ class QueryDataset:
                 raise DataError("easy/hard answer sets overlap")
 
 
-class WalkOrder(NamedTuple):
-    """A template's atoms in the order the sampler walks them. Terms are
-    numbered from the target (0) in the order the walk binds them; each step
-    binds a new source term and its own relation slot."""
-
-    steps: tuple[tuple[int, int, int], ...]  # (dst term, src term, relation slot)
-    num_terms: int
-    anchors: tuple[int, ...]  # term numbers of the anchor slots
-    num_relations: int
-
-
-@functools.cache
-def walk_order(template: Template) -> WalkOrder:
-    """Work out once per template the order in which the inverse walk visits
-    its atoms: in passes over the pending atoms, each atom whose destination
-    is already bound, in template order. Each step binds its atom's source
-    term and relation slot. Raises DataError when the atoms are not a DAG
-    rooted at the target, or when a step would bind a term or a relation
-    slot that an earlier step bound (no template in ``algebra.TEMPLATES``
-    has such an atom)."""
-    number = {algebra.TARGET_TERM: 0}
-    walked: set[int] = set()
-    steps = []
-    pending = list(template.atoms)
-    while pending:
-        progressed = False
-        for atom in list(pending):
-            if atom.dst not in number:
-                continue
-            if atom.src in number or atom.relation in walked:
-                raise DataError(f"template {template.name}: atom {atom.src} -> {atom.dst} "
-                                f"rebinds a term or reuses relation slot {atom.relation}")
-            pending.remove(atom)
-            progressed = True
-            number[atom.src] = len(number)
-            walked.add(atom.relation)
-            steps.append((number[atom.dst], number[atom.src], atom.relation))
-        if not progressed:
-            raise DataError(f"template {template.name} atoms are not a DAG")
-    anchors = tuple(number[a] for a in algebra.ANCHOR_TERMS[: template.num_anchors])
-    return WalkOrder(tuple(steps), len(number), anchors, template.num_relations)
-
-
 def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
                  index: AdjacencyIndex) -> np.ndarray:
     """An upper bound on ``len(eval_plan(plan, anchors[:, j], relations[:, j],
@@ -248,11 +197,11 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
     anchor slot) and ``relations`` (one row per relation slot): float64, inf
     where there is no bound.
 
-    Precondition: every column is an inverse walk of the plan's template on
-    ``index`` (``_walk_batch``), so each step bound a new source term and its
-    own relation slot (``walk_order``). Then each Anchor holds its walked
-    entity, and a Relate whose input holds its entity holds its own, since
-    the walk drew an edge of that relation from one to the other.
+    Precondition: every column is an inverse walk of the plan on ``index``
+    (``_walk_batch``): each node has one walked entity, and each Relate's
+    input was handed the head of an edge, of the Relate's relation, into the
+    Relate's entity. Then each Anchor holds its walked entity, and a Relate
+    whose input holds its entity holds its own.
     For other bindings the bound can fall below the answer-set size.
 
     One forward pass over the nodes keeps, for each node, a bound on the size
@@ -305,46 +254,50 @@ class WalkBatch(NamedTuple):
     alive: list[bool]  # False where the walk died or its answer set is provably empty
 
 
-def _walk_batch(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
-                draws: np.ndarray) -> WalkBatch:
-    """Walk a template's atoms backwards from one answer per column of ``draws``
-    and drop the attempts whose answer set on ``index`` is provably empty.
+def _walk_batch(plan: QueryPlan, index: AdjacencyIndex, draws: np.ndarray) -> WalkBatch:
+    """Walk a plan backwards from one answer per column of ``draws`` and drop
+    the attempts whose answer set on ``index`` is provably empty.
 
     ``draws`` holds uniforms in [0, 1), one row per random choice and one
-    column per attempt. Row 0 picks the answer, ``tails[floor(u * len(tails))]``;
-    row s + 1 picks step s's edge, ``floor(u * deg)`` among the ``deg`` rows of
-    the walk table into that step's destination (floor(u * deg) < deg for
-    every u < 1 in float64). Each step binds its source term to the edge's
-    head and its relation slot to the edge's relation (``walk_order``). An
-    attempt dies at a destination without incoming edges; its later steps
-    walk from a stand-in edge, so no index leaves the table, and their
-    bindings are ignored. Negated atoms are walked like positive ones so the
-    sampled negation is informative (it actually excludes the walked entity).
-    So the walked entity is never an answer of a conjunction that negates an
-    input, and the intersection of its other inputs needs a second member: where
-    ``answer_bound(plan, ...)`` (the structure's ``plan``; the columns are
-    inverse walks, as it requires) is below 1 the answer set on ``index`` is
-    empty and the attempt is marked dead as well. Every mode's first filter
-    answers on the walked index, so such an attempt would have been rejected
-    after an ``eval_plan``; pruning it changes neither a dataset nor its
-    attempt counts.
+    column per attempt. Row 0 picks the last node's entity, the answer
+    ``tails[floor(u * len(tails))]``. The nodes are then visited breadth
+    first from the last, inputs queued in input order: a Relate takes the
+    next row to pick ``floor(u * deg)`` among the ``deg`` walk-table rows into
+    its entity (< deg for every u < 1 in float64), binds its relation slot to
+    the edge's relation and hands the edge's head to its input; a Conjoin or
+    Disjoin hands its entity to every input, negated ones included, so a
+    sampled negation excludes the walked entity; an Anchor binds its slot.
+    A ``QueryPlan`` is a tree that binds each slot once, so nothing is bound
+    twice. An attempt dies at an entity without incoming edges; its later
+    Relates walk from a stand-in edge, so no index leaves the table. Where
+    ``answer_bound`` is below 1 the answer set on ``index`` is empty and the
+    attempt is marked dead as well: every mode's first filter answers on the
+    walked index, so pruning changes neither a dataset nor its attempt counts.
     """
     offsets, heads, rels = index.walk_table
     tails = index.tails
-    terms = np.empty((order.num_terms, draws.shape[1]), dtype=np.int64)
-    relations = np.zeros((order.num_relations, draws.shape[1]), dtype=np.int64)
-    terms[0] = tails[(draws[0] * len(tails)).astype(np.int64)]
-    alive = np.ones(draws.shape[1], dtype=bool)
-    for u, (dst, src, slot) in zip(draws[1:], order.steps):
-        node = terms[dst]
-        start = offsets[node]
-        degree = offsets[node + 1] - start
-        has_edge = degree > 0
-        alive &= has_edge
-        edge = np.where(has_edge, start + (u * degree).astype(np.int64), 0)
-        terms[src] = heads[edge]
-        relations[slot] = rels[edge]
-    anchors = terms[list(order.anchors)]
+    columns = draws.shape[1]
+    anchors = np.zeros((sum(isinstance(n, Anchor) for n in plan.nodes), columns), dtype=np.int64)
+    relations = np.zeros((sum(isinstance(n, Relate) for n in plan.nodes), columns),
+                         dtype=np.int64)
+    alive = np.ones(columns, dtype=bool)
+    rows = iter(draws)
+    queue = deque([(len(plan.nodes) - 1, tails[(next(rows) * len(tails)).astype(np.int64)])])
+    while queue:
+        idx, entity = queue.popleft()
+        node = plan.nodes[idx]
+        if isinstance(node, Relate):
+            start = offsets[entity]
+            degree = offsets[entity + 1] - start
+            has_edge = degree > 0
+            alive &= has_edge
+            edge = np.where(has_edge, start + (next(rows) * degree).astype(np.int64), 0)
+            relations[node.slot] = rels[edge]
+            queue.append((node.input, heads[edge]))
+        elif isinstance(node, Anchor):
+            anchors[node.slot] = entity
+        else:  # Conjoin or Disjoin
+            queue.extend((i, entity) for i in node.inputs)
     alive &= answer_bound(plan, anchors, relations, index) >= 1
     return WalkBatch(anchors.T.tolist(), relations.T.tolist(), alive.tolist())
 
@@ -357,13 +310,12 @@ def _walk_instance(batch: WalkBatch, i: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(batch.anchors[i]), tuple(batch.relations[i])
 
 
-def _walks(order: WalkOrder, plan: QueryPlan, index: AdjacencyIndex,
-           rng: np.random.Generator):
+def _walks(plan: QueryPlan, index: AdjacencyIndex, rng: np.random.Generator):
     """Each attempt's bindings (or None), in order, ``WALK_BATCH`` walks at a
-    time: one ``(1 + steps, WALK_BATCH)`` uniform draw per batch."""
+    time: one ``(1 + Relate nodes, WALK_BATCH)`` uniform draw per batch."""
+    rows = 1 + sum(isinstance(node, Relate) for node in plan.nodes)
     while True:
-        batch = _walk_batch(order, plan, index,
-                            rng.random((1 + len(order.steps), WALK_BATCH)))
+        batch = _walk_batch(plan, index, rng.random((rows, WALK_BATCH)))
         for i in range(WALK_BATCH):
             yield _walk_instance(batch, i)
 
@@ -386,7 +338,8 @@ def sample_queries(
     full_index: AdjacencyIndex,
     train_index: AdjacencyIndex,
 ) -> QuerySamples:
-    """Sample grounded queries with non-empty answers by inverse random walks.
+    """Sample grounded queries with non-empty answers by inverse random walks
+    of the structure's plan (``_walk_batch``).
 
     Modes: ``generalization`` walks the full graph (``full_index``) and keeps
     only queries with at least one answer requiring a held-out edge (easy =
@@ -409,7 +362,6 @@ def sample_queries(
     if count < 1:
         raise DataError("count must be at least 1")
     plan = algebra.structure_plan(structure)
-    order = walk_order(TEMPLATES[structure])
     walk_index = train_index if mode == "train" else full_index
     if not len(walk_index.tails):
         raise DataError("graph subset has no edges to walk")
@@ -417,7 +369,7 @@ def sample_queries(
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     samples: list[QuerySample] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    walks = _walks(order, plan, walk_index, rng)
+    walks = _walks(plan, walk_index, rng)
     attempts = 0
     while len(samples) < count and attempts < RETRY_FACTOR * count:
         attempts += 1

@@ -209,36 +209,42 @@ class _StructureGroup:
     structure: str
     anchors: np.ndarray      # (N, num_anchors)
     relations: np.ndarray    # (N, num_relations)
-    positives: list[tuple[int, ...]]  # read by perfbench/checks.py; a step reads
-    answers: list[tuple[int, ...]]    # the flat arrays below
-    positive_ids: np.ndarray = field(init=False)      # positives, concatenated
-    positive_offsets: np.ndarray = field(init=False)  # (N + 1,) into positive_ids
+    answers: list[tuple[int, ...]]  # each query's positives; a step reads the flat arrays
     answer_ids: np.ndarray = field(init=False)        # answers, each sorted and distinct
     answer_offsets: np.ndarray = field(init=False)    # (N + 1,) into answer_ids
 
     def __post_init__(self):
-        self.positive_ids, self.positive_offsets = _flat(self.positives)
         self.answer_ids, self.answer_offsets = _flat(self.answers)
+
+    @property
+    def positives(self) -> list[tuple[int, ...]]:
+        """``answers``, under the name ``perfbench/checks.py`` reads."""
+        return self.answers
 
 
 def _prepare_groups(dataset: QueryDataset) -> dict[str, _StructureGroup]:
-    """One group per structure. Each query's positives are its easy answers,
-    or its hard ones when it has none; both they and its answers are kept
-    as tuples and, for the step's array draws, once more as flat int64
-    arrays with offsets. Raises DataError on a structure outside the union-free
-    ``algebra.TRAIN_STRUCTURES``, whatever the dataset's mode."""
+    """One group per structure. Each query's answers are its positives; they
+    are kept as tuples and, for the step's array draws, once more as flat
+    int64 arrays with offsets. Raises DataError on a structure outside the
+    union-free ``algebra.TRAIN_STRUCTURES`` and on a query with hard answers,
+    whatever the dataset's mode: a training query is answered on the train
+    graph only, so no held-out answer is fitted."""
     illegal = [s for s in dataset.by_structure() if s not in algebra.TRAIN_STRUCTURES]
     if illegal:
         raise DataError(f"structures {illegal} are evaluation-only and cannot be trained on")
+    held_out = sum(bool(s.hard) for s in dataset.samples)
+    if held_out:
+        raise DataError(f"hard answers in {held_out} of {len(dataset.samples)} queries: they "
+                        f"need held-out edges, and a training query is answered on the "
+                        f"train graph only")
     groups: dict[str, _StructureGroup] = {}
     for structure, samples in dataset.by_structure().items():
         anchors = np.array([s.instance.anchors for s in samples], dtype=np.int64)
         relations = np.array([s.instance.relations for s in samples], dtype=np.int64)
-        positives = [s.easy if s.easy else s.hard for s in samples]
         answers = [s.answers for s in samples]
-        if any(not p for p in positives):
+        if any(not a for a in answers):
             raise DataError(f"{structure}: query without any answers in dataset")
-        groups[structure] = _StructureGroup(structure, anchors, relations, positives, answers)
+        groups[structure] = _StructureGroup(structure, anchors, relations, answers)
     return groups
 
 
@@ -314,16 +320,16 @@ def _build_tasks(groups: dict[str, _StructureGroup], per_structure: dict[str, np
                  ) -> list[tuple]:
     """(group, rows, positive ids, negative ids) per structure, drawn in a
     fixed structure order for determinism. Each structure takes one draw
-    for its rows' positives, a uniform pick among each query's positives,
-    then its negatives (``_draw_negatives``)."""
+    for its rows' positives, a uniform pick among each query's answers, then
+    its negatives (``_draw_negatives``)."""
     tasks = []
     for structure in algebra.STRUCTURE_NAMES:
         rows = np.asarray(per_structure.get(structure, ()), dtype=np.int64)
         if not rows.size:
             continue
         group = groups[structure]
-        first = group.positive_offsets[rows]
-        pos = group.positive_ids[first + rng.integers(0, group.positive_offsets[rows + 1] - first)]
+        first = group.answer_offsets[rows]
+        pos = group.answer_ids[first + rng.integers(0, group.answer_offsets[rows + 1] - first)]
         neg = _draw_negatives(group, rows, config.negatives, num_entities, rng,
                               config.filter_negatives)
         tasks.append((group, rows, pos, neg))
@@ -413,14 +419,19 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
           ) -> tuple[ModelParams, list[TrainLogRecord]]:
     """Optimize model parameters on a query dataset.
 
-    A dataset of any mode may only hold the ten training structures
-    (``_prepare_groups``), so a training query has one branch and the held-out
-    forms, unions among them, stay unseen. Deterministic for a fixed seed. The
-    dataset, and given ``params`` against ``config``, are checked before any write.
+    A dataset of any mode may only hold the ten training structures, and
+    queries without hard answers (``_prepare_groups``): a training query has
+    one branch, its answers are its positives, and the held-out forms, unions
+    among them, and the held-out edges stay unseen. Deterministic for a fixed
+    seed. The dataset, the negative count against the entity count, and given
+    ``params`` against ``config``, are checked before any write.
     """
     if not dataset.samples:
         raise DataError("empty training dataset")
     groups = _prepare_groups(dataset)
+    if config.negatives > graph.num_entities:
+        raise DataError(f"cannot draw {config.negatives} negatives from "
+                        f"{graph.num_entities} entities")
 
     model_config = config.model_config(graph)
     if params is None:

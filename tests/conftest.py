@@ -292,7 +292,7 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
             continue
         group = groups[structure]
         pos = np.array([
-            group.positives[i][int(rng.integers(len(group.positives[i])))]
+            group.answers[i][int(rng.integers(len(group.answers[i])))]
             for i in locals_
         ], dtype=np.int64)
         neg = np.stack([
@@ -304,16 +304,17 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
     return tasks
 
 
-# --- the sampler as it was before the static walk order ------------------------
+# --- the sampler as it was before it walked the plan --------------------------
 # Kept verbatim, apart from names, counters and the source of its random
-# numbers, as the independent reference for ``oracle.walk_order``, the batched
-# walks of ``oracle._walk_batch``, the one-pass ``oracle.eval_plan`` and the
-# walk table on ``kg.AdjacencyIndex``: the walk order is worked out again on
-# every attempt, each attempt walks alone over a dict table rebuilt for every
-# structure, and plans are evaluated by recursion with a cache. Its random
-# numbers are the sampler's: one (rows, ``WALK_BATCH``) uniform matrix per
-# ``WALK_BATCH`` attempts, column i for attempt i, each choice among n options
-# taking ``int(u * n)`` of the next number in its column.
+# numbers, as the independent reference for the plan walk of
+# ``oracle._walk_batch``, the one-pass ``oracle.eval_plan`` and the walk table
+# on ``kg.AdjacencyIndex``: it walks the template's atoms, not the plan, in an
+# order worked out again on every attempt, each attempt walks alone over a
+# dict table rebuilt for every structure, and plans are evaluated by
+# recursion with a cache. Its random numbers are the sampler's: one (rows,
+# ``WALK_BATCH``) uniform matrix per ``WALK_BATCH`` attempts, column i for
+# attempt i, each choice among n options taking ``int(u * n)`` of the next
+# number in its column.
 
 def reference_eval_node(plan, node_id: int, anchors, relations, index,
                         cache: dict[int, set[int]]) -> set[int]:

@@ -146,6 +146,46 @@ class TestPlanShape:
         with pytest.raises(DataError, match="feed no later node"):
             QueryPlan((Anchor(0), Relate(0, 0), Relate(1, 0)))
 
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    def test_one_relate_per_atom_and_one_anchor_per_anchor_term(self, structure):
+        # the plan walk draws a row per Relate where the template walk drew one
+        # per atom, so no atom may be left out of the plan, as a cycle's would be
+        template, plan = algebra.TEMPLATES[structure], algebra.structure_plan(structure)
+        relates = sorted(n.slot for n in plan.nodes if isinstance(n, Relate))
+        anchors = sorted(n.slot for n in plan.nodes if isinstance(n, Anchor))
+        assert relates == sorted(atom.relation for atom in template.atoms)
+        assert relates == list(range(template.num_relations))
+        assert anchors == list(range(template.num_anchors))
+
+    @pytest.mark.parametrize("nodes,match", [
+        ((Anchor(0), Relate(0, 0), Relate(1, 0), Conjoin((1, 2))),
+         r"plan nodes \[0\] feed more than one later node"),
+        ((Anchor(0), Relate(0, 0), Conjoin((1, 1))),
+         r"plan nodes \[1\] feed more than one later node"),
+        ((Anchor(0), Relate(0, 0), Anchor(0), Relate(1, 2), Conjoin((1, 3))),
+         "plan node 2: anchor slot 0 is bound twice"),
+        ((Anchor(0), Relate(0, 0), Anchor(1), Relate(0, 2), Conjoin((1, 3))),
+         "plan node 3: relation slot 0 is bound twice"),
+    ], ids=["shared-node", "input-listed-twice", "anchor-slot-twice", "relation-slot-twice"])
+    def test_plan_that_is_not_a_tree_or_rebinds_a_slot_rejected(self, nodes, match):
+        with pytest.raises(DataError, match=match):
+            QueryPlan(nodes)
+
+    @pytest.mark.parametrize("template,match", [
+        # the second atom walks relation slot 0 again
+        (algebra.Template("shared-slot", 2, 1, (
+            algebra.Atom(False, 0, "a", "T"), algebra.Atom(True, 0, "b", "T"))),
+         "relation slot 0 is bound twice"),
+        # the third atom reads the anchor term that the first one reads
+        (algebra.Template("bound-term", 1, 3, (
+            algebra.Atom(False, 0, "a", "T"), algebra.Atom(False, 1, "V", "T"),
+            algebra.Atom(False, 2, "a", "V"))),
+         "anchor slot 0 is bound twice"),
+    ], ids=["shared-slot", "bound-term"])
+    def test_template_that_rebinds_a_term_or_slot_rejected(self, template, match):
+        with pytest.raises(DataError, match=match):
+            algebra._compile(template)
+
     def test_self_feeding_relate_rejected(self):
         with pytest.raises(DataError, match="does not come before it"):
             QueryPlan((Anchor(0), Relate(0, 1)))

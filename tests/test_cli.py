@@ -676,8 +676,9 @@ def test_refused_allocation_exits_with_data_error(files, tmp_path, monkeypatch, 
     monkeypatch.setattr(ModelParams, "initialize", classmethod(refuse))
     out = tmp_path / "m.ckpt"
     code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
-                     "--out", str(out), "--h", "1000000000", "--steps", "1",
-                     "--checkpoint-every", "1", "--log", str(tmp_path / "log.csv")])
+                     "--out", str(out), "--h", "1000000000", "--negatives", "4",
+                     "--steps", "1", "--checkpoint-every", "1",
+                     "--log", str(tmp_path / "log.csv")])
     assert code == cli.EXIT_DATA
     assert asked == [1000000000]
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"

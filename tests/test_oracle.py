@@ -69,8 +69,8 @@ class TestEvalPlan:
 
 
 class TestReferenceParity:
-    """The one-pass evaluator and the static walk against the recursive
-    evaluator and the dynamic walk kept in conftest."""
+    """The one-pass evaluator and the plan walk against the recursive
+    evaluator and the template walk kept in conftest."""
 
     @pytest.mark.parametrize("splits", [kg.SPLITS, ("train",)], ids=["full", "train"])
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
@@ -182,10 +182,10 @@ class TestBatchedWalks:
         graph = self.dead_end_graph()
         index = kg.build_index(graph)
         assert index.walk_table.offsets.tolist() == [0, 1, 1]
-        order = oracle.walk_order(algebra.TEMPLATES["2p"])
+        rows = 1 + len(algebra.TEMPLATES["2p"].atoms)
         for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            batch = oracle._walk_batch(order, algebra.structure_plan("2p"), index,
-                                       np.full((3, 5), u))
+            batch = oracle._walk_batch(algebra.structure_plan("2p"), index,
+                                       np.full((rows, 5), u))
             assert batch.alive == [False] * 5
             assert all(oracle._walk_instance(batch, i) is None for i in range(5))
 
@@ -231,49 +231,6 @@ class TestBatchedWalks:
             for n in counts:
                 assert int(u * n) == n - 1
                 assert int(np.floor(np.float64(u) * np.int64(n))) == n - 1
-
-
-class TestWalkOrder:
-    def test_ip_walks_its_projection_before_the_intersection(self):
-        # r(V, T) binds V from the target, then p(a, V) and q(b, V) bind the anchors
-        order = oracle.walk_order(algebra.TEMPLATES["ip"])
-        assert order.steps == ((0, 1, 2), (1, 2, 0), (1, 3, 1))
-        assert order.anchors == (2, 3) and order.num_terms == 4
-
-    def test_cached_per_template(self):
-        template = algebra.TEMPLATES["pni"]
-        assert oracle.walk_order(template) is oracle.walk_order(template)
-
-    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
-    def test_every_step_binds_a_new_term_and_its_own_slot(self, structure):
-        template = algebra.TEMPLATES[structure]
-        order = oracle.walk_order(template)
-        sources = [src for _, src, _ in order.steps]
-        slots = [slot for _, _, slot in order.steps]
-        assert sources == list(range(1, order.num_terms))
-        assert sorted(slots) == sorted({atom.relation for atom in template.atoms})
-
-    @pytest.mark.parametrize("template", [
-        # the second atom walks relation slot 0 again
-        algebra.Template("shared-slot", 2, 1, (
-            algebra.Atom(False, 0, "a", "T"), algebra.Atom(True, 0, "b", "T"))),
-        # the third atom binds the anchor term that the first one bound
-        algebra.Template("bound-term", 1, 3, (
-            algebra.Atom(False, 0, "a", "T"), algebra.Atom(False, 1, "V", "T"),
-            algebra.Atom(True, 2, "a", "V"))),
-    ], ids=lambda template: template.name)
-    def test_a_step_through_a_bound_term_or_slot_is_refused(self, template):
-        with pytest.raises(DataError, match="rebinds a term or reuses relation slot"):
-            oracle.walk_order(template)
-
-    def test_cycle_is_not_a_dag(self):
-        template = algebra.Template("cycle", 1, 3, (
-            algebra.Atom(False, 0, "a", "T"),
-            algebra.Atom(False, 1, "V", "W"),
-            algebra.Atom(False, 2, "W", "V"),
-        ))
-        with pytest.raises(DataError, match="not a DAG"):
-            oracle.walk_order(template)
 
 
 class TestAnswerBound:
@@ -336,12 +293,11 @@ class TestAnswerBound:
     def test_bound_covers_every_live_walk(self, structure, splits, small_graph):
         index = kg.build_index(small_graph, splits)
         template, plan = algebra.TEMPLATES[structure], algebra.structure_plan(structure)
-        order = oracle.walk_order(template)
         incoming = reference_incoming_table(index)
         tails = sorted(incoming)
         rng = np.random.default_rng([9, algebra.STRUCTURE_NAMES.index(structure)])
         for _ in range(3):
-            draws = rng.random((1 + len(order.steps), oracle.WALK_BATCH))
+            draws = rng.random((1 + len(template.atoms), oracle.WALK_BATCH))
             walks = [reference_walk_instance(template, tails[int(column[0] * len(tails))],
                                              incoming, iter(column[1:]))
                      for column in draws.T.tolist()]
@@ -351,7 +307,7 @@ class TestAnswerBound:
             assert (bound >= sizes).all()
             # the batch keeps exactly the live walks bounded by 1 or more
             kept = iter(bound >= 1)
-            batch = oracle._walk_batch(order, plan, index, draws)
+            batch = oracle._walk_batch(plan, index, draws)
             assert batch.alive == [walk is not None and bool(next(kept)) for walk in walks]
             for i, walk in enumerate(walks):
                 if batch.alive[i]:

@@ -33,7 +33,7 @@ def _first_positive_tasks(groups, per_structure, config, num_entities, rng):
     """``train``'s step tasks for fixed query rows with each query's first
     positive, so repeated steps on the same rows differ only in their
     negatives."""
-    return [(group, rows, np.array([group.positives[i][0] for i in rows]), neg)
+    return [(group, rows, np.array([group.answers[i][0] for i in rows]), neg)
             for group, rows, _, neg in training._build_tasks(groups, per_structure, config,
                                                              num_entities, rng)]
 
@@ -358,7 +358,7 @@ class TestMarginLossReference:
         rows = np.arange(len(samples))
         assert rows.size
         rng = np.random.default_rng(11)
-        pos = np.array([rng.choice(group.positives[i]) for i in rows])
+        pos = np.array([rng.choice(group.answers[i]) for i in rows])
         neg = np.stack([training.sample_negatives(group.answers[i], config.negatives,
                                                   graph.num_entities, rng) for i in rows])
         ctx = ForwardContext(params, train=True)
@@ -454,7 +454,56 @@ class TestOneBranchPerTrainingQuery:
             training._prepare_groups(oracle.QueryDataset(sampled.samples, {}))
 
 
+class TestNoHeldOutAnswers:
+    """``train`` refuses a query with hard answers, whatever the dataset's
+    mode, before it writes to ``params``: a training query is answered on the
+    train graph only, so its answers are its positives."""
+
+    @staticmethod
+    def _refused_before_any_write(graph, dataset, match):
+        config = _config()
+        params = ModelParams.initialize(config.model_config(graph), 0)
+        before = params.copy()
+        with pytest.raises(DataError, match=match):
+            training.train(graph, dataset, config, params=params)
+        assert params.extra == before.extra == {}
+        for name, array in before.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+    def test_generalization_dataset(self, train_graph):
+        dataset = oracle.sample_dataset(train_graph, ("1p", "2p", "2i"), 4, 1, "generalization")
+        n = len(dataset.samples)
+        assert n and all(s.hard for s in dataset.samples)
+        self._refused_before_any_write(train_graph, dataset,
+                                       f"hard answers in {n} of {n} queries")
+
+    def test_one_hard_answer_in_a_dataset_without_meta(self, train_graph, train_dataset):
+        first, *rest = train_dataset.samples
+        outside = next(e for e in range(train_graph.num_entities) if e not in first.easy)
+        samples = [oracle.QuerySample(first.instance, first.easy, (outside,)), *rest]
+        self._refused_before_any_write(train_graph, oracle.QueryDataset(samples, {}),
+                                       f"hard answers in 1 of {len(samples)} queries")
+
+    def test_positives_are_the_answers(self, train_dataset):
+        samples = train_dataset.by_structure()
+        for structure, group in training._prepare_groups(train_dataset).items():
+            assert group.positives is group.answers
+            assert group.answers == [s.easy for s in samples[structure]]
+
+
 class TestTrainChecksItsParams:
+    def test_more_negatives_than_entities_is_refused_before_any_write(self, train_graph,
+                                                                      train_dataset):
+        config = _config(negatives=train_graph.num_entities + 1)
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        before = params.copy()
+        with pytest.raises(DataError, match=f"cannot draw {config.negatives} negatives from "
+                                            f"{train_graph.num_entities} entities"):
+            training.train(train_graph, train_dataset, config, params=params)
+        assert params.extra == before.extra == {}
+        for name, array in before.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
     @pytest.mark.parametrize("field,value", [("kind", "prod"), ("mode", "point"),
                                              ("d", 32), ("h", 32)])
     def test_params_of_another_model_config_are_a_data_error(self, train_graph,
@@ -520,6 +569,17 @@ class TestTrainCli:
         assert self._train(files, "--steps", "1") == cli.EXIT_OK
         assert (files / "model.ckpt").exists()
 
+    def test_generalization_queries_exit_with_data_error(self, files, tmp_path, capsys):
+        queries = tmp_path / "gen.jsonl"
+        assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "generalization",
+                         "--per-structure", "3", "--structures", "1p,2p,2i",
+                         "--out", str(queries)]) == cli.EXIT_OK
+        code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
+                         "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+        assert code == cli.EXIT_DATA
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
+        assert "need held-out edges" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_exits_with_numeric_error(self, files, capsys):
         assert self._train(files, "--lr", "1e300", "--steps", "3") == cli.EXIT_NUMERIC
@@ -582,8 +642,7 @@ def _group(answers):
     """A group whose queries have the given answers, each sorted and distinct."""
     n = len(answers)
     return training._StructureGroup("1p", np.zeros((n, 1), dtype=np.int64),
-                                    np.zeros((n, 1), dtype=np.int64),
-                                    [a or (0,) for a in answers], list(answers))
+                                    np.zeros((n, 1), dtype=np.int64), list(answers))
 
 
 class TestDrawNegatives:

@@ -15,9 +15,10 @@ temporary directory, so no run sees another's compiled files or outputs.
 The JSON it writes has the shape of ``BENCH_18.json`` and ``BENCH_19.json``:
 per workload and end-to-end metric, each side's values with their median
 and quartiles, the pairs the change wins, the change of the median and the
-parent's interquartile range. A full run of two workloads takes about
-twenty minutes on 2 cores. Nothing else should run on the machine
-meanwhile.
+parent's interquartile range, and the acceptance rule's ``verdict``:
+``worse``, ``unresolved`` or ``within`` the metric's bound. A full run of
+two workloads takes about twenty minutes on 2 cores. Nothing else should
+run on the machine meanwhile.
 """
 
 from __future__ import annotations
@@ -86,8 +87,26 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def verdict(p: dict, c: dict, higher: bool, bound: float) -> str:
+    """The acceptance rule's reading of one metric from the parent's and the
+    change's ``summary``, checked in this order: ``worse`` when the change
+    median is worse than the parent's by more than ``bound`` times the parent
+    median; else ``unresolved`` when the parent's interquartile range exceeds
+    ``bound`` times its median, unless every change run beats every parent
+    run; else ``within``."""
+    worse_by = (p["median"] - c["median"]) if higher else (c["median"] - p["median"])
+    if worse_by > bound * p["median"]:
+        return "worse"
+    parent, change = p["values"], c["values"]
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if p["q3"] - p["q1"] > bound * p["median"] and not beats_all:
+        return "unresolved"
+    return "within"
+
+
 def compare(spec: dict, runs: dict[str, list[dict]]) -> dict:
-    """Per end-to-end metric: both sides' values, wins and the parent's spread."""
+    """Per end-to-end metric: both sides' values, wins, the parent's spread,
+    the metric's bound and its ``verdict``."""
     metrics = {}
     for metric in spec["end_to_end"]:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -100,6 +119,8 @@ def compare(spec: dict, runs: dict[str, list[dict]]) -> dict:
             "change_wins": wins, "pairs": len(sides["parent"]),
             "median_change_frac": change["median"] / parent["median"] - 1.0,
             "parent_iqr": parent["q3"] - parent["q1"],
+            "bound": metric["bound"],
+            "verdict": verdict(parent, change, higher, metric["bound"]),
         }
     return metrics
 
@@ -166,7 +187,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: parent {m['parent']['median']:.4g} "
                   f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}] -> change "
                   f"{m['change']['median']:.4g} ({100 * m['median_change_frac']:+.1f}%), "
-                  f"change wins {m['change_wins']}/{m['pairs']}")
+                  f"change wins {m['change_wins']}/{m['pairs']}, {m['verdict']} "
+                  f"(bound {100 * m['bound']:g}%)")
     return 0
 
 
