@@ -292,25 +292,21 @@ def screen_tolerance(width: int, magnitude: float) -> float:
 
 def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
                      union_mode: str = "dnf", workers: int = 1) -> RankingReport:
-    """Filtered ranking over the dataset.
+    """Filtered ranking over the dataset, whatever its mode.
 
-    Generalization datasets rank hard answers filtering all known answers;
-    train datasets (no hard answers) rank easy answers filtering the other
-    easy answers. Each embedded batch is screened once against a
-    float32 copy of the entity table (``_batch_scores``, made once per call),
-    and all its targets are ranked by one ``rank_answers`` call, whose
-    rescorer scores gathered (query row, entity) pairs exactly
-    (``_pair_scores``), so the ranks equal those of exact scores;
-    ``RankingReport.rescored`` counts the near ties it rescored. Raises
-    NumericError on a non-finite entity or query embedding (the latter from
-    ``ForwardContext.embed_instances``), whose scores would rank every
-    target first.
+    Each query ranks its hard answers, or its easy ones where it has no hard
+    answer, each filtering all of the query's other answers. Each embedded
+    batch is screened once against a float32 copy of the entity table
+    (``_batch_scores``, made once per call), and all its targets are ranked
+    by one ``rank_answers`` call, whose rescorer scores gathered (query row,
+    entity) pairs exactly (``_pair_scores``), so the ranks equal those of
+    exact scores; ``RankingReport.rescored`` counts the near ties it
+    rescored. Raises NumericError on a non-finite entity or query embedding
+    (the latter from ``ForwardContext.embed_instances``), whose scores would
+    rank every target first.
     """
     if workers != 1:  # accepted, as 1 only, for perfbench/workloads.py
         raise DataError(f"ranking is serial: workers must be 1, got {workers}")
-    fit = dataset.mode == "train"
-    if not fit and dataset.mode != "generalization":
-        raise DataError(f"cannot rank dataset with mode {dataset.mode!r}")
     if not dataset.samples:
         raise DataError("dataset has no queries to rank")
     entity_matrix = model_mod.realize_all_entities(params)
@@ -327,18 +323,8 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
             screen = _batch_scores(branch_values, screen_entities)
             tolerance = screen_tolerance(width, max(
                 entity_magnitude, *(float(np.max(np.abs(v))) for v in branch_values)))
-            targets, filters = [], []
-            for sample in chunk:
-                if fit:
-                    if sample.hard:
-                        raise DataError("train dataset contains hard answers")
-                    targets.append(sample.easy)
-                    filters.append(sample.easy)
-                else:
-                    if not sample.hard:
-                        raise DataError("generalization query without hard answers")
-                    targets.append(sample.hard)
-                    filters.append((*sample.easy, *sample.hard))
+            targets = [sample.hard or sample.easy for sample in chunk]
+            filters = [(*sample.easy, *sample.hard) for sample in chunk]
             asked = []
 
             def rescore(rows, ids):
@@ -502,6 +488,7 @@ def write_plot_data(statistics: tuple[np.ndarray, np.ndarray, list[str]], path) 
     """(answer-size, statistic) pairs per structure, from ``query_statistics``'
     output, for external plotting."""
     stats, sizes, structures = statistics
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("structure,answer_size,statistic\n")
         for structure, size, value in zip(structures, sizes, stats):

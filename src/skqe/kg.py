@@ -133,15 +133,16 @@ class WalkTable(NamedTuple):
 class AdjacencyIndex:
     """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
 
-    Built from the subset of triples whose split label is in ``splits`` and
-    not changed afterwards. The derived ``walk_table``, ``degree_table`` and
-    ``tails`` are computed on first use and kept on the index.
+    Built from the triples whose split label is in ``splits`` (kept as a
+    frozenset) and not changed afterwards. The derived ``walk_table``,
+    ``degree_table`` and ``tails`` are computed on first use and kept.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
         for s in splits:
             if s not in SPLITS:
                 raise DataError(f"unknown split {s!r}")
+        self.splits = frozenset(splits)
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
         forward: dict[tuple[int, int], list[int]] = {}

@@ -46,6 +46,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -157,6 +158,7 @@ class ModelParams:
                 raise DataError(f"parameter {name} has shape {array.shape}, expected {shape}")
             body += array.astype("<f8").tobytes()
         body += hashlib.sha256(bytes(body)).digest()
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(bytes(body))
 

@@ -13,10 +13,10 @@ built once per ``AdjacencyIndex``). So one compiled plan drives the oracle,
 the sampler and the model. Walks are drawn ``WALK_BATCH`` attempts at a
 time: one uniform matrix per batch, one column per attempt, walked with a few
 numpy calls per node. The attempts are then taken one at a time, in order,
-so a (graph, structure, count, seed, mode) request always yields the same
-queries, and one that gets all of its k queries yields the first k of any
-larger request. Only the (anchors, relations) bindings of an attempt are
-kept until its answers pass the mode's filter; duplicates are dropped.
+so a (graph, structure, count, seed, indexes) request always yields the
+same queries, and one that gets all of its k queries yields the first k of
+any larger request. Only the (anchors, relations) bindings of an attempt are
+kept until the sampler's one rule keeps its answers; duplicates are dropped.
 
 Before any ``eval_plan``, ``answer_bound`` bounds every attempt's answer-set
 size with numpy, a whole batch at once, from the walked index's out-degrees
@@ -24,12 +24,11 @@ size with numpy, a whole batch at once, from the walked index's out-degrees
 conjunction is no larger than its smallest non-negated input, and an input
 it negates removes at least the walked entity, since the walk drew the
 negated input's edge into it too. An attempt whose bound is below 1 has no
-answers on the walked index, the index every mode's first filter answers
-on, so it would have been rejected anyway: it is dropped like a dead walk,
-and no dataset or attempt count changes. ``sample_dataset`` samples several
-structures over one pair of indexes, recording the count and the attempts of
-each, and ``write_dataset`` / ``read_dataset`` store datasets as JSONL. The
-``DATASET_MODES`` are ``train``, what ``training.train`` fits, and ``generalization``.
+answers on the walked index, the index the rule answers on first, so it
+would have been rejected anyway: it is dropped like a dead walk, and no
+dataset or attempt count changes. ``sample_dataset`` samples several
+structures over the indexes of a mode's row of splits, recording the count
+and the attempts of each; ``write_dataset`` / ``read_dataset`` store JSONL.
 """
 
 from __future__ import annotations
@@ -54,7 +53,9 @@ EXHAUSTIVE_GUARD = 10**8
 RETRY_FACTOR = 100
 WALK_BATCH = 256  # sampler attempts walked per uniform draw
 
-DATASET_MODES = ("generalization", "train")
+# mode -> (walked splits, easy splits); where they differ the mode holds out
+# edges, and every query has a hard answer. ``train`` is what training fits.
+DATASET_MODES = {"generalization": (SPLITS, ("train",)), "train": (("train",), ("train",))}
 
 
 def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:
@@ -185,9 +186,18 @@ class QueryDataset:
         return grouped
 
     def verify(self) -> None:
-        for sample in self.samples:
+        """Refuse overlapping easy and hard answers and, in a mode of
+        ``DATASET_MODES``, a query with hard answers where the mode holds out
+        no edges or without one where it does. Without a mode, only the first."""
+        row = DATASET_MODES.get(self.mode)
+        holds_out = row is not None and set(row[0]) != set(row[1])
+        for i, sample in enumerate(self.samples):
             if set(sample.easy) & set(sample.hard):
                 raise DataError("easy/hard answer sets overlap")
+            if row is not None and bool(sample.hard) != holds_out:
+                has, need = ("no hard answer", "every") if holds_out else ("hard answers", "no")
+                raise DataError(f"{self.mode} query {i} ({sample.instance.structure}) has {has}; "
+                                f"{need} {self.mode} query needs a held-out edge")
 
 
 def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
@@ -271,8 +281,8 @@ def _walk_batch(plan: QueryPlan, index: AdjacencyIndex, draws: np.ndarray) -> Wa
     twice. An attempt dies at an entity without incoming edges; its later
     Relates walk from a stand-in edge, so no index leaves the table. Where
     ``answer_bound`` is below 1 the answer set on ``index`` is empty and the
-    attempt is marked dead as well: every mode's first filter answers on the
-    walked index, so pruning changes neither a dataset nor its attempt counts.
+    attempt is marked dead as well: the sampler's rule answers on the walked
+    index first, so pruning changes neither a dataset nor its attempt counts.
     """
     offsets, heads, rels = index.walk_table
     tails = index.tails
@@ -334,35 +344,33 @@ def sample_queries(
     structure: str,
     count: int,
     seed: int,
-    mode: str,
-    full_index: AdjacencyIndex,
-    train_index: AdjacencyIndex,
+    walk_index: AdjacencyIndex,
+    easy_index: AdjacencyIndex,
 ) -> QuerySamples:
     """Sample grounded queries with non-empty answers by inverse random walks
-    of the structure's plan (``_walk_batch``).
+    of the structure's plan (``_walk_batch``) on ``walk_index``.
 
-    Modes: ``generalization`` walks the full graph (``full_index``) and keeps
-    only queries with at least one answer requiring a held-out edge (easy =
-    train answers, from ``train_index``, hard = the rest); ``train``
-    restricts both walking and answers to training edges (``train_index``).
+    One rule keeps a query, whatever the indexes (``graph`` is unused):
+
+    1. its answers are those on ``walk_index``, and an empty set is dropped;
+    2. its easy answers are all of them where both indexes hold the same
+       splits, else those that ``easy_index`` also gives;
+    3. its hard answers are the rest;
+    4. where the splits differ, a query without a hard answer is dropped.
 
     Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
     ``[seed, structure index]`` and taken one attempt at a time, in order:
-    an attempt is dropped if its walk died, its bindings were seen before or
-    its answers fail the mode's filter. An attempt whose answer set on the
-    walked index ``answer_bound`` proves empty is dropped like a dead walk,
-    without an ``eval_plan``: it would fail the filter, so the queries and
-    the attempt count are those of evaluating it. Sampling stops at
-    ``count`` queries or after ``RETRY_FACTOR * count`` attempts; walks drawn
-    past that point are not attempts. The draws do not depend on ``count``, so a request that
-    gets all of its k queries returns the first k of any larger request.
+    an attempt is dropped if its walk died (or ``answer_bound`` proves its
+    answers on ``walk_index`` empty), its bindings were seen before or the
+    rule drops it. Sampling stops at ``count`` queries or after
+    ``RETRY_FACTOR * count`` attempts; walks drawn past that point are not
+    attempts. The draws do not depend on ``count``, so a request that gets
+    all of its k queries returns the first k of any larger request.
     """
-    if mode not in DATASET_MODES:
-        raise DataError(f"unknown dataset mode {mode!r}")
     if count < 1:
         raise DataError("count must be at least 1")
     plan = algebra.structure_plan(structure)
-    walk_index = train_index if mode == "train" else full_index
+    holds_out = walk_index.splits != easy_index.splits
     if not len(walk_index.tails):
         raise DataError("graph subset has no edges to walk")
 
@@ -376,21 +384,15 @@ def sample_queries(
         bindings = next(walks)
         if bindings is None or bindings in seen:
             continue
-        if mode == "generalization":
-            full = eval_plan(plan, *bindings, full_index)
-            if not full:
-                continue
-            # negation queries can lose train-only answers on the full graph;
-            # keep easy inside the full answer set so easy + hard partitions it
-            easy = eval_plan(plan, *bindings, train_index) & full
-            hard = full - easy
-            if not hard:
-                continue
-        else:  # train answers on the edges it walks
-            easy = eval_plan(plan, *bindings, train_index)
-            hard = set()
-            if not easy:
-                continue
+        answers = eval_plan(plan, *bindings, walk_index)
+        if not answers:
+            continue
+        # a negation query can lose on walk_index an answer that easy_index
+        # gives; keep easy inside the answers so easy + hard partitions them
+        easy = eval_plan(plan, *bindings, easy_index) & answers if holds_out else answers
+        hard = answers - easy
+        if holds_out and not hard:
+            continue
         seen.add(bindings)
         samples.append(QuerySample(QueryInstance(structure, *bindings),
                                    tuple(sorted(easy)), tuple(sorted(hard))))
@@ -420,9 +422,13 @@ def sample_dataset(
 ) -> QueryDataset:
     """Sample a dataset across structures, optionally thinning negation forms.
 
-    Raises DataError on a negative seed, a repeated structure or unless
-    ``negation_frac`` is finite and in (0, 1].
+    ``mode`` names a row of ``DATASET_MODES``, whose split sets give
+    ``sample_queries`` its indexes, one per distinct set.
+    Raises DataError on an unknown mode, a negative seed, a repeated
+    structure or unless ``negation_frac`` is finite and in (0, 1].
     """
+    if mode not in DATASET_MODES:
+        raise DataError(f"unknown dataset mode {mode!r}")
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
     repeated = sorted({s for s in structures if structures.count(s) > 1})
@@ -430,16 +436,15 @@ def sample_dataset(
         raise DataError(f"repeated structures: {repeated}")
     if not 0 < negation_frac <= 1:  # also false for NaN
         raise DataError(f"negation_frac must be in (0, 1], got {negation_frac}")
-    full_index = build_index(graph, SPLITS)
-    train_index = build_index(graph, ("train",))
+    walked, easy = DATASET_MODES[mode]
+    walk_index = build_index(graph, walked)
+    easy_index = walk_index if set(easy) == set(walked) else build_index(graph, easy)
     samples: list[QuerySample] = []
     counts: dict[str, int] = {}
     attempts: dict[str, int] = {}
     for structure in structures:
-        got = sample_queries(
-            graph, structure, requested_count(structure, per_structure, negation_frac),
-            seed, mode, full_index=full_index, train_index=train_index,
-        )
+        count = requested_count(structure, per_structure, negation_frac)
+        got = sample_queries(graph, structure, count, seed, walk_index, easy_index)
         counts[structure] = len(got)
         attempts[structure] = got.attempts
         samples.extend(got)
@@ -471,7 +476,8 @@ def write_dataset(dataset: QueryDataset, graph: KnowledgeGraph, path: str | Path
 
 
 def read_dataset(path: str | Path, graph: KnowledgeGraph) -> QueryDataset:
-    """Read a JSONL dataset, checking its stored graph hash and mode when present."""
+    """Read a JSONL dataset, checking its stored graph hash and mode when
+    present, and its queries against its mode's row (``QueryDataset.verify``)."""
     samples: list[QuerySample] = []
     metadata: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -496,7 +502,7 @@ def read_dataset(path: str | Path, graph: KnowledgeGraph) -> QueryDataset:
             except DataError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from None
             samples.append(QuerySample(instance, easy, hard))
-    if "mode" in metadata and metadata["mode"] not in DATASET_MODES:
+    if "mode" in metadata and metadata["mode"] not in tuple(DATASET_MODES):  # may be unhashable
         raise DataError(f"dataset {path} has mode {metadata['mode']!r}; "
                         f"supported modes are {', '.join(DATASET_MODES)}")
     if metadata.get("graph_hash"):

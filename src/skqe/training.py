@@ -8,6 +8,7 @@ import logging
 import math
 import time
 from dataclasses import InitVar, asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +83,7 @@ class TrainLogRecord:
 
 
 def write_train_log(records: list[TrainLogRecord], path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("step,loss,pos_score,neg_score,repairs,seconds\n")
         for r in records:

@@ -373,6 +373,47 @@ def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path,
         assert row[2] == f"{value:.6f}"
 
 
+def test_correlate_writes_plot_data_into_a_missing_directory(files, tmp_path):
+    plot = tmp_path / "missing" / "plot.csv"
+    assert cli.main(["correlate", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "corr.csv"),
+                     "--emit-plot-data", str(plot)]) == cli.EXIT_OK
+    assert plot.read_text().startswith("structure,answer_size,statistic\n")
+
+
+def test_eval_of_a_file_without_a_mode_ranks_as_its_mode(files, tmp_path):
+    queries = tmp_path / "modeless.jsonl"
+    queries.write_text("".join((files / "q.jsonl").read_text().splitlines(True)[1:]))
+    for name, path in (("moded", files / "q.jsonl"), ("modeless", queries)):
+        assert cli.main(["eval", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                         "--queries", str(path), "--out", str(tmp_path / f"{name}.csv")]) == \
+            cli.EXIT_OK
+    assert (tmp_path / "modeless.csv").read_text() == (tmp_path / "moded.csv").read_text()
+
+
+@pytest.mark.parametrize("mode", ["train", "generalization"])
+@pytest.mark.parametrize("command", ["eval", "correlate"])
+def test_query_against_its_mode_exits_with_data_error(files, command, mode, tmp_path, capsys):
+    """The fixture's train file with one easy answer made hard, or relabelled
+    as generalization, whose queries then have no hard answer."""
+    lines = [json.loads(line) for line in (files / "q.jsonl").read_text().splitlines()]
+    if mode == "train":
+        first = lines[1]
+        first["easy"], first["hard"] = first["easy"][1:], first["easy"][:1]
+        message = "train query 0 (1p) has hard answers; no train query needs a held-out edge"
+    else:
+        lines[0]["meta"]["mode"] = "generalization"
+        message = ("generalization query 0 (1p) has no hard answer; "
+                   "every generalization query needs a held-out edge")
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code = cli.main([command, "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
+                     "--queries", str(queries), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["correlate", "fit-cardinality", "eval-cardinality"])
 def test_point_mode_checkpoint_exits_with_data_error(files, command, tmp_path, capsys):
     graph = kg.load_tsv_dir(str(files / "kg"))
@@ -395,6 +436,14 @@ def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):
     fitted = ModelParams.load(out)
     assert fitted.extra["cardinality_fit"]["epochs"] == 3
     assert fitted.extra["cardinality_fit"]["train_count"] >= 1
+
+
+def test_fit_cardinality_writes_a_checkpoint_into_a_missing_directory(files, tmp_path):
+    out = tmp_path / "missing" / "card.ckpt"
+    assert cli.main(["fit-cardinality", "--kg", str(files / "kg"),
+                     "--ckpt", str(files / "model.ckpt"), "--queries", str(files / "q.jsonl"),
+                     "--epochs", "1", "--out", str(out)]) == cli.EXIT_OK
+    assert ModelParams.load(out).extra["cardinality_fit"]["epochs"] == 1
 
 
 def test_fit_cardinality_stores_and_prints_what_eval_cardinality_reports(files, tmp_path,

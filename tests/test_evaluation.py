@@ -395,6 +395,13 @@ class TestRanksAgainstOneQueryReference:
                 want.extend(reference_rank(scores, known, t) for t in targets)
             assert report.ranks[structure] == want, structure
 
+    @pytest.mark.parametrize("mode", ["generalization", "train"])
+    def test_dataset_without_a_mode_ranks_as_its_mode(self, big_graph, datasets, mode):
+        params = _params(big_graph, seed=4)
+        moded = evaluation.evaluate_ranking(datasets[mode], params)
+        modeless = evaluation.evaluate_ranking(QueryDataset(datasets[mode].samples, {}), params)
+        assert modeless.ranks == moded.ranks and modeless.rescored == moded.rescored
+
 
 def _add_near_ties(params, dataset, seed):
     """Give the first target of each structure's first query five twins among

@@ -199,8 +199,8 @@ class TestBatchedWalks:
 
         monkeypatch.setattr(oracle, "_walk_instance", recorded)
         graph = self.dead_end_graph()
-        got = oracle.sample_queries(graph, "2p", 2, 0, "train", kg.build_index(graph),
-                                    kg.build_index(graph, ("train",)))
+        index = kg.build_index(graph, ("train",))
+        got = oracle.sample_queries(graph, "2p", 2, 0, index, index)
         assert got == [] and got.attempts == 2 * oracle.RETRY_FACTOR
         assert calls == [None] * got.attempts
 
@@ -215,10 +215,10 @@ class TestBatchedWalks:
 
     @pytest.mark.parametrize("structure", ["1p", "2p", "pi", "2in", "up"])
     def test_full_request_is_a_prefix_of_any_larger_one(self, structure, small_graph):
-        indexes = kg.build_index(small_graph), kg.build_index(small_graph, ("train",))
-        large = oracle.sample_queries(small_graph, structure, 30, 2, "train", *indexes)
+        index = kg.build_index(small_graph, ("train",))
+        large = oracle.sample_queries(small_graph, structure, 30, 2, index, index)
         for k in (1, 7, 20):
-            small = oracle.sample_queries(small_graph, structure, k, 2, "train", *indexes)
+            small = oracle.sample_queries(small_graph, structure, k, 2, index, index)
             assert len(small) == k and small == large[:k]
         assert len(large) == 30
 
@@ -456,6 +456,36 @@ class TestSampling:
             oracle.sample_dataset(small_graph, ("2in",), 5, seed=1, mode="train",
                                   negation_frac=frac)
 
+    def test_unknown_mode_is_refused(self, small_graph):
+        with pytest.raises(DataError, match="^unknown dataset mode 'entailment'$"):
+            oracle.sample_dataset(small_graph, ("1p",), 5, seed=1, mode="entailment")
+
+
+class TestOneRule:
+    """``sample_queries`` keeps a query by one rule, read from its two
+    indexes' splits, and ``sample_dataset`` builds one index per split set of
+    the mode's row."""
+
+    @pytest.mark.parametrize("splits", [("train",), kg.SPLITS], ids=["train", "all"])
+    @pytest.mark.parametrize("structure", ["1p", "pi", "2in", "up"])
+    def test_two_indexes_over_the_same_splits_act_as_one(self, structure, splits, small_graph):
+        shared = kg.build_index(small_graph, splits)
+        other = kg.build_index(small_graph, tuple(reversed(splits)))
+        one = oracle.sample_queries(small_graph, structure, 20, 4, shared, shared)
+        two = oracle.sample_queries(small_graph, structure, 20, 4, shared, other)
+        assert one and one == two and one.attempts == two.attempts
+        assert all(not sample.hard for sample in two)
+
+    @pytest.mark.parametrize("mode, built", [("train", 1), ("generalization", 2)])
+    def test_one_index_per_distinct_split_set(self, mode, built, small_graph, monkeypatch):
+        splits = []
+        build_index = oracle.build_index
+        monkeypatch.setattr(oracle, "build_index",
+                            lambda graph, s: splits.append(s) or build_index(graph, s))
+        oracle.sample_dataset(small_graph, ("1p", "2in"), 5, seed=1, mode=mode)
+        assert len(splits) == built
+        assert set(splits) == set(oracle.DATASET_MODES[mode])
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, small_graph):
@@ -504,7 +534,7 @@ class TestDatasetIO:
             oracle.read_dataset(path, small_graph)
         assert str(error.value) == f"{path}:2: {message}"
 
-    @pytest.mark.parametrize("mode", ["entailment", "generalisation", "", 1])
+    @pytest.mark.parametrize("mode", ["entailment", "generalisation", "", 1, ["train"]])
     def test_mode_outside_the_dataset_modes_is_refused(self, mode, tmp_path, small_graph):
         dataset = oracle.sample_dataset(small_graph, ("1p",), 5, seed=2, mode="train")
         path = tmp_path / "queries.jsonl"
@@ -524,3 +554,25 @@ class TestDatasetIO:
             path.write_text("".join(path.read_text().splitlines(True)[1:]))
         loaded = oracle.read_dataset(path, small_graph)
         assert loaded.mode == "" and loaded.samples == dataset.samples
+
+    @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
+    def test_query_against_its_mode_is_refused(self, mode, tmp_path, small_graph):
+        """A train query with a hard answer, or a generalization query
+        without one, breaks its mode's row; without a mode the file reads."""
+        dataset = oracle.sample_dataset(small_graph, ("1p", "2i"), 5, seed=2, mode=mode)
+        samples = list(dataset.samples)
+        first = samples[1]
+        if mode == "train":  # move one easy answer to hard
+            samples[1] = oracle.QuerySample(first.instance, first.easy[1:], first.easy[:1])
+            message = "train query 1 (1p) has hard answers; no train query needs a held-out edge"
+        else:  # make every answer easy
+            samples[1] = oracle.QuerySample(first.instance, first.answers, ())
+            message = ("generalization query 1 (1p) has no hard answer; "
+                       "every generalization query needs a held-out edge")
+        path = tmp_path / "queries.jsonl"
+        oracle.write_dataset(oracle.QueryDataset(samples, dataset.metadata), small_graph, path)
+        with pytest.raises(DataError) as error:
+            oracle.read_dataset(path, small_graph)
+        assert str(error.value) == message
+        oracle.write_dataset(oracle.QueryDataset(samples, {}), small_graph, path)
+        assert oracle.read_dataset(path, small_graph).samples == samples

@@ -569,6 +569,14 @@ class TestTrainCli:
         assert self._train(files, "--steps", "1") == cli.EXIT_OK
         assert (files / "model.ckpt").exists()
 
+    def test_outputs_in_missing_directories_are_written(self, files, tmp_path):
+        out, log = tmp_path / "model" / "m.ckpt", tmp_path / "log" / "train.csv"
+        assert self._train(files, "--steps", "2", "--checkpoint-every", "1", "--log", str(log),
+                           out=out) == cli.EXIT_OK
+        assert sorted(p.name for p in out.parent.iterdir()) == ["m.ckpt", "m.ckpt.step1",
+                                                                 "m.ckpt.step2"]
+        assert len(log.read_text().splitlines()) == 3
+
     def test_generalization_queries_exit_with_data_error(self, files, tmp_path, capsys):
         queries = tmp_path / "gen.jsonl"
         assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "generalization",

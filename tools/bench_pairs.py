@@ -5,6 +5,10 @@ it with this script:
 
     python3 tools/bench_pairs.py PARENT_CHECKOUT --out BENCH_<n>.json --title "..."
 
+Make PARENT_CHECKOUT with ``git worktree add --detach ../parent PARENT``
+(and ``git worktree remove ../parent`` afterwards) or with ``git clone``, so
+that the JSON names the parent's commit: a ``git archive`` copy has no
+``.git``, and its ``commit`` reads null.
 For each workload of ``BENCHMARK.json`` (or each ``--workload``) it runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
 the parent and once on this checkout per seed, for ten seeds from
@@ -62,7 +66,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 
 def git_commit(checkout: Path) -> str | None:
-    """HEAD of the checkout, marked when its ``src`` differs from HEAD."""
+    """HEAD of the checkout, marked when its ``src`` differs from HEAD; None
+    where the checkout has no ``.git`` (a ``git archive`` copy)."""
     head = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     if head.returncode:

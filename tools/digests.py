@@ -14,8 +14,12 @@ only; this is not a test.
     python3 tools/digests.py            # about twenty seconds on 2 cores
 
 It imports ``skqe`` from the ``src`` directory next to this file, so a copy
-of the parent checkout gives the parent's digests. ``tools/train_diff.py``
-reuses its training runs (``train_runs``) with another checkout's ``skqe``.
+of the parent checkout gives the parent's digests. Make that copy with
+``git worktree add --detach ../parent PARENT`` (``git worktree remove
+../parent`` afterwards) or ``git clone``: a ``git archive`` copy works here
+too, but it has no ``.git``, so ``tools/bench_pairs.py`` cannot name its
+commit. ``tools/train_diff.py`` reuses its training runs (``train_runs``)
+with another checkout's ``skqe``.
 """
 
 from __future__ import annotations
@@ -178,13 +182,15 @@ def runs():
                         h.update(value.tobytes())
         return _hex(h)
     yield "one-query embeddings / intermediates dnf+dm", one_query
+    def ranks(dataset, union="dnf"):
+        report = evaluation.evaluate_ranking(dataset, seeded_params(), union)
+        total = sum(len(r) for r in report.ranks.values())
+        digest = _hex(hashlib.sha256(json.dumps(report.ranks, sort_keys=True).encode()))
+        return f"{digest} ({total} ranks, {report.rescored} rescored)"
     for union in ("dnf", "dm"):
-        def ranks(union=union):
-            report = evaluation.evaluate_ranking(generalization(), seeded_params(), union)
-            total = sum(len(r) for r in report.ranks.values())
-            digest = _hex(hashlib.sha256(json.dumps(report.ranks, sort_keys=True).encode()))
-            return f"{digest} ({total} ranks, {report.rescored} rescored)"
-        yield f"ranks {union}", ranks
+        yield f"ranks {union}", lambda union=union: ranks(generalization(), union)
+    # the fit ranks: a train set ranks its easy answers
+    yield "ranks train", lambda: ranks(sampled(big_graph, train, 100, 401, "train"))
     for statistic in ("entropy", "width"):
         def stats(statistic=statistic):
             values = evaluation.query_statistics(generalization(), seeded_params(), statistic)

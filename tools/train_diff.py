@@ -5,6 +5,10 @@ size with this script:
 
     python3 tools/train_diff.py OTHER_CHECKOUT      # about thirty seconds on 2 cores
 
+OTHER_CHECKOUT is any copy of the other commit's files: ``git worktree add
+--detach ../parent PARENT`` (``git worktree remove ../parent`` afterwards),
+``git clone`` or ``git archive``.
+
 It runs the training runs of ``digests.py`` (same configs, graphs and
 datasets, defined by this checkout's ``digests.py``) with this checkout's
 ``src`` ("here") and with the ``src`` of OTHER_CHECKOUT ("there"), three
