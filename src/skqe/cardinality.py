@@ -1,7 +1,8 @@
 """The answer-size head, after BetaE's answer-size analysis: an MLP over the
 six ``H*`` arrays of ``model.param_shapes`` that estimates a query's answer
-count from the entropy of its De Morgan embedding. It is fitted on one half
-of a hash split with the query model frozen and reported on both halves."""
+count from the entropy rows of ``evaluation.query_statistics``' records. It is
+fitted on one half of a hash split with the query model frozen and reported on
+both halves."""
 
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ import hashlib
 
 import numpy as np
 
-from . import autodiff as ad, logic, training
+from . import autodiff as ad, training
 from .errors import DataError, NumericError
-from .evaluation import dm_embeddings
 from .model import ForwardContext, ModelParams, Slots
 from .oracle import QueryDataset
 
@@ -25,11 +25,6 @@ def predict(ctx: ForwardContext, h: Slots) -> Slots:
     z2 = ad.relu(ad.matmul(z1, ctx.dense("H2")) + ctx.dense("H2b"))
     s = ad.sigmoid(ad.matmul(z2, ctx.dense("H3")) + ctx.dense("H3b")) * SCALE
     return ad.reshape(s, s.shape[:1])
-
-
-def features(params: ModelParams, samples) -> np.ndarray:
-    """Entropy vector of each sample's De Morgan embedding, in sample order."""
-    return logic.entropy_slots(dm_embeddings(params, samples))
 
 
 def split(dataset: QueryDataset) -> tuple[list[int], list[int]]:
@@ -51,20 +46,20 @@ def split(dataset: QueryDataset) -> tuple[list[int], list[int]]:
     return order[:half], test
 
 
-def _floored(counts) -> np.ndarray:
-    return np.array([max(1, len(c)) for c in counts], dtype=np.float64)
+def _floored(counts: np.ndarray) -> np.ndarray:
+    return np.maximum(counts, 1).astype(np.float64)
 
 
-def fit(params: ModelParams, dataset: QueryDataset, h: np.ndarray,
+def fit(params: ModelParams, dataset: QueryDataset, records: np.ndarray,
         epochs: int = 250, lr: float = 1e-4) -> ModelParams:
     """A copy of ``params`` whose head is fitted to the train half's answer
     counts, floored at 1, by ``epochs`` full-batch Adam steps on the mean
-    absolute relative error; ``h`` is ``features(params, dataset.samples)``.
+    absolute relative error, for ``records = query_statistics(dataset, params)``.
     Raises DataError unless ``lr`` is finite and positive."""
     training._check_positive("lr", lr)
     train_idx, _ = split(dataset)
-    h_train = h[train_idx]
-    y_train = _floored(s.answers for s in dataset.samples)[train_idx]
+    h_train = records["entropy"][train_idx]
+    y_train = _floored(records["easy"] + records["hard"])[train_idx]
     params = params.copy()
     optimizer = training.Adam(lr)
     for _ in range(epochs):
@@ -84,24 +79,28 @@ def _mae_pct(estimates, sizes: np.ndarray) -> float:
     return 100.0 * float(np.mean(np.abs(estimates - sizes) / sizes))
 
 
-def report(params: ModelParams, dataset: QueryDataset, h: np.ndarray) -> dict:
+def report(params: ModelParams, dataset: QueryDataset, records: np.ndarray) -> dict:
     """Mean relative errors in percent against answer counts floored at 1, as
     in ``fit``: the head's on both halves and per test structure, then two
     test-half baselines. The best constant minimizes the train half's error:
     it is the least train size at which the sorted sizes' cumulative weight
     1/size reaches half its total. The other is each query's easy-answer
-    count. ``h`` is ``features(params, dataset.samples)``."""
+    count. ``records`` is as in ``fit``. Raises NumericError on a non-finite
+    estimate, which no error can rate."""
     train_idx, test_idx = split(dataset)
-    sizes = _floored(s.answers for s in dataset.samples)
+    sizes = _floored(records["easy"] + records["hard"])
     train, test = sizes[train_idx], sizes[test_idx]
     ctx = ForwardContext(params)
-    estimates = predict(ctx, h[test_idx])
-    structures = np.array([dataset.samples[i].instance.structure for i in test_idx])
+    train_estimates = predict(ctx, records["entropy"][train_idx])
+    estimates = predict(ctx, records["entropy"][test_idx])
+    if not (np.all(np.isfinite(train_estimates)) and np.all(np.isfinite(estimates))):
+        raise NumericError("non-finite answer-size estimate")
+    structures = records["structure"][test_idx]
     ordered = np.sort(train)
     weights = np.cumsum(1.0 / ordered)
     constant = float(ordered[np.searchsorted(weights, weights[-1] / 2)])
     return {
-        "train_mae_pct": _mae_pct(predict(ctx, h[train_idx]), train),
+        "train_mae_pct": _mae_pct(train_estimates, train),
         "train_count": len(train_idx),
         "test_mae_pct": _mae_pct(estimates, test),
         "test_count": len(test_idx),
@@ -110,5 +109,5 @@ def report(params: ModelParams, dataset: QueryDataset, h: np.ndarray) -> dict:
                           for s in dict.fromkeys(structures.tolist())},
         "constant": constant,
         "constant_mae_pct": _mae_pct(constant, test),
-        "easy_mae_pct": _mae_pct(_floored(dataset.samples[i].easy for i in test_idx), test),
+        "easy_mae_pct": _mae_pct(_floored(records["easy"][test_idx]), test),
     }

@@ -2,7 +2,10 @@
 
 Each ``train`` setting has one flag, whose dest is its ``TrainConfig`` field;
 an unset flag keeps the default. ``filter_negatives`` and ``union`` have no
-flag: a training query has one branch. A refused allocation is a data error.
+flag: a training query has one branch. ``correlate`` reports both the entropy
+and the width statistic from one pass (``evaluation.query_statistics``). A
+refused allocation is a data error; a numeric failure prints one line, with
+numpy's floating-point warnings silenced.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty name in {text!r}")
+    return names
 
 
 def _load_checkpoint(path: str, graph) -> ModelParams:
@@ -90,7 +100,7 @@ def cmd_gen_queries(args) -> int:
     graph = load_tsv_dir(args.kg)
     # train mode leaves out the evaluation-only structures, which train refuses
     default = algebra.TRAIN_STRUCTURES if args.mode == "train" else algebra.STRUCTURE_NAMES
-    structures = tuple(args.structures.split(",")) if args.structures else default
+    structures = args.structures or default
     unknown = [s for s in structures if s not in algebra.TEMPLATES]
     if unknown:
         raise DataError(f"unknown structures: {unknown}")
@@ -138,8 +148,8 @@ def cmd_eval(args) -> int:
     seconds = time.perf_counter() - began
     evaluation.write_metric_csv(report.to_rows(), args.out)
     avg = report.average()
-    answers = sum(report.counts.values())
-    print(f"evaluated {answers} answers over {len(report.per_structure)} structures: "
+    answers = sum(len(ranks) for ranks in report.ranks.values())
+    print(f"evaluated {answers} answers over {len(report.ranks)} structures: "
           f"MRR {avg.mrr:.4f}, Hits@3 {avg.hits3:.4f}")
     print(f"near ties rescored exactly: {report.rescored} entities")
     print(f"ranking took {seconds:.3f} s: {answers / seconds:.1f} answers/s")
@@ -149,14 +159,15 @@ def cmd_eval(args) -> int:
 
 def cmd_correlate(args) -> int:
     params, dataset = _load_inputs(args)
-    statistics = evaluation.query_statistics(dataset, params, args.statistic)
-    report = evaluation.uncertainty_correlation(statistics, args.statistic)
-    evaluation.write_metric_csv(report.to_rows(), args.out)
-    sp, pe = report.average()
-    print(f"{args.statistic}: Spearman {sp:.4f}, Pearson {pe:.4f} "
-          f"averaged over {len(report.per_structure)} structures")
+    records = evaluation.query_statistics(dataset, params)
+    reports = [evaluation.uncertainty_correlation(records, s) for s in evaluation.STATISTICS]
+    evaluation.write_metric_csv([row for r in reports for row in r.to_rows()], args.out)
+    for report in reports:
+        sp, pe = report.average()
+        print(f"{report.statistic}: Spearman {sp:.4f}, Pearson {pe:.4f} "
+              f"averaged over {len(report.per_structure)} structures")
     if args.emit_plot_data:
-        evaluation.write_plot_data(statistics, args.emit_plot_data)
+        evaluation.write_plot_data(records, args.emit_plot_data)
         print(f"plot data written to {args.emit_plot_data}")
     print(f"correlations written to {args.out}")
     return EXIT_OK
@@ -171,9 +182,9 @@ def _print_cardinality(r: dict) -> None:
 
 def cmd_fit_cardinality(args) -> int:
     params, dataset = _load_inputs(args)
-    features = cardinality.features(params, dataset.samples)  # the query model stays frozen
-    fitted = cardinality.fit(params, dataset, features, args.epochs, args.lr)
-    report = cardinality.report(fitted, dataset, features)
+    records = evaluation.query_statistics(dataset, params)  # the query model stays frozen
+    fitted = cardinality.fit(params, dataset, records, args.epochs, args.lr)
+    report = cardinality.report(fitted, dataset, records)
     fitted.extra["cardinality_fit"] = {**report, "epochs": args.epochs}
     fitted.save(args.out)
     _print_cardinality(report)
@@ -183,7 +194,7 @@ def cmd_fit_cardinality(args) -> int:
 
 def cmd_eval_cardinality(args) -> int:
     params, dataset = _load_inputs(args)
-    report = cardinality.report(params, dataset, cardinality.features(params, dataset.samples))
+    report = cardinality.report(params, dataset, evaluation.query_statistics(dataset, params))
     rows = [(s, "cardinality_mae_pct", mae, count)
             for s, (mae, count) in sorted(report["per_structure"].items())]
     rows += [("all", "cardinality_mae_pct", report["test_mae_pct"], report["test_count"]),
@@ -241,7 +252,7 @@ def cmd_answer(args) -> int:
 
 def cmd_oracle(args) -> int:
     graph = load_tsv_dir(args.kg)
-    splits = tuple(args.splits.split(",")) if args.splits else SPLITS
+    splits = args.splits or SPLITS
     instance = algebra.parse_fol(args.query, graph)
     index = build_index(graph, splits)
     answers = oracle_mod.eval_plan(algebra.structure_plan(instance.structure),
@@ -273,8 +284,9 @@ def make_parser() -> _Parser:
     p.add_argument("--kg", required=True)
     p.add_argument("--mode", choices=oracle_mod.DATASET_MODES, required=True)
     p.add_argument("--per-structure", type=_positive_int, required=True)
-    p.add_argument("--structures", help="comma-separated subset (default: the ten "
-                   "union-free structures train takes in train mode, all 14 in generalization)")
+    p.add_argument("--structures", type=_name_list, help="comma-separated subset (default: "
+                   "the ten union-free structures train takes in train mode, all 14 in "
+                   "generalization)")
     p.add_argument("--negation-frac", type=float, default=1.0,
                    help="sampling fraction for negation structures (0.1 matches the upstream ratio)")
     p.add_argument("--seed", type=int, default=0)
@@ -305,9 +317,9 @@ def make_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("correlate", help="uncertainty statistic vs answer size", parents=[inputs])
-    p.add_argument("--statistic", choices=evaluation.STATISTICS, default="entropy")
-    p.add_argument("--emit-plot-data", help="also write per-query (size, statistic) pairs")
+    p = sub.add_parser("correlate", help="entropy and width vs answer size, per structure",
+                       parents=[inputs])
+    p.add_argument("--emit-plot-data", help="also write each query's size, entropy and width")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
 
@@ -333,7 +345,8 @@ def make_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact answer set of a query (no model)")
     p.add_argument("--kg", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--splits", help="comma-separated split subset (default: all)")
+    p.add_argument("--splits", type=_name_list,
+                   help="comma-separated split subset (default: all)")
     p.set_defaults(func=cmd_oracle)
 
     return parser
@@ -344,7 +357,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is reported once, below
+            return args.func(args)
     except (QueryParseError, UnsupportedQueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

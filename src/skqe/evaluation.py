@@ -11,8 +11,10 @@ one exact scoring formula (``model.score_entities`` scores a whole table with
 it). Both stages keep their working set within about ``SCORE_BLOCK_BYTES``
 besides the ``(B, N)`` screen.
 
-Each uncertainty statistic comes from one De Morgan pass (``dm_embeddings``),
-which also feeds the answer-size head's entropy features."""
+``query_statistics`` makes one record per query from one De Morgan pass: its
+structure, answer counts and per-dimension entropy and width. Both
+uncertainty statistics (``uncertainty_correlation``), the plot data and the
+answer-size head (``cardinality``) read those records."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ SCORE_BLOCK_BYTES = 1 << 20  # working-set budget of the screen and of ranking
 RANK_BYTES_PER_ENTITY = 18
 # Bytes per rescored near tie: indices, ids, exact scores and comparisons.
 RANK_BYTES_PER_NEAR_TIE = 64
-STATISTICS = ("entropy", "width")  # the uncertainty statistics of query_statistics
+STATISTICS = ("entropy", "width")  # the per-dimension fields of query_statistics' records
 
 
 @dataclass(frozen=True)
@@ -149,37 +151,28 @@ def rank_hard_answers(qe: QueryEmbedding, sample, params: ModelParams) -> list[i
 
 @dataclass
 class RankingReport:
-    per_structure: dict[str, RankMetrics] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    ranks: dict[str, list[int]] = field(default_factory=dict)
+    ranks: dict[str, list[int]] = field(default_factory=dict)  # per structure, in query order
     rescored: int = 0  # near ties the float32 screen left to the exact scorer
 
     def average(self, structures=None) -> RankMetrics | None:
-        names = [s for s in (structures or self.per_structure) if s in self.per_structure]
+        """The mean metrics over ``structures`` (default: all) that it ranked."""
+        names = [s for s in (structures or self.ranks) if s in self.ranks]
         if not names:
             return None
-        rows = np.array([self.per_structure[s].as_tuple() for s in names])
+        rows = np.array([mrr_hits(self.ranks[s]).as_tuple() for s in names])
         return RankMetrics(*np.mean(rows, axis=0))
 
     def to_rows(self) -> list[tuple[str, str, float, int]]:
-        rows = []
-        for structure in self.per_structure:
-            metrics = self.per_structure[structure]
-            count = self.counts[structure]
-            for metric, value in zip(("mrr", "hits@1", "hits@3", "hits@10"),
-                                     metrics.as_tuple()):
-                rows.append((structure, metric, value, count))
+        labelled = [(s, mrr_hits(ranks), len(ranks)) for s, ranks in self.ranks.items()]
         for label, names in (("avg_epfo", EPFO_STRUCTURES),
                              ("avg_negation", NEGATION_STRUCTURES),
                              ("avg_all", STRUCTURE_NAMES)):
             avg = self.average(names)
-            if avg is None:
-                continue
-            count = sum(self.counts[s] for s in names if s in self.counts)
-            for metric, value in zip(("mrr", "hits@1", "hits@3", "hits@10"),
-                                     avg.as_tuple()):
-                rows.append((label, metric, value, count))
-        return rows
+            if avg is not None:
+                labelled.append((label, avg, sum(len(self.ranks[s]) for s in names
+                                                 if s in self.ranks)))
+        return [(label, metric, value, count) for label, m, count in labelled
+                for metric, value in zip(("mrr", "hits@1", "hits@3", "hits@10"), m.as_tuple())]
 
 
 def _embed_structure_batches(params: ModelParams, samples, union_mode: str,
@@ -335,8 +328,6 @@ def evaluate_ranking(dataset: QueryDataset, params: ModelParams,
             report.rescored += sum(asked) - sum(len(t) for t in targets)
             del screen  # free before the next batch's screen is made
         report.ranks[structure] = ranks
-        report.counts[structure] = len(ranks)
-        report.per_structure[structure] = mrr_hits(ranks)
     return report
 
 
@@ -413,36 +404,47 @@ class UncertaintyReport:
         return rows
 
 
-def query_statistics(dataset: QueryDataset, params: ModelParams,
-                     statistic: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Per-query uncertainty statistic, answer-set size and structure, grouped
-    by structure: the input of ``uncertainty_correlation`` and
-    ``write_plot_data``.
+def query_statistics(dataset: QueryDataset, params: ModelParams) -> np.ndarray:
+    """One record per query of ``dataset``, in dataset order: its
+    ``structure``, its ``easy`` and ``hard`` answer counts, and the (d,)
+    per-dimension ``entropy`` (``logic.entropy_slots``) and ``width`` (upper
+    minus lower bound) of its De Morgan embedding, whose row sums are the
+    uncertainty statistics. One pass embeds the queries in batches per
+    structure from one realized entity table, unions through De Morgan's law
+    so each query has one embedding. Interval statistics need bounds mode."""
+    if params.config.mode != "bounds":
+        raise DataError("entropy and width statistics require bounds mode")
+    d = params.config.d
+    samples = dataset.samples
+    records = np.zeros(len(samples), dtype=np.dtype([
+        ("structure", f"U{max(map(len, STRUCTURE_NAMES))}"), ("easy", np.int64),
+        ("hard", np.int64), ("entropy", np.float64, (d,)), ("width", np.float64, (d,))],
+        align=True))
+    records["structure"] = [s.instance.structure for s in samples]
+    records["easy"] = [len(s.easy) for s in samples]
+    records["hard"] = [len(s.hard) for s in samples]
+    entities = model_mod.realize_all_entities(params)
+    for structure, group in dataset.by_structure().items():
+        values = np.concatenate([
+            branch_values[0]
+            for _, branch_values in _embed_structure_batches(params, group, "dm", entities)
+        ])
+        where = records["structure"] == structure
+        records["entropy"][where] = logic.entropy_slots(values)
+        records["width"][where] = values[:, d:] - values[:, :d]
+    return records
 
-    Union queries are embedded through De Morgan's law so a single embedding
-    exists; everything else uses its plan directly.
-    """
-    if statistic not in STATISTICS:
-        raise DataError(f"unknown statistic {statistic!r} (want {' or '.join(STATISTICS)})")
-    samples = [s for group in dataset.by_structure().values() for s in group]
-    values = dm_embeddings(params, samples)
-    if statistic == "entropy":
-        stats = np.sum(logic.entropy_slots(values), axis=1)
-    else:
-        d = params.config.d
-        stats = np.sum(values[:, d:] - values[:, :d], axis=1)
-    sizes = np.array([float(len(s.answers)) for s in samples])
-    return stats, sizes, [s.instance.structure for s in samples]
 
-
-def uncertainty_correlation(statistics: tuple[np.ndarray, np.ndarray, list[str]],
-                            statistic: str) -> UncertaintyReport:
-    """Spearman/Pearson per structure between the uncertainty statistic named
-    ``statistic`` and answer-set size, from ``query_statistics``' output."""
-    stats, sizes, structures = statistics
+def uncertainty_correlation(records: np.ndarray, statistic: str) -> UncertaintyReport:
+    """Spearman/Pearson per structure, in order of first appearance, between
+    the uncertainty statistic named ``statistic`` (a field of
+    ``STATISTICS``, summed per record) and answer-set size, from
+    ``query_statistics``' records."""
+    stats = np.sum(records[statistic], axis=1)
+    sizes = (records["easy"] + records["hard"]).astype(np.float64)
     report = UncertaintyReport(statistic)
-    for structure in dict.fromkeys(structures):
-        mask = np.array([s == structure for s in structures])
+    for structure in dict.fromkeys(records["structure"].tolist()):
+        mask = records["structure"] == structure
         x, y = stats[mask], sizes[mask]
         degenerate = bool(np.std(x) == 0 or np.std(y) == 0)
         report.per_structure[structure] = CorrelationStats(
@@ -454,27 +456,6 @@ def uncertainty_correlation(statistics: tuple[np.ndarray, np.ndarray, list[str]]
     return report
 
 
-def dm_embeddings(params: ModelParams, samples) -> np.ndarray:
-    """(len(samples), 2d) De Morgan embeddings in sample order, embedded in
-    batches per structure from one realized entity table; unions go through
-    De Morgan's law, so each query has one embedding. Its interval statistics
-    need bounds mode."""
-    if params.config.mode != "bounds":
-        raise DataError("entropy and width statistics require bounds mode")
-    positions: dict[str, list[int]] = {}
-    for i, sample in enumerate(samples):
-        positions.setdefault(sample.instance.structure, []).append(i)
-    entities = model_mod.realize_all_entities(params)
-    values = np.empty((len(samples), 2 * params.config.d))
-    for where in positions.values():
-        group = [samples[i] for i in where]
-        values[where] = np.concatenate([
-            branch_values[0]
-            for _, branch_values in _embed_structure_batches(params, group, "dm", entities)
-        ])
-    return values
-
-
 def write_metric_csv(rows: list[tuple[str, str, float, int]], path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -484,12 +465,13 @@ def write_metric_csv(rows: list[tuple[str, str, float, int]], path) -> None:
             handle.write(f"{structure},{metric},{value:.6f},{count}\n")
 
 
-def write_plot_data(statistics: tuple[np.ndarray, np.ndarray, list[str]], path) -> None:
-    """(answer-size, statistic) pairs per structure, from ``query_statistics``'
-    output, for external plotting."""
-    stats, sizes, structures = statistics
+def write_plot_data(records: np.ndarray, path) -> None:
+    """Each query's answer-set size and both uncertainty statistics, from
+    ``query_statistics``' records in dataset order, for external plotting."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    sizes = records["easy"] + records["hard"]
+    entropy, width = (np.sum(records[statistic], axis=1) for statistic in STATISTICS)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("structure,answer_size,statistic\n")
-        for structure, size, value in zip(structures, sizes, stats):
-            handle.write(f"{structure},{int(size)},{value:.6f}\n")
+        handle.write("structure,answer_size,entropy,width\n")
+        for row in zip(records["structure"].tolist(), sizes.tolist(), entropy, width):
+            handle.write("{},{},{:.6f},{:.6f}\n".format(*row))

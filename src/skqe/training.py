@@ -426,7 +426,8 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
     one branch, its answers are its positives, and the held-out forms, unions
     among them, and the held-out edges stay unseen. Deterministic for a fixed
     seed. The dataset, the negative count against the entity count, and given
-    ``params`` against ``config``, are checked before any write.
+    ``params`` against ``config``, are checked before any write. Raises
+    NumericError on a non-finite loss or final query embedding.
     """
     if not dataset.samples:
         raise DataError("empty training dataset")
@@ -475,4 +476,7 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
         if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
             on_checkpoint(step, params)
 
+    ctx = ForwardContext(params)  # a finite loss can leave non-finite parameters
+    for group in groups.values():
+        ctx.embed_instances(group.structure, group.anchors[:1], group.relations[:1])
     return params, records

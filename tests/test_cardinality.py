@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from skqe import autodiff as ad, cardinality, kg, logic, model, oracle
-from skqe.errors import DataError
+from skqe import autodiff as ad, cardinality, evaluation, kg, logic, model, oracle
+from skqe.errors import DataError, NumericError
 from skqe.model import ForwardContext, ModelConfig, ModelParams
 from skqe.oracle import QueryDataset, QuerySample
 
@@ -38,13 +38,18 @@ def _head_params(graph, seed=0):
     return params
 
 
+def _features(params, dataset):
+    """The head's features: the entropy rows of the query records."""
+    return evaluation.query_statistics(dataset, params)["entropy"]
+
+
 def _fit(params, dataset, **kwargs):
-    return cardinality.fit(params, dataset, cardinality.features(params, dataset.samples),
+    return cardinality.fit(params, dataset, evaluation.query_statistics(dataset, params),
                            **kwargs)
 
 
 def _report(params, dataset):
-    return cardinality.report(params, dataset, cardinality.features(params, dataset.samples))
+    return cardinality.report(params, dataset, evaluation.query_statistics(dataset, params))
 
 
 def _loss(ctx, features, targets):
@@ -74,7 +79,7 @@ class TestHead:
         params = _head_params(graph)
         if fitted:
             params = _fit(params, dataset, epochs=5, lr=1e-2)
-        features = cardinality.features(params, dataset.samples)
+        features = _features(params, dataset)
         want = reference_cardinality_head(features, params)
         assert np.all((want > 0) & (want < cardinality.SCALE))
         got = cardinality.predict(ForwardContext(params), features)
@@ -101,7 +106,7 @@ class TestHead:
         _fit(params, dataset, epochs=1)
         (tape_head,) = values
         train_idx, _ = cardinality.split(dataset)
-        features = cardinality.features(params, dataset.samples)[train_idx]
+        features = _features(params, dataset)[train_idx]
         np.testing.assert_array_equal(tape_head, reference_cardinality_head(features, params))
 
     def test_fit_moves_every_head_parameter_and_nothing_else(self, graph, dataset):
@@ -115,7 +120,7 @@ class TestHead:
 
     def test_fit_loss_gradient_by_finite_differences(self, graph, dataset):
         params = _head_params(graph)
-        features = cardinality.features(params, dataset.samples)
+        features = _features(params, dataset)
         targets = np.random.default_rng(3).uniform(1.0, 50.0, len(features))
         ctx = ForwardContext(params, train=True)
         ad.backward(_loss(ctx, features, targets))
@@ -133,14 +138,6 @@ class TestHead:
 
 
 class TestReport:
-    def test_features_match_one_query_embedding(self, graph, dataset):
-        params = _params(graph)
-        got = cardinality.features(params, dataset.samples)
-        for row, sample in zip(got, dataset.samples):
-            single = model.embed_instance(sample.instance, params, "dm").branches[0]
-            np.testing.assert_allclose(row, logic.entropy_slots(single),
-                                       rtol=1e-12, atol=0)
-
     def test_halves_match_one_query_reference(self, graph, dataset):
         params = _params(graph)
         samples = list(dataset.samples)
@@ -221,8 +218,19 @@ class TestReport:
             with pytest.raises(DataError, match="no test-half query"):
                 call(params, QueryDataset(no_answers, dataset.metadata))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimate_is_a_numeric_error(self, graph):
+        """One epoch at lr 1e300 leaves finite head weights whose estimates
+        overflow to NaN, which no error can rate."""
+        data = oracle.sample_dataset(graph, ("1p", "2i", "2in", "2u", "up"), 10, 1,
+                                     "generalization")
+        fitted = _fit(_head_params(graph), data, epochs=1, lr=1e300)
+        assert all(np.all(np.isfinite(array)) for array in fitted.arrays.values())
+        with pytest.raises(NumericError, match="^non-finite answer-size estimate$"):
+            _report(fitted, data)
+
     @pytest.mark.parametrize("call", [
-        lambda params, data: cardinality.features(params, data.samples),
+        lambda params, data: _features(params, data),
         lambda params, data: _fit(params, data, epochs=1),
         lambda params, data: _report(params, data),
     ], ids=["features", "fit", "report"])

@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,7 @@ def test_counts_below_one_are_usage_errors(files, command, flag, value, tmp_path
     ("eval", "--workers", "1"), ("eval", "--workers", "2"),
     ("train", "--attention", "on"), ("train", "--attention", "off"),
     ("train", "--config", "train.cfg"), ("train", "--union", "dm"), ("train", "--union", "dnf"),
+    ("correlate", "--statistic", "entropy"), ("correlate", "--statistic", "width"),
 ])
 def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -323,7 +328,7 @@ def test_eval_prints_the_near_ties_rescored(files, tmp_path, capsys):
     timing = re.fullmatch(r"ranking took (\d+\.\d{3}) s: (\d+\.\d) answers/s", lines[2])
     assert timing, lines[2]
     seconds, rate = map(float, timing.groups())
-    answers = sum(report.counts.values())
+    answers = sum(len(ranks) for ranks in report.ranks.values())
     # the rate is the answers over the unrounded time the line rounds to ms
     assert rate > 0 and abs(rate * seconds - answers) <= rate * 5e-4 + 0.05
     assert lines[3:] == [f"metrics written to {out}"]
@@ -346,31 +351,41 @@ def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("statistic", ["entropy", "width"])
-def test_correlate_writes_correlations_and_plot_data(files, statistic, tmp_path, monkeypatch):
+def test_correlate_writes_correlations_and_plot_data(files, tmp_path, monkeypatch, capsys):
     passes = []
     query_statistics = evaluation.query_statistics
     monkeypatch.setattr(evaluation, "query_statistics",
                         lambda *args: passes.append(1) or query_statistics(*args))
     assert cli.main(["correlate", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
-                     "--queries", str(files / "q.jsonl"), "--statistic", statistic,
-                     "--out", str(tmp_path / "corr.csv"),
+                     "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "corr.csv"),
                      "--emit-plot-data", str(tmp_path / "plot.csv")]) == cli.EXIT_OK
+    assert passes == [1]  # one De Morgan pass feeds both statistics and both files
+    dataset = oracle.read_dataset(str(files / "q.jsonl"), kg.load_tsv_dir(str(files / "kg")))
+    records = query_statistics(dataset, ModelParams.load(files / "model.ckpt"))
+    reports = [evaluation.uncertainty_correlation(records, s) for s in ("entropy", "width")]
     corr = (tmp_path / "corr.csv").read_text().splitlines()
     assert corr[0] == "structure,metric,value,count"
-    assert {line.split(",")[0] for line in corr[1:]} == {"1p", "2i", "2u", "avg"}
+    assert corr[1:] == [f"{structure},{metric},{value:.6f},{count}" for report in reports
+                        for structure, metric, value, count in report.to_rows()]
+    assert [line.split(",")[1] for line in corr[1:]] == [
+        f"{kind}_{statistic}" for statistic in ("entropy", "width")
+        for _ in ("1p", "2i", "2u", "avg") for kind in ("spearman", "pearson")]
+    out = capsys.readouterr().out.splitlines()
+    for line, report in zip(out, reports):
+        sp, pe = report.average()
+        assert line == (f"{report.statistic}: Spearman {sp:.4f}, Pearson {pe:.4f} "
+                        f"averaged over 3 structures")
     plot = [line.split(",") for line in (tmp_path / "plot.csv").read_text().splitlines()]
-    assert plot[0] == ["structure", "answer_size", "statistic"]
-    assert passes == [1]  # one De Morgan pass feeds both files
-    dataset = oracle.read_dataset(str(files / "q.jsonl"), kg.load_tsv_dir(str(files / "kg")))
-    values, sizes, structures = evaluation.query_statistics(
-        dataset, ModelParams.load(files / "model.ckpt"), statistic)
-    grouped = [s for group in dataset.by_structure().values() for s in group]
-    assert len(plot) == 1 + len(grouped)
-    for row, sample, value, size, structure in zip(plot[1:], grouped, values, sizes, structures):
-        assert row[0] == structure == sample.instance.structure
-        assert int(row[1]) == size == len(sample.answers)
-        assert row[2] == f"{value:.6f}"
+    assert plot[0] == ["structure", "answer_size", "entropy", "width"]
+    assert len(plot) == 1 + len(dataset.samples)
+    d = records["entropy"].shape[1]
+    for row, sample in zip(plot[1:], dataset.samples):  # dataset order
+        single = model.embed_instance(sample.instance, ModelParams.load(files / "model.ckpt"),
+                                      "dm").branches[0]
+        assert row[0] == sample.instance.structure
+        assert int(row[1]) == len(sample.answers)
+        assert float(row[2]) == pytest.approx(np.sum(logic.entropy_slots(single)), abs=1e-6)
+        assert float(row[3]) == pytest.approx(np.sum(single[d:] - single[:d]), abs=1e-6)
 
 
 def test_correlate_writes_plot_data_into_a_missing_directory(files, tmp_path):
@@ -378,7 +393,7 @@ def test_correlate_writes_plot_data_into_a_missing_directory(files, tmp_path):
     assert cli.main(["correlate", "--kg", str(files / "kg"), "--ckpt", str(files / "model.ckpt"),
                      "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "corr.csv"),
                      "--emit-plot-data", str(plot)]) == cli.EXIT_OK
-    assert plot.read_text().startswith("structure,answer_size,statistic\n")
+    assert plot.read_text().startswith("structure,answer_size,entropy,width\n")
 
 
 def test_eval_of_a_file_without_a_mode_ranks_as_its_mode(files, tmp_path):
@@ -480,6 +495,76 @@ def test_fit_cardinality_bad_learning_rate_exits_with_data_error(files, lr, tmp_
                      "--epochs", "1", "--lr", lr, "--out", str(out)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"error: lr must be finite and positive, got {float(lr)}\n"
     assert not out.exists()
+
+
+def test_fit_cardinality_with_non_finite_estimates_exits_with_numeric_error(tmp_path, capsys):
+    """Seeded d = 32 parameters on a 60-entity generalization set: one epoch
+    at lr 1e300 leaves finite head weights whose estimates are NaN."""
+    inputs = ["--kg", str(tmp_path / "kg"), "--queries", str(tmp_path / "q.jsonl")]
+    assert cli.main(["gen-kg", "--entities", "60", "--relations", "3",
+                     "--out", str(tmp_path / "kg")]) == cli.EXIT_OK
+    assert cli.main(["gen-queries", "--kg", str(tmp_path / "kg"), "--mode", "generalization",
+                     "--per-structure", "3", "--structures", "1p,2i,2u",
+                     "--out", str(tmp_path / "q.jsonl")]) == cli.EXIT_OK
+    graph = kg.load_tsv_dir(str(tmp_path / "kg"))
+    config = ModelConfig(graph.num_entities, graph.num_relations, d=32, h=16)
+    ModelParams.initialize(config, 0).save(tmp_path / "seeded.ckpt")
+    capsys.readouterr()
+    out = tmp_path / "card.ckpt"
+    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(tmp_path / "seeded.ckpt"),
+                     "--epochs", "1", "--lr", "1e300", "--out", str(out)]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: non-finite answer-size estimate\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_diverged_training_exits_with_numeric_error_and_writes_no_checkpoint(files, tmp_path,
+                                                                            capsys):
+    queries = tmp_path / "train.jsonl"
+    assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
+                     "--per-structure", "4", "--structures", "1p,2i",
+                     "--out", str(queries)]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    code = cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(out), "--steps", "1", "--lr", "1e300", "--batch-size", "4",
+                     "--negatives", "4", "--d", "16", "--h", "16"])
+    assert code == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: 1p: non-finite query embedding\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["train.jsonl"]
+
+
+def test_numeric_failure_is_the_only_line_on_stderr(files, tmp_path):
+    """In a fresh interpreter, where numpy's overflow warnings would print."""
+    ckpt = _checkpoint(files, tmp_path / "huge.ckpt", "F1", 1e308)
+    done = subprocess.run(
+        [sys.executable, "-m", "skqe.cli", "eval", "--kg", str(files / "kg"), "--ckpt", ckpt,
+         "--queries", str(files / "q.jsonl"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == cli.EXIT_NUMERIC
+    assert done.stderr == "numeric failure: 1p: non-finite query embedding\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("gen-queries", "--structures", ""), ("gen-queries", "--structures", "1p,,2i"),
+    ("oracle", "--splits", ""), ("oracle", "--splits", "train,"),
+])
+def test_empty_name_in_a_list_flag_is_a_usage_error(files, command, flag, value, tmp_path,
+                                                    capsys):
+    extra = (["--mode", "train", "--per-structure", "2", "--out", str(tmp_path / "out")]
+             if command == "gen-queries" else ["--query", "EXISTS T . r0(e0,T)"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--kg", str(files / "kg"), *extra, flag, value])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"argument {flag}: empty name in {value!r}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def _with_extra_anchor(files, path, every: bool) -> str:

@@ -342,7 +342,7 @@ class TestRanking:
     @pytest.mark.parametrize("workers", [2, 0])
     def test_workers_other_than_one_is_a_data_error(self, graph, workers):
         dataset = oracle.sample_dataset(graph, ("1p",), 2, 2, "generalization")
-        assert evaluation.evaluate_ranking(dataset, _params(graph), workers=1).counts
+        assert evaluation.evaluate_ranking(dataset, _params(graph), workers=1).ranks
         with pytest.raises(DataError, match=f"workers must be 1, got {workers}"):
             evaluation.evaluate_ranking(dataset, _params(graph), workers=workers)
 
@@ -516,37 +516,43 @@ class TestCorrelation:
                    for s in dataset.samples]
         data = QueryDataset(samples, dataset.metadata)
         params = _params(graph)
-        values, sizes, structures = evaluation.query_statistics(data, params, "entropy")
-        report = evaluation.uncertainty_correlation((values, sizes, structures), "entropy")
-        assert report.per_structure["1p"] == evaluation.CorrelationStats(
-            0.0, 0.0, len(data.by_structure()["1p"]), True)
-        mask = np.array([s == "2i" for s in structures])
+        records = evaluation.query_statistics(data, params)
+        mask = records["structure"] == "2i"
+        sizes = np.array([len(s.answers) for s in data.samples], dtype=float)
         assert np.std(sizes[mask]) > 0
-        got = report.per_structure["2i"]
-        assert not got.degenerate and got.count == int(mask.sum())
-        assert got.spearman == pytest.approx(
-            stats.spearmanr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
-        assert got.pearson == pytest.approx(
-            stats.pearsonr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
+        for statistic in ("entropy", "width"):
+            report = evaluation.uncertainty_correlation(records, statistic)
+            assert report.per_structure["1p"] == evaluation.CorrelationStats(
+                0.0, 0.0, len(data.by_structure()["1p"]), True)
+            values = np.sum(records[statistic], axis=1)
+            got = report.per_structure["2i"]
+            assert not got.degenerate and got.count == int(mask.sum())
+            assert got.spearman == pytest.approx(
+                stats.spearmanr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
+            assert got.pearson == pytest.approx(
+                stats.pearsonr(values[mask], sizes[mask]).statistic, rel=1e-12, abs=1e-15)
 
 
 class TestDeMorganStatistics:
     def test_point_mode_is_a_data_error(self, graph, dataset):
         with pytest.raises(DataError, match="^entropy and width statistics require bounds mode$"):
-            evaluation.query_statistics(dataset, _params(graph, "point"), "width")
+            evaluation.query_statistics(dataset, _params(graph, "point"))
 
-    @pytest.mark.parametrize("statistic", ["entropy", "width"])
-    def test_statistics_match_one_query_embedding(self, graph, dataset, statistic):
+    def test_records_match_one_query_embedding(self, graph, dataset):
+        """Interleaved structures keep their dataset order, and each record's
+        rows are those of the query embedded alone."""
         params = _params(graph)
         order = np.random.default_rng(0).permutation(len(dataset.samples))
         data = QueryDataset([dataset.samples[i] for i in order], dataset.metadata)
-        values, sizes, structures = evaluation.query_statistics(data, params, statistic)
-        grouped = [s for group in data.by_structure().values() for s in group]
-        assert grouped != data.samples
-        assert structures == [s.instance.structure for s in grouped]
-        np.testing.assert_array_equal(sizes, [len(s.answers) for s in grouped])
-        for value, sample in zip(values, grouped):
+        records = evaluation.query_statistics(data, params)
+        assert [s for group in data.by_structure().values() for s in group] != data.samples
+        assert records.shape == (len(data.samples),)
+        assert records["structure"].tolist() == [s.instance.structure for s in data.samples]
+        np.testing.assert_array_equal(records["easy"], [len(s.easy) for s in data.samples])
+        np.testing.assert_array_equal(records["hard"], [len(s.hard) for s in data.samples])
+        for record, sample in zip(records, data.samples):
             single = model.embed_instance(sample.instance, params, "dm").branches[0]
-            want = (np.sum(logic.entropy_slots(single)) if statistic == "entropy" else
-                    np.sum(single[D:] - single[:D]))
-            assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(record["entropy"], logic.entropy_slots(single),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(record["width"], single[D:] - single[:D],
+                                       rtol=1e-12, atol=1e-12)

@@ -124,8 +124,9 @@ class TestEntityTable:
 
         monkeypatch.setattr(model, "_realize_parts", recording)
         training.train(train_graph, train_dataset, config, params=params)
-        # Skolem outputs realize too; they do not share the entity table
-        assert [c for c in calls if c[1]] == [(True, True)] * config.steps
+        # Skolem outputs realize too; they do not share the entity table. The
+        # final parameters' inference check realizes the table once more.
+        assert [c for c in calls if c[1]] == [(True, True)] * (config.steps + 1)
         assert len(calls) > config.steps
 
 
@@ -280,6 +281,13 @@ class TestStepFold:
             np.testing.assert_array_equal(optimizer._v[name], v, err_msg=name)
         for name, array in before.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_final_parameters_that_embed_non_finite_are_a_numeric_error(self, train_graph,
+                                                                          train_dataset):
+        # one step at lr 1e300 keeps its loss finite, but not the next embedding
+        with pytest.raises(NumericError, match="^1p: non-finite query embedding$"):
+            training.train(train_graph, train_dataset, _config(steps=1, lr=1e300))
 
 
 def _loop_negatives(answers, k, num_entities, rng, filter_answers=True):

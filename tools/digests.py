@@ -34,6 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from skqe import algebra, cli, evaluation, kg, model, oracle, training  # noqa: E402
@@ -191,11 +193,16 @@ def runs():
         yield f"ranks {union}", lambda union=union: ranks(generalization(), union)
     # the fit ranks: a train set ranks its easy answers
     yield "ranks train", lambda: ranks(sampled(big_graph, train, 100, 401, "train"))
-    for statistic in ("entropy", "width"):
+    records = functools.cache(lambda: evaluation.query_statistics(generalization(),
+                                                                  seeded_params()))
+    for statistic in evaluation.STATISTICS:
         def stats(statistic=statistic):
-            values = evaluation.query_statistics(generalization(), seeded_params(), statistic)
-            stats_hex = _hex(hashlib.sha256(values[0].tobytes() + values[1].tobytes()))
-            rows = evaluation.uncertainty_correlation(values, statistic).to_rows()
+            """Each query's statistic, then its answer-set size, as float64 in
+            dataset order; then the correlation rows."""
+            values = np.sum(records()[statistic], axis=1)
+            sizes = (records()["easy"] + records()["hard"]).astype(np.float64)
+            stats_hex = _hex(hashlib.sha256(values.tobytes() + sizes.tobytes()))
+            rows = evaluation.uncertainty_correlation(records(), statistic).to_rows()
             return f"{stats_hex} / {_hex(hashlib.sha256(json.dumps(rows).encode()))}"
         yield f"{statistic} statistics / rows", stats
 

@@ -154,10 +154,8 @@ def run_cli(tmp: Path) -> list[str]:
         for query in QUERIES:
             commands.append(["answer", "--kg", kg, "--ckpt", ckpt, "--query", query,
                              "--topk", "3", "--union", union])
-    for statistic in ("entropy", "width"):
-        commands.append(["correlate", *inputs, "--statistic", statistic,
-                         "--emit-plot-data", str(tmp / f"{statistic}.csv"),
-                         "--out", str(tmp / f"{statistic}-metrics.csv")])
+    commands.append(["correlate", *inputs, "--emit-plot-data", str(tmp / "plot.csv"),
+                     "--out", str(tmp / "correlations.csv")])
     head = str(tmp / "head.npz")
     commands += [
         ["fit-cardinality", *inputs, "--epochs", "2", "--out", head],
