@@ -86,7 +86,9 @@ def report(params: ModelParams, dataset: QueryDataset, records: np.ndarray) -> d
     it is the least train size at which the sorted sizes' cumulative weight
     1/size reaches half its total. The other is each query's easy-answer
     count. ``records`` is as in ``fit``. Raises NumericError on a non-finite
-    estimate, which no error can rate."""
+    estimate, which no error can rate, and where every estimate is exactly 0
+    or exactly ``SCALE``: a saturated sigmoid passes no gradient, so such a
+    head is stuck, whatever its error."""
     train_idx, test_idx = split(dataset)
     sizes = _floored(records["easy"] + records["hard"])
     train, test = sizes[train_idx], sizes[test_idx]
@@ -95,6 +97,8 @@ def report(params: ModelParams, dataset: QueryDataset, records: np.ndarray) -> d
     estimates = predict(ctx, records["entropy"][test_idx])
     if not (np.all(np.isfinite(train_estimates)) and np.all(np.isfinite(estimates))):
         raise NumericError("non-finite answer-size estimate")
+    if all(np.all((e == 0) | (e == SCALE)) for e in (train_estimates, estimates)):
+        raise NumericError(f"saturated answer-size head: every estimate is 0 or {SCALE:g}")
     structures = records["structure"][test_idx]
     ordered = np.sort(train)
     weights = np.cumsum(1.0 / ordered)

@@ -286,7 +286,7 @@ def make_parser() -> _Parser:
     p.add_argument("--per-structure", type=_positive_int, required=True)
     p.add_argument("--structures", type=_name_list, help="comma-separated subset (default: "
                    "the ten union-free structures train takes in train mode, all 14 in "
-                   "generalization)")
+                   "every other mode: generalization, valid and test)")
     p.add_argument("--negation-frac", type=float, default=1.0,
                    help="sampling fraction for negation structures (0.1 matches the upstream ratio)")
     p.add_argument("--seed", type=int, default=0)

@@ -2,14 +2,16 @@
 
 Filtered ranking runs in two stages per embedded batch, with the same ranks
 as exact scoring. ``_batch_scores`` screens every entity against the batch's
-queries in float32, in the min form ``|E - v| = E + v - 2 min(E, v)``;
-``rank_answers`` then ranks all the batch's targets in whole-array passes: it
-scores every target exactly in one gathered call, settles every entity whose
-screen lies further than ``screen_tolerance`` from its target's score, and
-rescores the near ties in between, all through ``model.satisfiability``, the
-one exact scoring formula (``model.score_entities`` scores a whole table with
-it). Both stages keep their working set within about ``SCORE_BLOCK_BYTES``
-besides the ``(B, N)`` screen.
+queries in float32, in the min form ``|E - v| = E + v - 2 min(E, v)``: one
+minimum and one matrix-vector product per tile, joined to float32 entity and
+query offsets once per row block. ``rank_answers`` then ranks all the batch's
+targets in whole-array passes: it scores every target exactly in one gathered
+call, settles every entity whose screen lies further than ``screen_tolerance``
+from its target's score, and rescores the near ties in between, all through
+``model.satisfiability``, the one exact scoring formula
+(``model.score_entities`` scores a whole table with it). Both stages keep
+their working set within about ``SCORE_BLOCK_BYTES`` besides the ``(B, N)``
+screen.
 
 ``query_statistics`` makes one record per query from one De Morgan pass: its
 structure, answer counts and per-dimension entropy and width. Both
@@ -193,67 +195,72 @@ def _embed_structure_batches(params: ModelParams, samples, union_mode: str,
 def _batch_scores(branch_values, entity_matrix: np.ndarray) -> np.ndarray:
     """Float32 screen of the satisfiability ``1 - mean|E - v|`` of every
     entity against every query row, best branch first-to-last: a ``(B, N)``
-    float32 array for ``(B, 2d)`` branch values and an ``(N, 2d)`` entity
-    matrix (float32 in ``evaluate_ranking``; the values are rounded to float32
-    as they are copied). Each score lies within ``screen_tolerance`` of the
-    exact float64 score of ``model.satisfiability``, so it can rank only
-    together with an exact recheck of near ties (``rank_answers``).
+    float32 array for ``(B, 2d)`` branch values and an ``(N, 2d)`` float32
+    entity matrix (the values are rounded to float32 as they are copied).
+    Each score lies within ``screen_tolerance`` of the exact float64 score of
+    ``model.satisfiability``, so it can rank only together with an exact
+    recheck of near ties (``rank_answers``).
 
-    Each pair's distance takes the min form ``ΣE + Σv - 2·Σ min(E, v)`` over
-    the 2d slots. The entity sums are made once per call and the query sums
-    once per row block, both in float64; the only pass over ``2d`` slots per
-    pair is one ``np.minimum``, and one matrix-vector product with a vector of
-    twos (exact doubling) sums its slots in float32. Each ``(rows, cols)``
-    tile then becomes ``1 - (ΣE + Σv - 2·Σ min) / 2d`` in float64 and is
-    rounded once into the float32 result.
+    Each pair's score takes the min form ``Σ (2/2d)·min(E, v) + (1 - Σv/2d)
+    - ΣE/2d`` over the 2d slots. The only pass over ``2d`` slots per pair is
+    one ``np.minimum``, and one matrix-vector product with a float32 vector of
+    ``2/2d`` sums its slots. The two offsets are float32 vectors: the
+    per-entity ``-ΣE/2d`` is made once per call and the per-row ``1 - Σv/2d``
+    once per row block and branch, each from a float64 sum of the float32
+    values. Branch 0's products go straight into the result, and once the
+    row block's entity tiles are done two in-place float32 additions, the
+    row offset and then the entity offset, turn those rows into scores; a
+    later branch adds both offsets to its own tile and keeps the maximum.
 
     The ``(B, N, 2d)`` block is never built whole. Rows and entities are
     tiled so that a ``(rows, cols, 2d)`` buffer fits in half of
     ``SCORE_BLOCK_BYTES`` (a tile spans at least one row and one entity, and
-    at least eight rows when the budget allows). Two such buffers are used:
+    at least sixteen rows when the budget allows). Two such buffers are used:
     for each row block and branch, the branch's values are copied once across
     ``cols`` into the first, and every entity tile of that row block then
     takes its minimum with a whole slice of entities into the second, so no
     minimum broadcasts a query row. Peak memory is the ``(B, N)`` float32
-    result plus about the budget and the ``N`` entity sums, not O(B·N·2d).
+    result plus about the budget and the ``N`` entity offsets, not
+    O(B·N·2d).
     """
     rows_total = branch_values[0].shape[0]
     count, width = entity_matrix.shape
     pairs = max(1, SCORE_BLOCK_BYTES // (2 * width * 4))  # 4 bytes per float32
-    cols = max(1, min(count, pairs // 8))
+    cols = max(1, min(count, pairs // 16))
     rows = max(1, min(rows_total, pairs // cols))
+    entity_offsets = (np.add.reduce(entity_matrix, axis=1, dtype=np.float64)
+                      / -width).astype(np.float32)
     best = np.empty((rows_total, count), dtype=np.float32)
     replica = np.empty((rows, cols, width), dtype=np.float32)
     block_buffer = np.empty(rows * cols * width, dtype=np.float32)
-    mins_buffer = np.empty(rows * cols, dtype=np.float32)
-    distance_buffer = np.empty(rows * cols)
-    twos = np.full(width, 2.0, dtype=np.float32)
-    entity_sums = np.add.reduce(entity_matrix, axis=1, dtype=np.float64)
+    candidate_buffer = np.empty(rows * cols, dtype=np.float32)
+    weights = np.full(width, 2.0 / width, dtype=np.float32)
     for r0 in range(0, rows_total, rows):
         r1 = min(rows_total, r0 + rows)
         queries = replica[: r1 - r0]
+        scores = best[r0:r1]
         for branch, values in enumerate(branch_values):
             np.copyto(queries, values[r0:r1, None, :])
-            query_sums = np.add.reduce(values[r0:r1], axis=1, dtype=np.float64)[:, None]
+            query_sums = np.add.reduce(queries[:, 0], axis=1, dtype=np.float64)
+            row_offsets = (1.0 - query_sums / width).astype(np.float32)[:, None]
             for c0 in range(0, count, cols):
                 c1 = min(count, c0 + cols)
                 shape = (r1 - r0, c1 - c0)
                 pair_count = shape[0] * shape[1]
-                block = block_buffer[: pair_count * width].reshape(pair_count, width)
-                np.minimum(entity_matrix[None, c0:c1], queries[:, : shape[1]],
-                           out=block.reshape(*shape, width))
-                mins = mins_buffer[:pair_count]
-                np.matmul(block, twos, out=mins)
-                distance = distance_buffer[:pair_count].reshape(shape)
-                np.add(query_sums, entity_sums[c0:c1], out=distance)
-                distance -= mins.reshape(shape)
-                distance /= width
-                np.subtract(1.0, distance, out=distance)
-                tile = best[r0:r1, c0:c1]
+                block = block_buffer[: pair_count * width].reshape(*shape, width)
+                np.minimum(entity_matrix[None, c0:c1], queries[:, : shape[1]], out=block)
+                tile = scores[:, c0:c1]
                 if branch == 0:
-                    np.copyto(tile, distance)
+                    np.matmul(block, weights, out=tile)
                 else:
-                    np.maximum(tile, distance, out=tile)
+                    candidate = candidate_buffer[:pair_count].reshape(shape)
+                    np.matmul(block, weights, out=candidate)
+                    candidate += row_offsets
+                    candidate += entity_offsets[c0:c1]
+                    np.maximum(tile, candidate, out=tile)
+            if branch == 0:
+                scores += row_offsets
+                scores += entity_offsets
     return best
 
 
@@ -262,21 +269,32 @@ def screen_tolerance(width: int, magnitude: float) -> float:
     ``magnitude`` M >= 1 that bounds every entity and query value.
 
     Let u = 2^-24, float32's unit roundoff, and let e', v' be e and v rounded
-    to float32, each within uM. The screen takes |e - v| = e + v - 2 min(e, v)
-    with e' in the entity sum, v itself in the query sum and min(e', v') in
-    the float32 sum. Per slot that is off by at most |e' - e| + 2|min(e', v')
-    - min(e, v)| <= 3uM, which is 3uM on the mean. Summing the W terms
-    2 min(e', v') in float32, in any order, adds at most (W - 1)u times their
-    total of at most 2MW, which is 2(W - 1)uM on the mean. The float64 sums,
-    the combination and the division by W add only float64 errors (about
-    W·2^-53·M), and rounding the score, of magnitude at most 1 + 2M <= 3M,
-    to float32 adds 3uM (M >= 1 also absorbs float32 underflow). So
-    |screen - exact| <= (2W + 4)uM, to first order. The tolerance 4(W + 1)uM
-    covers that for every W >= 2, with 2W·uM to spare for the float64
-    score's own error and for ``target ± tolerance``, which ``rank_answers``
-    rounds up to float32 so the screen compares with it as with the float64
-    value. Where float32 sums could overflow the tolerance is infinite, so
-    every entity is rescored.
+    to float32, each within uM (M >= 1 also absorbs float32 underflow). In
+    exact arithmetic the screen's S + b + a is 1 - mean|e' - v'|, with S the
+    float32 sum of w·min(e', v') over the slots, w = 2/W rounded to float32,
+    b = 1 - Σv'/W and a = -Σe'/W, each rounded once to float32 from float64
+    sums. To first order in u:
+
+    - rounding the inputs moves the mean by at most mean(|e' - e| + |v' -
+      v|) <= 2uM;
+    - w lies within 2u/W of 2/W, which moves S by at most 2uM; rounding the
+      W products adds at most u times their total, at most 2M; adding them
+      in float32, in any order, at most (W - 1)u times that total, 2(W -
+      1)uM. When W is a power of two, w and the products are exact;
+    - rounding a, of magnitude at most M, adds uM, and rounding b, at most
+      1 + M, adds (1 + M)u, beside float64 errors of about W·2^-53·M;
+    - the first float32 addition gives S + b = 1 + mean(2 min(e', v') - v'),
+      in [1 - 3M, 1 + M], so rounding it adds at most (3M - 1)u; the second
+      gives the score, in [1 - 2M, 1], adding at most (2M - 1)u.
+
+    So |screen - exact| <= (2W + 11)uM - u, or (2W + 7)uM - u when W is a
+    power of two. The tolerance 4(W + 1)uM covers that for every even W >= 2
+    (6 is the least that is not a power of two), with at least uM + u to
+    spare for second-order terms, for the float64 score's own error and for
+    ``target ± tolerance``, which ``rank_answers`` rounds up to float32 so
+    the screen compares with it as with the float64 value. Where float32
+    sums could overflow the tolerance is infinite, so every entity is
+    rescored.
     """
     if 4 * width * magnitude >= float(np.finfo(np.float32).max):
         return np.inf

@@ -54,8 +54,15 @@ RETRY_FACTOR = 100
 WALK_BATCH = 256  # sampler attempts walked per uniform draw
 
 # mode -> (walked splits, easy splits); where they differ the mode holds out
-# edges, and every query has a hard answer. ``train`` is what training fits.
-DATASET_MODES = {"generalization": (SPLITS, ("train",)), "train": (("train",), ("train",))}
+# edges, and every query has a hard answer. ``train`` is what training fits;
+# ``valid`` and ``test`` nest the graphs as Query2Box and BetaE do (G_train in
+# G_valid in G_test), so a test query's hard answers each need a test edge.
+DATASET_MODES = {
+    "generalization": (SPLITS, ("train",)),
+    "train": (("train",), ("train",)),
+    "valid": (("train", "valid"), ("train",)),
+    "test": (SPLITS, ("train", "valid")),
+}
 
 
 def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:

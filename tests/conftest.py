@@ -404,14 +404,27 @@ def reference_walk_instance(template, answer: int, incoming, draws) -> algebra.Q
     return algebra.QueryInstance(template.name, anchors, rels)
 
 
+# The splits each mode answers on, and those its easy answers come from: the
+# nested graphs of Query2Box and BetaE, written out apart from the oracle's
+# table. A mode whose two sets differ keeps only queries with a hard answer.
+REFERENCE_MODES = {
+    "train": (("train",), ("train",)),
+    "generalization": (("train", "valid", "test"), ("train",)),
+    "valid": (("train", "valid"), ("train",)),
+    "test": (("train", "valid", "test"), ("train", "valid")),
+}
+
+
 def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
-                             full_index, train_index) -> tuple[list, int, int]:
-    """The samples of ``oracle.sample_queries``, with the number of walk
+                             answer_index, easy_index) -> tuple[list, int, int]:
+    """The samples of ``oracle.sample_queries`` in ``mode``, walking and
+    answering on ``answer_index`` and taking easy answers from ``easy_index``
+    (the indexes of the mode's two split sets), with the number of walk
     attempts and of plan evaluations it took."""
     template = algebra.TEMPLATES[structure]
     plan = algebra.structure_plan(structure)
-    walk_index = train_index if mode == "train" else full_index
-    incoming = reference_incoming_table(walk_index)
+    holds_out = REFERENCE_MODES[mode][0] != REFERENCE_MODES[mode][1]
+    incoming = reference_incoming_table(answer_index)
     tails = sorted(incoming)
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     uniforms = reference_uniforms(rng, 1 + len(template.atoms))
@@ -426,22 +439,18 @@ def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
         if instance is None or instance in seen:
             continue
         bindings = instance.anchors, instance.relations
-        if mode == "train":
+        evals += 1
+        full = reference_eval_plan(plan, *bindings, answer_index)
+        if not full:
+            continue
+        if holds_out:
             evals += 1
-            easy = reference_eval_plan(plan, *bindings, train_index)
-            hard: set[int] = set()
-            if not easy:
-                continue
+            easy = reference_eval_plan(plan, *bindings, easy_index) & full
         else:
-            evals += 1
-            full = reference_eval_plan(plan, *bindings, full_index)
-            if not full:
-                continue
-            evals += 1
-            easy = reference_eval_plan(plan, *bindings, train_index) & full
-            hard = full - easy
-            if not hard:
-                continue
+            easy = full
+        hard = full - easy
+        if holds_out and not hard:
+            continue
         seen.add(instance)
         samples.append(oracle.QuerySample(instance, tuple(sorted(easy)), tuple(sorted(hard))))
     return samples, attempts, evals
@@ -451,8 +460,7 @@ def reference_sample_dataset(graph, structures, per_structure: int, seed: int, m
                              negation_frac: float = 1.0) -> tuple[oracle.QueryDataset, dict, dict]:
     """``oracle.sample_dataset`` through the reference sampler, with the walk
     attempts and plan evaluations per structure."""
-    full_index = kg.build_index(graph, kg.SPLITS)
-    train_index = kg.build_index(graph, ("train",))
+    answer_index, easy_index = (kg.build_index(graph, splits) for splits in REFERENCE_MODES[mode])
     samples: list[oracle.QuerySample] = []
     counts, attempts, evals = {}, {}, {}
     for structure in structures:
@@ -460,7 +468,7 @@ def reference_sample_dataset(graph, structures, per_structure: int, seed: int, m
         if structure in algebra.NEGATION_STRUCTURES:
             count = max(1, int(round(per_structure * negation_frac)))
         got, attempts[structure], evals[structure] = reference_sample_queries(
-            structure, count, seed, mode, full_index, train_index)
+            structure, count, seed, mode, answer_index, easy_index)
         counts[structure] = len(got)
         samples.extend(got)
     metadata = {"graph_hash": graph.content_hash(), "mode": mode, "seed": seed,

@@ -229,6 +229,34 @@ class TestReport:
         with pytest.raises(NumericError, match="^non-finite answer-size estimate$"):
             _report(fitted, data)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bias", [-1e4, 1e4], ids=["zero", "scale"])
+    def test_saturated_head_is_a_numeric_error(self, graph, dataset, bias):
+        """A sigmoid saturated on every query estimates exactly 0, or exactly
+        SCALE, everywhere and passes no gradient: finite, but stuck."""
+        params = _head_params(graph)
+        params.arrays["H3b"][:] = bias
+        with pytest.raises(NumericError, match="^saturated answer-size head: "
+                                               "every estimate is 0 or 1000$"):
+            _report(params, dataset)
+
+    @pytest.mark.parametrize("first, rest, saturated", [
+        (0.0, cardinality.SCALE, True), (1.0, 0.0, False), (1.0, cardinality.SCALE, False)],
+        ids=["zero-and-scale", "one-off-zero", "one-off-scale"])
+    def test_only_a_head_saturated_on_every_query_is_refused(self, graph, dataset, first,
+                                                            rest, saturated, monkeypatch):
+        def predict(ctx, h):
+            estimates = np.full(len(h), rest)
+            estimates[0] = first
+            return estimates
+
+        monkeypatch.setattr(cardinality, "predict", predict)
+        if saturated:
+            with pytest.raises(NumericError, match="^saturated answer-size head"):
+                _report(_head_params(graph), dataset)
+        else:
+            assert np.isfinite(_report(_head_params(graph), dataset)["test_mae_pct"])
+
     @pytest.mark.parametrize("call", [
         lambda params, data: _features(params, data),
         lambda params, data: _fit(params, data, epochs=1),

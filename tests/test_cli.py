@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skqe import algebra, cli, evaluation, kg, logic, model, oracle
+from skqe import algebra, cardinality, cli, evaluation, kg, logic, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
 from skqe.training import TrainConfig
@@ -519,6 +519,33 @@ def test_fit_cardinality_with_non_finite_estimates_exits_with_numeric_error(tmp_
     assert not out.exists()
 
 
+def test_saturated_answer_size_head_exits_with_numeric_error(files, tmp_path, capsys):
+    """On the fixture's seeded d = 16 parameters, one epoch at lr 1e300
+    overflows the head's pre-sigmoid product to -inf, so every estimate is
+    exactly 0: finite, and an error of 100%, below the seeded head's."""
+    inputs = ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl")]
+    message = "numeric failure: saturated answer-size head: every estimate is 0 or 1000\n"
+    capsys.readouterr()
+    out = tmp_path / "card.ckpt"
+    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(files / "model.ckpt"),
+                     "--epochs", "1", "--lr", "1e300", "--out", str(out)]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not out.exists()
+    # the same fit saved unchecked, then read by eval-cardinality
+    params = ModelParams.load(files / "model.ckpt")
+    dataset = oracle.read_dataset(files / "q.jsonl", kg.load_tsv_dir(str(files / "kg")))
+    with np.errstate(all="ignore"):
+        cardinality.fit(params, dataset, evaluation.query_statistics(dataset, params),
+                        epochs=1, lr=1e300).save(out)
+    metrics = tmp_path / "metrics.csv"
+    assert cli.main(["eval-cardinality", *inputs, "--ckpt", str(out),
+                     "--out", str(metrics)]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not metrics.exists()
+
+
 def test_diverged_training_exits_with_numeric_error_and_writes_no_checkpoint(files, tmp_path,
                                                                             capsys):
     queries = tmp_path / "train.jsonl"
@@ -774,7 +801,7 @@ def test_dataset_of_an_unsupported_mode_exits_with_data_error(files, command, mo
                      "--out", str(tmp_path / "out"), *extra])
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == (f"error: dataset {queries} has mode {mode!r}; "
-                                       f"supported modes are generalization, train\n")
+                                       f"supported modes are generalization, train, valid, test\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -94,21 +94,24 @@ class TestBlockedScorer:
         got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
         assert_within_screen_tolerance(got, branch_values, entity_matrix)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), width=st.sampled_from([2, 4, 64]),
-           magnitude=st.sampled_from([1.0, 1e3]))
-    def test_min_form_stays_within_tolerance(self, data, width, magnitude):
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.sampled_from([2, 4, 6, 64, 96]),
+           magnitude=st.sampled_from([1.0, 1e3]), branches=st.sampled_from([1, 2]))
+    def test_min_form_stays_within_tolerance(self, data, width, magnitude, branches):
         # |E - v| = E + v - 2 min(E, v): a query row equal to an entity row
-        # cancels its sums completely, the min form's worst case
+        # cancels its sums completely, the min form's worst case. Widths 6
+        # and 96 make 2/W inexact in float32; a second branch takes the path
+        # that adds both offsets per tile before the maximum.
         values = st.floats(-magnitude, magnitude, allow_nan=False, allow_infinity=False)
         entity_matrix = data.draw(hnp.arrays(np.float64, (5, width), elements=values))
-        queries = data.draw(hnp.arrays(np.float64, (4, width), elements=values))
-        equal = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
-                                   max_size=4))
-        for row, entity in equal:
-            queries[row] = entity_matrix[entity]
-        got = evaluation._batch_scores([queries], entity_matrix.astype(np.float32))
-        assert_within_screen_tolerance(got, [queries], entity_matrix)
+        branch_values = [data.draw(hnp.arrays(np.float64, (4, width), elements=values))
+                         for _ in range(branches)]
+        equal = data.draw(st.lists(st.tuples(st.integers(0, branches - 1), st.integers(0, 3),
+                                             st.integers(0, 4)), max_size=4))
+        for branch, row, entity in equal:
+            branch_values[branch][row] = entity_matrix[entity]
+        got = evaluation._batch_scores(branch_values, entity_matrix.astype(np.float32))
+        assert_within_screen_tolerance(got, branch_values, entity_matrix)
 
     def test_nan_query_row_stays_nan(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -145,9 +148,10 @@ class TestBlockedScorer:
         assert scores.shape == (32, 20_000) and scores.dtype == np.float32
         # The one-block formula would need two 32 x 20,000 x 64 temporaries
         # (~650 MB). The kernel holds the query copy and the min block, half
-        # the budget each, a (rows, cols) distance tile and the float64 sum
-        # of each entity's slots; on a small tile numpy's ufunc iterator may
-        # also buffer up to getbufsize() elements per operand.
+        # the budget each, a (rows, cols) tile for a later branch and each
+        # entity's float32 offset, made from a float64 sum of its slots; on a
+        # small tile numpy's ufunc iterator may also buffer up to
+        # getbufsize() elements per operand.
         entity_sums = 20_000 * 8
         slack = 4 * np.getbufsize() * 8
         assert peak <= output_bytes + budget + entity_sums + slack

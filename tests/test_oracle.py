@@ -461,6 +461,42 @@ class TestSampling:
             oracle.sample_dataset(small_graph, ("1p",), 5, seed=1, mode="entailment")
 
 
+class TestNestedModes:
+    """``valid`` and ``test`` nest the graphs as Query2Box and BetaE do,
+    G_train in G_valid in G_test: a valid query is answered on G_valid and a
+    test query on G_test, and its hard answers are those that the next
+    smaller graph does not give."""
+
+    ANSWERED = {"valid": ("train", "valid"), "test": kg.SPLITS}
+    SMALLER = {"valid": ("train",), "test": ("train", "valid")}
+
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    @pytest.mark.parametrize("mode", ["valid", "test"])
+    def test_hard_answers_are_absent_on_the_smaller_graph(self, mode, structure, small_graph):
+        dataset = oracle.sample_dataset(small_graph, (structure,), 8, 3, mode)
+        answered = kg.build_index(small_graph, self.ANSWERED[mode])
+        smaller = kg.build_index(small_graph, self.SMALLER[mode])
+        assert dataset.samples
+        for sample in dataset.samples:
+            easy, hard = set(sample.easy), set(sample.hard)
+            everything = answers(sample.instance, answered)
+            assert hard and not easy & hard and easy | hard == everything
+            assert not hard & answers(sample.instance, smaller)
+            assert easy == answers(sample.instance, smaller) & everything
+
+    @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
+    @pytest.mark.parametrize("mode", ["valid", "test"])
+    def test_brute_force_agrees(self, mode, structure, small_graph):
+        dataset = oracle.sample_dataset(small_graph, (structure,), 3, 5, mode)
+        assert dataset.samples
+        for sample in dataset.samples:
+            everything = oracle.exhaustive_eval(sample.instance, small_graph,
+                                                self.ANSWERED[mode])
+            smaller = oracle.exhaustive_eval(sample.instance, small_graph, self.SMALLER[mode])
+            assert set(sample.easy) == everything & smaller
+            assert set(sample.hard) == everything - smaller
+
+
 class TestOneRule:
     """``sample_queries`` keeps a query by one rule, read from its two
     indexes' splits, and ``sample_dataset`` builds one index per split set of
@@ -543,7 +579,7 @@ class TestDatasetIO:
         with pytest.raises(DataError) as error:
             oracle.read_dataset(path, small_graph)
         assert str(error.value) == (f"dataset {path} has mode {mode!r}; "
-                                    f"supported modes are generalization, train")
+                                    f"supported modes are generalization, train, valid, test")
 
     @pytest.mark.parametrize("meta", [None, {}], ids=["no-meta-line", "meta-without-mode"])
     def test_dataset_without_a_mode_stays_readable(self, meta, tmp_path, small_graph):
@@ -557,7 +593,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("mode", oracle.DATASET_MODES)
     def test_query_against_its_mode_is_refused(self, mode, tmp_path, small_graph):
-        """A train query with a hard answer, or a generalization query
+        """A train query with a hard answer, or a query of a held-out mode
         without one, breaks its mode's row; without a mode the file reads."""
         dataset = oracle.sample_dataset(small_graph, ("1p", "2i"), 5, seed=2, mode=mode)
         samples = list(dataset.samples)
@@ -567,8 +603,8 @@ class TestDatasetIO:
             message = "train query 1 (1p) has hard answers; no train query needs a held-out edge"
         else:  # make every answer easy
             samples[1] = oracle.QuerySample(first.instance, first.answers, ())
-            message = ("generalization query 1 (1p) has no hard answer; "
-                       "every generalization query needs a held-out edge")
+            message = (f"{mode} query 1 (1p) has no hard answer; "
+                       f"every {mode} query needs a held-out edge")
         path = tmp_path / "queries.jsonl"
         oracle.write_dataset(oracle.QueryDataset(samples, dataset.metadata), small_graph, path)
         with pytest.raises(DataError) as error:

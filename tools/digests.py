@@ -140,7 +140,9 @@ def runs():
                                          ("train", train, 100, (401, 7)),
                                          ("train", train, 500, (401, 7)),
                                          ("train", train, 200, (7,)),
-                                         ("generalization", every, 100, (7,))):
+                                         ("generalization", every, 100, (7,)),
+                                         ("valid", every, 200, (401,)),
+                                         ("test", every, 200, (401,))):
         for seed in seeds:
             yield (f"dataset {mode} {len(structures)}x{per} seed {seed}",
                    lambda a=(structures, per, seed, mode):
