@@ -8,6 +8,7 @@ from skqe.algebra import Anchor, Conjoin, Disjoin, QueryInstance, QueryPlan, Rel
 from skqe.errors import DataError
 
 from conftest import (
+    REFERENCE_MODES,
     UNION_STRUCTURES,
     random_instance,
     reference_eval_plan,
@@ -465,17 +466,14 @@ class TestNestedModes:
     """``valid`` and ``test`` nest the graphs as Query2Box and BetaE do,
     G_train in G_valid in G_test: a valid query is answered on G_valid and a
     test query on G_test, and its hard answers are those that the next
-    smaller graph does not give."""
-
-    ANSWERED = {"valid": ("train", "valid"), "test": kg.SPLITS}
-    SMALLER = {"valid": ("train",), "test": ("train", "valid")}
+    smaller graph does not give (``REFERENCE_MODES`` spells out both
+    graphs)."""
 
     @pytest.mark.parametrize("structure", algebra.STRUCTURE_NAMES)
     @pytest.mark.parametrize("mode", ["valid", "test"])
     def test_hard_answers_are_absent_on_the_smaller_graph(self, mode, structure, small_graph):
         dataset = oracle.sample_dataset(small_graph, (structure,), 8, 3, mode)
-        answered = kg.build_index(small_graph, self.ANSWERED[mode])
-        smaller = kg.build_index(small_graph, self.SMALLER[mode])
+        answered, smaller = (kg.build_index(small_graph, s) for s in REFERENCE_MODES[mode])
         assert dataset.samples
         for sample in dataset.samples:
             easy, hard = set(sample.easy), set(sample.hard)
@@ -490,9 +488,8 @@ class TestNestedModes:
         dataset = oracle.sample_dataset(small_graph, (structure,), 3, 5, mode)
         assert dataset.samples
         for sample in dataset.samples:
-            everything = oracle.exhaustive_eval(sample.instance, small_graph,
-                                                self.ANSWERED[mode])
-            smaller = oracle.exhaustive_eval(sample.instance, small_graph, self.SMALLER[mode])
+            everything, smaller = (oracle.exhaustive_eval(sample.instance, small_graph, s)
+                                   for s in REFERENCE_MODES[mode])
             assert set(sample.easy) == everything & smaller
             assert set(sample.hard) == everything - smaller
 
