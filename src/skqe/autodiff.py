@@ -4,9 +4,9 @@ One tape per training forward pass; values are recorded in creation order,
 which is already a topological order, and ``backward`` walks it in reverse.
 The primitives are generic array operations, one per operation, and only
 those that another ``skqe`` module calls. No logic formula lives here: the
-t-norms, the smooth minimum included, are composed from these primitives in
-``logic.conjoin_slots``. Tensors support numpy broadcasting in the
-elementwise binaries; gradients are summed back down to the operand shapes.
+t-norms are composed from these primitives in ``logic.conjoin_slots``.
+Tensors support numpy broadcasting in the elementwise binaries; gradients are
+summed back down to the operand shapes.
 
 Constants are plain arrays. A primitive with no tensor among its inputs
 returns a plain array and records nothing; otherwise it records a ``Tensor``

@@ -9,10 +9,10 @@ are the one definition of the logic, over flat (..., 2d) slot arrays. Built
 on the array-generic ``autodiff`` primitives, they run on numpy arrays and on
 tape tensors alike: the model calls them in training and in inference.
 ``conjoin_slots`` holds the three weighted t-norms: Łukasiewicz
-max(0, 1 - sum w (1 - t)), product prod t^w, and the smooth minimum
-sum t w e^(at) / sum w e^(at); the last raises ValueError where all weights
-are 0. With unit weights each is the plain t-norm (the smooth minimum for
-min). ``conjoin_bounds`` applies it to ``TruthBounds`` values. All float64.
+max(0, 1 - sum w (1 - t)), product prod t^w, and Gödel 1 - max w (1 - t).
+With unit weights each is the plain t-norm. Each is monotone in every input,
+so intervals whose lower and upper share a weight stay ordered.
+``conjoin_bounds`` applies it to ``TruthBounds`` values. All float64.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from . import autodiff as ad
 
 TNORM_KINDS = ("min", "prod", "luk")
-SMOOTHMIN_ALPHA = -10.0  # temperature a of the smooth minimum
 ENTROPY_EPS = 1e-9
 
 
@@ -64,8 +63,8 @@ def negate_slots(x, mode: str):
     return ad.concat_last([1.0 - upper, 1.0 - lower])
 
 
-def conjoin_slots(kind: str, xs: list, ws: list, mode: str):
-    """Weighted conjunction of k slot arrays; returns (value, repairs).
+def conjoin_slots(kind: str, xs: list, ws: list):
+    """Weighted conjunction of k slot arrays.
 
     ``ws`` holds one weight array per input, of its shape; a weight of 0
     removes an input. The three t-norms, each composed here from tape
@@ -73,49 +72,29 @@ def conjoin_slots(kind: str, xs: list, ws: list, mode: str):
 
     - luk, Łukasiewicz: max(0, 1 - sum_j w_j (1 - t_j));
     - prod, product: prod_j t_j^w_j;
-    - min, the smooth Gödel minimum: sum_j t_j s_j / sum_j s_j with
-      s_j = w_j e^(a t_j) and a = SMOOTHMIN_ALPHA, the sums taken in input
-      order. It raises ValueError where every weight of a slot is 0, since
-      all its inputs are then removed and the quotient is 0/0.
+    - min, Gödel: 1 - max_j w_j (1 - t_j), which is 1 where every weight
+      of a slot is 0.
 
-    In bounds mode the slots are (..., 2d) intervals, and crossed ones (l > u),
-    which only the non-monotonic smooth minimum produces, collapse to their
-    midpoint; ``repairs`` counts them. Point mode repairs nothing.
+    Each is monotone in every input, so in bounds mode, where a dimension's
+    lower and upper share one weight, the conjoined lower never exceeds the
+    conjoined upper.
     """
     if kind == "luk":
         deficit = ws[0] * (1.0 - xs[0])
         for w, x in zip(ws[1:], xs[1:]):
             deficit = deficit + w * (1.0 - x)
-        out = ad.relu(1.0 - deficit)
-    elif kind == "prod":
+        return ad.relu(1.0 - deficit)
+    if kind == "prod":
         out = ad.pow_elem(xs[0], ws[0])
         for x, w in zip(xs[1:], ws[1:]):
             out = out * ad.pow_elem(x, w)
-    elif kind == "min":
-        scores = [w * ad.exp(SMOOTHMIN_ALPHA * x) for x, w in zip(xs, ws)]
-        numer, denom = xs[0] * scores[0], scores[0]
-        for x, s in zip(xs[1:], scores[1:]):
-            numer = numer + x * s
-            denom = denom + s
-        if np.any(ad.value_of(denom) == 0.0):
-            raise ValueError("min: all inputs removed (zero smooth-minimum denominator)")
-        out = numer / denom
-    else:
-        raise ValueError(f"unknown t-norm kind {kind!r}")
-    if mode != "bounds":
-        return out, 0
-    value = ad.value_of(out)
-    d = value.shape[-1] // 2
-    crossed = value[..., :d] > value[..., d:]
-    count = int(np.count_nonzero(crossed))
-    if count == 0:
-        return out, 0
-    lower = ad.slice_last(out, 0, d)
-    upper = ad.slice_last(out, d, 2 * d)
-    mask = crossed.astype(np.float64)
-    keep = 1.0 - mask
-    mid = 0.5 * (lower + upper)
-    return ad.concat_last([keep * lower + mask * mid, keep * upper + mask * mid]), count
+        return out
+    if kind == "min":
+        deficit = ws[0] * (1.0 - xs[0])
+        for w, x in zip(ws[1:], xs[1:]):
+            deficit = ad.maximum(deficit, w * (1.0 - x))
+        return 1.0 - deficit
+    raise ValueError(f"unknown t-norm kind {kind!r}")
 
 
 def entropy_slots(x: np.ndarray) -> np.ndarray:
@@ -127,13 +106,10 @@ def entropy_slots(x: np.ndarray) -> np.ndarray:
 
 def conjoin_bounds(kind: str, inputs: list[TruthBounds],
                    weights: list[np.ndarray]) -> TruthBounds:
-    """Per-dimension ``conjoin_slots`` of lowers and uppers, with midpoint
-    repair.
+    """Per-dimension ``conjoin_slots`` of lowers and uppers.
 
     ``weights`` is one per-dimension weight vector per input, shared by its
-    lowers and uppers; unit weights give the plain t-norm for prod and luk.
-    Only the non-monotonic smooth minimum can cross bounds; the repair is a
-    no-op for the monotone kinds.
+    lowers and uppers; unit weights give the plain t-norm.
     """
     if not inputs:
         raise ValueError("need at least one input")
@@ -145,6 +121,5 @@ def conjoin_bounds(kind: str, inputs: list[TruthBounds],
     w = np.stack([np.asarray(v, float) for v in weights])
     if w.shape != (len(inputs), d):
         raise ValueError(f"weight shape {w.shape} != ({len(inputs)}, {d})")
-    value, _ = conjoin_slots(kind, [b.values for b in inputs],
-                             [np.concatenate([v, v]) for v in w], "bounds")
-    return TruthBounds(value)
+    return TruthBounds(conjoin_slots(kind, [b.values for b in inputs],
+                                     [np.concatenate([v, v]) for v in w]))

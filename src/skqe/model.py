@@ -9,8 +9,9 @@ last node's value is the embedding. A conjunction negates the inputs its
 node flags (``algebra.Conjoin.negated``), then weighs every input per
 dimension by ``ForwardContext.attention_weights``. Embeddings are flat 2d
 truth-slot vectors. In bounds mode the first d slots are interval lowers and
-the last d are uppers, kept ordered by construction; in point mode all 2d
-slots are independent point truths. The forward pass calls the slot operators
+the last d are uppers, kept ordered by construction (realization orders
+them, and every logic operator keeps them so); in point mode all 2d slots are
+independent point truths. The forward pass calls the slot operators
 of ``logic`` and the array-generic ``autodiff`` primitives, so training and
 inference share one code path: in training the parameters enter a tape as
 leaves, and in inference they are the plain arrays and nothing is recorded.
@@ -59,7 +60,9 @@ MODES = ("bounds", "point")
 Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
-CHECKPOINT_VERSION = 3  # version 2 also stored attention; version 1 also G2b, alpha and rho
+# version 3 meant the smooth minimum by kind min; version 2 also stored
+# attention; version 1 also G2b, alpha and rho
+CHECKPOINT_VERSION = 4
 
 DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
 SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
@@ -280,6 +283,8 @@ class ForwardContext:
     tape and all its arrays.
     """
 
+    repair_count = 0  # read by perfbench around ``conjoin``; no t-norm crosses bounds
+
     def __init__(self, params: ModelParams, train: bool = False,
                  entities: np.ndarray | None = None):
         """``entities`` is the realized (N, 2d) entity table
@@ -289,7 +294,6 @@ class ForwardContext:
         self.config = params.config
         self.tape = ad.Tape()
         self.train = train
-        self.repair_count = 0
         self.entity_touches: list[tuple[np.ndarray, ad.Tensor]] = []  # slot-space leaves
         self.relation_touches: list[tuple[np.ndarray, ad.Tensor]] = []
         self._dense: dict[str, Slots] = {}
@@ -411,9 +415,7 @@ class ForwardContext:
 
     def conjoin(self, xs: list[Slots]) -> Slots:
         tiled = [ad.concat_last([w, w]) for w in self.attention_weights(xs)]
-        out, repairs = logic.conjoin_slots(self.config.kind, xs, tiled, self.config.mode)
-        self.repair_count += repairs
-        return out
+        return logic.conjoin_slots(self.config.kind, xs, tiled)
 
     def disjoin(self, xs: list[Slots]) -> Slots:
         mode = self.config.mode

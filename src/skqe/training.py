@@ -78,19 +78,16 @@ class TrainLogRecord:
     loss: float
     pos_score: float
     neg_score: float
-    repairs: int
     seconds: float
 
 
 def write_train_log(records: list[TrainLogRecord], path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("step,loss,pos_score,neg_score,repairs,seconds\n")
+        handle.write("step,loss,pos_score,neg_score,seconds\n")
         for r in records:
-            handle.write(
-                f"{r.step},{r.loss:.6f},{r.pos_score:.6f},{r.neg_score:.6f},"
-                f"{r.repairs},{r.seconds:.3f}\n"
-            )
+            handle.write(f"{r.step},{r.loss:.6f},{r.pos_score:.6f},{r.neg_score:.6f},"
+                         f"{r.seconds:.3f}\n")
 
 
 class Adam:
@@ -362,11 +359,11 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
     holds one task's gradients besides its tables. One
     ``model._realize_backward`` over the touched entity rows then gives their
     pre-activation gradients. Every gradient is of the mean loss over all
-    task rows. Returns the loss summed over the batch, the positive and
-    negative scores 1 - D, and the interval-repair count. Each task runs on
-    its own tape and hands back only its gradients, so the tape is freed when
-    the task returns. Raises NumericError on a non-finite loss; ``begin_step`` and
-    every update come after the last task, so nothing has been updated then.
+    task rows. Returns the loss summed over the batch and the positive and
+    negative scores 1 - D. Each task runs on its own tape and hands back only
+    its gradients, so the tape is freed when the task returns. Raises
+    NumericError on a non-finite loss; ``begin_step`` and every update come
+    after the last task, so nothing has been updated then.
     """
     batch_size = sum(len(rows) for _, rows, _, _ in tasks)
     mode = params.config.mode
@@ -389,13 +386,12 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         dense = {name: t.grad for name, t in ctx._dense.items() if t.grad is not None}
         entity = [(ids, t.grad) for ids, t in ctx.entity_touches if t.grad is not None]
         relation = [(ids, t.grad) for ids, t in ctx.relation_touches if t.grad is not None]
-        return loss, d_pos, d_neg, ctx.repair_count, dense, entity, relation
+        return loss, d_pos, d_neg, dense, entity, relation
 
-    loss, repairs, pos_dists, neg_dists = 0, 0, [], []
+    loss, pos_dists, neg_dists = 0, [], []
     dense_grads: dict[str, np.ndarray] = {}
-    for task_loss, d_pos, d_neg, task_repairs, dense, entity, relation in map(run_task, tasks):
+    for task_loss, d_pos, d_neg, dense, entity, relation in map(run_task, tasks):
         loss += task_loss
-        repairs += task_repairs
         pos_dists.append(d_pos)
         neg_dists.append(d_neg.reshape(-1))
         for name, grad in dense.items():
@@ -413,7 +409,7 @@ def _step(params: ModelParams, optimizer: Adam, tasks: list[tuple], config: Trai
         if name == "entity":
             grads = model_mod._realize_backward(grads, sig[ids], mode)
         optimizer.update_rows(name, params.arrays[name], ids, grads)
-    return loss, 1.0 - np.concatenate(pos_dists), 1.0 - np.concatenate(neg_dists), repairs
+    return loss, 1.0 - np.concatenate(pos_dists), 1.0 - np.concatenate(neg_dists)
 
 
 def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
@@ -462,7 +458,7 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
         picks = rng.integers(0, starts[-1], size=config.batch_size)
         tasks = _build_tasks(groups, _split_picks(picks, order, starts), config,
                              graph.num_entities, rng)
-        loss, pos_scores, neg_scores, repairs = _step(params, optimizer, tasks, config)
+        loss, pos_scores, neg_scores = _step(params, optimizer, tasks, config)
 
         if step % config.log_every == 0 or step == config.steps or step == 1:
             records.append(TrainLogRecord(
@@ -470,7 +466,6 @@ def train(graph: KnowledgeGraph, dataset: QueryDataset, config: TrainConfig,
                 loss=loss / config.batch_size,
                 pos_score=float(np.mean(pos_scores)),
                 neg_score=float(np.mean(neg_scores)),
-                repairs=repairs,
                 seconds=time.perf_counter() - started,
             ))
         if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:

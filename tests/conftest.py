@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, cardinality, kg, logic, oracle, training
+from skqe import algebra, autodiff as ad, cardinality, kg, oracle, training
 from skqe.errors import DataError
 
 UNION_STRUCTURES = tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs)
@@ -205,20 +205,13 @@ def reference_negate(x, mode: str = "bounds") -> np.ndarray:
     return np.array([1.0 - u for u in x[d:]] + [1.0 - lo for lo in x[:d]])
 
 
-def reference_conjoin(kind: str, inputs, weights,
-                      mode: str = "bounds") -> tuple[np.ndarray, int]:
+def reference_conjoin(kind: str, inputs, weights) -> np.ndarray:
     """Weighted conjunction of k flat slot vectors in Python floats, slot by
-    slot; returns (value, repaired dimensions). Written from the formulas,
-    not from ``logic.conjoin_slots``:
+    slot. Written from the formulas, not from ``logic.conjoin_slots``:
 
     - luk: max(0, 1 - sum_j w_j (1 - t_j));
     - prod: prod_j t_j^w_j;
-    - min, the smooth minimum: sum_j t_j w_j e^(a t_j) / sum_j w_j e^(a t_j),
-      a = ``logic.SMOOTHMIN_ALPHA``.
-
-    In bounds mode each dimension whose conjoined lower exceeds its upper
-    takes their midpoint for both; point mode repairs nothing."""
-    alpha = logic.SMOOTHMIN_ALPHA
+    - min, Gödel: 1 - max_j w_j (1 - t_j)."""
     out = []
     for slot in range(len(inputs[0])):
         ts = [float(x[slot]) for x in inputs]
@@ -228,19 +221,11 @@ def reference_conjoin(kind: str, inputs, weights,
         elif kind == "prod":
             value = math.prod(t ** w for t, w in zip(ts, ws))
         elif kind == "min":
-            value = (sum(t * w * math.exp(alpha * t) for t, w in zip(ts, ws))
-                     / sum(w * math.exp(alpha * t) for t, w in zip(ts, ws)))
+            value = 1.0 - max(w * (1.0 - t) for t, w in zip(ts, ws))
         else:
             raise ValueError(kind)
         out.append(value)
-    repairs = 0
-    if mode == "bounds":
-        d = len(out) // 2
-        for i in range(d):
-            if out[i] > out[d + i]:
-                out[i] = out[d + i] = 0.5 * (out[i] + out[d + i])
-                repairs += 1
-    return np.array(out), repairs
+    return np.array(out)
 
 
 # --- the row-gradient merge as it was before the dense table ----------------

@@ -143,14 +143,17 @@ class TestPrimitiveGradients:
         check_gradients(op, _rng(1).normal(size=(3, 4)))
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_smooth_minimum_on_the_tape(self, k):
-        """The smooth minimum as ``logic.conjoin_slots`` composes it on the
-        tape, truths and weights both differentiated."""
+    def test_goedel_minimum_on_the_tape(self, k):
+        """The Gödel chain as ``logic.conjoin_slots`` composes it on the tape,
+        truths and weights both differentiated, where the largest weighted
+        deficit w (1 - t) of each slot is far from a tie."""
         truths = [_rng(i).uniform(0.05, 0.95, (2, 4)) for i in range(k)]
-        weights = [_rng(10 + i).uniform(0.2, 1.0, (2, 4)) for i in range(k)]
+        weights = [_rng(20 + i).uniform(0.2, 1.0, (2, 4)) for i in range(k)]
+        deficits = np.sort([w * (1.0 - t) for t, w in zip(truths, weights)], axis=0)
+        assert k == 1 or np.all(deficits[-1] - deficits[-2] > 1e-2)
 
         def op(*tensors):
-            return logic.conjoin_slots("min", list(tensors[:k]), list(tensors[k:]), "point")[0]
+            return logic.conjoin_slots("min", list(tensors[:k]), list(tensors[k:]))
 
         check_gradients(op, *truths, *weights)
 

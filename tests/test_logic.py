@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skqe import logic
 from skqe.logic import TruthBounds
+from skqe.model import ForwardContext, ModelConfig, ModelParams
 
 from conftest import reference_conjoin, reference_negate
 
@@ -17,15 +19,14 @@ unit_floats = st.integers(0, 2**53).map(lambda k: k / 2**53)
 
 
 def weighted_conjoin(kind, weights, truths):
-    """Point-mode ``conjoin_slots`` of truths stacked on axis 0."""
+    """``conjoin_slots`` of truths stacked on axis 0."""
     w = np.asarray(weights, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)
-    return logic.conjoin_slots(kind, list(t), list(w), "point")[0]
+    return logic.conjoin_slots(kind, list(t), list(w))
 
 
 def tnorm(kind, truths):
-    """``weighted_conjoin`` with unit weights: the plain t-norm for prod and
-    luk, the smooth minimum for min."""
+    """``weighted_conjoin`` with unit weights: the plain t-norm."""
     t = np.asarray(truths, dtype=np.float64)
     return weighted_conjoin(kind, np.ones_like(t), t)
 
@@ -35,8 +36,7 @@ def disjoin(kind, xs):
     the slot operators as the model composes it."""
     flipped = [logic.negate_slots(x, "bounds") for x in xs]
     ones = [np.ones_like(x) for x in xs]
-    conjoined, _ = logic.conjoin_slots(kind, flipped, ones, "bounds")
-    return logic.negate_slots(conjoined, "bounds")
+    return logic.negate_slots(logic.conjoin_slots(kind, flipped, ones), "bounds")
 
 
 def random_bounds(rng, d=6) -> TruthBounds:
@@ -84,8 +84,8 @@ class TestNegate:
 
 
 class TestUnweightedTnorm:
-    """The t-norm axioms of point-mode ``conjoin_slots`` with unit weights.
-    prod and luk are t-norms; the smooth minimum only commutes."""
+    """The t-norm axioms of ``conjoin_slots`` with unit weights, for each of
+    the three kinds."""
 
     def test_lukasiewicz_example(self):
         assert tnorm("luk", [[0.7], [0.6]])[0] == pytest.approx(0.3, abs=1e-12)
@@ -94,13 +94,13 @@ class TestUnweightedTnorm:
         assert tnorm("prod", [[0.5], [0.5]])[0] == 0.25
 
     def test_identity_element(self):
-        # luk computes 1 - (1 - t), one ulp off t for non-dyadic grid values
-        for kind in ("prod", "luk"):
+        # luk and min compute 1 - (1 - t), one ulp off t for non-dyadic grid values
+        for kind in KINDS:
             out = tnorm(kind, np.stack([np.ones_like(GRID), GRID]))
             np.testing.assert_allclose(out, GRID, atol=1e-9)
 
     def test_annihilator(self):
-        for kind in ("prod", "luk"):
+        for kind in KINDS:
             out = tnorm(kind, np.stack([np.zeros_like(GRID), GRID]))
             np.testing.assert_allclose(out, np.zeros_like(GRID), atol=1e-9)
 
@@ -114,13 +114,13 @@ class TestUnweightedTnorm:
     def test_associative_on_grid(self):
         triples = np.array(list(itertools.product(GRID, GRID, GRID)))
         a, b, c = triples.T
-        for kind in ("prod", "luk"):
+        for kind in KINDS:
             left = tnorm(kind, np.stack([tnorm(kind, np.stack([a, b])), c]))
             right = tnorm(kind, np.stack([a, tnorm(kind, np.stack([b, c]))]))
             np.testing.assert_allclose(left, right, atol=1e-9)
 
     def test_monotone_on_grid(self):
-        for kind in ("prod", "luk"):
+        for kind in KINDS:
             for s in GRID:
                 outs = tnorm(kind, np.stack([GRID, np.full_like(GRID, s)]))
                 assert np.all(np.diff(outs) >= 0)
@@ -139,12 +139,13 @@ class TestWeightedTnorm:
     def test_zero_weight_removes_input(self):
         out = weighted_conjoin("prod", [[1.0], [0.0]], [[0.3], [0.9]])
         assert out[0] == 0.3
-        out = weighted_conjoin("luk", [[1.0], [0.0]], [[0.3], [0.9]])
-        assert out[0] == pytest.approx(0.3, abs=1e-12)
+        for kind in ("luk", "min"):
+            out = weighted_conjoin(kind, [[1.0], [0.0]], [[0.3], [0.9]])
+            assert out[0] == pytest.approx(0.3, abs=1e-12)
 
-    def test_smoothmin_symmetric_at_equal_inputs(self):
+    def test_min_is_idempotent_at_any_weight(self):
         for c in GRID:
-            out = weighted_conjoin("min", [[1.0], [1.0]], [[c], [c]])
+            out = weighted_conjoin("min", [[1.0], [0.4]], [[c], [c]])
             assert out[0] == pytest.approx(c, abs=1e-12)
 
     def test_all_ones_reduces_exactly_for_prod_and_luk(self):
@@ -154,26 +155,19 @@ class TestWeightedTnorm:
         for kind in ("prod", "luk"):
             np.testing.assert_array_equal(tnorm(kind, pairs), plain[kind])
 
-    def test_smoothmin_tracks_hard_min(self):
-        # max deviation of the a=-10 smooth minimum from the hard minimum
-        # over grid pairs is 0.0274 (at |t1-t2| = 0.15)
+    def test_min_is_the_hard_minimum_at_unit_weights(self):
         pairs = np.array(list(itertools.product(GRID, GRID))).T
-        weighted = tnorm("min", pairs)
-        hard = np.minimum(pairs[0], pairs[1])
-        deviation = np.abs(weighted - hard)
-        assert deviation.max() == pytest.approx(0.0273638, abs=1e-6)
-        assert np.all(deviation <= 0.028)
+        np.testing.assert_allclose(tnorm("min", pairs), np.minimum(pairs[0], pairs[1]),
+                                   rtol=0, atol=2**-53)
 
-    def test_all_weights_zero_is_an_error(self):
-        with pytest.raises(ValueError, match="removed"):
-            weighted_conjoin("min", [[0.0], [0.0]], [[0.3], [0.9]])
+    def test_all_weights_zero_give_one_for_min(self):
+        out = weighted_conjoin("min", [[0.0], [0.0]], [[0.3], [0.9]])
+        assert out[0] == 1.0
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(0)
         for kind in KINDS:
             w = rng.uniform(0, 1, (3, 50))
-            if kind == "min":
-                w[0] = np.maximum(w[0], 1e-3)
             t = rng.uniform(0, 1, (3, 50))
             out = weighted_conjoin(kind, w, t)
             assert np.all((out >= 0) & (out <= 1))
@@ -186,47 +180,25 @@ class TestWeightedTnorm:
 
 
 class TestConjoinBounds:
-    def test_monotone_kinds_never_need_repair(self):
+    def test_bounds_stay_ordered(self):
         rng = np.random.default_rng(1)
-        for kind in ("prod", "luk"):
+        for kind in KINDS:
             for _ in range(100):
                 inputs = [random_bounds(rng) for _ in range(3)]
                 weights = [rng.uniform(0, 1, 6) for _ in range(3)]
                 out = logic.conjoin_bounds(kind, inputs, weights)
                 assert np.all(out.values[:6] <= out.values[6:])
 
-    def test_all_true_is_identity_for_prod_and_luk(self):
-        # the smooth minimum is no t-norm: an all-true input raises it
+    def test_all_true_is_identity(self):
         rng = np.random.default_rng(2)
         tb = random_bounds(rng)
         top = TruthBounds(np.ones(12))
         unit = [np.ones(6), np.ones(6)]
         np.testing.assert_array_equal(logic.conjoin_bounds("prod", [tb, top], unit).values,
                                       tb.values)
-        np.testing.assert_allclose(logic.conjoin_bounds("luk", [tb, top], unit).values,
-                                   tb.values, atol=1e-12)
-
-    def test_smoothmin_crossing_is_repaired_to_midpoint(self):
-        # crafted crossing: smoothmin is non-monotonic, so a wide interval
-        # paired against a point truth can push the lower above the upper
-        found = False
-        for l1 in GRID:
-            for u1 in GRID[GRID >= l1]:
-                a = TruthBounds(np.array([l1, u1]))
-                b = TruthBounds(np.array([0.5, 0.5]))
-                w = [np.array([1.0]), np.array([0.3])]
-                raw_l = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
-                                         np.array([[a.values[0]], [b.values[0]]]))[0]
-                raw_u = weighted_conjoin("min", np.array([[w[0][0]], [w[1][0]]]),
-                                         np.array([[a.values[1]], [b.values[1]]]))[0]
-                lower, upper = logic.conjoin_bounds("min", [a, b], w).values
-                assert lower <= upper
-                if raw_l > raw_u:
-                    found = True
-                    mid = 0.5 * (raw_l + raw_u)
-                    assert lower == pytest.approx(mid, abs=1e-12)
-                    assert upper == pytest.approx(mid, abs=1e-12)
-        assert found, "no crossing instance found on the search grid"
+        for kind in ("luk", "min"):
+            np.testing.assert_allclose(logic.conjoin_bounds(kind, [tb, top], unit).values,
+                                       tb.values, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="imension"):
@@ -251,19 +223,14 @@ class TestSlotsMatchReference:
     def test_conjoin_slots(self, kind, mode):
         rng = np.random.default_rng(5)
         xs = [self._slots(rng, mode) for _ in range(3)]
-        if mode == "bounds":  # a point truth beside wide intervals makes min cross
+        if mode == "bounds":  # a point truth beside wide intervals
             xs[1][:, 6:] = xs[1][:, :6]
         # one weight per dimension, shared by its lower and upper, as in the model
         ws = [np.tile(rng.uniform(0.1, 1.0, (8, 6)), 2) for _ in range(3)]
-        got, repairs = logic.conjoin_slots(kind, xs, ws, mode)
-        assert (repairs > 0) == (kind == "min" and mode == "bounds")
-        want_repairs = 0
+        got = logic.conjoin_slots(kind, xs, ws)
         for row in range(xs[0].shape[0]):
-            want, row_repairs = reference_conjoin(kind, [x[row] for x in xs],
-                                                  [w[row] for w in ws], mode)
+            want = reference_conjoin(kind, [x[row] for x in xs], [w[row] for w in ws])
             np.testing.assert_allclose(got[row], want, rtol=1e-12, atol=1e-14)
-            want_repairs += row_repairs
-        assert repairs == want_repairs
 
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     def test_negate_slots(self, mode):
@@ -275,10 +242,11 @@ class TestSlotsMatchReference:
 
 class TestDeMorganDisjunction:
     def test_de_morgan_gives_the_dual_conorm(self):
-        # not(T(not a, not b)) per slot: the probabilistic sum for prod and the
-        # bounded sum for luk, on lowers and uppers alike
+        # not(T(not a, not b)) per slot: the probabilistic sum for prod, the
+        # bounded sum for luk and the maximum for min, on lowers and uppers alike
         rng = np.random.default_rng(3)
-        conorms = {"prod": lambda a, b: a + b - a * b, "luk": lambda a, b: np.minimum(1.0, a + b)}
+        conorms = {"prod": lambda a, b: a + b - a * b, "luk": lambda a, b: np.minimum(1.0, a + b),
+                   "min": np.maximum}
         for kind, conorm in conorms.items():
             a, b = (random_bounds(rng).values for _ in range(2))
             np.testing.assert_allclose(disjoin(kind, [a, b]), conorm(a, b), atol=1e-12)
@@ -298,6 +266,35 @@ class TestDeMorganDisjunction:
     def test_probabilistic_sum_for_prod(self):
         half = np.array([0.5, 0.5])
         np.testing.assert_allclose(disjoin("prod", [half, half]), [0.75, 0.75])
+
+
+def ordered_bounds(k: int, d: int):
+    """k (1, 2d) rows of bounds with 0 <= l <= u <= 1."""
+    pairs = hnp.arrays(np.float64, (k, 2, 1, d), elements=st.floats(0.0, 1.0))
+    return pairs.map(lambda a: list(np.concatenate([a.min(axis=1), a.max(axis=1)], axis=-1)))
+
+
+class TestBoundsNeverCross:
+    """Every kind is monotone in each input, and a dimension's lower and upper
+    share one weight, so a conjunction or disjunction of ordered bounds is
+    ordered: nothing needs repair."""
+
+    @settings(derandomize=True)
+    @given(kind=st.sampled_from(KINDS), k=st.integers(1, 4), data=st.data())
+    def test_conjoin_slots(self, kind, k, data):
+        xs = data.draw(ordered_bounds(k, 3))
+        weights = data.draw(hnp.arrays(np.float64, (k, 1, 3),
+                                       elements=st.floats(0.0, 1.0, exclude_min=True)))
+        out = logic.conjoin_slots(kind, xs, [np.tile(w, 2) for w in weights])
+        assert np.all((0.0 <= out[:, :3]) & (out[:, :3] <= out[:, 3:]) & (out[:, 3:] <= 1.0))
+
+    @settings(derandomize=True, max_examples=50)
+    @given(kind=st.sampled_from(KINDS), k=st.integers(1, 3), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_forward_context_disjoin(self, kind, k, seed, data):
+        params = ModelParams.initialize(ModelConfig(4, 2, d=16, h=8, kind=kind), seed)
+        out = ForwardContext(params).disjoin(data.draw(ordered_bounds(k, 16)))
+        assert np.all((0.0 <= out[:, :16]) & (out[:, :16] <= out[:, 16:]) & (out[:, 16:] <= 1.0))
 
 
 class TestEntropy:

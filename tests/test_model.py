@@ -258,11 +258,11 @@ class TestTapeOperatorsMatchLogic:
         flipped_weights = self._weights(ctx, [logic.negate_slots(x, "bounds") for x in leaves])
         assert min(np.min(w) for w in weights + flipped_weights) < 0.9  # the weights matter
         for row in range(4):
-            want, _ = reference_conjoin(kind, [v[row] for v in values], [w[row] for w in weights])
+            want = reference_conjoin(kind, [v[row] for v in values], [w[row] for w in weights])
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             flipped = [reference_negate(v[row]) for v in values]
             want = reference_negate(
-                reference_conjoin(kind, flipped, [w[row] for w in flipped_weights])[0])
+                reference_conjoin(kind, flipped, [w[row] for w in flipped_weights]))
             np.testing.assert_allclose(disjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
             np.testing.assert_array_equal(negated[row], reference_negate(values[0][row]))
 
@@ -274,61 +274,31 @@ class TestTapeOperatorsMatchLogic:
         ctx = ForwardContext(params, train=True)
         leaves = [ctx.tape.leaf(v) for v in values]
         conjoined = ctx.conjoin(leaves).value
-        assert ctx.repair_count == 0
         weights = self._weights(ctx, leaves)
         assert min(np.min(w) for w in weights) < 0.9
         for row in range(4):
-            want, repairs = reference_conjoin(kind, [v[row] for v in values],
-                                              [w[row] for w in weights], "point")
+            want = reference_conjoin(kind, [v[row] for v in values], [w[row] for w in weights])
             np.testing.assert_allclose(conjoined[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
-            assert repairs == 0
         negated = logic.negate_slots(leaves[0], "point").value
         for row in range(4):
             np.testing.assert_array_equal(negated[row], reference_negate(values[0][row], "point"))
 
 
-class TestRepairedConjunction:
-    """A wide interval [0.7, 1.0] against the point 0.5: the weighted smooth
-    minimum is not monotone, so the conjoined lower exceeds the upper and is
-    repaired."""
+def test_goedel_conjoin_gradient_by_finite_differences():
+    """Through the attention weights and the Gödel chain, in bounds mode, at
+    inputs whose weighted deficits w (1 - t) are far from a tie, where the
+    maximum is differentiable."""
+    params = _params("bounds", "min")
+    rng = np.random.default_rng(4)
+    xs = [_bounds_rows(rng, 3) for _ in range(2)]
+    tiled = [np.concatenate([w, w], axis=1) for w in ForwardContext(params).attention_weights(xs)]
+    deficits = [w * (1.0 - x) for w, x in zip(tiled, xs)]
+    assert np.min(np.abs(deficits[0] - deficits[1])) > 1e-3
 
-    @staticmethod
-    def _inputs():
-        rng = np.random.default_rng(4)
-        wide = np.concatenate([rng.uniform(0.65, 0.75, (3, D)), rng.uniform(0.95, 1.0, (3, D))],
-                              axis=1)
-        point = 0.5 + rng.uniform(-0.02, 0.02, (3, 2 * D))
-        point[:, D:] = point[:, :D]
-        wide[:, 0], wide[:, D] = 0.2, 0.3  # one narrow dimension that does not cross
-        return wide, point
+    def op(a, b):
+        return ForwardContext(params).conjoin([a, b])
 
-    def test_value_matches_reference_and_counts_repairs(self):
-        params = _params("bounds", "min")
-        wide, point = self._inputs()
-        ctx = ForwardContext(params, train=True)
-        leaves = [ctx.tape.leaf(wide), ctx.tape.leaf(point)]
-        out = ctx.conjoin(leaves).value
-        assert ctx.repair_count == 3 * (D - 1)
-        weights = TestTapeOperatorsMatchLogic._weights(ctx, leaves)
-        for row in range(3):
-            want, repairs = reference_conjoin("min", [wide[row], point[row]],
-                                              [w[row] for w in weights])
-            np.testing.assert_allclose(out[row], want, rtol=RTOL_LOGIC, atol=ATOL_LOGIC)
-            assert repairs == D - 1
-        assert np.all(out[:, 1:D] == out[:, D + 1:])
-        assert out[0, 0] < out[0, D]
-
-    def test_gradient_by_finite_differences(self):
-        params = _params("bounds", "min")
-
-        def op(a, b):
-            ctx = ForwardContext(params)
-            out = ctx.conjoin([a, b])
-            if isinstance(a, ad.Tensor):
-                assert ctx.repair_count > 0
-            return out
-
-        check_gradients(op, *self._inputs())
+    check_gradients(op, *xs)
 
 
 def test_config_fields_are_the_settings_a_run_can_change():
@@ -377,11 +347,12 @@ class TestCheckpoint:
             ModelParams.load(path)
         assert str(info.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_is_an_unsupported_version(self, tmp_path, version):
-        # version 2 held the config key attention; version 1 also the attention
-        # bias G2b and the alpha and rho config keys
-        assert model.CHECKPOINT_VERSION == 3
+        # version 3 meant the smooth minimum by kind min, so its min checkpoints
+        # would change meaning; version 2 held the config key attention;
+        # version 1 also the attention bias G2b and the alpha and rho config keys
+        assert model.CHECKPOINT_VERSION == 4
         _params().save(tmp_path / "m.ckpt")
         path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "old.ckpt", version)
         with pytest.raises(DataError) as info:

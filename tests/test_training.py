@@ -619,7 +619,7 @@ class TestTrainCli:
                            "--checkpoint-every", str(every), "--log", str(log),
                            out=out) == cli.EXIT_OK
         header, *lines = log.read_text().splitlines()
-        assert header == "step,loss,pos_score,neg_score,repairs,seconds"
+        assert header == "step,loss,pos_score,neg_score,seconds"
         rows = [line.split(",") for line in lines]
         assert [int(row[0]) for row in rows] == logged
         printed = capsys.readouterr().out.splitlines()[0]
