@@ -108,10 +108,13 @@ def cmd_gen_queries(args) -> int:
     dataset = sample_dataset(graph, structures, args.per_structure, args.seed,
                              args.mode, args.negation_frac)
     seconds = time.perf_counter() - began
+    counts, attempts = dataset.metadata["counts"], dataset.metadata["attempts"]
+    if not dataset.samples:  # no command reads a dataset without queries
+        raise DataError(f"sampled no {args.mode} query in {sum(attempts.values()):,} attempts "
+                        f"over {len(structures)} structures; wrote no dataset")
     write_dataset(dataset, graph, args.out)
     print(f"wrote {len(dataset.samples)} queries ({args.mode}) to {args.out}")
     print(f"sampling took {seconds:.3f} s: {len(dataset.samples) / seconds:.1f} queries/s")
-    counts, attempts = dataset.metadata["counts"], dataset.metadata["attempts"]
     print("yield (queries/attempts): "
           + ", ".join(f"{s} {counts[s]}/{attempts[s]:,}" for s in structures))
     short = []
@@ -256,8 +259,9 @@ def cmd_oracle(args) -> int:
     instance = algebra.parse_fol(args.query, graph)
     index = build_index(graph, splits)
     answers = oracle_mod.eval_plan(algebra.structure_plan(instance.structure),
-                                   instance.anchors, instance.relations, index)
-    names = sorted(graph.entities.name_of(e) for e in answers)
+                                   np.array(instance.anchors, dtype=np.int64)[:, None],
+                                   np.array(instance.relations, dtype=np.int64)[:, None], index)
+    names = sorted(graph.entities.name_of(e) for e in answers.tolist())  # one column: entities
     print("{" + ", ".join(names) + "}")
     return EXIT_OK
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,12 +131,25 @@ class WalkTable(NamedTuple):
     relations: np.ndarray
 
 
-class AdjacencyIndex:
-    """Forward map (head-id, relation-id) -> sorted tuple of tail-ids.
+class OutTable(NamedTuple):
+    """The outgoing edges of every (head, relation) pair with an edge as int64
+    CSR arrays: ``keys`` holds the pairs' ``head * num_relations + relation``
+    keys ascending, and rows ``offsets[i]:offsets[i + 1]`` of ``tails`` the
+    tails of pair ``keys[i]``, ascending. ``keys`` ends in a sentinel (the
+    largest int64 key, no rows) that no pair reaches, so a ``searchsorted``
+    into it needs no bounds check."""
 
-    Built from the triples whose split label is in ``splits`` (kept as a
-    frozenset) and not changed afterwards. The derived ``walk_table``,
-    ``degree_table`` and ``tails`` are computed on first use and kept.
+    keys: np.ndarray  # (pairs + 1,)
+    offsets: np.ndarray  # (pairs + 2,)
+    tails: np.ndarray
+
+
+class AdjacencyIndex:
+    """The edges of the triples whose split label is in ``splits`` (kept as a
+    frozenset), as int64 CSR arrays built with numpy and not changed
+    afterwards: ``out_table`` by (head, relation) pair, which the set oracle
+    follows, and ``walk_table`` by tail, which the sampler's inverse walks
+    follow. ``walk_table`` and ``tails`` are computed on first use and kept.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
@@ -145,49 +159,37 @@ class AdjacencyIndex:
         self.splits = frozenset(splits)
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
-        forward: dict[tuple[int, int], list[int]] = {}
-        # sorted distinct triples, so each pair's tails arrive sorted and distinct
-        for h, r, t in graph.split_triples(splits):
-            forward.setdefault((h, r), []).append(t)
-        self.forward: dict[tuple[int, int], tuple[int, ...]] = {
-            key: tuple(tails) for key, tails in forward.items()
-        }
+        edges = [t for t, s in graph.triples.items() if s in self.splits]
+        heads, relations, tails = np.fromiter(
+            itertools.chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3).T
+        pairs = heads * self.num_relations + relations
+        order = np.lexsort((tails, pairs))
+        pairs, tails = pairs[order], tails[order]
+        starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+        self.out_table = OutTable(np.append(pairs[starts], np.iinfo(np.int64).max),
+                                  np.append(starts, [len(pairs)] * 2), tails)
 
-    def lookup(self, head: int, relation: int) -> tuple[int, ...]:
-        """Tails of ``relation`` edges out of ``head``; empty for unknown pairs."""
-        return self.forward.get((head, relation), ())
+    def out_rows(self, heads: np.ndarray, relations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each pair of the int64 arrays ``heads`` and ``relations``, the
+        first row of its tails in ``out_table.tails`` and its number of rows:
+        the pair's out-degree, 0 for a pair without an edge."""
+        keys, offsets, _ = self.out_table
+        wanted = heads * self.num_relations + relations
+        at = np.searchsorted(keys, wanted)
+        start = offsets[at]
+        return start, np.where(keys[at] == wanted, offsets[at + 1] - start, 0)
 
     @functools.cached_property
     def walk_table(self) -> WalkTable:
         """The incoming edges of every entity, for the sampler's inverse walks.
-        Built on first use, once per index."""
-        edges = np.array([(h, r, t) for (h, r), tails in self.forward.items() for t in tails],
-                         dtype=np.int64).reshape(-1, 3)
-        heads, relations, tails = edges.T
-        order = np.lexsort((relations, heads, tails))
-        offsets = np.zeros(self.num_entities + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=self.num_entities), out=offsets[1:])
-        return WalkTable(offsets, heads[order], relations[order])
-
-    @functools.cached_property
-    def degree_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The out-degree of every (head, relation) pair with an edge, as
-        ascending ``head * num_relations + relation`` keys and their counts
-        (int64, O(edges) memory). Both end in a sentinel entry (the largest
-        int64 key, count 0) that no pair reaches, so ``out_degree`` needs no
-        bounds check. Built on first use from the walk table."""
-        _, heads, relations = self.walk_table
-        keys, counts = np.unique(heads * self.num_relations + relations, return_counts=True)
-        return (np.append(keys, np.iinfo(np.int64).max),
-                np.append(counts, 0).astype(np.int64))
-
-    def out_degree(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
-        """``len(lookup(h, r))`` for each pair of the int64 arrays ``heads``
-        and ``relations``; 0 for pairs without an edge."""
-        keys, counts = self.degree_table
-        wanted = heads * self.num_relations + relations
-        at = np.searchsorted(keys, wanted)
-        return np.where(keys[at] == wanted, counts[at], 0)
+        Built on first use, once per index, from ``out_table``."""
+        keys, offsets, tails = self.out_table
+        pairs = np.repeat(keys, np.diff(offsets))  # in (head, relation, tail) order
+        order = np.argsort(tails, kind="stable")
+        pairs = pairs[order]
+        incoming = np.zeros(self.num_entities + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.num_entities), out=incoming[1:])
+        return WalkTable(incoming, pairs // self.num_relations, pairs % self.num_relations)
 
     @functools.cached_property
     def tails(self) -> np.ndarray:

@@ -1,26 +1,31 @@
 """Exact set-semantics evaluation of query plans and dataset generation.
 
-``eval_plan`` answers a cached structure plan (or DNF branch) under an
-instance's slot bindings in one forward pass over its nodes, each node a
-plain set: a conjunction subtracts the sets of the inputs it flags as
-negated from the intersection of the others, so no complement is formed.
+``eval_plan`` is the one set oracle. It answers a cached structure plan (or
+DNF branch) for a batch of slot bindings at once, one column each, in one
+forward pass over the plan's nodes. Each node holds the sets of all columns
+as one sorted int64 array of ``column * N + entity`` keys, so a Relate is a
+``searchsorted`` into the index's ``out_table`` followed by a gather, and a
+conjunction keeps the members of one input found in its other inputs and
+in none of those it flags as negated, so no complement is formed.
 ``exhaustive_eval`` is the plan-free brute-force reference.
 
 ``sample_queries`` draws queries by inverse random walks: it draws an answer
 entity, then walks the structure's cached plan backwards from its last node,
 breadth first, through the walked index's ``walk_table`` (int64 CSR arrays,
 built once per ``AdjacencyIndex``). So one compiled plan drives the oracle,
-the sampler and the model. Walks are drawn ``WALK_BATCH`` attempts at a
-time: one uniform matrix per batch, one column per attempt, walked with a few
-numpy calls per node. The attempts are then taken one at a time, in order,
-so a (graph, structure, count, seed, indexes) request always yields the
-same queries, and one that gets all of its k queries yields the first k of
-any larger request. Only the (anchors, relations) bindings of an attempt are
-kept until the sampler's one rule keeps its answers; duplicates are dropped.
+the sampler and the model. Walks are drawn in rounds of 1, 2, 4, ... (at
+most ``ROUND_BATCHES``) batches of ``WALK_BATCH`` attempts: one uniform
+matrix per round, one column per attempt, walked with a few numpy calls per
+node and answered with one ``eval_plan`` call per index. The round's
+attempts are then taken one at a time, in order, so a (graph, structure,
+count, seed, indexes) request always yields the same queries, and one that
+gets all of its k queries yields the first k of any larger request.
+Bindings and answer tuples are built only for the attempts whose answers the
+sampler's one rule keeps; duplicates are dropped.
 
 Before any ``eval_plan``, ``answer_bound`` bounds every attempt's answer-set
-size with numpy, a whole batch at once, from the walked index's out-degrees
-(``AdjacencyIndex.out_degree``): the size of a one-hop set is its degree, a
+size with numpy, a whole round at once, from the walked index's out-degrees
+(``AdjacencyIndex.out_rows``): the size of a one-hop set is its degree, a
 conjunction is no larger than its smallest non-negated input, and an input
 it negates removes at least the walked entity, since the walk drew the
 negated input's edge into it too. An attempt whose bound is below 1 has no
@@ -52,6 +57,7 @@ log = logging.getLogger(__name__)
 EXHAUSTIVE_GUARD = 10**8
 RETRY_FACTOR = 100
 WALK_BATCH = 256  # sampler attempts walked per uniform draw
+ROUND_BATCHES = 16  # most WALK_BATCH draws walked and answered together
 
 # mode -> (walked splits, easy splits); where they differ the mode holds out
 # edges, and every query has a hard answer. ``train`` is what training fits;
@@ -65,39 +71,71 @@ DATASET_MODES = {
 }
 
 
-def follow(relation: int, inputs, index: AdjacencyIndex) -> set[int]:
-    """Union of tails over all input entities: the maximal Skolem assignment."""
-    out: set[int] = set()
-    for head in inputs:
-        out.update(index.lookup(head, relation))
-    return out
-
-
-def eval_plan(plan: QueryPlan, anchors, relations, index: AdjacencyIndex) -> set[int]:
-    """Answer set of a plan under its slot bindings.
+def eval_plan(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
+              index: AdjacencyIndex) -> np.ndarray:
+    """Answer sets of a plan for every column of its slot bindings, as one
+    ascending int64 array of keys ``column * index.num_entities + entity``.
 
     ``plan`` is one structure's plan (``algebra.structure_plan``) or one of
-    its DNF branches, valid by construction, and ``anchors`` / ``relations``
-    are an instance's ids for its anchor and relation slots. One forward pass
-    over the nodes suffices because every input comes before its node. A
-    Conjoin subtracts the sets of its ``negated`` inputs from the
-    intersection of its other inputs, of which ``QueryPlan`` guarantees one.
+    its DNF branches, valid by construction. ``anchors`` (one row per anchor
+    slot) and ``relations`` (one row per relation slot) are int64 arrays
+    with one column per binding, holding entity and relation ids of
+    ``index``'s graph. One forward pass over the nodes suffices because every
+    input comes before its node; each node's sets are sorted keys:
+
+    - an Anchor holds its column's entity;
+    - a Relate follows ``index.out_table`` from every member of its input
+      (a ``searchsorted`` per member, then a repeat and gather of the
+      tails) and dedupes by sorting: the union of tails, the maximal
+      Skolem assignment;
+    - a Conjoin keeps the members of its first non-negated input that are
+      in its other non-negated inputs and in none of its ``negated`` ones,
+      of which ``QueryPlan`` leaves at least one non-negated input, so no
+      complement is formed;
+    - a Disjoin is the sorted union of its inputs.
     """
-    values: list[set[int]] = []
+    n = index.num_entities
+    values: list[np.ndarray] = []
     for node in plan.nodes:
         if isinstance(node, Relate):
-            values.append(follow(relations[node.slot], values[node.input], index))
+            values.append(_relate(values[node.input], relations[node.slot], index))
         elif isinstance(node, Anchor):
-            values.append({anchors[node.slot]})
+            values.append(np.arange(anchors.shape[1], dtype=np.int64) * n + anchors[node.slot])
         elif isinstance(node, Conjoin):
-            positives = [values[i] for i in node.inputs if i not in node.negated]
-            negatives = [values[i] for i in node.negated]
-            acc = positives[0].intersection(*positives[1:])
-            acc.difference_update(*negatives)
-            values.append(acc)
+            first, *others = (values[i] for i in node.inputs if i not in node.negated)
+            keep = np.ones(len(first), dtype=bool)
+            for other in others:
+                keep &= _member(first, other)
+            for i in node.negated:
+                keep &= ~_member(first, values[i])
+            values.append(first[keep])
         else:  # Disjoin
-            values.append(set().union(*(values[i] for i in node.inputs)))
+            values.append(_sorted_unique(np.concatenate([values[i] for i in node.inputs])))
     return values[-1]
+
+
+def _relate(keys: np.ndarray, relation: np.ndarray, index: AdjacencyIndex) -> np.ndarray:
+    """The sorted keys of every tail of a ``relation[column]`` edge out of a
+    member of ``keys`` (sorted ``column * N + entity`` keys)."""
+    n = index.num_entities
+    columns, entities = np.divmod(keys, n)
+    start, degree = index.out_rows(entities, relation[columns])
+    ends = np.cumsum(degree)
+    rows = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + degree, degree)
+    return _sorted_unique(np.repeat(columns * n, degree) + index.out_table.tails[rows])
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct non-negative ``keys``, ascending."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _member(keys: np.ndarray, of: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the ascending array ``of``."""
+    if not len(of):
+        return np.zeros(len(keys), dtype=bool)
+    return of[np.minimum(np.searchsorted(of, keys), len(of) - 1)] == keys
 
 
 def exhaustive_eval(instance: QueryInstance, graph: KnowledgeGraph,
@@ -245,7 +283,7 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
             bound, held = values[node.input]
             source = plan.nodes[node.input]
             if isinstance(source, Anchor):
-                bound = index.out_degree(anchors[source.slot], relations[node.slot])
+                _, bound = index.out_rows(anchors[source.slot], relations[node.slot])
                 bound = bound.astype(np.float64)
             else:
                 bound = np.where(bound < 1, 0.0, np.inf)
@@ -264,11 +302,11 @@ def answer_bound(plan: QueryPlan, anchors: np.ndarray, relations: np.ndarray,
 
 
 class WalkBatch(NamedTuple):
-    """The bindings of ``WALK_BATCH`` inverse walks, one entry per attempt."""
+    """The bindings of a round of inverse walks, one column per attempt."""
 
-    anchors: list[list[int]]
-    relations: list[list[int]]
-    alive: list[bool]  # False where the walk died or its answer set is provably empty
+    anchors: np.ndarray  # (anchor slots, columns) int64
+    relations: np.ndarray  # (relation slots, columns) int64
+    alive: np.ndarray  # bool; False where the walk died or its answer set is provably empty
 
 
 def _walk_batch(plan: QueryPlan, index: AdjacencyIndex, draws: np.ndarray) -> WalkBatch:
@@ -316,25 +354,55 @@ def _walk_batch(plan: QueryPlan, index: AdjacencyIndex, draws: np.ndarray) -> Wa
         else:  # Conjoin or Disjoin
             queue.extend((i, entity) for i in node.inputs)
     alive &= answer_bound(plan, anchors, relations, index) >= 1
-    return WalkBatch(anchors.T.tolist(), relations.T.tolist(), alive.tolist())
+    return WalkBatch(anchors, relations, alive)
 
 
-def _walk_instance(batch: WalkBatch, i: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Attempt ``i``'s (anchors, relations) bindings from its batch, or None
-    where its walk died. Called once per attempt."""
-    if not batch.alive[i]:
+Answers = tuple[tuple[int, ...], tuple[int, ...]]  # a query's (easy, hard) answers
+
+
+def _keepable(plan: QueryPlan, batch: WalkBatch, walk_index: AdjacencyIndex,
+              easy_index: AdjacencyIndex) -> dict[int, Answers]:
+    """The easy and hard answers of every live column of ``batch`` that
+    ``sample_queries``' rule keeps, by column: one ``eval_plan`` call on
+    ``walk_index`` for the live columns and, where the indexes hold
+    different splits, one on ``easy_index`` for those with answers."""
+    n = walk_index.num_entities
+    live = np.flatnonzero(batch.alive)
+    answers = eval_plan(plan, batch.anchors[:, live], batch.relations[:, live], walk_index)
+    if walk_index.splits == easy_index.splits:
+        easy = np.ones(len(answers), dtype=bool)
+        needed = answers  # a query needs an answer
+    else:
+        found = np.flatnonzero(np.bincount(answers // n, minlength=len(live)))
+        held = eval_plan(plan, batch.anchors[:, live[found]], batch.relations[:, live[found]],
+                         easy_index)  # keyed by position in ``found``, ascending like it
+        # a negation query can lose on walk_index an answer that easy_index
+        # gives; keep easy inside the answers so easy + hard partitions them
+        easy = _member(answers, found[held // n] * n + held % n)
+        needed = answers[~easy]  # a query needs a hard answer
+    keep = np.bincount(needed // n, minlength=len(live)) > 0
+    return dict(zip(live[keep].tolist(), zip(_columns(answers[easy], keep, n),
+                                             _columns(answers[~easy], keep, n))))
+
+
+def _columns(keys: np.ndarray, keep: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The entities of the sorted ``column * n + entity`` ``keys`` of each
+    column where ``keep`` holds, ascending."""
+    columns = keys // n
+    chosen = keep[columns]
+    entities = (keys[chosen] % n).tolist()
+    ends = np.cumsum(np.bincount(columns[chosen], minlength=len(keep))[keep]).tolist()
+    return [tuple(entities[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+def _walk_instance(batch: WalkBatch, kept: dict[int, Answers],
+                   i: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Attempt ``i``'s (anchors, relations) bindings from its round, or None
+    unless the sampler's rule keeps its answers (``kept``). Called once per
+    attempt."""
+    if i not in kept:
         return None
-    return tuple(batch.anchors[i]), tuple(batch.relations[i])
-
-
-def _walks(plan: QueryPlan, index: AdjacencyIndex, rng: np.random.Generator):
-    """Each attempt's bindings (or None), in order, ``WALK_BATCH`` walks at a
-    time: one ``(1 + Relate nodes, WALK_BATCH)`` uniform draw per batch."""
-    rows = 1 + sum(isinstance(node, Relate) for node in plan.nodes)
-    while True:
-        batch = _walk_batch(plan, index, rng.random((rows, WALK_BATCH)))
-        for i in range(WALK_BATCH):
-            yield _walk_instance(batch, i)
+    return tuple(batch.anchors[:, i].tolist()), tuple(batch.relations[:, i].tolist())
 
 
 class QuerySamples(list):
@@ -365,44 +433,51 @@ def sample_queries(
     3. its hard answers are the rest;
     4. where the splits differ, a query without a hard answer is dropped.
 
-    Walks are drawn ``WALK_BATCH`` at a time from a generator seeded with
-    ``[seed, structure index]`` and taken one attempt at a time, in order:
-    an attempt is dropped if its walk died (or ``answer_bound`` proves its
-    answers on ``walk_index`` empty), its bindings were seen before or the
-    rule drops it. Sampling stops at ``count`` queries or after
-    ``RETRY_FACTOR * count`` attempts; walks drawn past that point are not
-    attempts. The draws do not depend on ``count``, so a request that gets
-    all of its k queries returns the first k of any larger request.
+    Walks come from a generator seeded with ``[seed, structure index]``,
+    ``WALK_BATCH`` attempts per ``(1 + Relate nodes, WALK_BATCH)`` uniform
+    draw. They are taken in rounds of 1, 2, 4, ... such batches, at most
+    ``ROUND_BATCHES``, so a round's arrays stay small whatever ``count``;
+    a round is drawn as one ``(batches, rows, WALK_BATCH)`` block, which is
+    the same stream. A
+    round is walked by one ``_walk_batch`` call and answered by one
+    ``eval_plan`` call per index (``_keepable``); then its attempts are
+    taken one at a time, in order: an attempt is dropped if its walk died
+    (or ``answer_bound`` proves its answers on ``walk_index`` empty), the
+    rule drops it or its bindings were seen before. Sampling stops at
+    ``count`` queries or after ``RETRY_FACTOR * count`` attempts; walks
+    drawn past that point are not attempts. The draws do not depend on
+    ``count``, so a request that gets all of its k queries returns the
+    first k of any larger request.
     """
     if count < 1:
         raise DataError("count must be at least 1")
     plan = algebra.structure_plan(structure)
-    holds_out = walk_index.splits != easy_index.splits
     if not len(walk_index.tails):
         raise DataError("graph subset has no edges to walk")
 
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
+    rows = 1 + sum(isinstance(node, Relate) for node in plan.nodes)
+    budget = RETRY_FACTOR * count
     samples: list[QuerySample] = []
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    walks = _walks(plan, walk_index, rng)
     attempts = 0
-    while len(samples) < count and attempts < RETRY_FACTOR * count:
-        attempts += 1
-        bindings = next(walks)
-        if bindings is None or bindings in seen:
-            continue
-        answers = eval_plan(plan, *bindings, walk_index)
-        if not answers:
-            continue
-        # a negation query can lose on walk_index an answer that easy_index
-        # gives; keep easy inside the answers so easy + hard partitions them
-        easy = eval_plan(plan, *bindings, easy_index) & answers if holds_out else answers
-        hard = answers - easy
-        if holds_out and not hard:
-            continue
-        seen.add(bindings)
-        samples.append(QuerySample(QueryInstance(structure, *bindings),
-                                   tuple(sorted(easy)), tuple(sorted(hard))))
+    batches = 1
+    while len(samples) < count and attempts < budget:
+        batches = min(batches, -(-(budget - attempts) // WALK_BATCH))
+        draws = rng.random((batches, rows, WALK_BATCH)).transpose(1, 0, 2).reshape(rows, -1)
+        batch = _walk_batch(plan, walk_index, draws)
+        kept = _keepable(plan, batch, walk_index, easy_index)
+        taken = min(draws.shape[1], budget - attempts)
+        for i in range(taken):
+            bindings = _walk_instance(batch, kept, i)
+            if bindings is not None and bindings not in seen:
+                seen.add(bindings)
+                samples.append(QuerySample(QueryInstance(structure, *bindings), *kept[i]))
+                if len(samples) == count:
+                    taken = i + 1
+                    break
+        attempts += taken
+        batches = min(2 * batches, ROUND_BATCHES)
     if len(samples) < count:
         log.warning(
             "sampled only %d/%d %s queries after %d attempts",

@@ -54,6 +54,31 @@ def random_instance(structure: str, rng: np.random.Generator,
     )
 
 
+def binding_arrays(plan, bindings) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors and relations arrays of ``oracle.eval_plan``, one column per
+    (anchors, relations) pair of ``bindings``."""
+    if not bindings:
+        return tuple(np.zeros((1 + max(n.slot for n in plan.nodes if isinstance(n, kind)), 0),
+                              dtype=np.int64) for kind in (algebra.Anchor, algebra.Relate))
+    return tuple(np.array(ids, dtype=np.int64).T for ids in zip(*bindings))
+
+
+def oracle_columns(plan, bindings, index) -> list[set[int]]:
+    """``oracle.eval_plan`` on one column per (anchors, relations) pair of
+    ``bindings``, split back into one answer set per column."""
+    keys = oracle.eval_plan(plan, *binding_arrays(plan, bindings), index)
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()  # ascending, distinct
+    sets: list[set[int]] = [set() for _ in bindings]
+    for key in keys.tolist():
+        sets[key // index.num_entities].add(key % index.num_entities)
+    return sets
+
+
+def oracle_answers(plan, anchors, relations, index) -> set[int]:
+    """``oracle.eval_plan`` on one column: the answer set of one instance's bindings."""
+    return oracle_columns(plan, [(anchors, relations)], index)[0]
+
+
 def composed_realize(ctx, pre):
     """Reference for ``ForwardContext.realize`` built from composed tape ops:
     sigmoid, then lower = s1 and upper = s1 + s2 (1 - s1) in bounds mode."""
@@ -289,19 +314,37 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
     return tasks
 
 
-# --- the sampler as it was before it walked the plan --------------------------
+# --- the set oracle and the sampler as they were before numpy -----------------
 # Kept verbatim, apart from names, counters and the source of its random
 # numbers, as the independent reference for the plan walk of
-# ``oracle._walk_batch``, the one-pass ``oracle.eval_plan`` and the walk table
-# on ``kg.AdjacencyIndex``: it walks the template's atoms, not the plan, in an
-# order worked out again on every attempt, each attempt walks alone over a
-# dict table rebuilt for every structure, and plans are evaluated by
-# recursion with a cache. Its random numbers are the sampler's: one (rows,
-# ``WALK_BATCH``) uniform matrix per ``WALK_BATCH`` attempts, column i for
-# attempt i, each choice among n options taking ``int(u * n)`` of the next
-# number in its column.
+# ``oracle._walk_batch``, the batched ``oracle.eval_plan`` and the CSR tables
+# on ``kg.AdjacencyIndex``: it reads the triples through its own dict of
+# (head, relation) -> tails (``reference_forward``), walks the template's
+# atoms, not the plan, in an order worked out again on every attempt, each
+# attempt walks and is answered alone, and plans are evaluated per instance
+# by recursion over Python sets with a cache. Its random numbers are the
+# sampler's: one (rows, ``WALK_BATCH``) uniform matrix per ``WALK_BATCH``
+# attempts, column i for attempt i, each choice among n options taking
+# ``int(u * n)`` of the next number in its column.
 
-def reference_eval_node(plan, node_id: int, anchors, relations, index,
+def reference_forward(graph, splits=kg.SPLITS) -> dict[tuple[int, int], tuple[int, ...]]:
+    """(head, relation) -> ascending tails of the edges in ``splits``."""
+    forward: dict[tuple[int, int], list[int]] = {}
+    for (h, r, t), split in sorted(graph.triples.items()):
+        if split in splits:
+            forward.setdefault((h, r), []).append(t)
+    return {pair: tuple(tails) for pair, tails in forward.items()}
+
+
+def reference_follow(relation: int, inputs, forward) -> set[int]:
+    """Union of tails over all input entities: the maximal Skolem assignment."""
+    out: set[int] = set()
+    for head in inputs:
+        out.update(forward.get((head, relation), ()))
+    return out
+
+
+def reference_eval_node(plan, node_id: int, anchors, relations, forward,
                         cache: dict[int, set[int]]) -> set[int]:
     """Evaluate one node's set; a conjunction subtracts the sets of the inputs
     it flags as negated."""
@@ -311,8 +354,8 @@ def reference_eval_node(plan, node_id: int, anchors, relations, index,
     if isinstance(node, algebra.Anchor):
         result = {anchors[node.slot]}
     elif isinstance(node, algebra.Relate):
-        base = reference_eval_node(plan, node.input, anchors, relations, index, cache)
-        result = oracle.follow(relations[node.slot], base, index)
+        base = reference_eval_node(plan, node.input, anchors, relations, forward, cache)
+        result = reference_follow(relations[node.slot], base, forward)
     elif isinstance(node, algebra.Conjoin):
         result = None
         negated = []
@@ -320,27 +363,28 @@ def reference_eval_node(plan, node_id: int, anchors, relations, index,
             if i in node.negated:
                 negated.append(i)
                 continue
-            part = reference_eval_node(plan, i, anchors, relations, index, cache)
+            part = reference_eval_node(plan, i, anchors, relations, forward, cache)
             result = set(part) if result is None else result & part
         for i in negated:
-            result -= reference_eval_node(plan, i, anchors, relations, index, cache)
+            result -= reference_eval_node(plan, i, anchors, relations, forward, cache)
     elif isinstance(node, algebra.Disjoin):
         result = set()
         for i in node.inputs:
-            result |= reference_eval_node(plan, i, anchors, relations, index, cache)
+            result |= reference_eval_node(plan, i, anchors, relations, forward, cache)
     else:
         raise DataError(f"unevaluable plan node {type(node).__name__}")
     cache[node_id] = result
     return result
 
 
-def reference_eval_plan(plan, anchors, relations, index) -> set[int]:
-    return reference_eval_node(plan, len(plan.nodes) - 1, anchors, relations, index, {})
+def reference_eval_plan(plan, anchors, relations, forward) -> set[int]:
+    """The answer set of one instance's bindings over ``reference_forward``'s dict."""
+    return reference_eval_node(plan, len(plan.nodes) - 1, anchors, relations, forward, {})
 
 
-def reference_incoming_table(index) -> dict[int, list[tuple[int, int]]]:
+def reference_incoming_table(forward) -> dict[int, list[tuple[int, int]]]:
     incoming: dict[int, list[tuple[int, int]]] = {}
-    for (h, r), tails in sorted(index.forward.items()):
+    for (h, r), tails in sorted(forward.items()):
         for t in tails:
             incoming.setdefault(t, []).append((h, r))
     return incoming
@@ -401,15 +445,15 @@ REFERENCE_MODES = {
 
 
 def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
-                             answer_index, easy_index) -> tuple[list, int, int]:
+                             answer_forward, easy_forward) -> tuple[list, int, int]:
     """The samples of ``oracle.sample_queries`` in ``mode``, walking and
-    answering on ``answer_index`` and taking easy answers from ``easy_index``
-    (the indexes of the mode's two split sets), with the number of walk
-    attempts and of plan evaluations it took."""
+    answering on ``answer_forward`` and taking easy answers from
+    ``easy_forward`` (the ``reference_forward`` dicts of the mode's two split
+    sets), with the number of walk attempts and of plan evaluations it took."""
     template = algebra.TEMPLATES[structure]
     plan = algebra.structure_plan(structure)
     holds_out = REFERENCE_MODES[mode][0] != REFERENCE_MODES[mode][1]
-    incoming = reference_incoming_table(answer_index)
+    incoming = reference_incoming_table(answer_forward)
     tails = sorted(incoming)
     rng = np.random.default_rng([seed, algebra.STRUCTURE_NAMES.index(structure)])
     uniforms = reference_uniforms(rng, 1 + len(template.atoms))
@@ -425,12 +469,12 @@ def reference_sample_queries(structure: str, count: int, seed: int, mode: str,
             continue
         bindings = instance.anchors, instance.relations
         evals += 1
-        full = reference_eval_plan(plan, *bindings, answer_index)
+        full = reference_eval_plan(plan, *bindings, answer_forward)
         if not full:
             continue
         if holds_out:
             evals += 1
-            easy = reference_eval_plan(plan, *bindings, easy_index) & full
+            easy = reference_eval_plan(plan, *bindings, easy_forward) & full
         else:
             easy = full
         hard = full - easy
@@ -445,7 +489,8 @@ def reference_sample_dataset(graph, structures, per_structure: int, seed: int, m
                              negation_frac: float = 1.0) -> tuple[oracle.QueryDataset, dict, dict]:
     """``oracle.sample_dataset`` through the reference sampler, with the walk
     attempts and plan evaluations per structure."""
-    answer_index, easy_index = (kg.build_index(graph, splits) for splits in REFERENCE_MODES[mode])
+    answer_forward, easy_forward = (reference_forward(graph, splits)
+                                    for splits in REFERENCE_MODES[mode])
     samples: list[oracle.QuerySample] = []
     counts, attempts, evals = {}, {}, {}
     for structure in structures:
@@ -453,7 +498,7 @@ def reference_sample_dataset(graph, structures, per_structure: int, seed: int, m
         if structure in algebra.NEGATION_STRUCTURES:
             count = max(1, int(round(per_structure * negation_frac)))
         got, attempts[structure], evals[structure] = reference_sample_queries(
-            structure, count, seed, mode, answer_index, easy_index)
+            structure, count, seed, mode, answer_forward, easy_forward)
         counts[structure] = len(got)
         samples.extend(got)
     metadata = {"graph_hash": graph.content_hash(), "mode": mode, "seed": seed,

@@ -639,6 +639,24 @@ def test_gen_queries_bad_sampling_request_exits_with_data_error(files, extra, tm
     assert not out.exists()
 
 
+def test_gen_queries_without_a_query_exits_with_data_error(tmp_path, capsys):
+    # without valid or test edges no test query has a hard answer
+    assert cli.main(["gen-kg", "--entities", "30", "--relations", "3",
+                     "--out", str(tmp_path / "kg")]) == cli.EXIT_OK
+    for split in ("valid", "test"):
+        (tmp_path / "kg" / f"{split}.tsv").write_text("")
+    capsys.readouterr()
+    out = tmp_path / "q.jsonl"
+    code = cli.main(["gen-queries", "--kg", str(tmp_path / "kg"), "--mode", "test",
+                     "--per-structure", "3", "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"error: sampled no test query in {14 * 300:,} attempts over 14 structures; "
+        f"wrote no dataset"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_gen_queries_names_each_shortfall_with_its_attempts(files, tmp_path, capsys):
     # 30 entities and 3 relations hold fewer than 100 distinct 1p queries;
     # 2in asks for round(100 * 0.05) = 5 and gets them

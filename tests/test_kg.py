@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from skqe import kg
@@ -129,25 +130,34 @@ class TestGenerateSynthetic:
         assert small_graph.num_relations == 3
 
 
+def tails_of(index, head: int, relation: int) -> tuple[int, ...]:
+    """The row of ``index.out_table`` for (head, relation); empty without one."""
+    keys, offsets, tails = index.out_table
+    at = int(np.searchsorted(keys, head * index.num_relations + relation))
+    if keys[at] != head * index.num_relations + relation:
+        return ()
+    return tuple(tails[offsets[at]:offsets[at + 1]].tolist())
+
+
 class TestAdjacencyIndex:
     def test_train_only_index_hides_test_edge(self, toy_graph):
         train_index = kg.build_index(toy_graph, ("train",))
-        assert train_index.lookup(1, 1) == ()
+        assert tails_of(train_index, 1, 1) == ()
 
     def test_full_index_sees_test_edge(self, toy_graph):
         full_index = kg.build_index(toy_graph)
-        assert full_index.lookup(1, 1) == (3,)
+        assert tails_of(full_index, 1, 1) == (3,)
 
     def test_unknown_pair_gives_empty(self, toy_graph):
         full_index = kg.build_index(toy_graph)
-        assert full_index.lookup(3, 0) == ()
+        assert tails_of(full_index, 3, 0) == ()
 
     def test_index_matches_brute_force_scan(self, small_graph, small_index):
         triples = set(small_graph.triples)
         for h in range(small_graph.num_entities):
             for r in range(small_graph.num_relations):
                 expected = tuple(sorted(t for (hh, rr, t) in triples if hh == h and rr == r))
-                assert small_index.lookup(h, r) == expected
+                assert tails_of(small_index, h, r) == expected
 
     def test_lists_sorted_and_unique(self, small_graph):
         subsets = [c for n in (1, 2, 3) for c in itertools.combinations(kg.SPLITS, n)]
@@ -157,9 +167,20 @@ class TestAdjacencyIndex:
             for (h, r, t), split in small_graph.triples.items():
                 if split in splits:
                     want.setdefault((h, r), set()).add(t)
-            assert index.forward == {key: tuple(sorted(tails)) for key, tails in want.items()}
-            for tails in index.forward.values():
-                assert list(tails) == sorted(set(tails))
+            keys, offsets, tails = index.out_table
+            assert all(a.dtype == np.int64 for a in index.out_table)
+            # one row per pair with an edge, ascending, then the empty sentinel
+            assert keys.tolist() == sorted(h * 3 + r for h, r in want) + [np.iinfo(np.int64).max]
+            assert offsets[0] == 0 and offsets[-2] == offsets[-1] == len(tails)
+            got = {divmod(int(key), 3): tails_of(index, *divmod(int(key), 3)) for key in keys[:-1]}
+            assert got == {key: tuple(sorted(t)) for key, t in want.items()}
+            for row in got.values():
+                assert list(row) == sorted(set(row))
+
+    def test_index_without_edges_has_only_the_sentinel(self, toy_graph):
+        keys, offsets, tails = kg.build_index(toy_graph, ("valid",)).out_table
+        assert keys.tolist() == [np.iinfo(np.int64).max]
+        assert offsets.tolist() == [0, 0] and tails.tolist() == []
 
 
 def test_content_hash_changes_with_data(small_graph):
