@@ -1,20 +1,22 @@
-"""Knowledge graph storage: vocabularies, split-labelled triples, adjacency indexes."""
+"""Knowledge graph storage, fixed once built: vocabularies, sorted split-labelled
+triple arrays, and the adjacency indexes sliced from them."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DataError
 
 SPLITS = ("train", "valid", "test")
+HASH_ROWS = 1 << 14  # triples formatted per digest update, which bounds the hash's memory
 
 
 class Vocabulary:
@@ -56,32 +58,49 @@ class Vocabulary:
         return len(self._names)
 
 
-@dataclass(eq=False)
-class KnowledgeGraph:
-    """Entity/relation vocabularies plus a split-partitioned triple store.
+def _split_id(split: str) -> int:
+    if split not in SPLITS:
+        raise DataError(f"unknown split {split!r}")
+    return SPLITS.index(split)
 
-    ``triples`` maps (head-id, relation-id, tail-id) to its split label, so
-    the no-duplicate and split-partition invariants hold by construction.
-    Graphs compare by identity; ``content_hash`` compares their content.
+
+class KnowledgeGraph:
+    """Entity/relation vocabularies plus split-labelled triples, fixed once built.
+
+    ``rows`` maps split names to (head-id, relation-id, tail-id) rows; a row
+    repeated within a split collapses, one under two splits is a DataError
+    naming the split it came under first, and an id outside the vocabularies
+    a ValueError. ``triples`` holds the distinct rows, a read-only (E, 3)
+    int64 array in ascending (head, relation, tail) order, and ``split_ids``
+    their indexes into ``SPLITS`` (int8). Graphs compare by identity;
+    ``content_hash`` compares their content.
     """
 
-    entities: Vocabulary
-    relations: Vocabulary
-    triples: dict[tuple[int, int, int], str] = field(default_factory=dict)
-
-    def add_triple(self, head: int, relation: int, tail: int, split: str) -> None:
-        if split not in SPLITS:
-            raise DataError(f"unknown split {split!r}")
-        key = (head, relation, tail)
-        previous = self.triples.get(key)
-        if previous is not None:
-            if previous != split:
-                raise DataError(
-                    f"triple in multiple splits: {self.describe_triple(key)} "
-                    f"appears in both {previous!r} and {split!r}"
-                )
-            return
-        self.triples[key] = split
+    def __init__(self, entities: Vocabulary, relations: Vocabulary,
+                 rows: Mapping[str, ArrayLike] | None = None):
+        self.entities, self.relations = entities, relations
+        rows = rows or {}
+        ids = np.repeat(np.array([_split_id(split) for split in rows], dtype=np.int8),
+                        [len(split_rows) for split_rows in rows.values()])
+        triples = np.concatenate([np.empty((0, 3), np.int64)] + [
+            np.asarray(split_rows, dtype=np.int64).reshape(len(split_rows), 3)
+            for split_rows in rows.values()])
+        keys = np.ravel_multi_index(triples.T, (len(entities), len(relations), len(entities)))
+        order = np.argsort(keys, kind="stable")  # repeats stay in input order
+        keys, triples, ids = keys[order], triples[order], ids[order]
+        keep = np.diff(keys, prepend=-1) != 0
+        clash = np.flatnonzero(~keep & (np.diff(ids, prepend=0) != 0))
+        if len(clash):
+            at = clash[np.argmin(order[clash])]  # the first clash in input order
+            h, r, t = triples[at].tolist()
+            raise DataError(
+                f"triple in multiple splits: ({entities.name_of(h)}, {relations.name_of(r)}, "
+                f"{entities.name_of(t)}) appears in both {SPLITS[ids[at - 1]]!r} "
+                f"and {SPLITS[ids[at]]!r}"
+            )
+        self.triples, self.split_ids = triples[keep], ids[keep]
+        self.triples.flags.writeable = self.split_ids.flags.writeable = False
+        self._content_hash: str | None = None
 
     @property
     def num_entities(self) -> int:
@@ -91,33 +110,30 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    def split_triples(self, splits: tuple[str, ...] = SPLITS) -> list[tuple[int, int, int]]:
-        wanted = set(splits)
-        return sorted(t for t, s in self.triples.items() if s in wanted)
+    def split_triples(self, splits: tuple[str, ...] = SPLITS) -> np.ndarray:
+        """The rows under ``splits``, in (head, relation, tail) order."""
+        return self.triples[np.isin(self.split_ids, [_split_id(s) for s in splits])]
 
     def split_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in SPLITS}
-        for split in self.triples.values():
-            counts[split] += 1
-        return counts
-
-    def describe_triple(self, triple: tuple[int, int, int]) -> str:
-        h, r, t = triple
-        return f"({self.entities.name_of(h)}, {self.relations.name_of(r)}, {self.entities.name_of(t)})"
+        return dict(zip(SPLITS, np.bincount(self.split_ids, minlength=len(SPLITS)).tolist()))
 
     def content_hash(self) -> str:
-        """Stable digest of vocabularies and split-labelled triples."""
-        digest = hashlib.sha256()
-        digest.update(b"skqe-kg-v1\0")
-        for name in self.entities.names:
-            digest.update(name.encode("utf-8") + b"\0")
-        digest.update(b"\1")
-        for name in self.relations.names:
-            digest.update(name.encode("utf-8") + b"\0")
-        digest.update(b"\1")
-        for (h, r, t), split in sorted(self.triples.items()):
-            digest.update(f"{h},{r},{t},{split}\n".encode("ascii"))
-        return digest.hexdigest()
+        """Stable digest of vocabularies and split-labelled triples, computed
+        on the first call, ``HASH_ROWS`` rows at a time."""
+        if self._content_hash is None:
+            digest = hashlib.sha256(b"skqe-kg-v1\0")
+            for vocabulary in (self.entities, self.relations):
+                for name in vocabulary.names:
+                    digest.update(name.encode("utf-8") + b"\0")
+                digest.update(b"\1")
+            for start in range(0, len(self.triples), HASH_ROWS):
+                rows = slice(start, start + HASH_ROWS)
+                fields = np.column_stack((self.triples[rows].astype(object),
+                                          np.array(SPLITS, dtype=object)[self.split_ids[rows]]))
+                lines = ("%d,%d,%d,%s\n" * len(fields)) % tuple(fields.ravel().tolist())
+                digest.update(lines.encode("ascii"))
+            self._content_hash = digest.hexdigest()
+        return self._content_hash
 
 
 class WalkTable(NamedTuple):
@@ -146,25 +162,19 @@ class OutTable(NamedTuple):
 
 class AdjacencyIndex:
     """The edges of the triples whose split label is in ``splits`` (kept as a
-    frozenset), as int64 CSR arrays built with numpy and not changed
-    afterwards: ``out_table`` by (head, relation) pair, which the set oracle
-    follows, and ``walk_table`` by tail, which the sampler's inverse walks
-    follow. ``walk_table`` and ``tails`` are computed on first use and kept.
+    frozenset), as int64 CSR arrays sliced from the graph's sorted rows and
+    not changed afterwards: ``out_table`` by (head, relation) pair, which the
+    set oracle follows, and ``walk_table`` by tail, which the sampler's
+    inverse walks follow. ``walk_table`` and ``tails`` are computed on first
+    use and kept.
     """
 
     def __init__(self, graph: KnowledgeGraph, splits: tuple[str, ...]):
-        for s in splits:
-            if s not in SPLITS:
-                raise DataError(f"unknown split {s!r}")
+        heads, relations, tails = np.ascontiguousarray(graph.split_triples(splits).T)
         self.splits = frozenset(splits)
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
-        edges = [t for t, s in graph.triples.items() if s in self.splits]
-        heads, relations, tails = np.fromiter(
-            itertools.chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3).T
-        pairs = heads * self.num_relations + relations
-        order = np.lexsort((tails, pairs))
-        pairs, tails = pairs[order], tails[order]
+        pairs = heads * self.num_relations + relations  # ascending, tails ascending within
         starts = np.flatnonzero(np.diff(pairs, prepend=-1))
         self.out_table = OutTable(np.append(pairs[starts], np.iinfo(np.int64).max),
                                   np.append(starts, [len(pairs)] * 2), tails)
@@ -201,7 +211,9 @@ def build_index(graph: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> Adja
     return AdjacencyIndex(graph, splits)
 
 
-def _read_triple_file(path: Path, split: str, graph: KnowledgeGraph) -> None:
+def _read_triple_file(path: Path, entities: Vocabulary,
+                      relations: Vocabulary) -> list[tuple[int, int, int]]:
+    rows = []
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -215,24 +227,21 @@ def _read_triple_file(path: Path, split: str, graph: KnowledgeGraph) -> None:
             head, relation, tail = (f.strip() for f in fields)
             if not head or not relation or not tail:
                 raise DataError(f"{path}:{line_no}: empty field")
-            h = graph.entities.add(head)
-            r = graph.relations.add(relation)
-            t = graph.entities.add(tail)
-            graph.add_triple(h, r, t, split)
+            rows.append((entities.add(head), relations.add(relation), entities.add(tail)))
+    return rows
 
 
 def write_tsv(graph: KnowledgeGraph, out_dir: str | Path) -> dict[str, Path]:
     """Write ``train.tsv``/``valid.tsv``/``test.tsv`` with triples sorted by id."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    entity, relation = graph.entities.name_of, graph.relations.name_of
     paths = {}
     for split in SPLITS:
         path = out / f"{split}.tsv"
         with open(path, "w", encoding="utf-8") as handle:
-            for h, r, t in graph.split_triples((split,)):
-                handle.write(
-                    f"{graph.entities.name_of(h)}\t{graph.relations.name_of(r)}\t{graph.entities.name_of(t)}\n"
-                )
+            handle.writelines(f"{entity(h)}\t{relation(r)}\t{entity(t)}\n"
+                              for h, r, t in graph.split_triples((split,)).tolist())
         paths[split] = path
     return paths
 
@@ -242,19 +251,20 @@ def load_tsv_dir(kg_dir: str | Path) -> KnowledgeGraph:
     directory, one ``head<TAB>relation<TAB>tail`` per line.
 
     Ids follow first appearance (train file first): a ``write_tsv`` round trip
-    keeps names, splits and triples, not ids or ``content_hash``. Duplicate
-    lines within one file collapse; the same triple in two splits is an error.
+    keeps each triple's names and split, not ids, ``content_hash`` or the
+    isolated entities, which no triple names. Duplicate lines within one file
+    collapse; the same triple in two splits is an error. Every file is read
+    before the graph is built.
     """
-    graph = KnowledgeGraph(Vocabulary(), Vocabulary())
     paths = {split: Path(kg_dir) / f"{split}.tsv" for split in SPLITS}
     for path in paths.values():
         if not path.exists():
             raise DataError(f"missing triple file: {path}")
-    for split, path in paths.items():
-        _read_triple_file(path, split, graph)
-    if not graph.triples:
+    entities, relations = Vocabulary(), Vocabulary()
+    rows = {split: _read_triple_file(path, entities, relations) for split, path in paths.items()}
+    if not any(rows.values()):
         raise DataError("empty file set: no triples loaded")
-    return graph
+    return KnowledgeGraph(entities, relations, rows)
 
 
 def generate_synthetic(
@@ -268,9 +278,10 @@ def generate_synthetic(
     """Generate a random multi-relational graph with split-partitioned edges.
 
     Edge count is ``round(num_entities * avg_out_degree)`` distinct non-loop
-    triples; ``valid_frac``/``test_frac`` of them (rounded) go to the held-out
-    splits. Deterministic for a fixed seed. Raises DataError unless that
-    count is at least 1 and at most half the possible non-loop triples.
+    triples, drawn uniformly in rounds that keep their first new triples in
+    draw order; ``valid_frac``/``test_frac`` of them (rounded) go to the
+    held-out splits. Deterministic for a fixed seed. Raises DataError unless
+    that count is at least 1 and at most half the possible non-loop triples.
     """
     if seed < 0:
         raise DataError(f"seed must be non-negative, got {seed}")
@@ -287,38 +298,27 @@ def generate_synthetic(
         raise DataError(f"cannot place {wanted:.3g} distinct edges in this graph size")
 
     rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int, int]] = set()
-    while len(chosen) < num_edges:
-        need = num_edges - len(chosen)
+    size = (num_entities, num_relations, num_entities)
+    keys = np.empty(0, dtype=np.int64)  # np.ravel_multi_index of (head, relation, tail)
+    while len(keys) < num_edges:
+        need = num_edges - len(keys)
         heads = rng.integers(0, num_entities, size=2 * need)
         rels = rng.integers(0, num_relations, size=2 * need)
         tails = rng.integers(0, num_entities, size=2 * need)
-        for h, r, t in zip(heads, rels, tails):
-            if h == t:
-                continue
-            chosen.add((int(h), int(r), int(t)))
-            if len(chosen) == num_edges:
-                break
+        drawn = np.ravel_multi_index((heads, rels, tails), size)[heads != tails]
+        distinct, first = np.unique(drawn, return_index=True)
+        first = np.sort(first[~np.isin(distinct, keys)])[:need]
+        keys = np.append(keys, drawn[first])
 
-    edges = sorted(chosen)
+    edges = np.stack(np.unravel_index(np.sort(keys), size), axis=1)
     order = rng.permutation(num_edges)
     n_test = int(round(test_frac * num_edges))
     n_valid = int(round(valid_frac * num_edges))
-    n_train = num_edges - n_test - n_valid
-    if n_train < 1:
+    if n_test + n_valid >= num_edges:
         raise DataError("split fractions leave no training edges")
-
-    graph = KnowledgeGraph(
+    test, valid, train = np.split(order, [n_test, n_test + n_valid])
+    return KnowledgeGraph(
         Vocabulary([f"e{i}" for i in range(num_entities)]),
         Vocabulary([f"r{i}" for i in range(num_relations)]),
+        {"train": edges[train], "valid": edges[valid], "test": edges[test]},
     )
-    for pos, edge_idx in enumerate(order):
-        h, r, t = edges[edge_idx]
-        if pos < n_test:
-            split = "test"
-        elif pos < n_test + n_valid:
-            split = "valid"
-        else:
-            split = "train"
-        graph.add_triple(h, r, t, split)
-    return graph

@@ -165,8 +165,7 @@ def exhaustive_eval(instance: QueryInstance, graph: KnowledgeGraph,
             f"graph too large for exhaustive evaluation: "
             f"{n_vals}^{len(template.bound_vars) + 1} assignments exceed {EXHAUSTIVE_GUARD}"
         )
-    wanted = set(splits)
-    triples = {t for t, s in graph.triples.items() if s in wanted}
+    triples = set(map(tuple, graph.split_triples(splits).tolist()))
     anchor_of = {
         term: instance.anchors[i]
         for i, term in enumerate(algebra.ANCHOR_TERMS[: template.num_anchors])

@@ -15,14 +15,11 @@ UNION_STRUCTURES = tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs)
 @pytest.fixture(scope="session")
 def toy_graph():
     """4 entities, 2 relations: a -r-> b, a -r-> c (train), b -q-> d (test)."""
-    graph = kg.KnowledgeGraph(
+    return kg.KnowledgeGraph(
         kg.Vocabulary(["a", "b", "c", "d"]),
         kg.Vocabulary(["r", "q"]),
+        {"train": [(0, 0, 1), (0, 0, 2)], "test": [(1, 1, 3)]},
     )
-    graph.add_triple(0, 0, 1, "train")
-    graph.add_triple(0, 0, 2, "train")
-    graph.add_triple(1, 1, 3, "test")
-    return graph
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +39,69 @@ def placeholder_graph():
         kg.Vocabulary(["a", "b", "c"]),
         kg.Vocabulary(["p", "q", "r"]),
     )
+
+
+# The per-triple graph generator and content hash that ``kg.generate_synthetic``
+# and ``kg.KnowledgeGraph.content_hash`` replace with numpy: triples go into a
+# Python set one draw at a time and come out as a dict of triple -> split.
+
+def reference_generate_synthetic(num_entities: int, num_relations: int, avg_out_degree: float,
+                                 valid_frac: float, test_frac: float,
+                                 seed: int) -> dict[tuple[int, int, int], str]:
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
+    if num_entities < 2 or num_relations < 1:
+        raise DataError("need at least 2 entities and 1 relation")
+    if not (0 < valid_frac < 1 and 0 < test_frac < 1 and valid_frac + test_frac < 1):
+        raise DataError("split fractions must lie in (0,1) and sum below 1")
+    if not (math.isfinite(avg_out_degree) and avg_out_degree > 0):
+        raise DataError(f"average out-degree must be finite and positive, got {avg_out_degree}")
+    wanted = num_entities * avg_out_degree
+    capacity = num_entities * num_relations * (num_entities - 1) // 2
+    num_edges = int(round(wanted)) if wanted < capacity + 1 else None
+    if num_edges is None or not 1 <= num_edges <= capacity:
+        raise DataError(f"cannot place {wanted:.3g} distinct edges in this graph size")
+
+    rng = np.random.default_rng(seed)
+    chosen: set[tuple[int, int, int]] = set()
+    while len(chosen) < num_edges:
+        need = num_edges - len(chosen)
+        heads = rng.integers(0, num_entities, size=2 * need)
+        rels = rng.integers(0, num_relations, size=2 * need)
+        tails = rng.integers(0, num_entities, size=2 * need)
+        for h, r, t in zip(heads, rels, tails):
+            if h == t:
+                continue
+            chosen.add((int(h), int(r), int(t)))
+            if len(chosen) == num_edges:
+                break
+
+    edges = sorted(chosen)
+    order = rng.permutation(num_edges)
+    n_test = int(round(test_frac * num_edges))
+    n_valid = int(round(valid_frac * num_edges))
+    if num_edges - n_test - n_valid < 1:
+        raise DataError("split fractions leave no training edges")
+    triples = {}
+    for pos, edge_idx in enumerate(order):
+        triples[edges[edge_idx]] = ("test" if pos < n_test else
+                                    "valid" if pos < n_test + n_valid else "train")
+    return triples
+
+
+def reference_content_hash(entity_names, relation_names, triples) -> str:
+    """The digest of ``KnowledgeGraph.content_hash``, from a triple -> split dict."""
+    digest = hashlib.sha256()
+    digest.update(b"skqe-kg-v1\0")
+    for name in entity_names:
+        digest.update(name.encode("utf-8") + b"\0")
+    digest.update(b"\1")
+    for name in relation_names:
+        digest.update(name.encode("utf-8") + b"\0")
+    digest.update(b"\1")
+    for (h, r, t), split in sorted(triples.items()):
+        digest.update(f"{h},{r},{t},{split}\n".encode("ascii"))
+    return digest.hexdigest()
 
 
 def random_instance(structure: str, rng: np.random.Generator,
@@ -330,8 +390,8 @@ def reference_build_tasks(groups, per_structure, config, num_entities, rng) -> l
 def reference_forward(graph, splits=kg.SPLITS) -> dict[tuple[int, int], tuple[int, ...]]:
     """(head, relation) -> ascending tails of the edges in ``splits``."""
     forward: dict[tuple[int, int], list[int]] = {}
-    for (h, r, t), split in sorted(graph.triples.items()):
-        if split in splits:
+    for (h, r, t), split in sorted(zip(graph.triples.tolist(), graph.split_ids.tolist())):
+        if kg.SPLITS[split] in splits:
             forward.setdefault((h, r), []).append(t)
     return {pair: tuple(tails) for pair, tails in forward.items()}
 

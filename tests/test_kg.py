@@ -3,13 +3,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skqe import kg
+from conftest import reference_content_hash, reference_generate_synthetic
+from skqe import kg, oracle
 from skqe.errors import DataError
 
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def labelled_triples(graph) -> dict[tuple[int, int, int], str]:
+    """Each triple of ``graph`` -> the name of its split."""
+    return {tuple(row): kg.SPLITS[split]
+            for row, split in zip(graph.triples.tolist(), graph.split_ids.tolist())}
 
 
 class TestLoadTsv:
@@ -33,7 +41,8 @@ class TestLoadTsv:
         write_lines(tmp_path / "train.tsv", ["a\tr\tb"])
         write_lines(tmp_path / "valid.tsv", [])
         write_lines(tmp_path / "test.tsv", ["a\tr\tb"])
-        with pytest.raises(DataError, match="multiple splits"):
+        with pytest.raises(DataError, match=r"^triple in multiple splits: \(a, r, b\) "
+                                            r"appears in both 'train' and 'test'$"):
             kg.load_tsv_dir(tmp_path)
 
     def test_duplicate_within_file_collapses(self, tmp_path):
@@ -77,12 +86,12 @@ class TestRoundTrip:
         original = {
             (small_graph.entities.name_of(h), small_graph.relations.name_of(r),
              small_graph.entities.name_of(t), s)
-            for (h, r, t), s in small_graph.triples.items()
+            for (h, r, t), s in labelled_triples(small_graph).items()
         }
         loaded = {
             (reloaded.entities.name_of(h), reloaded.relations.name_of(r),
              reloaded.entities.name_of(t), s)
-            for (h, r, t), s in reloaded.triples.items()
+            for (h, r, t), s in labelled_triples(reloaded).items()
         }
         assert original == loaded
 
@@ -98,7 +107,7 @@ class TestGenerateSynthetic:
     def test_deterministic_for_seed(self, tmp_path):
         g1 = kg.generate_synthetic(200, 5, 4.0, 0.1, 0.1, seed=7)
         g2 = kg.generate_synthetic(200, 5, 4.0, 0.1, 0.1, seed=7)
-        assert g1.triples == g2.triples
+        assert labelled_triples(g1) == labelled_triples(g2)
         kg.write_tsv(g1, tmp_path / "g1")
         kg.write_tsv(g2, tmp_path / "g2")
         for split in kg.SPLITS:
@@ -153,7 +162,7 @@ class TestAdjacencyIndex:
         assert tails_of(full_index, 3, 0) == ()
 
     def test_index_matches_brute_force_scan(self, small_graph, small_index):
-        triples = set(small_graph.triples)
+        triples = set(labelled_triples(small_graph))
         for h in range(small_graph.num_entities):
             for r in range(small_graph.num_relations):
                 expected = tuple(sorted(t for (hh, rr, t) in triples if hh == h and rr == r))
@@ -164,7 +173,7 @@ class TestAdjacencyIndex:
         for splits in subsets:
             index = kg.build_index(small_graph, splits)
             want: dict[tuple[int, int], set[int]] = {}
-            for (h, r, t), split in small_graph.triples.items():
+            for (h, r, t), split in labelled_triples(small_graph).items():
                 if split in splits:
                     want.setdefault((h, r), set()).add(t)
             keys, offsets, tails = index.out_table
@@ -187,3 +196,103 @@ def test_content_hash_changes_with_data(small_graph):
     other = kg.generate_synthetic(50, 3, 2.0, 0.1, 0.1, seed=2)
     assert small_graph.content_hash() != other.content_hash()
     assert small_graph.content_hash() == small_graph.content_hash()
+
+
+class TestGraphIdentity:
+    """Graph content pinned by hash, and the numpy generator against the
+    per-triple reference in ``conftest``."""
+
+    def test_benchmark_graph_hash(self):
+        graph = kg.generate_synthetic(2000, 20, 4.0, 0.1, 0.1, 0)
+        assert graph.content_hash() == \
+            "96dd73922d285b08f13ddc3037a1e28173ace5ce435e2dd6b2af9076ec5c6566"
+
+    def test_small_graph_hash(self, small_graph):
+        assert small_graph.content_hash() == \
+            "1fa809454eff83d9dd0efa628c8973d26a44bda2b5460276ae4ee6770f0ee8a9"
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(num_entities=st.integers(2, 30), num_relations=st.integers(1, 4),
+           fill=st.floats(0.01, 1.02), valid_frac=st.floats(0.01, 0.45),
+           test_frac=st.floats(0.01, 0.45), seed=st.integers(0, 2**16))
+    def test_generator_matches_the_per_triple_reference(
+            self, num_entities, num_relations, fill, valid_frac, test_frac, seed):
+        # ``fill`` is the share of the capacity asked for: near 1 the draws
+        # take several rounds and repeat most keys, past 1 both refuse
+        capacity = num_entities * num_relations * (num_entities - 1) // 2
+        degree = fill * capacity / num_entities
+        args = (num_entities, num_relations, degree, valid_frac, test_frac, seed)
+        try:
+            want = reference_generate_synthetic(*args)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                kg.generate_synthetic(*args)
+            return
+        graph = kg.generate_synthetic(*args)
+        assert graph.triples.tolist() == [list(t) for t in sorted(want)]
+        assert labelled_triples(graph) == want
+        assert graph.content_hash() == reference_content_hash(
+            graph.entities.names, graph.relations.names, want)
+
+    def test_graph_is_hashed_once(self, tmp_path, monkeypatch):
+        graph = kg.generate_synthetic(50, 3, 2.0, 0.1, 0.1, seed=1)
+        calls = []
+        sha256 = kg.hashlib.sha256
+        monkeypatch.setattr(kg.hashlib, "sha256", lambda *data: calls.append(1) or sha256(*data))
+        first = oracle.sample_dataset(graph, ("1p",), 5, 1, "train")
+        oracle.sample_dataset(graph, ("2p",), 5, 2, "train")
+        oracle.write_dataset(first, graph, tmp_path / "queries.jsonl")
+        oracle.read_dataset(tmp_path / "queries.jsonl", graph)
+        assert len(calls) == 1
+
+
+class TestConstructor:
+    VOCABULARIES = (["a", "b", "c"], ["r", "q"])
+
+    def build(self, rows):
+        return kg.KnowledgeGraph(*map(kg.Vocabulary, self.VOCABULARIES), rows)
+
+    def test_rows_sorted_with_their_splits(self):
+        graph = self.build({"train": [(2, 0, 1), (0, 1, 2)], "test": [(0, 0, 1)]})
+        assert graph.triples.tolist() == [[0, 0, 1], [0, 1, 2], [2, 0, 1]]
+        assert graph.triples.dtype == np.int64
+        assert [kg.SPLITS[i] for i in graph.split_ids] == ["test", "train", "train"]
+        assert graph.split_counts() == {"train": 2, "valid": 0, "test": 1}
+        with pytest.raises(ValueError, match="read-only"):
+            graph.triples[0, 0] = 1
+
+    @pytest.mark.parametrize("first,second", [("train", "test"), ("test", "valid")])
+    def test_cross_split_clash_names_the_earlier_split_first(self, first, second):
+        with pytest.raises(DataError, match=rf"^triple in multiple splits: \(b, q, c\) "
+                                            rf"appears in both '{first}' and '{second}'$"):
+            self.build({first: [(0, 0, 1), (1, 1, 2)], second: [(1, 1, 2)]})
+
+    def test_unknown_split_rejected(self):
+        with pytest.raises(DataError, match="unknown split 'dev'"):
+            self.build({"train": [(0, 0, 1)], "dev": [(1, 0, 2)]})
+
+    @pytest.mark.parametrize("row", [(3, 0, 1), (0, 2, 1), (0, 0, -1)])
+    def test_ids_outside_the_vocabularies_rejected(self, row):
+        with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+            self.build({"train": [(0, 0, 1), row]})
+
+    def test_key_overflow_rejected(self):
+        class Sized:
+            def __len__(self):
+                return 2**31
+
+        with pytest.raises(ValueError, match="invalid dims"):
+            kg.KnowledgeGraph(Sized(), Sized())
+
+    def test_row_repeated_within_a_split_collapses(self):
+        graph = self.build({"valid": [(0, 0, 1), (0, 0, 1), (1, 1, 2)]})
+        assert graph.triples.tolist() == [[0, 0, 1], [1, 1, 2]]
+        assert graph.split_counts() == {"train": 0, "valid": 2, "test": 0}
+
+    def test_vocabulary_only_graph_builds(self, placeholder_graph):
+        assert placeholder_graph.triples.shape == (0, 3)
+        assert placeholder_graph.split_counts() == {"train": 0, "valid": 0, "test": 0}
+        assert placeholder_graph.content_hash() == reference_content_hash(
+            ["a", "b", "c"], ["p", "q", "r"], {})
+        keys, offsets, tails = kg.build_index(placeholder_graph).out_table
+        assert keys.tolist() == [np.iinfo(np.int64).max] and tails.tolist() == []

@@ -56,19 +56,16 @@ class TestEvalPlan:
         graph = kg.KnowledgeGraph(
             kg.Vocabulary(["award1", "award2", "x", "y"]),
             kg.Vocabulary(["won_by"]),
+            {"train": [(0, 0, 2), (0, 0, 3), (1, 0, 3)]},
         )
-        graph.add_triple(0, 0, 2, "train")
-        graph.add_triple(0, 0, 3, "train")
-        graph.add_triple(1, 0, 3, "train")
         assert answers(QueryInstance("2in", (0, 1), (0, 0)), kg.build_index(graph)) == {2}
 
     def test_union_of_disjoint_answers(self):
         graph = kg.KnowledgeGraph(
             kg.Vocabulary(["a", "b", "c", "d"]),
             kg.Vocabulary(["r", "q"]),
+            {"train": [(0, 0, 1), (2, 1, 3)]},
         )
-        graph.add_triple(0, 0, 1, "train")
-        graph.add_triple(2, 1, 3, "train")
         assert answers(QueryInstance("2u", (0, 2), (0, 1)), kg.build_index(graph)) == {1, 3}
 
 
@@ -259,9 +256,8 @@ class TestBatchedWalks:
         """b -r-> a, with ``a`` the last entity id: every 2p walk ends at ``b``,
         which has no incoming edge, so every 2p attempt dies at its second
         step, at an offset equal to the table's length."""
-        graph = kg.KnowledgeGraph(kg.Vocabulary(["a", "b"]), kg.Vocabulary(["r"]))
-        graph.add_triple(1, 0, 0, "train")
-        return graph
+        return kg.KnowledgeGraph(kg.Vocabulary(["a", "b"]), kg.Vocabulary(["r"]),
+                                 {"train": [(1, 0, 0)]})
 
     def test_walk_into_an_entity_without_incoming_edges_dies(self):
         graph = self.dead_end_graph()
@@ -342,9 +338,8 @@ class TestAnswerBound:
     def awards_index():
         """award1 is won by x and y, award2 by y."""
         graph = kg.KnowledgeGraph(kg.Vocabulary(["award1", "award2", "x", "y"]),
-                                  kg.Vocabulary(["won_by"]))
-        for head, tail in [(0, 2), (0, 3), (1, 3)]:
-            graph.add_triple(head, 0, tail, "train")
+                                  kg.Vocabulary(["won_by"]),
+                                  {"train": [(0, 0, 2), (0, 0, 3), (1, 0, 3)]})
         return kg.build_index(graph)
 
     @staticmethod
@@ -471,10 +466,8 @@ class TestExhaustiveEquivalence:
         graph = kg.KnowledgeGraph(
             kg.Vocabulary(["a", "b", "c", "d"]),
             kg.Vocabulary(["r"]),
+            {"train": [(0, 0, 1), (1, 0, 2), (2, 0, 3)]},
         )
-        graph.add_triple(0, 0, 1, "train")
-        graph.add_triple(1, 0, 2, "train")
-        graph.add_triple(2, 0, 3, "train")
         instance = QueryInstance("3p", (0,), (0, 0, 0))
         assert oracle.exhaustive_eval(instance, graph) == {3}
 
@@ -489,8 +482,7 @@ class TestExhaustiveEquivalence:
 
     def test_guard_refuses_oversized_graphs(self):
         graph = kg.KnowledgeGraph(kg.Vocabulary([f"e{i}" for i in range(10)]),
-                                  kg.Vocabulary(["r"]))
-        graph.add_triple(0, 0, 1, "train")
+                                  kg.Vocabulary(["r"]), {"train": [(0, 0, 1)]})
         instance = QueryInstance("3p", (0,), (0, 0, 0))
         old = oracle.EXHAUSTIVE_GUARD
         oracle.EXHAUSTIVE_GUARD = 10
