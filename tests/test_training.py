@@ -217,6 +217,65 @@ class TestGradientMerge:
             np.testing.assert_array_equal(params.arrays[name], array, err_msg=name)
 
 
+def _reference_adam(param, m, v, grad, t, lr):
+    """One Adam step as published (Kingma and Ba, arXiv 1412.6980, Algorithm
+    1) with its defaults beta1 = 0.9, beta2 = 0.999 and eps = 1e-8: the new
+    parameter and moments."""
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad ** 2
+    m_hat = m / (1.0 - 0.9 ** t)
+    v_hat = v / (1.0 - 0.999 ** t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
+class TestAdam:
+    """``training.Adam`` against ``_reference_adam``. Gradients span six
+    decades, so that eps moves the smallest steps by about 1%. A lazy row
+    update steps the given rows only, with the optimizer's step count, and
+    leaves every other row and its moments as they were: row 0 steps again
+    after a step that skipped it, and rows 1, 4 and 8 are never touched."""
+
+    LR = 0.05
+    ROW_STEPS = ([0, 2, 5], [2, 3, 5, 7], [0, 3, 6])
+
+    @staticmethod
+    def _grads(rng, shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 2, shape)
+
+    def test_dense_updates_follow_the_published_formula(self):
+        rng = np.random.default_rng(0)
+        optimizer = training.Adam(self.LR)
+        params = {"W": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        want = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        for t in range(1, 4):
+            optimizer.begin_step()
+            for name, param in params.items():
+                grad = self._grads(rng, param.shape)
+                start = param.copy()
+                optimizer.update_dense(name, param, grad)
+                want[name] = _reference_adam(*want[name], grad, t, self.LR)
+                np.testing.assert_allclose(start - param, start - want[name][0], rtol=1e-10,
+                                           atol=0, err_msg=f"{name}, step {t}")
+
+    def test_row_updates_follow_the_published_formula_on_the_rows_they_touch(self):
+        rng = np.random.default_rng(1)
+        optimizer = training.Adam(self.LR)
+        table = rng.normal(size=(9, 4))
+        want, m, v = table.copy(), np.zeros_like(table), np.zeros_like(table)
+        for t, ids in enumerate(self.ROW_STEPS, start=1):
+            ids = np.array(ids)
+            grads = self._grads(rng, (ids.size, table.shape[1]))
+            start = table.copy()
+            optimizer.begin_step()
+            optimizer.update_rows("entity", table, ids, grads)
+            want[ids], m[ids], v[ids] = _reference_adam(want[ids], m[ids], v[ids], grads, t,
+                                                        self.LR)
+            untouched = np.setdiff1d(np.arange(table.shape[0]), ids)
+            np.testing.assert_array_equal(table[untouched], start[untouched])
+            np.testing.assert_allclose(start[ids] - table[ids], start[ids] - want[ids],
+                                       rtol=1e-10, atol=0, err_msg=f"step {t}")
+
+
 class TestStepFold:
     @staticmethod
     def _tasks(train_graph, train_dataset, config, rng):
