@@ -72,9 +72,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -148,12 +145,6 @@ def mul(a, b):
                    lambda g, av, bv, out: g * av)
 
 
-def div(a, b):
-    return _binary("div", a, b, np.divide,
-                   lambda g, av, bv, out: g / bv,
-                   lambda g, av, bv, out: -g * av / (bv * bv))
-
-
 def maximum(a, b):
     """Elementwise max; ties route the gradient to the first operand."""
     return _binary("maximum", a, b, np.maximum,
@@ -212,15 +203,6 @@ def slice_last(a, start: int, stop: int):
     return _record(av[..., start:stop], backward, a)
 
 
-def reshape(a, shape: tuple[int, ...]):
-    av = value_of(a)
-
-    def backward(g):
-        a._accumulate(g.reshape(av.shape))
-
-    return _record(av.reshape(shape), backward, a)
-
-
 def relu(a):
     av = value_of(a)
     mask = av > 0  # subgradient 0 at the kink
@@ -229,15 +211,6 @@ def relu(a):
         a._accumulate(g * mask)
 
     return _record(av * mask, backward, a)
-
-
-def sigmoid(a):
-    value = 0.5 * (1.0 + np.tanh(0.5 * value_of(a)))
-
-    def backward(g):
-        a._accumulate(g * value * (1.0 - value))
-
-    return _record(value, backward, a)
 
 
 def log_sigmoid(a):
@@ -257,15 +230,6 @@ def exp(a):
         a._accumulate(g * value)
 
     return _record(value, backward, a)
-
-
-def absolute(a):
-    av = value_of(a)
-
-    def backward(g):
-        a._accumulate(g * np.sign(av))  # sign(0) = 0 convention
-
-    return _record(np.abs(av), backward, a)
 
 
 def mean_axis(a, axis: int):

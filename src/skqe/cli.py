@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, cardinality, evaluation, logic, model as model_mod, oracle as oracle_mod
+from . import algebra, evaluation, logic, model as model_mod, oracle as oracle_mod
 from .errors import DataError, NumericError, QueryParseError, SkqeError, UnsupportedQueryError
 from .kg import SPLITS, build_index, generate_synthetic, load_tsv_dir, write_tsv
 from .model import ModelParams
@@ -176,40 +176,6 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _print_cardinality(r: dict) -> None:
-    print(f"answer-size MAE: train {r['train_mae_pct']:.1f}% ({r['train_count']} queries), "
-          f"test {r['test_mae_pct']:.1f}% ({r['test_count']} queries)")
-    print(f"test-half baselines: best constant {r['constant']:g}, {r['constant_mae_pct']:.1f}%; "
-          f"|easy| floored at 1, {r['easy_mae_pct']:.1f}%")
-
-
-def cmd_fit_cardinality(args) -> int:
-    params, dataset = _load_inputs(args)
-    records = evaluation.query_statistics(dataset, params)  # the query model stays frozen
-    fitted = cardinality.fit(params, dataset, records, args.epochs, args.lr)
-    report = cardinality.report(fitted, dataset, records)
-    fitted.extra["cardinality_fit"] = {**report, "epochs": args.epochs}
-    fitted.save(args.out)
-    _print_cardinality(report)
-    print(f"checkpoint written to {args.out}")
-    return EXIT_OK
-
-
-def cmd_eval_cardinality(args) -> int:
-    params, dataset = _load_inputs(args)
-    report = cardinality.report(params, dataset, evaluation.query_statistics(dataset, params))
-    rows = [(s, "cardinality_mae_pct", mae, count)
-            for s, (mae, count) in sorted(report["per_structure"].items())]
-    rows += [("all", "cardinality_mae_pct", report["test_mae_pct"], report["test_count"]),
-             ("all", "train_cardinality_mae_pct", report["train_mae_pct"], report["train_count"]),
-             ("all", "best_constant_mae_pct", report["constant_mae_pct"], report["test_count"]),
-             ("all", "easy_mae_pct", report["easy_mae_pct"], report["test_count"])]
-    evaluation.write_metric_csv(rows, args.out)
-    _print_cardinality(report)
-    print(f"metrics written to {args.out}")
-    return EXIT_OK
-
-
 def _describe_node(node, instance, graph) -> str:
     if isinstance(node, algebra.Anchor):
         return f"anchor {graph.entities.name_of(instance.anchors[node.slot])}"
@@ -326,17 +292,6 @@ def make_parser() -> _Parser:
     p.add_argument("--emit-plot-data", help="also write each query's size, entropy and width")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("fit-cardinality", help="fit the answer-size head", parents=[inputs])
-    p.add_argument("--epochs", type=_positive_int, default=250)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_cardinality)
-
-    p = sub.add_parser("eval-cardinality", help="answer-size error on the held-out half",
-                       parents=[inputs])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_cardinality)
 
     p = sub.add_parser("answer", help="answer an ad-hoc query with the model")
     p.add_argument("--kg", required=True)

@@ -15,8 +15,8 @@ screen.
 
 ``query_statistics`` makes one record per query from one De Morgan pass: its
 structure, answer counts and per-dimension entropy and width. Both
-uncertainty statistics (``uncertainty_correlation``), the plot data and the
-answer-size head (``cardinality``) read those records."""
+uncertainty statistics (``uncertainty_correlation``) and the plot data read
+those records."""
 
 from __future__ import annotations
 

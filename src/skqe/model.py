@@ -1,20 +1,19 @@
 """Parameter store and the model's one forward pass.
 
-``ForwardContext`` embeds queries. The store also holds the six ``H*`` arrays
-of the answer-size head, whose module runs them on a context. A query is
-embedded by one forward pass over the nodes of its structure's cached plan
-(or of each DNF branch, ``algebra.plan_branches``) under a batch of (anchors,
-relations) bindings, in training, evaluation and ``skqe answer`` alike; the
-last node's value is the embedding. A conjunction negates the inputs its
-node flags (``algebra.Conjoin.negated``), then weighs every input per
-dimension by ``ForwardContext.attention_weights``. Embeddings are flat 2d
-truth-slot vectors. In bounds mode the first d slots are interval lowers and
-the last d are uppers, kept ordered by construction (realization orders
-them, and every logic operator keeps them so); in point mode all 2d slots are
-independent point truths. The forward pass calls the slot operators
-of ``logic`` and the array-generic ``autodiff`` primitives, so training and
-inference share one code path: in training the parameters enter a tape as
-leaves, and in inference they are the plain arrays and nothing is recorded.
+``ForwardContext`` embeds queries. A query is embedded by one forward pass
+over the nodes of its structure's cached plan (or of each DNF branch,
+``algebra.plan_branches``) under a batch of (anchors, relations) bindings, in
+training, evaluation and ``skqe answer`` alike; the last node's value is the
+embedding. A conjunction negates the inputs its node flags
+(``algebra.Conjoin.negated``), then weighs every input per dimension by
+``ForwardContext.attention_weights``. Embeddings are flat 2d truth-slot
+vectors. In bounds mode the first d slots are interval lowers and the last d
+are uppers, kept ordered by construction (realization orders them, and every
+logic operator keeps them so); in point mode all 2d slots are independent
+point truths. The forward pass calls the slot operators of ``logic`` and the
+array-generic ``autodiff`` primitives, so training and inference share one
+code path: in training the parameters enter a tape as leaves, and in inference
+they are the plain arrays and nothing is recorded.
 
 Realization (sigmoid, then ordered bounds) is written once in numpy
 (``_realize_parts`` and its pullback ``_realize_backward``). Every context
@@ -60,9 +59,10 @@ MODES = ("bounds", "point")
 Slots = ad.Tensor | np.ndarray  # a tape tensor in training, a plain array in inference
 
 CHECKPOINT_MAGIC = b"SKQE"
-# version 3 meant the smooth minimum by kind min; version 2 also stored
-# attention; version 1 also G2b, alpha and rho
-CHECKPOINT_VERSION = 4
+# version 4 also stored the answer-size head's six H* arrays; version 3 meant
+# the smooth minimum by kind min; version 2 also stored attention; version 1
+# also G2b, alpha and rho
+CHECKPOINT_VERSION = 5
 
 DISTANCE_TILE_BYTES = 1 << 20  # budget of one (rows, K, 2d) tile of entity_distance's draws
 SUM_ROWS_COLUMNS = 16  # columns per np.bincount in sum_rows
@@ -85,8 +85,8 @@ class ModelConfig:
             raise DataError(f"unknown embedding mode {self.mode!r}")
         if self.kind not in TNORM_KINDS:
             raise DataError(f"unknown t-norm kind {self.kind!r}")
-        if self.d < 16 or self.d % 16 != 0:  # the answer-size head's widths are d/4, d/16
-            raise DataError("embedding dimension must be a positive multiple of 16")
+        if self.d < 1:
+            raise DataError(f"embedding dimension d must be at least 1, got {self.d}")
         if self.num_entities < 1 or self.num_relations < 1:
             raise DataError("model needs at least one entity and one relation")
         if self.h < 1:
@@ -108,12 +108,6 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         ("G1", (2 * d, 2 * d)),
         ("G1b", (2 * d,)),
         ("G2", (2 * d, d)),
-        ("H1", (d, d // 4)),
-        ("H1b", (d // 4,)),
-        ("H2", (d // 4, d // 16)),
-        ("H2b", (d // 16,)),
-        ("H3", (d // 16, 1)),
-        ("H3b", (1,)),
     ]
 
 

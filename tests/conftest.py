@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from skqe import algebra, autodiff as ad, cardinality, kg, oracle, training
+from skqe import algebra, autodiff as ad, kg, oracle, training
 from skqe.errors import DataError
 
 UNION_STRUCTURES = tuple(s for s, t in algebra.TEMPLATES.items() if t.or_pairs)
@@ -139,10 +139,33 @@ def oracle_answers(plan, anchors, relations, index) -> set[int]:
     return oracle_columns(plan, [(anchors, relations)], index)[0]
 
 
+# --- tape ops that only the composed references use ----------------------------
+
+def _record(x, value, backward):
+    """``value`` on the tape of the tensor ``x`` with ``backward``, or the plain
+    ``value`` when ``x`` is an array, as ``autodiff``'s primitives do."""
+    return ad.Tensor(x.tape, value, backward) if isinstance(x, ad.Tensor) else value
+
+
+def reshape(a, shape: tuple[int, ...]):
+    av = ad.value_of(a)
+    return _record(a, av.reshape(shape), lambda g: a._accumulate(g.reshape(av.shape)))
+
+
+def sigmoid(a):
+    value = 0.5 * (1.0 + np.tanh(0.5 * ad.value_of(a)))
+    return _record(a, value, lambda g: a._accumulate(g * value * (1.0 - value)))
+
+
+def absolute(a):
+    av = ad.value_of(a)
+    return _record(a, np.abs(av), lambda g: a._accumulate(g * np.sign(av)))  # sign(0) = 0
+
+
 def composed_realize(ctx, pre):
     """Reference for ``ForwardContext.realize`` built from composed tape ops:
     sigmoid, then lower = s1 and upper = s1 + s2 (1 - s1) in bounds mode."""
-    sig = ad.sigmoid(pre)
+    sig = sigmoid(pre)
     if ctx.config.mode == "point":
         return sig
     d = ctx.config.d
@@ -157,7 +180,7 @@ def composed_distance(ctx, ids: np.ndarray, query):
     a slot-space leaf (one touch per draw) -> sub -> abs -> mean over slots."""
     ids = np.asarray(ids, dtype=np.int64)
     b, width = ids.shape[0], 2 * ctx.config.d
-    emb = ad.reshape(ctx.entity_slots(ids.reshape(-1)), (b, -1, width))
+    emb = reshape(ctx.entity_slots(ids.reshape(-1)), (b, -1, width))
     return _mean_distance(emb, query, ids.shape)
 
 
@@ -179,15 +202,15 @@ def composed_gather_distance(ctx, ids: np.ndarray, query):
     ids = np.asarray(ids, dtype=np.int64)
     unique, inverse = np.unique(ids.reshape(-1), return_inverse=True)
     b, width = ids.shape[0], 2 * ctx.config.d
-    emb = ad.reshape(_gather(ctx.entity_slots(unique), inverse), (b, -1, width))
+    emb = reshape(_gather(ctx.entity_slots(unique), inverse), (b, -1, width))
     return _mean_distance(emb, query, ids.shape)
 
 
 def _mean_distance(emb, query, shape):
     """Mean L1 distance of (B, K, 2d) slot rows to their (B, 2d) query row."""
     b, width = emb.shape[0], emb.shape[-1]
-    dist = ad.mean_axis(ad.absolute(emb - ad.reshape(query, (b, 1, width))), axis=2)
-    return ad.reshape(dist, shape)
+    dist = ad.mean_axis(absolute(emb - reshape(query, (b, 1, width))), axis=2)
+    return reshape(dist, shape)
 
 
 def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
@@ -201,17 +224,6 @@ def composed_group_forward(ctx, group, rows, pos_ids, neg_ids, config):
     pos_term = -ad.log_sigmoid(config.gamma - d_pos)
     neg_term = -ad.mean_axis(ad.log_sigmoid(d_neg - config.gamma), axis=1)
     return pos_term + neg_term, d_pos.value, d_neg.value
-
-
-def reference_cardinality_head(h: np.ndarray, params) -> np.ndarray:
-    """Plain-numpy reference for ``cardinality.predict``: two ReLU layers,
-    then ``cardinality.SCALE`` times the tanh form of the sigmoid, on (B, d)
-    entropy vectors."""
-    a = params.arrays
-    z1 = np.maximum(0.0, h @ a["H1"] + a["H1b"])
-    z2 = np.maximum(0.0, z1 @ a["H2"] + a["H2b"])
-    z3 = z2 @ a["H3"] + a["H3b"]
-    return cardinality.SCALE * 0.5 * (1.0 + np.tanh(0.5 * z3[..., 0]))
 
 
 # --- malformed checkpoint headers ---------------------------------------------
@@ -256,11 +268,12 @@ def write_malformed_checkpoint(source, path, case: str) -> str:
     return str(path)
 
 
-def write_checkpoint_version(source, path, version: int) -> str:
+def write_checkpoint_version(source, path, version: int, tail: bytes = b"") -> str:
     """Copy of the checkpoint ``source`` that declares format ``version``,
-    with a valid sha256 trailer; returns its path."""
+    with ``tail`` after its arrays and a valid sha256 trailer; returns its
+    path."""
     blob = source.read_bytes()
-    payload = blob[:4] + struct.pack("<I", version) + blob[8:-32]
+    payload = blob[:4] + struct.pack("<I", version) + blob[8:-32] + tail
     path.write_bytes(payload + hashlib.sha256(payload).digest())
     return str(path)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skqe import algebra, cardinality, cli, evaluation, kg, logic, model, oracle
+from skqe import algebra, cli, evaluation, kg, logic, model, oracle
 from skqe.algebra import QueryInstance
 from skqe.model import ModelConfig, ModelParams
 from skqe.training import TrainConfig
@@ -72,7 +72,6 @@ def _inputs(files, command):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("gen-queries", "--per-structure", "0"), ("gen-queries", "--per-structure", "-2"),
-    ("fit-cardinality", "--epochs", "0"), ("fit-cardinality", "--epochs", "-2"),
     ("train", "--steps", "0"), ("train", "--batch-size", "0"),
     ("train", "--log-every", "0"), ("train", "--negatives", "-1"),
 ])
@@ -99,6 +98,15 @@ def test_removed_flag_is_a_usage_error(files, command, flag, value, tmp_path, ca
                   "--out", str(tmp_path / "out")])
     assert exit_info.value.code == cli.EXIT_USAGE
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-cardinality", "eval-cardinality"])
+def test_removed_command_is_a_usage_error(files, command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, *_inputs(files, command), "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -282,7 +290,7 @@ def test_answer_topk_one_prints_one_entity(files, capsys):
     assert len([line for line in lines if not line.startswith("#")]) == 1
 
 
-@pytest.mark.parametrize("command", ["eval", "eval-cardinality"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_dataset_without_queries_exits_with_data_error(files, command, tmp_path, capsys):
     graph = kg.load_tsv_dir(str(files / "kg"))
     oracle.write_dataset(oracle.QueryDataset([], {"mode": "generalization"}), graph,
@@ -335,8 +343,7 @@ def test_eval_prints_the_near_ties_rescored(files, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["eval", "answer", "correlate", "fit-cardinality",
-                                     "eval-cardinality"])
+@pytest.mark.parametrize("command", ["eval", "answer", "correlate"])
 def test_overflowing_checkpoint_exits_with_numeric_error(files, command, tmp_path, capsys):
     # finite weights whose Skolem layer overflows to inf, then to NaN
     ckpt = _checkpoint(files, tmp_path / "huge.ckpt", "F1", 1e308)
@@ -429,7 +436,7 @@ def test_query_against_its_mode_exits_with_data_error(files, command, mode, tmp_
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["correlate", "fit-cardinality", "eval-cardinality"])
+@pytest.mark.parametrize("command", ["correlate"])
 def test_point_mode_checkpoint_exits_with_data_error(files, command, tmp_path, capsys):
     graph = kg.load_tsv_dir(str(files / "kg"))
     config = ModelConfig(graph.num_entities, graph.num_relations, d=16, h=16, mode="point")
@@ -441,109 +448,6 @@ def test_point_mode_checkpoint_exits_with_data_error(files, command, tmp_path, c
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err == "error: entropy and width statistics require bounds mode\n"
     assert [p.name for p in tmp_path.iterdir()] == ["point.ckpt"]
-
-
-def test_fit_cardinality_writes_a_checkpoint(files, tmp_path):
-    out = tmp_path / "card.ckpt"
-    assert cli.main(["fit-cardinality", "--kg", str(files / "kg"),
-                     "--ckpt", str(files / "model.ckpt"), "--queries", str(files / "q.jsonl"),
-                     "--epochs", "3", "--out", str(out)]) == cli.EXIT_OK
-    fitted = ModelParams.load(out)
-    assert fitted.extra["cardinality_fit"]["epochs"] == 3
-    assert fitted.extra["cardinality_fit"]["train_count"] >= 1
-
-
-def test_fit_cardinality_writes_a_checkpoint_into_a_missing_directory(files, tmp_path):
-    out = tmp_path / "missing" / "card.ckpt"
-    assert cli.main(["fit-cardinality", "--kg", str(files / "kg"),
-                     "--ckpt", str(files / "model.ckpt"), "--queries", str(files / "q.jsonl"),
-                     "--epochs", "1", "--out", str(out)]) == cli.EXIT_OK
-    assert ModelParams.load(out).extra["cardinality_fit"]["epochs"] == 1
-
-
-def test_fit_cardinality_stores_and_prints_what_eval_cardinality_reports(files, tmp_path,
-                                                                         capsys):
-    inputs = ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl")]
-    fitted, metrics = tmp_path / "card.ckpt", tmp_path / "card.csv"
-    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(files / "model.ckpt"),
-                     "--epochs", "3", "--lr", "0.01", "--out", str(fitted)]) == cli.EXIT_OK
-    fit_lines = capsys.readouterr().out.splitlines()
-    assert cli.main(["eval-cardinality", *inputs, "--ckpt", str(fitted),
-                     "--out", str(metrics)]) == cli.EXIT_OK
-    eval_lines = capsys.readouterr().out.splitlines()
-    assert fit_lines == [*eval_lines[:2], f"checkpoint written to {fitted}"]
-    assert eval_lines[2:] == [f"metrics written to {metrics}"]
-    stored = ModelParams.load(fitted).extra["cardinality_fit"]
-    rows = {tuple(line.split(",")[:2]): line.split(",")[2:]
-            for line in metrics.read_text().splitlines()[1:]}
-    for metric, value, count in (
-            ("cardinality_mae_pct", "test_mae_pct", "test_count"),
-            ("train_cardinality_mae_pct", "train_mae_pct", "train_count"),
-            ("best_constant_mae_pct", "constant_mae_pct", "test_count"),
-            ("easy_mae_pct", "easy_mae_pct", "test_count")):
-        assert rows["all", metric] == [f"{stored[value]:.6f}", str(stored[count])]
-    for structure, (mae, count) in stored["per_structure"].items():
-        assert rows[structure, "cardinality_mae_pct"] == [f"{mae:.6f}", str(count)]
-    assert len(rows) == len(stored["per_structure"]) + 4
-
-
-@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
-def test_fit_cardinality_bad_learning_rate_exits_with_data_error(files, lr, tmp_path, capsys):
-    out = tmp_path / "card.ckpt"
-    assert cli.main(["fit-cardinality", "--kg", str(files / "kg"),
-                     "--ckpt", str(files / "model.ckpt"), "--queries", str(files / "q.jsonl"),
-                     "--epochs", "1", "--lr", lr, "--out", str(out)]) == cli.EXIT_DATA
-    assert capsys.readouterr().err == f"error: lr must be finite and positive, got {float(lr)}\n"
-    assert not out.exists()
-
-
-def test_fit_cardinality_with_non_finite_estimates_exits_with_numeric_error(tmp_path, capsys):
-    """Seeded d = 32 parameters on a 60-entity generalization set: one epoch
-    at lr 1e300 leaves finite head weights whose estimates are NaN."""
-    inputs = ["--kg", str(tmp_path / "kg"), "--queries", str(tmp_path / "q.jsonl")]
-    assert cli.main(["gen-kg", "--entities", "60", "--relations", "3",
-                     "--out", str(tmp_path / "kg")]) == cli.EXIT_OK
-    assert cli.main(["gen-queries", "--kg", str(tmp_path / "kg"), "--mode", "generalization",
-                     "--per-structure", "3", "--structures", "1p,2i,2u",
-                     "--out", str(tmp_path / "q.jsonl")]) == cli.EXIT_OK
-    graph = kg.load_tsv_dir(str(tmp_path / "kg"))
-    config = ModelConfig(graph.num_entities, graph.num_relations, d=32, h=16)
-    ModelParams.initialize(config, 0).save(tmp_path / "seeded.ckpt")
-    capsys.readouterr()
-    out = tmp_path / "card.ckpt"
-    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(tmp_path / "seeded.ckpt"),
-                     "--epochs", "1", "--lr", "1e300", "--out", str(out)]) == cli.EXIT_NUMERIC
-    captured = capsys.readouterr()
-    assert captured.err == "numeric failure: non-finite answer-size estimate\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_saturated_answer_size_head_exits_with_numeric_error(files, tmp_path, capsys):
-    """On the fixture's seeded d = 16 parameters, one epoch at lr 1e300
-    overflows the head's pre-sigmoid product to -inf, so every estimate is
-    exactly 0: finite, and an error of 100%, below the seeded head's."""
-    inputs = ["--kg", str(files / "kg"), "--queries", str(files / "q.jsonl")]
-    message = "numeric failure: saturated answer-size head: every estimate is 0 or 1000\n"
-    capsys.readouterr()
-    out = tmp_path / "card.ckpt"
-    assert cli.main(["fit-cardinality", *inputs, "--ckpt", str(files / "model.ckpt"),
-                     "--epochs", "1", "--lr", "1e300", "--out", str(out)]) == cli.EXIT_NUMERIC
-    captured = capsys.readouterr()
-    assert captured.err == message and captured.out == ""
-    assert not out.exists()
-    # the same fit saved unchecked, then read by eval-cardinality
-    params = ModelParams.load(files / "model.ckpt")
-    dataset = oracle.read_dataset(files / "q.jsonl", kg.load_tsv_dir(str(files / "kg")))
-    with np.errstate(all="ignore"):
-        cardinality.fit(params, dataset, evaluation.query_statistics(dataset, params),
-                        epochs=1, lr=1e300).save(out)
-    metrics = tmp_path / "metrics.csv"
-    assert cli.main(["eval-cardinality", *inputs, "--ckpt", str(out),
-                     "--out", str(metrics)]) == cli.EXIT_NUMERIC
-    captured = capsys.readouterr()
-    assert captured.err == message and captured.out == ""
-    assert not metrics.exists()
 
 
 def test_diverged_training_exits_with_numeric_error_and_writes_no_checkpoint(files, tmp_path,
@@ -732,7 +636,7 @@ def test_malformed_checkpoint_header_exits_with_data_error(files, case, command,
     assert not (tmp_path / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 4])
 @pytest.mark.parametrize("command", ["eval", "answer"])
 def test_older_checkpoint_version_exits_with_data_error(files, command, version, tmp_path,
                                                         capsys):
@@ -792,6 +696,33 @@ def test_default_train_mode_file_holds_the_training_structures_and_trains(files,
                      "--out", str(tmp_path / "m.ckpt"), "--steps", "1", "--batch-size", "4",
                      "--negatives", "4", "--d", "16", "--h", "16"])
     assert code == cli.EXIT_OK, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["bounds", "point"])
+@pytest.mark.parametrize("d", [1, 5])
+def test_any_embedding_dimension_trains_evaluates_answers_and_correlates(files, d, mode,
+                                                                        tmp_path, capsys):
+    queries, ckpt = tmp_path / "train.jsonl", tmp_path / "m.ckpt"
+    inputs = ["--kg", str(files / "kg"), "--ckpt", str(ckpt), "--queries", str(files / "q.jsonl")]
+    assert cli.main(["gen-queries", "--kg", str(files / "kg"), "--mode", "train",
+                     "--per-structure", "3", "--structures", "1p,2p,2in",
+                     "--out", str(queries)]) == cli.EXIT_OK
+    assert cli.main(["train", "--kg", str(files / "kg"), "--queries", str(queries),
+                     "--out", str(ckpt), "--d", str(d), "--h", "8", "--mode", mode,
+                     "--steps", "2", "--batch-size", "4", "--negatives", "4"]) == cli.EXIT_OK
+    assert ModelParams.load(ckpt).config.d == d
+    assert cli.main(["eval", *inputs, "--out", str(tmp_path / "metrics.csv")]) == cli.EXIT_OK
+    assert cli.main(["answer", "--kg", str(files / "kg"), "--ckpt", str(ckpt),
+                     "--query", "EXISTS V,T . r0(e0,V) AND r1(V,T)"]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["correlate", *inputs, "--out", str(tmp_path / "corr.csv")])
+    if mode == "bounds":
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "corr.csv").read_text().startswith("structure,metric,value,count\n")
+    else:  # the statistics read interval widths, which point mode lacks
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == \
+            "error: entropy and width statistics require bounds mode\n"
 
 
 def test_gen_queries_entailment_mode_is_a_usage_error(files, tmp_path, capsys):

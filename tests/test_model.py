@@ -309,10 +309,11 @@ def test_config_fields_are_the_settings_a_run_can_change():
         ModelConfig(5, 2, attention=False)
 
 
-@pytest.mark.parametrize("h", [0, -1])
-def test_hidden_width_below_one_is_a_data_error(h):
-    with pytest.raises(DataError, match="hidden width h must be at least 1"):
-        ModelConfig(5, 2, d=16, h=h)
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field,name", [("d", "embedding dimension d"), ("h", "hidden width h")])
+def test_width_below_one_is_a_data_error(field, name, value):
+    with pytest.raises(DataError, match=f"{name} must be at least 1, got {value}"):
+        ModelConfig(5, 2, **{"d": 16, "h": 16, field: value})
 
 
 class TestCheckpoint:
@@ -347,14 +348,20 @@ class TestCheckpoint:
             ModelParams.load(path)
         assert str(info.value).startswith(f"{path}: ")
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_version_is_an_unsupported_version(self, tmp_path, version):
-        # version 3 meant the smooth minimum by kind min, so its min checkpoints
-        # would change meaning; version 2 held the config key attention;
-        # version 1 also the attention bias G2b and the alpha and rho config keys
-        assert model.CHECKPOINT_VERSION == 4
-        _params().save(tmp_path / "m.ckpt")
-        path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "old.ckpt", version)
+        # version 4 also stored the answer-size head's six H* arrays after G2,
+        # so a version-4 file is that much longer; version 3 meant the smooth
+        # minimum by kind min, so its min checkpoints would change meaning;
+        # version 2 held the config key attention; version 1 also the attention
+        # bias G2b and the alpha and rho config keys
+        assert model.CHECKPOINT_VERSION == 5
+        params = _params()
+        params.save(tmp_path / "m.ckpt")
+        d = params.config.d  # the head's widths were d/4 and d/16
+        head = np.zeros(d * (d // 4) + d // 4 + (d // 4) * (d // 16) + 2 * (d // 16) + 1)
+        path = write_checkpoint_version(tmp_path / "m.ckpt", tmp_path / "old.ckpt", version,
+                                        head.tobytes() if version == 4 else b"")
         with pytest.raises(DataError) as info:
             ModelParams.load(path)
         assert str(info.value) == f"{path}: unsupported checkpoint version {version}"

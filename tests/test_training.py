@@ -284,6 +284,30 @@ class TestStepFold:
         return _first_positive_tasks(groups, {s: [0, 1] for s in groups}, config,
                                      train_graph.num_entities, rng)
 
+    def test_a_step_over_every_training_structure_updates_every_parameter_array(
+            self, train_graph, train_dataset, monkeypatch):
+        # an array that no training structure reaches is dead weight in every checkpoint
+        config = _config()
+        params = ModelParams.initialize(config.model_config(train_graph), 0)
+        tasks = self._tasks(train_graph, train_dataset, config, np.random.default_rng(0))
+        assert sorted(task[0].structure for task in tasks) == sorted(algebra.TRAIN_STRUCTURES)
+        updated = []
+        update_dense, update_rows = training.Adam.update_dense, training.Adam.update_rows
+
+        def dense_spy(self, name, param, grad):
+            updated.append((name, bool(np.any(grad))))
+            update_dense(self, name, param, grad)
+
+        def rows_spy(self, name, param, ids, grads):
+            updated.append((name, bool(np.any(grads))))
+            update_rows(self, name, param, ids, grads)
+
+        monkeypatch.setattr(training.Adam, "update_dense", dense_spy)
+        monkeypatch.setattr(training.Adam, "update_rows", rows_spy)
+        training._step(params, training.Adam(0.1), tasks, config)
+        assert sorted(updated) == sorted((name, True) for name, _ in
+                                         model.param_shapes(params.config))
+
     def test_each_task_is_folded_before_the_next_runs(self, train_graph, train_dataset,
                                                       monkeypatch):
         config = _config()

@@ -1,12 +1,10 @@
-"""Print the acceptance digests of plans, datasets, training, ranks, statistics
-and the answer-size head.
+"""Print the acceptance digests of plans, datasets, training, ranks and
+statistics.
 
 A change that must keep behaviour byte-identical runs this script on its
-parent and on itself and compares the two outputs line by line. The
-answer-size head's line goes through the two CLI commands, whose names and
-flags stay put when the head's code moves; the ``train small via cli flags``
-line goes through ``skqe train``, so it checks how the flags reach
-``TrainConfig``. Each line is
+parent and on itself and compares the two outputs line by line. The ``train
+small via cli flags`` line goes through ``skqe train``, so it checks how the
+flags reach ``TrainConfig``. Each line is
 ``<run>: <digest>``, the digest being the first 16 hex digits of a sha256.
 The bits depend on the machine's BLAS, so compare outputs of one machine
 only; this is not a test.
@@ -207,27 +205,6 @@ def runs():
             rows = evaluation.uncertainty_correlation(records(), statistic).to_rows()
             return f"{stats_hex} / {_hex(hashlib.sha256(json.dumps(rows).encode()))}"
         yield f"{statistic} statistics / rows", stats
-
-    def size_head():
-        """``skqe fit-cardinality`` with its default epochs and lr, then
-        ``skqe eval-cardinality`` on the fitted checkpoint, both through
-        ``cli.main`` on files of the big graph, the generalization set and
-        the seeded parameters: the fitted parameters in sorted name order,
-        then the ``cardinality_mae_pct`` rows of the metrics file."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp)
-            inputs = write_inputs(big_graph(), generalization(), path)
-            seeded_params().save(path / "seeded.ckpt")
-            cli_main(["fit-cardinality", *inputs, "--ckpt", str(path / "seeded.ckpt"),
-                      "--out", str(path / "fitted.ckpt")])
-            cli_main(["eval-cardinality", *inputs, "--ckpt", str(path / "fitted.ckpt"),
-                      "--out", str(path / "metrics.csv")])
-            h = checkpoint_hash(path / "fitted.ckpt")
-            rows = [line for line in (path / "metrics.csv").read_text().splitlines()
-                    if line.split(",")[1] == "cardinality_mae_pct"]
-            h.update("\n".join(rows).encode())
-            return f"{_hex(h)} ({len(rows)} rows)"
-    yield "size head fit-cardinality / eval-cardinality rows", size_head
 
 
 def main() -> int:

@@ -156,12 +156,6 @@ def run_cli(tmp: Path) -> list[str]:
                              "--topk", "3", "--union", union])
     commands.append(["correlate", *inputs, "--emit-plot-data", str(tmp / "plot.csv"),
                      "--out", str(tmp / "correlations.csv")])
-    head = str(tmp / "head.npz")
-    commands += [
-        ["fit-cardinality", *inputs, "--epochs", "2", "--out", head],
-        ["eval-cardinality", "--kg", kg, "--ckpt", head, "--queries", eval_q,
-         "--out", str(tmp / "cardinality.csv")],
-    ]
     for query in QUERIES:
         for splits in ([], ["--splits", "train"]):
             commands.append(["oracle", "--kg", kg, "--query", query, *splits])
