@@ -389,9 +389,10 @@ class TestFusedEntityDistance:
 
 
 class TestSumRows:
-    @pytest.mark.parametrize("width", [1, 16, 40, 64])
+    @pytest.mark.parametrize("width", [1, 10, 16, 40, 64])
     def test_equals_scatter_add_bit_for_bit(self, width):
-        # 40 is not a multiple of the 16-column chunk; ids 30 and 31 get no rows
+        # 10 is 2d at d = 5, narrower than one chunk; 40 is not a multiple of
+        # the 16-column chunk; ids 30 and 31 get no rows
         rng = _rng(18)
         inverse = rng.integers(0, 30, 500)
         rows = rng.normal(size=(500, width)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
