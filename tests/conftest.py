@@ -141,7 +141,7 @@ def oracle_answers(plan, anchors, relations, index) -> set[int]:
 
 # --- tape ops that only the composed references use ----------------------------
 
-def _record(x, value, backward):
+def _tape_op(x, value, backward):
     """``value`` on the tape of the tensor ``x`` with ``backward``, or the plain
     ``value`` when ``x`` is an array, as ``autodiff``'s primitives do."""
     return ad.Tensor(x.tape, value, backward) if isinstance(x, ad.Tensor) else value
@@ -149,17 +149,17 @@ def _record(x, value, backward):
 
 def reshape(a, shape: tuple[int, ...]):
     av = ad.value_of(a)
-    return _record(a, av.reshape(shape), lambda g: a._accumulate(g.reshape(av.shape)))
+    return _tape_op(a, av.reshape(shape), lambda g: a._accumulate(g.reshape(av.shape)))
 
 
 def sigmoid(a):
     value = 0.5 * (1.0 + np.tanh(0.5 * ad.value_of(a)))
-    return _record(a, value, lambda g: a._accumulate(g * value * (1.0 - value)))
+    return _tape_op(a, value, lambda g: a._accumulate(g * value * (1.0 - value)))
 
 
 def absolute(a):
     av = ad.value_of(a)
-    return _record(a, np.abs(av), lambda g: a._accumulate(g * np.sign(av)))  # sign(0) = 0
+    return _tape_op(a, np.abs(av), lambda g: a._accumulate(g * np.sign(av)))  # sign(0) = 0
 
 
 def composed_realize(ctx, pre):

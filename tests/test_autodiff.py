@@ -104,7 +104,7 @@ class TestPrimitiveGradients:
         check_gradients(op, _rng(1).normal(size=(3, 2)), _rng(2).uniform(0.5, 2.0, (3, 2)))
 
     def test_division_is_a_type_error(self):
-        # the tape has no division: no skqe module divides by a tensor or a tensor by anything
+        # the tape has no division: no skqe module divides a tensor or divides by one
         tape = ad.Tape()
         with pytest.raises(TypeError):
             1.0 / tape.leaf(np.ones(2))

@@ -310,8 +310,9 @@ def test_config_fields_are_the_settings_a_run_can_change():
 
 
 @pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("field,name", [("d", "embedding dimension d"), ("h", "hidden width h")])
-def test_width_below_one_is_a_data_error(field, name, value):
+@pytest.mark.parametrize("field", ["d", "h"])
+def test_width_below_one_is_a_data_error(field, value):
+    name = {"d": "embedding dimension d", "h": "hidden width h"}[field]
     with pytest.raises(DataError, match=f"{name} must be at least 1, got {value}"):
         ModelConfig(5, 2, **{"d": 16, "h": 16, field: value})
 
