@@ -103,13 +103,18 @@ class TestPrimitiveGradients:
 
         check_gradients(op, _rng(1).normal(size=(3, 2)), _rng(2).uniform(0.5, 2.0, (3, 2)))
 
-    def test_division_is_a_type_error(self):
-        # the tape has no division: no skqe module divides a tensor or divides by one
+    # the tape has no division: no skqe module divides a tensor or divides by one
+    def test_scalar_over_tensor_is_a_type_error(self):
         tape = ad.Tape()
         with pytest.raises(TypeError):
             1.0 / tape.leaf(np.ones(2))
+
+    @pytest.mark.parametrize("divisor", ["scalar", "tensor"])
+    def test_tensor_over_anything_is_a_type_error(self, divisor):
+        tape = ad.Tape()
+        other = {"scalar": 3.0, "tensor": tape.leaf(np.full(2, 3.0))}[divisor]
         with pytest.raises(TypeError):
-            tape.leaf(np.ones(2)) / 3.0
+            tape.leaf(np.ones(2)) / other
 
     def test_matmul(self):
         check_gradients(ad.matmul, _rng(1).normal(size=(3, 4)), _rng(2).normal(size=(4, 2)))
@@ -187,33 +192,39 @@ class TestGradientOwnership:
         assert a.grad.tolist() == [1.0, 1.0]
 
 
-def _params(mode, seed=0, entities=12):
-    return ModelParams.initialize(ModelConfig(entities, 3, d=16, h=16, mode=mode), seed)
+def _params(mode, seed=0, entities=12, d=16):
+    return ModelParams.initialize(ModelConfig(entities, 3, d=d, h=16, mode=mode), seed)
+
+
+# any d >= 1 is a valid width: 16 fills one sum_rows chunk exactly, 5 leaves a
+# 10-slot chunk and 1 is the narrowest table of all
+WIDTHS = pytest.mark.parametrize("d", [16, 5, 1], ids=["d16", "d5", "d1"])
 
 
 @pytest.fixture(params=["one-row", "uneven", "default"])
 def tiles(request, monkeypatch):
-    """Sets ``model.DISTANCE_TILE_BYTES`` for (B, K) draws of 32 slots: tiles
-    of one row, tiles of B - 1 rows (so the last tile is shorter), or the
-    default budget."""
-    def apply(ids_shape):
+    """Sets ``model.DISTANCE_TILE_BYTES`` for (B, K) draws of ``slots`` slots
+    each: tiles of one row, tiles of B - 1 rows (so the last tile is
+    shorter), or the default budget."""
+    def apply(ids_shape, slots=32):
         b, k = ids_shape[0], int(np.prod(ids_shape[1:]))
         rows = {"one-row": 1, "uneven": max(1, b - 1), "default": None}[request.param]
         if rows is not None:
-            monkeypatch.setattr(model, "DISTANCE_TILE_BYTES", rows * k * 32 * 8)
+            monkeypatch.setattr(model, "DISTANCE_TILE_BYTES", rows * k * slots * 8)
 
     return apply
 
 
 class TestFusedEntityDistance:
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
     @pytest.mark.parametrize("ids_shape", [(3,), (3, 4)])
-    def test_matches_composed_ops_bit_for_bit(self, mode, ids_shape, tiles):
-        tiles(ids_shape)
-        params = _params(mode)
+    def test_matches_composed_ops_bit_for_bit(self, mode, ids_shape, tiles, d):
+        tiles(ids_shape, 2 * d)
+        params = _params(mode, d=d)
         rng = _rng(5)
         ids = rng.integers(0, params.config.num_entities, ids_shape)
-        query_value = rng.uniform(0.0, 1.0, (ids_shape[0], 32))
+        query_value = rng.uniform(0.0, 1.0, (ids_shape[0], 2 * d))
         weights = rng.uniform(0.5, 1.5, ids_shape)
 
         results = []
@@ -230,14 +241,15 @@ class TestFusedEntityDistance:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(fused[3], np.unique(ids))
 
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_finite_differences(self, mode):
+    def test_finite_differences(self, mode, d):
         # slot-space gradients pulled back through the realization, against
         # finite differences at the entity pre-activations
-        params = _params(mode, entities=8)
+        params = _params(mode, entities=8, d=d)
         rng = _rng(6)
         ids = np.arange(8).reshape(2, 4)  # distinct ids: one gradient row per entity
-        query_value = rng.uniform(0.0, 1.0, (2, 32))
+        query_value = rng.uniform(0.0, 1.0, (2, 2 * d))
         weights = rng.uniform(0.5, 1.5, ids.shape)
 
         def loss(entity_table, value):
@@ -281,15 +293,16 @@ class TestFusedEntityDistance:
             assert np.all(grad[:, equal] == 0.0)
             assert np.all(grad[:, ~equal] != 0.0)
 
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_per_row_reference_merged_per_entity(self, mode, tiles):
+    def test_per_row_reference_merged_per_entity(self, mode, tiles, d):
         # in slot space the per-entity sums add each entity's draws in draw
         # order, as the per-row path merged with np.add.at does
-        params = _params(mode)
+        params = _params(mode, d=d)
         rng = _rng(13)
         ids = rng.integers(0, params.config.num_entities, (6, 40))
-        tiles(ids.shape)
-        query_value = rng.uniform(0.0, 1.0, (6, 32))
+        tiles(ids.shape, 2 * d)
+        query_value = rng.uniform(0.0, 1.0, (6, 2 * d))
         weights = rng.uniform(0.5, 1.5, ids.shape)
         results = []
         for distance in (ForwardContext.entity_distance, composed_distance):
@@ -301,7 +314,7 @@ class TestFusedEntityDistance:
             results.append((out.value, touched, rows.grad, query.grad))
         fused, per_row = results
         unique, inverse = np.unique(per_row[1], return_inverse=True)
-        merged = np.zeros((unique.size, 32))
+        merged = np.zeros((unique.size, 2 * d))
         np.add.at(merged, inverse, per_row[2])
         np.testing.assert_array_equal(fused[0], per_row[0])
         np.testing.assert_array_equal(fused[1], unique)
@@ -389,10 +402,10 @@ class TestFusedEntityDistance:
 
 
 class TestSumRows:
-    @pytest.mark.parametrize("width", [1, 10, 16, 40, 64])
+    @pytest.mark.parametrize("width", [1, 2, 10, 16, 40, 64])
     def test_equals_scatter_add_bit_for_bit(self, width):
-        # 10 is 2d at d = 5, narrower than one chunk; 40 is not a multiple of
-        # the 16-column chunk; ids 30 and 31 get no rows
+        # 2 and 10 are 2d at d = 1 and d = 5, narrower than one chunk; 40 is
+        # not a multiple of the 16-column chunk; ids 30 and 31 get no rows
         rng = _rng(18)
         inverse = rng.integers(0, 30, 500)
         rows = rng.normal(size=(500, width)) * 10.0 ** rng.uniform(-6, 6, (500, 1))
@@ -404,11 +417,12 @@ class TestSumRows:
 
 
 class TestRealize:
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_matches_composed_ops_bit_for_bit(self, mode):
-        params = _params(mode)
-        pre = _rng(9).normal(0.0, 2.0, (5, 32))
-        weights = _rng(10).uniform(0.5, 1.5, (5, 32))
+    def test_matches_composed_ops_bit_for_bit(self, mode, d):
+        params = _params(mode, d=d)
+        pre = _rng(9).normal(0.0, 2.0, (5, 2 * d))
+        weights = _rng(10).uniform(0.5, 1.5, (5, 2 * d))
         results = []
         for realize in (ForwardContext.realize, composed_realize):
             ctx = ForwardContext(params, train=True)
@@ -419,26 +433,29 @@ class TestRealize:
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_finite_differences(self, mode):
-        params = _params(mode)
+    def test_finite_differences(self, mode, d):
+        params = _params(mode, d=d)
 
         def op(pre):
             return ForwardContext(params).realize(pre)
 
-        check_gradients(op, _rng(11).normal(0.0, 2.0, (3, 32)))
+        check_gradients(op, _rng(11).normal(0.0, 2.0, (3, 2 * d)))
 
+    @WIDTHS
     @pytest.mark.parametrize("mode", ["bounds", "point"])
-    def test_numpy_scoring_mirror_matches_composed_tape(self, mode):
-        params = _params(mode)
+    def test_numpy_scoring_mirror_matches_composed_tape(self, mode, d):
+        params = _params(mode, d=d)
         ctx = ForwardContext(params)
         tape_side = ad.value_of(composed_realize(ctx, params.arrays["entity"]))
         np.testing.assert_array_equal(model.realize_all_entities(params), tape_side)
 
-    def test_bounds_stay_ordered(self):
-        ctx = ForwardContext(_params("bounds"))
-        out = ad.value_of(ctx.realize(_rng(12).normal(0.0, 5.0, (50, 32))))
-        assert np.all(out[:, :16] <= out[:, 16:])
+    @WIDTHS
+    def test_bounds_stay_ordered(self, d):
+        ctx = ForwardContext(_params("bounds", d=d))
+        out = ad.value_of(ctx.realize(_rng(12).normal(0.0, 5.0, (50, 2 * d))))
+        assert np.all(out[:, :d] <= out[:, d:])
         assert np.all((out >= 0.0) & (out <= 1.0))
 
 

@@ -309,12 +309,16 @@ def test_config_fields_are_the_settings_a_run_can_change():
         ModelConfig(5, 2, attention=False)
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("field", ["d", "h"])
-def test_width_below_one_is_a_data_error(field, value):
-    name = {"d": "embedding dimension d", "h": "hidden width h"}[field]
-    with pytest.raises(DataError, match=f"{name} must be at least 1, got {value}"):
-        ModelConfig(5, 2, **{"d": 16, "h": 16, field: value})
+@pytest.mark.parametrize("h", [0, -1])
+def test_hidden_width_below_one_is_a_data_error(h):
+    with pytest.raises(DataError, match=f"hidden width h must be at least 1, got {h}"):
+        ModelConfig(5, 2, d=16, h=h)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_embedding_dimension_below_one_is_a_data_error(d):
+    with pytest.raises(DataError, match=f"embedding dimension d must be at least 1, got {d}"):
+        ModelConfig(5, 2, d=d, h=16)
 
 
 class TestCheckpoint:

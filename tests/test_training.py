@@ -235,16 +235,18 @@ class TestAdam:
     leaves every other row and its moments as they were: row 0 steps again
     after a step that skipped it, and rows 1, 4 and 8 are never touched."""
 
-    LR = 0.05
+    # a small, a moderate and a large rate: the step scales with lr alone
+    LRS = pytest.mark.parametrize("lr", [1e-3, 0.05, 1.0])
     ROW_STEPS = ([0, 2, 5], [2, 3, 5, 7], [0, 3, 6])
 
     @staticmethod
     def _grads(rng, shape):
         return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 2, shape)
 
-    def test_dense_updates_follow_the_published_formula(self):
+    @LRS
+    def test_dense_updates_follow_the_published_formula(self, lr):
         rng = np.random.default_rng(0)
-        optimizer = training.Adam(self.LR)
+        optimizer = training.Adam(lr)
         params = {"W": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
         want = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
         for t in range(1, 4):
@@ -253,13 +255,14 @@ class TestAdam:
                 grad = self._grads(rng, param.shape)
                 start = param.copy()
                 optimizer.update_dense(name, param, grad)
-                want[name] = _reference_adam(*want[name], grad, t, self.LR)
+                want[name] = _reference_adam(*want[name], grad, t, lr)
                 np.testing.assert_allclose(start - param, start - want[name][0], rtol=1e-10,
                                            atol=0, err_msg=f"{name}, step {t}")
 
-    def test_row_updates_follow_the_published_formula_on_the_rows_they_touch(self):
+    @LRS
+    def test_row_updates_follow_the_published_formula_on_the_rows_they_touch(self, lr):
         rng = np.random.default_rng(1)
-        optimizer = training.Adam(self.LR)
+        optimizer = training.Adam(lr)
         table = rng.normal(size=(9, 4))
         want, m, v = table.copy(), np.zeros_like(table), np.zeros_like(table)
         for t, ids in enumerate(self.ROW_STEPS, start=1):
@@ -268,8 +271,7 @@ class TestAdam:
             start = table.copy()
             optimizer.begin_step()
             optimizer.update_rows("entity", table, ids, grads)
-            want[ids], m[ids], v[ids] = _reference_adam(want[ids], m[ids], v[ids], grads, t,
-                                                        self.LR)
+            want[ids], m[ids], v[ids] = _reference_adam(want[ids], m[ids], v[ids], grads, t, lr)
             untouched = np.setdiff1d(np.arange(table.shape[0]), ids)
             np.testing.assert_array_equal(table[untouched], start[untouched])
             np.testing.assert_allclose(start[ids] - table[ids], start[ids] - want[ids],
